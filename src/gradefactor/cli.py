@@ -39,7 +39,7 @@ from .factorization import (
     find_factors,
     optimal_factorization,
 )
-from .matrix import GradedMatrix, compose
+from .matrix import GradedMatrix, compose, leq
 from .scale import Scale, TNORM_KINDS
 
 
@@ -172,10 +172,16 @@ def _write_coverage_tsv(path: Path, factor_set: FactorSet, curve) -> None:
 
 def _emit_factorization(cfg: RunConfig, matrix: GradedMatrix, factor_set: FactorSet,
                         *, optimal: bool = False) -> int:
+    # truncated runs must stay below the input, complete ones must equal it
     a, b = factor_matrices(factor_set)
-    if factor_set.complete and compose(a, b) != matrix:
+    product = compose(a, b)
+    if factor_set.complete and product != matrix:
         print("error: factors do not reproduce the input exactly", file=sys.stderr)
         return 1
+    if not leq(product, matrix):
+        print("error: factors exceed the input", file=sys.stderr)
+        return 1
+    del product  # not held through the coverage pass
     curve = coverage_curve(factor_set, matrix)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(a, cfg.out_dir / "A.csv")

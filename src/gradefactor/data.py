@@ -147,12 +147,17 @@ def _parse_grade_cell(scale: Scale, text: str, *, strict: bool) -> int:
     return scale.level_from_value(Fraction(text), strict=strict)
 
 
-def _is_grade_cell(scale: Scale, text: str) -> bool:
+def _cell_kind(scale: Scale, text: str) -> str:
+    """How layout detection reads a cell: "grade" for a level of the chain
+    or a number in [0, 1], "number" for any other number (a column named
+    2019, say), "name" for what no mode can parse as a grade."""
     try:
         _parse_grade_cell(scale, text, strict=False)
     except (ValueError, ZeroDivisionError):
-        return False
-    return True
+        return "name"
+    if text.startswith("L") or 0 <= Fraction(text) <= 1:
+        return "grade"
+    return "number"
 
 
 def read_csv(path, scale: Scale, *, mode: str = "strict",
@@ -162,18 +167,27 @@ def read_csv(path, scale: Scale, *, mode: str = "strict",
     Cells are decimals in [0, 1] or levels written ``L<k>``.  With
     ``labeled=None`` a header row and a label column are auto-detected (any
     cell that fails to parse as a grade marks its row or column as labels)
-    and stripped; pass True or False to force the layout.
+    and stripped; pass True or False to force the layout.  A first row that
+    holds grades outside the label column, and no number outside [0, 1],
+    is data, so a bad cell in it is reported rather than taken for a
+    header; numbers outside [0, 1] there are column names.
     """
     _check_mode(mode)
     strict = mode == "strict"
     rows = _read_rows(path)
 
     if labeled is None:
-        has_header = not all(_is_grade_cell(scale, c) for c in rows[0])
+        first = [_cell_kind(scale, c) for c in rows[0]]
+        has_header = "name" in first
         body = rows[1:] if has_header else rows
+        has_labels = any(_cell_kind(scale, r[0]) == "name" for r in body)
+        names = first[1 if has_labels else 0:]
+        if has_header and "grade" in names and "number" not in names:
+            # grades beside non-grade cells make a data row with a bad cell,
+            # not a header: parse it and report that cell
+            has_header, body = False, rows
         if not body:
             raise ValueError(f"{path}: no data rows")
-        has_labels = not all(_is_grade_cell(scale, r[0]) for r in body)
     else:
         has_header = has_labels = labeled
         body = rows[1:] if has_header else rows

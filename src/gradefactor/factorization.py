@@ -4,7 +4,9 @@
 candidate intent by the attribute-grade pair whose generated concept covers
 the most still-uncovered nonzero cells, closes the intent, and stops growing
 when no extension strictly improves the count.  The factors it emits
-reproduce the input exactly under sup-t-norm composition.
+reproduce the input exactly under sup-t-norm composition.  Each step scores
+all extensions in one batched sweep, on row bitsets when the chain has two
+grades.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -144,20 +146,165 @@ class FactorSet:
         return [Fraction(initial - u, initial) for u in self.uncovered_counts[1:]]
 
 
-def _covered_count(scale: Scale, entries: np.ndarray, mask: np.ndarray,
-                   extent: np.ndarray, intent: np.ndarray) -> int:
-    rect = scale.tnorm(extent[:, None], intent[None, :])
-    return int(np.count_nonzero(mask & (rect >= entries)))
+# Cells one batch of candidate closures may touch: a batch of c candidates
+# over r rows and m columns holds c * r * m levels on a graded chain, or
+# c * m * w words of w row words on the two-grade chain.  Memory per step
+# is therefore flat in the number of grades.
+SWEEP_CELL_BUDGET = 1 << 16
 
 
-def _candidate_closure(scale: Scale, entries: np.ndarray, intent: np.ndarray,
-                       j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-    grown = intent.copy()
-    if a > grown[j]:
-        grown[j] = a
-    extent = _down_levels(scale, entries, grown)
-    closed = _up_levels(scale, entries, extent)
-    return extent, closed
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """An n x m Boolean array as m bitsets over its rows: uint64, m x words."""
+    n, m = bits.shape
+    words = -(-n // 64)
+    packed = np.zeros((words * 8, m), dtype=np.uint8)
+    packed[: -(-n // 8)] = np.packbits(bits, axis=0, bitorder="little")
+    return np.ascontiguousarray(packed.T).view(np.uint64)
+
+
+def _unpack_rows(bitset: np.ndarray, n: int) -> np.ndarray:
+    """Levels 0/1 of the first n rows of one bitset."""
+    bits = np.unpackbits(bitset.view(np.uint8), bitorder="little")[:n]
+    return bits.astype(LEVEL_DTYPE)
+
+
+def _work_dtype(scale: Scale):
+    """The narrowest signed integer type holding every intermediate of the
+    scale's t-norm and residuum; none exceeds 2n(n + 1) on an n-step chain.
+    Narrow levels halve or quarter the memory traffic of a batch."""
+    n = scale.max_level
+    for dtype in (np.int16, np.int32):
+        if 2 * n * (n + 1) <= np.iinfo(dtype).max:
+            return dtype
+    return LEVEL_DTYPE
+
+
+class _GradedSweep:
+    """Candidate scoring on any chain.
+
+    A candidate (j, a) joins grade `a` at attribute `j` to an intent with
+    extent D.  Its extent is D ∧ residuum(a, I[:, j]), because the residuum
+    is antitone in its first argument, so only the closure (up) and the
+    cover count need the whole matrix.  Rows outside the support of D can
+    neither lower an up nor hold a covered nonzero cell, so a step works
+    on D's support alone; the mask must hold nonzero cells only.
+    """
+
+    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray) -> None:
+        self.scale, self.entries, self.mask = scale, entries, mask
+
+    def scorer(self, extent: np.ndarray):
+        """Batch size and gain function for the candidates of one extent."""
+        scale = self.scale
+        dtype = _work_dtype(scale)
+        rows = np.flatnonzero(extent)
+        sub, base = self.entries[rows].astype(dtype), extent[rows].astype(dtype)
+        live = self.mask[rows]
+        batch = max(1, SWEEP_CELL_BUDGET // max(1, sub.size))
+
+        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+            ext = np.minimum(base, scale.residuum(levels[:, None].astype(dtype), sub[:, js].T))
+            closed = scale.residuum(ext[:, :, None], sub).min(axis=1, initial=scale.max_level)
+            hit = scale.tnorm(ext[:, :, None], closed[:, None, :]) >= sub
+            return np.count_nonzero(hit & live, axis=(1, 2))
+
+        return batch, gains
+
+    def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+        ext = np.minimum(extent, self.scale.residuum(a, self.entries[:, j]))
+        return ext, _up_levels(self.scale, self.entries, ext)
+
+    def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
+        """Drop the cells the concept covers; returns how many stay uncovered."""
+        rect = self.scale.tnorm(extent[:, None], intent[None, :])
+        self.mask &= ~(rect >= self.entries)
+        return int(self.mask.sum())
+
+
+class _BitsetSweep(_GradedSweep):
+    """Candidate scoring on the two-grade chain, where every t-norm is AND.
+
+    Columns, their holes (rows lacking the attribute) and the uncovered
+    cells are bitsets over rows.  A candidate extent is D & col[j];
+    attribute j' is in its closure iff the extent misses every hole of j';
+    its gain is the popcount of extent & uncovered[j'] over closed j'.
+    """
+
+    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray) -> None:
+        super().__init__(scale, entries, mask)
+        self.cols = _pack_rows(entries != 0)
+        self.holes = _pack_rows(entries == 0)
+        self.uncovered = _pack_rows(mask)
+
+    @staticmethod
+    def _closed(ext: np.ndarray, holes: np.ndarray) -> np.ndarray:
+        return ~(ext[..., None, :] & holes).any(axis=-1)
+
+    def scorer(self, extent: np.ndarray):
+        base = _pack_rows(extent[:, None] != 0)[0]
+        words = np.flatnonzero(base)
+        base = base[words]
+        cols, holes, uncovered = (
+            self.cols[:, words], self.holes[:, words], self.uncovered[:, words]
+        )
+        batch = max(1, SWEEP_CELL_BUDGET // max(1, holes.size))
+
+        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+            ext = base & cols[js]
+            counts = np.bitwise_count(ext[:, None, :] & uncovered).sum(axis=2, dtype=np.int64)
+            return (counts * self._closed(ext, holes)).sum(axis=1)
+
+        return batch, gains
+
+    def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+        ext = _pack_rows(extent[:, None] != 0)[0] & self.cols[j]
+        n = self.entries.shape[0]
+        return _unpack_rows(ext, n), self._closed(ext, self.holes).astype(LEVEL_DTYPE)
+
+    def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
+        remaining = super().retire(extent, intent)
+        self.uncovered = _pack_rows(self.mask)
+        return remaining
+
+
+def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedSweep:
+    kind = _BitsetSweep if scale.levels == 2 else _GradedSweep
+    return kind(scale, entries, mask)
+
+
+def _best_candidate(sweep: _GradedSweep, intent: np.ndarray, extent: np.ndarray,
+                    key: TieBreakKey):
+    """The winning (gain, j, a, extent, closed intent) over every extension
+    (j, a) with a > intent[j], or None when the intent is already top.
+
+    The winner has the largest (gain, key(j, a)); equal ranks go to the
+    first candidate in (j, a) order.  `key` is evaluated only on candidates
+    tying for the top gain seen so far.  Candidates with a <= intent[j]
+    leave the intent unchanged, so their gain is the current concept's own
+    cover count and they can never be a strict improvement.
+    """
+    counts = sweep.scale.max_level - intent
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    batch, gains = sweep.scorer(extent)
+    best = None
+    for start in range(0, total, batch):
+        flat = np.arange(start, min(start + batch, total))
+        js = np.searchsorted(ends, flat, side="right")
+        levels = intent[js] + 1 + flat - (ends[js] - counts[js])
+        g = gains(js, levels)
+        top = int(g.max())
+        if best is not None and top < best[0][0]:
+            continue
+        for c in np.flatnonzero(g == top):
+            j, a = int(js[c]), int(levels[c])
+            rank = (top, key(j, a))
+            if best is None or rank > best[0]:
+                best = (rank, j, a)
+    if best is None:
+        return None
+    (g, _), j, a = best
+    return (g, j, a, *sweep.closure(extent, j, a))
 
 
 def gain(context: GradedMatrix, universe: CoverUniverse, intent: FuzzySet,
@@ -180,39 +327,17 @@ def gain(context: GradedMatrix, universe: CoverUniverse, intent: FuzzySet,
     a = context.scale.check_level(a)
     if a == 0:
         raise ValueError("a zero grade cannot extend an intent")
-    extent, closed = _candidate_closure(
-        context.scale, context.entries, intent.membership, j, a
-    )
-    return _covered_count(context.scale, context.entries, universe.mask, extent, closed)
-
-
-def _select_candidate(scale: Scale, entries: np.ndarray, mask: np.ndarray,
-                      intent: np.ndarray, key: TieBreakKey, skip_dominated: bool):
-    """Best (gain, j, a) over all candidate extensions, with closure arrays.
-
-    Candidates with a <= intent[j] leave the intent unchanged, so their gain
-    equals the current concept's own cover count; skipping them cannot alter
-    which strictly-improving candidate wins.
-    """
-    top = scale.max_level
-    best = None
-    for j in range(entries.shape[1]):
-        start = int(intent[j]) + 1 if skip_dominated else 1
-        for a in range(start, top + 1):
-            extent, closed = _candidate_closure(scale, entries, intent, j, a)
-            g = _covered_count(scale, entries, mask, extent, closed)
-            rank = (g, key(j, a))
-            if best is None or rank > best[0]:
-                best = (rank, j, a, extent, closed)
-    if best is None:
-        return None
-    rank, j, a, extent, closed = best
-    return rank[0], j, a, extent, closed
+    scale, entries = context.scale, context.entries
+    # every concept covers the zero cells; the sweep scores the nonzero ones
+    nonzero = entries != 0
+    zeros = int(np.count_nonzero(universe.mask & ~nonzero))
+    sweep = _make_sweep(scale, entries, universe.mask & nonzero)
+    _, gains = sweep.scorer(_down_levels(scale, entries, intent.membership))
+    return zeros + int(gains(np.array([j]), np.array([a], dtype=LEVEL_DTYPE))[0])
 
 
 def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
-                 max_factors: int | None = None,
-                 skip_dominated: bool = True) -> FactorSet:
+                 max_factors: int | None = None) -> FactorSet:
     """Greedy exact decomposition of a context into concept factors.
 
     Each round grows an intent from empty: among all attribute-grade pairs
@@ -223,8 +348,6 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
 
     A `max_factors` bound truncates the run; the result is then marked
     incomplete instead of pretending the decomposition is exact.
-    `skip_dominated=False` evaluates redundant candidates too; it exists to
-    demonstrate the skip changes nothing.
     """
     _require_context(context)
     key = resolve_tie_break(tie_break)
@@ -232,27 +355,24 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
         raise ValueError(f"max_factors must be nonnegative, got {max_factors}")
     scale, entries = context.scale, context.entries
     n_rows, n_cols = entries.shape
-    mask = entries != 0
-    uncovered = [int(mask.sum())]
+    sweep = _make_sweep(scale, entries, entries != 0)
+    uncovered = [int(sweep.mask.sum())]
     factors: list[FormalConcept] = []
     complete = True
 
-    while mask.any():
+    while uncovered[-1]:
         if max_factors is not None and len(factors) >= max_factors:
             complete = False
             break
         intent = np.zeros(n_cols, dtype=LEVEL_DTYPE)
         extent = _down_levels(scale, entries, intent)
         best_so_far = 0
-        selected = _select_candidate(scale, entries, mask, intent, key, skip_dominated)
+        selected = _best_candidate(sweep, intent, extent, key)
         while selected is not None and selected[0] > best_so_far:
             best_so_far, _, _, extent, intent = selected
-            selected = _select_candidate(scale, entries, mask, intent, key, skip_dominated)
-        concept = FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, intent))
-        factors.append(concept)
-        rect = scale.tnorm(extent[:, None], intent[None, :])
-        mask &= ~(rect >= entries)
-        uncovered.append(int(mask.sum()))
+            selected = _best_candidate(sweep, intent, extent, key)
+        factors.append(FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, intent)))
+        uncovered.append(sweep.retire(extent, intent))
 
     return FactorSet(
         factors=tuple(factors),

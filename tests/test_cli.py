@@ -7,7 +7,17 @@ import sys
 import pytest
 
 import golden
-from gradefactor import GradedMatrix, Scale, compose, read_csv, write_csv
+from gradefactor import (
+    FactorSet,
+    FormalConcept,
+    FuzzySet,
+    GradedMatrix,
+    Scale,
+    compose,
+    read_csv,
+    write_csv,
+)
+from gradefactor import cli
 from gradefactor.cli import build_parser, main
 
 FIVE = Scale(5)
@@ -74,6 +84,31 @@ def test_factorize_missing_input(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("factorize", "--input", tmp_path / "nope.csv", "--out-dir", out) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_truncated_run_that_exceeds_the_input_is_rejected(tmp_path, graded_csv, monkeypatch,
+                                                          capsys):
+    # a full rectangle exceeds every cell of the decathlon input below 1
+    top = FormalConcept(FuzzySet(FIVE, [4] * 5), FuzzySet(FIVE, [4] * 10))
+
+    def too_large(context, tie_break, *, max_factors=None):
+        return FactorSet((top,), context.shape, context.scale, complete=False)
+
+    monkeypatch.setattr(cli, "find_factors", too_large)
+    out = tmp_path / "out"
+    assert run("factorize", "--input", graded_csv, "--max-factors", 1, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err == "error: factors exceed the input\n"
+    assert not out.exists()
+
+
+def test_factorize_rejects_a_bad_cell_in_the_first_row(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("0.5,nan\n1,0\n")
+    assert run("factorize", "--input", path, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "row 1, column 2" in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- oracle

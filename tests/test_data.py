@@ -141,6 +141,27 @@ def test_read_csv_autodetects_labels(tmp_path):
     assert m.entries.tolist() == [[1, 2], [4, 0]]
 
 
+def test_read_csv_mixed_first_row_is_data_not_header(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("0.5,nan\n1,0\n")
+    with pytest.raises(ValueError, match="row 1, column 2.*'nan'"):
+        read_csv(path, FIVE)
+    path.write_text("0.5,nan\n")
+    with pytest.raises(ValueError, match="row 1, column 2.*'nan'"):
+        read_csv(path, FIVE)
+    # a labeled first row without a header keeps its grades
+    path.write_text("x,0.25,0.5\ny,1,0\n")
+    assert read_csv(path, FIVE).entries.tolist() == [[1, 2], [4, 0]]
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("header", ["id,2019,2020", "name,1,2", "id,0.5,-1"])
+def test_read_csv_numeric_column_names_mark_a_header(tmp_path, mode, header):
+    path = tmp_path / "m.csv"
+    path.write_text(f"{header}\nx,0.25,0.5\ny,1,0\n")
+    assert read_csv(path, FIVE, mode=mode).entries.tolist() == [[1, 2], [4, 0]]
+
+
 def test_read_csv_forced_layout(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("0.25,0.5\n1,0\n")

@@ -1,10 +1,12 @@
 """Greedy decomposition, factor matrices, coverage, and the exact oracle."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 import oracles
@@ -33,6 +35,7 @@ from gradefactor import (
     superpose,
     up,
 )
+from gradefactor import factorization
 from gradefactor.factorization import resolve_tie_break
 
 FIVE = Scale(5)
@@ -127,8 +130,8 @@ def test_uncovered_counts_strictly_decrease(ctx):
 @settings(max_examples=30)
 def test_skipping_dominated_candidates_changes_nothing(ctx):
     fast = find_factors(ctx)
-    slow = find_factors(ctx, skip_dominated=False)
-    assert fast.factors == slow.factors
+    assert oracles.greedy_factors(ctx).factors == fast.factors
+    assert oracles.greedy_factors(ctx, skip_dominated=False).factors == fast.factors
 
 
 def test_greedy_handles_rounded_goguen():
@@ -143,6 +146,79 @@ def test_identical_runs_return_identical_factor_sets(decathlon):
     assert find_factors(decathlon) == find_factors(decathlon)
 
 
+# ---------------------------------------------------------------- sweep kernel
+#
+# The batched candidate sweep of `find_factors` against the one-candidate-
+# at-a-time reference loop.  Small cell budgets force candidate batches to
+# split mid-attribute, so every batch boundary is exercised.
+
+ALL_KINDS = ("lukasiewicz", "godel", "goguen")
+TIE_BREAKS = (*TIE_BREAK_POLICIES, lambda j, a: (a % 3, -j))
+BUDGETS = (1, 37, factorization.SWEEP_CELL_BUDGET)
+
+
+def assert_matches_reference(ctx, tie_break=DEFAULT_TIE_BREAK, budget=None, max_factors=None):
+    budget = factorization.SWEEP_CELL_BUDGET if budget is None else budget
+    with mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget):
+        fast = find_factors(ctx, tie_break, max_factors=max_factors)
+    slow = oracles.greedy_factors(ctx, tie_break, max_factors=max_factors)
+    assert fast == slow
+
+
+@given(
+    strategies.scales(ALL_KINDS, max_levels=101).flatmap(
+        lambda scale: strategies.contexts(scale, max_rows=5, max_cols=4)
+    ),
+    st.sampled_from(TIE_BREAKS),
+    st.sampled_from(BUDGETS),
+)
+@settings(max_examples=150)
+def test_sweep_matches_reference_on_graded_chains(ctx, tie_break, budget):
+    assert_matches_reference(ctx, tie_break, budget)
+
+
+@pytest.mark.parametrize("levels", [128, 129])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sweep_matches_reference_at_the_narrow_level_bound(levels, kind):
+    # 128 levels is the longest chain whose sweep runs in 16-bit levels
+    scale = Scale(levels, kind, rounded=kind == "goguen")
+    rng = np.random.default_rng(levels)
+    assert_matches_reference(GradedMatrix(scale, rng.integers(0, levels, size=(6, 4))))
+    # every grade occurs in every column, so an overflow would show in a gain
+    ctx = GradedMatrix(scale, np.stack([rng.permutation(levels) for _ in range(2)], axis=1))
+    universe = CoverUniverse.from_context(ctx)
+    intent = FuzzySet(scale, [0, int(rng.integers(1, levels))])
+    for j in range(2):
+        for a in range(1, levels):
+            expected = oracles.covered_count(
+                scale, ctx.entries, universe.mask,
+                *oracles.candidate_closure(scale, ctx.entries, intent.membership, j, a),
+            )
+            assert gain(ctx, universe, intent, j, a) == expected
+
+
+@given(
+    st.sampled_from([1, 63, 64, 65, 130]),
+    st.integers(1, 6),
+    st.floats(0.05, 0.95),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(TIE_BREAKS),
+    st.sampled_from(BUDGETS),
+)
+@settings(max_examples=60)
+def test_bitset_sweep_matches_reference_at_word_boundaries(n, m, density, seed, tie_break,
+                                                           budget):
+    rng = np.random.default_rng(seed)
+    ctx = GradedMatrix(Scale.boolean(), (rng.random((n, m)) < density).astype(int))
+    assert_matches_reference(ctx, tie_break, budget)
+
+
+def test_bitset_sweep_matches_reference_on_a_truncated_tall_run():
+    rng = np.random.default_rng(8)
+    ctx = GradedMatrix(Scale.boolean(), (rng.random((300, 20)) < 0.45).astype(int))
+    assert_matches_reference(ctx, max_factors=6)
+
+
 # ---------------------------------------------------------------- gain
 
 
@@ -155,6 +231,23 @@ def test_gain_counts_covered_universe_cells(decathlon):
         covers(concept, i, j, decathlon) for i, j in universe.pairs()
     )
     assert g == manual
+
+
+@given(strategies.context_with_intent(kinds=ALL_KINDS), st.data())
+@settings(max_examples=60)
+def test_gain_matches_the_closed_candidate(pair, data):
+    ctx, intent = pair
+    j = data.draw(st.integers(0, ctx.n_cols - 1))
+    a = data.draw(st.integers(1, ctx.scale.max_level))
+    universe = CoverUniverse(data.draw(
+        st.lists(st.lists(st.booleans(), min_size=ctx.n_cols, max_size=ctx.n_cols),
+                 min_size=ctx.n_rows, max_size=ctx.n_rows)
+    ))
+    extent, closed = oracles.candidate_closure(
+        ctx.scale, ctx.entries, intent.membership, j, a
+    )
+    expected = oracles.covered_count(ctx.scale, ctx.entries, universe.mask, extent, closed)
+    assert gain(ctx, universe, intent, j, a) == expected
 
 
 def test_gain_validation(decathlon):
