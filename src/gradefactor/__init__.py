@@ -49,7 +49,7 @@ from .matrix import (
     rectangle,
     superpose,
 )
-from .scale import Grade, PARSE_TOLERANCE, Scale, TNORM_KINDS
+from .scale import Grade, MAX_LEVELS, PARSE_TOLERANCE, Scale, TNORM_KINDS
 
 __version__ = "0.1.0"
 
@@ -64,6 +64,7 @@ __all__ = [
     "Grade",
     "GradedMatrix",
     "LEVEL_DTYPE",
+    "MAX_LEVELS",
     "PARSE_TOLERANCE",
     "RawTable",
     "Scale",

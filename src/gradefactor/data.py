@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,22 +89,31 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
         raise ValueError(
             f"{len(ranges.lows)} column ranges for a table with {n_cols} columns"
         )
-    n = scale.max_level
-    half = Fraction(1, 2)
+    # with lo = a/b and hi - lo = e/f, a cell x = p/q sits at the ratio
+    # (x - lo) / (hi - lo) = num/den, num = (pb - aq)f and den = eqb > 0,
+    # so range checks and half-up rounding need integers only
+    columns = []
+    for lo, hi in zip(ranges.lows, ranges.highs):
+        width = hi - lo
+        a, b = lo.numerator, lo.denominator
+        e, f = width.numerator, width.denominator
+        columns.append((b * f, a * f, e * b))
+    two_n = 2 * scale.max_level
     rows = []
     for r, row in enumerate(table.values):
         out = []
-        for c, x in enumerate(row):
-            lo, hi = ranges.lows[c], ranges.highs[c]
-            ratio = (x - lo) / (hi - lo)
-            if ratio < 0 or ratio > 1:
+        for c, (x, (bf, af, eb)) in enumerate(zip(row, columns)):
+            p, q = x.numerator, x.denominator
+            num, den = p * bf - q * af, q * eb
+            if num < 0 or num > den:
                 if mode == "strict":
                     raise ValueError(
                         f"{table.row_labels[r]!r} has {x} in column "
-                        f"{table.col_labels[c]!r}, outside [{lo}, {hi}]"
+                        f"{table.col_labels[c]!r}, outside "
+                        f"[{ranges.lows[c]}, {ranges.highs[c]}]"
                     )
-                ratio = min(max(ratio, Fraction(0)), Fraction(1))
-            out.append(math.floor(ratio * n + half))
+                num = min(max(num, 0), den)
+            out.append((two_n * num + den) // (2 * den))
         rows.append(out)
     return GradedMatrix(scale, rows)
 
@@ -113,9 +123,26 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
 # ----------------------------------------------------------------------
 
 
+class _Memo(dict):
+    """`fn(key)` for each distinct key, computed on its first lookup.  A
+    call that raises caches nothing, so the same key raises again."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _read_rows(path) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle)]
+        reader = csv.reader(handle)
+        try:
+            rows = [row for row in reader]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     rows = [[cell.strip() for cell in row] for row in rows if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -126,13 +153,23 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
+# Fraction expands a decimal exponent into an integer of that many digits,
+# so a cell such as "1e10000000" alone would take seconds to parse.  No grade
+# or measurement needs an exponent of five digits or more.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+_MAX_EXPONENT_DIGITS = 4
+
+
 def _parse_fraction(text: str) -> Fraction:
+    match = _EXPONENT.search(text)
+    if match and len(match[1].replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS:
+        raise ValueError(f"exponent too large in {text!r}")
     return Fraction(text)
 
 
 def _is_fraction(text: str) -> bool:
     try:
-        Fraction(text)
+        _parse_fraction(text)
     except (ValueError, ZeroDivisionError):
         return False
     return True
@@ -144,7 +181,7 @@ def _parse_grade_cell(scale: Scale, text: str, *, strict: bool) -> int:
         if not body.isdigit():
             raise ValueError(f"bad level syntax {text!r}")
         return scale.check_level(int(body))
-    return scale.level_from_value(Fraction(text), strict=strict)
+    return scale.level_from_value(_parse_fraction(text), strict=strict)
 
 
 def _cell_kind(scale: Scale, text: str) -> str:
@@ -155,7 +192,7 @@ def _cell_kind(scale: Scale, text: str) -> str:
         _parse_grade_cell(scale, text, strict=False)
     except (ValueError, ZeroDivisionError):
         return "name"
-    if text.startswith("L") or 0 <= Fraction(text) <= 1:
+    if text.startswith("L") or 0 <= _parse_fraction(text) <= 1:
         return "grade"
     return "number"
 
@@ -177,10 +214,11 @@ def read_csv(path, scale: Scale, *, mode: str = "strict",
     rows = _read_rows(path)
 
     if labeled is None:
-        first = [_cell_kind(scale, c) for c in rows[0]]
+        kind = _Memo(lambda text: _cell_kind(scale, text))
+        first = [kind[c] for c in rows[0]]
         has_header = "name" in first
         body = rows[1:] if has_header else rows
-        has_labels = any(_cell_kind(scale, r[0]) == "name" for r in body)
+        has_labels = any(kind[r[0]] == "name" for r in body)
         names = first[1 if has_labels else 0:]
         if has_header and "grade" in names and "number" not in names:
             # grades beside non-grade cells make a data row with a bad cell,
@@ -194,28 +232,32 @@ def read_csv(path, scale: Scale, *, mode: str = "strict",
         if not body:
             raise ValueError(f"{path}: no data rows")
 
+    # each distinct cell text is parsed once; a bad one is never cached, so
+    # the first bad cell in row-major order is the one reported
+    level = _Memo(lambda text: _parse_grade_cell(scale, text, strict=strict))
     levels = []
     for r, row in enumerate(body):
         cells = row[1:] if has_labels else row
         if not cells:
             raise ValueError(f"{path}: no data columns")
-        parsed = []
-        for c, cell in enumerate(cells):
-            try:
-                parsed.append(_parse_grade_cell(scale, cell, strict=strict))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{path}: bad grade at row {r + 1}, column {c + 1}: {exc}") from exc
-        levels.append(parsed)
+        try:
+            levels.append(list(map(level.__getitem__, cells)))
+        except (ValueError, ZeroDivisionError) as exc:
+            c = next(c for c, cell in enumerate(cells) if cell not in level)
+            raise ValueError(f"{path}: bad grade at row {r + 1}, column {c + 1}: {exc}") from exc
     return GradedMatrix(scale, levels)
 
 
 def write_csv(matrix: GradedMatrix, path) -> None:
-    """Write a grade matrix as plain CSV, one canonical cell per grade."""
-    scale = matrix.scale
+    """Write a grade matrix as plain CSV, one canonical cell per grade.
+
+    Each distinct level is formatted once.  Cells hold only digits, ``.``
+    and ``L``, so no field ever needs quoting.
+    """
+    text = _Memo(matrix.scale.format_level)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
         for row in matrix.entries:
-            writer.writerow([scale.format_level(v) for v in row])
+            handle.write(",".join(map(text.__getitem__, row.tolist())) + "\n")
 
 
 def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
@@ -312,7 +354,13 @@ def read_fimi(path, num_items: int | None = None, *,
         column = None
         width = num_items
 
-    grid = np.zeros((len(transactions), width), dtype=LEVEL_DTYPE)
+    try:
+        grid = np.zeros((len(transactions), width), dtype=LEVEL_DTYPE)
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(
+            f"{path}: cannot allocate a grid of {len(transactions)} rows x "
+            f"num_items={width} columns"
+        ) from None
     for r, items in enumerate(transactions):
         for item in items:
             grid[r, item if column is None else column[item]] = 1

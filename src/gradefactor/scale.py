@@ -19,6 +19,10 @@ Grade = int
 
 TNORM_KINDS = ("lukasiewicz", "godel", "goguen")
 
+# The longest chain: on an n-step chain no t-norm or residuum intermediate
+# exceeds 2n(n + 1), which must fit in int64, so n < 2**31.
+MAX_LEVELS = 2**31
+
 # Strict parsing rejects inputs farther than this from a representable grade.
 PARSE_TOLERANCE = Fraction(1, 10**9)
 
@@ -31,8 +35,8 @@ def _round_half_up(x: Fraction) -> int:
 class Scale:
     """An equidistant chain of grades 0 = g_0 < g_1 < ... < g_n = 1.
 
-    `levels` counts the grades (n + 1), so level i stands for the rational
-    i/n.  `tnorm_kind` selects the aggregation used by every consumer of
+    `levels` counts the grades (n + 1), at most MAX_LEVELS, so level i
+    stands for the rational i/n.  `tnorm_kind` selects the aggregation used by every consumer of
     the scale.  The goguen (product) t-norm is not closed on a finite chain
     and is available only with ``rounded=True``, which rounds products
     half-up to the nearest level; lukasiewicz and godel are closed and need
@@ -47,6 +51,10 @@ class Scale:
         if not isinstance(self.levels, int) or self.levels < 2:
             raise ValueError(
                 f"a scale needs at least the two grades 0 and 1, got levels={self.levels!r}"
+            )
+        if self.levels > MAX_LEVELS:
+            raise ValueError(
+                f"a scale has at most {MAX_LEVELS} grades, got levels={self.levels}"
             )
         if self.tnorm_kind not in TNORM_KINDS:
             raise ValueError(

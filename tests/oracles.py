@@ -6,10 +6,15 @@ kernels under test.  The one exception is `greedy_factors`, the original
 one-candidate-at-a-time greedy: it closes each candidate with the plain
 `down`/`up` operators, which have their own loop oracles above, and is the
 reference the batched candidate sweep of `find_factors` must match.
+The per-cell `read_csv`, `write_csv` and `discretize` at the end are the
+original grade I/O, which parses, formats and rounds every cell through
+Fractions; the memoized readers and writer and the integer discretizer
+must match them.  They share the layout helpers of `gradefactor.data`.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,6 +23,14 @@ import numpy as np
 
 from gradefactor import FactorSet, FormalConcept, FuzzySet, GradedMatrix, Scale
 from gradefactor.concepts import _down_levels, _up_levels
+from gradefactor.data import (
+    ColumnRange,
+    RawTable,
+    _cell_kind,
+    _check_mode,
+    _parse_grade_cell,
+    _read_rows,
+)
 from gradefactor.factorization import resolve_tie_break
 from gradefactor.matrix import LEVEL_DTYPE
 
@@ -200,3 +213,100 @@ def greedy_factors(context: GradedMatrix, tie_break="grade-then-index", *,
         complete=complete,
         uncovered_counts=tuple(uncovered),
     )
+
+
+# ----------------------------------------------------------------------
+# per-cell grade I/O
+# ----------------------------------------------------------------------
+
+
+def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
+               mode: str = "strict") -> GradedMatrix:
+    """Normalize each column to [0, 1] and snap to the nearest grade.
+
+    Ties round half-up.  Strict mode rejects values outside the declared
+    range; lenient mode clamps them to the endpoints.  The mapping is
+    monotone within every column either way.
+    """
+    _check_mode(mode)
+    n_cols = len(table.col_labels)
+    if len(ranges.lows) != n_cols:
+        raise ValueError(
+            f"{len(ranges.lows)} column ranges for a table with {n_cols} columns"
+        )
+    n = scale.max_level
+    half = Fraction(1, 2)
+    rows = []
+    for r, row in enumerate(table.values):
+        out = []
+        for c, x in enumerate(row):
+            lo, hi = ranges.lows[c], ranges.highs[c]
+            ratio = (x - lo) / (hi - lo)
+            if ratio < 0 or ratio > 1:
+                if mode == "strict":
+                    raise ValueError(
+                        f"{table.row_labels[r]!r} has {x} in column "
+                        f"{table.col_labels[c]!r}, outside [{lo}, {hi}]"
+                    )
+                ratio = min(max(ratio, Fraction(0)), Fraction(1))
+            out.append(math.floor(ratio * n + half))
+        rows.append(out)
+    return GradedMatrix(scale, rows)
+
+
+def read_csv(path, scale: Scale, *, mode: str = "strict",
+             labeled: bool | None = None) -> GradedMatrix:
+    """Read a matrix of grades from CSV.
+
+    Cells are decimals in [0, 1] or levels written ``L<k>``.  With
+    ``labeled=None`` a header row and a label column are auto-detected (any
+    cell that fails to parse as a grade marks its row or column as labels)
+    and stripped; pass True or False to force the layout.  A first row that
+    holds grades outside the label column, and no number outside [0, 1],
+    is data, so a bad cell in it is reported rather than taken for a
+    header; numbers outside [0, 1] there are column names.
+    """
+    _check_mode(mode)
+    strict = mode == "strict"
+    rows = _read_rows(path)
+
+    if labeled is None:
+        first = [_cell_kind(scale, c) for c in rows[0]]
+        has_header = "name" in first
+        body = rows[1:] if has_header else rows
+        has_labels = any(_cell_kind(scale, r[0]) == "name" for r in body)
+        names = first[1 if has_labels else 0:]
+        if has_header and "grade" in names and "number" not in names:
+            # grades beside non-grade cells make a data row with a bad cell,
+            # not a header: parse it and report that cell
+            has_header, body = False, rows
+        if not body:
+            raise ValueError(f"{path}: no data rows")
+    else:
+        has_header = has_labels = labeled
+        body = rows[1:] if has_header else rows
+        if not body:
+            raise ValueError(f"{path}: no data rows")
+
+    levels = []
+    for r, row in enumerate(body):
+        cells = row[1:] if has_labels else row
+        if not cells:
+            raise ValueError(f"{path}: no data columns")
+        parsed = []
+        for c, cell in enumerate(cells):
+            try:
+                parsed.append(_parse_grade_cell(scale, cell, strict=strict))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}: bad grade at row {r + 1}, column {c + 1}: {exc}") from exc
+        levels.append(parsed)
+    return GradedMatrix(scale, levels)
+
+
+def write_csv(matrix: GradedMatrix, path) -> None:
+    """Write a grade matrix as plain CSV, one canonical cell per grade."""
+    scale = matrix.scale
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        for row in matrix.entries:
+            writer.writerow([scale.format_level(v) for v in row])

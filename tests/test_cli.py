@@ -111,6 +111,17 @@ def test_factorize_rejects_a_bad_cell_in_the_first_row(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_factorize_rejects_a_chain_beyond_the_maximum(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("0.5,1\n1,0\n")
+    out = tmp_path / "out"
+    assert run("factorize", "--input", path, "--levels", 1000000000001, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a scale has at most")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- oracle
 
 
@@ -244,6 +255,20 @@ def test_fimi_requires_boolean_levels(tmp_path, capsys):
     assert run("factorize", "--input", src, "--format", "fimi",
                "--out-dir", tmp_path / "out") == 1
     assert "--levels 2" in capsys.readouterr().err
+
+
+def test_fimi_grid_too_large_to_allocate(tmp_path, capsys):
+    src = tmp_path / "t.dat"
+    src.write_text("0 1\n2\n")
+    # 2 x 10**14 levels need 1.6 PB, more than any 48-bit address space
+    # holds, so the allocation fails whatever the memory overcommit policy
+    assert run("factorize", "--input", src, "--format", "fimi", "--levels", 2,
+               "--num-items", 10**14, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "2 rows x num_items=100000000000000" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_goguen_needs_rounded_flag(tmp_path, graded_csv, capsys):

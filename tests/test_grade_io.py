@@ -1,0 +1,302 @@
+"""Grade I/O against the per-cell reference in `oracles`, and reader fuzzing.
+
+`read_csv` parses each distinct cell once, `write_csv` formats each level
+once and `discretize` rounds in integers; each must match the per-cell
+Fraction code level for level (byte for byte when writing), or raise the
+same error.  The readers must turn any input into a result or a
+ValueError.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from gradefactor import (
+    TNORM_KINDS,
+    ColumnRange,
+    GradedMatrix,
+    RawTable,
+    Scale,
+    discretize,
+    read_csv,
+    read_fimi,
+    read_raw_csv,
+    write_csv,
+)
+
+MODES = ("strict", "lenient")
+LAYOUTS = (None, True, False)
+# cells no mode reads as a grade on any chain up to 101 levels
+JUNK = ("x", "nan", "inf", "", "1/0", "L", "Lx", "L-1", "L102", "0.5.5", "--1", "1e99999")
+
+
+def outcome(fn, *args, **kwargs):
+    """The levels a call returns, or the text of the ValueError it raises."""
+    try:
+        return fn(*args, **kwargs).entries.tolist()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def scales():
+    return st.builds(
+        lambda levels, kind: Scale(levels, kind, rounded=kind == "goguen"),
+        st.integers(2, 101),
+        st.sampled_from(TNORM_KINDS),
+    )
+
+
+# ---------------------------------------------------------------- write_csv
+
+
+@st.composite
+def matrices(draw):
+    scale = draw(scales())
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(0, 5))
+    level = st.integers(0, scale.max_level)
+    cells = draw(st.lists(level, min_size=rows * cols, max_size=rows * cols))
+    return GradedMatrix(scale, np.array(cells, dtype=np.int64).reshape(rows, cols))
+
+
+@given(matrices())
+@settings(max_examples=150)
+def test_write_csv_matches_oracle_byte_for_byte(tmp_path_factory, matrix):
+    folder = tmp_path_factory.mktemp("write")
+    write_csv(matrix, folder / "fast.csv")
+    oracles.write_csv(matrix, folder / "oracle.csv")
+    assert (folder / "fast.csv").read_bytes() == (folder / "oracle.csv").read_bytes()
+    if matrix.n_cols:
+        assert read_csv(folder / "fast.csv", matrix.scale) == matrix
+
+
+def test_write_csv_zero_width_rows(tmp_path):
+    path = tmp_path / "a.csv"
+    write_csv(GradedMatrix(Scale(5), np.zeros((3, 0), dtype=np.int64)), path)
+    assert path.read_bytes() == b"\n\n\n"
+
+
+# ---------------------------------------------------------------- read_csv
+
+
+@st.composite
+def grade_text(draw, scale: Scale, bad: bool):
+    """One cell: a grade in a canonical or non-canonical spelling, or, with
+    `bad`, also off-grid, out-of-range and unparsable cells."""
+    n = scale.max_level
+    k = draw(st.integers(0, n))
+    kinds = ["canonical", "level", "fraction", "decimal", "float"]
+    if bad:
+        kinds += ["between", "outside", "junk"]
+    kind = draw(st.sampled_from(kinds))
+    canonical = scale.format_level(k)
+    if kind == "canonical":
+        return canonical
+    if kind == "level":
+        return f"L{k:0{draw(st.integers(1, 4))}d}"
+    if kind == "fraction":
+        m = draw(st.integers(1, 3))
+        return f"{k * m}/{n * m}"
+    if kind == "decimal" and not canonical.startswith("L"):
+        # 0.50, .5, 1.0, +0.5 and 5e-1 name the same grade as 0.5
+        whole, _, frac = canonical.partition(".")
+        frac += "0" * draw(st.integers(0 if frac else 1, 2))
+        sign = draw(st.sampled_from(["", "+"]))
+        if draw(st.booleans()) and whole == "0" and frac:
+            return f"{sign}.{frac}"
+        if draw(st.booleans()) and frac.strip("0"):
+            digits = frac.rstrip("0")
+            return f"{sign}{int(whole + digits)}e-{len(digits)}"
+        return f"{sign}{whole}.{frac}"
+    if kind == "between":
+        # an exact half step between two grades, or any point between them
+        if draw(st.booleans()) or k == n:
+            return f"{2 * k - 1 if k else 1}/{2 * n}"
+        q = draw(st.integers(2, 9))
+        return str(Fraction(k, n) + Fraction(draw(st.integers(1, q - 1)), q * n))
+    if kind == "outside":
+        return draw(st.sampled_from(["1.5", "-0.25", "2", "-1/3", "4/3", "1.0000001"]))
+    if kind == "junk":
+        return draw(st.sampled_from(JUNK))
+    # "float", and "decimal" for a grade with no short decimal: the float's
+    # shortest repr lies within the parse tolerance of the grade
+    return repr(k / n)
+
+
+@st.composite
+def grade_files(draw):
+    """A CSV text of grades with an optional header row and label column."""
+    scale = draw(scales())
+    bad = draw(st.booleans())
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    cell = grade_text(scale, bad)
+    grid = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        grid = [[f"r{i}"] + row for i, row in enumerate(grid)]
+    header = draw(st.sampled_from(["none", "names", "years"]))
+    width = len(grid[0])
+    if header == "names":
+        grid.insert(0, [f"c{j}" for j in range(width)])
+    elif header == "years":
+        grid.insert(0, ["id"] + [str(2019 + j) for j in range(width - 1)])
+    text = "".join(",".join(row) + "\n" for row in grid)
+    return scale, text
+
+
+@given(grade_files(), st.sampled_from(MODES), st.sampled_from(LAYOUTS))
+@settings(max_examples=400)
+def test_read_csv_matches_oracle(tmp_path_factory, case, mode, labeled):
+    scale, text = case
+    path = tmp_path_factory.mktemp("read") / "m.csv"
+    path.write_text(text)
+    got = outcome(read_csv, path, scale, mode=mode, labeled=labeled)
+    assert got == outcome(oracles.read_csv, path, scale, mode=mode, labeled=labeled)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("0.5,1\n0.25,x\n1,x\n", "row 2, column 2"),
+    ("0.5,1\n0.25,0\n1,x\n", "row 3, column 2"),
+    ("0.5,x,x\n1,0,0\n", "row 1, column 2"),
+    ("x,0.5\n0.25,1\n", "row 1, column 1"),
+    ("name,a,b\nr1,0.5,1\nr2,1/0,0\nr3,1/0,1\n", "row 2, column 1"),
+    ("0.5,1\n0.25,0.3\n0.3,1\n", "row 2, column 2"),
+])
+@pytest.mark.parametrize("labeled", [None, False])
+def test_read_csv_names_the_first_bad_cell(tmp_path, text, where, labeled):
+    if labeled is False and text.startswith("name"):
+        where = "row 1, column 1"
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=where):
+        read_csv(path, Scale(5), labeled=labeled)
+    assert outcome(read_csv, path, Scale(5), labeled=labeled) == outcome(
+        oracles.read_csv, path, Scale(5), labeled=labeled
+    )
+
+
+def test_read_csv_accepts_every_spelling_of_a_grade(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("0.50,.5,1/2,2/4,L2,5e-1,+0.5,0.5000000001\n")
+    assert read_csv(path, Scale(5)).entries.tolist() == [[2] * 8]
+
+
+# ---------------------------------------------------------------- discretize
+
+
+DENOMINATORS = (1, 2, 3, 4, 7, 9, 10, 12)
+
+
+@st.composite
+def discretize_cases(draw):
+    scale = draw(scales())
+    n = scale.max_level
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 4))
+    lows, highs = [], []
+    for _ in range(cols):
+        lo = Fraction(draw(st.integers(-20, 20)), draw(st.sampled_from(DENOMINATORS)))
+        width = Fraction(draw(st.integers(1, 40)), draw(st.sampled_from(DENOMINATORS)))
+        lows.append(lo)
+        highs.append(lo + width)
+    outside = draw(st.booleans())
+
+    def cell(c):
+        lo, width = lows[c], highs[c] - lows[c]
+        kinds = ["grade", "tie", "any"] + (["below", "above"] if outside else [])
+        kind = draw(st.sampled_from(kinds))
+        k = draw(st.integers(0, n))
+        if kind == "grade":
+            return lo + width * Fraction(k, n)
+        if kind == "tie":
+            # exactly half a step above a grade
+            return lo + width * Fraction(2 * min(k, n - 1) + 1, 2 * n)
+        if kind == "any":
+            q = draw(st.sampled_from(DENOMINATORS + (1000, 999_983)))
+            return lo + width * Fraction(draw(st.integers(0, q)), q)
+        step = Fraction(draw(st.integers(1, 50)), draw(st.sampled_from(DENOMINATORS)))
+        return lo - step if kind == "below" else highs[c] + step
+
+    values = tuple(tuple(cell(c) for c in range(cols)) for _ in range(rows))
+    table = RawTable(
+        tuple(f"r{i}" for i in range(rows)), tuple(f"c{j}" for j in range(cols)), values
+    )
+    return scale, table, ColumnRange(tuple(lows), tuple(highs))
+
+
+@given(discretize_cases(), st.sampled_from(MODES))
+@settings(max_examples=300)
+def test_discretize_matches_oracle(case, mode):
+    scale, table, ranges = case
+    got = outcome(discretize, table, ranges, scale, mode=mode)
+    assert got == outcome(oracles.discretize, table, ranges, scale, mode=mode)
+
+
+def test_discretize_ties_round_up_on_non_decimal_bounds():
+    # ranges [1/3, 2/3] on five levels: a step is 1/12 of the range's unit
+    third = Fraction(1, 3)
+    ranges = ColumnRange((third,), (2 * third,))
+    values = [third + third * Fraction(k, 8) for k in range(9)]
+    table = RawTable(tuple(str(i) for i in range(9)), ("c",), tuple((v,) for v in values))
+    levels = discretize(table, ranges, Scale(5)).entries[:, 0].tolist()
+    assert levels == [0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+
+def test_discretize_out_of_range_in_both_modes():
+    ranges = ColumnRange((Fraction(1, 3),), (Fraction(2, 3),))
+    table = RawTable(("lo", "hi"), ("c",), ((Fraction(1, 4),), (Fraction(7, 9),)))
+    with pytest.raises(ValueError, match=r"'lo' has 1/4 in column 'c', outside \[1/3, 2/3\]"):
+        discretize(table, ranges, Scale(5))
+    assert discretize(table, ranges, Scale(5), mode="lenient").entries.tolist() == [[0], [4]]
+
+
+# ---------------------------------------------------------------- fuzzing
+
+
+CSV_CHARS = st.sampled_from(list("0123456789.,/-+eEL_ \"'\t\n\r;x"))
+FUZZ_BYTES = st.one_of(
+    st.text(st.one_of(CSV_CHARS, st.characters()), max_size=80).map(
+        lambda text: text.encode("utf-8", "surrogatepass")
+    ),
+    st.binary(max_size=40),
+)
+
+
+@given(FUZZ_BYTES, st.sampled_from(MODES), st.sampled_from(LAYOUTS), st.integers(2, 7))
+@settings(max_examples=300)
+def test_readers_return_or_raise_value_error(tmp_path_factory, data, mode, labeled, levels):
+    path = tmp_path_factory.mktemp("fuzz") / "in"
+    path.write_bytes(data)
+    calls = [
+        (lambda: read_csv(path, Scale(levels), mode=mode, labeled=labeled), GradedMatrix),
+        (lambda: read_raw_csv(path, labeled=labeled), RawTable),
+        (lambda: read_fimi(path), GradedMatrix),
+        (lambda: read_fimi(path, num_items=levels), GradedMatrix),
+    ]
+    for call, kind in calls:
+        try:
+            result = call()
+        except ValueError:
+            continue
+        assert isinstance(result, kind)
+
+
+def test_readers_reject_oversized_fields_and_exponents(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("0," + "1" * 200_000 + "\n")
+    with pytest.raises(ValueError, match="field larger than field limit"):
+        read_csv(path, Scale(5))
+    with pytest.raises(ValueError, match="field larger than field limit"):
+        read_raw_csv(path)
+    # Fraction would build a ten-million-digit integer for this cell
+    path.write_text("a,b\nr,1e10000000\n")
+    with pytest.raises(ValueError, match="exponent too large"):
+        read_csv(path, Scale(5))
+    with pytest.raises(ValueError, match="exponent too large"):
+        read_raw_csv(path)
+    path.write_text("a,b\nr,1e-9999\n")
+    assert read_raw_csv(path).values == ((Fraction(1, 10**9999),),)

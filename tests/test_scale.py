@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gradefactor import PARSE_TOLERANCE, Scale, TNORM_KINDS
+from gradefactor import MAX_LEVELS, PARSE_TOLERANCE, Scale, TNORM_KINDS
 
 ALL_SCALES = [
     Scale(2, "lukasiewicz"),
@@ -36,6 +36,35 @@ def test_scale_needs_two_levels():
         Scale(0)
     with pytest.raises(ValueError):
         Scale("5")
+
+
+def test_chain_length_is_bounded_by_int64():
+    # 2n(n + 1) bounds every t-norm and residuum intermediate on an n-step chain
+    n = MAX_LEVELS - 1
+    top = np.iinfo(np.int64).max
+    assert 2 * n * (n + 1) <= top < 2 * (n + 1) * (n + 2)
+    Scale(MAX_LEVELS)
+    with pytest.raises(ValueError, match=f"at most {MAX_LEVELS} grades"):
+        Scale(MAX_LEVELS + 1)
+    # tnorm(n, n) of this chain used to overflow to 0
+    with pytest.raises(ValueError, match="at most"):
+        Scale(2**32 + 1, "goguen", rounded=True)
+
+
+@pytest.mark.parametrize("kind", TNORM_KINDS)
+def test_longest_chain_computes_exactly(kind):
+    scale = Scale(MAX_LEVELS, kind, rounded=kind == "goguen")
+    n = scale.max_level
+    levels = np.array([0, 1, 2, n // 2, n // 2 + 1, n - 1, n], dtype=np.int64)
+    tn = scale.tnorm(levels[:, None], levels[None, :])
+    res = scale.residuum(levels[:, None], levels[None, :])
+    for i, a in enumerate(levels.tolist()):
+        for j, b in enumerate(levels.tolist()):
+            assert int(tn[i, j]) == oracles.value_tnorm(scale, a, b)
+            r = int(res[i, j])
+            # the residuum is the largest adjoint, checked in Python integers
+            assert oracles.value_tnorm(scale, a, r) <= b
+            assert r == n or oracles.value_tnorm(scale, a, r + 1) > b
 
 
 def test_unknown_tnorm_rejected():
