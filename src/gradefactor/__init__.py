@@ -11,10 +11,8 @@ from .concepts import (
     FormalConcept,
     close_intent,
     concept_from_intent,
-    covers,
     down,
     enumerate_concepts,
-    graded_singleton,
     up,
 )
 from .data import (
@@ -31,12 +29,10 @@ from .data import (
 from .factorization import (
     DEFAULT_TIE_BREAK,
     TIE_BREAK_POLICIES,
-    CoverUniverse,
     FactorSet,
     coverage_curve,
     factor_matrices,
     find_factors,
-    gain,
     optimal_factorization,
 )
 from .matrix import (
@@ -46,22 +42,18 @@ from .matrix import (
     compose,
     equal_fraction,
     leq,
-    rectangle,
-    superpose,
 )
-from .scale import Grade, MAX_LEVELS, PARSE_TOLERANCE, Scale, TNORM_KINDS
+from .scale import MAX_LEVELS, PARSE_TOLERANCE, Scale, TNORM_KINDS
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
     "ColumnRange",
-    "CoverUniverse",
     "DEFAULT_TIE_BREAK",
     "FactorSet",
     "FormalConcept",
     "FuzzySet",
-    "Grade",
     "GradedMatrix",
     "LEVEL_DTYPE",
     "MAX_LEVELS",
@@ -74,15 +66,12 @@ __all__ = [
     "compose",
     "concept_from_intent",
     "coverage_curve",
-    "covers",
     "discretize",
     "down",
     "enumerate_concepts",
     "equal_fraction",
     "factor_matrices",
     "find_factors",
-    "gain",
-    "graded_singleton",
     "leq",
     "optimal_factorization",
     "random_factorizable",
@@ -90,8 +79,6 @@ __all__ = [
     "read_fimi",
     "read_ranges_csv",
     "read_raw_csv",
-    "rectangle",
-    "superpose",
     "up",
     "write_csv",
 ]

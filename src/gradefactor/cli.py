@@ -123,7 +123,7 @@ def _load_matrix(cfg: RunConfig) -> GradedMatrix:
 
 
 def _factor_report(cfg: RunConfig, factor_set: FactorSet, curve, *,
-                   seed=None, optimal: bool = False) -> dict:
+                   optimal: bool = False) -> dict:
     report = {
         "command": cfg.command,
         "input": str(cfg.input),
@@ -133,7 +133,7 @@ def _factor_report(cfg: RunConfig, factor_set: FactorSet, curve, *,
             "rounded": cfg.rounded,
         },
         "tie_break": cfg.tie_break,
-        "seed": seed,
+        "seed": None,
         "optimal": optimal,
         "shape": list(factor_set.context_shape),
         "complete": factor_set.complete,
@@ -170,25 +170,28 @@ def _write_coverage_tsv(path: Path, factor_set: FactorSet, curve) -> None:
             handle.write(f"{l}\t{float(eq):.6f}\t{nz_text}\n")
 
 
-def _emit_factorization(cfg: RunConfig, matrix: GradedMatrix, factor_set: FactorSet,
-                        *, optimal: bool = False) -> int:
-    # truncated runs must stay below the input, complete ones must equal it
+def _check_factors(matrix: GradedMatrix,
+                   factor_set: FactorSet) -> tuple[GradedMatrix, GradedMatrix]:
+    """The factor matrices, once their composition is checked against the
+    input: a complete run must reproduce it, a truncated one stay below it."""
     a, b = factor_matrices(factor_set)
     product = compose(a, b)
     if factor_set.complete and product != matrix:
-        print("error: factors do not reproduce the input exactly", file=sys.stderr)
-        return 1
+        raise ValueError("factors do not reproduce the input exactly")
     if not leq(product, matrix):
-        print("error: factors exceed the input", file=sys.stderr)
-        return 1
-    del product  # not held through the coverage pass
+        raise ValueError("factors exceed the input")
+    return a, b
+
+
+def _emit_factorization(cfg: RunConfig, matrix: GradedMatrix, factor_set: FactorSet,
+                        *, optimal: bool = False) -> None:
+    a, b = _check_factors(matrix, factor_set)
     curve = coverage_curve(factor_set, matrix)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(a, cfg.out_dir / "A.csv")
     write_csv(b, cfg.out_dir / "B.csv")
     _write_json(cfg.out_dir / "factors.json", _factor_report(cfg, factor_set, curve, optimal=optimal))
     _write_coverage_tsv(cfg.out_dir / "coverage.tsv", factor_set, curve)
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -201,9 +204,7 @@ def cmd_factorize(cfg: RunConfig) -> int:
     start = time.perf_counter()
     factor_set = find_factors(matrix, cfg.tie_break, max_factors=cfg.max_factors)
     elapsed = time.perf_counter() - start
-    status = _emit_factorization(cfg, matrix, factor_set)
-    if status:
-        return status
+    _emit_factorization(cfg, matrix, factor_set)
     note = "" if factor_set.complete else " (truncated, not exact)"
     print(
         f"{len(factor_set.factors)} factors for the {matrix.n_rows}x{matrix.n_cols} input{note}; "
@@ -217,9 +218,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     start = time.perf_counter()
     factor_set = optimal_factorization(matrix, budget=cfg.budget)
     elapsed = time.perf_counter() - start
-    status = _emit_factorization(cfg, matrix, factor_set, optimal=True)
-    if status:
-        return status
+    _emit_factorization(cfg, matrix, factor_set, optimal=True)
     print(
         f"optimal decomposition uses {len(factor_set.factors)} factors; "
         f"artifacts in {cfg.out_dir} ({elapsed:.2f}s)"
@@ -228,16 +227,22 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
 
 def cmd_coverage(cfg: RunConfig) -> int:
+    """Serves `coverage` and `experiment-coverage`, which differ only in
+    the default of --max-factors."""
     matrix = _load_matrix(cfg)
     start = time.perf_counter()
     factor_set = find_factors(matrix, cfg.tie_break, max_factors=cfg.max_factors)
     elapsed = time.perf_counter() - start
+    _check_factors(matrix, factor_set)
     curve = coverage_curve(factor_set, matrix)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_coverage_tsv(cfg.out_dir / "coverage.tsv", factor_set, curve)
+    initial, left = factor_set.uncovered_counts[0], factor_set.uncovered_counts[-1]
+    covered = (initial - left) / initial if initial else 1.0
+    note = "run complete" if factor_set.complete else "run truncated, would continue"
     print(
-        f"coverage curve over {len(factor_set.factors)} factors; "
-        f"artifacts in {cfg.out_dir} ({elapsed:.2f}s)"
+        f"{len(factor_set.factors)} factors cover {covered:.4f} of the nonzero cells "
+        f"({note}); artifacts in {cfg.out_dir} ({elapsed:.2f}s)"
     )
     return 0
 
@@ -282,30 +287,13 @@ def cmd_experiment_factorizability(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_experiment_coverage(cfg: RunConfig) -> int:
-    matrix = _load_matrix(cfg)
-    start = time.perf_counter()
-    factor_set = find_factors(matrix, cfg.tie_break, max_factors=cfg.max_factors)
-    elapsed = time.perf_counter() - start
-    curve = coverage_curve(factor_set, matrix)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_coverage_tsv(cfg.out_dir / "coverage.tsv", factor_set, curve)
-    last = factor_set.covered_nonzero_curve()[-1] if len(factor_set.factors) else 1
-    note = "run complete" if factor_set.complete else "run truncated, would continue"
-    print(
-        f"{len(factor_set.factors)} factors cover {float(last):.4f} of the nonzero cells "
-        f"({note}); artifacts in {cfg.out_dir} ({elapsed:.2f}s)"
-    )
-    return 0
-
-
 COMMANDS = {
     "factorize": cmd_factorize,
     "oracle": cmd_oracle,
     "coverage": cmd_coverage,
     "discretize": cmd_discretize,
     "experiment-factorizability": cmd_experiment_factorizability,
-    "experiment-coverage": cmd_experiment_coverage,
+    "experiment-coverage": cmd_coverage,
 }
 
 
@@ -364,14 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("factorize", help="greedy exact decomposition")
-    _add_input_args(p)
-    _add_scale_args(p)
-    _add_mode_args(p)
-    _add_tie_break_arg(p)
-    p.add_argument("--max-factors", dest="max_factors", type=int, default=None,
-                   help="stop after this many factors (marks the run incomplete)")
-    p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
+    greedy = (
+        ("factorize", "greedy exact decomposition", None),
+        ("coverage", "coverage curve of the greedy factors", None),
+        ("experiment-coverage", "coverage growth of a truncated greedy run", 50),
+    )
+    for name, help_text, max_factors in greedy:
+        p = sub.add_parser(name, help=help_text)
+        _add_input_args(p)
+        _add_scale_args(p)
+        _add_mode_args(p)
+        _add_tie_break_arg(p)
+        p.add_argument("--max-factors", dest="max_factors", type=int, default=max_factors,
+                       help="stop after this many factors (marks the run incomplete)")
+        p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
 
     p = sub.add_parser("oracle", help="exact minimum decomposition for small inputs")
     _add_input_args(p)
@@ -379,14 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_args(p)
     p.add_argument("--budget", type=int, default=10**6,
                    help="cap on closure computations and search nodes")
-    p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
-
-    p = sub.add_parser("coverage", help="coverage curve of the greedy factors")
-    _add_input_args(p)
-    _add_scale_args(p)
-    _add_mode_args(p)
-    _add_tie_break_arg(p)
-    p.add_argument("--max-factors", dest="max_factors", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
 
     p = sub.add_parser("discretize", help="snap a raw table onto a grade chain")
@@ -410,15 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", dest="distribution", type=_float_list, default=None,
                    help="comma-separated grade weights; uniform when omitted")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
-
-    p = sub.add_parser("experiment-coverage",
-                       help="coverage growth of a truncated greedy run")
-    _add_input_args(p)
-    _add_scale_args(p)
-    _add_mode_args(p)
-    _add_tie_break_arg(p)
-    p.add_argument("--max-factors", dest="max_factors", type=int, default=50)
     p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
 
     return parser

@@ -94,31 +94,6 @@ def concept_from_intent(context: GradedMatrix, intent: FuzzySet) -> FormalConcep
     return FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, closed))
 
 
-def graded_singleton(scale: Scale, size: int, index: int, level: int) -> FuzzySet:
-    """The set holding one element at the given level, zero elsewhere."""
-    if not 0 <= index < size:
-        raise ValueError(f"index {index} outside a universe of size {size}")
-    membership = np.zeros(size, dtype=LEVEL_DTYPE)
-    membership[index] = scale.check_level(level)
-    return FuzzySet(scale, membership)
-
-
-def covers(concept: FormalConcept, i: int, j: int, context: GradedMatrix) -> bool:
-    """Whether the concept's rectangle reproduces the context entry (i, j).
-
-    Concept rectangles never exceed the context, so this holds exactly when
-    tnorm(extent(i), intent(j)) equals I[i, j]; every zero entry is covered
-    by every concept.
-    """
-    _check_extent(context, concept.extent)
-    _check_intent(context, concept.intent)
-    if not 0 <= i < context.n_rows or not 0 <= j < context.n_cols:
-        raise ValueError(f"cell ({i}, {j}) outside a {context.shape} context")
-    scale = context.scale
-    product = scale.tnorm(int(concept.extent.membership[i]), int(concept.intent.membership[j]))
-    return int(product) == int(context.entries[i, j])
-
-
 def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[FormalConcept]:
     """All formal concepts of a context, in lexicographic intent order.
 

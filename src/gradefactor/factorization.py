@@ -61,47 +61,6 @@ def resolve_tie_break(policy) -> TieBreakKey:
         ) from None
 
 
-class CoverUniverse:
-    """The nonzero cells of a context still awaiting coverage."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: np.ndarray) -> None:
-        arr = np.array(mask, dtype=bool)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-d cell mask, got shape {arr.shape}")
-        self.mask = arr
-
-    @classmethod
-    def from_context(cls, context: GradedMatrix) -> "CoverUniverse":
-        return cls(context.entries != 0)
-
-    def __len__(self) -> int:
-        return int(self.mask.sum())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.mask.any()
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """Uncovered (row, col) pairs in row-major order."""
-        rows, cols = np.nonzero(self.mask)
-        return [(int(i), int(j)) for i, j in zip(rows, cols)]
-
-    def copy(self) -> "CoverUniverse":
-        return CoverUniverse(self.mask)
-
-    def remove_covered(self, concept: FormalConcept, context: GradedMatrix) -> int:
-        """Drop every cell the concept covers; returns how many were dropped."""
-        scale = context.scale
-        rect = scale.tnorm(
-            concept.extent.membership[:, None], concept.intent.membership[None, :]
-        )
-        hit = self.mask & (rect >= context.entries)
-        self.mask &= ~hit
-        return int(hit.sum())
-
-
 @dataclass(frozen=True)
 class FactorSet:
     """An ordered list of concept factors for one context.
@@ -305,35 +264,6 @@ def _best_candidate(sweep: _GradedSweep, intent: np.ndarray, extent: np.ndarray,
         return None
     (g, _), j, a = best
     return (g, j, a, *sweep.closure(extent, j, a))
-
-
-def gain(context: GradedMatrix, universe: CoverUniverse, intent: FuzzySet,
-         j: int, a: int) -> int:
-    """Cells of the universe covered by the concept generated from the intent
-    extended with grade `a` at attribute `j`.
-
-    The count is taken against the whole universe, not just newly covered
-    cells, which is what makes the greedy inner loop's improvement test
-    meaningful.
-    """
-    _require_context(context)
-    _require_same_scale(context.scale, intent.scale)
-    if intent.size != context.n_cols:
-        raise ValueError(f"intent size {intent.size} does not match {context.n_cols} columns")
-    if universe.mask.shape != context.shape:
-        raise ValueError(f"universe shape {universe.mask.shape} does not match {context.shape}")
-    if not 0 <= j < context.n_cols:
-        raise ValueError(f"attribute index {j} outside {context.n_cols} columns")
-    a = context.scale.check_level(a)
-    if a == 0:
-        raise ValueError("a zero grade cannot extend an intent")
-    scale, entries = context.scale, context.entries
-    # every concept covers the zero cells; the sweep scores the nonzero ones
-    nonzero = entries != 0
-    zeros = int(np.count_nonzero(universe.mask & ~nonzero))
-    sweep = _make_sweep(scale, entries, universe.mask & nonzero)
-    _, gains = sweep.scorer(_down_levels(scale, entries, intent.membership))
-    return zeros + int(gains(np.array([j]), np.array([a], dtype=LEVEL_DTYPE))[0])
 
 
 def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,

@@ -159,35 +159,6 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     return GradedMatrix(a.scale, out)
 
 
-def rectangle(extent: FuzzySet, intent: FuzzySet) -> GradedMatrix:
-    """Outer t-norm product of a graded row set and column set."""
-    _require_same_scale(extent.scale, intent.scale)
-    grid = extent.scale.tnorm(extent.membership[:, None], intent.membership[None, :])
-    return GradedMatrix(extent.scale, grid)
-
-
-def superpose(matrices: Sequence[GradedMatrix], *, scale: Scale | None = None,
-              shape: tuple[int, int] | None = None) -> GradedMatrix:
-    """Entrywise maximum of matrices of one shape.
-
-    An empty sequence needs an explicit scale and shape and yields the zero
-    matrix.
-    """
-    mats = list(matrices)
-    if not mats:
-        if scale is None or shape is None:
-            raise ValueError("superposing nothing needs an explicit scale and shape")
-        return GradedMatrix.zeros(scale, *shape)
-    first = mats[0]
-    out = np.array(first.entries)
-    for m in mats[1:]:
-        _require_same_scale(first.scale, m.scale)
-        if m.shape != first.shape:
-            raise ValueError(f"shape mismatch: {first.shape} vs {m.shape}")
-        np.maximum(out, m.entries, out=out)
-    return GradedMatrix(first.scale, out)
-
-
 def leq(a: GradedMatrix, b: GradedMatrix) -> bool:
     """Entrywise order: every entry of `a` at most the matching entry of `b`."""
     _require_same_scale(a.scale, b.scale)

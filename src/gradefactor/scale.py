@@ -15,8 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-Grade = int
-
 TNORM_KINDS = ("lukasiewicz", "godel", "goguen")
 
 # The longest chain: on an n-step chain no t-norm or residuum intermediate
@@ -77,7 +75,7 @@ class Scale:
         return self.levels - 1
 
     # ------------------------------------------------------------------
-    # lattice and t-norm operations on levels
+    # t-norm and residuum on levels
     # ------------------------------------------------------------------
 
     def tnorm(self, a, b):
@@ -100,12 +98,6 @@ class Scale:
         # rounded goguen: largest c with (2ac + n) // (2n) <= b
         safe = np.maximum(2 * a, 1)
         return np.where(a == 0, n, np.minimum((2 * n * b + n - 1) // safe, n))[()]
-
-    def meet(self, a, b):
-        return np.minimum(a, b)
-
-    def join(self, a, b):
-        return np.maximum(a, b)
 
     # ------------------------------------------------------------------
     # conversions between levels, rationals, and text

@@ -86,8 +86,9 @@ def test_factorize_missing_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["factorize", "coverage", "experiment-coverage"])
 def test_truncated_run_that_exceeds_the_input_is_rejected(tmp_path, graded_csv, monkeypatch,
-                                                          capsys):
+                                                          capsys, command):
     # a full rectangle exceeds every cell of the decathlon input below 1
     top = FormalConcept(FuzzySet(FIVE, [4] * 5), FuzzySet(FIVE, [4] * 10))
 
@@ -96,7 +97,7 @@ def test_truncated_run_that_exceeds_the_input_is_rejected(tmp_path, graded_csv, 
 
     monkeypatch.setattr(cli, "find_factors", too_large)
     out = tmp_path / "out"
-    assert run("factorize", "--input", graded_csv, "--max-factors", 1, "--out-dir", out) == 1
+    assert run(command, "--input", graded_csv, "--max-factors", 1, "--out-dir", out) == 1
     err = capsys.readouterr().err
     assert err == "error: factors exceed the input\n"
     assert not out.exists()
@@ -160,6 +161,31 @@ def test_experiment_coverage_command(tmp_path, graded_csv, capsys):
     lines = (out / "coverage.tsv").read_text().splitlines()
     assert len(lines) == 4
     assert "run truncated" in capsys.readouterr().out
+
+
+def test_coverage_console_line_counts_covered_cells(tmp_path, graded_csv, capsys):
+    out = tmp_path / "out"
+    assert run("experiment-coverage", "--input", graded_csv, "--max-factors", 0,
+               "--out-dir", out) == 0
+    assert capsys.readouterr().out.startswith("0 factors cover 0.0000 of the nonzero cells")
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("0,0\n0,0\n")
+    assert run("experiment-coverage", "--input", zeros, "--out-dir", out) == 0
+    assert capsys.readouterr().out.startswith(
+        "0 factors cover 1.0000 of the nonzero cells (run complete)"
+    )
+
+
+def test_coverage_commands_write_the_factorize_coverage(tmp_path, graded_csv):
+    def coverage_tsv(name, *args):
+        out = tmp_path / name
+        assert run(*args, "--input", graded_csv, "--out-dir", out) == 0
+        return (out / "coverage.tsv").read_bytes()
+
+    truncated = {coverage_tsv(command, command, "--max-factors", 3)
+                 for command in ("factorize", "coverage", "experiment-coverage")}
+    assert len(truncated) == 1
+    assert coverage_tsv("full-factorize", "factorize") == coverage_tsv("full-coverage", "coverage")
 
 
 # ---------------------------------------------------------------- discretize

@@ -9,18 +9,18 @@ import oracles
 import strategies
 from gradefactor import (
     BudgetExceededError,
+    FactorSet,
     FormalConcept,
     FuzzySet,
     GradedMatrix,
     Scale,
     close_intent,
+    compose,
     concept_from_intent,
-    covers,
     down,
     enumerate_concepts,
-    graded_singleton,
+    factor_matrices,
     leq,
-    rectangle,
     up,
 )
 
@@ -100,7 +100,8 @@ def test_concept_from_intent_is_a_fixpoint(case):
 def test_concept_rectangle_never_exceeds_context(case):
     ctx, intent = case
     concept = concept_from_intent(ctx, intent)
-    assert leq(rectangle(concept.extent, concept.intent), ctx)
+    rect = compose(*factor_matrices(FactorSet((concept,), ctx.shape, ctx.scale)))
+    assert leq(rect, ctx)
 
 
 @given(strategies.contexts())
@@ -113,30 +114,30 @@ def test_singleton_concept_covers_its_generating_cell(case):
         for j in range(ctx.n_cols):
             if not entries[i, j]:
                 continue
-            seed = graded_singleton(ctx.scale, ctx.n_cols, j, int(entries[i, j]))
-            concept = concept_from_intent(ctx, seed)
-            assert covers(concept, i, j, ctx)
-
-
-def test_graded_singleton():
-    s = graded_singleton(FIVE, 4, 2, 3)
-    assert list(s.membership) == [0, 0, 3, 0]
-    with pytest.raises(ValueError, match="outside a universe"):
-        graded_singleton(FIVE, 4, 4, 1)
-    with pytest.raises(ValueError):
-        graded_singleton(FIVE, 4, 0, 9)
+            seed = np.zeros(ctx.n_cols, dtype=int)
+            seed[j] = entries[i, j]
+            concept = concept_from_intent(ctx, FuzzySet(ctx.scale, seed))
+            cell = ctx.scale.tnorm(int(concept.extent.membership[i]),
+                                   int(concept.intent.membership[j]))
+            assert int(cell) == int(entries[i, j])
 
 
 def test_covers_matches_definition():
+    # a concept covers cell (i, j) when tnorm(extent(i), intent(j)) equals
+    # I[i, j]: exactly where its one-factor composition agrees with I
     ctx = GradedMatrix(FIVE, [[2, 0], [4, 1]])
-    concept = concept_from_intent(ctx, FuzzySet(FIVE, [4, 0]))
-    for i in range(2):
-        for j in range(2):
-            product = int(FIVE.tnorm(int(concept.extent.membership[i]),
-                                     int(concept.intent.membership[j])))
-            assert covers(concept, i, j, ctx) == (product == int(ctx.entries[i, j]))
-    with pytest.raises(ValueError, match="outside"):
-        covers(concept, 2, 0, ctx)
+    for seed, extent, intent, covered in (
+        ([4, 0], [2, 4], [4, 1], [[True, True], [True, True]]),
+        ([0, 4], [0, 1], [4, 4], [[False, True], [False, True]]),
+    ):
+        concept = concept_from_intent(ctx, FuzzySet(FIVE, seed))
+        assert concept.extent.membership.tolist() == extent
+        assert concept.intent.membership.tolist() == intent
+        cells = [[int(FIVE.tnorm(extent[i], intent[j])) == int(ctx.entries[i, j])
+                  for j in range(2)] for i in range(2)]
+        assert cells == covered
+        rect = compose(*factor_matrices(FactorSet((concept,), ctx.shape, FIVE)))
+        assert (rect.entries == ctx.entries).tolist() == covered
 
 
 # ---------------------------------------------------------------- enumeration

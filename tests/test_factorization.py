@@ -13,7 +13,6 @@ import oracles
 import strategies
 from gradefactor import (
     BudgetExceededError,
-    CoverUniverse,
     DEFAULT_TIE_BREAK,
     FactorSet,
     FuzzySet,
@@ -23,16 +22,11 @@ from gradefactor import (
     compose,
     concept_from_intent,
     coverage_curve,
-    covers,
     down,
     enumerate_concepts,
     factor_matrices,
     find_factors,
-    gain,
-    graded_singleton,
     optimal_factorization,
-    rectangle,
-    superpose,
     up,
 )
 from gradefactor import factorization
@@ -44,6 +38,14 @@ FIVE = Scale(5)
 def assert_exact(factor_set, context):
     a, b = factor_matrices(factor_set)
     assert compose(a, b) == context
+
+
+def sweep_gain(ctx, mask, intent, j, a):
+    """The sweep kernel's cover count for the candidate (j, a) of `intent`;
+    `mask` holds the uncovered nonzero cells."""
+    sweep = factorization._make_sweep(ctx.scale, ctx.entries, mask)
+    _, gains = sweep.scorer(down(ctx, intent).membership)
+    return int(gains(np.array([j]), np.array([a]))[0])
 
 
 # ---------------------------------------------------------------- greedy
@@ -77,7 +79,7 @@ def test_unknown_tie_break_rejected(decathlon):
 
 
 def test_single_rectangle_needs_one_factor():
-    r = rectangle(FuzzySet(FIVE, [4, 2, 3]), FuzzySet(FIVE, [3, 4]))
+    r = compose(GradedMatrix(FIVE, [[4], [2], [3]]), GradedMatrix(FIVE, [[3, 4]]))
     fs = find_factors(r)
     assert len(fs.factors) == 1
     assert_exact(fs, r)
@@ -186,15 +188,15 @@ def test_sweep_matches_reference_at_the_narrow_level_bound(levels, kind):
     assert_matches_reference(GradedMatrix(scale, rng.integers(0, levels, size=(6, 4))))
     # every grade occurs in every column, so an overflow would show in a gain
     ctx = GradedMatrix(scale, np.stack([rng.permutation(levels) for _ in range(2)], axis=1))
-    universe = CoverUniverse.from_context(ctx)
+    mask = ctx.entries != 0
     intent = FuzzySet(scale, [0, int(rng.integers(1, levels))])
     for j in range(2):
         for a in range(1, levels):
             expected = oracles.covered_count(
-                scale, ctx.entries, universe.mask,
+                scale, ctx.entries, mask,
                 *oracles.candidate_closure(scale, ctx.entries, intent.membership, j, a),
             )
-            assert gain(ctx, universe, intent, j, a) == expected
+            assert sweep_gain(ctx, mask, intent, j, a) == expected
 
 
 @given(
@@ -223,14 +225,11 @@ def test_bitset_sweep_matches_reference_on_a_truncated_tall_run():
 
 
 def test_gain_counts_covered_universe_cells(decathlon):
-    universe = CoverUniverse.from_context(decathlon)
-    empty = FuzzySet.zeros(FIVE, 10)
-    g = gain(decathlon, universe, empty, 0, 4)
-    concept = concept_from_intent(decathlon, graded_singleton(FIVE, 10, 0, 4))
-    manual = sum(
-        covers(concept, i, j, decathlon) for i, j in universe.pairs()
-    )
-    assert g == manual
+    mask = decathlon.entries != 0
+    g = sweep_gain(decathlon, mask, FuzzySet.zeros(FIVE, 10), 0, 4)
+    concept = concept_from_intent(decathlon, FuzzySet(FIVE, [4] + [0] * 9))
+    rect = FIVE.tnorm(concept.extent.membership[:, None], concept.intent.membership[None, :])
+    assert g == int(np.count_nonzero(mask & (rect == decathlon.entries)))
 
 
 @given(strategies.context_with_intent(kinds=ALL_KINDS), st.data())
@@ -239,37 +238,26 @@ def test_gain_matches_the_closed_candidate(pair, data):
     ctx, intent = pair
     j = data.draw(st.integers(0, ctx.n_cols - 1))
     a = data.draw(st.integers(1, ctx.scale.max_level))
-    universe = CoverUniverse(data.draw(
+    drawn = np.array(data.draw(
         st.lists(st.lists(st.booleans(), min_size=ctx.n_cols, max_size=ctx.n_cols),
                  min_size=ctx.n_rows, max_size=ctx.n_rows)
-    ))
+    ), dtype=bool)
+    mask = drawn & (ctx.entries != 0)
     extent, closed = oracles.candidate_closure(
         ctx.scale, ctx.entries, intent.membership, j, a
     )
-    expected = oracles.covered_count(ctx.scale, ctx.entries, universe.mask, extent, closed)
-    assert gain(ctx, universe, intent, j, a) == expected
-
-
-def test_gain_validation(decathlon):
-    universe = CoverUniverse.from_context(decathlon)
-    empty = FuzzySet.zeros(FIVE, 10)
-    with pytest.raises(ValueError, match="zero grade"):
-        gain(decathlon, universe, empty, 0, 0)
-    with pytest.raises(ValueError, match="attribute index"):
-        gain(decathlon, universe, empty, 10, 1)
-    with pytest.raises(ValueError, match="intent size"):
-        gain(decathlon, universe, FuzzySet.zeros(FIVE, 3), 0, 1)
+    expected = oracles.covered_count(ctx.scale, ctx.entries, mask, extent, closed)
+    assert sweep_gain(ctx, mask, intent, j, a) == expected
 
 
 def test_cover_universe_bookkeeping(decathlon, reference_factors):
-    universe = CoverUniverse.from_context(decathlon)
-    assert len(universe) == 50
-    removed = universe.copy()
-    dropped = removed.remove_covered(reference_factors[0], decathlon)
-    assert dropped == 23
-    assert len(removed) == 27
-    assert len(universe) == 50
-    assert not universe.is_empty
+    mask = decathlon.entries != 0
+    assert int(mask.sum()) == 50
+    sweep = factorization._make_sweep(FIVE, decathlon.entries, mask)
+    first = reference_factors[0]
+    remaining = sweep.retire(first.extent.membership, first.intent.membership)
+    assert (50 - remaining, remaining) == (23, 27)
+    assert int(sweep.mask.sum()) == 27
 
 
 # ---------------------------------------------------------------- factor sets
@@ -287,8 +275,9 @@ def test_factor_matrices_layout(decathlon, reference_factors):
 def test_factor_matrices_compose_to_superposition(decathlon):
     fs = find_factors(decathlon, max_factors=3)
     a, b = factor_matrices(fs)
-    rects = [rectangle(c.extent, c.intent) for c in fs.factors]
-    assert compose(a, b) == superpose(rects)
+    rects = [FIVE.tnorm(c.extent.membership[:, None], c.intent.membership[None, :])
+             for c in fs.factors]
+    assert np.array_equal(compose(a, b).entries, np.maximum.reduce(rects))
 
 
 def test_factor_set_validation(reference_factors):
@@ -342,10 +331,11 @@ def test_coverage_curve_validation(decathlon):
 def test_coverage_curve_matches_prefix_superpositions(ctx):
     fs = find_factors(ctx)
     curve = coverage_curve(fs, ctx)
-    rects = [rectangle(c.extent, c.intent) for c in fs.factors]
+    a, b = factor_matrices(fs)
     for l, cov in enumerate(curve, start=1):
-        prefix = superpose(rects[:l], scale=ctx.scale, shape=ctx.shape)
-        agree = int(np.count_nonzero(prefix.entries == ctx.entries))
+        prefix = np.array(oracles.loop_compose(GradedMatrix(ctx.scale, a.entries[:, :l]),
+                                               GradedMatrix(ctx.scale, b.entries[:l])))
+        agree = int(np.count_nonzero(prefix == ctx.entries))
         assert cov == Fraction(agree, ctx.entries.size)
 
 

@@ -10,14 +10,15 @@ import golden
 import oracles
 import strategies
 from gradefactor import (
+    FactorSet,
+    FormalConcept,
     FuzzySet,
     GradedMatrix,
     Scale,
     compose,
     equal_fraction,
+    factor_matrices,
     leq,
-    rectangle,
-    superpose,
 )
 
 FIVE = Scale(5)
@@ -155,44 +156,52 @@ def test_boolean_compose_is_boolean_product():
         assert np.array_equal(compose(a, b).entries, oracles.bool_compose(a, b))
 
 
-# ---------------------------------------------------------------- rectangle etc
+# ---------------------------------------------------------------- rectangles
+#
+# A factor's rectangle is the composition of its extent as one column with
+# its intent as one row; several factors superpose by composing their
+# stacked columns and rows.
+
+
+def one_factor(ext, intent):
+    return (GradedMatrix(FIVE, np.array(ext)[:, None]),
+            GradedMatrix(FIVE, np.array(intent)[None, :]))
 
 
 def test_rectangle_is_outer_product():
-    ext = FuzzySet(FIVE, [4, 2])
-    intent = FuzzySet(FIVE, [3, 4])
-    r = rectangle(ext, intent)
+    ext, intent = [4, 2], [3, 4]
+    r = compose(*one_factor(ext, intent))
     for i in range(2):
         for j in range(2):
-            assert r.entries[i, j] == int(
-                FIVE.tnorm(int(ext.membership[i]), int(intent.membership[j]))
-            )
+            assert r.entries[i, j] == int(FIVE.tnorm(ext[i], intent[j]))
 
 
 def test_rectangle_equals_single_factor_compose():
-    ext = FuzzySet(FIVE, [4, 2, 1])
-    intent = FuzzySet(FIVE, [3, 0])
-    a = GradedMatrix(FIVE, ext.membership[:, None])
-    b = GradedMatrix(FIVE, intent.membership[None, :])
-    assert rectangle(ext, intent) == compose(a, b)
+    a, b = one_factor([4, 2, 1], [3, 0])
+    assert compose(a, b).entries.tolist() == oracles.loop_compose(a, b)
+    assert compose(a, b).entries.tolist() == [[3, 0], [1, 0], [0, 0]]
 
 
 def test_superpose_is_entrywise_max():
-    a = GradedMatrix(FIVE, [[1, 0], [2, 3]])
-    b = GradedMatrix(FIVE, [[0, 2], [4, 1]])
-    assert superpose([a, b]).entries.tolist() == [[1, 2], [4, 3]]
+    exts, intents = [[4, 2], [1, 4]], [[2, 3], [4, 1]]
+    a = GradedMatrix(FIVE, np.array(exts).T)
+    b = GradedMatrix(FIVE, intents)
+    rects = [compose(*one_factor(e, d)).entries for e, d in zip(exts, intents)]
+    assert compose(a, b).entries.tolist() == np.maximum(*rects).tolist() == [[2, 3], [4, 1]]
 
 
 def test_superpose_empty_needs_scale_and_shape():
-    with pytest.raises(ValueError, match="explicit scale and shape"):
-        superpose([])
-    z = superpose([], scale=FIVE, shape=(2, 2))
-    assert z == GradedMatrix.zeros(FIVE, 2, 2)
+    # no factors superpose to the zero matrix of the factor set's shape
+    a, b = factor_matrices(FactorSet((), (2, 3), FIVE))
+    assert (a.shape, b.shape) == ((2, 0), (0, 3))
+    assert compose(a, b) == GradedMatrix.zeros(FIVE, 2, 3)
 
 
 def test_superpose_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        superpose([GradedMatrix.zeros(FIVE, 1, 2), GradedMatrix.zeros(FIVE, 2, 1)])
+    wide = FormalConcept(FuzzySet(FIVE, [1, 2]), FuzzySet(FIVE, [3, 4]))
+    tall = FormalConcept(FuzzySet(FIVE, [1, 2, 3]), FuzzySet(FIVE, [3, 4]))
+    with pytest.raises(ValueError, match="does not fit"):
+        FactorSet((wide, tall), (2, 2), FIVE)
 
 
 def test_leq():

@@ -135,13 +135,6 @@ def test_rounded_goguen_gives_up_associativity():
     assert int(scale.tnorm(scale.tnorm(1, 2), 2)) != int(scale.tnorm(1, scale.tnorm(2, 2)))
 
 
-def test_meet_join():
-    scale = Scale(5)
-    assert int(scale.meet(1, 3)) == 1
-    assert int(scale.join(1, 3)) == 3
-    assert np.array_equal(scale.meet(np.array([0, 4]), 2), [0, 2])
-
-
 @pytest.mark.parametrize("scale", ALL_SCALES, ids=str)
 def test_vectorized_ops_match_scalar_loops(scale):
     rng = np.random.default_rng(7)
