@@ -124,7 +124,7 @@ def _load_matrix(cfg: RunConfig) -> GradedMatrix:
 
 def _factor_report(cfg: RunConfig, factor_set: FactorSet, curve, *,
                    optimal: bool = False) -> dict:
-    report = {
+    return {
         "command": cfg.command,
         "input": str(cfg.input),
         "scale": {
@@ -147,10 +147,8 @@ def _factor_report(cfg: RunConfig, factor_set: FactorSet, curve, *,
         ],
         "coverage_equal": [float(f) for f in curve],
         "coverage_equal_exact": [str(f) for f in curve],
+        "coverage_nonzero": [float(f) for f in factor_set.covered_nonzero_curve()],
     }
-    if factor_set.uncovered_counts is not None:
-        report["coverage_nonzero"] = [float(f) for f in factor_set.covered_nonzero_curve()]
-    return report
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -158,16 +156,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_coverage_tsv(path: Path, factor_set: FactorSet, curve) -> None:
-    nonzero = (
-        factor_set.covered_nonzero_curve()
-        if factor_set.uncovered_counts is not None
-        else [None] * len(curve)
-    )
+    nonzero = factor_set.covered_nonzero_curve()
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("factor\tequal_fraction\tcovered_nonzero\n")
         for l, (eq, nz) in enumerate(zip(curve, nonzero), start=1):
-            nz_text = "" if nz is None else f"{float(nz):.6f}"
-            handle.write(f"{l}\t{float(eq):.6f}\t{nz_text}\n")
+            handle.write(f"{l}\t{float(eq):.6f}\t{float(nz):.6f}\n")
 
 
 def _check_factors(matrix: GradedMatrix,

@@ -3,13 +3,15 @@
 CSV cells carry either decimals in [0, 1] or explicit levels written as
 ``L<k>``; transaction files use the whitespace-separated item-id format
 common for frequent-itemset benchmarks and always land on the two-grade
-chain.  Raw tables of measurements are kept as exact rationals until they
-are discretized onto a scale.
+chain.  Raw tables of measurements hold each column as exact integer
+numerators over one common denominator until they are discretized onto a
+scale.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -22,28 +24,49 @@ from .scale import Scale
 
 MODES = ("strict", "lenient")
 
+# int64 holds exactly the integers in [-_INT64_LIMIT, _INT64_LIMIT)
+_INT64_LIMIT = 2**63
+
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of: {', '.join(MODES)}")
 
 
-@dataclass(frozen=True)
+def _int_array(values) -> np.ndarray:
+    """Python ints as int64 when they all fit, as a dtype=object array otherwise."""
+    values = list(values)
+    if values and (min(values) < -_INT64_LIMIT or max(values) >= _INT64_LIMIT):
+        return np.array(values, dtype=object)
+    return np.array(values, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class RawTable:
-    """A labeled rectangular table of exact rational measurements."""
+    """A labeled rectangular table of exact rational measurements.
+
+    Cell (i, c) is ``columns[c][i] / denominators[c]``: each column holds
+    integer numerators over one positive common denominator, as int64 when
+    they fit and as Python ints in a dtype=object array otherwise.
+    """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[np.ndarray, ...]
+    denominators: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.row_labels or not self.col_labels:
             raise ValueError("a raw table needs at least one row and one column")
-        if len(self.values) != len(self.row_labels):
-            raise ValueError("one row of values per row label required")
-        for row in self.values:
-            if len(row) != len(self.col_labels):
-                raise ValueError("raw table rows must all have the full set of columns")
+        if len(self.columns) != len(self.col_labels) or len(self.denominators) != len(self.col_labels):
+            raise ValueError("one column of numerators and one denominator per column label required")
+        for column, den in zip(self.columns, self.denominators):
+            if column.shape != (len(self.row_labels),):
+                raise ValueError("every column needs one numerator per row label")
+            if column.dtype not in (np.int64, object):
+                raise ValueError(f"column numerators must be int64 or object, got {column.dtype}")
+            if den < 1:
+                raise ValueError(f"column denominators must be positive, got {den}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -71,8 +94,10 @@ class ColumnRange:
     @classmethod
     def from_table(cls, table: RawTable) -> "ColumnRange":
         """Observed minimum and maximum per column."""
-        cols = list(zip(*table.values))
-        return cls(tuple(min(c) for c in cols), tuple(max(c) for c in cols))
+        pairs = list(zip(table.columns, table.denominators))
+        lows = tuple(Fraction(int(col.min()), den) for col, den in pairs)
+        highs = tuple(Fraction(int(col.max()), den) for col, den in pairs)
+        return cls(lows, highs)
 
 
 def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
@@ -80,8 +105,8 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
     """Normalize each column to [0, 1] and snap to the nearest grade.
 
     Ties round half-up.  Strict mode rejects values outside the declared
-    range; lenient mode clamps them to the endpoints.  The mapping is
-    monotone within every column either way.
+    range, naming the first in row-major order; lenient mode clamps them to
+    the endpoints.  The mapping is monotone within every column either way.
     """
     _check_mode(mode)
     n_cols = len(table.col_labels)
@@ -89,33 +114,39 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
         raise ValueError(
             f"{len(ranges.lows)} column ranges for a table with {n_cols} columns"
         )
-    # with lo = a/b and hi - lo = e/f, a cell x = p/q sits at the ratio
-    # (x - lo) / (hi - lo) = num/den, num = (pb - aq)f and den = eqb > 0,
-    # so range checks and half-up rounding need integers only
-    columns = []
-    for lo, hi in zip(ranges.lows, ranges.highs):
-        width = hi - lo
+    two_n = 2 * scale.max_level
+    levels = np.empty(table.shape, dtype=LEVEL_DTYPE)
+    first_bad = None
+    for c, (p, q) in enumerate(zip(table.columns, table.denominators)):
+        # with lo = a/b and hi - lo = e/f, a cell x = p/q sits at the ratio
+        # (x - lo) / (hi - lo) = num/den, num = p(bf) - aqf and den = eqb > 0,
+        # so range checks and half-up rounding need integers only
+        lo, width = ranges.lows[c], ranges.highs[c] - ranges.lows[c]
         a, b = lo.numerator, lo.denominator
         e, f = width.numerator, width.denominator
-        columns.append((b * f, a * f, e * b))
-    two_n = 2 * scale.max_level
-    rows = []
-    for r, row in enumerate(table.values):
-        out = []
-        for c, (x, (bf, af, eb)) in enumerate(zip(row, columns)):
-            p, q = x.numerator, x.denominator
-            num, den = p * bf - q * af, q * eb
-            if num < 0 or num > den:
-                if mode == "strict":
-                    raise ValueError(
-                        f"{table.row_labels[r]!r} has {x} in column "
-                        f"{table.col_labels[c]!r}, outside "
-                        f"[{ranges.lows[c]}, {ranges.highs[c]}]"
-                    )
-                num = min(max(num, 0), den)
-            out.append((two_n * num + den) // (2 * den))
-        rows.append(out)
-    return GradedMatrix(scale, rows)
+        bf, aqf, den = b * f, a * q * f, e * q * b
+        # reach >= |p·bf - aqf| and bf, and (2n + 1)·den, bound every
+        # intermediate; past int64 the column is done in Python ints
+        reach = max(-int(p.min()), int(p.max()), 1) * bf + abs(aqf)
+        if reach >= _INT64_LIMIT or (two_n + 1) * den >= _INT64_LIMIT:
+            p = p.astype(object)
+        num = p * bf - aqf
+        bad = (num < 0) | (num > den)
+        if bad.any():
+            r = int(np.argmax(bad))
+            if first_bad is None or r < first_bad[0]:
+                first_bad = (r, c)
+            num = np.minimum(np.maximum(num, 0), den)
+        levels[:, c] = (two_n * num + den) // (2 * den)
+    if first_bad is not None and mode == "strict":
+        r, c = first_bad
+        x = Fraction(int(table.columns[c][r]), table.denominators[c])
+        raise ValueError(
+            f"{table.row_labels[r]!r} has {x} in column "
+            f"{table.col_labels[c]!r}, outside "
+            f"[{ranges.lows[c]}, {ranges.highs[c]}]"
+        )
+    return GradedMatrix(scale, levels)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +174,7 @@ def _read_rows(path) -> list[list[str]]:
             rows = [row for row in reader]
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    rows = [[cell.strip() for cell in row] for row in rows if row]
+    rows = [list(map(str.strip, row)) for row in rows if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
     width = len(rows[0])
@@ -159,20 +190,54 @@ def _read_rows(path) -> list[list[str]]:
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 _MAX_EXPONENT_DIGITS = 4
 
+# a plain ASCII decimal: sign, digits with at most one point and at least
+# one digit, optional exponent; a subset of what Fraction(text) accepts
+_DECIMAL = re.compile(r"([-+]?(?=\.?[0-9])[0-9]*)\.?([0-9]*)(?:[eE]([-+]?[0-9]+))?")
+
+
+def _exponent_too_large(digits: str) -> bool:
+    return len(digits.replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS
+
+
+def _parse_number(text: str) -> tuple[int, int] | Fraction:
+    """The exact value of a number cell.
+
+    A plain decimal gives ``(significand, exponent)``, the value
+    significand * 10**exponent, without building a Fraction.  Every other
+    form Fraction(text) accepts (``3/4``, underscores, non-ASCII digits,
+    surrounding whitespace, digit strings past int's conversion limit)
+    gives that Fraction; what it rejects raises its ValueError or
+    ZeroDivisionError.  Exponents past _MAX_EXPONENT_DIGITS digits are
+    refused before any arithmetic.
+    """
+    match = _DECIMAL.fullmatch(text)
+    if match is None:
+        exponent = _EXPONENT.search(text)
+        if exponent and _exponent_too_large(exponent[1]):
+            raise ValueError(f"exponent too large in {text!r}")
+        return Fraction(text)
+    whole, frac, exponent = match.groups()  # `whole` carries the sign
+    if exponent is not None and _exponent_too_large(exponent.lstrip("+-")):
+        raise ValueError(f"exponent too large in {text!r}")
+    try:
+        significand = int(whole + frac)
+    except ValueError:  # past int's digit limit, which Fraction applies per part
+        return Fraction(text)
+    return significand, (int(exponent) if exponent else 0) - len(frac)
+
+
+def _fraction(value: tuple[int, int] | Fraction) -> Fraction:
+    """A value of _parse_number as a Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    significand, exponent = value
+    if exponent >= 0:
+        return Fraction(significand * 10**exponent)
+    return Fraction(significand, 10**-exponent)
+
 
 def _parse_fraction(text: str) -> Fraction:
-    match = _EXPONENT.search(text)
-    if match and len(match[1].replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS:
-        raise ValueError(f"exponent too large in {text!r}")
-    return Fraction(text)
-
-
-def _is_fraction(text: str) -> bool:
-    try:
-        _parse_fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
+    return _fraction(_parse_number(text))
 
 
 def _parse_grade_cell(scale: Scale, text: str, *, strict: bool) -> int:
@@ -260,20 +325,48 @@ def write_csv(matrix: GradedMatrix, path) -> None:
             handle.write(",".join(map(text.__getitem__, row.tolist())) + "\n")
 
 
+def _raw_column(cells: tuple) -> tuple[np.ndarray, int]:
+    """Numerators over one common denominator for a column of parsed cells.
+
+    An all-decimal column is over 10**d, with -d its cells' smallest
+    exponent (d = 0 when none is negative); a column holding other
+    fractions is over the least common multiple of all its denominators.
+    """
+    if set(map(type, cells)) != {tuple}:
+        values = list(map(_fraction, cells))
+        den = math.lcm(*(v.denominator for v in values))
+        return _int_array(v.numerator * (den // v.denominator) for v in values), den
+    significands, exponents = zip(*cells)
+    shift = min(min(exponents), 0)
+    if max(exponents) == shift:  # every significand is already over 10**-shift
+        return _int_array(significands), 10**-shift
+    return _int_array(s * 10**(e - shift) for s, e in cells), 10**-shift
+
+
 def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     """Read a labeled table of rational measurements from CSV.
 
     Layout detection mirrors read_csv: non-numeric cells in the first row
     or column mark them as labels; missing labels are synthesized from
-    positions.
+    positions.  Each distinct cell text is parsed once, and each column is
+    stored over one common denominator.
     """
     rows = _read_rows(path)
+    number = functools.lru_cache(maxsize=None)(_parse_number)
+
+    def is_number(text: str) -> bool:
+        try:
+            number(text)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+
     if labeled is None:
-        has_header = not all(_is_fraction(c) for c in rows[0])
+        has_header = not all(map(is_number, rows[0]))
         body = rows[1:] if has_header else rows
         if not body:
             raise ValueError(f"{path}: no data rows")
-        has_labels = not all(_is_fraction(r[0]) for r in body)
+        has_labels = not all(is_number(r[0]) for r in body)
     else:
         has_header = has_labels = labeled
         body = rows[1:] if has_header else rows
@@ -282,30 +375,44 @@ def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
 
     col_labels = (rows[0][1:] if has_labels else rows[0]) if has_header else None
     row_labels = []
-    values = []
+    parsed = []
     for r, row in enumerate(body):
         cells = row[1:] if has_labels else row
         row_labels.append(row[0] if has_labels else str(r))
         try:
-            values.append(tuple(_parse_fraction(c) for c in cells))
+            parsed.append(list(map(number, cells)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{path}: bad number in row {r + 1}: {exc}") from exc
     if col_labels is None:
-        col_labels = [str(c) for c in range(len(values[0]))] if values else []
-    return RawTable(tuple(row_labels), tuple(col_labels), tuple(values))
+        col_labels = [str(c) for c in range(len(parsed[0]))]
+    columns = [_raw_column(cells) for cells in zip(*parsed)]
+    return RawTable(
+        tuple(row_labels),
+        tuple(col_labels),
+        tuple(column for column, _ in columns),
+        tuple(den for _, den in columns),
+    )
 
 
 def read_ranges_csv(path) -> ColumnRange:
     """Read per-column low and high bounds: a two-row table, lows first."""
     table = read_raw_csv(path)
-    if len(table.values) != 2:
-        raise ValueError(f"{path}: expected exactly two rows (lows, highs), got {len(table.values)}")
-    return ColumnRange(table.values[0], table.values[1])
+    if table.shape[0] != 2:
+        raise ValueError(f"{path}: expected exactly two rows (lows, highs), got {table.shape[0]}")
+    pairs = list(zip(table.columns, table.denominators))
+    lows = tuple(Fraction(int(col[0]), den) for col, den in pairs)
+    highs = tuple(Fraction(int(col[1]), den) for col, den in pairs)
+    return ColumnRange(lows, highs)
 
 
 # ----------------------------------------------------------------------
 # transaction (itemset) files
 # ----------------------------------------------------------------------
+
+
+# A transaction file becomes a dense grid of int64 levels, rows x items; past
+# this many cells (800 MB) it is refused before anything is allocated.
+MAX_FIMI_CELLS = 10**8
 
 
 def read_fimi(path, num_items: int | None = None, *,
@@ -317,6 +424,7 @@ def read_fimi(path, num_items: int | None = None, *,
     index columns directly and must stay below it.  Without it, the
     distinct ids that occur are mapped onto columns in sorted order, so
     datasets whose ids start at 1 do not drag along an unused column.
+    A grid of more than MAX_FIMI_CELLS cells is refused.
     """
     if scale is None:
         scale = Scale.boolean()
@@ -354,13 +462,16 @@ def read_fimi(path, num_items: int | None = None, *,
         column = None
         width = num_items
 
+    too_large = (
+        f"{path}: cannot allocate a grid of {len(transactions)} rows x "
+        f"num_items={width} columns"
+    )
+    if len(transactions) * width > MAX_FIMI_CELLS:
+        raise ValueError(too_large)
     try:
         grid = np.zeros((len(transactions), width), dtype=LEVEL_DTYPE)
-    except (MemoryError, OverflowError, ValueError):
-        raise ValueError(
-            f"{path}: cannot allocate a grid of {len(transactions)} rows x "
-            f"num_items={width} columns"
-        ) from None
+    except MemoryError:
+        raise ValueError(too_large) from None
     for r, items in enumerate(transactions):
         for item in items:
             grid[r, item if column is None else column[item]] = 1

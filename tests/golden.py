@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from gradefactor import (
     ColumnRange,
     FactorSet,
@@ -111,11 +113,8 @@ def scale() -> Scale:
 
 
 def raw_table() -> RawTable:
-    return RawTable(
-        ATHLETES,
-        EVENTS,
-        tuple(tuple(Fraction(v) for v in row) for row in SCORES),
-    )
+    columns = tuple(np.array(column, dtype=np.int64) for column in zip(*SCORES))
+    return RawTable(ATHLETES, EVENTS, columns, (1,) * len(EVENTS))
 
 
 def ranges() -> ColumnRange:

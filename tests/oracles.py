@@ -6,16 +6,20 @@ kernels under test.  The one exception is `greedy_factors`, the original
 one-candidate-at-a-time greedy: it closes each candidate with the plain
 `down`/`up` operators, which have their own loop oracles above, and is the
 reference the batched candidate sweep of `find_factors` must match.
-The per-cell `read_csv`, `write_csv` and `discretize` at the end are the
-original grade I/O, which parses, formats and rounds every cell through
-Fractions; the memoized readers and writer and the integer discretizer
-must match them.  They share the layout helpers of `gradefactor.data`.
+The per-cell `read_csv`, `write_csv`, `read_raw_csv` and `discretize` at
+the end are the original grade I/O, which parses, formats and rounds every
+cell through Fractions; the memoized readers and writer and the
+column-wide integer raw-table code must match them.  `read_raw_csv` parses
+with Fraction itself; the others share the layout helpers of
+`gradefactor.data`.  `raw_table` and `table_values` convert between a
+RawTable's integer columns and rows of Fractions.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -26,6 +30,7 @@ from gradefactor.concepts import _down_levels, _up_levels
 from gradefactor.data import (
     ColumnRange,
     RawTable,
+    _MAX_EXPONENT_DIGITS,
     _cell_kind,
     _check_mode,
     _parse_grade_cell,
@@ -220,6 +225,35 @@ def greedy_factors(context: GradedMatrix, tie_break="grade-then-index", *,
 # ----------------------------------------------------------------------
 
 
+def raw_table(row_labels, col_labels, rows) -> RawTable:
+    """The RawTable of rationals given row by row, each column over the
+    least common multiple of its denominators."""
+    columns, dens = [], []
+    for column in zip(*rows):
+        column = [Fraction(v) for v in column]
+        den = math.lcm(*(v.denominator for v in column))
+        numerators = [int(v * den) for v in column]
+        fits = all(-2**63 <= v < 2**63 for v in numerators)
+        columns.append(np.array(numerators, dtype=np.int64 if fits else object))
+        dens.append(den)
+    return RawTable(tuple(row_labels), tuple(col_labels), tuple(columns), tuple(dens))
+
+
+def table_values(table: RawTable) -> tuple[tuple[Fraction, ...], ...]:
+    """The cells of a RawTable as rows of Fractions."""
+    columns = [
+        [Fraction(int(v), den) for v in column]
+        for column, den in zip(table.columns, table.denominators)
+    ]
+    return tuple(zip(*columns))
+
+
+def column_range(table: RawTable) -> ColumnRange:
+    """Observed minimum and maximum per column, cell by cell."""
+    cols = list(zip(*table_values(table)))
+    return ColumnRange(tuple(min(c) for c in cols), tuple(max(c) for c in cols))
+
+
 def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
                mode: str = "strict") -> GradedMatrix:
     """Normalize each column to [0, 1] and snap to the nearest grade.
@@ -237,7 +271,7 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
     n = scale.max_level
     half = Fraction(1, 2)
     rows = []
-    for r, row in enumerate(table.values):
+    for r, row in enumerate(table_values(table)):
         out = []
         for c, x in enumerate(row):
             lo, hi = ranges.lows[c], ranges.highs[c]
@@ -252,6 +286,60 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
             out.append(math.floor(ratio * n + half))
         rows.append(out)
     return GradedMatrix(scale, rows)
+
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """A number cell through Fraction alone, refusing long exponents first."""
+    match = _EXPONENT.search(text)
+    if match and len(match[1].replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS:
+        raise ValueError(f"exponent too large in {text!r}")
+    return Fraction(text)
+
+
+def _is_fraction(text: str) -> bool:
+    try:
+        parse_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
+    """Read a labeled table of rational measurements from CSV.
+
+    Layout detection mirrors read_csv: non-numeric cells in the first row
+    or column mark them as labels; missing labels are synthesized from
+    positions.
+    """
+    rows = _read_rows(path)
+    if labeled is None:
+        has_header = not all(_is_fraction(c) for c in rows[0])
+        body = rows[1:] if has_header else rows
+        if not body:
+            raise ValueError(f"{path}: no data rows")
+        has_labels = not all(_is_fraction(r[0]) for r in body)
+    else:
+        has_header = has_labels = labeled
+        body = rows[1:] if has_header else rows
+        if not body:
+            raise ValueError(f"{path}: no data rows")
+
+    col_labels = (rows[0][1:] if has_labels else rows[0]) if has_header else None
+    row_labels = []
+    values = []
+    for r, row in enumerate(body):
+        cells = row[1:] if has_labels else row
+        row_labels.append(row[0] if has_labels else str(r))
+        try:
+            values.append(tuple(parse_fraction(c) for c in cells))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{path}: bad number in row {r + 1}: {exc}") from exc
+    if col_labels is None:
+        col_labels = [str(c) for c in range(len(values[0]))] if values else []
+    return raw_table(row_labels, col_labels, values)
 
 
 def read_csv(path, scale: Scale, *, mode: str = "strict",

@@ -19,6 +19,7 @@ from gradefactor import (
 )
 from gradefactor import cli
 from gradefactor.cli import build_parser, main
+from gradefactor.data import MAX_FIMI_CELLS
 
 FIVE = Scale(5)
 
@@ -286,8 +287,7 @@ def test_fimi_requires_boolean_levels(tmp_path, capsys):
 def test_fimi_grid_too_large_to_allocate(tmp_path, capsys):
     src = tmp_path / "t.dat"
     src.write_text("0 1\n2\n")
-    # 2 x 10**14 levels need 1.6 PB, more than any 48-bit address space
-    # holds, so the allocation fails whatever the memory overcommit policy
+    # 2 x 10**14 levels need 1.6 PB, far past the cell limit
     assert run("factorize", "--input", src, "--format", "fimi", "--levels", 2,
                "--num-items", 10**14, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
@@ -295,6 +295,19 @@ def test_fimi_grid_too_large_to_allocate(tmp_path, capsys):
     assert "2 rows x num_items=100000000000000" in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_fimi_grid_past_the_cell_limit_is_refused(tmp_path, capsys):
+    src = tmp_path / "t.dat"
+    src.write_text("0 1\n2\n")
+    # ids stop at 2, yet the grid would be 2 x (MAX_FIMI_CELLS // 2 + 1) int64
+    # levels, 800 MB: overcommit may grant that, the cell limit does not
+    width = MAX_FIMI_CELLS // 2 + 1
+    assert run("factorize", "--input", src, "--format", "fimi", "--levels", 2,
+               "--num-items", width, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {src}: cannot allocate a grid of 2 rows x num_items={width} columns\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_goguen_needs_rounded_flag(tmp_path, graded_csv, capsys):

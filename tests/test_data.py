@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+import oracles
 import strategies
 from gradefactor import (
     ColumnRange,
@@ -25,6 +26,7 @@ from gradefactor import (
     read_raw_csv,
     write_csv,
 )
+from gradefactor import data
 
 FIVE = Scale(5)
 
@@ -38,13 +40,13 @@ def test_decathlon_discretization_matches_all_cells(decathlon):
 
 
 def test_discretize_rounds_half_up():
-    table = RawTable(("r",), ("c",), ((Fraction(1, 8),),))
+    table = oracles.raw_table(("r",), ("c",), ((Fraction(1, 8),),))
     ranges = ColumnRange((Fraction(0),), (Fraction(1),))
     assert discretize(table, ranges, FIVE).entries[0, 0] == 1
 
 
 def test_discretize_strict_rejects_out_of_range():
-    table = RawTable(("r",), ("c",), ((Fraction(2),),))
+    table = oracles.raw_table(("r",), ("c",), ((Fraction(2),),))
     ranges = ColumnRange((Fraction(0),), (Fraction(1),))
     with pytest.raises(ValueError, match="outside"):
         discretize(table, ranges, FIVE)
@@ -64,7 +66,7 @@ def test_discretize_validates_mode_and_width():
 def test_discretize_is_monotone_within_a_column():
     lo, hi = Fraction(0), Fraction(10)
     column = [Fraction(v, 3) for v in range(31)]
-    table = RawTable(
+    table = oracles.raw_table(
         tuple(str(i) for i in range(len(column))),
         ("c",),
         tuple((v,) for v in column),
@@ -90,12 +92,19 @@ def test_column_range_from_table():
 
 
 def test_raw_table_validation():
+    one = (np.array([1]),)
     with pytest.raises(ValueError, match="at least one row"):
-        RawTable((), ("c",), ())
-    with pytest.raises(ValueError, match="one row of values"):
-        RawTable(("r",), ("c",), ())
-    with pytest.raises(ValueError, match="full set of columns"):
-        RawTable(("r",), ("c", "d"), ((Fraction(1),),))
+        RawTable((), ("c",), (np.array([], dtype=np.int64),), (1,))
+    with pytest.raises(ValueError, match="one denominator per column label"):
+        RawTable(("r",), ("c",), (), ())
+    with pytest.raises(ValueError, match="one denominator per column label"):
+        RawTable(("r",), ("c", "d"), one * 2, (1,))
+    with pytest.raises(ValueError, match="one numerator per row label"):
+        RawTable(("r", "s"), ("c",), one, (1,))
+    with pytest.raises(ValueError, match="int64 or object"):
+        RawTable(("r",), ("c",), (np.array([0.5]),), (1,))
+    with pytest.raises(ValueError, match="denominators must be positive"):
+        RawTable(("r",), ("c",), one, (0,))
 
 
 # ---------------------------------------------------------------- CSV
@@ -195,7 +204,9 @@ def test_read_raw_csv_fixture(scores_csv):
     table = read_raw_csv(scores_csv)
     assert table.row_labels == golden.ATHLETES
     assert table.col_labels == golden.EVENTS
-    assert table.values == golden.raw_table().values
+    assert table.denominators == (1,) * len(golden.EVENTS)
+    assert all(column.dtype == np.int64 for column in table.columns)
+    assert [column.tolist() for column in table.columns] == [list(c) for c in zip(*golden.SCORES)]
 
 
 def test_read_raw_csv_synthesizes_labels(tmp_path):
@@ -204,7 +215,7 @@ def test_read_raw_csv_synthesizes_labels(tmp_path):
     table = read_raw_csv(path)
     assert table.row_labels == ("0", "1")
     assert table.col_labels == ("0", "1")
-    assert table.values == ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
+    assert oracles.table_values(table) == ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
 
 
 def test_read_raw_csv_rejects_bad_number(tmp_path):
@@ -276,6 +287,15 @@ def test_read_fimi_validation(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ValueError, match="no items"):
         read_fimi(path)
+
+
+def test_read_fimi_refuses_grids_past_the_cell_limit(tmp_path, monkeypatch):
+    path = tmp_path / "t.dat"
+    path.write_text("0 2\n1\n")
+    monkeypatch.setattr(data, "MAX_FIMI_CELLS", 6)
+    assert read_fimi(path, num_items=3).shape == (2, 3)
+    with pytest.raises(ValueError, match="cannot allocate a grid of 2 rows x num_items=4 columns"):
+        read_fimi(path, num_items=4)
 
 
 def test_read_fimi_accepts_boolean_scale(tmp_path):

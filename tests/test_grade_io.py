@@ -1,12 +1,14 @@
 """Grade I/O against the per-cell reference in `oracles`, and reader fuzzing.
 
 `read_csv` parses each distinct cell once, `write_csv` formats each level
-once and `discretize` rounds in integers; each must match the per-cell
-Fraction code level for level (byte for byte when writing), or raise the
-same error.  The readers must turn any input into a result or a
-ValueError.
+once, `read_raw_csv` stores integer columns and `discretize` rounds them
+column-wide; each must match the per-cell Fraction code level for level
+(byte for byte when writing), or raise the same error.  The decimal parser
+must agree with Fraction(text) on every text.  The readers must turn any
+input into a result or a ValueError.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gradefactor import (
+    MAX_LEVELS,
     TNORM_KINDS,
     ColumnRange,
     GradedMatrix,
@@ -27,6 +30,7 @@ from gradefactor import (
     read_raw_csv,
     write_csv,
 )
+from gradefactor.data import _parse_fraction, _parse_number
 
 MODES = ("strict", "lenient")
 LAYOUTS = (None, True, False)
@@ -222,7 +226,7 @@ def discretize_cases(draw):
         return lo - step if kind == "below" else highs[c] + step
 
     values = tuple(tuple(cell(c) for c in range(cols)) for _ in range(rows))
-    table = RawTable(
+    table = oracles.raw_table(
         tuple(f"r{i}" for i in range(rows)), tuple(f"c{j}" for j in range(cols)), values
     )
     return scale, table, ColumnRange(tuple(lows), tuple(highs))
@@ -241,17 +245,217 @@ def test_discretize_ties_round_up_on_non_decimal_bounds():
     third = Fraction(1, 3)
     ranges = ColumnRange((third,), (2 * third,))
     values = [third + third * Fraction(k, 8) for k in range(9)]
-    table = RawTable(tuple(str(i) for i in range(9)), ("c",), tuple((v,) for v in values))
+    table = oracles.raw_table(tuple(str(i) for i in range(9)), ("c",), tuple((v,) for v in values))
     levels = discretize(table, ranges, Scale(5)).entries[:, 0].tolist()
     assert levels == [0, 1, 1, 2, 2, 3, 3, 4, 4]
 
 
 def test_discretize_out_of_range_in_both_modes():
     ranges = ColumnRange((Fraction(1, 3),), (Fraction(2, 3),))
-    table = RawTable(("lo", "hi"), ("c",), ((Fraction(1, 4),), (Fraction(7, 9),)))
+    table = oracles.raw_table(("lo", "hi"), ("c",), ((Fraction(1, 4),), (Fraction(7, 9),)))
     with pytest.raises(ValueError, match=r"'lo' has 1/4 in column 'c', outside \[1/3, 2/3\]"):
         discretize(table, ranges, Scale(5))
     assert discretize(table, ranges, Scale(5), mode="lenient").entries.tolist() == [[0], [4]]
+
+
+# ---------------------------------------------------------------- number parser
+
+
+def parsed(parse, text):
+    """The value a parser gives, or the type and text of what it raises."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def number_text(draw):
+    """Decimal spellings, with and without the extras only Fraction reads."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole = draw(st.text("0123456789", max_size=6))
+    point = draw(st.sampled_from(["", "."]))
+    frac = draw(st.text("0123456789", max_size=6))
+    text = sign + whole + point + frac
+    if draw(st.booleans()):
+        digits = draw(st.text("0123456789", min_size=1, max_size=6))
+        text += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"])) + digits
+    extra = draw(st.sampled_from(["none", "none", "slash", "underscore", "space", "digit"]))
+    if extra == "slash":
+        text += "/" + draw(st.text("0123456789", min_size=1, max_size=3))
+    elif extra == "underscore" and text:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + "_" + text[i:]
+    elif extra == "space":
+        text = draw(st.sampled_from([" ", "\t", "　"])) + text + " "
+    elif extra == "digit":
+        text += draw(st.sampled_from(["٣", "²", "７"]))
+    return text
+
+
+EDGE_NUMBERS = (
+    ".5", "5.", "+.5", "-.5", "1E3", "1e+3", "1_000.5", "1__0", "_1", "٣", "٣.٥",
+    "3/4", "-3/4", " 3 / 4 ", "3/0", "1.d", ".", "+", "e3", ".e3", "5.e3", "1e", "1e+",
+    "", " ", "1.5 ", "0x10", "inf", "nan", "1e9999", "1e-9999", "1e+0009999", "1e10000",
+    "1e-10000", "1e1_0000", "3/4e99999", "1" * 5000, "1" * 3000 + "." + "1" * 3000,
+)
+
+
+@given(st.one_of(number_text(), st.text(max_size=12)))
+@settings(max_examples=600)
+def test_number_parser_agrees_with_fraction(text):
+    # oracles.parse_fraction is Fraction(text) behind the same exponent limit
+    assert parsed(_parse_fraction, text) == parsed(oracles.parse_fraction, text)
+
+
+@pytest.mark.parametrize("text", EDGE_NUMBERS,
+                         ids=lambda text: text if len(text) < 20 else f"{len(text)} chars")
+def test_number_parser_agrees_with_fraction_on_edge_cases(text):
+    assert parsed(_parse_fraction, text) == parsed(oracles.parse_fraction, text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("12.50", (1250, -2)), ("-.5", (-5, -1)), ("+7.", (7, 0)), ("1E3", (1, 3)),
+    ("2.5e-3", (25, -4)), ("1e-9999", (1, -9999)), ("0", (0, 0)),
+])
+def test_plain_decimals_skip_fraction(text, value):
+    assert _parse_number(text) == value
+
+
+def test_exponent_limit_applies_on_both_paths():
+    for text in ("1e10000", "1_0e10000", " 1e10000", "x1e10000"):
+        with pytest.raises(ValueError, match="exponent too large"):
+            _parse_number(text)
+    assert _parse_number("1e0009999") == (1, 9999)
+
+
+# ---------------------------------------------------------------- raw ingest
+
+
+RANGE_DENOMINATORS = (1, 3, 7, 9, 10)
+
+
+@st.composite
+def raw_cell(draw, bad: bool):
+    kinds = ["int", "decimal", "decimal", "fraction", "exponent"] + (["junk"] if bad else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return str(draw(st.integers(-40, 40)))
+    if kind == "decimal":
+        digits = draw(st.integers(1, 3))
+        value = draw(st.integers(-4000, 4000))
+        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+        whole, frac = divmod(abs(value), 10**digits)
+        return f"{sign}{whole if whole or draw(st.booleans()) else ''}.{frac:0{digits}d}"
+    if kind == "fraction":
+        return f"{draw(st.integers(-90, 90))}/{draw(st.sampled_from((3, 7, 9, 12)))}"
+    if kind == "exponent":
+        return f"{draw(st.integers(-99, 99))}e{draw(st.integers(-3, 2))}"
+    return draw(st.sampled_from(["x", "1/0", "1e99999", "", "nan"]))
+
+
+@st.composite
+def raw_files(draw):
+    """A raw CSV with an optional header and label column, and declared
+    per-column bounds for up to one more column than it holds."""
+    bad = draw(st.integers(0, 4)) == 0
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 4))
+    cell = raw_cell(bad)
+    grid = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        grid = [[f"r{i}"] + row for i, row in enumerate(grid)]
+    if draw(st.booleans()):
+        grid.insert(0, [f"c{j}" for j in range(len(grid[0]))])
+    text = "".join(",".join(row) + "\n" for row in grid)
+    lows, highs = [], []
+    for _ in range(cols + 1):
+        lo = Fraction(draw(st.integers(-60, 20)), draw(st.sampled_from(RANGE_DENOMINATORS)))
+        width = Fraction(draw(st.integers(1, 90)), draw(st.sampled_from(RANGE_DENOMINATORS)))
+        lows.append(lo)
+        highs.append(lo + width)
+    return text, lows, highs
+
+
+def ingest(read, observe, discretize_, path, scale, mode, labeled, declared):
+    """Read, range and discretize a raw file with one implementation; each
+    stage's result, or the error that stops the run."""
+    stages = []
+    try:
+        table = read(path, labeled=labeled)
+        stages.append((table.row_labels, table.col_labels, oracles.table_values(table)))
+        if declared is None:
+            ranges = observe(table)
+        else:
+            n = table.shape[1]
+            ranges = ColumnRange(tuple(declared[0][:n]), tuple(declared[1][:n]))
+        stages.append((ranges.lows, ranges.highs))
+        stages.append(discretize_(table, ranges, scale, mode=mode).entries.tolist())
+    except ValueError as exc:
+        stages.append(f"ValueError: {exc}")
+    return stages
+
+
+@given(raw_files(), scales(), st.sampled_from(MODES), st.sampled_from(LAYOUTS), st.booleans())
+@settings(max_examples=300)
+def test_raw_ingest_matches_oracle(tmp_path_factory, case, scale, mode, labeled, observed):
+    text, lows, highs = case
+    path = tmp_path_factory.mktemp("raw") / "t.csv"
+    path.write_text(text)
+    declared = None if observed else (lows, highs)
+    got = ingest(read_raw_csv, ColumnRange.from_table, discretize,
+                 path, scale, mode, labeled, declared)
+    want = ingest(oracles.read_raw_csv, oracles.column_range, oracles.discretize,
+                  path, scale, mode, labeled, declared)
+    assert got == want
+
+
+OVERFLOW_TABLES = {
+    # numerators past int64 in the table itself
+    "twenty digits": "id,a,b,c\nr1,12345678901234567890123,1,0\nr2,5,-98765432109876543210,1\n"
+                     "r3,-3,2.5,2\n",
+    "1e-9999": "id,a,b\nr1,1e-9999,1\nr2,1,2\nr3,0.5,3\n",
+    # int64 numerators whose p·bf - aqf does not fit
+    "int64 edges": f"id,a,b\nr1,{2**63 - 1},1\nr2,{-2**63},2\nr3,0,3\n",
+    # int64 all the way at small chains, but 2n·num leaves it at MAX_LEVELS
+    "fine decimals": "id,a,b\nr1,0.000000000001,1\nr2,0.999999999999,2\nr3,0.5,3\n",
+    "hundredths": "id,a,b\nr1,-1.25,1\nr2,868.40,2\nr3,12.07,3\n",
+}
+
+
+@pytest.mark.parametrize("levels", [2, 5, 11, MAX_LEVELS])
+@pytest.mark.parametrize("name", sorted(OVERFLOW_TABLES))
+def test_raw_ingest_past_int64_matches_oracle(tmp_path, name, levels):
+    path = tmp_path / "t.csv"
+    path.write_text(OVERFLOW_TABLES[name])
+    scale = Scale(levels)
+    declared = ([Fraction(-1, 3), Fraction(-10**30, 7), Fraction(0)],
+                [Fraction(10**30, 9), Fraction(3), Fraction(2)])
+    for mode in MODES:
+        for ranges in (None, declared):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                got = ingest(read_raw_csv, ColumnRange.from_table, discretize,
+                             path, scale, mode, None, ranges)
+            want = ingest(oracles.read_raw_csv, oracles.column_range, oracles.discretize,
+                          path, scale, mode, None, ranges)
+            assert got == want
+            # read and ranged; only strict mode may refuse a declared bound
+            assert len(got) == 3
+            assert isinstance(got[2], list) or (mode == "strict" and ranges is declared)
+
+
+def test_raw_columns_leave_int64_only_when_they_must(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(OVERFLOW_TABLES["twenty digits"])
+    table = read_raw_csv(path)
+    assert [c.dtype for c in table.columns] == [np.dtype(object), np.dtype(object), np.dtype(np.int64)]
+    assert table.denominators == (1, 10, 1)
+    path.write_text(OVERFLOW_TABLES["1e-9999"])
+    table = read_raw_csv(path)
+    assert table.columns[0].dtype == object and table.denominators[0] == 10**9999
+    path.write_text(OVERFLOW_TABLES["int64 edges"])
+    assert read_raw_csv(path).columns[0].dtype == np.int64
 
 
 # ---------------------------------------------------------------- fuzzing
@@ -299,4 +503,4 @@ def test_readers_reject_oversized_fields_and_exponents(tmp_path):
     with pytest.raises(ValueError, match="exponent too large"):
         read_raw_csv(path)
     path.write_text("a,b\nr,1e-9999\n")
-    assert read_raw_csv(path).values == ((Fraction(1, 10**9999),),)
+    assert oracles.table_values(read_raw_csv(path)) == ((Fraction(1, 10**9999),),)
