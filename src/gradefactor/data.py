@@ -4,14 +4,13 @@ CSV cells carry either decimals in [0, 1] or explicit levels written as
 ``L<k>``; transaction files use the whitespace-separated item-id format
 common for frequent-itemset benchmarks and always land on the two-grade
 chain.  Raw tables of measurements hold each column as exact integer
-numerators over one common denominator until they are discretized onto a
-scale.
+numerators, over one common denominator when the column fits int64, until
+they are discretized onto a scale.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -33,27 +32,21 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}, expected one of: {', '.join(MODES)}")
 
 
-def _int_array(values) -> np.ndarray:
-    """Python ints as int64 when they all fit, as a dtype=object array otherwise."""
-    values = list(values)
-    if values and (min(values) < -_INT64_LIMIT or max(values) >= _INT64_LIMIT):
-        return np.array(values, dtype=object)
-    return np.array(values, dtype=np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class RawTable:
     """A labeled rectangular table of exact rational measurements.
 
-    Cell (i, c) is ``columns[c][i] / denominators[c]``: each column holds
-    integer numerators over one positive common denominator, as int64 when
-    they fit and as Python ints in a dtype=object array otherwise.
+    Each column is a numpy array of integer numerators.  An int64 column
+    is over one positive common denominator, an int; a dtype=object column
+    of Python ints is over one positive denominator per cell, a dtype=object
+    array of the same shape.  Either way ``columns[c] / denominators[c]``
+    broadcasts to the cells, and `cell` gives one of them exactly.
     """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     columns: tuple[np.ndarray, ...]
-    denominators: tuple[int, ...]
+    denominators: tuple[int | np.ndarray, ...]
 
     def __post_init__(self) -> None:
         if not self.row_labels or not self.col_labels:
@@ -65,12 +58,21 @@ class RawTable:
                 raise ValueError("every column needs one numerator per row label")
             if column.dtype not in (np.int64, object):
                 raise ValueError(f"column numerators must be int64 or object, got {column.dtype}")
-            if den < 1:
-                raise ValueError(f"column denominators must be positive, got {den}")
+            if np.shape(den) != (() if column.dtype == np.int64 else column.shape):
+                raise ValueError(
+                    "an int64 column takes one denominator, an object column one per cell"
+                )
+            if np.any(den < 1):
+                raise ValueError("column denominators must be positive")
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
+
+    def cell(self, r: int, c: int) -> Fraction:
+        """The exact value of cell (r, c)."""
+        den = self.denominators[c]
+        return Fraction(int(self.columns[c][r]), int(den if np.ndim(den) == 0 else den[r]))
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,16 @@ class ColumnRange:
     @classmethod
     def from_table(cls, table: RawTable) -> "ColumnRange":
         """Observed minimum and maximum per column."""
-        pairs = list(zip(table.columns, table.denominators))
-        lows = tuple(Fraction(int(col.min()), den) for col, den in pairs)
-        highs = tuple(Fraction(int(col.max()), den) for col, den in pairs)
-        return cls(lows, highs)
+        lows, highs = [], []
+        for p, q in zip(table.columns, table.denominators):
+            if p.dtype == object:  # one denominator per cell
+                values = list(map(Fraction, p, q))
+                lows.append(min(values))
+                highs.append(max(values))
+            else:
+                lows.append(Fraction(int(p.min()), q))
+                highs.append(Fraction(int(p.max()), q))
+        return cls(tuple(lows), tuple(highs))
 
 
 def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
@@ -120,16 +128,18 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
     for c, (p, q) in enumerate(zip(table.columns, table.denominators)):
         # with lo = a/b and hi - lo = e/f, a cell x = p/q sits at the ratio
         # (x - lo) / (hi - lo) = num/den, num = p(bf) - aqf and den = eqb > 0,
-        # so range checks and half-up rounding need integers only
+        # so range checks and half-up rounding need integers only; with one
+        # q per cell (object columns) aqf and den are per cell too
         lo, width = ranges.lows[c], ranges.highs[c] - ranges.lows[c]
         a, b = lo.numerator, lo.denominator
         e, f = width.numerator, width.denominator
         bf, aqf, den = b * f, a * q * f, e * q * b
-        # reach >= |p·bf - aqf| and bf, and (2n + 1)·den, bound every
-        # intermediate; past int64 the column is done in Python ints
-        reach = max(-int(p.min()), int(p.max()), 1) * bf + abs(aqf)
-        if reach >= _INT64_LIMIT or (two_n + 1) * den >= _INT64_LIMIT:
-            p = p.astype(object)
+        if p.dtype == np.int64:
+            # reach >= |p·bf - aqf| and bf, and (2n + 1)·den, bound every
+            # intermediate; past int64 the column is done in Python ints
+            reach = max(-int(p.min()), int(p.max()), 1) * bf + abs(aqf)
+            if reach >= _INT64_LIMIT or (two_n + 1) * den >= _INT64_LIMIT:
+                p = p.astype(object)
         num = p * bf - aqf
         bad = (num < 0) | (num > den)
         if bad.any():
@@ -140,9 +150,8 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
         levels[:, c] = (two_n * num + den) // (2 * den)
     if first_bad is not None and mode == "strict":
         r, c = first_bad
-        x = Fraction(int(table.columns[c][r]), table.denominators[c])
         raise ValueError(
-            f"{table.row_labels[r]!r} has {x} in column "
+            f"{table.row_labels[r]!r} has {table.cell(r, c)} in column "
             f"{table.col_labels[c]!r}, outside "
             f"[{ranges.lows[c]}, {ranges.highs[c]}]"
         )
@@ -199,14 +208,14 @@ def _exponent_too_large(digits: str) -> bool:
     return len(digits.replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS
 
 
-def _parse_number(text: str) -> tuple[int, int] | Fraction:
-    """The exact value of a number cell.
+def _parse_number(text: str) -> tuple[int, int]:
+    """The exact value of a number cell as ``(numerator, denominator)``.
 
-    A plain decimal gives ``(significand, exponent)``, the value
-    significand * 10**exponent, without building a Fraction.  Every other
-    form Fraction(text) accepts (``3/4``, underscores, non-ASCII digits,
+    The denominator is positive.  A plain decimal gives its digits over a
+    power of ten, unreduced, without building a Fraction.  Every other form
+    Fraction(text) accepts (``3/4``, underscores, non-ASCII digits,
     surrounding whitespace, digit strings past int's conversion limit)
-    gives that Fraction; what it rejects raises its ValueError or
+    gives that Fraction's parts; what it rejects raises its ValueError or
     ZeroDivisionError.  Exponents past _MAX_EXPONENT_DIGITS digits are
     refused before any arithmetic.
     """
@@ -215,29 +224,22 @@ def _parse_number(text: str) -> tuple[int, int] | Fraction:
         exponent = _EXPONENT.search(text)
         if exponent and _exponent_too_large(exponent[1]):
             raise ValueError(f"exponent too large in {text!r}")
-        return Fraction(text)
+        return Fraction(text).as_integer_ratio()
     whole, frac, exponent = match.groups()  # `whole` carries the sign
     if exponent is not None and _exponent_too_large(exponent.lstrip("+-")):
         raise ValueError(f"exponent too large in {text!r}")
     try:
         significand = int(whole + frac)
     except ValueError:  # past int's digit limit, which Fraction applies per part
-        return Fraction(text)
-    return significand, (int(exponent) if exponent else 0) - len(frac)
-
-
-def _fraction(value: tuple[int, int] | Fraction) -> Fraction:
-    """A value of _parse_number as a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    significand, exponent = value
-    if exponent >= 0:
-        return Fraction(significand * 10**exponent)
-    return Fraction(significand, 10**-exponent)
+        return Fraction(text).as_integer_ratio()
+    shift = (int(exponent) if exponent else 0) - len(frac)
+    if shift >= 0:
+        return significand * 10**shift, 1
+    return significand, 10**-shift
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return _fraction(_parse_number(text))
+    return Fraction(*_parse_number(text))
 
 
 def _parse_grade_cell(scale: Scale, text: str, *, strict: bool) -> int:
@@ -325,22 +327,26 @@ def write_csv(matrix: GradedMatrix, path) -> None:
             handle.write(",".join(map(text.__getitem__, row.tolist())) + "\n")
 
 
-def _raw_column(cells: tuple) -> tuple[np.ndarray, int]:
-    """Numerators over one common denominator for a column of parsed cells.
+def _raw_column(cells: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int | np.ndarray]:
+    """A column of parsed ``(numerator, denominator)`` cells for RawTable.
 
-    An all-decimal column is over 10**d, with -d its cells' smallest
-    exponent (d = 0 when none is negative); a column holding other
-    fractions is over the least common multiple of all its denominators.
+    When the least common multiple of the denominators, and every numerator
+    over it, fit int64, the column is int64 over that one denominator.
+    Otherwise each cell keeps its own numerator and denominator in dtype=object
+    arrays, so one unusual cell (``1e-9999``, or one more prime denominator)
+    cannot widen every other cell of its column.
     """
-    if set(map(type, cells)) != {tuple}:
-        values = list(map(_fraction, cells))
-        den = math.lcm(*(v.denominator for v in values))
-        return _int_array(v.numerator * (den // v.denominator) for v in values), den
-    significands, exponents = zip(*cells)
-    shift = min(min(exponents), 0)
-    if max(exponents) == shift:  # every significand is already over 10**-shift
-        return _int_array(significands), 10**-shift
-    return _int_array(s * 10**(e - shift) for s, e in cells), 10**-shift
+    numerators, denominators = zip(*cells)
+    den = 1
+    for d in set(denominators):
+        den = math.lcm(den, d)
+        if den >= _INT64_LIMIT:
+            break
+    else:
+        scaled = [n * (den // d) for n, d in cells]
+        if -_INT64_LIMIT <= min(scaled) and max(scaled) < _INT64_LIMIT:
+            return np.array(scaled, dtype=np.int64), den
+    return np.array(numerators, dtype=object), np.array(denominators, dtype=object)
 
 
 def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
@@ -348,15 +354,13 @@ def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
 
     Layout detection mirrors read_csv: non-numeric cells in the first row
     or column mark them as labels; missing labels are synthesized from
-    positions.  Each distinct cell text is parsed once, and each column is
-    stored over one common denominator.
+    positions.
     """
     rows = _read_rows(path)
-    number = functools.lru_cache(maxsize=None)(_parse_number)
 
     def is_number(text: str) -> bool:
         try:
-            number(text)
+            _parse_number(text)
         except (ValueError, ZeroDivisionError):
             return False
         return True
@@ -380,7 +384,7 @@ def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
         cells = row[1:] if has_labels else row
         row_labels.append(row[0] if has_labels else str(r))
         try:
-            parsed.append(list(map(number, cells)))
+            parsed.append(list(map(_parse_number, cells)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{path}: bad number in row {r + 1}: {exc}") from exc
     if col_labels is None:
@@ -399,10 +403,9 @@ def read_ranges_csv(path) -> ColumnRange:
     table = read_raw_csv(path)
     if table.shape[0] != 2:
         raise ValueError(f"{path}: expected exactly two rows (lows, highs), got {table.shape[0]}")
-    pairs = list(zip(table.columns, table.denominators))
-    lows = tuple(Fraction(int(col[0]), den) for col, den in pairs)
-    highs = tuple(Fraction(int(col[1]), den) for col, den in pairs)
-    return ColumnRange(lows, highs)
+    columns = range(table.shape[1])
+    return ColumnRange(tuple(table.cell(0, c) for c in columns),
+                       tuple(table.cell(1, c) for c in columns))
 
 
 # ----------------------------------------------------------------------

@@ -226,25 +226,30 @@ def greedy_factors(context: GradedMatrix, tie_break="grade-then-index", *,
 
 
 def raw_table(row_labels, col_labels, rows) -> RawTable:
-    """The RawTable of rationals given row by row, each column over the
-    least common multiple of its denominators."""
+    """The RawTable of rationals given row by row: int64 over the least
+    common multiple of its denominators where that fits, and each cell over
+    its own denominator otherwise."""
     columns, dens = [], []
     for column in zip(*rows):
         column = [Fraction(v) for v in column]
         den = math.lcm(*(v.denominator for v in column))
-        numerators = [int(v * den) for v in column]
-        fits = all(-2**63 <= v < 2**63 for v in numerators)
-        columns.append(np.array(numerators, dtype=np.int64 if fits else object))
-        dens.append(den)
+        if den < 2**63:
+            numerators = [int(v * den) for v in column]
+            if all(-2**63 <= v < 2**63 for v in numerators):
+                columns.append(np.array(numerators, dtype=np.int64))
+                dens.append(den)
+                continue
+        columns.append(np.array([v.numerator for v in column], dtype=object))
+        dens.append(np.array([v.denominator for v in column], dtype=object))
     return RawTable(tuple(row_labels), tuple(col_labels), tuple(columns), tuple(dens))
 
 
 def table_values(table: RawTable) -> tuple[tuple[Fraction, ...], ...]:
     """The cells of a RawTable as rows of Fractions."""
-    columns = [
-        [Fraction(int(v), den) for v in column]
-        for column, den in zip(table.columns, table.denominators)
-    ]
+    columns = []
+    for column, den in zip(table.columns, table.denominators):
+        dens = den if np.ndim(den) else [den] * len(column)
+        columns.append([Fraction(int(v), int(d)) for v, d in zip(column, dens)])
     return tuple(zip(*columns))
 
 

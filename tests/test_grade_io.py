@@ -305,7 +305,10 @@ EDGE_NUMBERS = (
 @settings(max_examples=600)
 def test_number_parser_agrees_with_fraction(text):
     # oracles.parse_fraction is Fraction(text) behind the same exponent limit
-    assert parsed(_parse_fraction, text) == parsed(oracles.parse_fraction, text)
+    value = parsed(_parse_fraction, text)
+    assert value == parsed(oracles.parse_fraction, text)
+    if isinstance(value, Fraction):
+        assert _parse_number(text)[1] > 0
 
 
 @pytest.mark.parametrize("text", EDGE_NUMBERS,
@@ -315,8 +318,8 @@ def test_number_parser_agrees_with_fraction_on_edge_cases(text):
 
 
 @pytest.mark.parametrize("text, value", [
-    ("12.50", (1250, -2)), ("-.5", (-5, -1)), ("+7.", (7, 0)), ("1E3", (1, 3)),
-    ("2.5e-3", (25, -4)), ("1e-9999", (1, -9999)), ("0", (0, 0)),
+    ("12.50", (1250, 100)), ("-.5", (-5, 10)), ("+7.", (7, 1)), ("1E3", (1000, 1)),
+    ("2.5e-3", (25, 10000)), ("1e-9999", (1, 10**9999)), ("0", (0, 1)), ("-0.0", (0, 10)),
 ])
 def test_plain_decimals_skip_fraction(text, value):
     assert _parse_number(text) == value
@@ -326,7 +329,7 @@ def test_exponent_limit_applies_on_both_paths():
     for text in ("1e10000", "1_0e10000", " 1e10000", "x1e10000"):
         with pytest.raises(ValueError, match="exponent too large"):
             _parse_number(text)
-    assert _parse_number("1e0009999") == (1, 9999)
+    assert _parse_number("1e0009999") == (10**9999, 1)
 
 
 # ---------------------------------------------------------------- raw ingest
@@ -450,12 +453,49 @@ def test_raw_columns_leave_int64_only_when_they_must(tmp_path):
     path.write_text(OVERFLOW_TABLES["twenty digits"])
     table = read_raw_csv(path)
     assert [c.dtype for c in table.columns] == [np.dtype(object), np.dtype(object), np.dtype(np.int64)]
-    assert table.denominators == (1, 10, 1)
+    assert table.denominators[1].tolist() == [1, 1, 10]
+    assert table.denominators[2] == 1
     path.write_text(OVERFLOW_TABLES["1e-9999"])
     table = read_raw_csv(path)
-    assert table.columns[0].dtype == object and table.denominators[0] == 10**9999
+    assert table.columns[0].tolist() == [1, 1, 5]
+    assert table.denominators[0].tolist() == [10**9999, 1, 10]
+    assert table.columns[1].dtype == np.int64
     path.write_text(OVERFLOW_TABLES["int64 edges"])
     assert read_raw_csv(path).columns[0].dtype == np.int64
+    path.write_text("id,a\nr1,1/3\nr2,0.25\nr3,2e3\n")
+    table = read_raw_csv(path)
+    assert table.columns[0].tolist() == [100, 75, 600000] and table.denominators == (300,)
+
+
+def stored_bits(table: RawTable) -> int:
+    """The bits of every integer a RawTable stores."""
+    arrays = [*table.columns, *(d for d in table.denominators if np.ndim(d))]
+    scalars = [d for d in table.denominators if not np.ndim(d)]
+    return sum(int(v).bit_length() for v in [*scalars, *(v for a in arrays for v in a)])
+
+
+def test_one_unusual_cell_does_not_widen_its_column(tmp_path):
+    # a column over the lcm of its denominators would store every cell at
+    # the size of that lcm: 10**9999 for the outlier, 600 primes for the
+    # second column, so bits grow with rows times the lcm
+    primes = [p for p in range(2, 5000) if all(p % k for k in range(2, int(p**0.5) + 1))][:600]
+    rows = [f"r{i},{i % 97}.{i % 10},{i}/{primes[i]}" for i in range(600)]
+    rows[300] = "r300,1e-9999,1/2"
+    path = tmp_path / "t.csv"
+    path.write_text("id,outlier,primes\n" + "\n".join(rows) + "\n")
+    table = read_raw_csv(path)
+    assert [c.dtype for c in table.columns] == [np.dtype(object)] * 2
+    # per cell: about 33,220 bits for 10**-9999, under 64 bits for the rest
+    assert stored_bits(table) < 34_000 + 2 * 600 * 64
+    declared = ([Fraction(0), Fraction(0)], [Fraction(97), Fraction(1)])
+    for levels in (2, 11, MAX_LEVELS):
+        for mode in MODES:
+            for ranges in (None, declared):
+                got = ingest(read_raw_csv, ColumnRange.from_table, discretize,
+                             path, Scale(levels), mode, None, ranges)
+                want = ingest(oracles.read_raw_csv, oracles.column_range, oracles.discretize,
+                              path, Scale(levels), mode, None, ranges)
+                assert got == want
 
 
 # ---------------------------------------------------------------- fuzzing
