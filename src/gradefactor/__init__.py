@@ -35,14 +35,7 @@ from .factorization import (
     find_factors,
     optimal_factorization,
 )
-from .matrix import (
-    LEVEL_DTYPE,
-    FuzzySet,
-    GradedMatrix,
-    compose,
-    equal_fraction,
-    leq,
-)
+from .matrix import LEVEL_DTYPE, FuzzySet, GradedMatrix, compose
 from .scale import MAX_LEVELS, PARSE_TOLERANCE, Scale, TNORM_KINDS
 
 __version__ = "0.1.0"
@@ -69,10 +62,8 @@ __all__ = [
     "discretize",
     "down",
     "enumerate_concepts",
-    "equal_fraction",
     "factor_matrices",
     "find_factors",
-    "leq",
     "optimal_factorization",
     "random_factorizable",
     "read_csv",

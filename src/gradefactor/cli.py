@@ -39,7 +39,7 @@ from .factorization import (
     find_factors,
     optimal_factorization,
 )
-from .matrix import GradedMatrix, compose, leq
+from .matrix import GradedMatrix
 from .scale import Scale, TNORM_KINDS
 
 
@@ -122,7 +122,7 @@ def _load_matrix(cfg: RunConfig) -> GradedMatrix:
     return read_csv(cfg.input, scale, mode=cfg.mode)
 
 
-def _factor_report(cfg: RunConfig, factor_set: FactorSet, curve, *,
+def _factor_report(cfg: RunConfig, factor_set: FactorSet, curve, nonzero, *,
                    optimal: bool = False) -> dict:
     return {
         "command": cfg.command,
@@ -147,7 +147,7 @@ def _factor_report(cfg: RunConfig, factor_set: FactorSet, curve, *,
         ],
         "coverage_equal": [float(f) for f in curve],
         "coverage_equal_exact": [str(f) for f in curve],
-        "coverage_nonzero": [float(f) for f in factor_set.covered_nonzero_curve()],
+        "coverage_nonzero": [float(f) for f in nonzero],
     }
 
 
@@ -155,36 +155,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_coverage_tsv(path: Path, factor_set: FactorSet, curve) -> None:
-    nonzero = factor_set.covered_nonzero_curve()
+def _write_coverage_tsv(path: Path, curve, nonzero) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("factor\tequal_fraction\tcovered_nonzero\n")
         for l, (eq, nz) in enumerate(zip(curve, nonzero), start=1):
             handle.write(f"{l}\t{float(eq):.6f}\t{float(nz):.6f}\n")
 
 
-def _check_factors(matrix: GradedMatrix,
-                   factor_set: FactorSet) -> tuple[GradedMatrix, GradedMatrix]:
-    """The factor matrices, once their composition is checked against the
-    input: a complete run must reproduce it, a truncated one stay below it."""
-    a, b = factor_matrices(factor_set)
-    product = compose(a, b)
-    if factor_set.complete and product != matrix:
-        raise ValueError("factors do not reproduce the input exactly")
-    if not leq(product, matrix):
-        raise ValueError("factors exceed the input")
-    return a, b
-
-
 def _emit_factorization(cfg: RunConfig, matrix: GradedMatrix, factor_set: FactorSet,
                         *, optimal: bool = False) -> None:
-    a, b = _check_factors(matrix, factor_set)
     curve = coverage_curve(factor_set, matrix)
+    nonzero = factor_set.covered_nonzero_curve()
+    a, b = factor_matrices(factor_set)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(a, cfg.out_dir / "A.csv")
     write_csv(b, cfg.out_dir / "B.csv")
-    _write_json(cfg.out_dir / "factors.json", _factor_report(cfg, factor_set, curve, optimal=optimal))
-    _write_coverage_tsv(cfg.out_dir / "coverage.tsv", factor_set, curve)
+    _write_json(cfg.out_dir / "factors.json",
+                _factor_report(cfg, factor_set, curve, nonzero, optimal=optimal))
+    _write_coverage_tsv(cfg.out_dir / "coverage.tsv", curve, nonzero)
 
 
 # ----------------------------------------------------------------------
@@ -226,10 +214,9 @@ def cmd_coverage(cfg: RunConfig) -> int:
     start = time.perf_counter()
     factor_set = find_factors(matrix, cfg.tie_break, max_factors=cfg.max_factors)
     elapsed = time.perf_counter() - start
-    _check_factors(matrix, factor_set)
     curve = coverage_curve(factor_set, matrix)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_coverage_tsv(cfg.out_dir / "coverage.tsv", factor_set, curve)
+    _write_coverage_tsv(cfg.out_dir / "coverage.tsv", curve, factor_set.covered_nonzero_curve())
     initial, left = factor_set.uncovered_counts[0], factor_set.uncovered_counts[-1]
     covered = (initial - left) / initial if initial else 1.0
     note = "run complete" if factor_set.complete else "run truncated, would continue"

@@ -291,13 +291,11 @@ def read_csv(path, scale: Scale, *, mode: str = "strict",
             # grades beside non-grade cells make a data row with a bad cell,
             # not a header: parse it and report that cell
             has_header, body = False, rows
-        if not body:
-            raise ValueError(f"{path}: no data rows")
     else:
         has_header = has_labels = labeled
         body = rows[1:] if has_header else rows
-        if not body:
-            raise ValueError(f"{path}: no data rows")
+    if not body:
+        raise ValueError(f"{path}: no data rows")
 
     # each distinct cell text is parsed once; a bad one is never cached, so
     # the first bad cell in row-major order is the one reported
@@ -368,14 +366,12 @@ def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     if labeled is None:
         has_header = not all(map(is_number, rows[0]))
         body = rows[1:] if has_header else rows
-        if not body:
-            raise ValueError(f"{path}: no data rows")
         has_labels = not all(is_number(r[0]) for r in body)
     else:
         has_header = has_labels = labeled
         body = rows[1:] if has_header else rows
-        if not body:
-            raise ValueError(f"{path}: no data rows")
+    if not body:
+        raise ValueError(f"{path}: no data rows")
 
     col_labels = (rows[0][1:] if has_labels else rows[0]) if has_header else None
     row_labels = []

@@ -29,7 +29,7 @@ from .concepts import (
     _up_levels,
     enumerate_concepts,
 )
-from .matrix import LEVEL_DTYPE, FuzzySet, GradedMatrix, _require_same_scale
+from .matrix import LEVEL_DTYPE, FuzzySet, GradedMatrix, _rectangle, _require_same_scale
 from .scale import Scale
 
 # A tie-break policy maps (attribute index, grade level) to a sort key;
@@ -65,16 +65,15 @@ def resolve_tie_break(policy) -> TieBreakKey:
 class FactorSet:
     """An ordered list of concept factors for one context.
 
-    `uncovered_counts`, when present, traces the greedy run: entry l is the
-    number of nonzero cells still uncovered after the first l factors, so it
-    starts at the full count and ends at 0 for a complete run.
+    `uncovered_counts` traces the run: entry l is the number of nonzero
+    cells still uncovered after the first l factors, so it starts at the
+    full count and ends at 0 exactly when the set is complete.
     """
 
     factors: tuple[FormalConcept, ...]
     context_shape: tuple[int, int]
     scale: Scale
-    complete: bool = True
-    uncovered_counts: tuple[int, ...] | None = None
+    uncovered_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n, m = self.context_shape
@@ -86,8 +85,13 @@ class FactorSet:
                 )
             if concept.extent.scale != self.scale or concept.intent.scale != self.scale:
                 raise ValueError("factor scale differs from the factor set scale")
-        if self.uncovered_counts is not None and len(self.uncovered_counts) != len(self.factors) + 1:
+        if len(self.uncovered_counts) != len(self.factors) + 1:
             raise ValueError("uncovered_counts must hold one entry per prefix, including the empty one")
+
+    @property
+    def complete(self) -> bool:
+        """Whether the factors cover every nonzero cell, read off the trace."""
+        return self.uncovered_counts[-1] == 0
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -97,8 +101,6 @@ class FactorSet:
 
     def covered_nonzero_curve(self) -> list[Fraction]:
         """Fraction of initially nonzero cells covered after each factor."""
-        if self.uncovered_counts is None:
-            raise ValueError("this factor set carries no coverage trace")
         initial = self.uncovered_counts[0]
         if initial == 0:
             return [Fraction(1)] * len(self.factors)
@@ -164,7 +166,7 @@ class _GradedSweep:
         def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
             ext = np.minimum(base, scale.residuum(levels[:, None].astype(dtype), sub[:, js].T))
             closed = scale.residuum(ext[:, :, None], sub).min(axis=1, initial=scale.max_level)
-            hit = scale.tnorm(ext[:, :, None], closed[:, None, :]) >= sub
+            hit = _rectangle(scale, ext, closed) >= sub
             return np.count_nonzero(hit & live, axis=(1, 2))
 
         return batch, gains
@@ -175,8 +177,7 @@ class _GradedSweep:
 
     def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
         """Drop the cells the concept covers; returns how many stay uncovered."""
-        rect = self.scale.tnorm(extent[:, None], intent[None, :])
-        self.mask &= ~(rect >= self.entries)
+        self.mask &= ~(_rectangle(self.scale, extent, intent) >= self.entries)
         return int(self.mask.sum())
 
 
@@ -276,8 +277,8 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     intent, and repeats while the best cover count strictly improves.  The
     finished concept is appended and the cells it covers are retired.
 
-    A `max_factors` bound truncates the run; the result is then marked
-    incomplete instead of pretending the decomposition is exact.
+    A `max_factors` bound truncates the run; its trace then ends above 0,
+    so the result is incomplete instead of pretending to be exact.
     """
     _require_context(context)
     key = resolve_tie_break(tie_break)
@@ -288,12 +289,8 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     sweep = _make_sweep(scale, entries, entries != 0)
     uncovered = [int(sweep.mask.sum())]
     factors: list[FormalConcept] = []
-    complete = True
 
-    while uncovered[-1]:
-        if max_factors is not None and len(factors) >= max_factors:
-            complete = False
-            break
+    while uncovered[-1] and (max_factors is None or len(factors) < max_factors):
         intent = np.zeros(n_cols, dtype=LEVEL_DTYPE)
         extent = _down_levels(scale, entries, intent)
         best_so_far = 0
@@ -308,7 +305,6 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
         factors=tuple(factors),
         context_shape=(n_rows, n_cols),
         scale=scale,
-        complete=complete,
         uncovered_counts=tuple(uncovered),
     )
 
@@ -331,10 +327,19 @@ def factor_matrices(factor_set: FactorSet) -> tuple[GradedMatrix, GradedMatrix]:
 
 
 def coverage_curve(factor_set: FactorSet, context: GradedMatrix) -> list[Fraction]:
-    """Exact fraction of matching cells after each successive factor.
+    """Exact fraction of matching cells after each successive factor, from
+    one pass over the factors that also checks them against the context.
 
     Entry l compares the superposition of the first l + 1 rectangles with
-    the context, so a complete decomposition ends the curve at 1.
+    the context.  The last superposition is the product of the factor
+    matrices, so it must equal the context when the set is complete and
+    never exceed it otherwise.  Prefixes only grow, so then none exceeds
+    the context, and a nonzero cell is covered exactly where its prefix
+    equals it: the pass recounts `uncovered_counts` from the curve.
+
+    Raises ValueError, in this order, when a complete set does not
+    reproduce the context, when the factors exceed it, and when the
+    recount differs from the set's trace.
     """
     _require_context(context)
     _require_same_scale(factor_set.scale, context.scale)
@@ -343,16 +348,21 @@ def coverage_curve(factor_set: FactorSet, context: GradedMatrix) -> list[Fractio
             f"factor set shaped {factor_set.context_shape} does not fit context {context.shape}"
         )
     entries = context.entries
-    scale = context.scale
     acc = np.zeros_like(entries)
-    curve = []
+    equal = []
     for concept in factor_set.factors:
-        rect = scale.tnorm(
-            concept.extent.membership[:, None], concept.intent.membership[None, :]
-        )
+        rect = _rectangle(context.scale, concept.extent.membership, concept.intent.membership)
         np.maximum(acc, rect, out=acc)
-        curve.append(Fraction(int(np.count_nonzero(acc == entries)), entries.size))
-    return curve
+        equal.append(int(np.count_nonzero(acc == entries)))
+    if factor_set.complete and not np.array_equal(acc, entries):
+        raise ValueError("factors do not reproduce the input exactly")
+    if not np.all(acc <= entries):
+        raise ValueError("factors exceed the input")
+    size = entries.size
+    recount = (int(np.count_nonzero(entries)), *(size - e for e in equal))
+    if recount != tuple(factor_set.uncovered_counts):
+        raise ValueError("factors do not cover the cells their uncovered counts claim")
+    return [Fraction(e, size) for e in equal]
 
 
 def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> FactorSet:
@@ -371,16 +381,13 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
     rows, cols = np.nonzero(entries)
     cells = list(zip(rows.tolist(), cols.tolist()))
     if not cells:
-        return FactorSet((), context.shape, scale, complete=True, uncovered_counts=(0,))
+        return FactorSet((), context.shape, scale, (0,))
 
     # Bitmask of covered cells per concept; concepts covering nothing can
     # never appear in a minimal cover.
     masks = []
     for concept in concepts:
-        rect = scale.tnorm(
-            concept.extent.membership[:, None], concept.intent.membership[None, :]
-        )
-        hits = rect >= entries
+        hits = _rectangle(scale, concept.extent.membership, concept.intent.membership) >= entries
         masks.append(sum(1 << b for b, (i, j) in enumerate(cells) if hits[i, j]))
     candidates = [(idx, m) for idx, m in enumerate(masks) if m]
 
@@ -444,6 +451,5 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
         factors=picked,
         context_shape=context.shape,
         scale=scale,
-        complete=True,
         uncovered_counts=tuple(uncovered_counts),
     )

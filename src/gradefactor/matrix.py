@@ -63,19 +63,6 @@ class FuzzySet:
     def values(self) -> list[Fraction]:
         return [self.scale.value(v) for v in self.membership]
 
-    def join(self, other: "FuzzySet") -> "FuzzySet":
-        """Pointwise maximum of two graded sets over the same universe."""
-        _require_same_scale(self.scale, other.scale)
-        if self.size != other.size:
-            raise ValueError(f"universe sizes disagree: {self.size} vs {other.size}")
-        return FuzzySet(self.scale, np.maximum(self.membership, other.membership))
-
-    def leq(self, other: "FuzzySet") -> bool:
-        _require_same_scale(self.scale, other.scale)
-        if self.size != other.size:
-            raise ValueError(f"universe sizes disagree: {self.size} vs {other.size}")
-        return bool(np.all(self.membership <= other.membership))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzySet):
             return NotImplemented
@@ -125,15 +112,6 @@ class GradedMatrix:
     def n_cols(self) -> int:
         return self.entries.shape[1]
 
-    def row(self, i: int) -> FuzzySet:
-        return FuzzySet(self.scale, self.entries[i, :])
-
-    def column(self, j: int) -> FuzzySet:
-        return FuzzySet(self.scale, self.entries[:, j])
-
-    def value_rows(self) -> list[list[Fraction]]:
-        return [[self.scale.value(v) for v in row] for row in self.entries]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMatrix):
             return NotImplemented
@@ -142,6 +120,13 @@ class GradedMatrix:
     def __repr__(self) -> str:
         n, m = self.shape
         return f"<GradedMatrix {n}x{m} on {self.scale.levels}-level chain ({self.scale.tnorm_kind})>"
+
+
+def _rectangle(scale: Scale, extent: np.ndarray, intent: np.ndarray) -> np.ndarray:
+    """The t-norm outer product of an extent and an intent: out[..., i, j] is
+    tnorm(extent[..., i], intent[..., j]), the cells of one factor's
+    rectangle, or of a batch of them along the leading axes."""
+    return scale.tnorm(extent[..., :, None], intent[..., None, :])
 
 
 def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -154,24 +139,5 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
         raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     out = np.zeros((a.n_rows, b.n_cols), dtype=LEVEL_DTYPE)
     for l in range(a.n_cols):
-        layer = a.scale.tnorm(a.entries[:, l][:, None], b.entries[l, :][None, :])
-        np.maximum(out, layer, out=out)
+        np.maximum(out, _rectangle(a.scale, a.entries[:, l], b.entries[l, :]), out=out)
     return GradedMatrix(a.scale, out)
-
-
-def leq(a: GradedMatrix, b: GradedMatrix) -> bool:
-    """Entrywise order: every entry of `a` at most the matching entry of `b`."""
-    _require_same_scale(a.scale, b.scale)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return bool(np.all(a.entries <= b.entries))
-
-
-def equal_fraction(a: GradedMatrix, b: GradedMatrix) -> Fraction:
-    """Exact fraction of positions where the two matrices agree."""
-    _require_same_scale(a.scale, b.scale)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.entries.size == 0:
-        raise ValueError("equal_fraction of an empty matrix is undefined")
-    return Fraction(int(np.count_nonzero(a.entries == b.entries)), a.entries.size)

@@ -80,6 +80,11 @@ A_F = (
 )
 B_F = INTENTS
 
+# Nonzero cells left uncovered before and after each successive factor:
+# every cell of GRADED is nonzero, so entry l is 50 minus the cells CURVE
+# matches after l factors.
+UNCOVERED = (50, 27, 14, 8, 4, 2, 1, 0)
+
 # Fraction of cells matched after each successive factor.
 CURVE = (
     Fraction(23, 50),
@@ -137,7 +142,7 @@ def reference_factors() -> tuple[FormalConcept, ...]:
 
 
 def reference_factor_set() -> FactorSet:
-    return FactorSet(reference_factors(), (5, 10), scale())
+    return FactorSet(reference_factors(), (5, 10), scale(), UNCOVERED)
 
 
 def printed_factor_matrices() -> tuple[GradedMatrix, GradedMatrix]:

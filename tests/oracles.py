@@ -192,11 +192,9 @@ def greedy_factors(context: GradedMatrix, tie_break="grade-then-index", *,
     mask = entries != 0
     uncovered = [int(mask.sum())]
     factors: list[FormalConcept] = []
-    complete = True
 
     while mask.any():
         if max_factors is not None and len(factors) >= max_factors:
-            complete = False
             break
         intent = np.zeros(n_cols, dtype=LEVEL_DTYPE)
         extent = _down_levels(scale, entries, intent)
@@ -215,7 +213,6 @@ def greedy_factors(context: GradedMatrix, tie_break="grade-then-index", *,
         factors=tuple(factors),
         context_shape=(n_rows, n_cols),
         scale=scale,
-        complete=complete,
         uncovered_counts=tuple(uncovered),
     )
 

@@ -94,13 +94,32 @@ def test_truncated_run_that_exceeds_the_input_is_rejected(tmp_path, graded_csv, 
     top = FormalConcept(FuzzySet(FIVE, [4] * 5), FuzzySet(FIVE, [4] * 10))
 
     def too_large(context, tie_break, *, max_factors=None):
-        return FactorSet((top,), context.shape, context.scale, complete=False)
+        # the trace of a truncated run: the 17 cells that are 1 are matched
+        return FactorSet((top,), context.shape, context.scale, (50, 33))
 
     monkeypatch.setattr(cli, "find_factors", too_large)
     out = tmp_path / "out"
     assert run(command, "--input", graded_csv, "--max-factors", 1, "--out-dir", out) == 1
     err = capsys.readouterr().err
     assert err == "error: factors exceed the input\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["factorize", "coverage", "experiment-coverage"])
+def test_factors_that_cover_less_than_their_trace_claims_are_rejected(
+        tmp_path, graded_csv, monkeypatch, capsys, command):
+    # two true factors of the decathlon input leave 14 cells uncovered;
+    # the trace claims only 10
+    first_two = golden.reference_factors()[:2]
+
+    def overclaiming(context, tie_break, *, max_factors=None):
+        return FactorSet(first_two, context.shape, context.scale, uncovered_counts=(50, 27, 10))
+
+    monkeypatch.setattr(cli, "find_factors", overclaiming)
+    out = tmp_path / "out"
+    assert run(command, "--input", graded_csv, "--max-factors", 2, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err == "error: factors do not cover the cells their uncovered counts claim\n"
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Discretization, CSV and transaction-file IO, and random instances."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -198,6 +199,17 @@ def test_read_csv_garbage_and_shape_errors(tmp_path):
     path.write_text("a,b\nc,d\n")
     with pytest.raises(ValueError):
         read_csv(path, FIVE)
+
+
+@pytest.mark.parametrize("labeled", [None, True])
+@pytest.mark.parametrize("read", [lambda path, labeled: read_csv(path, FIVE, labeled=labeled),
+                                  lambda path, labeled: read_raw_csv(path, labeled=labeled)],
+                         ids=["read_csv", "read_raw_csv"])
+def test_header_only_file_has_no_data_rows(tmp_path, read, labeled):
+    path = tmp_path / "h.csv"
+    path.write_text("id,a,b\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows$"):
+        read(path, labeled)
 
 
 def test_read_raw_csv_fixture(scores_csv):

@@ -15,6 +15,7 @@ from gradefactor import (
     BudgetExceededError,
     DEFAULT_TIE_BREAK,
     FactorSet,
+    FormalConcept,
     FuzzySet,
     GradedMatrix,
     Scale,
@@ -31,6 +32,7 @@ from gradefactor import (
 )
 from gradefactor import factorization
 from gradefactor.factorization import resolve_tie_break
+from gradefactor.matrix import _rectangle
 
 FIVE = Scale(5)
 
@@ -263,8 +265,8 @@ def test_cover_universe_bookkeeping(decathlon, reference_factors):
 # ---------------------------------------------------------------- factor sets
 
 
-def test_factor_matrices_layout(decathlon, reference_factors):
-    fs = FactorSet(reference_factors, (5, 10), FIVE)
+def test_factor_matrices_layout(decathlon):
+    fs = golden.reference_factor_set()
     a, b = factor_matrices(fs)
     assert a.shape == (5, 7)
     assert b.shape == (7, 10)
@@ -275,24 +277,33 @@ def test_factor_matrices_layout(decathlon, reference_factors):
 def test_factor_matrices_compose_to_superposition(decathlon):
     fs = find_factors(decathlon, max_factors=3)
     a, b = factor_matrices(fs)
-    rects = [FIVE.tnorm(c.extent.membership[:, None], c.intent.membership[None, :])
-             for c in fs.factors]
+    rects = [_rectangle(FIVE, c.extent.membership, c.intent.membership) for c in fs.factors]
     assert np.array_equal(compose(a, b).entries, np.maximum.reduce(rects))
 
 
 def test_factor_set_validation(reference_factors):
     with pytest.raises(ValueError, match="does not fit"):
-        FactorSet(reference_factors, (4, 10), FIVE)
+        FactorSet(reference_factors, (4, 10), FIVE, golden.UNCOVERED)
     with pytest.raises(ValueError, match="scale differs"):
-        FactorSet(reference_factors, (5, 10), Scale(5, "godel"))
+        FactorSet(reference_factors, (5, 10), Scale(5, "godel"), golden.UNCOVERED)
     with pytest.raises(ValueError, match="one entry per prefix"):
         FactorSet(reference_factors, (5, 10), FIVE, uncovered_counts=(50, 0))
+    with pytest.raises(TypeError):
+        FactorSet(reference_factors, (5, 10), FIVE)
 
 
 def test_factor_set_iteration(reference_factors):
-    fs = FactorSet(reference_factors, (5, 10), FIVE)
+    fs = golden.reference_factor_set()
     assert len(fs) == 7
     assert tuple(fs) == reference_factors
+
+
+def test_complete_is_read_off_the_trace(reference_factors):
+    assert golden.reference_factor_set().complete
+    truncated = FactorSet(reference_factors[:2], (5, 10), FIVE, golden.UNCOVERED[:3])
+    assert not truncated.complete
+    with pytest.raises(TypeError):
+        FactorSet(reference_factors, (5, 10), FIVE, golden.UNCOVERED, complete=False)
 
 
 def test_covered_nonzero_curve(decathlon):
@@ -301,9 +312,7 @@ def test_covered_nonzero_curve(decathlon):
     assert len(curve) == 7
     assert curve[-1] == 1
     assert all(a <= b for a, b in zip(curve, curve[1:]))
-    bare = FactorSet(fs.factors, fs.context_shape, fs.scale)
-    with pytest.raises(ValueError, match="no coverage trace"):
-        bare.covered_nonzero_curve()
+    assert curve == [Fraction(50 - u, 50) for u in golden.UNCOVERED[1:]]
 
 
 # ---------------------------------------------------------------- coverage
@@ -324,6 +333,58 @@ def test_coverage_curve_validation(decathlon):
         coverage_curve(fs, GradedMatrix.zeros(FIVE, 4, 10))
     with pytest.raises(ValueError, match="scale mismatch"):
         coverage_curve(fs, GradedMatrix.zeros(Scale(5, "godel"), 5, 10))
+
+
+def test_coverage_curve_rejects_an_incomplete_set_that_claims_completeness(
+        decathlon, reference_factors):
+    # six factors leave one cell uncovered, but the trace says none is
+    fs = FactorSet(reference_factors[:6], (5, 10), FIVE, (*golden.UNCOVERED[:6], 0))
+    with pytest.raises(ValueError, match="^factors do not reproduce the input exactly$"):
+        coverage_curve(fs, decathlon)
+
+
+def test_coverage_curve_rejects_factors_above_the_input(decathlon):
+    # a full rectangle exceeds every cell of the decathlon input below 1,
+    # and matches the 17 cells that are 1
+    top = FormalConcept(FuzzySet(FIVE, [4] * 5), FuzzySet(FIVE, [4] * 10))
+    assert int(np.count_nonzero(decathlon.entries == 4)) == 17
+    with pytest.raises(ValueError, match="^factors exceed the input$"):
+        coverage_curve(FactorSet((top,), (5, 10), FIVE, (50, 33)), decathlon)
+    # a set that claims completeness fails the exactness check first
+    with pytest.raises(ValueError, match="^factors do not reproduce the input exactly$"):
+        coverage_curve(FactorSet((top,), (5, 10), FIVE, (50, 0)), decathlon)
+
+
+@pytest.mark.parametrize("trace", [(50, 27, 10), (50, 20, 14), (49, 27, 14)])
+def test_coverage_curve_recounts_the_trace(decathlon, reference_factors, trace):
+    # the true trace of these two factors is golden.UNCOVERED[:3]
+    fs = FactorSet(reference_factors[:2], (5, 10), FIVE, trace)
+    with pytest.raises(ValueError, match="^factors do not cover the cells their uncovered "
+                                         "counts claim$"):
+        coverage_curve(fs, decathlon)
+
+
+@given(
+    strategies.scales(ALL_KINDS, max_levels=11).flatmap(
+        lambda scale: strategies.contexts(scale, max_rows=5, max_cols=5)
+    ),
+    st.sampled_from([None, 1, 2]),
+)
+@settings(max_examples=120)
+def test_coverage_curve_accepts_every_greedy_run(ctx, max_factors):
+    fs = find_factors(ctx, max_factors=max_factors)
+    assert fs.complete == (fs.uncovered_counts[-1] == 0)
+    a, b = factor_matrices(fs)
+    assert fs.complete == (oracles.loop_compose(a, b) == ctx.entries.tolist())
+    assert len(coverage_curve(fs, ctx)) == len(fs)
+
+
+@given(strategies.contexts(max_rows=3, max_cols=3, kinds=ALL_KINDS))
+@settings(max_examples=40)
+def test_coverage_curve_accepts_every_optimal_cover(ctx):
+    opt = optimal_factorization(ctx)
+    assert opt.complete and opt.uncovered_counts[-1] == 0
+    assert len(coverage_curve(opt, ctx)) == len(opt)
 
 
 @given(strategies.contexts(max_rows=4, max_cols=4))
