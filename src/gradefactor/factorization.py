@@ -6,7 +6,10 @@ the most still-uncovered nonzero cells, closes the intent, and stops growing
 when no extension strictly improves the count.  The factors it emits
 reproduce the input exactly under sup-t-norm composition.  Each step scores
 all extensions in one batched sweep, on row bitsets when the chain has two
-grades.
+grades.  Every factor opens from the empty intent, whose candidates cover
+the same cells all run long, so one opening table per run keeps those
+cells as packed bitsets, up to a fixed number of words, and later openings
+score them by popcount.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -110,8 +113,16 @@ class FactorSet:
 # Cells one batch of candidate closures may touch: a batch of c candidates
 # over r rows and m columns holds c * r * m levels on a graded chain, or
 # c * m * w words of w row words on the two-grade chain.  Memory per step
-# is therefore flat in the number of grades.
+# is therefore flat in the number of grades; so is the opening table,
+# whose stored covers are capped at _OPENING_TABLE_WORDS in total.
 SWEEP_CELL_BUDGET = 1 << 16
+
+# 8-byte words of covers one run's opening table may hold (4 MiB).  On an
+# n-step chain an r x m input has m * n opening candidates of r * m / 64
+# words each, so the whole table grows with the grades; the cap keeps it
+# fixed.  It holds the whole table of a 200 x 100 input on 11 levels (313k
+# words); on two grades a candidate takes only r / 64 + m / 8 words.
+_OPENING_TABLE_WORDS = 1 << 19
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -155,7 +166,11 @@ class _GradedSweep:
         self.scale, self.entries, self.mask = scale, entries, mask
 
     def scorer(self, extent: np.ndarray):
-        """Batch size and gain function for the candidates of one extent."""
+        """Batch size, gain function and cover function for the candidates
+        of one extent.  The cover function gives the arrays `counter` scores
+        a batch from: here, per candidate, the nonzero cells its concept
+        covers as one bitset over the extent's cells, row-major.
+        """
         scale = self.scale
         dtype = _work_dtype(scale)
         rows = np.flatnonzero(extent)
@@ -163,13 +178,25 @@ class _GradedSweep:
         live = self.mask[rows]
         batch = max(1, SWEEP_CELL_BUDGET // max(1, sub.size))
 
-        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        def hits(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
             ext = np.minimum(base, scale.residuum(levels[:, None].astype(dtype), sub[:, js].T))
             closed = scale.residuum(ext[:, :, None], sub).min(axis=1, initial=scale.max_level)
-            hit = _rectangle(scale, ext, closed) >= sub
-            return np.count_nonzero(hit & live, axis=(1, 2))
+            return _rectangle(scale, ext, closed) >= sub
 
-        return batch, gains
+        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+            return np.count_nonzero(hits(js, levels) & live, axis=(1, 2))
+
+        def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray]:
+            covered = hits(js, levels) & (sub != 0)
+            return (_pack_rows(covered.reshape(len(js), -1).T),)
+
+        return batch, gains, covers
+
+    def counter(self):
+        """Gain function of the covers of a top extent's candidates against
+        the cells uncovered now."""
+        live = _pack_rows(self.mask.reshape(-1, 1))[0]
+        return lambda covered: np.bitwise_count(covered & live).sum(axis=1, dtype=np.int64)
 
     def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         ext = np.minimum(extent, self.scale.residuum(a, self.entries[:, j]))
@@ -200,6 +227,16 @@ class _BitsetSweep(_GradedSweep):
     def _closed(ext: np.ndarray, holes: np.ndarray) -> np.ndarray:
         return ~(ext[..., None, :] & holes).any(axis=-1)
 
+    @staticmethod
+    def _count(ext: np.ndarray, closed: np.ndarray, uncovered: np.ndarray) -> np.ndarray:
+        # closures hold few of the columns, so pair each candidate with its
+        # closed columns rather than mask a full candidate x column block
+        rows, cols = np.nonzero(closed)
+        hit = np.bitwise_count(ext[rows] & uncovered[cols]).sum(axis=1, dtype=np.int64)
+        gains = np.zeros(len(ext), dtype=np.int64)
+        np.add.at(gains, rows, hit)
+        return gains
+
     def scorer(self, extent: np.ndarray):
         base = _pack_rows(extent[:, None] != 0)[0]
         words = np.flatnonzero(base)
@@ -209,12 +246,20 @@ class _BitsetSweep(_GradedSweep):
         )
         batch = max(1, SWEEP_CELL_BUDGET // max(1, holes.size))
 
-        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # on two grades a concept covers exactly its extent x intent, so
+            # the extent's row bitset and the closed columns stand for the
+            # cells, in 1/m of the words
             ext = base & cols[js]
-            counts = np.bitwise_count(ext[:, None, :] & uncovered).sum(axis=2, dtype=np.int64)
-            return (counts * self._closed(ext, holes)).sum(axis=1)
+            return ext, self._closed(ext, holes)
 
-        return batch, gains
+        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+            return self._count(*covers(js, levels), uncovered)
+
+        return batch, gains, covers
+
+    def counter(self):
+        return lambda ext, closed: self._count(ext, closed, self.uncovered)
 
     def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         ext = _pack_rows(extent[:, None] != 0)[0] & self.cols[j]
@@ -232,6 +277,51 @@ def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedS
     return kind(scale, entries, mask)
 
 
+class _OpeningTable:
+    """The opening step of every factor, scored from one table per run.
+
+    Each factor opens from the empty intent, whose extent down(∅) is top
+    because residuum(0, b) = n, so the opening candidates, their batches,
+    their closures and the nonzero cells they cover stay fixed for the whole
+    run; only the uncovered cells change.  The table keeps the sweep's
+    covers of each batch, keyed by the batch's first candidate, so a stored
+    batch is scored by popcounts against the uncovered cells alone.  A
+    batch not stored is scored by the kernel, and stored while the table
+    has room.  The table stands in for the sweep in `_best_candidate` on
+    opening steps only.
+    """
+
+    def __init__(self, sweep: _GradedSweep) -> None:
+        self.sweep, self.scale = sweep, sweep.scale
+        self.batches: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self.words = 0
+        self.full = False
+
+    def scorer(self, extent: np.ndarray):
+        batch, kernel_gains, covers = self.sweep.scorer(extent)
+        count = self.sweep.counter()
+
+        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+            first = (int(js[0]), int(levels[0]))
+            covered = self.batches.get(first)
+            if covered is None:
+                if self.full:
+                    return kernel_gains(js, levels)
+                covered = covers(js, levels)
+                words = sum(-(-a.nbytes // 8) for a in covered)
+                if self.words + words <= _OPENING_TABLE_WORDS:
+                    self.batches[first] = covered
+                    self.words += words
+                else:
+                    self.full = True
+            return count(*covered)
+
+        return batch, gains, covers
+
+    def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.sweep.closure(extent, j, a)
+
+
 def _best_candidate(sweep: _GradedSweep, intent: np.ndarray, extent: np.ndarray,
                     key: TieBreakKey):
     """The winning (gain, j, a, extent, closed intent) over every extension
@@ -246,7 +336,7 @@ def _best_candidate(sweep: _GradedSweep, intent: np.ndarray, extent: np.ndarray,
     counts = sweep.scale.max_level - intent
     ends = np.cumsum(counts)
     total = int(ends[-1])
-    batch, gains = sweep.scorer(extent)
+    batch, gains, _ = sweep.scorer(extent)
     best = None
     for start in range(0, total, batch):
         flat = np.arange(start, min(start + batch, total))
@@ -287,6 +377,7 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     scale, entries = context.scale, context.entries
     n_rows, n_cols = entries.shape
     sweep = _make_sweep(scale, entries, entries != 0)
+    opening = _OpeningTable(sweep)
     uncovered = [int(sweep.mask.sum())]
     factors: list[FormalConcept] = []
 
@@ -294,7 +385,7 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
         intent = np.zeros(n_cols, dtype=LEVEL_DTYPE)
         extent = _down_levels(scale, entries, intent)
         best_so_far = 0
-        selected = _best_candidate(sweep, intent, extent, key)
+        selected = _best_candidate(opening, intent, extent, key)
         while selected is not None and selected[0] > best_so_far:
             best_so_far, _, _, extent, intent = selected
             selected = _best_candidate(sweep, intent, extent, key)

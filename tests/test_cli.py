@@ -316,6 +316,21 @@ def test_fimi_grid_too_large_to_allocate(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 8.00 GiB"), "error: out of memory: Unable to allocate 8.00 GiB\n"),
+])
+def test_allocation_failure_is_one_line(tmp_path, graded_csv, capsys, monkeypatch, exc, message):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "find_factors", fail)
+    out = tmp_path / "out"
+    assert run("factorize", "--input", graded_csv, "--out-dir", out) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_fimi_grid_past_the_cell_limit_is_refused(tmp_path, capsys):
     src = tmp_path / "t.dat"
     src.write_text("0 1\n2\n")

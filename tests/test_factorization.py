@@ -46,7 +46,7 @@ def sweep_gain(ctx, mask, intent, j, a):
     """The sweep kernel's cover count for the candidate (j, a) of `intent`;
     `mask` holds the uncovered nonzero cells."""
     sweep = factorization._make_sweep(ctx.scale, ctx.entries, mask)
-    _, gains = sweep.scorer(down(ctx, intent).membership)
+    _, gains, _ = sweep.scorer(down(ctx, intent).membership)
     return int(gains(np.array([j]), np.array([a]))[0])
 
 
@@ -154,19 +154,35 @@ def test_identical_runs_return_identical_factor_sets(decathlon):
 #
 # The batched candidate sweep of `find_factors` against the one-candidate-
 # at-a-time reference loop.  Small cell budgets force candidate batches to
-# split mid-attribute, so every batch boundary is exercised.
+# split mid-attribute, so every batch boundary is exercised.  Each run is
+# repeated with the opening table capped at nothing, partway through an
+# attribute's candidates, and at its default.
 
 ALL_KINDS = ("lukasiewicz", "godel", "goguen")
 TIE_BREAKS = (*TIE_BREAK_POLICIES, lambda j, a: (a % 3, -j))
 BUDGETS = (1, 37, factorization.SWEEP_CELL_BUDGET)
 
 
+def table_caps(ctx):
+    """Opening-table caps in words: none, one that ends partway through the
+    second attribute's candidates (past the first on two grades), and the
+    default."""
+    n_rows, n_cols = ctx.shape
+    n = ctx.scale.max_level
+    # words per opening candidate: its extent's row bitset and a byte per
+    # column on two grades, a bitset over all cells otherwise
+    width = -(-n_rows // 64) + -(-n_cols // 8) if n == 1 else -(-n_rows * n_cols // 64)
+    return 0, (n + (n + 1) // 2) * width, factorization._OPENING_TABLE_WORDS
+
+
 def assert_matches_reference(ctx, tie_break=DEFAULT_TIE_BREAK, budget=None, max_factors=None):
     budget = factorization.SWEEP_CELL_BUDGET if budget is None else budget
-    with mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget):
-        fast = find_factors(ctx, tie_break, max_factors=max_factors)
     slow = oracles.greedy_factors(ctx, tie_break, max_factors=max_factors)
-    assert fast == slow
+    for cap in table_caps(ctx):
+        with mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget), \
+                mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
+            fast = find_factors(ctx, tie_break, max_factors=max_factors)
+        assert fast == slow, f"opening table capped at {cap} words"
 
 
 @given(
@@ -208,19 +224,96 @@ def test_sweep_matches_reference_at_the_narrow_level_bound(levels, kind):
     st.integers(0, 2**32 - 1),
     st.sampled_from(TIE_BREAKS),
     st.sampled_from(BUDGETS),
+    st.sampled_from([None, 1, 2]),
 )
 @settings(max_examples=60)
 def test_bitset_sweep_matches_reference_at_word_boundaries(n, m, density, seed, tie_break,
-                                                           budget):
+                                                           budget, max_factors):
     rng = np.random.default_rng(seed)
     ctx = GradedMatrix(Scale.boolean(), (rng.random((n, m)) < density).astype(int))
-    assert_matches_reference(ctx, tie_break, budget)
+    assert_matches_reference(ctx, tie_break, budget, max_factors)
 
 
 def test_bitset_sweep_matches_reference_on_a_truncated_tall_run():
     rng = np.random.default_rng(8)
     ctx = GradedMatrix(Scale.boolean(), (rng.random((300, 20)) < 0.45).astype(int))
     assert_matches_reference(ctx, max_factors=6)
+
+
+def test_opening_table_stays_within_its_cap():
+    ctx = GradedMatrix(Scale(101), np.random.default_rng(101).integers(0, 101, size=(20, 10)))
+    tables = []
+
+    class Recorded(factorization._OpeningTable):
+        def __init__(self, sweep):
+            super().__init__(sweep)
+            tables.append(self)
+
+    # the whole table is 10 attributes x 100 grades x 4 words per candidate
+    cap = 3000
+    with mock.patch.object(factorization, "_OpeningTable", Recorded), \
+            mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
+        capped = find_factors(ctx)
+    (table,) = tables
+    stored = sum(a.nbytes for covered in table.batches.values() for a in covered)
+    assert 0 < stored <= 8 * table.words <= 8 * cap
+    assert table.full
+    with mock.patch.object(factorization, "_OPENING_TABLE_WORDS", 0):
+        assert find_factors(ctx) == capped
+
+
+def key_calls_per_step(ctx, cap, budget):
+    """Every greedy step of one run with the opening table capped at `cap`
+    words and batches at `budget` cells: whether the table scored it, the
+    intent and uncovered cells it started from, and each (j, a) the
+    tie-break key was called on."""
+    steps = []
+    best_candidate = factorization._best_candidate
+
+    def step(sweep, intent, extent, key):
+        table = isinstance(sweep, factorization._OpeningTable)
+        mask = (sweep.sweep if table else sweep).mask.copy()
+        steps.append((table and cap > 0, intent.copy(), mask, []))
+        return best_candidate(sweep, intent, extent, key)
+
+    def key(j, a):
+        steps[-1][3].append((j, a))
+        return (a % 3, -j)
+
+    with mock.patch.object(factorization, "_best_candidate", step), \
+            mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
+            mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget):
+        find_factors(ctx, key)
+    return steps
+
+
+@pytest.mark.parametrize("levels, kind, shape", [
+    (5, "lukasiewicz", (5, 10)), (11, "goguen", (8, 5)), (2, "lukasiewicz", (70, 6)),
+])
+def test_key_is_called_only_at_the_top_gain_so_far(levels, kind, shape):
+    # the contract `_best_candidate` states, on the table and kernel paths
+    scale = Scale(levels, kind, rounded=kind == "goguen")
+    entries = np.random.default_rng(levels).integers(0, levels, size=shape)
+    entries[entries < levels // 3] = 0
+    paths = set()
+    runs = [(cap, budget) for cap in (0, factorization._OPENING_TABLE_WORDS) for budget in BUDGETS]
+    for cap, budget in runs:
+        for table, intent, mask, calls in key_calls_per_step(GradedMatrix(scale, entries), cap,
+                                                             budget):
+            gains = {
+                (j, a): oracles.covered_count(
+                    scale, entries, mask,
+                    *oracles.candidate_closure(scale, entries, intent, j, a),
+                )
+                for j in range(shape[1]) for a in range(int(intent[j]) + 1, levels)
+            }
+            order = list(gains)
+            assert bool(calls) == bool(gains)
+            for j, a in calls:
+                earlier = order[:order.index((j, a))]
+                assert all(gains[j, a] >= gains[c] for c in earlier)
+            paths.add(table)
+    assert paths == {True, False}
 
 
 # ---------------------------------------------------------------- gain
