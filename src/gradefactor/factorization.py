@@ -6,10 +6,13 @@ the most still-uncovered nonzero cells, closes the intent, and stops growing
 when no extension strictly improves the count.  The factors it emits
 reproduce the input exactly under sup-t-norm composition.  Each step scores
 all extensions in one batched sweep, on row bitsets when the chain has two
-grades.  Every factor opens from the empty intent, whose candidates cover
-the same cells all run long, so one opening table per run keeps those
-cells as packed bitsets, up to a fixed number of words, and later openings
-score them by popcount.
+grades.  On a longer chain, two level tables per run, up to a fixed size,
+hold the residua of every extent grade against every cell, so a
+candidate's closure is a lookup, and so is its cover test: by adjointness,
+tnorm(e, c) >= b exactly when c > residuum(e, b - 1).  Every factor opens
+from the empty intent, whose candidates cover the same cells all run long,
+so one opening table per run keeps those cells as packed bitsets, up to a
+fixed number of words, and later openings score them by popcount.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -27,7 +30,6 @@ import numpy as np
 from .concepts import (
     BudgetExceededError,
     FormalConcept,
-    _down_levels,
     _require_context,
     _up_levels,
     enumerate_concepts,
@@ -112,9 +114,10 @@ class FactorSet:
 
 # Cells one batch of candidate closures may touch: a batch of c candidates
 # over r rows and m columns holds c * r * m levels on a graded chain, or
-# c * m * w words of w row words on the two-grade chain.  Memory per step
-# is therefore flat in the number of grades; so is the opening table,
-# whose stored covers are capped at _OPENING_TABLE_WORDS in total.
+# c * m * w words of w row words on the two-grade chain.  A batch's memory
+# is therefore flat in the number of grades.  What a run keeps grows with
+# them only up to a cap: the opening table's stored covers up to
+# _OPENING_TABLE_WORDS, the level tables up to _LEVEL_TABLE_BYTES.
 SWEEP_CELL_BUDGET = 1 << 16
 
 # 8-byte words of covers one run's opening table may hold (4 MiB).  On an
@@ -123,6 +126,12 @@ SWEEP_CELL_BUDGET = 1 << 16
 # fixed.  It holds the whole table of a 200 x 100 input on 11 levels (313k
 # words); on two grades a candidate takes only r / 64 + m / 8 words.
 _OPENING_TABLE_WORDS = 1 << 19
+
+# Bytes the two level tables of one run may take (16 MiB).  On an n-step
+# chain an r x m input needs 2 (n + 1) r m cells of `_work_dtype`, which
+# holds the tables of a 200 x 100 input on 11 levels in 880 kB; a longer
+# chain or a larger input builds none and scores by t-norm arithmetic.
+_LEVEL_TABLE_BYTES = 16 << 20
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -151,6 +160,26 @@ def _work_dtype(scale: Scale):
     return LEVEL_DTYPE
 
 
+def _level_tables(scale: Scale, entries: np.ndarray):
+    """The two level tables of an input, or None past _LEVEL_TABLE_BYTES.
+
+    Row i * (n + 1) + e of `res` holds residuum(e, I[i, j]) for every
+    column j.  The same row of `never` holds residuum(e, I[i, j] - 1), the
+    largest grade c with tnorm(e, c) < I[i, j], and n at zero cells, which
+    therefore never count as covered.
+    """
+    n = scale.max_level
+    dtype = _work_dtype(scale)
+    n_rows, n_cols = entries.shape
+    if 2 * (n + 1) * n_rows * n_cols * np.dtype(dtype).itemsize > _LEVEL_TABLE_BYTES:
+        return None
+    grades = np.arange(n + 1, dtype=dtype)[:, None]
+    sub = entries.astype(dtype)[:, None, :]
+    res = scale.residuum(grades, sub)
+    never = np.where(sub != 0, scale.residuum(grades, sub - 1), dtype(n))
+    return res.reshape(-1, n_cols), never.reshape(-1, n_cols)
+
+
 class _GradedSweep:
     """Candidate scoring on any chain.
 
@@ -160,10 +189,16 @@ class _GradedSweep:
     cover count need the whole matrix.  Rows outside the support of D can
     neither lower an up nor hold a covered nonzero cell, so a step works
     on D's support alone; the mask must hold nonzero cells only.
+
+    Extents and closed intents are levels, so a step needs no arithmetic
+    when the run's level tables exist: the candidate extent and the closure
+    are lookups in `res`, and by adjointness tnorm(e, c) >= b holds exactly
+    when c > residuum(e, b - 1), a lookup in `never`.
     """
 
     def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray) -> None:
         self.scale, self.entries, self.mask = scale, entries, mask
+        self.tables = _level_tables(scale, entries)
 
     def scorer(self, extent: np.ndarray):
         """Batch size, gain function and cover function for the candidates
@@ -172,19 +207,35 @@ class _GradedSweep:
         covers as one bitset over the extent's cells, row-major.
         """
         scale = self.scale
+        n = scale.max_level
         dtype = _work_dtype(scale)
         rows = np.flatnonzero(extent)
         sub, base = self.entries[rows].astype(dtype), extent[rows].astype(dtype)
         live = self.mask[rows]
         batch = max(1, SWEEP_CELL_BUDGET // max(1, sub.size))
 
-        def hits(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
-            ext = np.minimum(base, scale.residuum(levels[:, None].astype(dtype), sub[:, js].T))
-            closed = scale.residuum(ext[:, :, None], sub).min(axis=1, initial=scale.max_level)
-            return _rectangle(scale, ext, closed) >= sub
+        if self.tables is None:
+            def hits(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+                ext = np.minimum(base, scale.residuum(levels[:, None].astype(dtype), sub[:, js].T))
+                closed = scale.residuum(ext[:, :, None], sub).min(axis=1, initial=n)
+                return _rectangle(scale, ext, closed) >= sub
+        else:
+            res, never = self.tables
+            offsets = rows * (n + 1)
+
+            def hits(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+                ext = np.minimum(base, res[offsets + levels[:, None], js[:, None]])
+                idx = ext + offsets
+                # rows lead the gathered closure, so its min runs over whole
+                # candidate x column slabs
+                closed = np.take(res, idx.T, axis=0).min(axis=0, initial=n)
+                return np.take(never, idx, axis=0) < closed[:, None, :]
+
+        live_bits = np.packbits(live)
 
         def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
-            return np.count_nonzero(hits(js, levels) & live, axis=(1, 2))
+            covered = np.packbits(hits(js, levels).reshape(len(js), -1), axis=1)
+            return np.bitwise_count(covered & live_bits).sum(axis=1, dtype=np.int64)
 
         def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray]:
             covered = hits(js, levels) & (sub != 0)
@@ -218,7 +269,7 @@ class _BitsetSweep(_GradedSweep):
     """
 
     def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray) -> None:
-        super().__init__(scale, entries, mask)
+        self.scale, self.entries, self.mask = scale, entries, mask
         self.cols = _pack_rows(entries != 0)
         self.holes = _pack_rows(entries == 0)
         self.uncovered = _pack_rows(mask)
@@ -382,8 +433,9 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     factors: list[FormalConcept] = []
 
     while uncovered[-1] and (max_factors is None or len(factors) < max_factors):
+        # the empty intent's extent is top, since residuum(0, b) = n
         intent = np.zeros(n_cols, dtype=LEVEL_DTYPE)
-        extent = _down_levels(scale, entries, intent)
+        extent = np.full(n_rows, scale.max_level, dtype=LEVEL_DTYPE)
         best_so_far = 0
         selected = _best_candidate(opening, intent, extent, key)
         while selected is not None and selected[0] > best_so_far:
@@ -391,6 +443,10 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
             selected = _best_candidate(sweep, intent, extent, key)
         factors.append(FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, intent)))
         uncovered.append(sweep.retire(extent, intent))
+        # the candidate (j, I[i, j]) of any uncovered cell covers that cell,
+        # so a correct sweep always retires one
+        if uncovered[-1] == uncovered[-2]:
+            raise RuntimeError(f"factor {len(factors)} covers no uncovered cell")
 
     return FactorSet(
         factors=tuple(factors),

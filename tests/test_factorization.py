@@ -1,6 +1,7 @@
 """Greedy decomposition, factor matrices, coverage, and the exact oracle."""
 
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -150,17 +151,28 @@ def test_identical_runs_return_identical_factor_sets(decathlon):
     assert find_factors(decathlon) == find_factors(decathlon)
 
 
+def test_a_factor_that_covers_nothing_stops_the_run(decathlon):
+    # a sweep whose winner's concept covers no cell its gain counted; the
+    # bound turns a missing guard into a failure rather than a hang
+    empty = np.zeros(5, dtype=np.int64), np.zeros(10, dtype=np.int64)
+    with mock.patch.object(factorization._GradedSweep, "closure", lambda *args: empty), \
+            pytest.raises(RuntimeError, match="^factor 1 covers no uncovered cell$"):
+        find_factors(decathlon, max_factors=20)
+
+
 # ---------------------------------------------------------------- sweep kernel
 #
 # The batched candidate sweep of `find_factors` against the one-candidate-
 # at-a-time reference loop.  Small cell budgets force candidate batches to
 # split mid-attribute, so every batch boundary is exercised.  Each run is
 # repeated with the opening table capped at nothing, partway through an
-# attribute's candidates, and at its default.
+# attribute's candidates, and at its default, and with the level tables
+# capped at nothing (t-norm arithmetic) and at their default.
 
 ALL_KINDS = ("lukasiewicz", "godel", "goguen")
 TIE_BREAKS = (*TIE_BREAK_POLICIES, lambda j, a: (a % 3, -j))
 BUDGETS = (1, 37, factorization.SWEEP_CELL_BUDGET)
+LEVEL_TABLE_CAPS = (0, factorization._LEVEL_TABLE_BYTES)
 
 
 def table_caps(ctx):
@@ -178,11 +190,12 @@ def table_caps(ctx):
 def assert_matches_reference(ctx, tie_break=DEFAULT_TIE_BREAK, budget=None, max_factors=None):
     budget = factorization.SWEEP_CELL_BUDGET if budget is None else budget
     slow = oracles.greedy_factors(ctx, tie_break, max_factors=max_factors)
-    for cap in table_caps(ctx):
+    for cap, level_cap in product(table_caps(ctx), LEVEL_TABLE_CAPS):
         with mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget), \
-                mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
+                mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
+                mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
             fast = find_factors(ctx, tie_break, max_factors=max_factors)
-        assert fast == slow, f"opening table capped at {cap} words"
+        assert fast == slow, f"opening table at {cap} words, level tables at {level_cap} bytes"
 
 
 @given(
@@ -197,6 +210,15 @@ def test_sweep_matches_reference_on_graded_chains(ctx, tie_break, budget):
     assert_matches_reference(ctx, tie_break, budget)
 
 
+@pytest.mark.parametrize("levels", [5, 11, 101])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sweep_matches_reference_on_each_tnorm(levels, kind):
+    scale = Scale(levels, kind, rounded=kind == "goguen")
+    entries = np.random.default_rng(levels).integers(0, levels, size=(7, 5))
+    entries[entries < levels // 4] = 0
+    assert_matches_reference(GradedMatrix(scale, entries))
+
+
 @pytest.mark.parametrize("levels", [128, 129])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_sweep_matches_reference_at_the_narrow_level_bound(levels, kind):
@@ -208,13 +230,35 @@ def test_sweep_matches_reference_at_the_narrow_level_bound(levels, kind):
     ctx = GradedMatrix(scale, np.stack([rng.permutation(levels) for _ in range(2)], axis=1))
     mask = ctx.entries != 0
     intent = FuzzySet(scale, [0, int(rng.integers(1, levels))])
-    for j in range(2):
-        for a in range(1, levels):
-            expected = oracles.covered_count(
-                scale, ctx.entries, mask,
-                *oracles.candidate_closure(scale, ctx.entries, intent.membership, j, a),
-            )
-            assert sweep_gain(ctx, mask, intent, j, a) == expected
+    for level_cap in LEVEL_TABLE_CAPS:
+        with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+            for j in range(2):
+                for a in range(1, levels):
+                    expected = oracles.covered_count(
+                        scale, ctx.entries, mask,
+                        *oracles.candidate_closure(scale, ctx.entries, intent.membership, j, a),
+                    )
+                    assert sweep_gain(ctx, mask, intent, j, a) == expected
+
+
+def test_level_tables_stay_within_their_cap():
+    scale = Scale(101, "goguen", rounded=True)
+    ctx = GradedMatrix(scale, np.random.default_rng(5).integers(0, 101, size=(6, 5)))
+    mask = ctx.entries != 0
+    # two tables of 101 grades x 6 rows x 5 columns in 16-bit levels
+    size = 2 * 101 * 6 * 5 * 2
+    with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", size):
+        res, never = factorization._make_sweep(scale, ctx.entries, mask).tables
+    assert res.nbytes + never.nbytes == size
+    with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", size - 1):
+        assert factorization._make_sweep(scale, ctx.entries, mask).tables is None
+        assert find_factors(ctx) == oracles.greedy_factors(ctx)
+    # the default cap holds no table of a 2 x 2 input on 2**20 grades
+    ones = np.ones((2, 2), dtype=np.int64)
+    assert factorization._make_sweep(Scale(2**20), ones, ones != 0).tables is None
+    # and the two-grade sweep builds none at all
+    bitset = factorization._make_sweep(Scale.boolean(), mask.astype(np.int64), mask)
+    assert not hasattr(bitset, "tables")
 
 
 @given(
@@ -262,11 +306,11 @@ def test_opening_table_stays_within_its_cap():
         assert find_factors(ctx) == capped
 
 
-def key_calls_per_step(ctx, cap, budget):
+def key_calls_per_step(ctx, cap, budget, level_cap):
     """Every greedy step of one run with the opening table capped at `cap`
-    words and batches at `budget` cells: whether the table scored it, the
-    intent and uncovered cells it started from, and each (j, a) the
-    tie-break key was called on."""
+    words, batches at `budget` cells and the level tables at `level_cap`
+    bytes: whether the opening table scored it, the intent and uncovered
+    cells it started from, and each (j, a) the tie-break key was called on."""
     steps = []
     best_candidate = factorization._best_candidate
 
@@ -282,7 +326,8 @@ def key_calls_per_step(ctx, cap, budget):
 
     with mock.patch.object(factorization, "_best_candidate", step), \
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
-            mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget):
+            mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget), \
+            mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
         find_factors(ctx, key)
     return steps
 
@@ -291,15 +336,16 @@ def key_calls_per_step(ctx, cap, budget):
     (5, "lukasiewicz", (5, 10)), (11, "goguen", (8, 5)), (2, "lukasiewicz", (70, 6)),
 ])
 def test_key_is_called_only_at_the_top_gain_so_far(levels, kind, shape):
-    # the contract `_best_candidate` states, on the table and kernel paths
+    # the contract `_best_candidate` states, on the opening-table and kernel
+    # paths, with and without level tables
     scale = Scale(levels, kind, rounded=kind == "goguen")
     entries = np.random.default_rng(levels).integers(0, levels, size=shape)
     entries[entries < levels // 3] = 0
     paths = set()
-    runs = [(cap, budget) for cap in (0, factorization._OPENING_TABLE_WORDS) for budget in BUDGETS]
-    for cap, budget in runs:
+    runs = product((0, factorization._OPENING_TABLE_WORDS), BUDGETS, LEVEL_TABLE_CAPS)
+    for cap, budget, level_cap in runs:
         for table, intent, mask, calls in key_calls_per_step(GradedMatrix(scale, entries), cap,
-                                                             budget):
+                                                             budget, level_cap):
             gains = {
                 (j, a): oracles.covered_count(
                     scale, entries, mask,

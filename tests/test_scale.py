@@ -110,6 +110,41 @@ def test_adjointness(scale):
         assert (int(scale.tnorm(a, b)) <= c) == (a <= int(scale.residuum(b, c)))
 
 
+# The greedy sweep's cover test: tnorm(e, c) >= b holds exactly when
+# c > residuum(e, b - 1), for every grade b >= 1.
+
+
+@pytest.mark.parametrize("kind", TNORM_KINDS)
+@pytest.mark.parametrize("levels", range(2, 10))
+def test_cover_threshold_is_the_residuum_below(kind, levels):
+    scale = Scale(levels, kind, rounded=kind == "goguen")
+    for e, c, b in product(range(levels), range(levels), range(1, levels)):
+        assert oracles.value_tnorm(scale, e, c) == int(scale.tnorm(e, c))
+        below = oracles.brute_residuum(scale, e, b - 1)
+        assert int(scale.residuum(e, b - 1)) == below
+        assert (int(scale.tnorm(e, c)) >= b) == (c > below)
+
+
+@given(st.sampled_from(TNORM_KINDS), st.integers(2, MAX_LEVELS), st.data())
+@settings(max_examples=300)
+def test_cover_threshold_is_the_residuum_below_on_long_chains(kind, levels, data):
+    scale = Scale(levels, kind, rounded=kind == "goguen")
+    n = scale.max_level
+    grade = st.integers(0, n) | st.sampled_from([0, 1, n - 1, n])
+    e, c = data.draw(grade), data.draw(grade)
+    b = data.draw(st.integers(1, n) | st.sampled_from([1, n]))
+    tnorm = oracles.value_tnorm(scale, e, c)
+    assert int(scale.tnorm(e, c)) == tnorm
+    below = int(scale.residuum(e, b - 1))
+    if levels <= 64:
+        assert below == oracles.brute_residuum(scale, e, b - 1)
+    else:
+        # the largest adjoint, checked in Python integers
+        assert oracles.value_tnorm(scale, e, below) <= b - 1
+        assert below == n or oracles.value_tnorm(scale, e, below + 1) > b - 1
+    assert (tnorm >= b) == (c > below)
+
+
 @pytest.mark.parametrize("scale", ALL_SCALES, ids=str)
 def test_tnorm_is_commutative_and_monotone_with_units(scale):
     top = scale.max_level
