@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -471,9 +472,12 @@ def read_fimi(path, num_items: int | None = None, *,
         grid = np.zeros((len(transactions), width), dtype=LEVEL_DTYPE)
     except MemoryError:
         raise ValueError(too_large) from None
-    for r, items in enumerate(transactions):
-        for item in items:
-            grid[r, item if column is None else column[item]] = 1
+    # one store from flat index arrays, freed before GradedMatrix copies the grid
+    lengths = [len(items) for items in transactions]
+    items = chain.from_iterable(transactions)
+    grid[np.repeat(np.arange(len(transactions)), lengths),
+         np.fromiter(items if column is None else map(column.__getitem__, items),
+                     dtype=np.intp, count=sum(lengths))] = 1
     return GradedMatrix(scale, grid)
 
 

@@ -6,13 +6,16 @@ the most still-uncovered nonzero cells, closes the intent, and stops growing
 when no extension strictly improves the count.  The factors it emits
 reproduce the input exactly under sup-t-norm composition.  Each step scores
 all extensions in one batched sweep, on row bitsets when the chain has two
-grades.  On a longer chain, two level tables per run, up to a fixed size,
-hold the residua of every extent grade against every cell, so a
-candidate's closure is a lookup, and so is its cover test: by adjointness,
-tnorm(e, c) >= b exactly when c > residuum(e, b - 1).  Every factor opens
-from the empty intent, whose candidates cover the same cells all run long,
-so one opening table per run keeps those cells as packed bitsets, up to a
-fixed number of words, and later openings score them by popcount.
+grades.  On a longer chain, three tables per run, up to a fixed size, hold
+the residua of every extent grade against every cell, so a step needs
+neither arithmetic nor setup: its candidates come from a per-run grade
+grid, their extents from one selection of a column table, and their
+closures and cover tests from lookups, the cover test by adjointness:
+tnorm(e, c) >= b exactly when c > residuum(e, b - 1).  The winner's concept
+is taken from its batch.  Every factor opens from the empty intent, whose
+candidates cover the same cells all run long, so one opening table per run
+keeps those cells as one block of packed bitsets, up to a fixed number of
+words, and later openings score it by popcount.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -112,12 +115,15 @@ class FactorSet:
         return [Fraction(initial - u, initial) for u in self.uncovered_counts[1:]]
 
 
-# Cells one batch of candidate closures may touch: a batch of c candidates
-# over r rows and m columns holds c * r * m levels on a graded chain, or
-# c * m * w words of w row words on the two-grade chain.  A batch's memory
-# is therefore flat in the number of grades.  What a run keeps grows with
-# them only up to a cap: the opening table's stored covers up to
-# _OPENING_TABLE_WORDS, the level tables up to _LEVEL_TABLE_BYTES.
+# Cells one batch of candidates may touch: a batch of c candidates over r
+# rows and m columns holds c * r * m levels on a graded chain, or c * m * w
+# words of w row words on the two-grade chain.  From the level tables r is
+# every row of the input; by t-norm arithmetic, only the current extent's.
+# The opening table scores its stored covers this many words at a time.  A
+# batch's memory is therefore flat in the number of grades.  What a run
+# keeps grows with them only up to a cap: the opening table's stored covers
+# up to _OPENING_TABLE_WORDS, the level and column tables up to
+# _LEVEL_TABLE_BYTES.
 SWEEP_CELL_BUDGET = 1 << 16
 
 # 8-byte words of covers one run's opening table may hold (4 MiB).  On an
@@ -127,10 +133,11 @@ SWEEP_CELL_BUDGET = 1 << 16
 # words); on two grades a candidate takes only r / 64 + m / 8 words.
 _OPENING_TABLE_WORDS = 1 << 19
 
-# Bytes the two level tables of one run may take (16 MiB).  On an n-step
-# chain an r x m input needs 2 (n + 1) r m cells of `_work_dtype`, which
-# holds the tables of a 200 x 100 input on 11 levels in 880 kB; a longer
-# chain or a larger input builds none and scores by t-norm arithmetic.
+# Bytes the three tables of one run may take (16 MiB): the two level tables
+# and the column table.  On an n-step chain an r x m input needs
+# 3 (n + 1) r m cells of `_work_dtype`, which holds the tables of a
+# 200 x 100 input on 11 levels in 1.3 MB; a longer chain or a larger input
+# builds none and scores by t-norm arithmetic.
 _LEVEL_TABLE_BYTES = 16 << 20
 
 
@@ -141,6 +148,17 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     packed = np.zeros((words * 8, m), dtype=np.uint8)
     packed[: -(-n // 8)] = np.packbits(bits, axis=0, bitorder="little")
     return np.ascontiguousarray(packed.T).view(np.uint64)
+
+
+def _pack_cells(bits: np.ndarray) -> np.ndarray:
+    """Each block bits[c] of a c x ... Boolean array as one bitset over its
+    cells, row-major: uint64, c x words.  The bitset of a block is
+    _pack_rows of its cells as one column."""
+    flat = bits.reshape(len(bits), -1)
+    cells = flat.shape[1]
+    packed = np.zeros((len(bits), -(-cells // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-cells // 8)] = np.packbits(flat, axis=1, bitorder="little")
+    return packed.view(np.uint64)
 
 
 def _unpack_rows(bitset: np.ndarray, n: int) -> np.ndarray:
@@ -161,50 +179,51 @@ def _work_dtype(scale: Scale):
 
 
 def _level_tables(scale: Scale, entries: np.ndarray):
-    """The two level tables of an input, or None past _LEVEL_TABLE_BYTES.
+    """The level tables and the column table of an input, or None past
+    _LEVEL_TABLE_BYTES.
 
     Row i * (n + 1) + e of `res` holds residuum(e, I[i, j]) for every
     column j.  The same row of `never` holds residuum(e, I[i, j] - 1), the
     largest grade c with tnorm(e, c) < I[i, j], and n at zero cells, which
-    therefore never count as covered.
+    therefore never count as covered.  cols[j, e] holds residuum(e, I[i, j])
+    for every row i: the extent that grade e at attribute j allows.
     """
     n = scale.max_level
     dtype = _work_dtype(scale)
     n_rows, n_cols = entries.shape
-    if 2 * (n + 1) * n_rows * n_cols * np.dtype(dtype).itemsize > _LEVEL_TABLE_BYTES:
+    if 3 * (n + 1) * n_rows * n_cols * np.dtype(dtype).itemsize > _LEVEL_TABLE_BYTES:
         return None
     grades = np.arange(n + 1, dtype=dtype)[:, None]
     sub = entries.astype(dtype)[:, None, :]
     res = scale.residuum(grades, sub)
     never = np.where(sub != 0, scale.residuum(grades, sub - 1), dtype(n))
-    return res.reshape(-1, n_cols), never.reshape(-1, n_cols)
+    cols = np.ascontiguousarray(res.transpose(2, 1, 0))
+    return res.reshape(-1, n_cols), never.reshape(-1, n_cols), cols
 
 
 class _GradedSweep:
-    """Candidate scoring on any chain.
+    """Candidate scoring on any chain, by t-norm arithmetic.
 
     A candidate (j, a) joins grade `a` at attribute `j` to an intent with
     extent D.  Its extent is D ∧ residuum(a, I[:, j]), because the residuum
     is antitone in its first argument, so only the closure (up) and the
     cover count need the whole matrix.  Rows outside the support of D can
     neither lower an up nor hold a covered nonzero cell, so a step works
-    on D's support alone; the mask must hold nonzero cells only.
-
-    Extents and closed intents are levels, so a step needs no arithmetic
-    when the run's level tables exist: the candidate extent and the closure
-    are lookups in `res`, and by adjointness tnorm(e, c) >= b holds exactly
-    when c > residuum(e, b - 1), a lookup in `never`.
+    on D's support alone; the mask must hold nonzero cells only.  This is
+    the path of chains and inputs whose level tables would not fit.
     """
 
     def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray) -> None:
         self.scale, self.entries, self.mask = scale, entries, mask
-        self.tables = _level_tables(scale, entries)
+        self.live = _pack_cells(mask[None])[0]
+        # words of one candidate's covers at the top extent
+        self.cover_words = -(-entries.size // 64)
 
     def scorer(self, extent: np.ndarray):
         """Batch size, gain function and cover function for the candidates
-        of one extent.  The cover function gives the arrays `counter` scores
-        a batch from: here, per candidate, the nonzero cells its concept
-        covers as one bitset over the extent's cells, row-major.
+        of one extent.  The cover function gives, per candidate, the nonzero
+        cells its concept covers as one bitset over the extent's cells,
+        row-major.
         """
         scale = self.scale
         n = scale.max_level
@@ -214,22 +233,10 @@ class _GradedSweep:
         live = self.mask[rows]
         batch = max(1, SWEEP_CELL_BUDGET // max(1, sub.size))
 
-        if self.tables is None:
-            def hits(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
-                ext = np.minimum(base, scale.residuum(levels[:, None].astype(dtype), sub[:, js].T))
-                closed = scale.residuum(ext[:, :, None], sub).min(axis=1, initial=n)
-                return _rectangle(scale, ext, closed) >= sub
-        else:
-            res, never = self.tables
-            offsets = rows * (n + 1)
-
-            def hits(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
-                ext = np.minimum(base, res[offsets + levels[:, None], js[:, None]])
-                idx = ext + offsets
-                # rows lead the gathered closure, so its min runs over whole
-                # candidate x column slabs
-                closed = np.take(res, idx.T, axis=0).min(axis=0, initial=n)
-                return np.take(never, idx, axis=0) < closed[:, None, :]
+        def hits(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+            ext = np.minimum(base, scale.residuum(levels[:, None].astype(dtype), sub[:, js].T))
+            closed = scale.residuum(ext[:, :, None], sub).min(axis=1, initial=n)
+            return _rectangle(scale, ext, closed) >= sub
 
         live_bits = np.packbits(live)
 
@@ -238,16 +245,36 @@ class _GradedSweep:
             return np.bitwise_count(covered & live_bits).sum(axis=1, dtype=np.int64)
 
         def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray]:
-            covered = hits(js, levels) & (sub != 0)
-            return (_pack_rows(covered.reshape(len(js), -1).T),)
+            return (_pack_cells(hits(js, levels) & (sub != 0)),)
 
         return batch, gains, covers
 
-    def counter(self):
-        """Gain function of the covers of a top extent's candidates against
-        the cells uncovered now."""
-        live = _pack_rows(self.mask.reshape(-1, 1))[0]
-        return lambda covered: np.bitwise_count(covered & live).sum(axis=1, dtype=np.int64)
+    def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
+        """The candidates (j, a) with a > intent[j] of an intent whose extent
+        is `extent`, from the start-th on in (j, a) order, in batches: per
+        batch its attributes, grades and gains, and a function giving the
+        extent and closed intent of its c-th candidate."""
+        counts = self.scale.max_level - intent
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        batch, gains, _ = self.scorer(extent)
+        for lo in range(start, total, batch):
+            flat = np.arange(lo, min(lo + batch, total))
+            js = np.searchsorted(ends, flat, side="right")
+            levels = intent[js] + 1 + flat - (ends[js] - counts[js])
+            yield js, levels, gains(js, levels), _closing(self, extent, js, levels)
+
+    def covers(self, extent: np.ndarray):
+        """Batch size and cover function for the candidates of one extent:
+        the cover function gives the arrays `count` scores a batch from, at
+        the top extent."""
+        batch, _, covers = self.scorer(extent)
+        return batch, covers
+
+    def count(self, covered: np.ndarray) -> np.ndarray:
+        """Gains of the covers of top-extent candidates against the cells
+        uncovered now."""
+        return np.bitwise_count(covered & self.live).sum(axis=1, dtype=np.int64)
 
     def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         ext = np.minimum(extent, self.scale.residuum(a, self.entries[:, j]))
@@ -256,6 +283,84 @@ class _GradedSweep:
     def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
         """Drop the cells the concept covers; returns how many stay uncovered."""
         self.mask &= ~(_rectangle(self.scale, extent, intent) >= self.entries)
+        self.live = _pack_cells(self.mask[None])[0]
+        return int(self.mask.sum())
+
+
+class _TableSweep(_GradedSweep):
+    """Candidate scoring from the run's level and column tables.
+
+    Extents and closed intents are levels, so a step needs no arithmetic,
+    and it needs no setup either.  Its candidates are the grades of a
+    per-run grid above the intent, and their extents one selection from
+    `cols`, met with D, over every row: a row outside D's support has
+    extent 0, whose residua are all n, so it neither lowers a closure nor
+    holds a covered cell.  The closures are column-wise minima gathered
+    from `res`.  By adjointness tnorm(e, c) >= b holds exactly when
+    c > residuum(e, b - 1), so the cover test is a lookup in `never`, which
+    also holds n at every cell the mask leaves out: a batch's covered
+    cells are the uncovered ones alone, and its gains their popcounts.
+    The winner's extent and closed intent are taken from its batch.
+    """
+
+    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray, tables) -> None:
+        super().__init__(scale, entries, mask)
+        self.res, self.never, self.cols = tables
+        n = scale.max_level
+        self.grades = np.arange(n + 1)
+        self.offsets = np.arange(entries.shape[0]) * (n + 1)
+        self.batch = max(1, SWEEP_CELL_BUDGET // max(1, entries.size))
+        self._forget(~mask)
+
+    def _forget(self, cells: np.ndarray) -> None:
+        """Set `never` to n at the given cells, for every extent grade."""
+        n_rows, n_cols = self.entries.shape
+        never = self.never.reshape(n_rows, -1, n_cols).transpose(0, 2, 1)
+        never[cells] = self.scale.max_level
+
+    def _close(self, ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in `res` and `never` and the closed intents of a batch
+        of extents."""
+        idx = ext + self.offsets
+        # rows lead the gathered closure, so its min runs over whole
+        # candidate x column slabs
+        closed = self.res.take(idx.T, axis=0).min(axis=0, initial=self.scale.max_level)
+        return idx, closed
+
+    def _covered(self, idx: np.ndarray, closed: np.ndarray) -> np.ndarray:
+        return (self.never.take(idx, axis=0) < closed[:, None, :]).reshape(len(idx), -1)
+
+    def covers(self, extent: np.ndarray):
+        # cells covered before are left out, as `count` would leave them
+        def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray]:
+            ext = np.minimum(self.cols[js, levels], extent)
+            return (_pack_cells(self._covered(*self._close(ext))),)
+
+        return self.batch, covers
+
+    def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
+        grown = self.grades > intent[:, None]
+        js, levels = grown.nonzero()
+        allowed = self.cols[grown]
+        for lo in range(start, len(js), self.batch):
+            part = slice(lo, lo + self.batch)
+            ext = np.minimum(allowed[part], extent)
+            idx, closed = self._close(ext)
+            covered = np.packbits(self._covered(idx, closed), axis=1)
+            gains = np.bitwise_count(covered).sum(axis=1, dtype=np.int64)
+            yield js[part], levels[part], gains, (
+                lambda c, ext=ext, closed=closed: (ext[c], closed[c].astype(LEVEL_DTYPE)))
+
+    def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+        ext = np.minimum(self.cols[j, a], extent)
+        return ext, self._close(ext[None])[1][0].astype(LEVEL_DTYPE)
+
+    def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
+        # the uncovered cells the concept covers, by the same lookup
+        hit = self.never.take(extent + self.offsets, axis=0) < intent
+        self._forget(hit)
+        self.mask &= ~hit
+        self.live = _pack_cells(self.mask[None])[0]
         return int(self.mask.sum())
 
 
@@ -269,10 +374,12 @@ class _BitsetSweep(_GradedSweep):
     """
 
     def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray) -> None:
-        self.scale, self.entries, self.mask = scale, entries, mask
+        self.scale, self.entries = scale, entries
         self.cols = _pack_rows(entries != 0)
         self.holes = _pack_rows(entries == 0)
         self.uncovered = _pack_rows(mask)
+        n_rows, n_cols = entries.shape
+        self.cover_words = -(-n_rows // 64) + -(-n_cols // 8)
 
     @staticmethod
     def _closed(ext: np.ndarray, holes: np.ndarray) -> np.ndarray:
@@ -309,8 +416,8 @@ class _BitsetSweep(_GradedSweep):
 
         return batch, gains, covers
 
-    def counter(self):
-        return lambda ext, closed: self._count(ext, closed, self.uncovered)
+    def count(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
+        return self._count(ext, closed, self.uncovered)
 
     def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         ext = _pack_rows(extent[:, None] != 0)[0] & self.cols[j]
@@ -318,63 +425,81 @@ class _BitsetSweep(_GradedSweep):
         return _unpack_rows(ext, n), self._closed(ext, self.holes).astype(LEVEL_DTYPE)
 
     def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
-        remaining = super().retire(extent, intent)
-        self.uncovered = _pack_rows(self.mask)
-        return remaining
+        # the concept covers exactly extent x intent: clear the extent's
+        # rows in the intent's columns
+        self.uncovered[np.flatnonzero(intent)] &= ~_pack_rows(extent[:, None] != 0)[0]
+        return int(np.bitwise_count(self.uncovered).sum())
 
 
 def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedSweep:
-    kind = _BitsetSweep if scale.levels == 2 else _GradedSweep
-    return kind(scale, entries, mask)
+    if scale.levels == 2:
+        return _BitsetSweep(scale, entries, mask)
+    tables = _level_tables(scale, entries)
+    if tables is None:
+        return _GradedSweep(scale, entries, mask)
+    return _TableSweep(scale, entries, mask, tables)
 
 
 class _OpeningTable:
     """The opening step of every factor, scored from one table per run.
 
     Each factor opens from the empty intent, whose extent down(∅) is top
-    because residuum(0, b) = n, so the opening candidates, their batches,
-    their closures and the nonzero cells they cover stay fixed for the whole
-    run; only the uncovered cells change.  The table keeps the sweep's
-    covers of each batch, keyed by the batch's first candidate, so a stored
-    batch is scored by popcounts against the uncovered cells alone.  A
-    batch not stored is scored by the kernel, and stored while the table
-    has room.  The table stands in for the sweep in `_best_candidate` on
-    opening steps only.
+    because residuum(0, b) = n, so the opening candidates, their closures
+    and the nonzero cells they cover stay fixed for the whole run; only the
+    uncovered cells change.  The first opening stores the covers of the
+    opening candidates, in (j, a) order, as one block of at most
+    _OPENING_TABLE_WORDS words.  Every opening scores the block by
+    popcounts against the uncovered cells, SWEEP_CELL_BUDGET words at a
+    time: one popcount for a 40 x 30 input on 11 levels (5.7k words).
+    Candidates past the cap are scored by the sweep.  The table stands in
+    for the sweep in `_best_candidate` on opening steps only.
     """
 
     def __init__(self, sweep: _GradedSweep) -> None:
-        self.sweep, self.scale = sweep, sweep.scale
-        self.batches: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-        self.words = 0
-        self.full = False
+        self.sweep = sweep
+        self.block: tuple[np.ndarray, ...] | None = None
 
-    def scorer(self, extent: np.ndarray):
-        batch, kernel_gains, covers = self.sweep.scorer(extent)
-        count = self.sweep.counter()
+    def _build(self, n_cols: int, extent: np.ndarray) -> tuple[np.ndarray, ...]:
+        sweep, n = self.sweep, self.sweep.scale.max_level
+        size = min(n * n_cols, _OPENING_TABLE_WORDS // sweep.cover_words)
+        batch, covers = sweep.covers(extent)
+        block = ()
+        for lo in range(0, size, batch):
+            hi = min(lo + batch, size)
+            part = covers(*_opening_candidates(n, lo, hi))
+            block = block or tuple(np.empty((size, *a.shape[1:]), a.dtype) for a in part)
+            for stored, a in zip(block, part):
+                stored[lo:hi] = a
+        return block
 
-        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
-            first = (int(js[0]), int(levels[0]))
-            covered = self.batches.get(first)
-            if covered is None:
-                if self.full:
-                    return kernel_gains(js, levels)
-                covered = covers(js, levels)
-                words = sum(-(-a.nbytes // 8) for a in covered)
-                if self.words + words <= _OPENING_TABLE_WORDS:
-                    self.batches[first] = covered
-                    self.words += words
-                else:
-                    self.full = True
-            return count(*covered)
-
-        return batch, gains, covers
-
-    def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.sweep.closure(extent, j, a)
+    def batches(self, intent: np.ndarray, extent: np.ndarray):
+        sweep, n = self.sweep, self.sweep.scale.max_level
+        if self.block is None:
+            self.block = self._build(len(intent), extent)
+        size = len(self.block[0]) if self.block else 0
+        step = max(1, SWEEP_CELL_BUDGET // sweep.cover_words)
+        for lo in range(0, size, step):
+            js, levels = _opening_candidates(n, lo, min(lo + step, size))
+            gains = sweep.count(*(stored[lo:lo + step] for stored in self.block))
+            yield js, levels, gains, _closing(sweep, extent, js, levels)
+        if size < n * len(intent):
+            yield from sweep.batches(intent, extent, size)
 
 
-def _best_candidate(sweep: _GradedSweep, intent: np.ndarray, extent: np.ndarray,
-                    key: TieBreakKey):
+def _closing(sweep: _GradedSweep, extent: np.ndarray, js: np.ndarray, levels: np.ndarray):
+    """The extent and closed intent of the c-th of candidates (js, levels),
+    closed one at a time."""
+    return lambda c: sweep.closure(extent, int(js[c]), int(levels[c]))
+
+
+def _opening_candidates(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Attributes and grades of the lo-th to hi-th candidates of the empty
+    intent on an n-step chain."""
+    js, below = np.divmod(np.arange(lo, hi), n)
+    return js, below + 1
+
+
+def _best_candidate(sweep, intent: np.ndarray, extent: np.ndarray, key: TieBreakKey):
     """The winning (gain, j, a, extent, closed intent) over every extension
     (j, a) with a > intent[j], or None when the intent is already top.
 
@@ -384,28 +509,20 @@ def _best_candidate(sweep: _GradedSweep, intent: np.ndarray, extent: np.ndarray,
     leave the intent unchanged, so their gain is the current concept's own
     cover count and they can never be a strict improvement.
     """
-    counts = sweep.scale.max_level - intent
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-    batch, gains, _ = sweep.scorer(extent)
     best = None
-    for start in range(0, total, batch):
-        flat = np.arange(start, min(start + batch, total))
-        js = np.searchsorted(ends, flat, side="right")
-        levels = intent[js] + 1 + flat - (ends[js] - counts[js])
-        g = gains(js, levels)
+    for js, levels, g, closing in sweep.batches(intent, extent):
         top = int(g.max())
         if best is not None and top < best[0][0]:
             continue
-        for c in np.flatnonzero(g == top):
+        for c in (g == top).nonzero()[0]:
             j, a = int(js[c]), int(levels[c])
             rank = (top, key(j, a))
             if best is None or rank > best[0]:
-                best = (rank, j, a)
+                best = (rank, j, a, closing, c)
     if best is None:
         return None
-    (g, _), j, a = best
-    return (g, j, a, *sweep.closure(extent, j, a))
+    (g, _), j, a, closing, c = best
+    return (g, j, a, *closing(c))
 
 
 def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
@@ -427,9 +544,10 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
         raise ValueError(f"max_factors must be nonnegative, got {max_factors}")
     scale, entries = context.scale, context.entries
     n_rows, n_cols = entries.shape
-    sweep = _make_sweep(scale, entries, entries != 0)
+    mask = entries != 0
+    sweep = _make_sweep(scale, entries, mask)
     opening = _OpeningTable(sweep)
-    uncovered = [int(sweep.mask.sum())]
+    uncovered = [int(mask.sum())]
     factors: list[FormalConcept] = []
 
     while uncovered[-1] and (max_factors is None or len(factors) < max_factors):

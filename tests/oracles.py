@@ -12,7 +12,8 @@ cell through Fractions; the memoized readers and writer and the
 column-wide integer raw-table code must match them.  `read_raw_csv` parses
 with Fraction itself; the others share the layout helpers of
 `gradefactor.data`.  `raw_table` and `table_values` convert between a
-RawTable's integer columns and rows of Fractions.
+RawTable's integer columns and rows of Fractions.  `read_fimi`, last, is
+the original transaction reader, which sets the grid one item at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from gradefactor import FactorSet, FormalConcept, FuzzySet, GradedMatrix, Scale
 from gradefactor.concepts import _down_levels, _up_levels
+from gradefactor import data
 from gradefactor.data import (
     ColumnRange,
     RawTable,
@@ -400,3 +402,47 @@ def write_csv(matrix: GradedMatrix, path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         for row in matrix.entries:
             writer.writerow([scale.format_level(v) for v in row])
+
+
+def read_fimi(path, num_items: int | None = None) -> GradedMatrix:
+    """Read a transaction file onto the two-grade chain, one item at a time."""
+    if num_items is not None and num_items < 1:
+        raise ValueError(f"num_items must be positive, got {num_items}")
+    transactions: list[list[int]] = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            items = []
+            for token in line.split():
+                try:
+                    item = int(token)
+                except ValueError:
+                    raise ValueError(f"{path}: bad item id {token!r} on line {lineno}") from None
+                if item < 0:
+                    raise ValueError(f"{path}: negative item id {item} on line {lineno}")
+                if num_items is not None and item >= num_items:
+                    raise ValueError(
+                        f"{path}: item id {item} on line {lineno} exceeds num_items={num_items}"
+                    )
+                items.append(item)
+            transactions.append(items)
+    if not transactions:
+        raise ValueError(f"{path}: empty file")
+    if num_items is None:
+        distinct = sorted({i for t in transactions for i in t})
+        if not distinct:
+            raise ValueError(f"{path}: no items in any transaction")
+        column = {item: c for c, item in enumerate(distinct)}
+        width = len(distinct)
+    else:
+        column = None
+        width = num_items
+    if len(transactions) * width > data.MAX_FIMI_CELLS:
+        raise ValueError(
+            f"{path}: cannot allocate a grid of {len(transactions)} rows x "
+            f"num_items={width} columns"
+        )
+    grid = np.zeros((len(transactions), width), dtype=LEVEL_DTYPE)
+    for r, items in enumerate(transactions):
+        for item in items:
+            grid[r, item if column is None else column[item]] = 1
+    return GradedMatrix(Scale.boolean(), grid)

@@ -44,11 +44,23 @@ def assert_exact(factor_set, context):
 
 
 def sweep_gain(ctx, mask, intent, j, a):
-    """The sweep kernel's cover count for the candidate (j, a) of `intent`;
-    `mask` holds the uncovered nonzero cells."""
+    """The cover count a greedy step from `intent` gives the candidate
+    (j, a), read off the batch that scores it, or None when no batch holds
+    it; `mask` holds the uncovered nonzero cells."""
     sweep = factorization._make_sweep(ctx.scale, ctx.entries, mask)
-    _, gains, _ = sweep.scorer(down(ctx, intent).membership)
-    return int(gains(np.array([j]), np.array([a]))[0])
+    for js, levels, gains, _ in sweep.batches(intent.membership, down(ctx, intent).membership):
+        (hit,) = np.nonzero((js == j) & (levels == a))
+        if hit.size:
+            return int(gains[hit[0]])
+    return None
+
+
+def uncovered_cells(sweep, n_rows):
+    """The uncovered cells a sweep holds, as a Boolean array."""
+    if isinstance(sweep, factorization._BitsetSweep):
+        columns = [factorization._unpack_rows(bits, n_rows) for bits in sweep.uncovered]
+        return np.stack(columns, axis=1) != 0
+    return sweep.mask.copy()
 
 
 # ---------------------------------------------------------------- greedy
@@ -152,10 +164,16 @@ def test_identical_runs_return_identical_factor_sets(decathlon):
 
 
 def test_a_factor_that_covers_nothing_stops_the_run(decathlon):
-    # a sweep whose winner's concept covers no cell its gain counted; the
+    # a step whose winner's concept covers no cell its gain counted; the
     # bound turns a missing guard into a failure rather than a hang
+    best_candidate = factorization._best_candidate
     empty = np.zeros(5, dtype=np.int64), np.zeros(10, dtype=np.int64)
-    with mock.patch.object(factorization._GradedSweep, "closure", lambda *args: empty), \
+
+    def step(*args):
+        selected = best_candidate(*args)
+        return selected and (*selected[:3], *empty)
+
+    with mock.patch.object(factorization, "_best_candidate", step), \
             pytest.raises(RuntimeError, match="^factor 1 covers no uncovered cell$"):
         find_factors(decathlon, max_factors=20)
 
@@ -238,27 +256,49 @@ def test_sweep_matches_reference_at_the_narrow_level_bound(levels, kind):
                         scale, ctx.entries, mask,
                         *oracles.candidate_closure(scale, ctx.entries, intent.membership, j, a),
                     )
-                    assert sweep_gain(ctx, mask, intent, j, a) == expected
+                    got = sweep_gain(ctx, mask, intent, j, a)
+                    assert got == (expected if a > intent.membership[j] else None)
+
+
+def table_bytes(sweep):
+    return sum(table.nbytes for table in (sweep.res, sweep.never, sweep.cols))
 
 
 def test_level_tables_stay_within_their_cap():
     scale = Scale(101, "goguen", rounded=True)
     ctx = GradedMatrix(scale, np.random.default_rng(5).integers(0, 101, size=(6, 5)))
     mask = ctx.entries != 0
-    # two tables of 101 grades x 6 rows x 5 columns in 16-bit levels
-    size = 2 * 101 * 6 * 5 * 2
+    # two level tables and the column table, each of 101 grades x 6 rows x
+    # 5 columns in 16-bit levels
+    size = 3 * 101 * 6 * 5 * 2
     with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", size):
-        res, never = factorization._make_sweep(scale, ctx.entries, mask).tables
-    assert res.nbytes + never.nbytes == size
+        sweep = factorization._make_sweep(scale, ctx.entries, mask)
+    assert isinstance(sweep, factorization._TableSweep)
+    assert table_bytes(sweep) == size
     with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", size - 1):
-        assert factorization._make_sweep(scale, ctx.entries, mask).tables is None
+        assert type(factorization._make_sweep(scale, ctx.entries, mask)) is factorization._GradedSweep
         assert find_factors(ctx) == oracles.greedy_factors(ctx)
     # the default cap holds no table of a 2 x 2 input on 2**20 grades
     ones = np.ones((2, 2), dtype=np.int64)
-    assert factorization._make_sweep(Scale(2**20), ones, ones != 0).tables is None
+    assert type(factorization._make_sweep(Scale(2**20), ones, ones != 0)) is factorization._GradedSweep
     # and the two-grade sweep builds none at all
     bitset = factorization._make_sweep(Scale.boolean(), mask.astype(np.int64), mask)
-    assert not hasattr(bitset, "tables")
+    assert not isinstance(bitset, factorization._TableSweep)
+    assert not hasattr(bitset, "res") and not hasattr(bitset, "never")
+
+
+@pytest.mark.parametrize("levels, shape", [(5, (40, 30)), (11, (200, 100)), (129, (50, 40)),
+                                           (2000, (30, 20)), (2000, (60, 50))])
+def test_column_and_level_tables_fit_the_default_cap(levels, shape):
+    scale = Scale(levels)
+    entries = np.random.default_rng(levels).integers(0, levels, size=shape)
+    sweep = factorization._make_sweep(scale, entries, entries != 0)
+    cells = 3 * levels * entries.size
+    if isinstance(sweep, factorization._TableSweep):
+        assert table_bytes(sweep) == cells * sweep.res.itemsize <= factorization._LEVEL_TABLE_BYTES
+    else:
+        assert cells * np.dtype(factorization._work_dtype(scale)).itemsize > \
+            factorization._LEVEL_TABLE_BYTES
 
 
 @given(
@@ -299,9 +339,10 @@ def test_opening_table_stays_within_its_cap():
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
         capped = find_factors(ctx)
     (table,) = tables
-    stored = sum(a.nbytes for covered in table.batches.values() for a in covered)
-    assert 0 < stored <= 8 * table.words <= 8 * cap
-    assert table.full
+    stored = sum(a.nbytes for a in table.block)
+    assert 0 < stored <= 8 * cap
+    # the block holds the first candidates that fit, not all 1000
+    assert len(table.block[0]) == cap // table.sweep.cover_words < 10 * 100
     with mock.patch.object(factorization, "_OPENING_TABLE_WORDS", 0):
         assert find_factors(ctx) == capped
 
@@ -316,7 +357,7 @@ def key_calls_per_step(ctx, cap, budget, level_cap):
 
     def step(sweep, intent, extent, key):
         table = isinstance(sweep, factorization._OpeningTable)
-        mask = (sweep.sweep if table else sweep).mask.copy()
+        mask = uncovered_cells(sweep.sweep if table else sweep, ctx.n_rows)
         steps.append((table and cap > 0, intent.copy(), mask, []))
         return best_candidate(sweep, intent, extent, key)
 
@@ -388,7 +429,68 @@ def test_gain_matches_the_closed_candidate(pair, data):
         ctx.scale, ctx.entries, intent.membership, j, a
     )
     expected = oracles.covered_count(ctx.scale, ctx.entries, mask, extent, closed)
-    assert sweep_gain(ctx, mask, intent, j, a) == expected
+    # a step scores only the candidates that raise the intent
+    got = sweep_gain(ctx, mask, intent, j, a)
+    assert got == (expected if a > intent.membership[j] else None)
+
+
+@given(
+    strategies.context_with_intent(kinds=ALL_KINDS), st.data(),
+    st.sampled_from(BUDGETS), st.sampled_from(LEVEL_TABLE_CAPS),
+)
+@settings(max_examples=80)
+def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
+    # every candidate of a step, in (j, a) order, with the extent, closed
+    # intent and gain its batch gives it, against one closure per candidate
+    ctx, intent = pair
+    scale, entries = ctx.scale, ctx.entries
+    drawn = data.draw(st.lists(st.booleans(), min_size=entries.size, max_size=entries.size))
+    mask = np.array(drawn).reshape(entries.shape) & (entries != 0)
+    with mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget), \
+            mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+        sweep = factorization._make_sweep(scale, entries, mask)
+        seen = []
+        for js, levels, gains, closing in sweep.batches(intent.membership,
+                                                        down(ctx, intent).membership):
+            assert len(js) == len(levels) == len(gains) >= 1
+            for c, (j, a) in enumerate(zip(js.tolist(), levels.tolist())):
+                extent, closed = oracles.candidate_closure(scale, entries, intent.membership, j, a)
+                got_extent, got_closed = closing(c)
+                assert got_extent.tolist() == extent.tolist()
+                assert got_closed.tolist() == closed.tolist()
+                assert gains[c] == oracles.covered_count(scale, entries, mask, extent, closed)
+                seen.append((j, a))
+    assert seen == [(j, a) for j in range(ctx.n_cols)
+                    for a in range(int(intent.membership[j]) + 1, scale.levels)]
+
+
+@given(
+    st.sampled_from([63, 64, 65]),
+    st.integers(1, 6),
+    st.floats(0.05, 0.95),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 1, 2]),
+)
+@settings(max_examples=40)
+def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_factors):
+    rng = np.random.default_rng(seed)
+    ctx = GradedMatrix(Scale.boolean(), (rng.random((n, m)) < density).astype(int))
+    retire = factorization._BitsetSweep.retire
+    mask = ctx.entries != 0
+    counts = []
+
+    def checked(sweep, extent, intent):
+        remaining = retire(sweep, extent, intent)
+        mask[:] &= ~(_rectangle(ctx.scale, extent, intent) >= ctx.entries)
+        assert np.array_equal(sweep.uncovered, factorization._pack_rows(mask))
+        assert remaining == int(mask.sum())
+        counts.append(remaining)
+        return remaining
+
+    with mock.patch.object(factorization._BitsetSweep, "retire", checked):
+        fs = find_factors(ctx, max_factors=max_factors)
+    assert tuple(counts) == fs.uncovered_counts[1:]
+    assert fs == oracles.greedy_factors(ctx, max_factors=max_factors)
 
 
 def test_cover_universe_bookkeeping(decathlon, reference_factors):

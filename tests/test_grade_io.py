@@ -529,6 +529,27 @@ def test_readers_return_or_raise_value_error(tmp_path_factory, data, mode, label
         assert isinstance(result, kind)
 
 
+# item ids, mostly small ones, and tokens that are odd or bad ids
+FIMI_TOKENS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(0, 12).map(str),
+    st.sampled_from(["-1", "x", "1.5", "007", "+3", "99", "10" * 12, "٣"]),
+)
+
+
+@given(
+    st.lists(st.lists(FIMI_TOKENS, max_size=8), max_size=8),
+    st.sampled_from([None, 1, 5, 13]),
+    st.sampled_from(["\n", "\r\n", "\t\n"]),
+)
+@settings(max_examples=200)
+def test_read_fimi_matches_oracle(tmp_path_factory, lines, num_items, end):
+    # the same grid or the same error, naming the same first bad token
+    path = tmp_path_factory.mktemp("fimi") / "t.dat"
+    path.write_text("".join(" ".join(tokens) + end for tokens in lines), encoding="utf-8")
+    assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
+
+
 def test_readers_reject_oversized_fields_and_exponents(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("0," + "1" * 200_000 + "\n")
