@@ -241,6 +241,8 @@ def cmd_discretize(cfg: RunConfig) -> int:
 
 
 def cmd_experiment_factorizability(cfg: RunConfig) -> int:
+    if cfg.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {cfg.trials}")
     scale = cfg.scale()
     start = time.perf_counter()
     results = [

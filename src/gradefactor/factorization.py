@@ -6,16 +6,16 @@ the most still-uncovered nonzero cells, closes the intent, and stops growing
 when no extension strictly improves the count.  The factors it emits
 reproduce the input exactly under sup-t-norm composition.  Each step scores
 all extensions in one batched sweep, on row bitsets when the chain has two
-grades.  On a longer chain, three tables per run, up to a fixed size, hold
-the residua of every extent grade against every cell, so a step needs
-neither arithmetic nor setup: its candidates come from a per-run grade
-grid, their extents from one selection of a column table, and their
-closures and cover tests from lookups, the cover test by adjointness:
-tnorm(e, c) >= b exactly when c > residuum(e, b - 1).  The winner's concept
-is taken from its batch.  Every factor opens from the empty intent, whose
-candidates cover the same cells all run long, so one opening table per run
-keeps those cells as one block of packed bitsets, up to a fixed number of
-words, and later openings score it by popcount.
+grades.  On a longer chain the sweep closes and cover-tests a batch of
+candidates over every row, counts their gains by popcount and takes the
+winner's concept from its batch.  Its residua come from one of two row
+sources: three tables per run, up to a fixed size, so that closures and
+cover tests are lookups, the cover test by adjointness: tnorm(e, c) >= b
+exactly when c > residuum(e, b - 1); or, past the cap, t-norm arithmetic.
+Every factor opens from the empty intent, whose candidates cover the same
+cells all run long, so one opening table per run keeps those cells as one
+block of packed bitsets, up to a fixed number of words, and later openings
+score it by popcount.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -34,7 +34,6 @@ from .concepts import (
     BudgetExceededError,
     FormalConcept,
     _require_context,
-    _up_levels,
     enumerate_concepts,
 )
 from .matrix import LEVEL_DTYPE, FuzzySet, GradedMatrix, _rectangle, _require_same_scale
@@ -116,13 +115,13 @@ class FactorSet:
 
 
 # Cells one batch of candidates may touch: a batch of c candidates over r
-# rows and m columns holds c * r * m levels on a graded chain, or c * m * w
-# words of w row words on the two-grade chain.  From the level tables r is
-# every row of the input; by t-norm arithmetic, only the current extent's.
-# The opening table scores its stored covers this many words at a time.  A
-# batch's memory is therefore flat in the number of grades.  What a run
-# keeps grows with them only up to a cap: the opening table's stored covers
-# up to _OPENING_TABLE_WORDS, the level and column tables up to
+# rows and m columns holds c * r * m levels on a graded chain, from either
+# row source, since a batch spans every row of the input; or c * m * w
+# words of w row words on the two-grade chain.  The opening table scores
+# its stored covers this many words at a time.  A batch's memory is
+# therefore flat in the number of grades.  What a run keeps grows with them
+# only up to a cap: the opening table's stored covers up to
+# _OPENING_TABLE_WORDS, the level and column tables up to
 # _LEVEL_TABLE_BYTES.
 SWEEP_CELL_BUDGET = 1 << 16
 
@@ -136,8 +135,9 @@ _OPENING_TABLE_WORDS = 1 << 19
 # Bytes the three tables of one run may take (16 MiB): the two level tables
 # and the column table.  On an n-step chain an r x m input needs
 # 3 (n + 1) r m cells of `_work_dtype`, which holds the tables of a
-# 200 x 100 input on 11 levels in 1.3 MB; a longer chain or a larger input
-# builds none and scores by t-norm arithmetic.
+# 200 x 100 input on 11 levels in 1.3 MB.  A longer chain or a larger input
+# builds none, and the sweep takes its residua from t-norm arithmetic
+# instead of the tables.
 _LEVEL_TABLE_BYTES = 16 << 20
 
 
@@ -178,98 +178,162 @@ def _work_dtype(scale: Scale):
     return LEVEL_DTYPE
 
 
-def _level_tables(scale: Scale, entries: np.ndarray):
-    """The level tables and the column table of an input, or None past
-    _LEVEL_TABLE_BYTES.
+def _ranked_candidates(intent: np.ndarray, n: int, start: int, batch: int):
+    """Attributes and grades of the candidates a > intent[j] on an n-step
+    chain, from the start-th on in (j, a) order, ranked batch by batch."""
+    counts = n - intent
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for lo in range(start, total, batch):
+        flat = np.arange(lo, min(lo + batch, total))
+        js = np.searchsorted(ends, flat, side="right")
+        yield js, intent[js] + 1 + flat - (ends[js] - counts[js])
+
+
+class _LevelTables:
+    """The graded sweep's residua from two level tables and a column table,
+    built once per run.
 
     Row i * (n + 1) + e of `res` holds residuum(e, I[i, j]) for every
     column j.  The same row of `never` holds residuum(e, I[i, j] - 1), the
-    largest grade c with tnorm(e, c) < I[i, j], and n at zero cells, which
-    therefore never count as covered.  cols[j, e] holds residuum(e, I[i, j])
-    for every row i: the extent that grade e at attribute j allows.
+    largest grade c with tnorm(e, c) < I[i, j], and n at zero cells and at
+    every cell the sweep forgets, which therefore never count as covered:
+    by adjointness the cover test is a lookup in `never`.  cols[j, e] holds
+    residuum(e, I[i, j]) for every row i: the extent that grade e at
+    attribute j allows.  Candidates are the grades of a per-run grid above
+    the intent, never larger than a table.
     """
-    n = scale.max_level
-    dtype = _work_dtype(scale)
-    n_rows, n_cols = entries.shape
-    if 3 * (n + 1) * n_rows * n_cols * np.dtype(dtype).itemsize > _LEVEL_TABLE_BYTES:
-        return None
-    grades = np.arange(n + 1, dtype=dtype)[:, None]
-    sub = entries.astype(dtype)[:, None, :]
-    res = scale.residuum(grades, sub)
-    never = np.where(sub != 0, scale.residuum(grades, sub - 1), dtype(n))
-    cols = np.ascontiguousarray(res.transpose(2, 1, 0))
-    return res.reshape(-1, n_cols), never.reshape(-1, n_cols), cols
+
+    @staticmethod
+    def fit(scale: Scale, entries: np.ndarray) -> bool:
+        """Whether the three tables fit in _LEVEL_TABLE_BYTES."""
+        itemsize = np.dtype(_work_dtype(scale)).itemsize
+        return 3 * scale.levels * entries.size * itemsize <= _LEVEL_TABLE_BYTES
+
+    def __init__(self, scale: Scale, entries: np.ndarray) -> None:
+        n, dtype = scale.max_level, _work_dtype(scale)
+        n_rows, n_cols = self.shape = entries.shape
+        grades = np.arange(n + 1, dtype=dtype)[:, None]
+        sub = entries.astype(dtype)[:, None, :]
+        res = scale.residuum(grades, sub)
+        never = np.where(sub != 0, scale.residuum(grades, sub - 1), dtype(n))
+        self.cols = np.ascontiguousarray(res.transpose(2, 1, 0))
+        self.res, self.never = res.reshape(-1, n_cols), never.reshape(-1, n_cols)
+        self.n, self.grades = n, np.arange(n + 1)
+        self.offsets = np.arange(n_rows) * (n + 1)
+
+    def candidates(self, intent: np.ndarray, start: int, batch: int):
+        js, levels = (self.grades > intent[:, None]).nonzero()
+        for lo in range(start, len(js), batch):
+            yield js[lo:lo + batch], levels[lo:lo + batch]
+
+    def allowed(self, js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        return self.cols[js, levels]
+
+    def index(self, ext: np.ndarray) -> np.ndarray:
+        """The rows of `res` and `never` that hold a batch of extents."""
+        return ext + self.offsets
+
+    def closures(self, idx: np.ndarray) -> np.ndarray:
+        # rows lead the gathered closure, so its min runs over whole
+        # candidate x column slabs
+        return self.res.take(idx.T, axis=0).min(axis=0, initial=self.n)
+
+    def covered(self, idx: np.ndarray, closed: np.ndarray) -> np.ndarray:
+        return self.never.take(idx, axis=0) < closed[..., None, :]
+
+    def forget(self, cells: np.ndarray) -> None:
+        """Set `never` to n at the given cells, for every extent grade."""
+        n_rows, n_cols = self.shape
+        self.never.reshape(n_rows, -1, n_cols).transpose(0, 2, 1)[cells] = self.n
+
+
+class _Residua:
+    """The graded sweep's residua by t-norm arithmetic, past the table cap.
+
+    Candidates are ranked batch by batch.  Closures are residuum minima over
+    (candidate, row, column) blocks; the cover test compares the t-norm
+    rectangle with `goal`, the input with n + 1, which no t-norm reaches, at
+    every cell the sweep forgets.
+    """
+
+    def __init__(self, scale: Scale, entries: np.ndarray) -> None:
+        self.scale, self.entries = scale, entries.astype(_work_dtype(scale))
+        self.goal = self.entries.copy()
+
+    def candidates(self, intent: np.ndarray, start: int, batch: int):
+        return _ranked_candidates(intent, self.scale.max_level, start, batch)
+
+    def allowed(self, js: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        levels = np.asarray(levels, dtype=self.entries.dtype)[..., None]
+        return self.scale.residuum(levels, self.entries[:, js].T)
+
+    def index(self, ext: np.ndarray) -> np.ndarray:
+        """A batch of extents in the work dtype, so that the arithmetic over
+        (candidate, row, column) blocks stays narrow."""
+        return ext.astype(self.entries.dtype)
+
+    def closures(self, ext: np.ndarray) -> np.ndarray:
+        res = self.scale.residuum(ext[..., None], self.entries)
+        return res.min(axis=-2, initial=self.scale.max_level)
+
+    def covered(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
+        return _rectangle(self.scale, ext, closed) >= self.goal
+
+    def forget(self, cells: np.ndarray) -> None:
+        self.goal[cells] = self.scale.max_level + 1
 
 
 class _GradedSweep:
-    """Candidate scoring on any chain, by t-norm arithmetic.
+    """Candidate scoring on a graded chain, with residua from a row source.
 
     A candidate (j, a) joins grade `a` at attribute `j` to an intent with
     extent D.  Its extent is D ∧ residuum(a, I[:, j]), because the residuum
-    is antitone in its first argument, so only the closure (up) and the
-    cover count need the whole matrix.  Rows outside the support of D can
-    neither lower an up nor hold a covered nonzero cell, so a step works
-    on D's support alone; the mask must hold nonzero cells only.  This is
-    the path of chains and inputs whose level tables would not fit.
+    is antitone in its first argument.  Batches span every row: a row
+    outside D's support has extent 0, whose residua are all n, so it
+    neither lowers a closure nor holds a covered cell.  The source forgets
+    the cells covered so far, so its cover test finds uncovered cells only
+    and a batch's gains are their popcounts; the winner's concept is taken
+    from its batch.  The mask must hold nonzero cells only.
     """
 
-    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray) -> None:
-        self.scale, self.entries, self.mask = scale, entries, mask
+    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray, rows) -> None:
+        self.scale, self.mask, self.rows = scale, mask, rows
+        self.batch = max(1, SWEEP_CELL_BUDGET // max(1, entries.size))
         self.live = _pack_cells(mask[None])[0]
         # words of one candidate's covers at the top extent
         self.cover_words = -(-entries.size // 64)
+        rows.forget(~mask)
 
-    def scorer(self, extent: np.ndarray):
-        """Batch size, gain function and cover function for the candidates
-        of one extent.  The cover function gives, per candidate, the nonzero
-        cells its concept covers as one bitset over the extent's cells,
-        row-major.
-        """
-        scale = self.scale
-        n = scale.max_level
-        dtype = _work_dtype(scale)
-        rows = np.flatnonzero(extent)
-        sub, base = self.entries[rows].astype(dtype), extent[rows].astype(dtype)
-        live = self.mask[rows]
-        batch = max(1, SWEEP_CELL_BUDGET // max(1, sub.size))
+    def _close(self, js: np.ndarray, levels: np.ndarray, extent: np.ndarray):
+        """Extents, their indices in the row source and closed intents of a
+        batch of candidates, or of one candidate (j, a)."""
+        ext = np.minimum(self.rows.allowed(js, levels), extent)
+        idx = self.rows.index(ext)
+        return ext, idx, self.rows.closures(idx)
 
-        def hits(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
-            ext = np.minimum(base, scale.residuum(levels[:, None].astype(dtype), sub[:, js].T))
-            closed = scale.residuum(ext[:, :, None], sub).min(axis=1, initial=n)
-            return _rectangle(scale, ext, closed) >= sub
-
-        live_bits = np.packbits(live)
-
-        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
-            covered = np.packbits(hits(js, levels).reshape(len(js), -1), axis=1)
-            return np.bitwise_count(covered & live_bits).sum(axis=1, dtype=np.int64)
-
-        def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray]:
-            return (_pack_cells(hits(js, levels) & (sub != 0)),)
-
-        return batch, gains, covers
+    def _covered(self, idx: np.ndarray, closed: np.ndarray) -> np.ndarray:
+        return self.rows.covered(idx, closed).reshape(len(idx), -1)
 
     def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
         """The candidates (j, a) with a > intent[j] of an intent whose extent
         is `extent`, from the start-th on in (j, a) order, in batches: per
         batch its attributes, grades and gains, and a function giving the
         extent and closed intent of its c-th candidate."""
-        counts = self.scale.max_level - intent
-        ends = np.cumsum(counts)
-        total = int(ends[-1])
-        batch, gains, _ = self.scorer(extent)
-        for lo in range(start, total, batch):
-            flat = np.arange(lo, min(lo + batch, total))
-            js = np.searchsorted(ends, flat, side="right")
-            levels = intent[js] + 1 + flat - (ends[js] - counts[js])
-            yield js, levels, gains(js, levels), _closing(self, extent, js, levels)
+        for js, levels in self.rows.candidates(intent, start, self.batch):
+            ext, idx, closed = self._close(js, levels, extent)
+            covered = np.packbits(self._covered(idx, closed), axis=1)
+            gains = np.bitwise_count(covered).sum(axis=1, dtype=np.int64)
+            yield js, levels, gains, (
+                lambda c, ext=ext, closed=closed: (ext[c], closed[c].astype(LEVEL_DTYPE)))
 
     def covers(self, extent: np.ndarray):
         """Batch size and cover function for the candidates of one extent:
-        the cover function gives the arrays `count` scores a batch from, at
-        the top extent."""
-        batch, _, covers = self.scorer(extent)
-        return batch, covers
+        the cover function gives the arrays `count` scores a batch from."""
+        def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray]:
+            return (_pack_cells(self._covered(*self._close(js, levels, extent)[1:])),)
+
+        return self.batch, covers
 
     def count(self, covered: np.ndarray) -> np.ndarray:
         """Gains of the covers of top-extent candidates against the cells
@@ -277,94 +341,19 @@ class _GradedSweep:
         return np.bitwise_count(covered & self.live).sum(axis=1, dtype=np.int64)
 
     def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-        ext = np.minimum(extent, self.scale.residuum(a, self.entries[:, j]))
-        return ext, _up_levels(self.scale, self.entries, ext)
+        ext, _, closed = self._close(j, a, extent)
+        return ext, closed.astype(LEVEL_DTYPE)
 
     def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
         """Drop the cells the concept covers; returns how many stay uncovered."""
-        self.mask &= ~(_rectangle(self.scale, extent, intent) >= self.entries)
-        self.live = _pack_cells(self.mask[None])[0]
-        return int(self.mask.sum())
-
-
-class _TableSweep(_GradedSweep):
-    """Candidate scoring from the run's level and column tables.
-
-    Extents and closed intents are levels, so a step needs no arithmetic,
-    and it needs no setup either.  Its candidates are the grades of a
-    per-run grid above the intent, and their extents one selection from
-    `cols`, met with D, over every row: a row outside D's support has
-    extent 0, whose residua are all n, so it neither lowers a closure nor
-    holds a covered cell.  The closures are column-wise minima gathered
-    from `res`.  By adjointness tnorm(e, c) >= b holds exactly when
-    c > residuum(e, b - 1), so the cover test is a lookup in `never`, which
-    also holds n at every cell the mask leaves out: a batch's covered
-    cells are the uncovered ones alone, and its gains their popcounts.
-    The winner's extent and closed intent are taken from its batch.
-    """
-
-    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray, tables) -> None:
-        super().__init__(scale, entries, mask)
-        self.res, self.never, self.cols = tables
-        n = scale.max_level
-        self.grades = np.arange(n + 1)
-        self.offsets = np.arange(entries.shape[0]) * (n + 1)
-        self.batch = max(1, SWEEP_CELL_BUDGET // max(1, entries.size))
-        self._forget(~mask)
-
-    def _forget(self, cells: np.ndarray) -> None:
-        """Set `never` to n at the given cells, for every extent grade."""
-        n_rows, n_cols = self.entries.shape
-        never = self.never.reshape(n_rows, -1, n_cols).transpose(0, 2, 1)
-        never[cells] = self.scale.max_level
-
-    def _close(self, ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows in `res` and `never` and the closed intents of a batch
-        of extents."""
-        idx = ext + self.offsets
-        # rows lead the gathered closure, so its min runs over whole
-        # candidate x column slabs
-        closed = self.res.take(idx.T, axis=0).min(axis=0, initial=self.scale.max_level)
-        return idx, closed
-
-    def _covered(self, idx: np.ndarray, closed: np.ndarray) -> np.ndarray:
-        return (self.never.take(idx, axis=0) < closed[:, None, :]).reshape(len(idx), -1)
-
-    def covers(self, extent: np.ndarray):
-        # cells covered before are left out, as `count` would leave them
-        def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray]:
-            ext = np.minimum(self.cols[js, levels], extent)
-            return (_pack_cells(self._covered(*self._close(ext))),)
-
-        return self.batch, covers
-
-    def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
-        grown = self.grades > intent[:, None]
-        js, levels = grown.nonzero()
-        allowed = self.cols[grown]
-        for lo in range(start, len(js), self.batch):
-            part = slice(lo, lo + self.batch)
-            ext = np.minimum(allowed[part], extent)
-            idx, closed = self._close(ext)
-            covered = np.packbits(self._covered(idx, closed), axis=1)
-            gains = np.bitwise_count(covered).sum(axis=1, dtype=np.int64)
-            yield js[part], levels[part], gains, (
-                lambda c, ext=ext, closed=closed: (ext[c], closed[c].astype(LEVEL_DTYPE)))
-
-    def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-        ext = np.minimum(self.cols[j, a], extent)
-        return ext, self._close(ext[None])[1][0].astype(LEVEL_DTYPE)
-
-    def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
-        # the uncovered cells the concept covers, by the same lookup
-        hit = self.never.take(extent + self.offsets, axis=0) < intent
-        self._forget(hit)
+        hit = self.rows.covered(self.rows.index(extent), intent)
+        self.rows.forget(hit)
         self.mask &= ~hit
         self.live = _pack_cells(self.mask[None])[0]
         return int(self.mask.sum())
 
 
-class _BitsetSweep(_GradedSweep):
+class _BitsetSweep:
     """Candidate scoring on the two-grade chain, where every t-norm is AND.
 
     Columns, their holes (rows lacking the attribute) and the uncovered
@@ -416,6 +405,15 @@ class _BitsetSweep(_GradedSweep):
 
         return batch, gains, covers
 
+    def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
+        batch, gains, _ = self.scorer(extent)
+        for js, levels in _ranked_candidates(intent, 1, start, batch):
+            yield js, levels, gains(js, levels), _closing(self, extent, js, levels)
+
+    def covers(self, extent: np.ndarray):
+        batch, _, covers = self.scorer(extent)
+        return batch, covers
+
     def count(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
         return self._count(ext, closed, self.uncovered)
 
@@ -431,13 +429,11 @@ class _BitsetSweep(_GradedSweep):
         return int(np.bitwise_count(self.uncovered).sum())
 
 
-def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedSweep:
+def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedSweep | _BitsetSweep:
     if scale.levels == 2:
         return _BitsetSweep(scale, entries, mask)
-    tables = _level_tables(scale, entries)
-    if tables is None:
-        return _GradedSweep(scale, entries, mask)
-    return _TableSweep(scale, entries, mask, tables)
+    rows = (_LevelTables if _LevelTables.fit(scale, entries) else _Residua)(scale, entries)
+    return _GradedSweep(scale, entries, mask, rows)
 
 
 class _OpeningTable:
@@ -455,7 +451,7 @@ class _OpeningTable:
     for the sweep in `_best_candidate` on opening steps only.
     """
 
-    def __init__(self, sweep: _GradedSweep) -> None:
+    def __init__(self, sweep: _GradedSweep | _BitsetSweep) -> None:
         self.sweep = sweep
         self.block: tuple[np.ndarray, ...] | None = None
 
@@ -486,7 +482,7 @@ class _OpeningTable:
             yield from sweep.batches(intent, extent, size)
 
 
-def _closing(sweep: _GradedSweep, extent: np.ndarray, js: np.ndarray, levels: np.ndarray):
+def _closing(sweep, extent: np.ndarray, js: np.ndarray, levels: np.ndarray):
     """The extent and closed intent of the c-th of candidates (js, levels),
     closed one at a time."""
     return lambda c: sweep.closure(extent, int(js[c]), int(levels[c]))

@@ -266,6 +266,16 @@ def test_experiment_rejects_bad_distribution(tmp_path, capsys):
     assert "one weight per grade" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_experiment_rejects_trials_below_one(tmp_path, capsys, trials):
+    out = tmp_path / "out"
+    assert run("experiment-factorizability", "--k", "2", "--trials", trials,
+               "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- determinism
 
 

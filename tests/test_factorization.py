@@ -260,8 +260,29 @@ def test_sweep_matches_reference_at_the_narrow_level_bound(levels, kind):
                     assert got == (expected if a > intent.membership[j] else None)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sweep_runs_in_64_bit_levels_past_the_32_bit_bound(kind):
+    # 32,769 levels is the shortest chain whose sweep needs int64
+    scale = Scale(32769, kind, rounded=kind == "goguen")
+    assert factorization._work_dtype(scale) is np.int64
+    n = scale.max_level
+    ctx = GradedMatrix(scale, [[n, n // 2], [n // 4, n]])
+    runs = []
+    for level_cap in LEVEL_TABLE_CAPS:
+        with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+            runs.append(find_factors(ctx))
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 2
+    assert len(coverage_curve(runs[0], ctx)) == 2
+
+
 def table_bytes(sweep):
-    return sum(table.nbytes for table in (sweep.res, sweep.never, sweep.cols))
+    return sum(table.nbytes for table in (sweep.rows.res, sweep.rows.never, sweep.rows.cols))
+
+
+def rows_of(sweep):
+    """The row source a sweep reads its residua from."""
+    return type(getattr(sweep, "rows", None))
 
 
 def test_level_tables_stay_within_their_cap():
@@ -273,17 +294,17 @@ def test_level_tables_stay_within_their_cap():
     size = 3 * 101 * 6 * 5 * 2
     with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", size):
         sweep = factorization._make_sweep(scale, ctx.entries, mask)
-    assert isinstance(sweep, factorization._TableSweep)
+    assert rows_of(sweep) is factorization._LevelTables
     assert table_bytes(sweep) == size
     with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", size - 1):
-        assert type(factorization._make_sweep(scale, ctx.entries, mask)) is factorization._GradedSweep
+        assert rows_of(factorization._make_sweep(scale, ctx.entries, mask)) is factorization._Residua
         assert find_factors(ctx) == oracles.greedy_factors(ctx)
     # the default cap holds no table of a 2 x 2 input on 2**20 grades
     ones = np.ones((2, 2), dtype=np.int64)
-    assert type(factorization._make_sweep(Scale(2**20), ones, ones != 0)) is factorization._GradedSweep
+    assert rows_of(factorization._make_sweep(Scale(2**20), ones, ones != 0)) is factorization._Residua
     # and the two-grade sweep builds none at all
     bitset = factorization._make_sweep(Scale.boolean(), mask.astype(np.int64), mask)
-    assert not isinstance(bitset, factorization._TableSweep)
+    assert rows_of(bitset) is not factorization._LevelTables
     assert not hasattr(bitset, "res") and not hasattr(bitset, "never")
 
 
@@ -294,8 +315,8 @@ def test_column_and_level_tables_fit_the_default_cap(levels, shape):
     entries = np.random.default_rng(levels).integers(0, levels, size=shape)
     sweep = factorization._make_sweep(scale, entries, entries != 0)
     cells = 3 * levels * entries.size
-    if isinstance(sweep, factorization._TableSweep):
-        assert table_bytes(sweep) == cells * sweep.res.itemsize <= factorization._LEVEL_TABLE_BYTES
+    if rows_of(sweep) is factorization._LevelTables:
+        assert table_bytes(sweep) == cells * sweep.rows.res.itemsize <= factorization._LEVEL_TABLE_BYTES
     else:
         assert cells * np.dtype(factorization._work_dtype(scale)).itemsize > \
             factorization._LEVEL_TABLE_BYTES
@@ -493,10 +514,13 @@ def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_fa
     assert fs == oracles.greedy_factors(ctx, max_factors=max_factors)
 
 
-def test_cover_universe_bookkeeping(decathlon, reference_factors):
+@pytest.mark.parametrize("level_cap", LEVEL_TABLE_CAPS)
+def test_cover_universe_bookkeeping(decathlon, reference_factors, level_cap):
+    # the shared `retire` on both row sources
     mask = decathlon.entries != 0
     assert int(mask.sum()) == 50
-    sweep = factorization._make_sweep(FIVE, decathlon.entries, mask)
+    with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+        sweep = factorization._make_sweep(FIVE, decathlon.entries, mask)
     first = reference_factors[0]
     remaining = sweep.retire(first.extent.membership, first.intent.membership)
     assert (50 - remaining, remaining) == (23, 27)
