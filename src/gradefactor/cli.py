@@ -35,46 +35,11 @@ from .factorization import (
     TIE_BREAK_POLICIES,
     FactorSet,
     coverage_curve,
-    factor_matrices,
     find_factors,
     optimal_factorization,
 )
 from .matrix import GradedMatrix
 from .scale import Scale, TNORM_KINDS
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, assembled from parsed arguments."""
-
-    command: str
-    input: Path | None = None
-    out_dir: Path | None = None
-    out_file: Path | None = None
-    ranges: Path | None = None
-    data_format: str = "csv"
-    num_items: int | None = None
-    levels: int = 5
-    tnorm: str = "lukasiewicz"
-    rounded: bool = False
-    mode: str = "strict"
-    tie_break: str = DEFAULT_TIE_BREAK
-    max_factors: int | None = None
-    budget: int = 10**6
-    seed: int = 0
-    trials: int = 200
-    ks: tuple[int, ...] = (5,)
-    rows: int = 20
-    cols: int = 20
-    distribution: tuple[float, ...] | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fields = {name: getattr(args, name) for name in cls.__dataclass_fields__ if hasattr(args, name)}
-        return cls(**fields)
-
-    def scale(self) -> Scale:
-        return Scale(self.levels, self.tnorm, self.rounded)
 
 
 @dataclass(frozen=True)
@@ -99,7 +64,7 @@ def factorizability_stats(k: int, trials: int, rows: int, cols: int, scale: Scal
     for trial in range(trials):
         rng = np.random.default_rng([seed, k, trial])
         matrix = random_factorizable(rows, cols, k, scale, distribution, rng)
-        counts.append(len(find_factors(matrix, tie_break).factors))
+        counts.append(len(find_factors(matrix, tie_break)))
     return ExperimentStats(
         k=k,
         mean_factors=statistics.fmean(counts),
@@ -113,38 +78,37 @@ def factorizability_stats(k: int, trials: int, rows: int, cols: int, scale: Scal
 # ----------------------------------------------------------------------
 
 
-def _load_matrix(cfg: RunConfig) -> GradedMatrix:
-    scale = cfg.scale()
-    if cfg.data_format == "fimi":
-        if cfg.levels != 2:
+def _scale(args: argparse.Namespace) -> Scale:
+    return Scale(args.levels, args.tnorm, args.rounded)
+
+
+def _load_matrix(args: argparse.Namespace) -> GradedMatrix:
+    scale = _scale(args)
+    if args.data_format == "fimi":
+        if args.levels != 2:
             raise ValueError("transaction input is Boolean; pass --levels 2")
-        return read_fimi(cfg.input, cfg.num_items, scale=scale)
-    return read_csv(cfg.input, scale, mode=cfg.mode)
+        return read_fimi(args.input, args.num_items, scale=scale)
+    return read_csv(args.input, scale, mode=args.mode)
 
 
-def _factor_report(cfg: RunConfig, factor_set: FactorSet, curve, nonzero, *,
+def _factor_report(args: argparse.Namespace, factor_set: FactorSet, curve, nonzero, *,
                    optimal: bool = False) -> dict:
     return {
-        "command": cfg.command,
-        "input": str(cfg.input),
+        "command": args.command,
+        "input": str(args.input),
         "scale": {
-            "levels": cfg.levels,
-            "tnorm": cfg.tnorm,
-            "rounded": cfg.rounded,
+            "levels": args.levels,
+            "tnorm": args.tnorm,
+            "rounded": args.rounded,
         },
-        "tie_break": cfg.tie_break,
+        "tie_break": args.tie_break,
         "seed": None,
         "optimal": optimal,
         "shape": list(factor_set.context_shape),
         "complete": factor_set.complete,
-        "factor_count": len(factor_set.factors),
-        "factors": [
-            {
-                "extent": [int(v) for v in c.extent.membership],
-                "intent": [int(v) for v in c.intent.membership],
-            }
-            for c in factor_set.factors
-        ],
+        "factor_count": len(factor_set),
+        "factors": [{"extent": e, "intent": i} for e, i in
+                    zip(factor_set.a.entries.T.tolist(), factor_set.b.entries.tolist())],
         "coverage_equal": [float(f) for f in curve],
         "coverage_equal_exact": [str(f) for f in curve],
         "coverage_nonzero": [float(f) for f in nonzero],
@@ -162,17 +126,16 @@ def _write_coverage_tsv(path: Path, curve, nonzero) -> None:
             handle.write(f"{l}\t{float(eq):.6f}\t{float(nz):.6f}\n")
 
 
-def _emit_factorization(cfg: RunConfig, matrix: GradedMatrix, factor_set: FactorSet,
+def _emit_factorization(args: argparse.Namespace, matrix: GradedMatrix, factor_set: FactorSet,
                         *, optimal: bool = False) -> None:
     curve = coverage_curve(factor_set, matrix)
     nonzero = factor_set.covered_nonzero_curve()
-    a, b = factor_matrices(factor_set)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(a, cfg.out_dir / "A.csv")
-    write_csv(b, cfg.out_dir / "B.csv")
-    _write_json(cfg.out_dir / "factors.json",
-                _factor_report(cfg, factor_set, curve, nonzero, optimal=optimal))
-    _write_coverage_tsv(cfg.out_dir / "coverage.tsv", curve, nonzero)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(factor_set.a, args.out_dir / "A.csv")
+    write_csv(factor_set.b, args.out_dir / "B.csv")
+    _write_json(args.out_dir / "factors.json",
+                _factor_report(args, factor_set, curve, nonzero, optimal=optimal))
+    _write_coverage_tsv(args.out_dir / "coverage.tsv", curve, nonzero)
 
 
 # ----------------------------------------------------------------------
@@ -180,92 +143,94 @@ def _emit_factorization(cfg: RunConfig, matrix: GradedMatrix, factor_set: Factor
 # ----------------------------------------------------------------------
 
 
-def cmd_factorize(cfg: RunConfig) -> int:
-    matrix = _load_matrix(cfg)
+def cmd_factorize(args: argparse.Namespace) -> int:
+    matrix = _load_matrix(args)
     start = time.perf_counter()
-    factor_set = find_factors(matrix, cfg.tie_break, max_factors=cfg.max_factors)
+    factor_set = find_factors(matrix, args.tie_break, max_factors=args.max_factors)
     elapsed = time.perf_counter() - start
-    _emit_factorization(cfg, matrix, factor_set)
+    _emit_factorization(args, matrix, factor_set)
     note = "" if factor_set.complete else " (truncated, not exact)"
     print(
-        f"{len(factor_set.factors)} factors for the {matrix.n_rows}x{matrix.n_cols} input{note}; "
-        f"artifacts in {cfg.out_dir} ({elapsed:.2f}s)"
+        f"{len(factor_set)} factors for the {matrix.n_rows}x{matrix.n_cols} input{note}; "
+        f"artifacts in {args.out_dir} ({elapsed:.2f}s)"
     )
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    matrix = _load_matrix(cfg)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
+    matrix = _load_matrix(args)
     start = time.perf_counter()
-    factor_set = optimal_factorization(matrix, budget=cfg.budget)
+    factor_set = optimal_factorization(matrix, budget=args.budget)
     elapsed = time.perf_counter() - start
-    _emit_factorization(cfg, matrix, factor_set, optimal=True)
+    _emit_factorization(args, matrix, factor_set, optimal=True)
     print(
-        f"optimal decomposition uses {len(factor_set.factors)} factors; "
-        f"artifacts in {cfg.out_dir} ({elapsed:.2f}s)"
+        f"optimal decomposition uses {len(factor_set)} factors; "
+        f"artifacts in {args.out_dir} ({elapsed:.2f}s)"
     )
     return 0
 
 
-def cmd_coverage(cfg: RunConfig) -> int:
+def cmd_coverage(args: argparse.Namespace) -> int:
     """Serves `coverage` and `experiment-coverage`, which differ only in
     the default of --max-factors."""
-    matrix = _load_matrix(cfg)
+    matrix = _load_matrix(args)
     start = time.perf_counter()
-    factor_set = find_factors(matrix, cfg.tie_break, max_factors=cfg.max_factors)
+    factor_set = find_factors(matrix, args.tie_break, max_factors=args.max_factors)
     elapsed = time.perf_counter() - start
     curve = coverage_curve(factor_set, matrix)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_coverage_tsv(cfg.out_dir / "coverage.tsv", curve, factor_set.covered_nonzero_curve())
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_coverage_tsv(args.out_dir / "coverage.tsv", curve, factor_set.covered_nonzero_curve())
     initial, left = factor_set.uncovered_counts[0], factor_set.uncovered_counts[-1]
     covered = (initial - left) / initial if initial else 1.0
     note = "run complete" if factor_set.complete else "run truncated, would continue"
     print(
-        f"{len(factor_set.factors)} factors cover {covered:.4f} of the nonzero cells "
-        f"({note}); artifacts in {cfg.out_dir} ({elapsed:.2f}s)"
+        f"{len(factor_set)} factors cover {covered:.4f} of the nonzero cells "
+        f"({note}); artifacts in {args.out_dir} ({elapsed:.2f}s)"
     )
     return 0
 
 
-def cmd_discretize(cfg: RunConfig) -> int:
-    table = read_raw_csv(cfg.input)
-    ranges = read_ranges_csv(cfg.ranges) if cfg.ranges else ColumnRange.from_table(table)
-    graded = discretize(table, ranges, cfg.scale(), mode=cfg.mode)
-    cfg.out_file.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(graded, cfg.out_file)
+def cmd_discretize(args: argparse.Namespace) -> int:
+    table = read_raw_csv(args.input)
+    ranges = read_ranges_csv(args.ranges) if args.ranges else ColumnRange.from_table(table)
+    graded = discretize(table, ranges, _scale(args), mode=args.mode)
+    args.out_file.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(graded, args.out_file)
     print(
-        f"discretized {graded.n_rows}x{graded.n_cols} table onto {cfg.levels} grades "
-        f"into {cfg.out_file}"
+        f"discretized {graded.n_rows}x{graded.n_cols} table onto {args.levels} grades "
+        f"into {args.out_file}"
     )
     return 0
 
 
-def cmd_experiment_factorizability(cfg: RunConfig) -> int:
-    if cfg.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {cfg.trials}")
-    scale = cfg.scale()
+def cmd_experiment_factorizability(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    scale = _scale(args)
     start = time.perf_counter()
     results = [
         factorizability_stats(
-            k, cfg.trials, cfg.rows, cfg.cols, scale,
-            distribution=cfg.distribution, seed=cfg.seed, tie_break=cfg.tie_break,
+            k, args.trials, args.rows, args.cols, scale,
+            distribution=args.distribution, seed=args.seed, tie_break=args.tie_break,
         )
-        for k in cfg.ks
+        for k in args.ks
     ]
     elapsed = time.perf_counter() - start
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    dist_text = "uniform" if cfg.distribution is None else ",".join(f"{w:g}" for w in cfg.distribution)
-    with open(cfg.out_dir / "stats.tsv", "w", encoding="utf-8") as handle:
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    dist_text = "uniform" if args.distribution is None else ",".join(f"{w:g}" for w in args.distribution)
+    with open(args.out_dir / "stats.tsv", "w", encoding="utf-8") as handle:
         handle.write(
-            f"# size={cfg.rows}x{cfg.cols} levels={cfg.levels} tnorm={cfg.tnorm} "
-            f"tie_break={cfg.tie_break} seed={cfg.seed} dist={dist_text}\n"
+            f"# size={args.rows}x{args.cols} levels={args.levels} tnorm={args.tnorm} "
+            f"tie_break={args.tie_break} seed={args.seed} dist={dist_text}\n"
         )
         handle.write("k\tmean_factors\tstd_dev\ttrials\n")
         for s in results:
             handle.write(f"{s.k}\t{s.mean_factors:.3f}\t{s.std_dev:.3f}\t{s.trials}\n")
     for s in results:
         print(f"k={s.k}: {s.mean_factors:.3f} +- {s.std_dev:.3f} factors over {s.trials} trials")
-    print(f"artifacts in {cfg.out_dir} ({elapsed:.2f}s)")
+    print(f"artifacts in {args.out_dir} ({elapsed:.2f}s)")
     return 0
 
 
@@ -356,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10**6,
                    help="cap on closure computations and search nodes")
     p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
+    # factors.json records a tie-break policy; the oracle's search has none
+    p.set_defaults(tie_break=DEFAULT_TIE_BREAK)
 
     p = sub.add_parser("discretize", help="snap a raw table onto a grade chain")
     p.add_argument("--input", type=Path, required=True, help="raw measurement CSV")
@@ -385,9 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

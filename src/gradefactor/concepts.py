@@ -77,11 +77,7 @@ def down(context: GradedMatrix, intent: FuzzySet) -> FuzzySet:
 
 def close_intent(context: GradedMatrix, intent: FuzzySet) -> FuzzySet:
     """The least closed intent containing `intent`, i.e. up(down(intent))."""
-    _require_context(context)
-    _check_intent(context, intent)
-    scale, entries = context.scale, context.entries
-    extent = _down_levels(scale, entries, intent.membership)
-    return FuzzySet(scale, _up_levels(scale, entries, extent))
+    return concept_from_intent(context, intent).intent
 
 
 def concept_from_intent(context: GradedMatrix, intent: FuzzySet) -> FormalConcept:

@@ -36,7 +36,8 @@ from .concepts import (
     _require_context,
     enumerate_concepts,
 )
-from .matrix import LEVEL_DTYPE, FuzzySet, GradedMatrix, _rectangle, _require_same_scale
+from .matrix import (LEVEL_DTYPE, FuzzySet, GradedMatrix, _rectangle, _require_composable,
+                     _require_same_scale)
 from .scale import Scale
 
 # A tie-break policy maps (attribute index, grade level) to a sort key;
@@ -70,30 +71,39 @@ def resolve_tie_break(policy) -> TieBreakKey:
 
 @dataclass(frozen=True)
 class FactorSet:
-    """An ordered list of concept factors for one context.
+    """A decomposition of one context into concept factors: the n x k
+    object-factor matrix `a` and the k x m factor-attribute matrix `b`,
+    whose l-th column and row are the extent and intent of the l-th factor.
 
     `uncovered_counts` traces the run: entry l is the number of nonzero
     cells still uncovered after the first l factors, so it starts at the
     full count and ends at 0 exactly when the set is complete.
     """
 
-    factors: tuple[FormalConcept, ...]
-    context_shape: tuple[int, int]
-    scale: Scale
+    a: GradedMatrix
+    b: GradedMatrix
     uncovered_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n, m = self.context_shape
-        for concept in self.factors:
-            if concept.extent.size != n or concept.intent.size != m:
-                raise ValueError(
-                    f"factor shaped {concept.extent.size}x{concept.intent.size} "
-                    f"does not fit a {n}x{m} context"
-                )
-            if concept.extent.scale != self.scale or concept.intent.scale != self.scale:
-                raise ValueError("factor scale differs from the factor set scale")
-        if len(self.uncovered_counts) != len(self.factors) + 1:
+        _require_composable(self.a, self.b)
+        if len(self.uncovered_counts) != len(self) + 1:
             raise ValueError("uncovered_counts must hold one entry per prefix, including the empty one")
+
+    @property
+    def scale(self) -> Scale:
+        return self.a.scale
+
+    @property
+    def context_shape(self) -> tuple[int, int]:
+        return self.a.n_rows, self.b.n_cols
+
+    @property
+    def factors(self) -> tuple[FormalConcept, ...]:
+        """The factors as formal concepts, built on each access."""
+        return tuple(
+            FormalConcept(FuzzySet(self.scale, extent), FuzzySet(self.scale, intent))
+            for extent, intent in zip(self.a.entries.T, self.b.entries)
+        )
 
     @property
     def complete(self) -> bool:
@@ -101,7 +111,7 @@ class FactorSet:
         return self.uncovered_counts[-1] == 0
 
     def __len__(self) -> int:
-        return len(self.factors)
+        return self.a.n_cols
 
     def __iter__(self):
         return iter(self.factors)
@@ -110,7 +120,7 @@ class FactorSet:
         """Fraction of initially nonzero cells covered after each factor."""
         initial = self.uncovered_counts[0]
         if initial == 0:
-            return [Fraction(1)] * len(self.factors)
+            return [Fraction(1)] * len(self)
         return [Fraction(initial - u, initial) for u in self.uncovered_counts[1:]]
 
 
@@ -544,9 +554,10 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     sweep = _make_sweep(scale, entries, mask)
     opening = _OpeningTable(sweep)
     uncovered = [int(mask.sum())]
-    factors: list[FormalConcept] = []
+    extents: list[np.ndarray] = []
+    intents: list[np.ndarray] = []
 
-    while uncovered[-1] and (max_factors is None or len(factors) < max_factors):
+    while uncovered[-1] and (max_factors is None or len(extents) < max_factors):
         # the empty intent's extent is top, since residuum(0, b) = n
         intent = np.zeros(n_cols, dtype=LEVEL_DTYPE)
         extent = np.full(n_rows, scale.max_level, dtype=LEVEL_DTYPE)
@@ -555,36 +566,22 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
         while selected is not None and selected[0] > best_so_far:
             best_so_far, _, _, extent, intent = selected
             selected = _best_candidate(sweep, intent, extent, key)
-        factors.append(FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, intent)))
+        extents.append(extent)
+        intents.append(intent)
         uncovered.append(sweep.retire(extent, intent))
         # the candidate (j, I[i, j]) of any uncovered cell covers that cell,
         # so a correct sweep always retires one
         if uncovered[-1] == uncovered[-2]:
-            raise RuntimeError(f"factor {len(factors)} covers no uncovered cell")
+            raise RuntimeError(f"factor {len(extents)} covers no uncovered cell")
 
-    return FactorSet(
-        factors=tuple(factors),
-        context_shape=(n_rows, n_cols),
-        scale=scale,
-        uncovered_counts=tuple(uncovered),
-    )
+    k = len(extents)
+    return FactorSet(GradedMatrix(scale, np.reshape(extents, (k, n_rows)).T),
+                     GradedMatrix(scale, np.reshape(intents, (k, n_cols))), tuple(uncovered))
 
 
 def factor_matrices(factor_set: FactorSet) -> tuple[GradedMatrix, GradedMatrix]:
-    """The object-factor and factor-attribute matrices of a factor set.
-
-    Column l of the first matrix is the l-th extent; row l of the second is
-    the l-th intent.  Composing the two reproduces the superposition of the
-    factor rectangles.
-    """
-    n, m = factor_set.context_shape
-    k = len(factor_set.factors)
-    a = np.zeros((n, k), dtype=LEVEL_DTYPE)
-    b = np.zeros((k, m), dtype=LEVEL_DTYPE)
-    for l, concept in enumerate(factor_set.factors):
-        a[:, l] = concept.extent.membership
-        b[l, :] = concept.intent.membership
-    return GradedMatrix(factor_set.scale, a), GradedMatrix(factor_set.scale, b)
+    """The object-factor and factor-attribute matrices of a factor set."""
+    return factor_set.a, factor_set.b
 
 
 def coverage_curve(factor_set: FactorSet, context: GradedMatrix) -> list[Fraction]:
@@ -611,8 +608,10 @@ def coverage_curve(factor_set: FactorSet, context: GradedMatrix) -> list[Fractio
     entries = context.entries
     acc = np.zeros_like(entries)
     equal = []
-    for concept in factor_set.factors:
-        rect = _rectangle(context.scale, concept.extent.membership, concept.intent.membership)
+    for extent, intent in zip(factor_set.a.entries.T, factor_set.b.entries):
+        # holding the last rectangle until the next exists keeps the
+        # allocator from faulting in a fresh n x m block per factor
+        rect = _rectangle(context.scale, extent, intent)
         np.maximum(acc, rect, out=acc)
         equal.append(int(np.count_nonzero(acc == entries)))
     if factor_set.complete and not np.array_equal(acc, entries):
@@ -639,10 +638,12 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
     _require_context(context)
     concepts = enumerate_concepts(context, budget=budget)
     scale, entries = context.scale, context.entries
+    n_rows, n_cols = context.shape
     rows, cols = np.nonzero(entries)
     cells = list(zip(rows.tolist(), cols.tolist()))
     if not cells:
-        return FactorSet((), context.shape, scale, (0,))
+        return FactorSet(GradedMatrix.zeros(scale, n_rows, 0),
+                         GradedMatrix.zeros(scale, 0, n_cols), (0,))
 
     # Bitmask of covered cells per concept; concepts covering nothing can
     # never appear in a minimal cover.
@@ -702,15 +703,13 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
     else:
         raise RuntimeError("no concept cover found; this should be impossible")
 
-    picked = tuple(concepts[idx] for idx in chosen)
     uncovered_counts = [len(cells)]
     remaining = full
     for idx in chosen:
         remaining &= ~masks[idx]
         uncovered_counts.append(remaining.bit_count())
-    return FactorSet(
-        factors=picked,
-        context_shape=context.shape,
-        scale=scale,
-        uncovered_counts=tuple(uncovered_counts),
-    )
+    k = len(chosen)
+    extents = [concepts[idx].extent.membership for idx in chosen]
+    intents = [concepts[idx].intent.membership for idx in chosen]
+    return FactorSet(GradedMatrix(scale, np.reshape(extents, (k, n_rows)).T),
+                     GradedMatrix(scale, np.reshape(intents, (k, n_cols))), tuple(uncovered_counts))

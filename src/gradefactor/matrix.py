@@ -38,6 +38,12 @@ def _require_same_scale(a: Scale, b: Scale) -> None:
         raise ValueError(f"scale mismatch: {a} vs {b}")
 
 
+def _require_composable(a: GradedMatrix, b: GradedMatrix) -> None:
+    _require_same_scale(a.scale, b.scale)
+    if a.n_cols != b.n_rows:
+        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
+
+
 class FuzzySet:
     """A graded subset of a finite universe: one membership level per element."""
 
@@ -134,9 +140,7 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 
     On the two-grade chain this is the ordinary Boolean matrix product.
     """
-    _require_same_scale(a.scale, b.scale)
-    if a.n_cols != b.n_rows:
-        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
+    _require_composable(a, b)
     out = np.zeros((a.n_rows, b.n_cols), dtype=LEVEL_DTYPE)
     for l in range(a.n_cols):
         np.maximum(out, _rectangle(a.scale, a.entries[:, l], b.entries[l, :]), out=out)

@@ -142,7 +142,7 @@ def reference_factors() -> tuple[FormalConcept, ...]:
 
 
 def reference_factor_set() -> FactorSet:
-    return FactorSet(reference_factors(), (5, 10), scale(), UNCOVERED)
+    return FactorSet(*printed_factor_matrices(), UNCOVERED)
 
 
 def printed_factor_matrices() -> tuple[GradedMatrix, GradedMatrix]:

@@ -212,10 +212,9 @@ def greedy_factors(context: GradedMatrix, tie_break="grade-then-index", *,
         uncovered.append(int(mask.sum()))
 
     return FactorSet(
-        factors=tuple(factors),
-        context_shape=(n_rows, n_cols),
-        scale=scale,
-        uncovered_counts=tuple(uncovered),
+        GradedMatrix(scale, np.reshape([c.extent.membership for c in factors], (-1, n_rows)).T),
+        GradedMatrix(scale, np.reshape([c.intent.membership for c in factors], (-1, n_cols))),
+        tuple(uncovered),
     )
 
 

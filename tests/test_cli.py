@@ -9,8 +9,6 @@ import pytest
 import golden
 from gradefactor import (
     FactorSet,
-    FormalConcept,
-    FuzzySet,
     GradedMatrix,
     Scale,
     compose,
@@ -91,11 +89,9 @@ def test_factorize_missing_input(tmp_path, capsys):
 def test_truncated_run_that_exceeds_the_input_is_rejected(tmp_path, graded_csv, monkeypatch,
                                                           capsys, command):
     # a full rectangle exceeds every cell of the decathlon input below 1
-    top = FormalConcept(FuzzySet(FIVE, [4] * 5), FuzzySet(FIVE, [4] * 10))
-
     def too_large(context, tie_break, *, max_factors=None):
         # the trace of a truncated run: the 17 cells that are 1 are matched
-        return FactorSet((top,), context.shape, context.scale, (50, 33))
+        return FactorSet(GradedMatrix(FIVE, [[4]] * 5), GradedMatrix(FIVE, [[4] * 10]), (50, 33))
 
     monkeypatch.setattr(cli, "find_factors", too_large)
     out = tmp_path / "out"
@@ -110,10 +106,11 @@ def test_factors_that_cover_less_than_their_trace_claims_are_rejected(
         tmp_path, graded_csv, monkeypatch, capsys, command):
     # two true factors of the decathlon input leave 14 cells uncovered;
     # the trace claims only 10
-    first_two = golden.reference_factors()[:2]
+    a, b = golden.printed_factor_matrices()
 
     def overclaiming(context, tie_break, *, max_factors=None):
-        return FactorSet(first_two, context.shape, context.scale, uncovered_counts=(50, 27, 10))
+        return FactorSet(GradedMatrix(FIVE, a.entries[:, :2]), GradedMatrix(FIVE, b.entries[:2]),
+                         uncovered_counts=(50, 27, 10))
 
     monkeypatch.setattr(cli, "find_factors", overclaiming)
     out = tmp_path / "out"
@@ -161,6 +158,15 @@ def test_oracle_budget_exhaustion(tmp_path, graded_csv, capsys):
     out = tmp_path / "out"
     assert run("oracle", "--input", graded_csv, "--budget", 50, "--out-dir", out) == 1
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_oracle_rejects_budget_below_one(tmp_path, graded_csv, capsys, budget):
+    out = tmp_path / "out"
+    assert run("oracle", "--input", graded_csv, "--budget", budget, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --budget must be at least 1, got {budget}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- coverage
@@ -290,6 +296,16 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, graded_csv):
         assert run("experiment-factorizability", "--k", "2", "--trials", 4,
                    "--rows", 5, "--cols", 5, "--seed", 7, "--out-dir", out) == 0
     assert artifact_bytes(first) == artifact_bytes(second)
+
+
+@pytest.mark.parametrize("command", ["factorize", "oracle"])
+def test_artifacts_match_the_golden_bytes(tmp_path, data_dir, monkeypatch, command):
+    # run from the data directory, so that factors.json records the same
+    # relative input path as the golden copy
+    monkeypatch.chdir(data_dir)
+    out = tmp_path / command
+    assert run(command, "--input", "decathlon_graded.csv", "--out-dir", out) == 0
+    assert artifact_bytes(out) == artifact_bytes(data_dir / "golden" / command)
 
 
 # ---------------------------------------------------------------- plumbing

@@ -16,7 +16,6 @@ from gradefactor import (
     BudgetExceededError,
     DEFAULT_TIE_BREAK,
     FactorSet,
-    FormalConcept,
     FuzzySet,
     GradedMatrix,
     Scale,
@@ -546,15 +545,27 @@ def test_factor_matrices_compose_to_superposition(decathlon):
     assert np.array_equal(compose(a, b).entries, np.maximum.reduce(rects))
 
 
-def test_factor_set_validation(reference_factors):
-    with pytest.raises(ValueError, match="does not fit"):
-        FactorSet(reference_factors, (4, 10), FIVE, golden.UNCOVERED)
-    with pytest.raises(ValueError, match="scale differs"):
-        FactorSet(reference_factors, (5, 10), Scale(5, "godel"), golden.UNCOVERED)
+def reference_prefix(k, trace):
+    """The first k reference factors, with the given trace."""
+    a, b = golden.printed_factor_matrices()
+    return FactorSet(GradedMatrix(FIVE, a.entries[:, :k]), GradedMatrix(FIVE, b.entries[:k]), trace)
+
+
+def full_rectangle(trace):
+    """One factor whose rectangle is 1 in every cell of the decathlon input."""
+    return FactorSet(GradedMatrix(FIVE, [[4]] * 5), GradedMatrix(FIVE, [[4] * 10]), trace)
+
+
+def test_factor_set_validation():
+    a, b = golden.printed_factor_matrices()
+    with pytest.raises(ValueError, match="inner dimensions disagree"):
+        FactorSet(a, GradedMatrix(FIVE, b.entries[:6]), golden.UNCOVERED)
+    with pytest.raises(ValueError, match="scale mismatch"):
+        FactorSet(a, GradedMatrix(Scale(5, "godel"), b.entries), golden.UNCOVERED)
     with pytest.raises(ValueError, match="one entry per prefix"):
-        FactorSet(reference_factors, (5, 10), FIVE, uncovered_counts=(50, 0))
+        FactorSet(a, b, uncovered_counts=(50, 0))
     with pytest.raises(TypeError):
-        FactorSet(reference_factors, (5, 10), FIVE)
+        FactorSet(a, b)
 
 
 def test_factor_set_iteration(reference_factors):
@@ -563,12 +574,12 @@ def test_factor_set_iteration(reference_factors):
     assert tuple(fs) == reference_factors
 
 
-def test_complete_is_read_off_the_trace(reference_factors):
+def test_complete_is_read_off_the_trace():
     assert golden.reference_factor_set().complete
-    truncated = FactorSet(reference_factors[:2], (5, 10), FIVE, golden.UNCOVERED[:3])
+    truncated = reference_prefix(2, golden.UNCOVERED[:3])
     assert not truncated.complete
     with pytest.raises(TypeError):
-        FactorSet(reference_factors, (5, 10), FIVE, golden.UNCOVERED, complete=False)
+        FactorSet(*golden.printed_factor_matrices(), golden.UNCOVERED, complete=False)
 
 
 def test_covered_nonzero_curve(decathlon):
@@ -600,10 +611,9 @@ def test_coverage_curve_validation(decathlon):
         coverage_curve(fs, GradedMatrix.zeros(Scale(5, "godel"), 5, 10))
 
 
-def test_coverage_curve_rejects_an_incomplete_set_that_claims_completeness(
-        decathlon, reference_factors):
+def test_coverage_curve_rejects_an_incomplete_set_that_claims_completeness(decathlon):
     # six factors leave one cell uncovered, but the trace says none is
-    fs = FactorSet(reference_factors[:6], (5, 10), FIVE, (*golden.UNCOVERED[:6], 0))
+    fs = reference_prefix(6, (*golden.UNCOVERED[:6], 0))
     with pytest.raises(ValueError, match="^factors do not reproduce the input exactly$"):
         coverage_curve(fs, decathlon)
 
@@ -611,19 +621,18 @@ def test_coverage_curve_rejects_an_incomplete_set_that_claims_completeness(
 def test_coverage_curve_rejects_factors_above_the_input(decathlon):
     # a full rectangle exceeds every cell of the decathlon input below 1,
     # and matches the 17 cells that are 1
-    top = FormalConcept(FuzzySet(FIVE, [4] * 5), FuzzySet(FIVE, [4] * 10))
     assert int(np.count_nonzero(decathlon.entries == 4)) == 17
     with pytest.raises(ValueError, match="^factors exceed the input$"):
-        coverage_curve(FactorSet((top,), (5, 10), FIVE, (50, 33)), decathlon)
+        coverage_curve(full_rectangle((50, 33)), decathlon)
     # a set that claims completeness fails the exactness check first
     with pytest.raises(ValueError, match="^factors do not reproduce the input exactly$"):
-        coverage_curve(FactorSet((top,), (5, 10), FIVE, (50, 0)), decathlon)
+        coverage_curve(full_rectangle((50, 0)), decathlon)
 
 
 @pytest.mark.parametrize("trace", [(50, 27, 10), (50, 20, 14), (49, 27, 14)])
-def test_coverage_curve_recounts_the_trace(decathlon, reference_factors, trace):
+def test_coverage_curve_recounts_the_trace(decathlon, trace):
     # the true trace of these two factors is golden.UNCOVERED[:3]
-    fs = FactorSet(reference_factors[:2], (5, 10), FIVE, trace)
+    fs = reference_prefix(2, trace)
     with pytest.raises(ValueError, match="^factors do not cover the cells their uncovered "
                                          "counts claim$"):
         coverage_curve(fs, decathlon)

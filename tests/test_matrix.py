@@ -11,7 +11,6 @@ import oracles
 import strategies
 from gradefactor import (
     FactorSet,
-    FormalConcept,
     FuzzySet,
     GradedMatrix,
     Scale,
@@ -187,13 +186,15 @@ def test_superpose_is_entrywise_max():
 
 def test_superpose_empty_needs_scale_and_shape():
     # no factors superpose to the zero matrix of the factor set's shape
-    a, b = factor_matrices(FactorSet((), (2, 3), FIVE, (0,)))
+    a, b = factor_matrices(
+        FactorSet(GradedMatrix.zeros(FIVE, 2, 0), GradedMatrix.zeros(FIVE, 0, 3), (0,)))
     assert (a.shape, b.shape) == ((2, 0), (0, 3))
     assert compose(a, b) == GradedMatrix.zeros(FIVE, 2, 3)
 
 
 def test_superpose_shape_mismatch():
-    wide = FormalConcept(FuzzySet(FIVE, [1, 2]), FuzzySet(FIVE, [3, 4]))
-    tall = FormalConcept(FuzzySet(FIVE, [1, 2, 3]), FuzzySet(FIVE, [3, 4]))
-    with pytest.raises(ValueError, match="does not fit"):
-        FactorSet((wide, tall), (2, 2), FIVE, (4, 1, 0))
+    # two extents of two rows, three intents
+    a = GradedMatrix(FIVE, [[1, 1], [2, 2]])
+    b = GradedMatrix(FIVE, [[3, 4], [3, 4], [3, 4]])
+    with pytest.raises(ValueError, match="inner dimensions disagree"):
+        FactorSet(a, b, (4, 1, 0))
