@@ -84,6 +84,8 @@ def _scale(args: argparse.Namespace) -> Scale:
 
 def _load_matrix(args: argparse.Namespace) -> GradedMatrix:
     scale = _scale(args)
+    if args.data_format != "fimi" and args.num_items is not None:
+        raise ValueError("--num-items applies to --format fimi only")
     if args.data_format == "fimi":
         if args.levels != 2:
             raise ValueError("transaction input is Boolean; pass --levels 2")

@@ -7,15 +7,17 @@ when no extension strictly improves the count.  The factors it emits
 reproduce the input exactly under sup-t-norm composition.  Each step scores
 all extensions in one batched sweep, on row bitsets when the chain has two
 grades.  On a longer chain the sweep closes and cover-tests a batch of
-candidates over every row, counts their gains by popcount and takes the
-winner's concept from its batch.  Its residua come from one of two row
-sources: three tables per run, up to a fixed size, so that closures and
-cover tests are lookups, the cover test by adjointness: tnorm(e, c) >= b
-exactly when c > residuum(e, b - 1); or, past the cap, t-norm arithmetic.
-Every factor opens from the empty intent, whose candidates cover the same
-cells all run long, so one opening table per run keeps those cells as one
-block of packed bitsets, up to a fixed number of words, and later openings
-score it by popcount.
+candidates over every row, packs the cells each covers, counts their
+gains by popcount against the packed uncovered cells, which are all a run
+changes, and takes the winner's concept from its batch.  Its residua come
+from one of two read-only row sources: three tables per run, up to a
+fixed size, so that closures and cover tests are lookups, the cover test
+by adjointness: tnorm(e, c) >= b exactly when c > residuum(e, b - 1); or,
+past the cap, t-norm arithmetic.  Every factor opens from the empty
+intent, whose candidates cover the same cells all run long, so one
+opening table per run keeps the covers of the first opening's batches as
+one block, up to a fixed number of words, and later openings score it by
+popcount.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -37,7 +39,7 @@ from .concepts import (
     enumerate_concepts,
 )
 from .matrix import (LEVEL_DTYPE, FuzzySet, GradedMatrix, _rectangle, _require_composable,
-                     _require_same_scale)
+                     _require_same_scale, _superpose)
 from .scale import Scale
 
 # A tie-break policy maps (attribute index, grade level) to a sort key;
@@ -130,7 +132,7 @@ class FactorSet:
 # words of w row words on the two-grade chain.  The opening table scores
 # its stored covers this many words at a time.  A batch's memory is
 # therefore flat in the number of grades.  What a run keeps grows with them
-# only up to a cap: the opening table's stored covers up to
+# only up to a cap: the opening table's stored batches up to
 # _OPENING_TABLE_WORDS, the level and column tables up to
 # _LEVEL_TABLE_BYTES.
 SWEEP_CELL_BUDGET = 1 << 16
@@ -202,16 +204,16 @@ def _ranked_candidates(intent: np.ndarray, n: int, start: int, batch: int):
 
 class _LevelTables:
     """The graded sweep's residua from two level tables and a column table,
-    built once per run.
+    built once per run and read-only from then on.
 
     Row i * (n + 1) + e of `res` holds residuum(e, I[i, j]) for every
     column j.  The same row of `never` holds residuum(e, I[i, j] - 1), the
-    largest grade c with tnorm(e, c) < I[i, j], and n at zero cells and at
-    every cell the sweep forgets, which therefore never count as covered:
-    by adjointness the cover test is a lookup in `never`.  cols[j, e] holds
-    residuum(e, I[i, j]) for every row i: the extent that grade e at
-    attribute j allows.  Candidates are the grades of a per-run grid above
-    the intent, never larger than a table.
+    largest grade c with tnorm(e, c) < I[i, j], and n at zero cells, which
+    therefore never count as covered: by adjointness the cover test is a
+    lookup in `never`.  cols[j, e] holds residuum(e, I[i, j]) for every
+    row i: the extent that grade e at attribute j allows.  Candidates are
+    the grades of a per-run grid above the intent, never larger than a
+    table.
     """
 
     @staticmethod
@@ -222,13 +224,15 @@ class _LevelTables:
 
     def __init__(self, scale: Scale, entries: np.ndarray) -> None:
         n, dtype = scale.max_level, _work_dtype(scale)
-        n_rows, n_cols = self.shape = entries.shape
+        n_rows, n_cols = entries.shape
         grades = np.arange(n + 1, dtype=dtype)[:, None]
         sub = entries.astype(dtype)[:, None, :]
         res = scale.residuum(grades, sub)
         never = np.where(sub != 0, scale.residuum(grades, sub - 1), dtype(n))
         self.cols = np.ascontiguousarray(res.transpose(2, 1, 0))
         self.res, self.never = res.reshape(-1, n_cols), never.reshape(-1, n_cols)
+        for table in (self.res, self.never, self.cols):
+            table.setflags(write=False)
         self.n, self.grades = n, np.arange(n + 1)
         self.offsets = np.arange(n_rows) * (n + 1)
 
@@ -252,24 +256,19 @@ class _LevelTables:
     def covered(self, idx: np.ndarray, closed: np.ndarray) -> np.ndarray:
         return self.never.take(idx, axis=0) < closed[..., None, :]
 
-    def forget(self, cells: np.ndarray) -> None:
-        """Set `never` to n at the given cells, for every extent grade."""
-        n_rows, n_cols = self.shape
-        self.never.reshape(n_rows, -1, n_cols).transpose(0, 2, 1)[cells] = self.n
-
 
 class _Residua:
     """The graded sweep's residua by t-norm arithmetic, past the table cap.
 
     Candidates are ranked batch by batch.  Closures are residuum minima over
     (candidate, row, column) blocks; the cover test compares the t-norm
-    rectangle with `goal`, the input with n + 1, which no t-norm reaches, at
-    every cell the sweep forgets.
+    rectangle with the input, read-only from construction on, and so finds
+    every zero cell covered, which the sweep does not count.
     """
 
     def __init__(self, scale: Scale, entries: np.ndarray) -> None:
         self.scale, self.entries = scale, entries.astype(_work_dtype(scale))
-        self.goal = self.entries.copy()
+        self.entries.setflags(write=False)
 
     def candidates(self, intent: np.ndarray, start: int, batch: int):
         return _ranked_candidates(intent, self.scale.max_level, start, batch)
@@ -288,10 +287,7 @@ class _Residua:
         return res.min(axis=-2, initial=self.scale.max_level)
 
     def covered(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
-        return _rectangle(self.scale, ext, closed) >= self.goal
-
-    def forget(self, cells: np.ndarray) -> None:
-        self.goal[cells] = self.scale.max_level + 1
+        return _rectangle(self.scale, ext, closed) >= self.entries
 
 
 class _GradedSweep:
@@ -301,19 +297,19 @@ class _GradedSweep:
     extent D.  Its extent is D ∧ residuum(a, I[:, j]), because the residuum
     is antitone in its first argument.  Batches span every row: a row
     outside D's support has extent 0, whose residua are all n, so it
-    neither lowers a closure nor holds a covered cell.  The source forgets
-    the cells covered so far, so its cover test finds uncovered cells only
-    and a batch's gains are their popcounts; the winner's concept is taken
-    from its batch.  The mask must hold nonzero cells only.
+    neither lowers a closure nor holds a covered cell.  A candidate's covers
+    are the cells its concept covers, packed over all cells; its gain is
+    their popcount against `live`, the packed uncovered cells, the one
+    thing a run changes.  The winner's concept is taken from its batch.
+    The mask must hold nonzero cells only.
     """
 
-    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray, rows) -> None:
-        self.scale, self.mask, self.rows = scale, mask, rows
+    def __init__(self, entries: np.ndarray, mask: np.ndarray, rows) -> None:
+        self.rows = rows
         self.batch = max(1, SWEEP_CELL_BUDGET // max(1, entries.size))
         self.live = _pack_cells(mask[None])[0]
-        # words of one candidate's covers at the top extent
+        # words of one candidate's covers
         self.cover_words = -(-entries.size // 64)
-        rows.forget(~mask)
 
     def _close(self, js: np.ndarray, levels: np.ndarray, extent: np.ndarray):
         """Extents, their indices in the row source and closed intents of a
@@ -322,32 +318,20 @@ class _GradedSweep:
         idx = self.rows.index(ext)
         return ext, idx, self.rows.closures(idx)
 
-    def _covered(self, idx: np.ndarray, closed: np.ndarray) -> np.ndarray:
-        return self.rows.covered(idx, closed).reshape(len(idx), -1)
-
     def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
         """The candidates (j, a) with a > intent[j] of an intent whose extent
         is `extent`, from the start-th on in (j, a) order, in batches: per
-        batch its attributes, grades and gains, and a function giving the
-        extent and closed intent of its c-th candidate."""
+        batch its attributes, grades, gains and covers, whose `count` the
+        gains are, and a function giving the extent and closed intent of
+        its c-th candidate."""
         for js, levels in self.rows.candidates(intent, start, self.batch):
             ext, idx, closed = self._close(js, levels, extent)
-            covered = np.packbits(self._covered(idx, closed), axis=1)
-            gains = np.bitwise_count(covered).sum(axis=1, dtype=np.int64)
-            yield js, levels, gains, (
+            covers = (_pack_cells(self.rows.covered(idx, closed)),)
+            yield js, levels, self.count(*covers), covers, (
                 lambda c, ext=ext, closed=closed: (ext[c], closed[c].astype(LEVEL_DTYPE)))
 
-    def covers(self, extent: np.ndarray):
-        """Batch size and cover function for the candidates of one extent:
-        the cover function gives the arrays `count` scores a batch from."""
-        def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray]:
-            return (_pack_cells(self._covered(*self._close(js, levels, extent)[1:])),)
-
-        return self.batch, covers
-
     def count(self, covered: np.ndarray) -> np.ndarray:
-        """Gains of the covers of top-extent candidates against the cells
-        uncovered now."""
+        """Gains of a batch of covers against the cells uncovered now."""
         return np.bitwise_count(covered & self.live).sum(axis=1, dtype=np.int64)
 
     def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,11 +340,8 @@ class _GradedSweep:
 
     def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
         """Drop the cells the concept covers; returns how many stay uncovered."""
-        hit = self.rows.covered(self.rows.index(extent), intent)
-        self.rows.forget(hit)
-        self.mask &= ~hit
-        self.live = _pack_cells(self.mask[None])[0]
-        return int(self.mask.sum())
+        self.live &= ~_pack_cells(self.rows.covered(self.rows.index(extent), intent)[None])[0]
+        return int(np.bitwise_count(self.live).sum())
 
 
 class _BitsetSweep:
@@ -372,8 +353,8 @@ class _BitsetSweep:
     its gain is the popcount of extent & uncovered[j'] over closed j'.
     """
 
-    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray) -> None:
-        self.scale, self.entries = scale, entries
+    def __init__(self, entries: np.ndarray, mask: np.ndarray) -> None:
+        self.entries = entries
         self.cols = _pack_rows(entries != 0)
         self.holes = _pack_rows(entries == 0)
         self.uncovered = _pack_rows(mask)
@@ -384,48 +365,28 @@ class _BitsetSweep:
     def _closed(ext: np.ndarray, holes: np.ndarray) -> np.ndarray:
         return ~(ext[..., None, :] & holes).any(axis=-1)
 
-    @staticmethod
-    def _count(ext: np.ndarray, closed: np.ndarray, uncovered: np.ndarray) -> np.ndarray:
-        # closures hold few of the columns, so pair each candidate with its
-        # closed columns rather than mask a full candidate x column block
-        rows, cols = np.nonzero(closed)
-        hit = np.bitwise_count(ext[rows] & uncovered[cols]).sum(axis=1, dtype=np.int64)
-        gains = np.zeros(len(ext), dtype=np.int64)
-        np.add.at(gains, rows, hit)
-        return gains
-
-    def scorer(self, extent: np.ndarray):
+    def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
         base = _pack_rows(extent[:, None] != 0)[0]
+        # closures test only the words the extent occupies
         words = np.flatnonzero(base)
-        base = base[words]
-        cols, holes, uncovered = (
-            self.cols[:, words], self.holes[:, words], self.uncovered[:, words]
-        )
+        holes = self.holes[:, words]
         batch = max(1, SWEEP_CELL_BUDGET // max(1, holes.size))
-
-        def covers(js: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        for js, levels in _ranked_candidates(intent, 1, start, batch):
             # on two grades a concept covers exactly its extent x intent, so
             # the extent's row bitset and the closed columns stand for the
             # cells, in 1/m of the words
-            ext = base & cols[js]
-            return ext, self._closed(ext, holes)
-
-        def gains(js: np.ndarray, levels: np.ndarray) -> np.ndarray:
-            return self._count(*covers(js, levels), uncovered)
-
-        return batch, gains, covers
-
-    def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
-        batch, gains, _ = self.scorer(extent)
-        for js, levels in _ranked_candidates(intent, 1, start, batch):
-            yield js, levels, gains(js, levels), _closing(self, extent, js, levels)
-
-    def covers(self, extent: np.ndarray):
-        batch, _, covers = self.scorer(extent)
-        return batch, covers
+            ext = base & self.cols[js]
+            covers = ext, self._closed(ext[:, words], holes)
+            yield js, levels, self.count(*covers), covers, _closing(self, extent, js, levels)
 
     def count(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
-        return self._count(ext, closed, self.uncovered)
+        # closures hold few of the columns, so pair each candidate with its
+        # closed columns rather than mask a full candidate x column block
+        rows, cols = np.nonzero(closed)
+        hit = np.bitwise_count(ext[rows] & self.uncovered[cols]).sum(axis=1, dtype=np.int64)
+        gains = np.zeros(len(ext), dtype=np.int64)
+        np.add.at(gains, rows, hit)
+        return gains
 
     def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         ext = _pack_rows(extent[:, None] != 0)[0] & self.cols[j]
@@ -441,9 +402,9 @@ class _BitsetSweep:
 
 def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedSweep | _BitsetSweep:
     if scale.levels == 2:
-        return _BitsetSweep(scale, entries, mask)
+        return _BitsetSweep(entries, mask)
     rows = (_LevelTables if _LevelTables.fit(scale, entries) else _Residua)(scale, entries)
-    return _GradedSweep(scale, entries, mask, rows)
+    return _GradedSweep(entries, mask, rows)
 
 
 class _OpeningTable:
@@ -452,57 +413,49 @@ class _OpeningTable:
     Each factor opens from the empty intent, whose extent down(∅) is top
     because residuum(0, b) = n, so the opening candidates, their closures
     and the nonzero cells they cover stay fixed for the whole run; only the
-    uncovered cells change.  The first opening stores the covers of the
-    opening candidates, in (j, a) order, as one block of at most
-    _OPENING_TABLE_WORDS words.  Every opening scores the block by
-    popcounts against the uncovered cells, SWEEP_CELL_BUDGET words at a
-    time: one popcount for a 40 x 30 input on 11 levels (5.7k words).
-    Candidates past the cap are scored by the sweep.  The table stands in
-    for the sweep in `_best_candidate` on opening steps only.
+    uncovered cells change.  The sweep scores the first opening, and the
+    table keeps the covers of its batches as one block, with their
+    attributes and grades: the longest prefix of whole batches, in (j, a)
+    order, that fits in _OPENING_TABLE_WORDS words.  Later openings score
+    the block by `count`, SWEEP_CELL_BUDGET words at a time: one popcount
+    for a 40 x 30 input on 11 levels (5.7k words).  Candidates past the
+    block are scored by the sweep.  The table stands in for the sweep in
+    `_best_candidate` on opening steps only.
     """
 
     def __init__(self, sweep: _GradedSweep | _BitsetSweep) -> None:
         self.sweep = sweep
-        self.block: tuple[np.ndarray, ...] | None = None
+        self.block: tuple | None = None
 
-    def _build(self, n_cols: int, extent: np.ndarray) -> tuple[np.ndarray, ...]:
-        sweep, n = self.sweep, self.sweep.scale.max_level
-        size = min(n * n_cols, _OPENING_TABLE_WORDS // sweep.cover_words)
-        batch, covers = sweep.covers(extent)
-        block = ()
-        for lo in range(0, size, batch):
-            hi = min(lo + batch, size)
-            part = covers(*_opening_candidates(n, lo, hi))
-            block = block or tuple(np.empty((size, *a.shape[1:]), a.dtype) for a in part)
-            for stored, a in zip(block, part):
-                stored[lo:hi] = a
-        return block
+    def _fill(self, intent: np.ndarray, extent: np.ndarray):
+        parts, words = [], 0
+        for batch in self.sweep.batches(intent, extent):
+            js, levels, _, covers, _ = batch
+            words += len(js) * self.sweep.cover_words
+            if words <= _OPENING_TABLE_WORDS:
+                parts.append((js, levels, *covers))
+            yield batch
+        # (js, levels, *covers), or an empty block when no batch fits
+        self.block = tuple(map(np.concatenate, zip(*parts))) or ((), ())
 
     def batches(self, intent: np.ndarray, extent: np.ndarray):
-        sweep, n = self.sweep, self.sweep.scale.max_level
         if self.block is None:
-            self.block = self._build(len(intent), extent)
-        size = len(self.block[0]) if self.block else 0
+            yield from self._fill(intent, extent)
+            return
+        sweep = self.sweep
+        js, levels, *covers = self.block
         step = max(1, SWEEP_CELL_BUDGET // sweep.cover_words)
-        for lo in range(0, size, step):
-            js, levels = _opening_candidates(n, lo, min(lo + step, size))
-            gains = sweep.count(*(stored[lo:lo + step] for stored in self.block))
-            yield js, levels, gains, _closing(sweep, extent, js, levels)
-        if size < n * len(intent):
-            yield from sweep.batches(intent, extent, size)
+        for lo in range(0, len(js), step):
+            part = js[lo:lo + step], levels[lo:lo + step]
+            stored = tuple(a[lo:lo + step] for a in covers)
+            yield *part, sweep.count(*stored), stored, _closing(sweep, extent, *part)
+        yield from sweep.batches(intent, extent, len(js))
 
 
 def _closing(sweep, extent: np.ndarray, js: np.ndarray, levels: np.ndarray):
     """The extent and closed intent of the c-th of candidates (js, levels),
     closed one at a time."""
     return lambda c: sweep.closure(extent, int(js[c]), int(levels[c]))
-
-
-def _opening_candidates(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Attributes and grades of the lo-th to hi-th candidates of the empty
-    intent on an n-step chain."""
-    js, below = np.divmod(np.arange(lo, hi), n)
-    return js, below + 1
 
 
 def _best_candidate(sweep, intent: np.ndarray, extent: np.ndarray, key: TieBreakKey):
@@ -516,7 +469,7 @@ def _best_candidate(sweep, intent: np.ndarray, extent: np.ndarray, key: TieBreak
     cover count and they can never be a strict improvement.
     """
     best = None
-    for js, levels, g, closing in sweep.batches(intent, extent):
+    for js, levels, g, _, closing in sweep.batches(intent, extent):
         top = int(g.max())
         if best is not None and top < best[0][0]:
             continue
@@ -607,13 +560,8 @@ def coverage_curve(factor_set: FactorSet, context: GradedMatrix) -> list[Fractio
         )
     entries = context.entries
     acc = np.zeros_like(entries)
-    equal = []
-    for extent, intent in zip(factor_set.a.entries.T, factor_set.b.entries):
-        # holding the last rectangle until the next exists keeps the
-        # allocator from faulting in a fresh n x m block per factor
-        rect = _rectangle(context.scale, extent, intent)
-        np.maximum(acc, rect, out=acc)
-        equal.append(int(np.count_nonzero(acc == entries)))
+    equal = [int(np.count_nonzero(acc == entries))
+             for _ in _superpose(factor_set.a, factor_set.b, acc)]
     if factor_set.complete and not np.array_equal(acc, entries):
         raise ValueError("factors do not reproduce the input exactly")
     if not np.all(acc <= entries):

@@ -142,6 +142,17 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """
     _require_composable(a, b)
     out = np.zeros((a.n_rows, b.n_cols), dtype=LEVEL_DTYPE)
-    for l in range(a.n_cols):
-        np.maximum(out, _rectangle(a.scale, a.entries[:, l], b.entries[l, :]), out=out)
+    for _ in _superpose(a, b, out):
+        pass
     return GradedMatrix(a.scale, out)
+
+
+def _superpose(a: GradedMatrix, b: GradedMatrix, out: np.ndarray):
+    """Raise `out` to the rectangle of each factor in turn, the l-th with
+    extent a[:, l] and intent b[l, :], in place, yielding after each."""
+    for extent, intent in zip(a.entries.T, b.entries):
+        # holding the last rectangle until the next exists keeps the
+        # allocator from faulting in a fresh n x m block per factor
+        rect = _rectangle(a.scale, extent, intent)
+        np.maximum(out, rect, out=out)
+        yield

@@ -357,6 +357,14 @@ def test_allocation_failure_is_one_line(tmp_path, graded_csv, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["factorize", "coverage", "experiment-coverage", "oracle"])
+def test_num_items_without_fimi_is_refused(tmp_path, graded_csv, capsys, command):
+    out = tmp_path / "out"
+    assert run(command, "--input", graded_csv, "--num-items", 7, "--out-dir", out) == 1
+    assert capsys.readouterr().err == "error: --num-items applies to --format fimi only\n"
+    assert not out.exists()
+
+
 def test_fimi_grid_past_the_cell_limit_is_refused(tmp_path, capsys):
     src = tmp_path / "t.dat"
     src.write_text("0 1\n2\n")

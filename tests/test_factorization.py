@@ -47,19 +47,20 @@ def sweep_gain(ctx, mask, intent, j, a):
     (j, a), read off the batch that scores it, or None when no batch holds
     it; `mask` holds the uncovered nonzero cells."""
     sweep = factorization._make_sweep(ctx.scale, ctx.entries, mask)
-    for js, levels, gains, _ in sweep.batches(intent.membership, down(ctx, intent).membership):
+    for js, levels, gains, _, _ in sweep.batches(intent.membership, down(ctx, intent).membership):
         (hit,) = np.nonzero((js == j) & (levels == a))
         if hit.size:
             return int(gains[hit[0]])
     return None
 
 
-def uncovered_cells(sweep, n_rows):
+def uncovered_cells(sweep, shape):
     """The uncovered cells a sweep holds, as a Boolean array."""
+    n_rows, n_cols = shape
     if isinstance(sweep, factorization._BitsetSweep):
         columns = [factorization._unpack_rows(bits, n_rows) for bits in sweep.uncovered]
         return np.stack(columns, axis=1) != 0
-    return sweep.mask.copy()
+    return factorization._unpack_rows(sweep.live, n_rows * n_cols).reshape(shape) != 0
 
 
 # ---------------------------------------------------------------- greedy
@@ -353,18 +354,59 @@ def test_opening_table_stays_within_its_cap():
             super().__init__(sweep)
             tables.append(self)
 
-    # the whole table is 10 attributes x 100 grades x 4 words per candidate
+    # the whole table is 10 attributes x 100 grades x 4 words per candidate,
+    # in batches of 65536 // 200 = 327 candidates
     cap = 3000
     with mock.patch.object(factorization, "_OpeningTable", Recorded), \
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
         capped = find_factors(ctx)
     (table,) = tables
-    stored = sum(a.nbytes for a in table.block)
+    js, levels, *covers = table.block
+    stored = sum(a.nbytes for a in covers)
     assert 0 < stored <= 8 * cap
-    # the block holds the first candidates that fit, not all 1000
-    assert len(table.block[0]) == cap // table.sweep.cover_words < 10 * 100
+    # the block holds the first candidates in (j, a) order, as the longest
+    # prefix of whole batches that fits, not all 1000
+    order = [(j, a) for j in range(10) for a in range(1, 101)]
+    assert list(zip(js.tolist(), levels.tolist())) == order[:len(js)]
+    batch, width = table.sweep.batch, table.sweep.cover_words
+    assert len(js) % batch == 0
+    assert len(js) * width <= cap < (len(js) + batch) * width
+    assert 0 < len(js) < len(order)
     with mock.patch.object(factorization, "_OPENING_TABLE_WORDS", 0):
         assert find_factors(ctx) == capped
+
+
+# the arrays each row source reads its residua from
+ROW_SOURCE_TABLES = {
+    factorization._LevelTables: ("res", "never", "cols"),
+    factorization._Residua: ("entries",),
+}
+
+
+@pytest.mark.parametrize("level_cap", LEVEL_TABLE_CAPS)
+def test_row_sources_stay_read_only_and_unchanged_through_a_run(level_cap):
+    scale = Scale(11, "goguen", rounded=True)
+    ctx = GradedMatrix(scale, np.random.default_rng(11).integers(0, 11, size=(8, 6)))
+    made = []
+    make_sweep = factorization._make_sweep
+
+    def recorded(*args):
+        sweep = make_sweep(*args)
+        tables = [getattr(sweep.rows, name) for name in ROW_SOURCE_TABLES[type(sweep.rows)]]
+        made.append((sweep.rows, tables, [table.copy() for table in tables]))
+        return sweep
+
+    with mock.patch.object(factorization, "_make_sweep", recorded), \
+            mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+        fs = find_factors(ctx)
+    ((rows, tables, before),) = made
+    assert type(rows) is (factorization._LevelTables if level_cap else factorization._Residua)
+    assert fs.complete and len(fs) > 1
+    for table, copy in zip(tables, before):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+        assert np.array_equal(table, copy)
 
 
 def key_calls_per_step(ctx, cap, budget, level_cap):
@@ -377,7 +419,7 @@ def key_calls_per_step(ctx, cap, budget, level_cap):
 
     def step(sweep, intent, extent, key):
         table = isinstance(sweep, factorization._OpeningTable)
-        mask = uncovered_cells(sweep.sweep if table else sweep, ctx.n_rows)
+        mask = uncovered_cells(sweep.sweep if table else sweep, ctx.shape)
         steps.append((table and cap > 0, intent.copy(), mask, []))
         return best_candidate(sweep, intent, extent, key)
 
@@ -470,9 +512,10 @@ def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
             mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
         sweep = factorization._make_sweep(scale, entries, mask)
         seen = []
-        for js, levels, gains, closing in sweep.batches(intent.membership,
-                                                        down(ctx, intent).membership):
+        for js, levels, gains, covers, closing in sweep.batches(intent.membership,
+                                                                down(ctx, intent).membership):
             assert len(js) == len(levels) == len(gains) >= 1
+            assert sweep.count(*covers).tolist() == gains.tolist()
             for c, (j, a) in enumerate(zip(js.tolist(), levels.tolist())):
                 extent, closed = oracles.candidate_closure(scale, entries, intent.membership, j, a)
                 got_extent, got_closed = closing(c)
@@ -523,7 +566,7 @@ def test_cover_universe_bookkeeping(decathlon, reference_factors, level_cap):
     first = reference_factors[0]
     remaining = sweep.retire(first.extent.membership, first.intent.membership)
     assert (50 - remaining, remaining) == (23, 27)
-    assert int(sweep.mask.sum()) == 27
+    assert int(uncovered_cells(sweep, decathlon.shape).sum()) == 27
 
 
 # ---------------------------------------------------------------- factor sets
