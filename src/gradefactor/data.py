@@ -5,7 +5,10 @@ CSV cells carry either decimals in [0, 1] or explicit levels written as
 common for frequent-itemset benchmarks and always land on the two-grade
 chain.  Raw tables of measurements hold each column as exact integer
 numerators, over one common denominator when the column fits int64, until
-they are discretized onto a scale.
+they are discretized onto a scale.  A raw table is parsed a column at a
+time: a fixed-point column (one number of decimals F in every cell, at
+most 18 digits) in one pass, as int64 numerators over 10**F; every other
+column cell by cell, which would give a fixed-point column the same result.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -177,8 +181,18 @@ class _Memo(dict):
         return value
 
 
+@contextmanager
+def _naming_decode_errors(path):
+    """Turn a file's UnicodeDecodeError, raised by the reads in the block,
+    into a one-line ValueError that names the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8") as handle, _naming_decode_errors(path):
         reader = csv.reader(handle)
         try:
             rows = [row for row in reader]
@@ -203,6 +217,17 @@ _MAX_EXPONENT_DIGITS = 4
 # a plain ASCII decimal: sign, digits with at most one point and at least
 # one digit, optional exponent; a subset of what Fraction(text) accepts
 _DECIMAL = re.compile(r"([-+]?(?=\.?[0-9])[0-9]*)\.?([0-9]*)(?:[eE]([-+]?[0-9]+))?")
+
+# the first line of a column, one cell per line, that is not a plain decimal
+# with F places and at most 18 digits, for F = 0..18: these decimals are a
+# strict subset of _DECIMAL, and over 10**F every one fits int64.  A search
+# keeps no state per line, where a fullmatch of the repeated cell would.
+# The patterns are compiled on first use, into the re module's cache.
+_NOT_FIXED_POINT = tuple(
+    rf"(?m)^(?!{cell}$)"
+    for cell in [r"[-+]?[0-9]{1,18}"]
+    + [rf"[-+]?[0-9]{{0,{18 - places}}}\.[0-9]{{{places}}}" for places in range(1, 19)]
+)
 
 
 def _exponent_too_large(digits: str) -> bool:
@@ -348,12 +373,33 @@ def _raw_column(cells: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int | n
     return np.array(numerators, dtype=object), np.array(denominators, dtype=object)
 
 
+def _fixed_point_column(cells: tuple[str, ...]) -> tuple[np.ndarray, int] | None:
+    """A column of fixed-point cells parsed in one pass, or None.
+
+    Every cell must have the first cell's number of decimals F and at most
+    18 digits: an optional sign, then digits with no point when F = 0, or
+    digits and a point before exactly F digits.  Then every numerator over
+    10**F fits int64, and the result is what `_raw_column` builds from
+    `_parse_number`'s cells, which are over that same power of ten.
+    """
+    point = cells[0].find(".")
+    places = 0 if point < 0 else len(cells[0]) - point - 1
+    if places >= len(_NOT_FIXED_POINT):
+        return None
+    text = "\n".join(cells)
+    # a quoted cell may hold a line break, which would split it in two
+    if text.count("\n") != len(cells) - 1 or re.search(_NOT_FIXED_POINT[places], text):
+        return None
+    # the pattern admits only what fromstring parses, and no value past int64
+    return np.fromstring(text.replace(".", ""), dtype=np.int64, sep="\n"), 10**places
+
+
 def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     """Read a labeled table of rational measurements from CSV.
 
     Layout detection mirrors read_csv: non-numeric cells in the first row
     or column mark them as labels; missing labels are synthesized from
-    positions.
+    positions.  A bad cell is reported by the first row that holds one.
     """
     rows = _read_rows(path)
 
@@ -374,21 +420,26 @@ def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     if not body:
         raise ValueError(f"{path}: no data rows")
 
-    col_labels = (rows[0][1:] if has_labels else rows[0]) if has_header else None
-    row_labels = []
-    parsed = []
-    for r, row in enumerate(body):
-        cells = row[1:] if has_labels else row
-        row_labels.append(row[0] if has_labels else str(r))
-        try:
-            parsed.append(list(map(_parse_number, cells)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{path}: bad number in row {r + 1}: {exc}") from exc
-    if col_labels is None:
-        col_labels = [str(c) for c in range(len(parsed[0]))]
-    columns = [_raw_column(cells) for cells in zip(*parsed)]
+    texts = list(zip(*body))  # one tuple of cell texts per column
+    row_labels = texts.pop(0) if has_labels else tuple(map(str, range(len(body))))
+    if not texts:
+        raise ValueError(f"{path}: no data columns")
+    if has_header:
+        col_labels = rows[0][1:] if has_labels else rows[0]
+    else:
+        col_labels = map(str, range(len(texts)))
+    try:
+        columns = [_fixed_point_column(cells) or _raw_column(tuple(map(_parse_number, cells)))
+                   for cells in texts]
+    except (ValueError, ZeroDivisionError):
+        for r, row in enumerate(body):  # name the first bad cell in row-major order
+            try:
+                list(map(_parse_number, row[1:] if has_labels else row))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}: bad number in row {r + 1}: {exc}") from exc
+        raise
     return RawTable(
-        tuple(row_labels),
+        row_labels,
         tuple(col_labels),
         tuple(column for column, _ in columns),
         tuple(den for _, den in columns),
@@ -433,7 +484,7 @@ def read_fimi(path, num_items: int | None = None, *,
     if num_items is not None and num_items < 1:
         raise ValueError(f"num_items must be positive, got {num_items}")
     transactions: list[list[int]] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle, _naming_decode_errors(path):
         for lineno, line in enumerate(handle, start=1):
             items = []
             for token in line.split():

@@ -335,6 +335,8 @@ def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     values = []
     for r, row in enumerate(body):
         cells = row[1:] if has_labels else row
+        if not cells:
+            raise ValueError(f"{path}: no data columns")
         row_labels.append(row[0] if has_labels else str(r))
         try:
             values.append(tuple(parse_fraction(c) for c in cells))

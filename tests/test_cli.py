@@ -241,6 +241,17 @@ def test_discretize_rejects_constant_column(tmp_path, capsys):
     assert "constant" in capsys.readouterr().err
 
 
+def test_discretize_names_an_undecodable_ranges_file(tmp_path, scores_csv, capsys):
+    ranges = tmp_path / "bad.csv"
+    ranges.write_bytes(b"low,high\n\xff,1\n")
+    assert run("discretize", "--input", scores_csv, "--ranges", ranges,
+               "--out", tmp_path / "o.csv") == 1
+    assert capsys.readouterr().err == (
+        f"error: {ranges}: 'utf-8' codec can't decode byte 0xff in position 9: "
+        "invalid start byte\n"
+    )
+
+
 # ---------------------------------------------------------------- experiments
 
 

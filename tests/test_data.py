@@ -212,6 +212,29 @@ def test_header_only_file_has_no_data_rows(tmp_path, read, labeled):
         read(path, labeled)
 
 
+@pytest.mark.parametrize("labeled", [None, True])
+@pytest.mark.parametrize("read", [lambda path, labeled: read_csv(path, FIVE, labeled=labeled),
+                                  lambda path, labeled: read_raw_csv(path, labeled=labeled)],
+                         ids=["read_csv", "read_raw_csv"])
+def test_label_only_file_has_no_data_columns(tmp_path, read, labeled):
+    path = tmp_path / "l.csv"
+    path.write_text("id\nr1\nr2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data columns$"):
+        read(path, labeled)
+
+
+@pytest.mark.parametrize("read", [lambda path: read_csv(path, FIVE), read_raw_csv,
+                                  read_ranges_csv, read_fimi],
+                         ids=["read_csv", "read_raw_csv", "read_ranges_csv", "read_fimi"])
+def test_undecodable_file_is_named(tmp_path, read):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2\n3,\xff\n")
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 6: "
+                               "invalid start byte")
+
+
 def test_read_raw_csv_fixture(scores_csv):
     table = read_raw_csv(scores_csv)
     assert table.row_labels == golden.ATHLETES
@@ -234,6 +257,22 @@ def test_read_raw_csv_rejects_bad_number(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("h1,h2\n1,x\n")
     with pytest.raises(ValueError, match="bad number in row 1"):
+        read_raw_csv(path)
+
+
+def test_read_raw_csv_names_the_first_bad_row(tmp_path):
+    # the later column's bad cell is in the earlier row: rows are searched
+    # in order, not columns
+    path = tmp_path / "t.csv"
+    path.write_text("id,a,b\nr1,1.50,2.25\nr2,2.50,x\nr3,1/0,3.25\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad number in row 2: "):
+        read_raw_csv(path)
+    path.write_text("id,a,b\nr1,1.50,2.25\nr2,y,x\n")
+    with pytest.raises(ValueError, match="bad number in row 2: .*'y'"):
+        read_raw_csv(path)
+    # a quoted cell holding a line break is one bad cell, not two good ones
+    path.write_text('id,a\nr1,3.50\nr2,"1.50\n2.50"\n')
+    with pytest.raises(ValueError, match="bad number in row 2: "):
         read_raw_csv(path)
 
 

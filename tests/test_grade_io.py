@@ -30,7 +30,7 @@ from gradefactor import (
     read_raw_csv,
     write_csv,
 )
-from gradefactor.data import _parse_fraction, _parse_number
+from gradefactor.data import _parse_fraction, _parse_number, _raw_column, _read_rows
 
 MODES = ("strict", "lenient")
 LAYOUTS = (None, True, False)
@@ -358,14 +358,48 @@ def raw_cell(draw, bad: bool):
 
 
 @st.composite
+def fixed_point_cell(draw, places: int, top: int):
+    """A plain decimal with `places` decimals (none and no point for 0) and
+    digits below `top`: signs, ``+``, a leading ``.``, ``-0.00`` and
+    leading zeros."""
+    magnitude = draw(st.integers(0, top - 1))
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    whole, frac = divmod(magnitude, 10**places)
+    whole = str(whole) if whole or draw(st.booleans()) else ""  # "" leads with "."
+    if draw(st.integers(0, 4)) == 0:
+        whole = "0" + whole
+    if places == 0:
+        return sign + (whole or "0")
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
+@st.composite
+def raw_column(draw, rows: int, bad: bool):
+    """A column of any cells, or of fixed-point cells with one number of
+    decimals and values of up to 5, 18 or 19 digits (one past the column
+    path's bound), in which one off-pattern cell may sit at a random row."""
+    if draw(st.integers(0, 3)) == 0:
+        return [draw(raw_cell(bad)) for _ in range(rows)]
+    places = draw(st.sampled_from([0, 0, 1, 2, 2, 3, 17, 18, 19]))
+    top = draw(st.sampled_from([10**5, 10**5, 10**18, 10**19]))
+    column = [draw(fixed_point_cell(places, top)) for _ in range(rows)]
+    if draw(st.integers(0, 2)) == 0:
+        other = draw(st.sampled_from([places - 1, places + 1]).filter(lambda f: f >= 0))
+        column[draw(st.integers(0, rows - 1))] = draw(st.one_of(
+            raw_cell(bad), fixed_point_cell(other, 10**5),
+            fixed_point_cell(0, 10**5).map(lambda text: text + "."),
+        ))
+    return column
+
+
+@st.composite
 def raw_files(draw):
     """A raw CSV with an optional header and label column, and declared
     per-column bounds for up to one more column than it holds."""
     bad = draw(st.integers(0, 4)) == 0
     rows = draw(st.integers(1, 5))
     cols = draw(st.integers(1, 4))
-    cell = raw_cell(bad)
-    grid = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    grid = [list(row) for row in zip(*(draw(raw_column(rows, bad)) for _ in range(cols)))]
     if draw(st.booleans()):
         grid = [[f"r{i}"] + row for i, row in enumerate(grid)]
     if draw(st.booleans()):
@@ -411,6 +445,21 @@ def test_raw_ingest_matches_oracle(tmp_path_factory, case, scale, mode, labeled,
     want = ingest(oracles.read_raw_csv, oracles.column_range, oracles.discretize,
                   path, scale, mode, labeled, declared)
     assert got == want
+    if not isinstance(got[0], str):
+        assert_columns_built_per_cell(read_raw_csv(path, labeled=labeled), path)
+
+
+def assert_columns_built_per_cell(table, path):
+    """Each stored column is what `_raw_column` builds from the column's
+    cells parsed one by one: the same dtype, numerators and denominator."""
+    n, m = table.shape
+    body = [row[-m:] for row in _read_rows(path)[-n:]]
+    for stored, den, cells in zip(table.columns, table.denominators, zip(*body)):
+        want, want_den = _raw_column(tuple(map(_parse_number, cells)))
+        assert stored.dtype == want.dtype
+        assert stored.tolist() == want.tolist()
+        assert type(den) is type(want_den)
+        assert np.asarray(den).tolist() == np.asarray(want_den).tolist()
 
 
 OVERFLOW_TABLES = {
