@@ -117,8 +117,31 @@ def _factor_report(args: argparse.Namespace, factor_set: FactorSet, curve, nonze
     }
 
 
+def _json_text(value, indent: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` with its
+    lines after the first indented by `indent`.  Dicts with string keys and
+    lists are laid out here, and a list of ints is joined in one call; any
+    other value goes through json.dumps, whose strings never hold a raw
+    line break, and which lays out only containers."""
+    inner = indent + "  "
+    if type(value) is list and value:
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = (f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple, dict)):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    return json.dumps(value)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write exactly ``json.dumps(payload, indent=2, sort_keys=True)`` and a
+    line break."""
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def _write_coverage_tsv(path: Path, curve, nonzero) -> None:

@@ -9,17 +9,29 @@ they are discretized onto a scale.  A raw table is parsed a column at a
 time: a fixed-point column (one number of decimals F in every cell, at
 most 18 digits) in one pass, as int64 numerators over 10**F; every other
 column cell by cell, which would give a fixed-point column the same result.
+
+Every file is read and decoded whole, so an undecodable byte is named by
+its line and its offset in the file.  A CSV text with no quote, no NUL, no
+whitespace at either end of a cell and no line past csv's field size
+limit is split on line breaks and commas with str.split; any other goes
+through csv.reader, which quotes and refuses long fields as it always
+has, and both give the same rows.  A transaction file of digits, blanks
+and LF alone, with ids of at most 18 digits, is parsed in one
+np.fromstring call; any other is read line by line, so a bad id is named
+by its line.  `write_csv` joins each block of rows' cells in one call and
+writes the file in one call.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -181,30 +193,77 @@ class _Memo(dict):
         return value
 
 
-@contextmanager
-def _naming_decode_errors(path):
-    """Turn a file's UnicodeDecodeError, raised by the reads in the block,
-    into a one-line ValueError that names the file."""
+# whitespace str.strip removes, except the line breaks \r and \n
+_ASCII_SPACES = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
+_SPACES = _ASCII_SPACES + "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + (
+    "\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def _decode(path, data: bytes) -> str:
+    """A file's bytes decoded as UTF-8 in one call.  A byte that does not
+    decode is named by its 1-based line, counting CR LF, CR and LF as
+    breaks, and by its 0-based offset in the file."""
     try:
-        yield
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        bad = data[exc.start:exc.end]
+        raise ValueError(
+            f"{path}: line {line}, byte {exc.start}: 'utf-8' codec can't decode "
+            f"{'byte' if len(bad) == 1 else 'bytes'} {' '.join(f'0x{b:02x}' for b in bad)}: "
+            f"{exc.reason}"
+        ) from None
+
+
+def _has_padded_cell(text: str) -> bool:
+    """Whether a cell starts or ends with whitespace other than a line break."""
+    spaces = [space for space in (_ASCII_SPACES if text.isascii() else _SPACES) if space in text]
+    if not spaces:
+        return False
+    framed = f"\n{text}\n"
+    return any(edge in framed for space in spaces
+               for edge in (space + ",", "," + space, space + "\n", "\n" + space,
+                            space + "\r", "\r" + space))
+
+
+def _split_rows(text: str) -> list[list[str]] | None:
+    """The rows of a CSV text split on line breaks and commas alone, or None
+    when that could differ from what csv.reader and str.strip make of it: a
+    quote, a NUL, a cell with whitespace at an end, or a line longer than
+    csv's field size limit."""
+    if '"' in text or "\0" in text or _has_padded_cell(text):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if len(text) > csv.field_size_limit() and max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return [line.split(",") for line in lines if line]
 
 
 def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as handle, _naming_decode_errors(path):
-        reader = csv.reader(handle)
+    """The rows of a CSV file, each cell stripped of surrounding whitespace
+    and empty lines dropped; every row must be as wide as the first.  The
+    file is read and decoded whole; what a plain split could misread goes
+    through csv.reader."""
+    text = _decode(path, Path(path).read_bytes())
+    rows = _split_rows(text)
+    if rows is None:
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
             rows = [row for row in reader]
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    rows = [list(map(str.strip, row)) for row in rows if row]
+        rows = [list(map(str.strip, row)) for row in rows if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
     width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+    widths = list(map(len, rows))
+    if widths.count(width) != len(widths):
+        i = next(i for i, w in enumerate(widths) if w != width)
+        raise ValueError(f"{path}: row {i + 1} has {widths[i]} cells, expected {width}")
     return rows
 
 
@@ -295,12 +354,14 @@ def read_csv(path, scale: Scale, *, mode: str = "strict",
     """Read a matrix of grades from CSV.
 
     Cells are decimals in [0, 1] or levels written ``L<k>``.  With
-    ``labeled=None`` a header row and a label column are auto-detected (any
-    cell that fails to parse as a grade marks its row or column as labels)
-    and stripped; pass True or False to force the layout.  A first row that
-    holds grades outside the label column, and no number outside [0, 1],
-    is data, so a bad cell in it is reported rather than taken for a
-    header; numbers outside [0, 1] there are column names.
+    ``labeled=None`` a header row and a label column are auto-detected and
+    stripped: a cell of the first row that is neither a grade nor a number
+    marks a header, and a first body cell that is neither marks the first
+    column as labels, so a later one in that column is a bad cell.  Pass
+    True or False to force the layout.  A first row that holds grades
+    outside the label column, and no number outside [0, 1], is data, so a
+    bad cell in it is reported rather than taken for a header; numbers
+    outside [0, 1] there are column names.
     """
     _check_mode(mode)
     strict = mode == "strict"
@@ -311,7 +372,9 @@ def read_csv(path, scale: Scale, *, mode: str = "strict",
         first = [kind[c] for c in rows[0]]
         has_header = "name" in first
         body = rows[1:] if has_header else rows
-        has_labels = any(kind[r[0]] == "name" for r in body)
+        # only the first body cell decides: a later name in that column is
+        # a bad cell, not a label
+        has_labels = bool(body) and kind[body[0][0]] == "name"
         names = first[1 if has_labels else 0:]
         if has_header and "grade" in names and "number" not in names:
             # grades beside non-grade cells make a data row with a bad cell,
@@ -322,33 +385,50 @@ def read_csv(path, scale: Scale, *, mode: str = "strict",
         body = rows[1:] if has_header else rows
     if not body:
         raise ValueError(f"{path}: no data rows")
+    width = len(body[0]) - has_labels
+    if not width:
+        raise ValueError(f"{path}: no data columns")
 
     # each distinct cell text is parsed once; a bad one is never cached, so
-    # the first bad cell in row-major order is the one reported
+    # the first cell missing from the memo is the first bad one in
+    # row-major order
     level = _Memo(lambda text: _parse_grade_cell(scale, text, strict=strict))
-    levels = []
-    for r, row in enumerate(body):
-        cells = row[1:] if has_labels else row
-        if not cells:
-            raise ValueError(f"{path}: no data columns")
-        try:
-            levels.append(list(map(level.__getitem__, cells)))
-        except (ValueError, ZeroDivisionError) as exc:
-            c = next(c for c, cell in enumerate(cells) if cell not in level)
-            raise ValueError(f"{path}: bad grade at row {r + 1}, column {c + 1}: {exc}") from exc
-    return GradedMatrix(scale, levels)
+    cells = chain.from_iterable([row[1:] for row in body] if has_labels else body)
+    try:
+        levels = np.fromiter(map(level.__getitem__, cells), dtype=LEVEL_DTYPE,
+                             count=len(body) * width)
+    except (ValueError, ZeroDivisionError) as exc:
+        r, c = next((r, c) for r, row in enumerate(body)
+                    for c, cell in enumerate(row[has_labels:]) if cell not in level)
+        raise ValueError(f"{path}: bad grade at row {r + 1}, column {c + 1}: {exc}") from exc
+    return GradedMatrix(scale, levels.reshape(len(body), width))
 
 
 def write_csv(matrix: GradedMatrix, path) -> None:
     """Write a grade matrix as plain CSV, one canonical cell per grade.
 
-    Each distinct level is formatted once.  Cells hold only digits, ``.``
-    and ``L``, so no field ever needs quoting.
+    Each distinct level is formatted once, followed by a comma, or by a
+    line break in the last column.  The cells' texts are joined a block of
+    a few thousand at a time, which bounds the lists a join builds, and
+    the file is written in one call.  Cells hold only digits, ``.`` and
+    ``L``, so no field ever needs quoting.
     """
-    text = _Memo(matrix.scale.format_level)
+    n_rows, n_cols = matrix.shape
+    if not n_cols:
+        text = "\n" * n_rows
+    else:
+        # keys past the top level are the last column's, which end a line
+        top = matrix.scale.levels
+        cell = _Memo(lambda key: matrix.scale.format_level(key % top) + ",\n"[key // top])
+        shift = np.zeros(n_cols, dtype=LEVEL_DTYPE)
+        shift[-1] = top
+        step = max(1, 4096 // n_cols)  # rows per block
+        text = "".join([
+            "".join(map(cell.__getitem__, (matrix.entries[lo:lo + step] + shift).ravel().tolist()))
+            for lo in range(0, n_rows, step)
+        ])
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        for row in matrix.entries:
-            handle.write(",".join(map(text.__getitem__, row.tolist())) + "\n")
+        handle.write(text)
 
 
 def _raw_column(cells: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int | np.ndarray]:
@@ -397,9 +477,10 @@ def _fixed_point_column(cells: tuple[str, ...]) -> tuple[np.ndarray, int] | None
 def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     """Read a labeled table of rational measurements from CSV.
 
-    Layout detection mirrors read_csv: non-numeric cells in the first row
-    or column mark them as labels; missing labels are synthesized from
-    positions.  A bad cell is reported by the first row that holds one.
+    Layout detection mirrors read_csv: a non-numeric cell in the first row
+    marks it as a header, and a non-numeric first body cell marks the first
+    column as labels; missing labels are synthesized from positions.  A bad
+    cell is reported by the first row that holds one.
     """
     rows = _read_rows(path)
 
@@ -413,7 +494,9 @@ def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     if labeled is None:
         has_header = not all(map(is_number, rows[0]))
         body = rows[1:] if has_header else rows
-        has_labels = not all(is_number(r[0]) for r in body)
+        # only the first body cell decides: a later non-number in that
+        # column is a bad cell, not a label
+        has_labels = bool(body) and not is_number(body[0][0])
     else:
         has_header = has_labels = labeled
         body = rows[1:] if has_header else rows
@@ -483,53 +566,95 @@ def read_fimi(path, num_items: int | None = None, *,
         raise ValueError(f"transaction data is Boolean, got a {scale.levels}-level scale")
     if num_items is not None and num_items < 1:
         raise ValueError(f"num_items must be positive, got {num_items}")
-    transactions: list[list[int]] = []
-    with open(path, encoding="utf-8") as handle, _naming_decode_errors(path):
-        for lineno, line in enumerate(handle, start=1):
-            items = []
-            for token in line.split():
-                try:
-                    item = int(token)
-                except ValueError:
-                    raise ValueError(f"{path}: bad item id {token!r} on line {lineno}") from None
-                if item < 0:
-                    raise ValueError(f"{path}: negative item id {item} on line {lineno}")
-                if num_items is not None and item >= num_items:
-                    raise ValueError(
-                        f"{path}: item id {item} on line {lineno} exceeds num_items={num_items}"
-                    )
-                items.append(item)
-            transactions.append(items)
-    if not transactions:
+    data = Path(path).read_bytes()
+    tokens = _fimi_tokens(data)
+    if tokens is None:
+        lines, rows, ids = _fimi_lines(path, _decode(path, data), num_items)
+    else:
+        lines, rows, ids = tokens
+        if num_items is not None and len(ids) and int(ids.max()) >= num_items:
+            t = int(np.argmax(ids >= num_items))
+            raise ValueError(f"{path}: item id {ids[t]} on line {rows[t] + 1} "
+                             f"exceeds num_items={num_items}")
+    if not lines:
         raise ValueError(f"{path}: empty file")
 
     if num_items is None:
-        distinct = sorted({i for t in transactions for i in t})
-        if not distinct:
+        if not len(ids):
             raise ValueError(f"{path}: no items in any transaction")
-        column = {item: c for c, item in enumerate(distinct)}
+        if tokens is None:  # Python ints, of any size
+            distinct = sorted(set(ids))
+            column = {item: c for c, item in enumerate(distinct)}
+            cols = np.fromiter(map(column.__getitem__, ids), dtype=np.intp, count=len(ids))
+        else:
+            distinct, cols = np.unique(ids, return_inverse=True)
         width = len(distinct)
     else:
-        column = None
+        cols = ids
         width = num_items
 
     too_large = (
-        f"{path}: cannot allocate a grid of {len(transactions)} rows x "
+        f"{path}: cannot allocate a grid of {lines} rows x "
         f"num_items={width} columns"
     )
-    if len(transactions) * width > MAX_FIMI_CELLS:
+    if lines * width > MAX_FIMI_CELLS:
         raise ValueError(too_large)
     try:
-        grid = np.zeros((len(transactions), width), dtype=LEVEL_DTYPE)
+        grid = np.zeros((lines, width), dtype=LEVEL_DTYPE)
     except MemoryError:
         raise ValueError(too_large) from None
     # one store from flat index arrays, freed before GradedMatrix copies the grid
-    lengths = [len(items) for items in transactions]
-    items = chain.from_iterable(transactions)
-    grid[np.repeat(np.arange(len(transactions)), lengths),
-         np.fromiter(items if column is None else map(column.__getitem__, items),
-                     dtype=np.intp, count=sum(lengths))] = 1
+    grid[rows, np.asarray(cols, dtype=np.intp)] = 1
     return GradedMatrix(scale, grid)
+
+
+# the only bytes of a transaction file read in one pass
+_FIMI_BYTES = b"0123456789 \t\n"
+
+
+def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """Lines, and each item id with its 0-based line, of a transaction file
+    of ASCII digits, spaces, tabs and LF only, parsed in one pass; None for
+    any other file, or one with an id of 19 digits or more, which may not
+    fit int64.  A token starts at a digit after a non-digit, and its line
+    is the number of LFs before it."""
+    if data.translate(None, _FIMI_BYTES):
+        return None
+    lines = data.count(b"\n") + (bool(data) and not data.endswith(b"\n"))
+    codes = np.frombuffer(data, dtype=np.uint8)
+    digit = np.concatenate(([False], codes - np.uint8(ord("0")) < 10, [False]))
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    if len(starts) and (ends - starts).max() >= 19:
+        return None
+    rows = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
+    # fromstring reads whitespace alone as one 0
+    ids = np.fromstring(data, dtype=np.int64, sep=" ") if len(starts) else starts
+    return lines, rows, ids
+
+
+def _fimi_lines(path, text: str, num_items: int | None) -> tuple[int, np.ndarray, list[int]]:
+    """Lines, and each item id with its 0-based line, of a transaction file
+    read line by line; a bad, negative or too-large id is named by its line.
+    Lines end at CR LF, CR or LF."""
+    transactions: list[list[int]] = []
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        items = []
+        for token in line.split():
+            try:
+                item = int(token)
+            except ValueError:
+                raise ValueError(f"{path}: bad item id {token!r} on line {lineno}") from None
+            if item < 0:
+                raise ValueError(f"{path}: negative item id {item} on line {lineno}")
+            if num_items is not None and item >= num_items:
+                raise ValueError(
+                    f"{path}: item id {item} on line {lineno} exceeds num_items={num_items}"
+                )
+            items.append(item)
+        transactions.append(items)
+    rows = np.repeat(np.arange(len(transactions)), [len(items) for items in transactions])
+    return len(transactions), rows, list(chain.from_iterable(transactions))
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,15 @@ reference the batched candidate sweep of `find_factors` must match.
 The per-cell `read_csv`, `write_csv`, `read_raw_csv` and `discretize` at
 the end are the original grade I/O, which parses, formats and rounds every
 cell through Fractions; the memoized readers and writer and the
-column-wide integer raw-table code must match them.  `read_raw_csv` parses
-with Fraction itself; the others share the layout helpers of
-`gradefactor.data`.  `raw_table` and `table_values` convert between a
-RawTable's integer columns and rows of Fractions.  `read_fimi`, last, is
-the original transaction reader, which sets the grid one item at a time.
+column-wide integer raw-table code must match them.  They read rows with
+`read_rows`, the original row reader, which streams the file through
+csv.reader and strips every cell; the whole-file split of
+`gradefactor.data._read_rows` must match it.  `read_raw_csv` parses with
+Fraction itself; the others share the cell helpers of `gradefactor.data`.
+`raw_table` and `table_values` convert between a RawTable's integer
+columns and rows of Fractions.  `read_fimi`, last, is the original
+transaction reader, which reads line by line and sets the grid one item
+at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from gradefactor.data import (
     _cell_kind,
     _check_mode,
     _parse_grade_cell,
-    _read_rows,
 )
 from gradefactor.factorization import resolve_tie_break
 from gradefactor.matrix import LEVEL_DTYPE
@@ -310,20 +313,40 @@ def _is_fraction(text: str) -> bool:
     return True
 
 
+def read_rows(path) -> list[list[str]]:
+    """The rows of a CSV file through csv.reader, each cell stripped of
+    surrounding whitespace and empty lines dropped; every row must be as
+    wide as the first."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            rows = [row for row in reader]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    rows = [[cell.strip() for cell in row] for row in rows if row]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+    return rows
+
+
 def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     """Read a labeled table of rational measurements from CSV.
 
-    Layout detection mirrors read_csv: non-numeric cells in the first row
-    or column mark them as labels; missing labels are synthesized from
-    positions.
+    Layout detection mirrors read_csv: a non-numeric cell in the first row
+    marks it as a header, and a non-numeric first body cell marks the first
+    column as labels; missing labels are synthesized from positions.
     """
-    rows = _read_rows(path)
+    rows = read_rows(path)
     if labeled is None:
         has_header = not all(_is_fraction(c) for c in rows[0])
         body = rows[1:] if has_header else rows
         if not body:
             raise ValueError(f"{path}: no data rows")
-        has_labels = not all(_is_fraction(r[0]) for r in body)
+        has_labels = not _is_fraction(body[0][0])
     else:
         has_header = has_labels = labeled
         body = rows[1:] if has_header else rows
@@ -352,22 +375,24 @@ def read_csv(path, scale: Scale, *, mode: str = "strict",
     """Read a matrix of grades from CSV.
 
     Cells are decimals in [0, 1] or levels written ``L<k>``.  With
-    ``labeled=None`` a header row and a label column are auto-detected (any
-    cell that fails to parse as a grade marks its row or column as labels)
-    and stripped; pass True or False to force the layout.  A first row that
-    holds grades outside the label column, and no number outside [0, 1],
-    is data, so a bad cell in it is reported rather than taken for a
-    header; numbers outside [0, 1] there are column names.
+    ``labeled=None`` a header row and a label column are auto-detected and
+    stripped: a cell of the first row that is neither a grade nor a number
+    marks a header, and a first body cell that is neither marks the first
+    column as labels, so a later one in that column is a bad cell.  Pass
+    True or False to force the layout.  A first row that holds grades
+    outside the label column, and no number outside [0, 1], is data, so a
+    bad cell in it is reported rather than taken for a header; numbers
+    outside [0, 1] there are column names.
     """
     _check_mode(mode)
     strict = mode == "strict"
-    rows = _read_rows(path)
+    rows = read_rows(path)
 
     if labeled is None:
         first = [_cell_kind(scale, c) for c in rows[0]]
         has_header = "name" in first
         body = rows[1:] if has_header else rows
-        has_labels = any(_cell_kind(scale, r[0]) == "name" for r in body)
+        has_labels = bool(body) and _cell_kind(scale, body[0][0]) == "name"
         names = first[1 if has_labels else 0:]
         if has_header and "grade" in names and "number" not in names:
             # grades beside non-grade cells make a data row with a bad cell,

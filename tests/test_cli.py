@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from gradefactor import (
@@ -247,9 +249,48 @@ def test_discretize_names_an_undecodable_ranges_file(tmp_path, scores_csv, capsy
     assert run("discretize", "--input", scores_csv, "--ranges", ranges,
                "--out", tmp_path / "o.csv") == 1
     assert capsys.readouterr().err == (
-        f"error: {ranges}: 'utf-8' codec can't decode byte 0xff in position 9: "
+        f"error: {ranges}: line 2, byte 9: 'utf-8' codec can't decode byte 0xff: "
         "invalid start byte\n"
     )
+
+
+def test_discretize_refuses_a_typo_in_a_data_column(tmp_path, capsys):
+    # a number first in the column makes it data, so the typo is a bad cell
+    # rather than a row label that drops the column
+    raw = tmp_path / "t.csv"
+    raw.write_text("a,b\n1,2\n3,4\n3..5,6\n")
+    assert run("discretize", "--input", raw, "--out", tmp_path / "o.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {raw}: bad number in row 3: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+# ---------------------------------------------------------------- report
+
+
+# what a report may hold: nested dicts, empty and integer lists, negative
+# numbers, floats, non-ASCII text and None
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(),
+    st.text(st.characters(), max_size=6),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(st.integers(-10**6, 10**6), max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(st.characters(), max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(-5, 5), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@given(st.dictionaries(st.text(st.characters(), max_size=6), JSON_VALUES, max_size=6))
+@settings(max_examples=300)
+def test_report_text_is_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------- experiments

@@ -231,8 +231,22 @@ def test_undecodable_file_is_named(tmp_path, read):
     path.write_bytes(b"1,2\n3,\xff\n")
     with pytest.raises(ValueError) as info:
         read(path)
-    assert str(info.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 6: "
+    assert str(info.value) == (f"{path}: line 2, byte 6: 'utf-8' codec can't decode byte 0xff: "
                                "invalid start byte")
+    # past the decoder's first chunk the offset is still the file's: a
+    # 30,009-byte file whose last byte is the bad one
+    path.write_bytes(b"1,2\n" * 7502 + b"\xff")
+    assert path.stat().st_size == 30_009
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == (f"{path}: line 7503, byte 30008: 'utf-8' codec can't decode "
+                               "byte 0xff: invalid start byte")
+    # a sequence cut short names all of its bytes; CR LF is one line break
+    path.write_bytes(b"1,2\r\n3,\xe2\x82")
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == (f"{path}: line 2, byte 7: 'utf-8' codec can't decode "
+                               "bytes 0xe2 0x82: unexpected end of data")
 
 
 def test_read_raw_csv_fixture(scores_csv):
@@ -274,6 +288,27 @@ def test_read_raw_csv_names_the_first_bad_row(tmp_path):
     path.write_text('id,a\nr1,3.50\nr2,"1.50\n2.50"\n')
     with pytest.raises(ValueError, match="bad number in row 2: "):
         read_raw_csv(path)
+
+
+@pytest.mark.parametrize("read, text, error", [
+    (read_raw_csv, "a,b\n1,2\n3,4\n3..5,6\n", "bad number in row 3: "),
+    (lambda path: read_csv(path, FIVE), "a,b\n1,0.5\n0,1\n0..5,1\n",
+     "bad grade at row 3, column 1: "),
+], ids=["read_raw_csv", "read_csv"])
+def test_a_typo_in_the_first_column_is_a_bad_cell(tmp_path, read, text, error):
+    # a number or grade first in the column makes it data, not labels
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {error}")):
+        read(path)
+    oracle = oracles.read_raw_csv if read is read_raw_csv else (
+        lambda path: oracles.read_csv(path, FIVE))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {error}")):
+        oracle(path)
+    # a name first in the column still makes it labels, and then the
+    # later cells of that column are labels too
+    path.write_text(text.replace("\n1,", "\nr1,"))
+    assert read(path).shape == (3, 1)
 
 
 def test_read_ranges_csv_fixture(ranges_csv):

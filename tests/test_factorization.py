@@ -183,8 +183,8 @@ def test_a_factor_that_covers_nothing_stops_the_run(decathlon):
 # The batched candidate sweep of `find_factors` against the one-candidate-
 # at-a-time reference loop.  Small cell budgets force candidate batches to
 # split mid-attribute, so every batch boundary is exercised.  Each run is
-# repeated with the opening table capped at nothing, partway through an
-# attribute's candidates, and at its default, and with the level tables
+# repeated with the opening table capped at nothing, at half of its
+# opening's batches, and at its default, and with the level tables
 # capped at nothing (t-norm arithmetic) and at their default.
 
 ALL_KINDS = ("lukasiewicz", "godel", "goguen")
@@ -193,22 +193,38 @@ BUDGETS = (1, 37, factorization.SWEEP_CELL_BUDGET)
 LEVEL_TABLE_CAPS = (0, factorization._LEVEL_TABLE_BYTES)
 
 
-def table_caps(ctx):
-    """Opening-table caps in words: none, one that ends partway through the
-    second attribute's candidates (past the first on two grades), and the
-    default."""
+def opening_batches(ctx, budget):
+    """Candidates per batch, words per candidate and the number of batches
+    of a run's first opening at a cell budget: m * n candidates on an
+    n-step chain, batched by the input's cells, or on two grades by the
+    row words of the columns' holes."""
     n_rows, n_cols = ctx.shape
     n = ctx.scale.max_level
-    # words per opening candidate: its extent's row bitset and a byte per
-    # column on two grades, a bitset over all cells otherwise
-    width = -(-n_rows // 64) + -(-n_cols // 8) if n == 1 else -(-n_rows * n_cols // 64)
-    return 0, (n + (n + 1) // 2) * width, factorization._OPENING_TABLE_WORDS
+    if n == 1:
+        row_words = -(-n_rows // 64)
+        batch = max(1, budget // max(1, n_cols * row_words))
+        # its extent's row bitset and a byte per column
+        words = row_words + -(-n_cols // 8)
+    else:
+        batch = max(1, budget // max(1, n_rows * n_cols))
+        # a bitset over all cells
+        words = -(-n_rows * n_cols // 64)
+    return batch, words, -(-n_cols * n // batch)
+
+
+def table_caps(ctx, budget):
+    """Opening-table caps in words: none; the first half of the opening's
+    batches at `budget`, and at least one, so that the table stores whole
+    batches and, with two batches or more, leaves the rest to the sweep;
+    and the default."""
+    batch, words, batches = opening_batches(ctx, budget)
+    return 0, max(1, batches // 2) * batch * words, factorization._OPENING_TABLE_WORDS
 
 
 def assert_matches_reference(ctx, tie_break=DEFAULT_TIE_BREAK, budget=None, max_factors=None):
     budget = factorization.SWEEP_CELL_BUDGET if budget is None else budget
     slow = oracles.greedy_factors(ctx, tie_break, max_factors=max_factors)
-    for cap, level_cap in product(table_caps(ctx), LEVEL_TABLE_CAPS):
+    for cap, level_cap in product(table_caps(ctx, budget), LEVEL_TABLE_CAPS):
         with mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget), \
                 mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
                 mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
@@ -235,6 +251,19 @@ def test_sweep_matches_reference_on_each_tnorm(levels, kind):
     entries = np.random.default_rng(levels).integers(0, levels, size=(7, 5))
     entries[entries < levels // 4] = 0
     assert_matches_reference(GradedMatrix(scale, entries))
+
+
+@pytest.mark.parametrize("levels, shape", [(11, (8, 30)), (2, (20, 260))])
+def test_sweep_matches_reference_past_a_partial_opening_block(levels, shape):
+    # inputs whose first opening takes more than one batch at the default
+    # budget, so that the mid cap stores some of its batches and not all
+    scale = Scale(levels)
+    entries = np.random.default_rng(levels).integers(0, levels, size=shape)
+    if levels == 2:
+        entries &= np.random.default_rng(3).integers(0, 2, size=shape)
+    ctx = GradedMatrix(scale, entries)
+    assert opening_batches(ctx, factorization.SWEEP_CELL_BUDGET)[2] >= 2
+    assert_matches_reference(ctx)
 
 
 @pytest.mark.parametrize("levels", [128, 129])

@@ -3,7 +3,9 @@
 `read_csv` parses each distinct cell once, `write_csv` formats each level
 once, `read_raw_csv` stores integer columns and `discretize` rounds them
 column-wide; each must match the per-cell Fraction code level for level
-(byte for byte when writing), or raise the same error.  The decimal parser
+(byte for byte when writing), or raise the same error.  The whole-file
+row split must give csv.reader's rows, and the one-pass transaction
+parser the line-by-line reader's grid, or the same error.  The decimal parser
 must agree with Fraction(text) on every text.  The readers must turn any
 input into a result or a ValueError.
 """
@@ -30,6 +32,7 @@ from gradefactor import (
     read_raw_csv,
     write_csv,
 )
+from gradefactor import data
 from gradefactor.data import _parse_fraction, _parse_number, _raw_column, _read_rows
 
 MODES = ("strict", "lenient")
@@ -76,6 +79,21 @@ def test_write_csv_matches_oracle_byte_for_byte(tmp_path_factory, matrix):
     assert (folder / "fast.csv").read_bytes() == (folder / "oracle.csv").read_bytes()
     if matrix.n_cols:
         assert read_csv(folder / "fast.csv", matrix.scale) == matrix
+
+
+@pytest.mark.parametrize("levels", [2, 11, 262145, MAX_LEVELS])
+def test_write_csv_matches_oracle_on_long_chains_and_tall_inputs(tmp_path, levels):
+    # the last column's cells are keyed past the top level, up to twice
+    # it, and 3,000 rows of 3 cells are joined in three blocks
+    scale = Scale(levels)
+    n = scale.max_level
+    rng = np.random.default_rng(levels)
+    entries = rng.integers(0, n + 1, size=(3000, 3))
+    entries[:3] = [[0, n, n // 2], [n, 1, n], [n // 3, 0, 0]]
+    matrix = GradedMatrix(scale, entries)
+    write_csv(matrix, tmp_path / "fast.csv")
+    oracles.write_csv(matrix, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_write_csv_zero_width_rows(tmp_path):
@@ -597,6 +615,121 @@ def test_read_fimi_matches_oracle(tmp_path_factory, lines, num_items, end):
     path = tmp_path_factory.mktemp("fimi") / "t.dat"
     path.write_text("".join(" ".join(tokens) + end for tokens in lines), encoding="utf-8")
     assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
+
+
+# digits alone, and ids of 18, 19, 19 and 22 digits: the one-pass parser
+# reads ids of up to 18 digits and leaves longer ones to the line loop
+PLAIN_FIMI_TOKENS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(0, 12).map(lambda i: f"{i:03d}"),
+    st.sampled_from(["9" * 18, "1" + "0" * 18, "9" * 19, "0" * 21 + "7"]),
+)
+
+
+@given(
+    st.lists(st.tuples(st.lists(PLAIN_FIMI_TOKENS, max_size=6),
+                       st.sampled_from([" ", "\t", "  ", " \t"]),
+                       st.sampled_from(["", " ", "\t"])), max_size=8),
+    st.sampled_from([None, 1, 5, 13, 10**18, 10**20]),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+)
+@settings(max_examples=200)
+def test_read_fimi_in_one_pass_matches_oracle(tmp_path_factory, lines, num_items, end, last):
+    # a file of digits, blanks and \n alone is parsed in one pass; with
+    # \r in its line breaks, the same lines take the line loop
+    text = end.join(pad + sep.join(tokens) + pad for tokens, sep, pad in lines)
+    if last and text:
+        text += end
+    path = tmp_path_factory.mktemp("fimi") / "t.dat"
+    path.write_bytes(text.encode())
+    short = all(len(token) < 19 for tokens, _, _ in lines for token in tokens)
+    assert (data._fimi_tokens(text.encode()) is not None) == ("\r" not in text and short)
+    assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
+
+
+CSV_BREAKS = ("\n", "\r\n", "\r")
+# whitespace str.strip removes from a cell, and csv.reader keeps
+CELL_SPACES = (" ", "\t", "\x0b", "\xa0", "\u2028", "\x1c")
+LIMIT = 131072  # csv.field_size_limit() at its default, 128 KiB
+
+
+@st.composite
+def csv_cell(draw):
+    kind = draw(st.sampled_from(["plain"] * 6 + ["padded", "quoted", "empty", "long", "odd"]))
+    plain = draw(st.text("0123456789.-abL", min_size=1, max_size=4))
+    if kind == "plain":
+        return plain
+    if kind == "padded":
+        before, after = (draw(st.sampled_from(("",) + CELL_SPACES)) for _ in range(2))
+        return before + plain + after
+    if kind == "quoted":
+        inner = draw(st.sampled_from([plain, "a,b", "1\n2", "1\r\n2", "x\ry", '""', " 1 "]))
+        return f'"{inner}"'
+    if kind == "empty":
+        return ""
+    if kind == "long":
+        # a field of up to the limit is read, one past it is refused
+        return "7" * (LIMIT + draw(st.sampled_from([-1, 0, 1])))
+    # characters the row split must leave where csv.reader leaves them
+    inside = draw(st.sampled_from(["a b", "a\tb", "a\x0cb", "é", "a\x85b", "a\u2028b", "1\x002",
+                                   'a"b']))
+    return inside
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts with any of the three line breaks, blank and blank-looking
+    lines, whitespace around cells, quoted cells holding commas or line
+    breaks, ragged rows and fields near csv's size limit."""
+    width = draw(st.integers(1, 4))
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["ragged", "blank", "spaces"]))
+        if kind == "blank":
+            line = ""
+        elif kind == "spaces":
+            line = draw(st.sampled_from(CELL_SPACES)) * draw(st.integers(1, 2))
+        else:
+            cells = width if kind == "row" else draw(st.integers(1, 5))
+            line = ",".join(draw(csv_cell()) for _ in range(cells))
+        out.append(line + draw(st.sampled_from(CSV_BREAKS)))
+    text = "".join(out)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def rows_or_error(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(csv_texts())
+@settings(max_examples=300)
+def test_row_split_matches_csv_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("rows") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert rows_or_error(_read_rows, path) == rows_or_error(oracles.read_rows, path)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\r\n1,2\r\n", "a,b\r1,2\r", "a,b\n\n\r\n1,2", "a, b\n1,2\n", "a,b \n1,2\n",
+    "\ta,b\n1,2\n", "a,b\n 1,2\n", "a,b\n1,\xa02\n", '"a",b\n1,2\n', "a,b\n1,2,3\n",
+    "Roman Sebrle,1\nx y,2\n", "a,b\n\x0c\n1,2\n", "1\x002,3\n",
+])
+def test_row_split_matches_csv_reader_on_edge_cases(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert rows_or_error(_read_rows, path) == rows_or_error(oracles.read_rows, path)
+
+
+def test_row_split_space_set_is_what_strip_removes():
+    spaces = {c for c in map(chr, range(0x110000)) if c.isspace()} - {"\r", "\n"}
+    assert set(data._SPACES) == spaces
+    assert set(data._ASCII_SPACES) == {c for c in spaces if c.isascii()}
 
 
 def test_readers_reject_oversized_fields_and_exponents(tmp_path):
