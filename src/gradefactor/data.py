@@ -11,8 +11,8 @@ most 18 digits) in one pass, as int64 numerators over 10**F; every other
 column cell by cell, which would give a fixed-point column the same result.
 
 Every file is read and decoded whole, so an undecodable byte is named by
-its line and its offset in the file.  A CSV text with no quote, no NUL, no
-whitespace at either end of a cell and no line past csv's field size
+its line and its offset in the file.  An ASCII CSV text with no quote, no
+NUL, no whitespace at either end of a cell and no line past csv's field size
 limit is split on line breaks and commas with str.split; any other goes
 through csv.reader, which quotes and refuses long fields as it always
 has, and both give the same rows.  A transaction file of digits, blanks
@@ -193,11 +193,8 @@ class _Memo(dict):
         return value
 
 
-# whitespace str.strip removes, except the line breaks \r and \n
+# the ASCII whitespace str.strip removes, except the line breaks \r and \n
 _ASCII_SPACES = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
-_SPACES = _ASCII_SPACES + "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + (
-    "\u2028\u2029\u202f\u205f\u3000"
-)
 
 
 def _decode(path, data: bytes) -> str:
@@ -218,8 +215,9 @@ def _decode(path, data: bytes) -> str:
 
 
 def _has_padded_cell(text: str) -> bool:
-    """Whether a cell starts or ends with whitespace other than a line break."""
-    spaces = [space for space in (_ASCII_SPACES if text.isascii() else _SPACES) if space in text]
+    """Whether a cell of an ASCII text starts or ends with whitespace other
+    than a line break."""
+    spaces = [space for space in _ASCII_SPACES if space in text]
     if not spaces:
         return False
     framed = f"\n{text}\n"
@@ -231,9 +229,9 @@ def _has_padded_cell(text: str) -> bool:
 def _split_rows(text: str) -> list[list[str]] | None:
     """The rows of a CSV text split on line breaks and commas alone, or None
     when that could differ from what csv.reader and str.strip make of it: a
-    quote, a NUL, a cell with whitespace at an end, or a line longer than
-    csv's field size limit."""
-    if '"' in text or "\0" in text or _has_padded_cell(text):
+    non-ASCII character, a quote, a NUL, a cell with whitespace at an end,
+    or a line longer than csv's field size limit."""
+    if not text.isascii() or '"' in text or "\0" in text or _has_padded_cell(text):
         return None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")

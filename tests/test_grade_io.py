@@ -727,9 +727,13 @@ def test_row_split_matches_csv_reader_on_edge_cases(tmp_path, text):
 
 
 def test_row_split_space_set_is_what_strip_removes():
-    spaces = {c for c in map(chr, range(0x110000)) if c.isspace()} - {"\r", "\n"}
-    assert set(data._SPACES) == spaces
-    assert set(data._ASCII_SPACES) == {c for c in spaces if c.isascii()}
+    spaces = {c for c in map(chr, range(128)) if c.isspace()} - {"\r", "\n"}
+    assert set(data._ASCII_SPACES) == spaces
+
+
+@pytest.mark.parametrize("text", ["a,b\n1,\xa02\n", "a,b\n1\u2028,2\n", "é,b\n1,2\n"])
+def test_row_split_leaves_non_ascii_text_to_csv_reader(text):
+    assert data._split_rows(text) is None
 
 
 def test_readers_reject_oversized_fields_and_exponents(tmp_path):
