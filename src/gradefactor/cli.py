@@ -2,7 +2,8 @@
 
 Subcommands cover the whole workflow: discretize raw measurements, run the
 greedy decomposition or the exact small-instance oracle, dump coverage
-curves, and rerun the synthetic factorizability and coverage experiments.
+curves (the coverage experiment's truncated run is `coverage --max-factors
+50`), and rerun the synthetic factorizability experiment.
 All artifacts are written deterministically, so identical configurations
 produce byte-identical files; timings go to the console only.
 """
@@ -198,8 +199,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    """Serves `coverage` and `experiment-coverage`, which differ only in
-    the default of --max-factors."""
     matrix = _load_matrix(args)
     start = time.perf_counter()
     factor_set = find_factors(matrix, args.tie_break, max_factors=args.max_factors)
@@ -265,7 +264,6 @@ COMMANDS = {
     "coverage": cmd_coverage,
     "discretize": cmd_discretize,
     "experiment-factorizability": cmd_experiment_factorizability,
-    "experiment-coverage": cmd_coverage,
 }
 
 
@@ -325,17 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     greedy = (
-        ("factorize", "greedy exact decomposition", None),
-        ("coverage", "coverage curve of the greedy factors", None),
-        ("experiment-coverage", "coverage growth of a truncated greedy run", 50),
+        ("factorize", "greedy exact decomposition"),
+        ("coverage", "coverage curve of the greedy factors"),
     )
-    for name, help_text, max_factors in greedy:
+    for name, help_text in greedy:
         p = sub.add_parser(name, help=help_text)
         _add_input_args(p)
         _add_scale_args(p)
         _add_mode_args(p)
         _add_tie_break_arg(p)
-        p.add_argument("--max-factors", dest="max_factors", type=int, default=max_factors,
+        p.add_argument("--max-factors", dest="max_factors", type=int, default=None,
                        help="stop after this many factors (marks the run incomplete)")
         p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
 

@@ -198,11 +198,12 @@ _ASCII_SPACES = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
 
 
 def _decode(path, data: bytes) -> str:
-    """A file's bytes decoded as UTF-8 in one call.  A byte that does not
-    decode is named by its 1-based line, counting CR LF, CR and LF as
-    breaks, and by its 0-based offset in the file."""
+    """A file's bytes decoded as UTF-8 in one call, without a leading
+    byte-order mark.  A byte that does not decode is named by its 1-based
+    line, counting CR LF, CR and LF as breaks, and by its 0-based offset in
+    the file."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
@@ -335,57 +336,65 @@ def _parse_grade_cell(scale: Scale, text: str, *, strict: bool) -> int:
 
 
 def _cell_kind(scale: Scale, text: str) -> str:
-    """How layout detection reads a cell: "grade" for a level of the chain
-    or a number in [0, 1], "number" for any other number (a column named
-    2019, say), "name" for what no mode can parse as a grade."""
+    """How layout detection reads a graded cell: "grade" for a level of the
+    chain or a number in [0, 1], "number" for any other number (a column
+    named 2019, say), "name" for what no mode can parse as a grade."""
     try:
-        _parse_grade_cell(scale, text, strict=False)
+        if text.startswith("L"):
+            _parse_grade_cell(scale, text, strict=False)
+            return "grade"
+        numerator, denominator = _parse_number(text)
     except (ValueError, ZeroDivisionError):
         return "name"
-    if text.startswith("L") or 0 <= _parse_fraction(text) <= 1:
-        return "grade"
+    return "grade" if 0 <= numerator <= denominator else "number"
+
+
+def _raw_cell_kind(text: str) -> str:
+    """How layout detection reads a raw cell: "number" or "name"."""
+    try:
+        _parse_number(text)
+    except (ValueError, ZeroDivisionError):
+        return "name"
     return "number"
 
 
-def read_csv(path, scale: Scale, *, mode: str = "strict",
-             labeled: bool | None = None) -> GradedMatrix:
+def _layout(path, rows: list[list[str]], kind) -> tuple[bool, list[list[str]]]:
+    """Whether the first column holds row labels, and the rows below the
+    header, if there is one, of a CSV file; `kind` names a cell "grade",
+    "number" or "name".
+
+    A name in the first row marks it as a header, and a name as the first
+    body cell marks the first column as labels, so a later name in that
+    column is a bad cell.  A first row that holds grades outside the label
+    column, and no number, is data, so a bad cell in it is reported rather
+    than taken for a header; numbers there are column names.
+    """
+    first = [kind(text) for text in rows[0]]
+    body = rows[1:] if "name" in first else rows
+    has_labels = bool(body) and kind(body[0][0]) == "name"
+    names = first[has_labels:]
+    if body is not rows and "grade" in names and "number" not in names:
+        body = rows
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+    if len(body[0]) == has_labels:
+        raise ValueError(f"{path}: no data columns")
+    return has_labels, body
+
+
+def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     """Read a matrix of grades from CSV.
 
-    Cells are decimals in [0, 1] or levels written ``L<k>``.  With
-    ``labeled=None`` a header row and a label column are auto-detected and
-    stripped: a cell of the first row that is neither a grade nor a number
-    marks a header, and a first body cell that is neither marks the first
-    column as labels, so a later one in that column is a bad cell.  Pass
-    True or False to force the layout.  A first row that holds grades
-    outside the label column, and no number outside [0, 1], is data, so a
-    bad cell in it is reported rather than taken for a header; numbers
-    outside [0, 1] there are column names.
+    Cells are decimals in [0, 1] or levels written ``L<k>``.  A header row
+    and a label column are detected by `_layout` and stripped, a number
+    being a grade when it lies in [0, 1].
     """
     _check_mode(mode)
     strict = mode == "strict"
     rows = _read_rows(path)
-
-    if labeled is None:
-        kind = _Memo(lambda text: _cell_kind(scale, text))
-        first = [kind[c] for c in rows[0]]
-        has_header = "name" in first
-        body = rows[1:] if has_header else rows
-        # only the first body cell decides: a later name in that column is
-        # a bad cell, not a label
-        has_labels = bool(body) and kind[body[0][0]] == "name"
-        names = first[1 if has_labels else 0:]
-        if has_header and "grade" in names and "number" not in names:
-            # grades beside non-grade cells make a data row with a bad cell,
-            # not a header: parse it and report that cell
-            has_header, body = False, rows
-    else:
-        has_header = has_labels = labeled
-        body = rows[1:] if has_header else rows
-    if not body:
-        raise ValueError(f"{path}: no data rows")
+    kind = _Memo(lambda text: _cell_kind(scale, text))
+    has_labels, body = _layout(path, rows, kind.__getitem__)
     width = len(body[0]) - has_labels
-    if not width:
-        raise ValueError(f"{path}: no data columns")
 
     # each distinct cell text is parsed once; a bad one is never cached, so
     # the first cell missing from the memo is the first bad one in
@@ -472,43 +481,21 @@ def _fixed_point_column(cells: tuple[str, ...]) -> tuple[np.ndarray, int] | None
     return np.fromstring(text.replace(".", ""), dtype=np.int64, sep="\n"), 10**places
 
 
-def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
+def read_raw_csv(path) -> RawTable:
     """Read a labeled table of rational measurements from CSV.
 
-    Layout detection mirrors read_csv: a non-numeric cell in the first row
-    marks it as a header, and a non-numeric first body cell marks the first
-    column as labels; missing labels are synthesized from positions.  A bad
-    cell is reported by the first row that holds one.
+    A header row and a label column are detected by `_layout`, every cell
+    that parses being a number; missing labels are synthesized from
+    positions.  A bad cell is reported by the first row that holds one.
     """
     rows = _read_rows(path)
-
-    def is_number(text: str) -> bool:
-        try:
-            _parse_number(text)
-        except (ValueError, ZeroDivisionError):
-            return False
-        return True
-
-    if labeled is None:
-        has_header = not all(map(is_number, rows[0]))
-        body = rows[1:] if has_header else rows
-        # only the first body cell decides: a later non-number in that
-        # column is a bad cell, not a label
-        has_labels = bool(body) and not is_number(body[0][0])
-    else:
-        has_header = has_labels = labeled
-        body = rows[1:] if has_header else rows
-    if not body:
-        raise ValueError(f"{path}: no data rows")
-
+    has_labels, body = _layout(path, rows, _raw_cell_kind)
     texts = list(zip(*body))  # one tuple of cell texts per column
     row_labels = texts.pop(0) if has_labels else tuple(map(str, range(len(body))))
-    if not texts:
-        raise ValueError(f"{path}: no data columns")
-    if has_header:
-        col_labels = rows[0][1:] if has_labels else rows[0]
-    else:
+    if body is rows:
         col_labels = map(str, range(len(texts)))
+    else:
+        col_labels = rows[0][has_labels:]
     try:
         columns = [_fixed_point_column(cells) or _raw_column(tuple(map(_parse_number, cells)))
                    for cells in texts]

@@ -13,7 +13,9 @@ column-wide integer raw-table code must match them.  They read rows with
 `read_rows`, the original row reader, which streams the file through
 csv.reader and strips every cell; the whole-file split of
 `gradefactor.data._read_rows` must match it.  `read_raw_csv` parses with
-Fraction itself; the others share the cell helpers of `gradefactor.data`.
+Fraction itself; the others share the cell helpers of `gradefactor.data`,
+except that `read_csv` reads its layout with `cell_kind`, which parses a
+cell twice where `gradefactor.data._cell_kind` parses it once.
 `raw_table` and `table_values` convert between a RawTable's integer
 columns and rows of Fractions.  `read_fimi`, last, is the original
 transaction reader, which reads line by line and sets the grid one item
@@ -37,7 +39,6 @@ from gradefactor.data import (
     ColumnRange,
     RawTable,
     _MAX_EXPONENT_DIGITS,
-    _cell_kind,
     _check_mode,
     _parse_grade_cell,
 )
@@ -313,11 +314,24 @@ def _is_fraction(text: str) -> bool:
     return True
 
 
+def cell_kind(scale: Scale, text: str) -> str:
+    """How layout detection reads a graded cell: "name" unless the lenient
+    grade parser takes it, then "grade" for a level or a value in [0, 1]
+    and "number" for any other value."""
+    try:
+        _parse_grade_cell(scale, text, strict=False)
+    except (ValueError, ZeroDivisionError):
+        return "name"
+    if text.startswith("L") or 0 <= parse_fraction(text) <= 1:
+        return "grade"
+    return "number"
+
+
 def read_rows(path) -> list[list[str]]:
     """The rows of a CSV file through csv.reader, each cell stripped of
     surrounding whitespace and empty lines dropped; every row must be as
     wide as the first."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             rows = [row for row in reader]
@@ -333,7 +347,7 @@ def read_rows(path) -> list[list[str]]:
     return rows
 
 
-def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
+def read_raw_csv(path) -> RawTable:
     """Read a labeled table of rational measurements from CSV.
 
     Layout detection mirrors read_csv: a non-numeric cell in the first row
@@ -341,17 +355,11 @@ def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     column as labels; missing labels are synthesized from positions.
     """
     rows = read_rows(path)
-    if labeled is None:
-        has_header = not all(_is_fraction(c) for c in rows[0])
-        body = rows[1:] if has_header else rows
-        if not body:
-            raise ValueError(f"{path}: no data rows")
-        has_labels = not _is_fraction(body[0][0])
-    else:
-        has_header = has_labels = labeled
-        body = rows[1:] if has_header else rows
-        if not body:
-            raise ValueError(f"{path}: no data rows")
+    has_header = not all(_is_fraction(c) for c in rows[0])
+    body = rows[1:] if has_header else rows
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+    has_labels = not _is_fraction(body[0][0])
 
     col_labels = (rows[0][1:] if has_labels else rows[0]) if has_header else None
     row_labels = []
@@ -370,16 +378,14 @@ def read_raw_csv(path, *, labeled: bool | None = None) -> RawTable:
     return raw_table(row_labels, col_labels, values)
 
 
-def read_csv(path, scale: Scale, *, mode: str = "strict",
-             labeled: bool | None = None) -> GradedMatrix:
+def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     """Read a matrix of grades from CSV.
 
-    Cells are decimals in [0, 1] or levels written ``L<k>``.  With
-    ``labeled=None`` a header row and a label column are auto-detected and
-    stripped: a cell of the first row that is neither a grade nor a number
-    marks a header, and a first body cell that is neither marks the first
-    column as labels, so a later one in that column is a bad cell.  Pass
-    True or False to force the layout.  A first row that holds grades
+    Cells are decimals in [0, 1] or levels written ``L<k>``.  A header row
+    and a label column are auto-detected and stripped: a cell of the first
+    row that is neither a grade nor a number marks a header, and a first
+    body cell that is neither marks the first column as labels, so a later
+    one in that column is a bad cell.  A first row that holds grades
     outside the label column, and no number outside [0, 1], is data, so a
     bad cell in it is reported rather than taken for a header; numbers
     outside [0, 1] there are column names.
@@ -388,23 +394,17 @@ def read_csv(path, scale: Scale, *, mode: str = "strict",
     strict = mode == "strict"
     rows = read_rows(path)
 
-    if labeled is None:
-        first = [_cell_kind(scale, c) for c in rows[0]]
-        has_header = "name" in first
-        body = rows[1:] if has_header else rows
-        has_labels = bool(body) and _cell_kind(scale, body[0][0]) == "name"
-        names = first[1 if has_labels else 0:]
-        if has_header and "grade" in names and "number" not in names:
-            # grades beside non-grade cells make a data row with a bad cell,
-            # not a header: parse it and report that cell
-            has_header, body = False, rows
-        if not body:
-            raise ValueError(f"{path}: no data rows")
-    else:
-        has_header = has_labels = labeled
-        body = rows[1:] if has_header else rows
-        if not body:
-            raise ValueError(f"{path}: no data rows")
+    first = [cell_kind(scale, c) for c in rows[0]]
+    has_header = "name" in first
+    body = rows[1:] if has_header else rows
+    has_labels = bool(body) and cell_kind(scale, body[0][0]) == "name"
+    names = first[1 if has_labels else 0:]
+    if has_header and "grade" in names and "number" not in names:
+        # grades beside non-grade cells make a data row with a bad cell,
+        # not a header: parse it and report that cell
+        has_header, body = False, rows
+    if not body:
+        raise ValueError(f"{path}: no data rows")
 
     levels = []
     for r, row in enumerate(body):
@@ -435,7 +435,7 @@ def read_fimi(path, num_items: int | None = None) -> GradedMatrix:
     if num_items is not None and num_items < 1:
         raise ValueError(f"num_items must be positive, got {num_items}")
     transactions: list[list[int]] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             items = []
             for token in line.split():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,12 @@ from gradefactor import (
     read_csv,
     write_csv,
 )
-from gradefactor import cli
+from gradefactor import cli, factorization
 from gradefactor.cli import build_parser, main
 from gradefactor.data import MAX_FIMI_CELLS
 
 FIVE = Scale(5)
+TRANSACTIONS = "0 1 2\n1 2 3\n0 3 4\n2 4\n0 1 4\n1 3\n"
 
 
 def run(*argv):
@@ -87,7 +89,7 @@ def test_factorize_missing_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["factorize", "coverage", "experiment-coverage"])
+@pytest.mark.parametrize("command", ["factorize", "coverage"])
 def test_truncated_run_that_exceeds_the_input_is_rejected(tmp_path, graded_csv, monkeypatch,
                                                           capsys, command):
     # a full rectangle exceeds every cell of the decathlon input below 1
@@ -103,7 +105,7 @@ def test_truncated_run_that_exceeds_the_input_is_rejected(tmp_path, graded_csv, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["factorize", "coverage", "experiment-coverage"])
+@pytest.mark.parametrize("command", ["factorize", "coverage"])
 def test_factors_that_cover_less_than_their_trace_claims_are_rejected(
         tmp_path, graded_csv, monkeypatch, capsys, command):
     # two true factors of the decathlon input leave 14 cells uncovered;
@@ -183,22 +185,24 @@ def test_coverage_command(tmp_path, graded_csv):
 
 
 def test_experiment_coverage_command(tmp_path, graded_csv, capsys):
+    # the coverage experiment's greedy run stops at 50 factors; the
+    # decathlon input needs 7
     out = tmp_path / "out"
-    assert run("experiment-coverage", "--input", graded_csv, "--max-factors", 3,
-               "--out-dir", out) == 0
-    lines = (out / "coverage.tsv").read_text().splitlines()
-    assert len(lines) == 4
+    assert run("coverage", "--input", graded_csv, "--max-factors", 50, "--out-dir", out) == 0
+    assert len((out / "coverage.tsv").read_text().splitlines()) == 8
+    assert "run complete" in capsys.readouterr().out
+    assert run("coverage", "--input", graded_csv, "--max-factors", 3, "--out-dir", out) == 0
+    assert len((out / "coverage.tsv").read_text().splitlines()) == 4
     assert "run truncated" in capsys.readouterr().out
 
 
 def test_coverage_console_line_counts_covered_cells(tmp_path, graded_csv, capsys):
     out = tmp_path / "out"
-    assert run("experiment-coverage", "--input", graded_csv, "--max-factors", 0,
-               "--out-dir", out) == 0
+    assert run("coverage", "--input", graded_csv, "--max-factors", 0, "--out-dir", out) == 0
     assert capsys.readouterr().out.startswith("0 factors cover 0.0000 of the nonzero cells")
     zeros = tmp_path / "zeros.csv"
     zeros.write_text("0,0\n0,0\n")
-    assert run("experiment-coverage", "--input", zeros, "--out-dir", out) == 0
+    assert run("coverage", "--input", zeros, "--max-factors", 50, "--out-dir", out) == 0
     assert capsys.readouterr().out.startswith(
         "0 factors cover 1.0000 of the nonzero cells (run complete)"
     )
@@ -211,9 +215,11 @@ def test_coverage_commands_write_the_factorize_coverage(tmp_path, graded_csv):
         return (out / "coverage.tsv").read_bytes()
 
     truncated = {coverage_tsv(command, command, "--max-factors", 3)
-                 for command in ("factorize", "coverage", "experiment-coverage")}
+                 for command in ("factorize", "coverage")}
     assert len(truncated) == 1
-    assert coverage_tsv("full-factorize", "factorize") == coverage_tsv("full-coverage", "coverage")
+    full = coverage_tsv("full-factorize", "factorize")
+    assert coverage_tsv("full-coverage", "coverage") == full
+    assert coverage_tsv("coverage-50", "coverage", "--max-factors", 50) == full
 
 
 # ---------------------------------------------------------------- discretize
@@ -224,6 +230,30 @@ def test_discretize_command(tmp_path, scores_csv, ranges_csv, graded_csv):
     assert run("discretize", "--input", scores_csv, "--ranges", ranges_csv,
                "--out", out) == 0
     assert out.read_bytes() == graded_csv.read_bytes()
+
+
+def test_discretize_reads_byte_order_marked_copies_alike(tmp_path, scores_csv, ranges_csv,
+                                                         graded_csv):
+    for src in (scores_csv, ranges_csv):
+        (tmp_path / src.name).write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+    out = tmp_path / "graded.csv"
+    assert run("discretize", "--input", tmp_path / scores_csv.name,
+               "--ranges", tmp_path / ranges_csv.name, "--out", out) == 0
+    assert out.read_bytes() == graded_csv.read_bytes()
+
+
+@pytest.mark.parametrize("table", [
+    "id,a,b\nr1,-1.25,+3.50\nr2,0.75,2.50\nr3,2.00,-0.50\n",
+    "id,a,b\nr1,-1.25,+3.50\nr2,0.75,5/2\nr3,2.00,-0.50\n",
+], ids=["fixed-point", "cell-by-cell"])
+def test_discretize_reads_fixed_point_columns_as_cell_by_cell_ones(tmp_path, table):
+    # hundredths are read a column at a time; a cell written as a fraction
+    # sends its column cell by cell
+    src, ranges, out = tmp_path / "t.csv", tmp_path / "ranges.csv", tmp_path / "graded.csv"
+    src.write_text(table)
+    ranges.write_text("bound,a,b\nlow,-2,-1\nhigh,2,4\n")
+    assert run("discretize", "--input", src, "--ranges", ranges, "--out", out) == 0
+    assert out.read_text() == "0.25,1\n0.75,0.75\n1,0\n"
 
 
 def test_discretize_with_observed_ranges(tmp_path, scores_csv):
@@ -360,6 +390,65 @@ def test_artifacts_match_the_golden_bytes(tmp_path, data_dir, monkeypatch, comma
     assert artifact_bytes(out) == artifact_bytes(data_dir / "golden" / command)
 
 
+GRADED_COPIES = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "quoted": lambda text: "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
+                                   for line in text.splitlines()),
+    "byte-order-mark": lambda text: "\ufeff" + text,
+}
+
+
+@pytest.mark.parametrize("copy", sorted(GRADED_COPIES))
+def test_copies_of_the_golden_input_give_the_golden_artifacts(tmp_path, data_dir, monkeypatch,
+                                                              copy):
+    # a quoted copy goes through csv.reader, the others are split with
+    # str.split; under the input's name, factors.json records the golden path
+    text = (data_dir / "decathlon_graded.csv").read_text()
+    (tmp_path / "decathlon_graded.csv").write_bytes(GRADED_COPIES[copy](text).encode())
+    monkeypatch.chdir(tmp_path)
+    assert run("factorize", "--input", "decathlon_graded.csv", "--out-dir", tmp_path / "out") == 0
+    assert artifact_bytes(tmp_path / "out") == artifact_bytes(data_dir / "golden" / "factorize")
+
+
+@pytest.mark.parametrize("copy", ["crlf", "byte-order-mark"])
+def test_copies_of_a_transaction_file_give_its_artifacts(tmp_path, monkeypatch, copy):
+    # the plain file is parsed in one pass, its copy line by line
+    texts = {"plain": TRANSACTIONS, "crlf": TRANSACTIONS.replace("\n", "\r\n"),
+             "byte-order-mark": "\ufeff" + TRANSACTIONS}
+    artifacts = []
+    for name in ("plain", copy):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("t.dat").write_bytes(texts[name].encode())
+        assert run("factorize", "--input", "t.dat", "--format", "fimi", "--levels", 2,
+                   "--out-dir", "out") == 0
+        artifacts.append(artifact_bytes(Path("out")))
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("case", ["godel", "goguen", "past-the-level-table-cap", "fimi",
+                                  "fimi-truncated"])
+def test_reruns_are_byte_identical(tmp_path, graded_csv, monkeypatch, case):
+    transactions = tmp_path / "t.dat"
+    transactions.write_text(TRANSACTIONS)
+    fimi = (transactions, "--format", "fimi", "--levels", 2)
+    argv = {
+        "godel": (graded_csv, "--tnorm", "godel"),
+        "goguen": (graded_csv, "--tnorm", "goguen", "--rounded"),
+        "past-the-level-table-cap": (graded_csv,),
+        "fimi": fimi,
+        "fimi-truncated": fimi + ("--max-factors", 1),
+    }[case]
+    if case == "past-the-level-table-cap":
+        # the sweep computes its residua by t-norm arithmetic, as it does
+        # for this input on a chain of 262,145 grades
+        monkeypatch.setattr(factorization, "_LEVEL_TABLE_BYTES", 0)
+    first, second = tmp_path / "one", tmp_path / "two"
+    for out in (first, second):
+        assert run("factorize", "--input", *argv, "--out-dir", out) == 0
+    assert artifact_bytes(first) == artifact_bytes(second)
+
+
 # ---------------------------------------------------------------- plumbing
 
 
@@ -409,7 +498,7 @@ def test_allocation_failure_is_one_line(tmp_path, graded_csv, capsys, monkeypatc
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["factorize", "coverage", "experiment-coverage", "oracle"])
+@pytest.mark.parametrize("command", ["factorize", "coverage", "oracle"])
 def test_num_items_without_fimi_is_refused(tmp_path, graded_csv, capsys, command):
     out = tmp_path / "out"
     assert run(command, "--input", graded_csv, "--num-items", 7, "--out-dir", out) == 1
@@ -456,8 +545,18 @@ def test_unknown_tie_break_is_a_parse_error(tmp_path, graded_csv):
 def test_parser_help_lists_all_commands():
     text = build_parser().format_help()
     for name in ("factorize", "oracle", "coverage", "discretize",
-                 "experiment-factorizability", "experiment-coverage"):
+                 "experiment-factorizability"):
         assert name in text
+
+
+def test_experiment_coverage_is_not_a_command(tmp_path, graded_csv, capsys):
+    # `coverage --max-factors 50` runs the coverage experiment
+    assert "experiment-coverage" not in build_parser().format_help()
+    with pytest.raises(SystemExit) as info:
+        run("experiment-coverage", "--input", graded_csv, "--out-dir", tmp_path / "out")
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "experiment-coverage" in err
 
 
 def test_module_entry_point(tmp_path, graded_csv):

@@ -172,14 +172,6 @@ def test_read_csv_numeric_column_names_mark_a_header(tmp_path, mode, header):
     assert read_csv(path, FIVE, mode=mode).entries.tolist() == [[1, 2], [4, 0]]
 
 
-def test_read_csv_forced_layout(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("0.25,0.5\n1,0\n")
-    assert read_csv(path, FIVE, labeled=False).shape == (2, 2)
-    path.write_text("h,a\nr,0.25\n")
-    assert read_csv(path, FIVE, labeled=True).shape == (1, 1)
-
-
 def test_read_csv_strict_vs_lenient(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("0.3\n")
@@ -201,26 +193,22 @@ def test_read_csv_garbage_and_shape_errors(tmp_path):
         read_csv(path, FIVE)
 
 
-@pytest.mark.parametrize("labeled", [None, True])
-@pytest.mark.parametrize("read", [lambda path, labeled: read_csv(path, FIVE, labeled=labeled),
-                                  lambda path, labeled: read_raw_csv(path, labeled=labeled)],
+@pytest.mark.parametrize("read", [lambda path: read_csv(path, FIVE), read_raw_csv],
                          ids=["read_csv", "read_raw_csv"])
-def test_header_only_file_has_no_data_rows(tmp_path, read, labeled):
+def test_header_only_file_has_no_data_rows(tmp_path, read):
     path = tmp_path / "h.csv"
     path.write_text("id,a,b\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows$"):
-        read(path, labeled)
+        read(path)
 
 
-@pytest.mark.parametrize("labeled", [None, True])
-@pytest.mark.parametrize("read", [lambda path, labeled: read_csv(path, FIVE, labeled=labeled),
-                                  lambda path, labeled: read_raw_csv(path, labeled=labeled)],
+@pytest.mark.parametrize("read", [lambda path: read_csv(path, FIVE), read_raw_csv],
                          ids=["read_csv", "read_raw_csv"])
-def test_label_only_file_has_no_data_columns(tmp_path, read, labeled):
+def test_label_only_file_has_no_data_columns(tmp_path, read):
     path = tmp_path / "l.csv"
     path.write_text("id\nr1\nr2\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data columns$"):
-        read(path, labeled)
+        read(path)
 
 
 @pytest.mark.parametrize("read", [lambda path: read_csv(path, FIVE), read_raw_csv,
@@ -247,6 +235,25 @@ def test_undecodable_file_is_named(tmp_path, read):
         read(path)
     assert str(info.value) == (f"{path}: line 2, byte 7: 'utf-8' codec can't decode "
                                "bytes 0xe2 0x82: unexpected end of data")
+
+
+def test_a_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "t.csv"
+    # kept, the mark made "894" a name: a header row, and one row lost
+    path.write_text("\ufeff894,1020\n989,1050\n800,900\n", encoding="utf-8")
+    table = read_raw_csv(path)
+    assert table.row_labels == ("0", "1", "2") and table.col_labels == ("0", "1")
+    assert [column.tolist() for column in table.columns] == [[894, 989, 800], [1020, 1050, 900]]
+    path.write_text("\ufeff0.5\n1\n0.25\n", encoding="utf-8")
+    assert read_csv(path, FIVE).entries.tolist() == [[2], [4], [1]]
+    path.write_text("\ufeff0.5,1\n0,0.25\n", encoding="utf-8")
+    assert read_csv(path, FIVE).entries.tolist() == [[2, 4], [0, 1]]
+    path.write_text("\ufeff0 1\n1 2\n", encoding="utf-8")
+    assert read_fimi(path).entries.tolist() == [[1, 1, 0], [0, 1, 1]]
+    # an undecodable byte's offset still counts the mark's three bytes
+    path.write_bytes("\ufeff1,2\n3,".encode() + b"\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2, byte 9: "):
+        read_raw_csv(path)
 
 
 def test_read_raw_csv_fixture(scores_csv):

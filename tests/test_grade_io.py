@@ -36,7 +36,6 @@ from gradefactor import data
 from gradefactor.data import _parse_fraction, _parse_number, _raw_column, _read_rows
 
 MODES = ("strict", "lenient")
-LAYOUTS = (None, True, False)
 # cells no mode reads as a grade on any chain up to 101 levels
 JUNK = ("x", "nan", "inf", "", "1/0", "L", "Lx", "L-1", "L102", "0.5.5", "--1", "1e99999")
 
@@ -170,14 +169,14 @@ def grade_files(draw):
     return scale, text
 
 
-@given(grade_files(), st.sampled_from(MODES), st.sampled_from(LAYOUTS))
+@given(grade_files(), st.sampled_from(MODES))
 @settings(max_examples=400)
-def test_read_csv_matches_oracle(tmp_path_factory, case, mode, labeled):
+def test_read_csv_matches_oracle(tmp_path_factory, case, mode):
     scale, text = case
     path = tmp_path_factory.mktemp("read") / "m.csv"
     path.write_text(text)
-    got = outcome(read_csv, path, scale, mode=mode, labeled=labeled)
-    assert got == outcome(oracles.read_csv, path, scale, mode=mode, labeled=labeled)
+    got = outcome(read_csv, path, scale, mode=mode)
+    assert got == outcome(oracles.read_csv, path, scale, mode=mode)
 
 
 @pytest.mark.parametrize("text, where", [
@@ -188,17 +187,23 @@ def test_read_csv_matches_oracle(tmp_path_factory, case, mode, labeled):
     ("name,a,b\nr1,0.5,1\nr2,1/0,0\nr3,1/0,1\n", "row 2, column 1"),
     ("0.5,1\n0.25,0.3\n0.3,1\n", "row 2, column 2"),
 ])
-@pytest.mark.parametrize("labeled", [None, False])
-def test_read_csv_names_the_first_bad_cell(tmp_path, text, where, labeled):
-    if labeled is False and text.startswith("name"):
-        where = "row 1, column 1"
+def test_read_csv_names_the_first_bad_cell(tmp_path, text, where):
     path = tmp_path / "m.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=where):
-        read_csv(path, Scale(5), labeled=labeled)
-    assert outcome(read_csv, path, Scale(5), labeled=labeled) == outcome(
-        oracles.read_csv, path, Scale(5), labeled=labeled
-    )
+        read_csv(path, Scale(5))
+    assert outcome(read_csv, path, Scale(5)) == outcome(oracles.read_csv, path, Scale(5))
+
+
+@given(scales(), st.data())
+@settings(max_examples=100)
+def test_cell_kind_matches_oracle(scale, draws):
+    # one parse classifies a cell as the oracle's two parses do
+    text = draws.draw(st.one_of(
+        grade_text(scale, bad=True), number_text(), st.sampled_from(EDGE_NUMBERS),
+        st.text(max_size=8), st.integers(0, 200).map(lambda k: f"L{k}"),
+    ))
+    assert data._cell_kind(scale, text) == oracles.cell_kind(scale, text)
 
 
 def test_read_csv_accepts_every_spelling_of_a_grade(tmp_path):
@@ -432,12 +437,12 @@ def raw_files(draw):
     return text, lows, highs
 
 
-def ingest(read, observe, discretize_, path, scale, mode, labeled, declared):
+def ingest(read, observe, discretize_, path, scale, mode, declared):
     """Read, range and discretize a raw file with one implementation; each
     stage's result, or the error that stops the run."""
     stages = []
     try:
-        table = read(path, labeled=labeled)
+        table = read(path)
         stages.append((table.row_labels, table.col_labels, oracles.table_values(table)))
         if declared is None:
             ranges = observe(table)
@@ -451,20 +456,20 @@ def ingest(read, observe, discretize_, path, scale, mode, labeled, declared):
     return stages
 
 
-@given(raw_files(), scales(), st.sampled_from(MODES), st.sampled_from(LAYOUTS), st.booleans())
+@given(raw_files(), scales(), st.sampled_from(MODES), st.booleans())
 @settings(max_examples=300)
-def test_raw_ingest_matches_oracle(tmp_path_factory, case, scale, mode, labeled, observed):
+def test_raw_ingest_matches_oracle(tmp_path_factory, case, scale, mode, observed):
     text, lows, highs = case
     path = tmp_path_factory.mktemp("raw") / "t.csv"
     path.write_text(text)
     declared = None if observed else (lows, highs)
     got = ingest(read_raw_csv, ColumnRange.from_table, discretize,
-                 path, scale, mode, labeled, declared)
+                 path, scale, mode, declared)
     want = ingest(oracles.read_raw_csv, oracles.column_range, oracles.discretize,
-                  path, scale, mode, labeled, declared)
+                  path, scale, mode, declared)
     assert got == want
     if not isinstance(got[0], str):
-        assert_columns_built_per_cell(read_raw_csv(path, labeled=labeled), path)
+        assert_columns_built_per_cell(read_raw_csv(path), path)
 
 
 def assert_columns_built_per_cell(table, path):
@@ -506,9 +511,9 @@ def test_raw_ingest_past_int64_matches_oracle(tmp_path, name, levels):
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
                 got = ingest(read_raw_csv, ColumnRange.from_table, discretize,
-                             path, scale, mode, None, ranges)
+                             path, scale, mode, ranges)
             want = ingest(oracles.read_raw_csv, oracles.column_range, oracles.discretize,
-                          path, scale, mode, None, ranges)
+                          path, scale, mode, ranges)
             assert got == want
             # read and ranged; only strict mode may refuse a declared bound
             assert len(got) == 3
@@ -559,9 +564,9 @@ def test_one_unusual_cell_does_not_widen_its_column(tmp_path):
         for mode in MODES:
             for ranges in (None, declared):
                 got = ingest(read_raw_csv, ColumnRange.from_table, discretize,
-                             path, Scale(levels), mode, None, ranges)
+                             path, Scale(levels), mode, ranges)
                 want = ingest(oracles.read_raw_csv, oracles.column_range, oracles.discretize,
-                              path, Scale(levels), mode, None, ranges)
+                              path, Scale(levels), mode, ranges)
                 assert got == want
 
 
@@ -577,14 +582,14 @@ FUZZ_BYTES = st.one_of(
 )
 
 
-@given(FUZZ_BYTES, st.sampled_from(MODES), st.sampled_from(LAYOUTS), st.integers(2, 7))
+@given(FUZZ_BYTES, st.sampled_from(MODES), st.integers(2, 7))
 @settings(max_examples=300)
-def test_readers_return_or_raise_value_error(tmp_path_factory, data, mode, labeled, levels):
+def test_readers_return_or_raise_value_error(tmp_path_factory, data, mode, levels):
     path = tmp_path_factory.mktemp("fuzz") / "in"
     path.write_bytes(data)
     calls = [
-        (lambda: read_csv(path, Scale(levels), mode=mode, labeled=labeled), GradedMatrix),
-        (lambda: read_raw_csv(path, labeled=labeled), RawTable),
+        (lambda: read_csv(path, Scale(levels), mode=mode), GradedMatrix),
+        (lambda: read_raw_csv(path), RawTable),
         (lambda: read_fimi(path), GradedMatrix),
         (lambda: read_fimi(path, num_items=levels), GradedMatrix),
     ]
@@ -608,12 +613,15 @@ FIMI_TOKENS = st.one_of(
     st.lists(st.lists(FIMI_TOKENS, max_size=8), max_size=8),
     st.sampled_from([None, 1, 5, 13]),
     st.sampled_from(["\n", "\r\n", "\t\n"]),
+    st.sampled_from(["", "", "", "\ufeff"]),
 )
 @settings(max_examples=200)
-def test_read_fimi_matches_oracle(tmp_path_factory, lines, num_items, end):
-    # the same grid or the same error, naming the same first bad token
+def test_read_fimi_matches_oracle(tmp_path_factory, lines, num_items, end, mark):
+    # the same grid or the same error, naming the same first bad token; a
+    # leading byte-order mark is dropped by both
     path = tmp_path_factory.mktemp("fimi") / "t.dat"
-    path.write_text("".join(" ".join(tokens) + end for tokens in lines), encoding="utf-8")
+    text = mark + "".join(" ".join(tokens) + end for tokens in lines)
+    path.write_text(text, encoding="utf-8")
     assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
 
 
@@ -697,6 +705,8 @@ def csv_texts(draw):
     text = "".join(out)
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")
+    if draw(st.integers(0, 7)) == 0:
+        text = "\ufeff" + text  # a byte-order mark, which neither reader keeps
     return text
 
 
@@ -719,6 +729,7 @@ def test_row_split_matches_csv_reader(tmp_path_factory, text):
     "a,b\r\n1,2\r\n", "a,b\r1,2\r", "a,b\n\n\r\n1,2", "a, b\n1,2\n", "a,b \n1,2\n",
     "\ta,b\n1,2\n", "a,b\n 1,2\n", "a,b\n1,\xa02\n", '"a",b\n1,2\n', "a,b\n1,2,3\n",
     "Roman Sebrle,1\nx y,2\n", "a,b\n\x0c\n1,2\n", "1\x002,3\n",
+    "\ufeff1,2\n", "\ufeff\ufeffa,b\n1,2\n",
 ])
 def test_row_split_matches_csv_reader_on_edge_cases(tmp_path, text):
     path = tmp_path / "t.csv"
