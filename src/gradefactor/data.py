@@ -542,8 +542,10 @@ def read_fimi(path, num_items: int | None = None, *,
     an empty line is an empty transaction.  With `num_items` given, ids
     index columns directly and must stay below it.  Without it, the
     distinct ids that occur are mapped onto columns in sorted order, so
-    datasets whose ids start at 1 do not drag along an unused column.
-    A grid of more than MAX_FIMI_CELLS cells is refused.
+    datasets whose ids start at 1 do not drag along an unused column: by a
+    table of the ids present when they are all below the file's byte
+    count, by a sort otherwise, so memory follows the file and not the
+    largest id.  A grid of more than MAX_FIMI_CELLS cells is refused.
     """
     if scale is None:
         scale = Scale.boolean()
@@ -571,6 +573,11 @@ def read_fimi(path, num_items: int | None = None, *,
             distinct = sorted(set(ids))
             column = {item: c for c, item in enumerate(distinct)}
             cols = np.fromiter(map(column.__getitem__, ids), dtype=np.intp, count=len(ids))
+        elif (top := int(ids.max())) < len(data):
+            present = np.zeros(top + 1, dtype=bool)
+            present[ids] = True
+            distinct = np.flatnonzero(present)
+            cols = (np.cumsum(present, dtype=np.intp) - 1)[ids]
         else:
             distinct, cols = np.unique(ids, return_inverse=True)
         width = len(distinct)
@@ -601,8 +608,9 @@ def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     """Lines, and each item id with its 0-based line, of a transaction file
     of ASCII digits, spaces, tabs and LF only, parsed in one pass; None for
     any other file, or one with an id of 19 digits or more, which may not
-    fit int64.  A token starts at a digit after a non-digit, and its line
-    is the number of LFs before it."""
+    fit int64.  A token starts at a digit after a non-digit.  Each LF is
+    placed among the sorted token starts, which counts the tokens of each
+    line, and each line's number is repeated that many times."""
     if data.translate(None, _FIMI_BYTES):
         return None
     lines = data.count(b"\n") + (bool(data) and not data.endswith(b"\n"))
@@ -612,7 +620,9 @@ def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     starts, ends = edges[0::2], edges[1::2]
     if len(starts) and (ends - starts).max() >= 19:
         return None
-    rows = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
+    before = np.searchsorted(starts, np.flatnonzero(codes == ord("\n")))
+    per_line = np.diff(before, prepend=0, append=len(starts))
+    rows = np.repeat(np.arange(len(per_line)), per_line)
     # fromstring reads whitespace alone as one 0
     ids = np.fromstring(data, dtype=np.int64, sep=" ") if len(starts) else starts
     return lines, rows, ids

@@ -546,7 +546,10 @@ def coverage_curve(factor_set: FactorSet, context: GradedMatrix) -> list[Fractio
     matrices, so it must equal the context when the set is complete and
     never exceed it otherwise.  Prefixes only grow, so then none exceeds
     the context, and a nonzero cell is covered exactly where its prefix
-    equals it: the pass recounts `uncovered_counts` from the curve.
+    equals it: the pass recounts `uncovered_counts` from the curve.  A
+    factor that raised its support block alone moves the count of matching
+    cells by the block's matches before and after; one that raised the
+    whole grid has it recounted.
 
     Raises ValueError, in this order, when a complete set does not
     reproduce the context, when the factors exceed it, and when the
@@ -560,8 +563,16 @@ def coverage_curve(factor_set: FactorSet, context: GradedMatrix) -> list[Fractio
         )
     entries = context.entries
     acc = np.zeros_like(entries)
-    equal = [int(np.count_nonzero(acc == entries))
-             for _ in _superpose(factor_set.a, factor_set.b, acc)]
+    equal = []
+    count = int(np.count_nonzero(entries == 0))
+    for raised in _superpose(factor_set.a, factor_set.b, acc):
+        if raised is None:
+            count = int(np.count_nonzero(acc == entries))
+        else:
+            index, old, new = raised
+            block = entries[index]
+            count += int(np.count_nonzero(new == block)) - int(np.count_nonzero(old == block))
+        equal.append(count)
     if factor_set.complete and not np.array_equal(acc, entries):
         raise ValueError("factors do not reproduce the input exactly")
     if not np.all(acc <= entries):

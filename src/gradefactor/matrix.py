@@ -149,10 +149,28 @@ def compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 
 def _superpose(a: GradedMatrix, b: GradedMatrix, out: np.ndarray):
     """Raise `out` to the rectangle of each factor in turn, the l-th with
-    extent a[:, l] and intent b[l, :], in place, yielding after each."""
+    extent a[:, l] and intent b[l, :], in place, yielding after each.
+
+    A rectangle is zero outside its support block, the rows of its nonzero
+    extent grades by the columns of its nonzero intent grades, since every
+    t-norm maps 0 to 0.  A factor whose block holds at most half of the
+    grid's cells raises that block alone and yields (index, old, new):
+    out[index] held `old` and now holds `new`.  Any other factor raises the
+    whole grid and yields None.
+    """
+    scale = a.scale
+    half = out.size / 2
     for extent, intent in zip(a.entries.T, b.entries):
-        # holding the last rectangle until the next exists keeps the
-        # allocator from faulting in a fresh n x m block per factor
-        rect = _rectangle(a.scale, extent, intent)
-        np.maximum(out, rect, out=out)
-        yield
+        (rows,), (cols,) = extent.nonzero(), intent.nonzero()
+        if len(rows) * len(cols) > half:
+            # holding a whole-grid rectangle until the next exists keeps the
+            # allocator from faulting in a fresh n x m block per such factor
+            rect = _rectangle(scale, extent, intent)
+            np.maximum(out, rect, out=out)
+            yield None
+            continue
+        index = rows[:, None], cols
+        old = out[index]
+        new = np.maximum(old, _rectangle(scale, extent[rows], intent[cols]))
+        out[index] = new
+        yield index, old, new

@@ -10,6 +10,7 @@ are frozen here.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,20 @@ JOINT_RESULT = (0.4, 0.8, 0.6)
 SEPARATE_SUM = (0.0, 0.6, 0.2)
 
 
+# A transaction file shaped like the chess dataset: 3196 transactions over
+# 75 items, each item present with probability 0.49, drawn by
+# `tall_transactions`.  The ten factors that `factorize --format fimi
+# --levels 2 --max-factors 10` finds in it each span a small block of the
+# grid.  The sha256 of each artifact that run writes, from an input named
+# tall.dat:
+TALL_SHA256 = {
+    "A.csv": "4971e92ed73efd78df8854cc6d5eae10e0758ffa1186da400bbb63c1364f0bf7",
+    "B.csv": "80088347980fa3923f98ee1d61731ec5b27bcba49f0fd2c7dda321d828c57cde",
+    "coverage.tsv": "f2ff982f0c5cc91031fb8d55d683d3213ec47bfccdb2685cee8f789aab13edad",
+    "factors.json": "3ad5e1aa60c41dd1551031efb154704e1d4750a710c74e5909d7a91d382f43e2",
+}
+
+
 def scale() -> Scale:
     return Scale(5, "lukasiewicz")
 
@@ -148,3 +163,14 @@ def reference_factor_set() -> FactorSet:
 def printed_factor_matrices() -> tuple[GradedMatrix, GradedMatrix]:
     s = scale()
     return GradedMatrix.from_values(s, A_F), GradedMatrix.from_values(s, B_F)
+
+
+def tall_transactions() -> str:
+    """The text of the chess-shaped transaction file, ids from 1, drawn with
+    `random.Random`, whose `random()` sequence for a seed is fixed across
+    Python versions."""
+    rng = random.Random(3196)
+    return "".join(
+        " ".join(str(j + 1) for j in range(75) if rng.random() < 0.49) + "\n"
+        for _ in range(3196)
+    )

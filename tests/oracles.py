@@ -6,6 +6,8 @@ kernels under test.  The one exception is `greedy_factors`, the original
 one-candidate-at-a-time greedy: it closes each candidate with the plain
 `down`/`up` operators, which have their own loop oracles above, and is the
 reference the batched candidate sweep of `find_factors` must match.
+`full_coverage_curve` builds one full rectangle per factor, where
+`coverage_curve` raises a factor's support block alone when it can.
 The per-cell `read_csv`, `write_csv`, `read_raw_csv` and `discretize` at
 the end are the original grade I/O, which parses, formats and rounds every
 cell through Fractions; the memoized readers and writer and the
@@ -96,6 +98,38 @@ def loop_compose(a: GradedMatrix, b: GradedMatrix) -> list[list[int]]:
             for j in range(b.n_cols)
         ]
         for i in range(a.n_rows)
+    ]
+
+
+def full_coverage_curve(factor_set: FactorSet, context: GradedMatrix) -> list[Fraction]:
+    """`coverage_curve` from one full n x m rectangle per factor, each cell
+    aggregated with `value_tnorm`: the fraction of cells each prefix
+    superposition matches, after the same three checks in the same order,
+    with the uncovered cells of every prefix counted one by one."""
+    scale, a, b = context.scale, factor_set.a.entries, factor_set.b.entries
+    cells = context.entries.tolist()
+    n, m = len(cells), len(cells[0])
+    grid = [[0] * m for _ in range(n)]
+    prefixes = [grid]
+    for l in range(factor_set.a.n_cols):
+        rect = [[value_tnorm(scale, int(a[i, l]), int(b[l, j])) for j in range(m)]
+                for i in range(n)]
+        grid = [[max(g, r) for g, r in zip(grow, rrow)] for grow, rrow in zip(grid, rect)]
+        prefixes.append(grid)
+    if factor_set.uncovered_counts[-1] == 0 and grid != cells:
+        raise ValueError("factors do not reproduce the input exactly")
+    if any(g > c for grow, crow in zip(grid, cells) for g, c in zip(grow, crow)):
+        raise ValueError("factors exceed the input")
+    trace = tuple(
+        sum(c != 0 and p != c for prow, crow in zip(prefix, cells) for p, c in zip(prow, crow))
+        for prefix in prefixes
+    )
+    if trace != tuple(factor_set.uncovered_counts):
+        raise ValueError("factors do not cover the cells their uncovered counts claim")
+    return [
+        Fraction(sum(p == c for prow, crow in zip(prefix, cells) for p, c in zip(prow, crow)),
+                 n * m)
+        for prefix in prefixes[1:]
     ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from gradefactor import FuzzySet, GradedMatrix, Scale
@@ -53,3 +54,37 @@ def context_with_intent(draw, **kwargs):
     level = st.integers(0, ctx.scale.max_level)
     levels = draw(st.lists(level, min_size=ctx.n_cols, max_size=ctx.n_cols))
     return ctx, FuzzySet(ctx.scale, levels)
+
+
+# the supports one factor's extent or intent may have: no nonzero grade,
+# one, every one, or arbitrary grades
+SUPPORTS = ("none", "one", "all", "any")
+
+
+@st.composite
+def factor_pairs(draw, max_rows: int = 8, max_cols: int = 8, max_factors: int = 5,
+                 kinds=EXACT_KINDS):
+    """Factor matrices a (n x k) and b (k x m), k >= 0, whose factors mix
+    empty, single-row, single-column, dense and arbitrary supports."""
+    sc = draw(scales(kinds))
+    n = draw(st.integers(1, max_rows))
+    m = draw(st.integers(1, max_cols))
+    k = draw(st.integers(0, max_factors))
+    level = st.integers(0, sc.max_level)
+    nonzero = st.integers(1, sc.max_level)
+
+    def grades(size: int) -> list[int]:
+        support = draw(st.sampled_from(SUPPORTS))
+        if support == "none":
+            return [0] * size
+        if support == "one":
+            out = [0] * size
+            out[draw(st.integers(0, size - 1))] = draw(nonzero)
+            return out
+        return draw(st.lists(nonzero if support == "all" else level,
+                             min_size=size, max_size=size))
+
+    extents = [grades(n) for _ in range(k)]
+    intents = [grades(m) for _ in range(k)]
+    return (GradedMatrix(sc, np.array(extents, dtype=np.int64).reshape(k, n).T),
+            GradedMatrix(sc, np.array(intents, dtype=np.int64).reshape(k, m)))

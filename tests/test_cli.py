@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, and error handling."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -388,6 +389,19 @@ def test_artifacts_match_the_golden_bytes(tmp_path, data_dir, monkeypatch, comma
     out = tmp_path / command
     assert run(command, "--input", "decathlon_graded.csv", "--out-dir", out) == 0
     assert artifact_bytes(out) == artifact_bytes(data_dir / "golden" / command)
+
+
+def test_a_tall_transaction_run_gives_the_pinned_artifacts(tmp_path, monkeypatch):
+    # each of the ten factors spans under 1% of the 3196 x 75 grid, so the
+    # coverage pass raises support blocks alone; the artifacts must be
+    # those of the whole-grid pass, pinned in golden.TALL_SHA256
+    monkeypatch.chdir(tmp_path)
+    Path("tall.dat").write_text(golden.tall_transactions())
+    assert run("factorize", "--input", "tall.dat", "--format", "fimi", "--levels", 2,
+               "--max-factors", 10, "--out-dir", "out") == 0
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in artifact_bytes(Path("out")).items()}
+    assert digests == golden.TALL_SHA256
 
 
 GRADED_COPIES = {

@@ -746,6 +746,68 @@ def test_coverage_curve_matches_prefix_superpositions(ctx):
         assert cov == Fraction(agree, ctx.entries.size)
 
 
+def curve_or_error(curve, factor_set, context):
+    try:
+        return curve(factor_set, context)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(strategies.factor_pairs(kinds=ALL_KINDS), st.sampled_from(["product", "raised", "any"]),
+       st.sampled_from(["true", "complete", "off"]), st.data())
+@settings(max_examples=300)
+def test_coverage_curve_matches_full_rectangles(pair, context_kind, claim, data):
+    # support blocks and whole-grid raises give the curve, or the error, of
+    # one full rectangle per factor, on complete and truncated sets
+    a, b = pair
+    scale, (n, m), k = a.scale, (a.n_rows, b.n_cols), a.n_cols
+    product = oracles.loop_compose(a, b)
+    assert compose(a, b).entries.tolist() == product
+    cells = np.array(product, dtype=np.int64).reshape(n, m)
+    if context_kind != "product":
+        level = st.integers(0, scale.max_level)
+        drawn = np.reshape(data.draw(st.lists(level, min_size=n * m, max_size=n * m)), (n, m))
+        cells = np.maximum(cells, drawn) if context_kind == "raised" else drawn
+    context = GradedMatrix(scale, cells)
+    prefixes = [np.array(oracles.loop_compose(GradedMatrix(scale, a.entries[:, :l]),
+                                              GradedMatrix(scale, b.entries[:l]))).reshape(n, m)
+                for l in range(k + 1)]
+    trace = [int(np.count_nonzero((cells != 0) & (prefix != cells))) for prefix in prefixes]
+    if claim == "complete":
+        trace[-1] = 0
+    elif claim == "off":
+        trace[data.draw(st.integers(0, k))] += 1
+    fs = FactorSet(a, b, tuple(trace))
+    assert (curve_or_error(coverage_curve, fs, context)
+            == curve_or_error(oracles.full_coverage_curve, fs, context))
+
+
+@pytest.mark.parametrize("cell, trace, error", [
+    (3, (48, 2, 0), None),
+    (4, (48, 2, 0), "factors do not reproduce the input exactly"),
+    (2, (48, 2, 1), "factors exceed the input"),
+    (4, (48, 2, 2), "factors do not cover the cells their uncovered counts claim"),
+])
+def test_coverage_curve_checks_cells_inside_a_sparse_block(cell, trace, error):
+    # factor 1 raises all 48 cells of a 6 x 8 grid to 1, the whole grid;
+    # factor 2 raises its support block, row 2 by columns 3 and 4, to 3.
+    # The offending cell, (2, 4), lies inside that block
+    godel = Scale(5, "godel")
+    a = GradedMatrix(godel, [[1, 3 if i == 2 else 0] for i in range(6)])
+    b = GradedMatrix(godel, [[1] * 8, [4 if j in (3, 4) else 0 for j in range(8)]])
+    fs = FactorSet(a, b, trace)
+    cells = np.ones((6, 8), dtype=np.int64)
+    cells[2, 3:5] = 3, cell
+    context = GradedMatrix(godel, cells)
+    if error is None:
+        assert coverage_curve(fs, context) == [Fraction(46, 48), Fraction(1)]
+    else:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            coverage_curve(fs, context)
+    assert (curve_or_error(coverage_curve, fs, context)
+            == curve_or_error(oracles.full_coverage_curve, fs, context))
+
+
 # ---------------------------------------------------------------- oracle
 
 

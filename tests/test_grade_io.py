@@ -10,6 +10,8 @@ must agree with Fraction(text) on every text.  The readers must turn any
 input into a result or a ValueError.
 """
 
+import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -625,13 +627,18 @@ def test_read_fimi_matches_oracle(tmp_path_factory, lines, num_items, end, mark)
     assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
 
 
-# digits alone, and ids of 18, 19, 19 and 22 digits: the one-pass parser
-# reads ids of up to 18 digits and leaves longer ones to the line loop
+# digits alone; ids of 18, 18, 19, 19 and 22 digits (the one-pass parser
+# reads ids of up to 18 digits and leaves longer ones to the line loop); and
+# ids one below, at and one past the file's byte count, written BYTES-1,
+# BYTES+0 and BYTES+1 (the one-pass parser maps ids below that count through
+# a presence table, and others by a sort)
 PLAIN_FIMI_TOKENS = st.one_of(
     st.integers(0, 12).map(str),
     st.integers(0, 12).map(lambda i: f"{i:03d}"),
-    st.sampled_from(["9" * 18, "1" + "0" * 18, "9" * 19, "0" * 21 + "7"]),
+    st.sampled_from(["9" * 18, "1" + "0" * 17, "1" + "0" * 18, "9" * 19, "0" * 21 + "7"]),
+    st.sampled_from(["BYTES-1", "BYTES+0", "BYTES+1"]),
 )
+BYTES = re.compile(r"BYTES([-+]\d)")
 
 
 @given(
@@ -640,20 +647,44 @@ PLAIN_FIMI_TOKENS = st.one_of(
                        st.sampled_from(["", " ", "\t"])), max_size=8),
     st.sampled_from([None, 1, 5, 13, 10**18, 10**20]),
     st.sampled_from(["\n", "\r\n", "\r"]),
+    st.integers(0, 2),
     st.booleans(),
 )
-@settings(max_examples=200)
-def test_read_fimi_in_one_pass_matches_oracle(tmp_path_factory, lines, num_items, end, last):
+@settings(max_examples=300)
+def test_read_fimi_in_one_pass_matches_oracle(tmp_path_factory, lines, num_items, end, empty,
+                                              last):
     # a file of digits, blanks and \n alone is parsed in one pass; with
-    # \r in its line breaks, the same lines take the line loop
-    text = end.join(pad + sep.join(tokens) + pad for tokens, sep, pad in lines)
+    # \r in its line breaks, the same lines take the line loop.  Leading
+    # empty lines and a missing last line break shift the line that a
+    # num_items error names
+    text = end * empty + end.join(pad + sep.join(tokens) + pad for tokens, sep, pad in lines)
     if last and text:
         text += end
+    # every BYTES token becomes seven digits, so the file's size is known first
+    size = len(BYTES.sub("0" * 7, text).encode())
+    text = BYTES.sub(lambda match: f"{size + int(match[1]):07d}", text)
     path = tmp_path_factory.mktemp("fimi") / "t.dat"
     path.write_bytes(text.encode())
+    assert path.stat().st_size == size
     short = all(len(token) < 19 for tokens, _, _ in lines for token in tokens)
     assert (data._fimi_tokens(text.encode()) is not None) == ("\r" not in text and short)
     assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
+
+
+@pytest.mark.parametrize("largest", [10**7, 10**18 - 1])
+def test_read_fimi_memory_follows_the_file_not_the_largest_id(tmp_path, largest):
+    # ids far past the file's byte count are mapped by a sort, not through
+    # a table as long as the largest id
+    path = tmp_path / "t.dat"
+    path.write_text(f"1 {largest}\n12\n")
+    tracemalloc.start()
+    try:
+        matrix = read_fimi(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.entries.tolist() == [[1, 0, 1], [0, 1, 0]]
+    assert peak < 10**6
 
 
 CSV_BREAKS = ("\n", "\r\n", "\r")
