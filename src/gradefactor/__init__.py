@@ -9,7 +9,6 @@ whose factors are formal concepts of the input.
 from .concepts import (
     BudgetExceededError,
     FormalConcept,
-    close_intent,
     concept_from_intent,
     down,
     enumerate_concepts,
@@ -55,7 +54,6 @@ __all__ = [
     "Scale",
     "TIE_BREAK_POLICIES",
     "TNORM_KINDS",
-    "close_intent",
     "compose",
     "concept_from_intent",
     "coverage_curve",

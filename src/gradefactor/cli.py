@@ -142,11 +142,11 @@ def _json_text(value, indent: str = "") -> str:
 def _write_json(path: Path, payload: dict) -> None:
     """Write exactly ``json.dumps(payload, indent=2, sort_keys=True)`` and a
     line break."""
-    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_coverage_tsv(path: Path, curve, nonzero) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("factor\tequal_fraction\tcovered_nonzero\n")
         for l, (eq, nz) in enumerate(zip(curve, nonzero), start=1):
             handle.write(f"{l}\t{float(eq):.6f}\t{float(nz):.6f}\n")
@@ -244,7 +244,7 @@ def cmd_experiment_factorizability(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     args.out_dir.mkdir(parents=True, exist_ok=True)
     dist_text = "uniform" if args.distribution is None else ",".join(f"{w:g}" for w in args.distribution)
-    with open(args.out_dir / "stats.tsv", "w", encoding="utf-8") as handle:
+    with open(args.out_dir / "stats.tsv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write(
             f"# size={args.rows}x{args.cols} levels={args.levels} tnorm={args.tnorm} "
             f"tie_break={args.tie_break} seed={args.seed} dist={dist_text}\n"
@@ -312,7 +312,7 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_tie_break_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tie-break", dest="tie_break",
-                        choices=tuple(TIE_BREAK_POLICIES), default=DEFAULT_TIE_BREAK)
+                        choices=TIE_BREAK_POLICIES, default=DEFAULT_TIE_BREAK)
 
 
 def build_parser() -> argparse.ArgumentParser:

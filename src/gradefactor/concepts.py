@@ -75,11 +75,6 @@ def down(context: GradedMatrix, intent: FuzzySet) -> FuzzySet:
     return FuzzySet(context.scale, _down_levels(context.scale, context.entries, intent.membership))
 
 
-def close_intent(context: GradedMatrix, intent: FuzzySet) -> FuzzySet:
-    """The least closed intent containing `intent`, i.e. up(down(intent))."""
-    return concept_from_intent(context, intent).intent
-
-
 def concept_from_intent(context: GradedMatrix, intent: FuzzySet) -> FormalConcept:
     """The concept generated by an arbitrary (not necessarily closed) intent."""
     _require_context(context)

@@ -14,10 +14,10 @@ from one of two read-only row sources: three tables per run, up to a
 fixed size, so that closures and cover tests are lookups, the cover test
 by adjointness: tnorm(e, c) >= b exactly when c > residuum(e, b - 1); or,
 past the cap, t-norm arithmetic.  Every factor opens from the empty
-intent, whose candidates cover the same cells all run long, so one
-opening table per run keeps the covers of the first opening's batches as
-one block, up to a fixed number of words, and later openings score it by
-popcount.
+intent, whose candidates cover the same cells all run long, so each run
+keeps the covers of the opening's first batches as one block, up to a
+fixed number of words, and every opening scores it by popcount.  Ties on
+the gain go to one of two named policies, decided within a batch in numpy.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -42,33 +41,24 @@ from .matrix import (LEVEL_DTYPE, FuzzySet, GradedMatrix, _rectangle, _require_c
                      _require_same_scale, _superpose)
 from .scale import Scale
 
-# A tie-break policy maps (attribute index, grade level) to a sort key;
-# among equal-gain candidates the one with the largest key wins.  Both
-# built-in policies prefer lower grades: a lower grade constrains the
-# intent less, so the strictly-improving inner loop keeps more room to
-# extend the candidate before it stalls.
-TieBreakKey = Callable[[int, int], tuple]
-
-TIE_BREAK_POLICIES: dict[str, TieBreakKey] = {
-    # prefer the lower grade, then the earlier attribute
-    "grade-then-index": lambda j, a: (-a, -j),
-    # prefer the earlier attribute, then the lower grade
-    "index-then-grade": lambda j, a: (-j, -a),
-}
+# Among equal-gain candidates a tie-break policy picks one: both prefer
+# lower grades, since a lower grade constrains the intent less, so the
+# strictly-improving inner loop keeps more room to extend the candidate
+# before it stalls.  "grade-then-index" takes the lowest grade, then the
+# earliest attribute; "index-then-grade" the earliest attribute, then the
+# lowest grade.
+TIE_BREAK_POLICIES = ("grade-then-index", "index-then-grade")
 
 DEFAULT_TIE_BREAK = "grade-then-index"
 
 
-def resolve_tie_break(policy) -> TieBreakKey:
-    if callable(policy):
+def resolve_tie_break(policy) -> str:
+    if isinstance(policy, str) and policy in TIE_BREAK_POLICIES:
         return policy
-    try:
-        return TIE_BREAK_POLICIES[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown tie-break policy {policy!r}, expected one of: "
-            f"{', '.join(TIE_BREAK_POLICIES)} or a callable"
-        ) from None
+    given = "a callable key" if callable(policy) else repr(policy)
+    raise ValueError(
+        f"unknown tie-break policy: {given}; expected one of: {', '.join(TIE_BREAK_POLICIES)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -129,19 +119,19 @@ class FactorSet:
 # Cells one batch of candidates may touch: a batch of c candidates over r
 # rows and m columns holds c * r * m levels on a graded chain, from either
 # row source, since a batch spans every row of the input; or c * m * w
-# words of w row words on the two-grade chain.  The opening table scores
-# its stored covers this many words at a time.  A batch's memory is
-# therefore flat in the number of grades.  What a run keeps grows with them
-# only up to a cap: the opening table's stored batches up to
-# _OPENING_TABLE_WORDS, the level and column tables up to
-# _LEVEL_TABLE_BYTES.
+# words of w row words on the two-grade chain.  The opening block is
+# scored this many words at a time.  A batch's memory is therefore flat in
+# the number of grades.  What a run keeps grows with them only up to a cap:
+# the opening block up to _OPENING_TABLE_WORDS, the level and column tables
+# up to _LEVEL_TABLE_BYTES.
 SWEEP_CELL_BUDGET = 1 << 16
 
-# 8-byte words of covers one run's opening table may hold (4 MiB).  On an
+# 8-byte words of covers one run's opening block may hold (4 MiB).  On an
 # n-step chain an r x m input has m * n opening candidates of r * m / 64
-# words each, so the whole table grows with the grades; the cap keeps it
-# fixed.  It holds the whole table of a 200 x 100 input on 11 levels (313k
-# words); on two grades a candidate takes only r / 64 + m / 8 words.
+# words each, so the whole opening grows with the grades; the cap keeps the
+# block fixed.  It holds the whole opening of a 200 x 100 input on 11
+# levels (313k words); on two grades a candidate takes only r / 64 + m / 8
+# words.
 _OPENING_TABLE_WORDS = 1 << 19
 
 # Bytes the three tables of one run may take (16 MiB): the two level tables
@@ -407,49 +397,37 @@ def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedS
     return _GradedSweep(entries, mask, rows)
 
 
-class _OpeningTable:
-    """The opening step of every factor, scored from one table per run.
+def _opening_block(sweep, intent: np.ndarray, extent: np.ndarray) -> tuple:
+    """The covers of the opening step's first batches, as one block.
 
     Each factor opens from the empty intent, whose extent down(∅) is top
     because residuum(0, b) = n, so the opening candidates, their closures
     and the nonzero cells they cover stay fixed for the whole run; only the
-    uncovered cells change.  The sweep scores the first opening, and the
-    table keeps the covers of its batches as one block, with their
-    attributes and grades: the longest prefix of whole batches, in (j, a)
-    order, that fits in _OPENING_TABLE_WORDS words.  Later openings score
-    the block by `count`, SWEEP_CELL_BUDGET words at a time: one popcount
-    for a 40 x 30 input on 11 levels (5.7k words).  Candidates past the
-    block are scored by the sweep.  The table stands in for the sweep in
-    `_best_candidate` on opening steps only.
+    uncovered cells change.  The block is (js, levels, *covers) of the
+    longest prefix of whole batches, in (j, a) order, that fits in
+    _OPENING_TABLE_WORDS words, or an empty block when no batch fits.
     """
+    parts, words = [], 0
+    for js, levels, _, covers, _ in sweep.batches(intent, extent):
+        words += len(js) * sweep.cover_words
+        if words > _OPENING_TABLE_WORDS:
+            break
+        parts.append((js, levels, *covers))
+    return tuple(map(np.concatenate, zip(*parts))) or ((), ())
 
-    def __init__(self, sweep: _GradedSweep | _BitsetSweep) -> None:
-        self.sweep = sweep
-        self.block: tuple | None = None
 
-    def _fill(self, intent: np.ndarray, extent: np.ndarray):
-        parts, words = [], 0
-        for batch in self.sweep.batches(intent, extent):
-            js, levels, _, covers, _ = batch
-            words += len(js) * self.sweep.cover_words
-            if words <= _OPENING_TABLE_WORDS:
-                parts.append((js, levels, *covers))
-            yield batch
-        # (js, levels, *covers), or an empty block when no batch fits
-        self.block = tuple(map(np.concatenate, zip(*parts))) or ((), ())
-
-    def batches(self, intent: np.ndarray, extent: np.ndarray):
-        if self.block is None:
-            yield from self._fill(intent, extent)
-            return
-        sweep = self.sweep
-        js, levels, *covers = self.block
-        step = max(1, SWEEP_CELL_BUDGET // sweep.cover_words)
-        for lo in range(0, len(js), step):
-            part = js[lo:lo + step], levels[lo:lo + step]
-            stored = tuple(a[lo:lo + step] for a in covers)
-            yield *part, sweep.count(*stored), stored, _closing(sweep, extent, *part)
-        yield from sweep.batches(intent, extent, len(js))
+def _opening_batches(sweep, block: tuple, intent: np.ndarray, extent: np.ndarray):
+    """The opening step's batches: the block's, scored by `count`
+    SWEEP_CELL_BUDGET words at a time with no closure, then the sweep's for
+    the candidates past it.  One popcount scores the block of a 40 x 30
+    input on 11 levels (5.7k words)."""
+    js, levels, *covers = block
+    step = max(1, SWEEP_CELL_BUDGET // sweep.cover_words)
+    for lo in range(0, len(js), step):
+        part = js[lo:lo + step], levels[lo:lo + step]
+        stored = tuple(a[lo:lo + step] for a in covers)
+        yield *part, sweep.count(*stored), stored, _closing(sweep, extent, *part)
+    yield from sweep.batches(intent, extent, len(js))
 
 
 def _closing(sweep, extent: np.ndarray, js: np.ndarray, levels: np.ndarray):
@@ -458,29 +436,30 @@ def _closing(sweep, extent: np.ndarray, js: np.ndarray, levels: np.ndarray):
     return lambda c: sweep.closure(extent, int(js[c]), int(levels[c]))
 
 
-def _best_candidate(sweep, intent: np.ndarray, extent: np.ndarray, key: TieBreakKey):
-    """The winning (gain, j, a, extent, closed intent) over every extension
-    (j, a) with a > intent[j], or None when the intent is already top.
+def _best_candidate(batches, tie_break: str):
+    """The winning (gain, j, a, extent, closed intent) over batches of the
+    extensions (j, a) with a > intent[j] of one intent, in (j, a) order, or
+    None when there are none, as when the intent is already top.
 
-    The winner has the largest (gain, key(j, a)); equal ranks go to the
-    first candidate in (j, a) order.  `key` is evaluated only on candidates
-    tying for the top gain seen so far.  Candidates with a <= intent[j]
-    leave the intent unchanged, so their gain is the current concept's own
-    cover count and they can never be a strict improvement.
+    The winner has the largest gain.  Among equal gains "index-then-grade"
+    takes the first in (j, a) order, so a later batch must gain strictly
+    more; "grade-then-index" takes the lowest grade, then the first in
+    order, so batches compare by (gain, -a, -j).  Candidates with
+    a <= intent[j] leave the intent unchanged, so their gain is the current
+    concept's own cover count and they can never be a strict improvement.
     """
+    by_grade = tie_break == "grade-then-index"
     best = None
-    for js, levels, g, _, closing in sweep.batches(intent, extent):
-        top = int(g.max())
-        if best is not None and top < best[0][0]:
-            continue
-        for c in (g == top).nonzero()[0]:
-            j, a = int(js[c]), int(levels[c])
-            rank = (top, key(j, a))
-            if best is None or rank > best[0]:
-                best = (rank, j, a, closing, c)
+    for js, levels, g, _, closing in batches:
+        ties = (g == g.max()).nonzero()[0]
+        c = ties[levels[ties].argmin()] if by_grade else ties[0]
+        j, a = int(js[c]), int(levels[c])
+        rank = (int(g[c]), -a, -j) if by_grade else (int(g[c]),)
+        if best is None or rank > best[0]:
+            best = (rank, j, a, closing, c)
     if best is None:
         return None
-    (g, _), j, a, closing, c = best
+    (g, *_), j, a, closing, c = best
     return (g, j, a, *closing(c))
 
 
@@ -490,35 +469,38 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
 
     Each round grows an intent from empty: among all attribute-grade pairs
     it picks the one whose generated concept covers the most uncovered
-    nonzero cells (ties resolved by `tie_break`), closes the extended
-    intent, and repeats while the best cover count strictly improves.  The
-    finished concept is appended and the cells it covers are retired.
+    nonzero cells (ties resolved by `tie_break`, a name in
+    TIE_BREAK_POLICIES), closes the extended intent, and repeats while the
+    best cover count strictly improves.  The finished concept is appended
+    and the cells it covers are retired.
 
     A `max_factors` bound truncates the run; its trace then ends above 0,
     so the result is incomplete instead of pretending to be exact.
     """
     _require_context(context)
-    key = resolve_tie_break(tie_break)
+    tie_break = resolve_tie_break(tie_break)
     if max_factors is not None and max_factors < 0:
         raise ValueError(f"max_factors must be nonnegative, got {max_factors}")
     scale, entries = context.scale, context.entries
     n_rows, n_cols = entries.shape
     mask = entries != 0
     sweep = _make_sweep(scale, entries, mask)
-    opening = _OpeningTable(sweep)
+    # the empty intent's extent is top, since residuum(0, b) = n
+    empty = np.zeros(n_cols, dtype=LEVEL_DTYPE)
+    top = np.full(n_rows, scale.max_level, dtype=LEVEL_DTYPE)
     uncovered = [int(mask.sum())]
     extents: list[np.ndarray] = []
     intents: list[np.ndarray] = []
 
     while uncovered[-1] and (max_factors is None or len(extents) < max_factors):
-        # the empty intent's extent is top, since residuum(0, b) = n
-        intent = np.zeros(n_cols, dtype=LEVEL_DTYPE)
-        extent = np.full(n_rows, scale.max_level, dtype=LEVEL_DTYPE)
-        best_so_far = 0
-        selected = _best_candidate(opening, intent, extent, key)
+        if not extents:
+            # once per run, and only by a run that seeks a factor
+            block = _opening_block(sweep, empty, top)
+        best_so_far, extent, intent = 0, top, empty
+        selected = _best_candidate(_opening_batches(sweep, block, empty, top), tie_break)
         while selected is not None and selected[0] > best_so_far:
             best_so_far, _, _, extent, intent = selected
-            selected = _best_candidate(sweep, intent, extent, key)
+            selected = _best_candidate(sweep.batches(intent, extent), tie_break)
         extents.append(extent)
         intents.append(intent)
         uncovered.append(sweep.retire(extent, intent))

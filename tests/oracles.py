@@ -44,7 +44,6 @@ from gradefactor.data import (
     _check_mode,
     _parse_grade_cell,
 )
-from gradefactor.factorization import resolve_tie_break
 from gradefactor.matrix import LEVEL_DTYPE
 
 
@@ -194,6 +193,15 @@ def candidate_closure(scale: Scale, entries: np.ndarray, intent: np.ndarray,
     return extent, closed
 
 
+# Each tie-break policy as a sort key on (attribute index, grade level):
+# among equal-gain candidates the one with the largest key wins, and equal
+# keys go to the first candidate in (j, a) order.
+TIE_BREAK_KEYS = {
+    "grade-then-index": lambda j, a: (-a, -j),
+    "index-then-grade": lambda j, a: (-j, -a),
+}
+
+
 def select_candidate(scale: Scale, entries: np.ndarray, mask: np.ndarray,
                       intent: np.ndarray, key, skip_dominated: bool):
     """Best (gain, j, a) over all candidate extensions, with closure arrays.
@@ -226,7 +234,7 @@ def greedy_factors(context: GradedMatrix, tie_break="grade-then-index", *,
     `skip_dominated=False` also evaluates the candidates that leave the
     intent unchanged; the factors must come out the same either way.
     """
-    key = resolve_tie_break(tie_break)
+    key = TIE_BREAK_KEYS[tie_break]
     scale, entries = context.scale, context.entries
     n_rows, n_cols = entries.shape
     mask = entries != 0

@@ -13,7 +13,6 @@ from gradefactor import (
     FuzzySet,
     GradedMatrix,
     Scale,
-    close_intent,
     concept_from_intent,
     down,
     enumerate_concepts,
@@ -54,9 +53,9 @@ def test_galois_extensivity_and_idempotence(case):
 @settings(max_examples=80)
 def test_closure_is_extensive_and_idempotent(case):
     ctx, intent = case
-    closed = close_intent(ctx, intent)
+    closed = concept_from_intent(ctx, intent).intent
     assert np.all(intent.membership <= closed.membership)
-    assert close_intent(ctx, closed) == closed
+    assert concept_from_intent(ctx, closed).intent == closed
 
 
 def test_up_is_antitone():

@@ -80,17 +80,23 @@ def test_both_policies_reach_seven_on_decathlon(decathlon):
         assert_exact(fs, decathlon)
 
 
-def test_callable_tie_break_accepted(decathlon):
-    fs = find_factors(decathlon, lambda j, a: (a, -j))
-    assert_exact(fs, decathlon)
-    # this key prefers high grades and pays for it with an extra factor
-    assert len(fs.factors) == 8
+def test_callable_tie_break_refused(decathlon):
+    # a tie-break is a policy name; a key function is refused with a
+    # one-line error that names both policies
+    with pytest.raises(ValueError, match="^unknown tie-break policy: a callable key; ") as info:
+        find_factors(decathlon, lambda j, a: (a, -j))
+    message = str(info.value)
+    assert "\n" not in message
+    assert all(policy in message for policy in TIE_BREAK_POLICIES)
 
 
 def test_unknown_tie_break_rejected(decathlon):
     with pytest.raises(ValueError, match="unknown tie-break"):
         find_factors(decathlon, "alphabetical")
-    assert resolve_tie_break(DEFAULT_TIE_BREAK) is TIE_BREAK_POLICIES[DEFAULT_TIE_BREAK]
+    assert TIE_BREAK_POLICIES == ("grade-then-index", "index-then-grade")
+    assert DEFAULT_TIE_BREAK in TIE_BREAK_POLICIES
+    for policy in TIE_BREAK_POLICIES:
+        assert resolve_tie_break(policy) == policy
 
 
 def test_single_rectangle_needs_one_factor():
@@ -183,12 +189,11 @@ def test_a_factor_that_covers_nothing_stops_the_run(decathlon):
 # The batched candidate sweep of `find_factors` against the one-candidate-
 # at-a-time reference loop.  Small cell budgets force candidate batches to
 # split mid-attribute, so every batch boundary is exercised.  Each run is
-# repeated with the opening table capped at nothing, at half of its
+# repeated with the opening block capped at nothing, at half of its
 # opening's batches, and at its default, and with the level tables
 # capped at nothing (t-norm arithmetic) and at their default.
 
 ALL_KINDS = ("lukasiewicz", "godel", "goguen")
-TIE_BREAKS = (*TIE_BREAK_POLICIES, lambda j, a: (a % 3, -j))
 BUDGETS = (1, 37, factorization.SWEEP_CELL_BUDGET)
 LEVEL_TABLE_CAPS = (0, factorization._LEVEL_TABLE_BYTES)
 
@@ -213,8 +218,8 @@ def opening_batches(ctx, budget):
 
 
 def table_caps(ctx, budget):
-    """Opening-table caps in words: none; the first half of the opening's
-    batches at `budget`, and at least one, so that the table stores whole
+    """Opening-block caps in words: none; the first half of the opening's
+    batches at `budget`, and at least one, so that the block stores whole
     batches and, with two batches or more, leaves the rest to the sweep;
     and the default."""
     batch, words, batches = opening_batches(ctx, budget)
@@ -229,14 +234,14 @@ def assert_matches_reference(ctx, tie_break=DEFAULT_TIE_BREAK, budget=None, max_
                 mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
                 mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
             fast = find_factors(ctx, tie_break, max_factors=max_factors)
-        assert fast == slow, f"opening table at {cap} words, level tables at {level_cap} bytes"
+        assert fast == slow, f"opening block at {cap} words, level tables at {level_cap} bytes"
 
 
 @given(
     strategies.scales(ALL_KINDS, max_levels=101).flatmap(
         lambda scale: strategies.contexts(scale, max_rows=5, max_cols=4)
     ),
-    st.sampled_from(TIE_BREAKS),
+    st.sampled_from(TIE_BREAK_POLICIES),
     st.sampled_from(BUDGETS),
 )
 @settings(max_examples=150)
@@ -356,7 +361,7 @@ def test_column_and_level_tables_fit_the_default_cap(levels, shape):
     st.integers(1, 6),
     st.floats(0.05, 0.95),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(TIE_BREAKS),
+    st.sampled_from(TIE_BREAK_POLICIES),
     st.sampled_from(BUDGETS),
     st.sampled_from([None, 1, 2]),
 )
@@ -376,33 +381,38 @@ def test_bitset_sweep_matches_reference_on_a_truncated_tall_run():
 
 def test_opening_table_stays_within_its_cap():
     ctx = GradedMatrix(Scale(101), np.random.default_rng(101).integers(0, 101, size=(20, 10)))
-    tables = []
+    blocks = []
+    opening_block = factorization._opening_block
 
-    class Recorded(factorization._OpeningTable):
-        def __init__(self, sweep):
-            super().__init__(sweep)
-            tables.append(self)
+    def recorded(sweep, *args):
+        blocks.append((sweep, opening_block(sweep, *args)))
+        return blocks[-1][1]
 
-    # the whole table is 10 attributes x 100 grades x 4 words per candidate,
-    # in batches of 65536 // 200 = 327 candidates
+    # the whole opening is 10 attributes x 100 grades x 4 words per
+    # candidate, in batches of 65536 // 200 = 327 candidates
     cap = 3000
-    with mock.patch.object(factorization, "_OpeningTable", Recorded), \
+    with mock.patch.object(factorization, "_opening_block", recorded), \
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
         capped = find_factors(ctx)
-    (table,) = tables
-    js, levels, *covers = table.block
+    ((sweep, block),) = blocks
+    js, levels, *covers = block
     stored = sum(a.nbytes for a in covers)
     assert 0 < stored <= 8 * cap
     # the block holds the first candidates in (j, a) order, as the longest
     # prefix of whole batches that fits, not all 1000
     order = [(j, a) for j in range(10) for a in range(1, 101)]
     assert list(zip(js.tolist(), levels.tolist())) == order[:len(js)]
-    batch, width = table.sweep.batch, table.sweep.cover_words
+    batch, width = sweep.batch, sweep.cover_words
     assert len(js) % batch == 0
     assert len(js) * width <= cap < (len(js) + batch) * width
     assert 0 < len(js) < len(order)
     with mock.patch.object(factorization, "_OPENING_TABLE_WORDS", 0):
         assert find_factors(ctx) == capped
+    # a run that seeks no factor builds no block
+    with mock.patch.object(factorization, "_opening_block", recorded):
+        find_factors(ctx, max_factors=0)
+        find_factors(GradedMatrix.zeros(Scale(101), 20, 10))
+    assert len(blocks) == 1
 
 
 # the arrays each row source reads its residua from
@@ -438,60 +448,42 @@ def test_row_sources_stay_read_only_and_unchanged_through_a_run(level_cap):
         assert np.array_equal(table, copy)
 
 
-def key_calls_per_step(ctx, cap, budget, level_cap):
-    """Every greedy step of one run with the opening table capped at `cap`
-    words, batches at `budget` cells and the level tables at `level_cap`
-    bytes: whether the opening table scored it, the intent and uncovered
-    cells it started from, and each (j, a) the tie-break key was called on."""
-    steps = []
+def tie_spans(ctx, tie_break, budget, cap):
+    """Per greedy step of one run at a cell budget and an opening-block cap
+    in words: how many of its batches hold a candidate of the step's top
+    gain."""
+    spans = []
     best_candidate = factorization._best_candidate
 
-    def step(sweep, intent, extent, key):
-        table = isinstance(sweep, factorization._OpeningTable)
-        mask = uncovered_cells(sweep.sweep if table else sweep, ctx.shape)
-        steps.append((table and cap > 0, intent.copy(), mask, []))
-        return best_candidate(sweep, intent, extent, key)
-
-    def key(j, a):
-        steps[-1][3].append((j, a))
-        return (a % 3, -j)
+    def step(batches, tie_break):
+        batches = list(batches)
+        tops = [int(g.max()) for _, _, g, _, _ in batches]
+        spans.append(tops.count(max(tops, default=0)))
+        return best_candidate(batches, tie_break)
 
     with mock.patch.object(factorization, "_best_candidate", step), \
-            mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
             mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget), \
-            mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
-        find_factors(ctx, key)
-    return steps
+            mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
+        fs = find_factors(ctx, tie_break)
+    return fs, spans
 
 
-@pytest.mark.parametrize("levels, kind, shape", [
-    (5, "lukasiewicz", (5, 10)), (11, "goguen", (8, 5)), (2, "lukasiewicz", (70, 6)),
+@pytest.mark.parametrize("levels, kind, base", [
+    (5, "lukasiewicz", (3, 2)), (7, "godel", (2, 3)), (11, "goguen", (3, 2)), (2, "godel", (5, 3)),
 ])
-def test_key_is_called_only_at_the_top_gain_so_far(levels, kind, shape):
-    # the contract `_best_candidate` states, on the opening-table and kernel
-    # paths, with and without level tables
+@pytest.mark.parametrize("tie_break", TIE_BREAK_POLICIES)
+def test_ties_across_batches_match_reference(levels, kind, base, tie_break):
+    # identical column blocks give every candidate a twin of equal gain in
+    # a later batch, so ties span batches at every budget and opening cap
     scale = Scale(levels, kind, rounded=kind == "goguen")
-    entries = np.random.default_rng(levels).integers(0, levels, size=shape)
-    entries[entries < levels // 3] = 0
-    paths = set()
-    runs = product((0, factorization._OPENING_TABLE_WORDS), BUDGETS, LEVEL_TABLE_CAPS)
-    for cap, budget, level_cap in runs:
-        for table, intent, mask, calls in key_calls_per_step(GradedMatrix(scale, entries), cap,
-                                                             budget, level_cap):
-            gains = {
-                (j, a): oracles.covered_count(
-                    scale, entries, mask,
-                    *oracles.candidate_closure(scale, entries, intent, j, a),
-                )
-                for j in range(shape[1]) for a in range(int(intent[j]) + 1, levels)
-            }
-            order = list(gains)
-            assert bool(calls) == bool(gains)
-            for j, a in calls:
-                earlier = order[:order.index((j, a))]
-                assert all(gains[j, a] >= gains[c] for c in earlier)
-            paths.add(table)
-    assert paths == {True, False}
+    entries = np.tile(np.random.default_rng(levels).integers(0, levels, size=base), 3)
+    ctx = GradedMatrix(scale, entries)
+    slow = oracles.greedy_factors(ctx, tie_break)
+    for budget in (1, 37):
+        for cap in table_caps(ctx, budget):
+            fast, spans = tie_spans(ctx, tie_break, budget, cap)
+            assert fast == slow, f"budget {budget}, opening block at {cap} words"
+            assert max(spans) >= 2
 
 
 # ---------------------------------------------------------------- gain
