@@ -219,7 +219,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 def cmd_discretize(args: argparse.Namespace) -> int:
     table = read_raw_csv(args.input)
     ranges = read_ranges_csv(args.ranges) if args.ranges else ColumnRange.from_table(table)
-    graded = discretize(table, ranges, _scale(args), mode=args.mode)
+    # snapping onto the chain takes no t-norm, so only --levels applies
+    graded = discretize(table, ranges, Scale(args.levels), mode=args.mode)
     args.out_file.parent.mkdir(parents=True, exist_ok=True)
     write_csv(graded, args.out_file)
     print(
@@ -286,12 +287,16 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _add_scale_args(parser: argparse.ArgumentParser) -> None:
+def _add_levels_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--levels", type=int, default=5,
                         help="grades on the chain, counting 0 and 1 (default 5)")
+
+
+def _add_scale_args(parser: argparse.ArgumentParser) -> None:
+    _add_levels_arg(parser)
     parser.add_argument("--tnorm", choices=TNORM_KINDS, default="lukasiewicz")
     parser.add_argument("--rounded", action="store_true",
-                        help="opt in to the rounded goguen t-norm")
+                        help="opt in to the rounded goguen t-norm; goguen only")
 
 
 def _add_mode_args(parser: argparse.ArgumentParser) -> None:
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, required=True, help="raw measurement CSV")
     p.add_argument("--ranges", type=Path, default=None,
                    help="two-row CSV of per-column lows and highs; observed when omitted")
-    _add_scale_args(p)
+    _add_levels_arg(p)
     _add_mode_args(p)
     p.add_argument("--out", dest="out_file", type=Path, required=True,
                    help="where to write the graded CSV")

@@ -7,17 +7,20 @@ when no extension strictly improves the count.  The factors it emits
 reproduce the input exactly under sup-t-norm composition.  Each step scores
 all extensions in one batched sweep, on row bitsets when the chain has two
 grades.  On a longer chain the sweep closes and cover-tests a batch of
-candidates over every row, packs the cells each covers, counts their
+candidates over every row, packs the cells each covers, and counts their
 gains by popcount against the packed uncovered cells, which are all a run
-changes, and takes the winner's concept from its batch.  Its residua come
-from one of two read-only row sources: three tables per run, up to a
-fixed size, so that closures and cover tests are lookups, the cover test
-by adjointness: tnorm(e, c) >= b exactly when c > residuum(e, b - 1); or,
-past the cap, t-norm arithmetic.  Every factor opens from the empty
-intent, whose candidates cover the same cells all run long, so each run
-keeps the covers of the opening's first batches as one block, up to a
-fixed number of words, and every opening scores it by popcount.  Ties on
-the gain go to one of two named policies, decided within a batch in numpy.
+changes.  Its residua come from one of two read-only row sources: three
+tables per run, up to a fixed size, so that closures and cover tests are
+lookups, the cover test by adjointness: tnorm(e, c) >= b exactly when
+c > residuum(e, b - 1); or, past the cap, t-norm arithmetic.  A batch is
+plain arrays, (js, levels, gains, covers), whose covers hold each
+candidate's extent and closed intent, so the winner's concept comes from
+the batch that scored it and no candidate is closed twice.  Every factor
+opens from the empty intent, whose candidates cover the same cells all run
+long, so each run keeps the whole covers of the opening's first batches as
+one block, up to a fixed number of words, and every opening scores it by
+popcount and takes its winner's concept from it.  Ties on the gain go to
+one of two named policies, decided within a batch in numpy.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -126,12 +129,13 @@ class FactorSet:
 # up to _LEVEL_TABLE_BYTES.
 SWEEP_CELL_BUDGET = 1 << 16
 
-# 8-byte words of covers one run's opening block may hold (4 MiB).  On an
-# n-step chain an r x m input has m * n opening candidates of r * m / 64
-# words each, so the whole opening grows with the grades; the cap keeps the
-# block fixed.  It holds the whole opening of a 200 x 100 input on 11
-# levels (313k words); on two grades a candidate takes only r / 64 + m / 8
-# words.
+# 8-byte words of covers one run's opening block may hold (4 MiB), counted
+# by the bytes it keeps.  On an n-step chain an r x m input has m * n
+# opening candidates, each with r * m / 64 words of covered cells and its
+# extent and closed intent, r + m levels of `_work_dtype`, so the whole
+# opening grows with the grades; the cap keeps the block fixed.  It holds
+# the whole opening of a 200 x 100 input on 11 levels (388k words); on two
+# grades a candidate takes only r / 64 words and m bytes.
 _OPENING_TABLE_WORDS = 1 << 19
 
 # Bytes the three tables of one run may take (16 MiB): the two level tables
@@ -270,7 +274,7 @@ class _Residua:
     def index(self, ext: np.ndarray) -> np.ndarray:
         """A batch of extents in the work dtype, so that the arithmetic over
         (candidate, row, column) blocks stays narrow."""
-        return ext.astype(self.entries.dtype)
+        return ext.astype(self.entries.dtype, copy=False)
 
     def closures(self, ext: np.ndarray) -> np.ndarray:
         res = self.scale.residuum(ext[..., None], self.entries)
@@ -287,46 +291,40 @@ class _GradedSweep:
     extent D.  Its extent is D ∧ residuum(a, I[:, j]), because the residuum
     is antitone in its first argument.  Batches span every row: a row
     outside D's support has extent 0, whose residua are all n, so it
-    neither lowers a closure nor holds a covered cell.  A candidate's covers
-    are the cells its concept covers, packed over all cells; its gain is
-    their popcount against `live`, the packed uncovered cells, the one
-    thing a run changes.  The winner's concept is taken from its batch.
-    The mask must hold nonzero cells only.
+    neither lowers a closure nor holds a covered cell.  A batch's covers
+    are the cells each candidate's concept covers, packed over all cells,
+    with the candidates' extents and closed intents; its gains are the
+    popcounts of the packed cells against `live`, the packed uncovered
+    cells, the one thing a run changes.  The mask must hold nonzero cells
+    only.
     """
 
     def __init__(self, entries: np.ndarray, mask: np.ndarray, rows) -> None:
         self.rows = rows
         self.batch = max(1, SWEEP_CELL_BUDGET // max(1, entries.size))
         self.live = _pack_cells(mask[None])[0]
-        # words of one candidate's covers
-        self.cover_words = -(-entries.size // 64)
-
-    def _close(self, js: np.ndarray, levels: np.ndarray, extent: np.ndarray):
-        """Extents, their indices in the row source and closed intents of a
-        batch of candidates, or of one candidate (j, a)."""
-        ext = np.minimum(self.rows.allowed(js, levels), extent)
-        idx = self.rows.index(ext)
-        return ext, idx, self.rows.closures(idx)
 
     def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
         """The candidates (j, a) with a > intent[j] of an intent whose extent
         is `extent`, from the start-th on in (j, a) order, in batches: per
         batch its attributes, grades, gains and covers, whose `count` the
-        gains are, and a function giving the extent and closed intent of
-        its c-th candidate."""
+        gains are.  Extents and closed intents stay in the work dtype."""
         for js, levels in self.rows.candidates(intent, start, self.batch):
-            ext, idx, closed = self._close(js, levels, extent)
-            covers = (_pack_cells(self.rows.covered(idx, closed)),)
-            yield js, levels, self.count(*covers), covers, (
-                lambda c, ext=ext, closed=closed: (ext[c], closed[c].astype(LEVEL_DTYPE)))
+            allowed = self.rows.allowed(js, levels)
+            ext = np.minimum(allowed, extent, dtype=allowed.dtype)
+            idx = self.rows.index(ext)
+            closed = self.rows.closures(idx)
+            covers = _pack_cells(self.rows.covered(idx, closed)), ext, closed
+            yield js, levels, self.count(covers), covers
 
-    def count(self, covered: np.ndarray) -> np.ndarray:
+    def count(self, covers: tuple) -> np.ndarray:
         """Gains of a batch of covers against the cells uncovered now."""
-        return np.bitwise_count(covered & self.live).sum(axis=1, dtype=np.int64)
+        return np.bitwise_count(covers[0] & self.live).sum(axis=1, dtype=np.int64)
 
-    def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-        ext, _, closed = self._close(j, a, extent)
-        return ext, closed.astype(LEVEL_DTYPE)
+    def concept(self, covers: tuple, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """The extent and closed intent of the c-th candidate of covers."""
+        _, ext, closed = covers
+        return ext[c].astype(LEVEL_DTYPE), closed[c].astype(LEVEL_DTYPE)
 
     def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
         """Drop the cells the concept covers; returns how many stay uncovered."""
@@ -344,12 +342,10 @@ class _BitsetSweep:
     """
 
     def __init__(self, entries: np.ndarray, mask: np.ndarray) -> None:
-        self.entries = entries
+        self.n_rows = entries.shape[0]
         self.cols = _pack_rows(entries != 0)
         self.holes = _pack_rows(entries == 0)
         self.uncovered = _pack_rows(mask)
-        n_rows, n_cols = entries.shape
-        self.cover_words = -(-n_rows // 64) + -(-n_cols // 8)
 
     @staticmethod
     def _closed(ext: np.ndarray, holes: np.ndarray) -> np.ndarray:
@@ -367,21 +363,21 @@ class _BitsetSweep:
             # cells, in 1/m of the words
             ext = base & self.cols[js]
             covers = ext, self._closed(ext[:, words], holes)
-            yield js, levels, self.count(*covers), covers, _closing(self, extent, js, levels)
+            yield js, levels, self.count(covers), covers
 
-    def count(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    def count(self, covers: tuple) -> np.ndarray:
         # closures hold few of the columns, so pair each candidate with its
         # closed columns rather than mask a full candidate x column block
+        ext, closed = covers
         rows, cols = np.nonzero(closed)
         hit = np.bitwise_count(ext[rows] & self.uncovered[cols]).sum(axis=1, dtype=np.int64)
         gains = np.zeros(len(ext), dtype=np.int64)
         np.add.at(gains, rows, hit)
         return gains
 
-    def closure(self, extent: np.ndarray, j: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-        ext = _pack_rows(extent[:, None] != 0)[0] & self.cols[j]
-        n = self.entries.shape[0]
-        return _unpack_rows(ext, n), self._closed(ext, self.holes).astype(LEVEL_DTYPE)
+    def concept(self, covers: tuple, c: int) -> tuple[np.ndarray, np.ndarray]:
+        ext, closed = covers
+        return _unpack_rows(ext[c], self.n_rows), closed[c].astype(LEVEL_DTYPE)
 
     def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
         # the concept covers exactly extent x intent: clear the extent's
@@ -404,13 +400,13 @@ def _opening_block(sweep, intent: np.ndarray, extent: np.ndarray) -> tuple:
     because residuum(0, b) = n, so the opening candidates, their closures
     and the nonzero cells they cover stay fixed for the whole run; only the
     uncovered cells change.  The block is (js, levels, *covers) of the
-    longest prefix of whole batches, in (j, a) order, that fits in
+    longest prefix of whole batches, in (j, a) order, whose covers fit in
     _OPENING_TABLE_WORDS words, or an empty block when no batch fits.
     """
-    parts, words = [], 0
-    for js, levels, _, covers, _ in sweep.batches(intent, extent):
-        words += len(js) * sweep.cover_words
-        if words > _OPENING_TABLE_WORDS:
+    parts, size = [], 0
+    for js, levels, _, covers in sweep.batches(intent, extent):
+        size += sum(a.nbytes for a in covers)
+        if size > 8 * _OPENING_TABLE_WORDS:
             break
         parts.append((js, levels, *covers))
     return tuple(map(np.concatenate, zip(*parts))) or ((), ())
@@ -420,26 +416,20 @@ def _opening_batches(sweep, block: tuple, intent: np.ndarray, extent: np.ndarray
     """The opening step's batches: the block's, scored by `count`
     SWEEP_CELL_BUDGET words at a time with no closure, then the sweep's for
     the candidates past it.  One popcount scores the block of a 40 x 30
-    input on 11 levels (5.7k words)."""
+    input on 11 levels (11k words)."""
     js, levels, *covers = block
-    step = max(1, SWEEP_CELL_BUDGET // sweep.cover_words)
+    step = max(1, 8 * SWEEP_CELL_BUDGET // max(1, sum(a[:1].nbytes for a in covers)))
     for lo in range(0, len(js), step):
-        part = js[lo:lo + step], levels[lo:lo + step]
         stored = tuple(a[lo:lo + step] for a in covers)
-        yield *part, sweep.count(*stored), stored, _closing(sweep, extent, *part)
+        yield js[lo:lo + step], levels[lo:lo + step], sweep.count(stored), stored
     yield from sweep.batches(intent, extent, len(js))
 
 
-def _closing(sweep, extent: np.ndarray, js: np.ndarray, levels: np.ndarray):
-    """The extent and closed intent of the c-th of candidates (js, levels),
-    closed one at a time."""
-    return lambda c: sweep.closure(extent, int(js[c]), int(levels[c]))
-
-
 def _best_candidate(batches, tie_break: str):
-    """The winning (gain, j, a, extent, closed intent) over batches of the
-    extensions (j, a) with a > intent[j] of one intent, in (j, a) order, or
-    None when there are none, as when the intent is already top.
+    """The winning (gain, covers, c) over batches of the extensions (j, a)
+    with a > intent[j] of one intent, in (j, a) order: the winner is the
+    c-th candidate of the batch whose covers are `covers`.  None when there
+    are none, as when the intent is already top.
 
     The winner has the largest gain.  Among equal gains "index-then-grade"
     takes the first in (j, a) order, so a later batch must gain strictly
@@ -450,17 +440,13 @@ def _best_candidate(batches, tie_break: str):
     """
     by_grade = tie_break == "grade-then-index"
     best = None
-    for js, levels, g, _, closing in batches:
+    for js, levels, g, covers in batches:
         ties = (g == g.max()).nonzero()[0]
         c = ties[levels[ties].argmin()] if by_grade else ties[0]
-        j, a = int(js[c]), int(levels[c])
-        rank = (int(g[c]), -a, -j) if by_grade else (int(g[c]),)
+        rank = (int(g[c]), -int(levels[c]), -int(js[c])) if by_grade else (int(g[c]),)
         if best is None or rank > best[0]:
-            best = (rank, j, a, closing, c)
-    if best is None:
-        return None
-    (g, *_), j, a, closing, c = best
-    return (g, j, a, *closing(c))
+            best = rank, covers, c
+    return None if best is None else (best[0][0], *best[1:])
 
 
 def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
@@ -499,7 +485,8 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
         best_so_far, extent, intent = 0, top, empty
         selected = _best_candidate(_opening_batches(sweep, block, empty, top), tie_break)
         while selected is not None and selected[0] > best_so_far:
-            best_so_far, _, _, extent, intent = selected
+            best_so_far, covers, c = selected
+            extent, intent = sweep.concept(covers, c)
             selected = _best_candidate(sweep.batches(intent, extent), tie_break)
         extents.append(extent)
         intents.append(intent)

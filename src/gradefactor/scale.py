@@ -37,8 +37,8 @@ class Scale:
     stands for the rational i/n.  `tnorm_kind` selects the aggregation used by every consumer of
     the scale.  The goguen (product) t-norm is not closed on a finite chain
     and is available only with ``rounded=True``, which rounds products
-    half-up to the nearest level; lukasiewicz and godel are closed and need
-    no rounding.
+    half-up to the nearest level; lukasiewicz and godel are closed, and
+    refuse ``rounded=True``.
     """
 
     levels: int
@@ -62,6 +62,10 @@ class Scale:
             raise ValueError(
                 "the goguen t-norm is not closed on a finite chain; "
                 "pass rounded=True to opt in to half-up rounding"
+            )
+        if self.rounded and self.tnorm_kind != "goguen":
+            raise ValueError(
+                f"rounded=True applies to the goguen t-norm only; {self.tnorm_kind} is closed"
             )
 
     @classmethod

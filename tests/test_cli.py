@@ -257,6 +257,21 @@ def test_discretize_reads_fixed_point_columns_as_cell_by_cell_ones(tmp_path, tab
     assert out.read_text() == "0.25,1\n0.75,0.75\n1,0\n"
 
 
+@pytest.mark.parametrize("flag", [("--tnorm", "goguen"), ("--tnorm", "godel"), ("--rounded",)])
+def test_discretize_takes_no_tnorm(tmp_path, scores_csv, ranges_csv, graded_csv, capsys, flag):
+    # snapping onto the chain uses no t-norm: of the scale options it
+    # takes --levels alone, and the bytes it writes are those of --levels 5
+    out = tmp_path / "graded.csv"
+    with pytest.raises(SystemExit) as info:
+        run("discretize", "--input", scores_csv, "--ranges", ranges_csv, *flag, "--out", out)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("discretize", "--input", scores_csv, "--ranges", ranges_csv, "--levels", 5,
+               "--out", out) == 0
+    assert out.read_bytes() == graded_csv.read_bytes()
+
+
 def test_discretize_with_observed_ranges(tmp_path, scores_csv):
     out = tmp_path / "graded.csv"
     assert run("discretize", "--input", scores_csv, "--out", out) == 0
@@ -540,6 +555,17 @@ def test_goguen_needs_rounded_flag(tmp_path, graded_csv, capsys):
     assert "rounded" in capsys.readouterr().err
     assert run("factorize", "--input", graded_csv, "--tnorm", "goguen", "--rounded",
                "--out-dir", out) == 0
+
+
+@pytest.mark.parametrize("tnorm", ["lukasiewicz", "godel"])
+def test_rounded_flag_is_refused_on_a_closed_tnorm(tmp_path, graded_csv, capsys, tnorm):
+    out = tmp_path / "out"
+    assert run("factorize", "--input", graded_csv, "--tnorm", tnorm, "--rounded",
+               "--out-dir", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: rounded=True applies to the goguen t-norm only; {tnorm} is closed\n"
+    )
+    assert not out.exists()
 
 
 def test_lenient_flag(tmp_path):

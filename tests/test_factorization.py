@@ -47,7 +47,7 @@ def sweep_gain(ctx, mask, intent, j, a):
     (j, a), read off the batch that scores it, or None when no batch holds
     it; `mask` holds the uncovered nonzero cells."""
     sweep = factorization._make_sweep(ctx.scale, ctx.entries, mask)
-    for js, levels, gains, _, _ in sweep.batches(intent.membership, down(ctx, intent).membership):
+    for js, levels, gains, _ in sweep.batches(intent.membership, down(ctx, intent).membership):
         (hit,) = np.nonzero((js == j) & (levels == a))
         if hit.size:
             return int(gains[hit[0]])
@@ -170,14 +170,17 @@ def test_identical_runs_return_identical_factor_sets(decathlon):
 
 
 def test_a_factor_that_covers_nothing_stops_the_run(decathlon):
-    # a step whose winner's concept covers no cell its gain counted; the
-    # bound turns a missing guard into a failure rather than a hang
+    # a step whose winner's concept covers no cell its gain counted: zeroed
+    # covers hold the empty extent and intent; the bound turns a missing
+    # guard into a failure rather than a hang
     best_candidate = factorization._best_candidate
-    empty = np.zeros(5, dtype=np.int64), np.zeros(10, dtype=np.int64)
 
     def step(*args):
         selected = best_candidate(*args)
-        return selected and (*selected[:3], *empty)
+        if selected is None:
+            return None
+        gain, covers, c = selected
+        return gain, tuple(np.zeros_like(a) for a in covers), c
 
     with mock.patch.object(factorization, "_best_candidate", step), \
             pytest.raises(RuntimeError, match="^factor 1 covers no uncovered cell$"):
@@ -199,7 +202,7 @@ LEVEL_TABLE_CAPS = (0, factorization._LEVEL_TABLE_BYTES)
 
 
 def opening_batches(ctx, budget):
-    """Candidates per batch, words per candidate and the number of batches
+    """Candidates per batch, bytes per candidate and the number of batches
     of a run's first opening at a cell budget: m * n candidates on an
     n-step chain, batched by the input's cells, or on two grades by the
     row words of the columns' holes."""
@@ -209,12 +212,13 @@ def opening_batches(ctx, budget):
         row_words = -(-n_rows // 64)
         batch = max(1, budget // max(1, n_cols * row_words))
         # its extent's row bitset and a byte per column
-        words = row_words + -(-n_cols // 8)
+        size = 8 * row_words + n_cols
     else:
         batch = max(1, budget // max(1, n_rows * n_cols))
-        # a bitset over all cells
-        words = -(-n_rows * n_cols // 64)
-    return batch, words, -(-n_cols * n // batch)
+        # a bitset over all cells, and its extent and closed intent
+        itemsize = np.dtype(factorization._work_dtype(ctx.scale)).itemsize
+        size = 8 * -(-n_rows * n_cols // 64) + (n_rows + n_cols) * itemsize
+    return batch, size, -(-n_cols * n // batch)
 
 
 def table_caps(ctx, budget):
@@ -222,8 +226,8 @@ def table_caps(ctx, budget):
     batches at `budget`, and at least one, so that the block stores whole
     batches and, with two batches or more, leaves the rest to the sweep;
     and the default."""
-    batch, words, batches = opening_batches(ctx, budget)
-    return 0, max(1, batches // 2) * batch * words, factorization._OPENING_TABLE_WORDS
+    batch, size, batches = opening_batches(ctx, budget)
+    return 0, -(-max(1, batches // 2) * batch * size // 8), factorization._OPENING_TABLE_WORDS
 
 
 def assert_matches_reference(ctx, tie_break=DEFAULT_TIE_BREAK, budget=None, max_factors=None):
@@ -388,9 +392,10 @@ def test_opening_table_stays_within_its_cap():
         blocks.append((sweep, opening_block(sweep, *args)))
         return blocks[-1][1]
 
-    # the whole opening is 10 attributes x 100 grades x 4 words per
-    # candidate, in batches of 65536 // 200 = 327 candidates
-    cap = 3000
+    # the whole opening is 10 attributes x 100 grades, each candidate
+    # keeping 4 words of covered cells and 20 + 10 levels of 16 bits, 92
+    # bytes in all, in batches of 65536 // 200 = 327 candidates
+    cap = 6000
     with mock.patch.object(factorization, "_opening_block", recorded), \
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
         capped = find_factors(ctx)
@@ -402,9 +407,11 @@ def test_opening_table_stays_within_its_cap():
     # prefix of whole batches that fits, not all 1000
     order = [(j, a) for j in range(10) for a in range(1, 101)]
     assert list(zip(js.tolist(), levels.tolist())) == order[:len(js)]
-    batch, width = sweep.batch, sweep.cover_words
+    batch, width = sweep.batch, stored // len(js)
+    assert width == 8 * 4 + 2 * (20 + 10)
+    assert all(len(a) == len(js) for a in covers)
     assert len(js) % batch == 0
-    assert len(js) * width <= cap < (len(js) + batch) * width
+    assert len(js) * width <= 8 * cap < (len(js) + batch) * width
     assert 0 < len(js) < len(order)
     with mock.patch.object(factorization, "_OPENING_TABLE_WORDS", 0):
         assert find_factors(ctx) == capped
@@ -413,6 +420,70 @@ def test_opening_table_stays_within_its_cap():
         find_factors(ctx, max_factors=0)
         find_factors(GradedMatrix.zeros(Scale(101), 20, 10))
     assert len(blocks) == 1
+
+
+def closure_counts(ctx, cap, level_cap):
+    """A run's factor set, the candidates its closures close and the
+    candidates its sweep's batches yield, at an opening-block cap in words
+    and a level-table cap in bytes."""
+    closed, yielded = [], []
+
+    def candidates(block):
+        # a block of candidates leads with them; one candidate has no such axis
+        return int(np.prod(block.shape[:-1]))
+
+    def counted(kernel):
+        def closures(rows, idx):
+            closed.append(candidates(idx))
+            return kernel(rows, idx)
+        return closures
+
+    bitset_closed = factorization._BitsetSweep._closed
+
+    def closed_columns(ext, holes):
+        closed.append(candidates(ext))
+        return bitset_closed(ext, holes)
+
+    def listed(batches):
+        def wrapped(sweep, *args):
+            for batch in batches(sweep, *args):
+                yielded.append(len(batch[0]))
+                yield batch
+        return wrapped
+
+    with mock.patch.object(factorization._LevelTables, "closures",
+                           counted(factorization._LevelTables.closures)), \
+            mock.patch.object(factorization._Residua, "closures",
+                              counted(factorization._Residua.closures)), \
+            mock.patch.object(factorization._BitsetSweep, "_closed", staticmethod(closed_columns)), \
+            mock.patch.object(factorization._GradedSweep, "batches",
+                              listed(factorization._GradedSweep.batches)), \
+            mock.patch.object(factorization._BitsetSweep, "batches",
+                              listed(factorization._BitsetSweep.batches)), \
+            mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
+            mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+        fs = find_factors(ctx)
+    return fs, sum(closed), sum(yielded)
+
+
+@pytest.mark.parametrize("levels, kind, level_cap", [
+    (5, "lukasiewicz", factorization._LEVEL_TABLE_BYTES), (5, "lukasiewicz", 0),
+    (11, "godel", factorization._LEVEL_TABLE_BYTES), (11, "goguen", 0),
+    (2, "lukasiewicz", factorization._LEVEL_TABLE_BYTES),
+])
+def test_a_run_closes_each_candidate_it_scores_once(levels, kind, level_cap):
+    # every closure is one of a candidate the sweep's batches score, and a
+    # winner's concept, the opening's included, comes from the batch or
+    # block that scored it, so no candidate is closed a second time
+    scale = Scale(levels, kind, rounded=kind == "goguen")
+    entries = np.random.default_rng(levels).integers(0, levels, size=(12, 9))
+    ctx = GradedMatrix(scale, entries)
+    slow = oracles.greedy_factors(ctx)
+    assert len(slow) >= 3
+    for cap in table_caps(ctx, factorization.SWEEP_CELL_BUDGET):
+        fs, closed, yielded = closure_counts(ctx, cap, level_cap)
+        assert fs == slow
+        assert closed == yielded > 0, f"opening block at {cap} words"
 
 
 # the arrays each row source reads its residua from
@@ -457,7 +528,7 @@ def tie_spans(ctx, tie_break, budget, cap):
 
     def step(batches, tie_break):
         batches = list(batches)
-        tops = [int(g.max()) for _, _, g, _, _ in batches]
+        tops = [int(g.max()) for _, _, g, _ in batches]
         spans.append(tops.count(max(tops, default=0)))
         return best_candidate(batches, tie_break)
 
@@ -533,13 +604,13 @@ def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
             mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
         sweep = factorization._make_sweep(scale, entries, mask)
         seen = []
-        for js, levels, gains, covers, closing in sweep.batches(intent.membership,
-                                                                down(ctx, intent).membership):
+        for js, levels, gains, covers in sweep.batches(intent.membership,
+                                                       down(ctx, intent).membership):
             assert len(js) == len(levels) == len(gains) >= 1
-            assert sweep.count(*covers).tolist() == gains.tolist()
+            assert sweep.count(covers).tolist() == gains.tolist()
             for c, (j, a) in enumerate(zip(js.tolist(), levels.tolist())):
                 extent, closed = oracles.candidate_closure(scale, entries, intent.membership, j, a)
-                got_extent, got_closed = closing(c)
+                got_extent, got_closed = sweep.concept(covers, c)
                 assert got_extent.tolist() == extent.tolist()
                 assert got_closed.tolist() == closed.tolist()
                 assert gains[c] == oracles.covered_count(scale, entries, mask, extent, closed)

@@ -78,6 +78,17 @@ def test_goguen_requires_rounding_opt_in():
     Scale(5, "goguen", rounded=True)
 
 
+@pytest.mark.parametrize("kind", ["lukasiewicz", "godel"])
+def test_rounding_is_refused_on_a_closed_tnorm(kind):
+    # rounding a closed t-norm changes nothing, and a rounded chain would
+    # compare unequal to its plain twin
+    with pytest.raises(ValueError, match=f"^rounded=True applies to the goguen t-norm only; "
+                                         f"{kind} is closed$"):
+        Scale(5, kind, rounded=True)
+    with pytest.raises(ValueError, match="goguen t-norm only"):
+        Scale(2, kind, True)
+
+
 def test_boolean_constructor():
     b = Scale.boolean()
     assert b.levels == 2
