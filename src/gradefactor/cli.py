@@ -1,9 +1,9 @@
 """Command-line front end for factorizing graded matrices.
 
 Subcommands cover the whole workflow: discretize raw measurements, run the
-greedy decomposition or the exact small-instance oracle, dump coverage
-curves (the coverage experiment's truncated run is `coverage --max-factors
-50`), and rerun the synthetic factorizability experiment.
+greedy decomposition (whose coverage curve the coverage experiment reads
+from `factorize --max-factors 50`) or the exact small-instance oracle, and
+rerun the synthetic factorizability experiment.
 All artifacts are written deterministically, so identical configurations
 produce byte-identical files; timings go to the console only.
 """
@@ -175,10 +175,12 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     factor_set = find_factors(matrix, args.tie_break, max_factors=args.max_factors)
     elapsed = time.perf_counter() - start
     _emit_factorization(args, matrix, factor_set)
-    note = "" if factor_set.complete else " (truncated, not exact)"
+    initial, left = factor_set.uncovered_counts[0], factor_set.uncovered_counts[-1]
+    covered = (initial - left) / initial if initial else 1.0
+    note = "run complete" if factor_set.complete else "run truncated, not exact"
     print(
-        f"{len(factor_set)} factors for the {matrix.n_rows}x{matrix.n_cols} input{note}; "
-        f"artifacts in {args.out_dir} ({elapsed:.2f}s)"
+        f"{len(factor_set)} factors cover {covered:.4f} of the nonzero cells "
+        f"({note}); artifacts in {args.out_dir} ({elapsed:.2f}s)"
     )
     return 0
 
@@ -194,24 +196,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(
         f"optimal decomposition uses {len(factor_set)} factors; "
         f"artifacts in {args.out_dir} ({elapsed:.2f}s)"
-    )
-    return 0
-
-
-def cmd_coverage(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args)
-    start = time.perf_counter()
-    factor_set = find_factors(matrix, args.tie_break, max_factors=args.max_factors)
-    elapsed = time.perf_counter() - start
-    curve = coverage_curve(factor_set, matrix)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_coverage_tsv(args.out_dir / "coverage.tsv", curve, factor_set.covered_nonzero_curve())
-    initial, left = factor_set.uncovered_counts[0], factor_set.uncovered_counts[-1]
-    covered = (initial - left) / initial if initial else 1.0
-    note = "run complete" if factor_set.complete else "run truncated, would continue"
-    print(
-        f"{len(factor_set)} factors cover {covered:.4f} of the nonzero cells "
-        f"({note}); artifacts in {args.out_dir} ({elapsed:.2f}s)"
     )
     return 0
 
@@ -233,6 +217,13 @@ def cmd_discretize(args: argparse.Namespace) -> int:
 def cmd_experiment_factorizability(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    # (seed, k, trial) seeds numpy's generator, whose error for a negative
+    # entry names no option
+    for k in args.ks:
+        if k < 1:
+            raise ValueError(f"--k must be at least 1, got {k}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     scale = _scale(args)
     start = time.perf_counter()
     results = [
@@ -262,7 +253,6 @@ def cmd_experiment_factorizability(args: argparse.Namespace) -> int:
 COMMANDS = {
     "factorize": cmd_factorize,
     "oracle": cmd_oracle,
-    "coverage": cmd_coverage,
     "discretize": cmd_discretize,
     "experiment-factorizability": cmd_experiment_factorizability,
 }
@@ -327,19 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    greedy = (
-        ("factorize", "greedy exact decomposition"),
-        ("coverage", "coverage curve of the greedy factors"),
-    )
-    for name, help_text in greedy:
-        p = sub.add_parser(name, help=help_text)
-        _add_input_args(p)
-        _add_scale_args(p)
-        _add_mode_args(p)
-        _add_tie_break_arg(p)
-        p.add_argument("--max-factors", dest="max_factors", type=int, default=None,
-                       help="stop after this many factors (marks the run incomplete)")
-        p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
+    p = sub.add_parser("factorize", help="greedy exact decomposition and its coverage curve")
+    _add_input_args(p)
+    _add_scale_args(p)
+    _add_mode_args(p)
+    _add_tie_break_arg(p)
+    p.add_argument("--max-factors", dest="max_factors", type=int, default=None,
+                   help="stop after this many factors (marks the run incomplete)")
+    p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
 
     p = sub.add_parser("oracle", help="exact minimum decomposition for small inputs")
     _add_input_args(p)

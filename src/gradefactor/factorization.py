@@ -147,20 +147,11 @@ _OPENING_TABLE_WORDS = 1 << 19
 _LEVEL_TABLE_BYTES = 16 << 20
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """An n x m Boolean array as m bitsets over its rows: uint64, m x words."""
-    n, m = bits.shape
-    words = -(-n // 64)
-    packed = np.zeros((words * 8, m), dtype=np.uint8)
-    packed[: -(-n // 8)] = np.packbits(bits, axis=0, bitorder="little")
-    return np.ascontiguousarray(packed.T).view(np.uint64)
-
-
 def _pack_cells(bits: np.ndarray) -> np.ndarray:
     """Each block bits[c] of a c x ... Boolean array as one bitset over its
-    cells, row-major: uint64, c x words.  The bitset of a block is
-    _pack_rows of its cells as one column."""
-    flat = bits.reshape(len(bits), -1)
+    cells, row-major: uint64, c x words.  An n x m array's transpose packs
+    as m bitsets over its rows."""
+    flat = np.ascontiguousarray(bits.reshape(len(bits), -1))
     cells = flat.shape[1]
     packed = np.zeros((len(bits), -(-cells // 64) * 8), dtype=np.uint8)
     packed[:, : -(-cells // 8)] = np.packbits(flat, axis=1, bitorder="little")
@@ -335,27 +326,27 @@ class _GradedSweep:
 class _BitsetSweep:
     """Candidate scoring on the two-grade chain, where every t-norm is AND.
 
-    Columns, their holes (rows lacking the attribute) and the uncovered
-    cells are bitsets over rows.  A candidate extent is D & col[j];
-    attribute j' is in its closure iff the extent misses every hole of j';
-    its gain is the popcount of extent & uncovered[j'] over closed j'.
+    Columns and the uncovered cells are bitsets over rows.  A candidate
+    extent is D & col[j]; attribute j' is in its closure iff the extent
+    misses every hole of j', the rows of ~col[j']; its gain is the
+    popcount of extent & uncovered[j'] over closed j'.
     """
 
     def __init__(self, entries: np.ndarray, mask: np.ndarray) -> None:
         self.n_rows = entries.shape[0]
-        self.cols = _pack_rows(entries != 0)
-        self.holes = _pack_rows(entries == 0)
-        self.uncovered = _pack_rows(mask)
+        self.cols = _pack_cells((entries != 0).T)
+        self.uncovered = _pack_cells(mask.T)
 
     @staticmethod
     def _closed(ext: np.ndarray, holes: np.ndarray) -> np.ndarray:
         return ~(ext[..., None, :] & holes).any(axis=-1)
 
     def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
-        base = _pack_rows(extent[:, None] != 0)[0]
-        # closures test only the words the extent occupies
+        base = _pack_cells((extent != 0)[None])[0]
+        # closures test only the words the extent occupies; it has no bits
+        # past the last row, where ~cols has ones
         words = np.flatnonzero(base)
-        holes = self.holes[:, words]
+        holes = ~self.cols[:, words]
         batch = max(1, SWEEP_CELL_BUDGET // max(1, holes.size))
         for js, levels in _ranked_candidates(intent, 1, start, batch):
             # on two grades a concept covers exactly its extent x intent, so
@@ -382,7 +373,7 @@ class _BitsetSweep:
     def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
         # the concept covers exactly extent x intent: clear the extent's
         # rows in the intent's columns
-        self.uncovered[np.flatnonzero(intent)] &= ~_pack_rows(extent[:, None] != 0)[0]
+        self.uncovered[np.flatnonzero(intent)] &= ~_pack_cells((extent != 0)[None])[0]
         return int(np.bitwise_count(self.uncovered).sum())
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,9 +91,8 @@ def test_factorize_missing_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["factorize", "coverage"])
 def test_truncated_run_that_exceeds_the_input_is_rejected(tmp_path, graded_csv, monkeypatch,
-                                                          capsys, command):
+                                                          capsys):
     # a full rectangle exceeds every cell of the decathlon input below 1
     def too_large(context, tie_break, *, max_factors=None):
         # the trace of a truncated run: the 17 cells that are 1 are matched
@@ -100,15 +100,14 @@ def test_truncated_run_that_exceeds_the_input_is_rejected(tmp_path, graded_csv, 
 
     monkeypatch.setattr(cli, "find_factors", too_large)
     out = tmp_path / "out"
-    assert run(command, "--input", graded_csv, "--max-factors", 1, "--out-dir", out) == 1
+    assert run("factorize", "--input", graded_csv, "--max-factors", 1, "--out-dir", out) == 1
     err = capsys.readouterr().err
     assert err == "error: factors exceed the input\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["factorize", "coverage"])
 def test_factors_that_cover_less_than_their_trace_claims_are_rejected(
-        tmp_path, graded_csv, monkeypatch, capsys, command):
+        tmp_path, graded_csv, monkeypatch, capsys):
     # two true factors of the decathlon input leave 14 cells uncovered;
     # the trace claims only 10
     a, b = golden.printed_factor_matrices()
@@ -119,7 +118,7 @@ def test_factors_that_cover_less_than_their_trace_claims_are_rejected(
 
     monkeypatch.setattr(cli, "find_factors", overclaiming)
     out = tmp_path / "out"
-    assert run(command, "--input", graded_csv, "--max-factors", 2, "--out-dir", out) == 1
+    assert run("factorize", "--input", graded_csv, "--max-factors", 2, "--out-dir", out) == 1
     err = capsys.readouterr().err
     assert err == "error: factors do not cover the cells their uncovered counts claim\n"
     assert not out.exists()
@@ -177,50 +176,40 @@ def test_oracle_rejects_budget_below_one(tmp_path, graded_csv, capsys, budget):
 # ---------------------------------------------------------------- coverage
 
 
-def test_coverage_command(tmp_path, graded_csv):
-    out = tmp_path / "out"
-    assert run("coverage", "--input", graded_csv, "--out-dir", out) == 0
-    lines = (out / "coverage.tsv").read_text().splitlines()
-    assert len(lines) == 8
-    assert not (out / "factors.json").exists()
-
-
 def test_experiment_coverage_command(tmp_path, graded_csv, capsys):
     # the coverage experiment's greedy run stops at 50 factors; the
     # decathlon input needs 7
     out = tmp_path / "out"
-    assert run("coverage", "--input", graded_csv, "--max-factors", 50, "--out-dir", out) == 0
+    assert run("factorize", "--input", graded_csv, "--max-factors", 50, "--out-dir", out) == 0
     assert len((out / "coverage.tsv").read_text().splitlines()) == 8
     assert "run complete" in capsys.readouterr().out
-    assert run("coverage", "--input", graded_csv, "--max-factors", 3, "--out-dir", out) == 0
+    assert run("factorize", "--input", graded_csv, "--max-factors", 3, "--out-dir", out) == 0
     assert len((out / "coverage.tsv").read_text().splitlines()) == 4
     assert "run truncated" in capsys.readouterr().out
 
 
 def test_coverage_console_line_counts_covered_cells(tmp_path, graded_csv, capsys):
     out = tmp_path / "out"
-    assert run("coverage", "--input", graded_csv, "--max-factors", 0, "--out-dir", out) == 0
+    assert run("factorize", "--input", graded_csv, "--max-factors", 0, "--out-dir", out) == 0
     assert capsys.readouterr().out.startswith("0 factors cover 0.0000 of the nonzero cells")
     zeros = tmp_path / "zeros.csv"
     zeros.write_text("0,0\n0,0\n")
-    assert run("coverage", "--input", zeros, "--max-factors", 50, "--out-dir", out) == 0
+    assert run("factorize", "--input", zeros, "--max-factors", 50, "--out-dir", out) == 0
     assert capsys.readouterr().out.startswith(
         "0 factors cover 1.0000 of the nonzero cells (run complete)"
     )
 
 
-def test_coverage_commands_write_the_factorize_coverage(tmp_path, graded_csv):
-    def coverage_tsv(name, *args):
-        out = tmp_path / name
-        assert run(*args, "--input", graded_csv, "--out-dir", out) == 0
+def test_coverage_tsv_of_a_cap_past_the_run_is_the_full_run(tmp_path, graded_csv):
+    def coverage_tsv(*args):
+        out = tmp_path / "-".join(map(str, args or ("full",)))
+        assert run("factorize", *args, "--input", graded_csv, "--out-dir", out) == 0
         return (out / "coverage.tsv").read_bytes()
 
-    truncated = {coverage_tsv(command, command, "--max-factors", 3)
-                 for command in ("factorize", "coverage")}
-    assert len(truncated) == 1
-    full = coverage_tsv("full-factorize", "factorize")
-    assert coverage_tsv("full-coverage", "coverage") == full
-    assert coverage_tsv("coverage-50", "coverage", "--max-factors", 50) == full
+    full = coverage_tsv()
+    assert coverage_tsv("--max-factors", 50) == full
+    # a truncated run's curve is the full run's first rows
+    assert full.startswith(coverage_tsv("--max-factors", 3))
 
 
 # ---------------------------------------------------------------- discretize
@@ -380,6 +369,23 @@ def test_experiment_rejects_trials_below_one(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--k", "-3"), "--k must be at least 1, got -3"),
+    (("--k", "2,0"), "--k must be at least 1, got 0"),
+    (("--seed", "-1"), "--seed must be at least 0, got -1"),
+], ids=["k-negative", "k-zero", "seed-negative"])
+def test_experiment_rejects_a_negative_k_or_seed_before_any_trial(tmp_path, monkeypatch,
+                                                                  capsys, args, message):
+    def no_trial(*_, **__):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "random_factorizable", no_trial)
+    out = tmp_path / "out"
+    assert run("experiment-factorizability", *args, "--trials", 1, "--out-dir", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- determinism
 
 
@@ -527,7 +533,7 @@ def test_allocation_failure_is_one_line(tmp_path, graded_csv, capsys, monkeypatc
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["factorize", "coverage", "oracle"])
+@pytest.mark.parametrize("command", ["factorize", "oracle"])
 def test_num_items_without_fimi_is_refused(tmp_path, graded_csv, capsys, command):
     out = tmp_path / "out"
     assert run(command, "--input", graded_csv, "--num-items", 7, "--out-dir", out) == 1
@@ -583,20 +589,26 @@ def test_unknown_tie_break_is_a_parse_error(tmp_path, graded_csv):
 
 
 def test_parser_help_lists_all_commands():
-    text = build_parser().format_help()
-    for name in ("factorize", "oracle", "coverage", "discretize",
-                 "experiment-factorizability"):
+    # usage names the subcommands as {a,b,...}; help holds substrings of
+    # them, such as "coverage" in factorize's line
+    parser = build_parser()
+    names = re.search(r"\{([^}]*)\}", parser.format_usage()).group(1).split(",")
+    assert set(names) == {"factorize", "oracle", "discretize", "experiment-factorizability"}
+    text = parser.format_help()
+    for name in names:
         assert name in text
 
 
 def test_experiment_coverage_is_not_a_command(tmp_path, graded_csv, capsys):
-    # `coverage --max-factors 50` runs the coverage experiment
+    # `factorize --max-factors 50` runs the coverage experiment
     assert "experiment-coverage" not in build_parser().format_help()
-    with pytest.raises(SystemExit) as info:
-        run("experiment-coverage", "--input", graded_csv, "--out-dir", tmp_path / "out")
-    assert info.value.code == 2
-    err = capsys.readouterr().err
-    assert "invalid choice" in err and "experiment-coverage" in err
+    for name in ("experiment-coverage", "coverage"):
+        with pytest.raises(SystemExit) as info:
+            run(name, "--input", graded_csv, "--out-dir", tmp_path / "out")
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{name}'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point(tmp_path, graded_csv):

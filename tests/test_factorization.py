@@ -637,7 +637,7 @@ def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_fa
     def checked(sweep, extent, intent):
         remaining = retire(sweep, extent, intent)
         mask[:] &= ~(_rectangle(ctx.scale, extent, intent) >= ctx.entries)
-        assert np.array_equal(sweep.uncovered, factorization._pack_rows(mask))
+        assert np.array_equal(sweep.uncovered, factorization._pack_cells(mask.T))
         assert remaining == int(mask.sum())
         counts.append(remaining)
         return remaining
