@@ -170,6 +170,8 @@ def _emit_factorization(args: argparse.Namespace, matrix: GradedMatrix, factor_s
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
+    if args.max_factors is not None and args.max_factors < 0:
+        raise ValueError(f"--max-factors must be nonnegative, got {args.max_factors}")
     matrix = _load_matrix(args)
     start = time.perf_counter()
     factor_set = find_factors(matrix, args.tie_break, max_factors=args.max_factors)

@@ -15,11 +15,13 @@ its line and its offset in the file.  An ASCII CSV text with no quote, no
 NUL, no whitespace at either end of a cell and no line past csv's field size
 limit is split on line breaks and commas with str.split; any other goes
 through csv.reader, which quotes and refuses long fields as it always
-has, and both give the same rows.  A transaction file of digits, blanks
-and LF alone, with ids of at most 18 digits, is parsed in one
-np.fromstring call; any other is read line by line, so a bad id is named
-by its line.  `write_csv` joins each block of rows' cells in one call and
-writes the file in one call.
+has, and both give the same rows.  Blank lines are skipped.  A bad cell
+is named by its row and column below any header, its text, and the file
+line it starts on, found by reading the file again on that error path
+alone.  A transaction file of digits, blanks and LF alone, with ids of
+at most 18 digits, is parsed in one np.fromstring call; any other is
+read line by line, so a bad id is named by its line.  `write_csv` joins
+each block of rows' cells in one call and writes the file in one call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +268,24 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
+def _cell_line(path, row: int, column: int) -> int:
+    """The 1-based file line on which cell `column` of row `row`, both
+    from 0, of the rows `_read_rows` keeps starts, counting the blank lines
+    it drops and CR LF, CR and LF as breaks.  The file is read again
+    through csv.reader, which gives the same rows."""
+    reader = csv.reader(io.StringIO(_decode(path, Path(path).read_bytes()), newline=""))
+
+    def starts():
+        line = 1
+        for cells in reader:
+            if cells:
+                yield line, cells
+            line = reader.line_num + 1
+
+    line, cells = next(islice(starts(), row, None))
+    return line + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in cells[:column])
+
+
 # Fraction expands a decimal exponent into an integer of that many digits,
 # so a cell such as "1e10000000" alone would take seconds to parse.  No grade
 # or measurement needs an exponent of five digits or more.
@@ -299,8 +319,8 @@ def _parse_number(text: str) -> tuple[int, int]:
     power of ten, unreduced, without building a Fraction.  Every other form
     Fraction(text) accepts (``3/4``, underscores, non-ASCII digits,
     surrounding whitespace, digit strings past int's conversion limit)
-    gives that Fraction's parts; what it rejects raises its ValueError or
-    ZeroDivisionError.  Exponents past _MAX_EXPONENT_DIGITS digits are
+    gives that Fraction's parts; what it rejects raises a ValueError that
+    names the text.  Exponents past _MAX_EXPONENT_DIGITS digits are
     refused before any arithmetic.
     """
     match = _DECIMAL.fullmatch(text)
@@ -308,18 +328,25 @@ def _parse_number(text: str) -> tuple[int, int]:
         exponent = _EXPONENT.search(text)
         if exponent and _exponent_too_large(exponent[1]):
             raise ValueError(f"exponent too large in {text!r}")
-        return Fraction(text).as_integer_ratio()
+        return _fraction_parts(text)
     whole, frac, exponent = match.groups()  # `whole` carries the sign
     if exponent is not None and _exponent_too_large(exponent.lstrip("+-")):
         raise ValueError(f"exponent too large in {text!r}")
     try:
         significand = int(whole + frac)
     except ValueError:  # past int's digit limit, which Fraction applies per part
-        return Fraction(text).as_integer_ratio()
+        return _fraction_parts(text)
     shift = (int(exponent) if exponent else 0) - len(frac)
     if shift >= 0:
         return significand * 10**shift, 1
     return significand, 10**-shift
+
+
+def _fraction_parts(text: str) -> tuple[int, int]:
+    try:
+        return Fraction(text).as_integer_ratio()
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot read {text!r} as a number") from None
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -332,7 +359,14 @@ def _parse_grade_cell(scale: Scale, text: str, *, strict: bool) -> int:
         if not body.isdigit():
             raise ValueError(f"bad level syntax {text!r}")
         return scale.check_level(int(body))
-    return scale.level_from_value(_parse_fraction(text), strict=strict)
+    value = _parse_fraction(text)
+    try:
+        return scale.level_from_value(value, strict=strict)
+    except ValueError:
+        # its message names the parsed value; name the cell's text instead
+        reason = "outside [0, 1]" if not 0 <= value <= 1 else \
+            f"not a grade on a {scale.levels}-level chain"
+        raise ValueError(f"{text!r} is {reason}") from None
 
 
 def _cell_kind(scale: Scale, text: str) -> str:
@@ -344,7 +378,7 @@ def _cell_kind(scale: Scale, text: str) -> str:
             _parse_grade_cell(scale, text, strict=False)
             return "grade"
         numerator, denominator = _parse_number(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return "name"
     return "grade" if 0 <= numerator <= denominator else "number"
 
@@ -353,7 +387,7 @@ def _raw_cell_kind(text: str) -> str:
     """How layout detection reads a raw cell: "number" or "name"."""
     try:
         _parse_number(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return "name"
     return "number"
 
@@ -404,10 +438,12 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     try:
         levels = np.fromiter(map(level.__getitem__, cells), dtype=LEVEL_DTYPE,
                              count=len(body) * width)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         r, c = next((r, c) for r, row in enumerate(body)
                     for c, cell in enumerate(row[has_labels:]) if cell not in level)
-        raise ValueError(f"{path}: bad grade at row {r + 1}, column {c + 1}: {exc}") from exc
+        line = _cell_line(path, len(rows) - len(body) + r, has_labels + c)
+        raise ValueError(f"{path}: bad grade at row {r + 1}, column {c + 1}: {exc} "
+                         f"(line {line})") from exc
     return GradedMatrix(scale, levels.reshape(len(body), width))
 
 
@@ -486,7 +522,7 @@ def read_raw_csv(path) -> RawTable:
 
     A header row and a label column are detected by `_layout`, every cell
     that parses being a number; missing labels are synthesized from
-    positions.  A bad cell is reported by the first row that holds one.
+    positions.  The first bad cell in row-major order is named.
     """
     rows = _read_rows(path)
     has_labels, body = _layout(path, rows, _raw_cell_kind)
@@ -499,12 +535,15 @@ def read_raw_csv(path) -> RawTable:
     try:
         columns = [_fixed_point_column(cells) or _raw_column(tuple(map(_parse_number, cells)))
                    for cells in texts]
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         for r, row in enumerate(body):  # name the first bad cell in row-major order
-            try:
-                list(map(_parse_number, row[1:] if has_labels else row))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{path}: bad number in row {r + 1}: {exc}") from exc
+            for c in range(has_labels, len(row)):
+                try:
+                    _parse_number(row[c])
+                except ValueError as exc:
+                    line = _cell_line(path, len(rows) - len(body) + r, c)
+                    raise ValueError(f"{path}: bad number in row {r + 1}: {exc} "
+                                     f"(line {line})") from exc
         raise
     return RawTable(
         row_labels,

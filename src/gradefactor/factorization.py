@@ -12,7 +12,10 @@ gains by popcount against the packed uncovered cells, which are all a run
 changes.  Its residua come from one of two read-only row sources: three
 tables per run, up to a fixed size, so that closures and cover tests are
 lookups, the cover test by adjointness: tnorm(e, c) >= b exactly when
-c > residuum(e, b - 1); or, past the cap, t-norm arithmetic.  A batch is
+c > residuum(e, b - 1); or, past the cap, t-norm arithmetic.  Either
+builds a closure as a block that leads with rows, whose minima fold a
+tall block's halves rather than pay numpy's cost per row.  Every batch
+is sized so that its largest array fits one byte cap.  A batch is
 plain arrays, (js, levels, gains, covers), whose covers hold each
 candidate's extent and closed intent, so the winner's concept comes from
 the batch that scored it and no candidate is closed twice.  Every factor
@@ -119,15 +122,17 @@ class FactorSet:
         return [Fraction(initial - u, initial) for u in self.uncovered_counts[1:]]
 
 
-# Cells one batch of candidates may touch: a batch of c candidates over r
-# rows and m columns holds c * r * m levels on a graded chain, from either
-# row source, since a batch spans every row of the input; or c * m * w
-# words of w row words on the two-grade chain.  The opening block is
-# scored this many words at a time.  A batch's memory is therefore flat in
-# the number of grades.  What a run keeps grows with them only up to a cap:
-# the opening block up to _OPENING_TABLE_WORDS, the level and column tables
-# up to _LEVEL_TABLE_BYTES.
-SWEEP_CELL_BUDGET = 1 << 16
+# Bytes of the largest array one batch of candidates builds (512 KiB).  On
+# a graded chain a batch spans every row of the input, from either row
+# source, so a batch of c candidates over r rows and m columns builds
+# c * r * m levels of `_work_dtype`; on the two-grade chain c * m * w
+# words of w row words; and the opening block is scored this many bytes
+# of covers at a time.  A batch holds one candidate at least, which alone
+# exceeds the cap on an input past it.  A batch's memory is therefore flat
+# in the number of grades.  What a run keeps grows with them only up to a
+# cap: the opening block up to _OPENING_TABLE_WORDS, the level and column
+# tables up to _LEVEL_TABLE_BYTES.
+SWEEP_BATCH_BYTES = 1 << 19
 
 # 8-byte words of covers one run's opening block may hold (4 MiB), counted
 # by the bytes it keeps.  On an n-step chain an r x m input has m * n
@@ -175,6 +180,28 @@ def _work_dtype(scale: Scale):
     return LEVEL_DTYPE
 
 
+def _row_minima(block: np.ndarray, top) -> np.ndarray:
+    """min(axis=0, initial=top) of a block that leads with rows, which it
+    overwrites.
+
+    numpy reduces the leading axis one row at a time, at about 30 ns a row
+    whatever the row's width, so a tall block first folds its upper half
+    onto its lower half with np.minimum, while it has more rows than both
+    64 and a row has cells.  On int16 a (4000, 8) block then takes 21 µs
+    instead of 108, and (4000, 64) 41 µs instead of 109.  A short block,
+    or one whose rows are at least as wide as it is tall, is reduced as
+    it is: folding (200, 1000) would write half the block to save 200
+    row steps, and took 21 µs instead of 19.
+    """
+    rows = len(block)
+    width = block.size // rows if rows else 0
+    while rows > 64 and rows > width:
+        half = rows // 2
+        np.minimum(block[:half], block[rows - half:rows], out=block[:half])
+        rows -= half
+    return block[:rows].min(axis=0, initial=top)
+
+
 def _ranked_candidates(intent: np.ndarray, n: int, start: int, batch: int):
     """Attributes and grades of the candidates a > intent[j] on an n-step
     chain, from the start-th on in (j, a) order, ranked batch by batch."""
@@ -213,7 +240,8 @@ class _LevelTables:
         grades = np.arange(n + 1, dtype=dtype)[:, None]
         sub = entries.astype(dtype)[:, None, :]
         res = scale.residuum(grades, sub)
-        never = np.where(sub != 0, scale.residuum(grades, sub - 1), dtype(n))
+        # n at zero cells, where the residuum below is of no grade
+        never = np.maximum(scale.residuum(grades, sub - 1), (sub == 0) * dtype(n))
         self.cols = np.ascontiguousarray(res.transpose(2, 1, 0))
         self.res, self.never = res.reshape(-1, n_cols), never.reshape(-1, n_cols)
         for table in (self.res, self.never, self.cols):
@@ -236,7 +264,7 @@ class _LevelTables:
     def closures(self, idx: np.ndarray) -> np.ndarray:
         # rows lead the gathered closure, so its min runs over whole
         # candidate x column slabs
-        return self.res.take(idx.T, axis=0).min(axis=0, initial=self.n)
+        return _row_minima(self.res.take(idx.T, axis=0), self.n)
 
     def covered(self, idx: np.ndarray, closed: np.ndarray) -> np.ndarray:
         return self.never.take(idx, axis=0) < closed[..., None, :]
@@ -268,8 +296,9 @@ class _Residua:
         return ext.astype(self.entries.dtype, copy=False)
 
     def closures(self, ext: np.ndarray) -> np.ndarray:
-        res = self.scale.residuum(ext[..., None], self.entries)
-        return res.min(axis=-2, initial=self.scale.max_level)
+        # rows lead, as in the level tables' closures
+        res = self.scale.residuum(ext.T[..., None], self.entries[:, None, :])
+        return _row_minima(res, self.scale.max_level)
 
     def covered(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
         return _rectangle(self.scale, ext, closed) >= self.entries
@@ -290,9 +319,11 @@ class _GradedSweep:
     only.
     """
 
-    def __init__(self, entries: np.ndarray, mask: np.ndarray, rows) -> None:
+    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray, rows) -> None:
         self.rows = rows
-        self.batch = max(1, SWEEP_CELL_BUDGET // max(1, entries.size))
+        # a batch's largest array is its candidates' levels over every cell
+        itemsize = np.dtype(_work_dtype(scale)).itemsize
+        self.batch = max(1, SWEEP_BATCH_BYTES // max(1, entries.size * itemsize))
         self.live = _pack_cells(mask[None])[0]
 
     def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
@@ -347,7 +378,7 @@ class _BitsetSweep:
         # past the last row, where ~cols has ones
         words = np.flatnonzero(base)
         holes = ~self.cols[:, words]
-        batch = max(1, SWEEP_CELL_BUDGET // max(1, holes.size))
+        batch = max(1, SWEEP_BATCH_BYTES // max(1, holes.nbytes))
         for js, levels in _ranked_candidates(intent, 1, start, batch):
             # on two grades a concept covers exactly its extent x intent, so
             # the extent's row bitset and the closed columns stand for the
@@ -381,7 +412,7 @@ def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedS
     if scale.levels == 2:
         return _BitsetSweep(entries, mask)
     rows = (_LevelTables if _LevelTables.fit(scale, entries) else _Residua)(scale, entries)
-    return _GradedSweep(entries, mask, rows)
+    return _GradedSweep(scale, entries, mask, rows)
 
 
 def _opening_block(sweep, intent: np.ndarray, extent: np.ndarray) -> tuple:
@@ -405,11 +436,11 @@ def _opening_block(sweep, intent: np.ndarray, extent: np.ndarray) -> tuple:
 
 def _opening_batches(sweep, block: tuple, intent: np.ndarray, extent: np.ndarray):
     """The opening step's batches: the block's, scored by `count`
-    SWEEP_CELL_BUDGET words at a time with no closure, then the sweep's for
-    the candidates past it.  One popcount scores the block of a 40 x 30
-    input on 11 levels (11k words)."""
+    SWEEP_BATCH_BYTES of covers at a time with no closure, then the
+    sweep's for the candidates past it.  One popcount scores the block of
+    a 40 x 30 input on 11 levels (11k words)."""
     js, levels, *covers = block
-    step = max(1, 8 * SWEEP_CELL_BUDGET // max(1, sum(a[:1].nbytes for a in covers)))
+    step = max(1, SWEEP_BATCH_BYTES // max(1, sum(a[:1].nbytes for a in covers)))
     for lo in range(0, len(js), step):
         stored = tuple(a[lo:lo + step] for a in covers)
         yield js[lo:lo + step], levels[lo:lo + step], sweep.count(stored), stored

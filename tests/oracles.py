@@ -12,9 +12,10 @@ The per-cell `read_csv`, `write_csv`, `read_raw_csv` and `discretize` at
 the end are the original grade I/O, which parses, formats and rounds every
 cell through Fractions; the memoized readers and writer and the
 column-wide integer raw-table code must match them.  They read rows with
-`read_rows`, the original row reader, which streams the file through
-csv.reader and strips every cell; the whole-file split of
-`gradefactor.data._read_rows` must match it.  `read_raw_csv` parses with
+`read_located_rows`, the original row reader, which streams the file
+through csv.reader, strips every cell and notes the file line each cell
+starts on; the whole-file split of `gradefactor.data._read_rows` must
+match its rows, `read_rows`.  `read_raw_csv` parses with
 Fraction itself; the others share the cell helpers of `gradefactor.data`,
 except that `read_csv` reads its layout with `cell_kind`, which parses a
 cell twice where `gradefactor.data._cell_kind` parses it once.
@@ -345,7 +346,10 @@ def parse_fraction(text: str) -> Fraction:
     match = _EXPONENT.search(text)
     if match and len(match[1].replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS:
         raise ValueError(f"exponent too large in {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot read {text!r} as a number") from None
 
 
 def _is_fraction(text: str) -> bool:
@@ -369,24 +373,37 @@ def cell_kind(scale: Scale, text: str) -> str:
     return "number"
 
 
-def read_rows(path) -> list[list[str]]:
+def read_located_rows(path) -> tuple[list[list[str]], list[list[int]]]:
     """The rows of a CSV file through csv.reader, each cell stripped of
     surrounding whitespace and empty lines dropped; every row must be as
-    wide as the first."""
+    wide as the first.  Beside them, the 1-based file line each cell
+    starts on: its row's first line, plus the line breaks in the cells
+    before it."""
+    rows, lines = [], []
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
+        start = 1
         try:
-            rows = [row for row in reader]
+            for row in reader:
+                if row:
+                    rows.append([cell.strip() for cell in row])
+                    lines.append([start + sum(len(re.findall(r"\r\n|\r|\n", cell))
+                                              for cell in row[:c]) for c in range(len(row))])
+                start = reader.line_num + 1
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    rows = [[cell.strip() for cell in row] for row in rows if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-    return rows
+    return rows, lines
+
+
+def read_rows(path) -> list[list[str]]:
+    """The rows of `read_located_rows` alone."""
+    return read_located_rows(path)[0]
 
 
 def read_raw_csv(path) -> RawTable:
@@ -396,7 +413,7 @@ def read_raw_csv(path) -> RawTable:
     marks it as a header, and a non-numeric first body cell marks the first
     column as labels; missing labels are synthesized from positions.
     """
-    rows = read_rows(path)
+    rows, lines = read_located_rows(path)
     has_header = not all(_is_fraction(c) for c in rows[0])
     body = rows[1:] if has_header else rows
     if not body:
@@ -411,10 +428,14 @@ def read_raw_csv(path) -> RawTable:
         if not cells:
             raise ValueError(f"{path}: no data columns")
         row_labels.append(row[0] if has_labels else str(r))
-        try:
-            values.append(tuple(parse_fraction(c) for c in cells))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{path}: bad number in row {r + 1}: {exc}") from exc
+        parsed = []
+        for c, cell in enumerate(cells, has_labels):
+            try:
+                parsed.append(parse_fraction(cell))
+            except ValueError as exc:
+                line = lines[r + has_header][c]
+                raise ValueError(f"{path}: bad number in row {r + 1}: {exc} (line {line})") from exc
+        values.append(tuple(parsed))
     if col_labels is None:
         col_labels = [str(c) for c in range(len(values[0]))] if values else []
     return raw_table(row_labels, col_labels, values)
@@ -434,7 +455,7 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     """
     _check_mode(mode)
     strict = mode == "strict"
-    rows = read_rows(path)
+    rows, lines = read_located_rows(path)
 
     first = [cell_kind(scale, c) for c in rows[0]]
     has_header = "name" in first
@@ -454,11 +475,13 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
         if not cells:
             raise ValueError(f"{path}: no data columns")
         parsed = []
-        for c, cell in enumerate(cells):
+        for c, cell in enumerate(cells, has_labels):
             try:
                 parsed.append(_parse_grade_cell(scale, cell, strict=strict))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{path}: bad grade at row {r + 1}, column {c + 1}: {exc}") from exc
+            except ValueError as exc:
+                line = lines[r + has_header][c]
+                raise ValueError(f"{path}: bad grade at row {r + 1}, column {c - has_labels + 1}: "
+                                 f"{exc} (line {line})") from exc
         levels.append(parsed)
     return GradedMatrix(scale, levels)
 

@@ -173,6 +173,14 @@ def test_oracle_rejects_budget_below_one(tmp_path, graded_csv, capsys, budget):
     assert not out.exists()
 
 
+def test_factorize_rejects_a_negative_max_factors(tmp_path, graded_csv, capsys):
+    out = tmp_path / "out"
+    assert run("factorize", "--input", graded_csv, "--max-factors", -1, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --max-factors must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- coverage
 
 

@@ -190,51 +190,54 @@ def test_a_factor_that_covers_nothing_stops_the_run(decathlon):
 # ---------------------------------------------------------------- sweep kernel
 #
 # The batched candidate sweep of `find_factors` against the one-candidate-
-# at-a-time reference loop.  Small cell budgets force candidate batches to
+# at-a-time reference loop.  Small batch budgets force candidate batches to
 # split mid-attribute, so every batch boundary is exercised.  Each run is
 # repeated with the opening block capped at nothing, at half of its
 # opening's batches, and at its default, and with the level tables
 # capped at nothing (t-norm arithmetic) and at their default.
 
 ALL_KINDS = ("lukasiewicz", "godel", "goguen")
-BUDGETS = (1, 37, factorization.SWEEP_CELL_BUDGET)
+# batch budgets in bytes: one candidate a batch; 37 row words of a bitset
+# batch, or 148 levels of 16 bits; and the default
+BUDGETS = (1, 8 * 37, factorization.SWEEP_BATCH_BYTES)
 LEVEL_TABLE_CAPS = (0, factorization._LEVEL_TABLE_BYTES)
 
 
 def opening_batches(ctx, budget):
     """Candidates per batch, bytes per candidate and the number of batches
-    of a run's first opening at a cell budget: m * n candidates on an
-    n-step chain, batched by the input's cells, or on two grades by the
-    row words of the columns' holes."""
+    of a run's first opening at a batch budget in bytes: m * n candidates
+    on an n-step chain, batched by the bytes of the input's cells in the
+    work dtype, or on two grades by the bytes of the row words of the
+    columns' holes."""
     n_rows, n_cols = ctx.shape
     n = ctx.scale.max_level
     if n == 1:
         row_words = -(-n_rows // 64)
-        batch = max(1, budget // max(1, n_cols * row_words))
+        batch = max(1, budget // max(1, 8 * n_cols * row_words))
         # its extent's row bitset and a byte per column
         size = 8 * row_words + n_cols
     else:
-        batch = max(1, budget // max(1, n_rows * n_cols))
-        # a bitset over all cells, and its extent and closed intent
         itemsize = np.dtype(factorization._work_dtype(ctx.scale)).itemsize
+        batch = max(1, budget // max(1, n_rows * n_cols * itemsize))
+        # a bitset over all cells, and its extent and closed intent
         size = 8 * -(-n_rows * n_cols // 64) + (n_rows + n_cols) * itemsize
     return batch, size, -(-n_cols * n // batch)
 
 
 def table_caps(ctx, budget):
     """Opening-block caps in words: none; the first half of the opening's
-    batches at `budget`, and at least one, so that the block stores whole
-    batches and, with two batches or more, leaves the rest to the sweep;
-    and the default."""
+    batches at a batch budget in bytes, and at least one, so that the
+    block stores whole batches and, with two batches or more, leaves the
+    rest to the sweep; and the default."""
     batch, size, batches = opening_batches(ctx, budget)
     return 0, -(-max(1, batches // 2) * batch * size // 8), factorization._OPENING_TABLE_WORDS
 
 
 def assert_matches_reference(ctx, tie_break=DEFAULT_TIE_BREAK, budget=None, max_factors=None):
-    budget = factorization.SWEEP_CELL_BUDGET if budget is None else budget
+    budget = factorization.SWEEP_BATCH_BYTES if budget is None else budget
     slow = oracles.greedy_factors(ctx, tie_break, max_factors=max_factors)
     for cap, level_cap in product(table_caps(ctx, budget), LEVEL_TABLE_CAPS):
-        with mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget), \
+        with mock.patch.object(factorization, "SWEEP_BATCH_BYTES", budget), \
                 mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
                 mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
             fast = find_factors(ctx, tie_break, max_factors=max_factors)
@@ -262,7 +265,7 @@ def test_sweep_matches_reference_on_each_tnorm(levels, kind):
     assert_matches_reference(GradedMatrix(scale, entries))
 
 
-@pytest.mark.parametrize("levels, shape", [(11, (8, 30)), (2, (20, 260))])
+@pytest.mark.parametrize("levels, shape", [(11, (6, 75)), (2, (20, 260))])
 def test_sweep_matches_reference_past_a_partial_opening_block(levels, shape):
     # inputs whose first opening takes more than one batch at the default
     # budget, so that the mid cap stores some of its batches and not all
@@ -271,8 +274,121 @@ def test_sweep_matches_reference_past_a_partial_opening_block(levels, shape):
     if levels == 2:
         entries &= np.random.default_rng(3).integers(0, 2, size=shape)
     ctx = GradedMatrix(scale, entries)
-    assert opening_batches(ctx, factorization.SWEEP_CELL_BUDGET)[2] >= 2
+    assert opening_batches(ctx, factorization.SWEEP_BATCH_BYTES)[2] >= 2
     assert_matches_reference(ctx)
+
+
+def tall_product(scale, rows, seed, cols=8):
+    """A rows x cols product of a random rows x 3 and 3 x cols factor pair,
+    with 5% of its cells redrawn: factors whose intents span columns."""
+    rng = np.random.default_rng(seed)
+    n = scale.max_level
+    a, b = rng.integers(0, n + 1, size=(rows, 3, 1)), rng.integers(0, n + 1, size=(1, 3, cols))
+    entries = scale.tnorm(a, b).max(axis=1)
+    noise = rng.random(entries.shape) < 0.05
+    entries[noise] = rng.integers(0, n + 1, size=int(noise.sum()))
+    return GradedMatrix(scale, entries)
+
+
+@pytest.mark.parametrize("rows", [63, 64, 65, 129, 257, 1000])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("tie_break", TIE_BREAK_POLICIES)
+def test_sweep_matches_reference_on_tall_inputs(rows, kind, tie_break):
+    # past 64 rows a closure's row minima fold the block's halves, which
+    # leaves an odd middle row at 65, 129 and 257 rows
+    scale = Scale(5, kind, rounded=kind == "goguen")
+    assert_matches_reference(tall_product(scale, rows, rows), tie_break)
+
+
+@given(
+    st.integers(0, 300),
+    st.sampled_from([(1,), (7,), (3, 5), (40, 30), (1, 700)]),
+    st.sampled_from([np.int16, np.int32, np.int64]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150)
+def test_row_minima_match_a_plain_reduction(rows, slab, dtype, seed):
+    top = 100
+    block = np.random.default_rng(seed).integers(0, top + 1, size=(rows, *slab)).astype(dtype)
+    expected = block.min(axis=0, initial=top)
+    got = factorization._row_minima(block.copy(), dtype(top))
+    assert got.dtype == dtype
+    assert np.array_equal(got, expected)
+
+
+def batch_sizes(ctx, budget):
+    """Per greedy step of a run at a batch budget in bytes, the candidates
+    of each batch whose closures its sweep took, and per closure the bytes
+    of the block whose row minima it took, with its candidates."""
+    steps, blocks = [], []
+    row_minima = factorization._row_minima
+
+    def recorded_minima(block, top):
+        blocks.append((block.nbytes, block.shape[1]))
+        return row_minima(block, top)
+
+    def listed(batches):
+        def wrapped(sweep, *args):
+            steps.append([])
+            for batch in batches(sweep, *args):
+                steps[-1].append(len(batch[0]))
+                yield batch
+        return wrapped
+
+    with mock.patch.object(factorization, "_row_minima", recorded_minima), \
+            mock.patch.object(factorization._GradedSweep, "batches",
+                              listed(factorization._GradedSweep.batches)), \
+            mock.patch.object(factorization._BitsetSweep, "batches",
+                              listed(factorization._BitsetSweep.batches)), \
+            mock.patch.object(factorization, "SWEEP_BATCH_BYTES", budget):
+        fs = find_factors(ctx)
+    return fs, steps, blocks
+
+
+@pytest.mark.parametrize("levels, rows, cols, budget", [
+    (5, 4000, 8, factorization.SWEEP_BATCH_BYTES), (5, 1000, 8, 1 << 16),
+    (200, 300, 5, factorization.SWEEP_BATCH_BYTES), (5, 100, 30, 4096), (5, 100, 30, 20000),
+])
+@pytest.mark.parametrize("level_cap", LEVEL_TABLE_CAPS)
+def test_closure_blocks_stay_within_the_batch_bytes(levels, rows, cols, budget, level_cap):
+    # every step's batches but its last hold as many candidates as the
+    # budget allows, and no closure block exceeds it unless it holds one
+    scale = Scale(levels)
+    ctx = tall_product(scale, rows, levels, cols)
+    cell_bytes = ctx.entries.size * np.dtype(factorization._work_dtype(scale)).itemsize
+    batch = max(1, budget // cell_bytes)
+    with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+        fs, steps, blocks = batch_sizes(ctx, budget)
+    assert fs == oracles.greedy_factors(ctx) if rows < 1000 else fs.complete
+    steps = [step for step in steps if step]
+    assert any(len(step) > 1 for step in steps)
+    for step in steps:
+        assert all(c == batch for c in step[:-1]) and step[-1] <= batch
+    assert blocks and all(size <= budget or c == 1 for size, c in blocks)
+    assert any(size > budget for size, _ in blocks) == (cell_bytes > budget)
+
+
+@pytest.mark.parametrize("rows, cols", [(3196, 75), (64, 600)])
+def test_bitset_batches_keep_their_size(rows, cols):
+    # the byte budget counts a bitset batch's words, 2**16 of them, as the
+    # cell budget before it did
+    rng = np.random.default_rng(rows)
+    ctx = GradedMatrix(Scale.boolean(), (rng.random((rows, cols)) < 0.45).astype(int))
+    sizes = []
+    closed = factorization._BitsetSweep._closed
+
+    def recorded(ext, holes):
+        sizes.append((len(ext), max(1, (1 << 16) // holes.size)))
+        return closed(ext, holes)
+
+    with mock.patch.object(factorization._BitsetSweep, "_closed", staticmethod(recorded)):
+        _, steps, _ = batch_sizes(ctx, factorization.SWEEP_BATCH_BYTES)
+    assert sizes and all(c <= words for c, words in sizes)
+    full = [c == words for c, words in sizes]
+    # a step's batches are full but for its last
+    ends = set((np.cumsum([len(step) for step in steps]) - 1).tolist())
+    assert len(ends) < len(full)
+    assert all(full[i] for i in range(len(full)) if i not in ends)
 
 
 @pytest.mark.parametrize("levels", [128, 129])
@@ -384,7 +500,7 @@ def test_bitset_sweep_matches_reference_on_a_truncated_tall_run():
 
 
 def test_opening_table_stays_within_its_cap():
-    ctx = GradedMatrix(Scale(101), np.random.default_rng(101).integers(0, 101, size=(20, 10)))
+    ctx = GradedMatrix(Scale(101), np.random.default_rng(101).integers(0, 101, size=(40, 10)))
     blocks = []
     opening_block = factorization._opening_block
 
@@ -393,9 +509,9 @@ def test_opening_table_stays_within_its_cap():
         return blocks[-1][1]
 
     # the whole opening is 10 attributes x 100 grades, each candidate
-    # keeping 4 words of covered cells and 20 + 10 levels of 16 bits, 92
-    # bytes in all, in batches of 65536 // 200 = 327 candidates
-    cap = 6000
+    # keeping 7 words of covered cells and 40 + 10 levels of 16 bits, 156
+    # bytes in all, in batches of 524288 // (400 * 2) = 655 candidates
+    cap = 13000
     with mock.patch.object(factorization, "_opening_block", recorded), \
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
         capped = find_factors(ctx)
@@ -408,7 +524,7 @@ def test_opening_table_stays_within_its_cap():
     order = [(j, a) for j in range(10) for a in range(1, 101)]
     assert list(zip(js.tolist(), levels.tolist())) == order[:len(js)]
     batch, width = sweep.batch, stored // len(js)
-    assert width == 8 * 4 + 2 * (20 + 10)
+    assert width == 8 * 7 + 2 * (40 + 10)
     assert all(len(a) == len(js) for a in covers)
     assert len(js) % batch == 0
     assert len(js) * width <= 8 * cap < (len(js) + batch) * width
@@ -418,7 +534,7 @@ def test_opening_table_stays_within_its_cap():
     # a run that seeks no factor builds no block
     with mock.patch.object(factorization, "_opening_block", recorded):
         find_factors(ctx, max_factors=0)
-        find_factors(GradedMatrix.zeros(Scale(101), 20, 10))
+        find_factors(GradedMatrix.zeros(Scale(101), 40, 10))
     assert len(blocks) == 1
 
 
@@ -480,7 +596,7 @@ def test_a_run_closes_each_candidate_it_scores_once(levels, kind, level_cap):
     ctx = GradedMatrix(scale, entries)
     slow = oracles.greedy_factors(ctx)
     assert len(slow) >= 3
-    for cap in table_caps(ctx, factorization.SWEEP_CELL_BUDGET):
+    for cap in table_caps(ctx, factorization.SWEEP_BATCH_BYTES):
         fs, closed, yielded = closure_counts(ctx, cap, level_cap)
         assert fs == slow
         assert closed == yielded > 0, f"opening block at {cap} words"
@@ -520,9 +636,9 @@ def test_row_sources_stay_read_only_and_unchanged_through_a_run(level_cap):
 
 
 def tie_spans(ctx, tie_break, budget, cap):
-    """Per greedy step of one run at a cell budget and an opening-block cap
-    in words: how many of its batches hold a candidate of the step's top
-    gain."""
+    """Per greedy step of one run at a batch budget in bytes and an
+    opening-block cap in words: how many of its batches hold a candidate
+    of the step's top gain."""
     spans = []
     best_candidate = factorization._best_candidate
 
@@ -533,7 +649,7 @@ def tie_spans(ctx, tie_break, budget, cap):
         return best_candidate(batches, tie_break)
 
     with mock.patch.object(factorization, "_best_candidate", step), \
-            mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget), \
+            mock.patch.object(factorization, "SWEEP_BATCH_BYTES", budget), \
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
         fs = find_factors(ctx, tie_break)
     return fs, spans
@@ -550,7 +666,7 @@ def test_ties_across_batches_match_reference(levels, kind, base, tie_break):
     entries = np.tile(np.random.default_rng(levels).integers(0, levels, size=base), 3)
     ctx = GradedMatrix(scale, entries)
     slow = oracles.greedy_factors(ctx, tie_break)
-    for budget in (1, 37):
+    for budget in BUDGETS[:2]:
         for cap in table_caps(ctx, budget):
             fast, spans = tie_spans(ctx, tie_break, budget, cap)
             assert fast == slow, f"budget {budget}, opening block at {cap} words"
@@ -600,7 +716,7 @@ def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
     scale, entries = ctx.scale, ctx.entries
     drawn = data.draw(st.lists(st.booleans(), min_size=entries.size, max_size=entries.size))
     mask = np.array(drawn).reshape(entries.shape) & (entries != 0)
-    with mock.patch.object(factorization, "SWEEP_CELL_BUDGET", budget), \
+    with mock.patch.object(factorization, "SWEEP_BATCH_BYTES", budget), \
             mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
         sweep = factorization._make_sweep(scale, entries, mask)
         seen = []

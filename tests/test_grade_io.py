@@ -197,6 +197,42 @@ def test_read_csv_names_the_first_bad_cell(tmp_path, text, where):
     assert outcome(read_csv, path, Scale(5)) == outcome(oracles.read_csv, path, Scale(5))
 
 
+def read_five(path):
+    return read_csv(path, Scale(5))
+
+
+def oracle_five(path):
+    return oracles.read_csv(path, Scale(5))
+
+
+@pytest.mark.parametrize("read, oracle, text, message", [
+    # blank lines and a header count as lines; the cell keeps its text
+    (read_five, oracle_five, "0.5,1\n\n1,x\n",
+     "bad grade at row 2, column 2: cannot read 'x' as a number (line 3)"),
+    (read_five, oracle_five, "a,b\n\n\n0.5,1\n1,nan\n",
+     "bad grade at row 2, column 2: cannot read 'nan' as a number (line 5)"),
+    (read_five, oracle_five, "a,b\r\n0.5,1\r\r\n1,1.5\r\n",
+     "bad grade at row 2, column 2: '1.5' is outside [0, 1] (line 4)"),
+    (read_five, oracle_five, "id,a\nr1,0.3\n",
+     "bad grade at row 1, column 1: '0.3' is not a grade on a 5-level chain (line 2)"),
+    # a quoted cell holding a line break moves the cells after it down a line
+    (read_five, oracle_five, 'id,a,b\nr1,"1\n",x\n',
+     "bad grade at row 1, column 2: cannot read 'x' as a number (line 3)"),
+    (read_five, oracle_five, '"0\n",1/0\n',
+     "bad grade at row 1, column 2: cannot read '1/0' as a number (line 2)"),
+    (read_raw_csv, oracles.read_raw_csv, "a,b\n1,2\n\n3,x\n",
+     "bad number in row 2: cannot read 'x' as a number (line 4)"),
+    (read_raw_csv, oracles.read_raw_csv, 'id,a,b\r\nr1,"2\r\n",3/0\r\n',
+     "bad number in row 1: cannot read '3/0' as a number (line 3)"),
+])
+def test_a_bad_cell_is_named_by_its_file_line(tmp_path, read, oracle, text, message):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    for reader in (read, oracle):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            reader(path)
+
+
 @given(scales(), st.data())
 @settings(max_examples=100)
 def test_cell_kind_matches_oracle(scale, draws):

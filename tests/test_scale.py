@@ -199,6 +199,28 @@ def test_scalar_ops_return_plain_integers():
     assert int(scale.residuum(3, 2)) == 3
 
 
+@pytest.mark.parametrize("kind", ["godel", "goguen"])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_selecting_residua_keep_the_operands_dtype(kind, dtype):
+    # the Gödel and Goguen residua select the top grade by a maximum, which
+    # must neither widen narrow levels nor turn scalars into arrays
+    scale = Scale(7, kind, rounded=kind == "goguen")
+    n = scale.max_level
+    a = np.arange(n + 1, dtype=dtype)[:, None, None]
+    b = np.arange(n + 1, dtype=dtype)[None, :, None]
+    res = scale.residuum(a, b)
+    assert res.dtype == dtype
+    assert res.shape == (n + 1, n + 1, 1)
+    for x, y in product(range(n + 1), repeat=2):
+        assert res[x, y, 0] == oracles.brute_residuum(scale, x, y)
+    for x, y in ((0, 0), (3, 2), (2, 3), (n, 0)):
+        got = scale.residuum(x, y)
+        assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+        assert got == oracles.brute_residuum(scale, x, y)
+        narrow = scale.residuum(dtype(x), dtype(y))
+        assert np.ndim(narrow) == 0 and narrow.dtype == dtype
+
+
 # ---------------------------------------------------------------- conversion
 
 
