@@ -4,6 +4,10 @@ Subcommands cover the whole workflow: discretize raw measurements, run the
 greedy decomposition (whose coverage curve the coverage experiment reads
 from `factorize --max-factors 50`) or the exact small-instance oracle, and
 rerun the synthetic factorizability experiment.
+The parser checks every number on the command line against its option's
+bound, so a command line that is wrong alone ends with one `error:` line
+and exit status 2 before anything is read or written; a bad input or a
+failed run ends with one `error:` line and exit status 1.
 All artifacts are written deterministically, so identical configurations
 produce byte-identical files; timings go to the console only.
 """
@@ -40,7 +44,7 @@ from .factorization import (
     optimal_factorization,
 )
 from .matrix import GradedMatrix
-from .scale import Scale, TNORM_KINDS
+from .scale import MAX_LEVELS, Scale, TNORM_KINDS
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,6 @@ def _emit_factorization(args: argparse.Namespace, matrix: GradedMatrix, factor_s
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    if args.max_factors is not None and args.max_factors < 0:
-        raise ValueError(f"--max-factors must be nonnegative, got {args.max_factors}")
     matrix = _load_matrix(args)
     start = time.perf_counter()
     factor_set = find_factors(matrix, args.tie_break, max_factors=args.max_factors)
@@ -188,8 +190,6 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.budget < 1:
-        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     matrix = _load_matrix(args)
     start = time.perf_counter()
     factor_set = optimal_factorization(matrix, budget=args.budget)
@@ -217,15 +217,6 @@ def cmd_discretize(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment_factorizability(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    # (seed, k, trial) seeds numpy's generator, whose error for a negative
-    # entry names no option
-    for k in args.ks:
-        if k < 1:
-            raise ValueError(f"--k must be at least 1, got {k}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     scale = _scale(args)
     start = time.perf_counter()
     results = [
@@ -265,22 +256,41 @@ COMMANDS = {
 # ----------------------------------------------------------------------
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one stderr line and exit status 2;
+    subparsers take its class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+def _at_least(low: int, high: int | None = None):
+    """The argparse type of an integer option bounded by [low, high]."""
+    def bounded(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+    return bounded
+
+
+def _list_of(item):
+    """The argparse type of a comma-separated list, each part parsed by `item`."""
+    def parts(text: str) -> tuple:
+        try:
+            return tuple(map(item, text.split(",")))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    return parts
 
 
 def _add_levels_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--levels", type=int, default=5,
+    parser.add_argument("--levels", type=_at_least(2, MAX_LEVELS), default=5,
                         help="grades on the chain, counting 0 and 1 (default 5)")
 
 
@@ -303,7 +313,7 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", type=Path, required=True)
     parser.add_argument("--format", dest="data_format", choices=("csv", "fimi"),
                         default="csv", help="input layout (default csv)")
-    parser.add_argument("--num-items", type=int, default=None,
+    parser.add_argument("--num-items", type=_at_least(1), default=None,
                         help="column count for transaction files; inferred when omitted")
 
 
@@ -313,7 +323,7 @@ def _add_tie_break_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradefactor",
         description="Decompose matrices of ordinal grades into concept factors.",
     )
@@ -324,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(p)
     _add_mode_args(p)
     _add_tie_break_arg(p)
-    p.add_argument("--max-factors", dest="max_factors", type=int, default=None,
+    p.add_argument("--max-factors", dest="max_factors", type=_at_least(0), default=None,
                    help="stop after this many factors (marks the run incomplete)")
     p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
 
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_scale_args(p)
     _add_mode_args(p)
-    p.add_argument("--budget", type=int, default=10**6,
+    p.add_argument("--budget", type=_at_least(1), default=10**6,
                    help="cap on closure computations and search nodes")
     p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
     # factors.json records a tie-break policy; the oracle's search has none
@@ -351,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="factor counts of random rank-k products")
     _add_scale_args(p)
     _add_tie_break_arg(p)
-    p.add_argument("--k", dest="ks", type=_int_list, default=(5,),
+    p.add_argument("--k", dest="ks", type=_list_of(_at_least(1)), default=(5,),
                    help="comma-separated inner dimensions (default 5)")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--rows", type=int, default=20)
-    p.add_argument("--cols", type=int, default=20)
-    p.add_argument("--dist", dest="distribution", type=_float_list, default=None,
+    p.add_argument("--trials", type=_at_least(1), default=200)
+    p.add_argument("--rows", type=_at_least(1), default=20)
+    p.add_argument("--cols", type=_at_least(1), default=20)
+    p.add_argument("--dist", dest="distribution", type=_list_of(float), default=None,
                    help="comma-separated grade weights; uniform when omitted")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
 
     return parser

@@ -582,9 +582,10 @@ def read_fimi(path, num_items: int | None = None, *,
     index columns directly and must stay below it.  Without it, the
     distinct ids that occur are mapped onto columns in sorted order, so
     datasets whose ids start at 1 do not drag along an unused column: by a
-    table of the ids present when they are all below the file's byte
-    count, by a sort otherwise, so memory follows the file and not the
-    largest id.  A grid of more than MAX_FIMI_CELLS cells is refused.
+    table of the ids present when the file is read in one pass and they are
+    all below its byte count, by a sort otherwise, so memory follows the
+    file and not the largest id.  A grid of more than MAX_FIMI_CELLS cells
+    is refused.
     """
     if scale is None:
         scale = Scale.boolean()
@@ -608,11 +609,7 @@ def read_fimi(path, num_items: int | None = None, *,
     if num_items is None:
         if not len(ids):
             raise ValueError(f"{path}: no items in any transaction")
-        if tokens is None:  # Python ints, of any size
-            distinct = sorted(set(ids))
-            column = {item: c for c, item in enumerate(distinct)}
-            cols = np.fromiter(map(column.__getitem__, ids), dtype=np.intp, count=len(ids))
-        elif (top := int(ids.max())) < len(data):
+        if tokens is not None and (top := int(ids.max())) < len(data):
             present = np.zeros(top + 1, dtype=bool)
             present[ids] = True
             distinct = np.flatnonzero(present)
@@ -667,10 +664,11 @@ def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     return lines, rows, ids
 
 
-def _fimi_lines(path, text: str, num_items: int | None) -> tuple[int, np.ndarray, list[int]]:
+def _fimi_lines(path, text: str, num_items: int | None) -> tuple[int, np.ndarray, np.ndarray]:
     """Lines, and each item id with its 0-based line, of a transaction file
     read line by line; a bad, negative or too-large id is named by its line.
-    Lines end at CR LF, CR or LF."""
+    Lines end at CR LF, CR or LF.  The ids are Python ints of any size in an
+    object array, which keeps them exact where int64 or float64 would not."""
     transactions: list[list[int]] = []
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         items = []
@@ -688,7 +686,8 @@ def _fimi_lines(path, text: str, num_items: int | None) -> tuple[int, np.ndarray
             items.append(item)
         transactions.append(items)
     rows = np.repeat(np.arange(len(transactions)), [len(items) for items in transactions])
-    return len(transactions), rows, list(chain.from_iterable(transactions))
+    ids = np.array(list(chain.from_iterable(transactions)), dtype=object)
+    return len(transactions), rows, ids
 
 
 # ----------------------------------------------------------------------

@@ -101,12 +101,12 @@ class Scale:
         # a condition holds, and with 0 elsewhere, selects n there; on
         # broadcast blocks this is several times faster than np.where.  n
         # takes the operands' type, since a Boolean array times a Python
-        # int would be int64.
+        # int would be int64; so does the guarded divisor.
         top = np.result_type(a, b).type(n)
         if self.tnorm_kind == "godel":
             return np.maximum(b, (a <= b) * top)
         # rounded goguen: largest c with (2ac + n) // (2n) <= b
-        safe = np.maximum(2 * a, 1)
+        safe = np.maximum(2 * a, 1, dtype=top.dtype)
         return np.maximum(np.minimum((2 * n * b + n - 1) // safe, n), (a == 0) * top)
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import golden
 from gradefactor import (
+    MAX_LEVELS,
     FactorSet,
     GradedMatrix,
     Scale,
@@ -30,6 +31,16 @@ TRANSACTIONS = "0 1 2\n1 2 3\n0 3 4\n2 4\n0 1 4\n1 3\n"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def usage_error(capsys, *argv) -> str:
+    """The one stderr line of a command line refused with exit status 2."""
+    with pytest.raises(SystemExit) as info:
+        run(*argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 def artifact_bytes(out_dir):
@@ -137,10 +148,9 @@ def test_factorize_rejects_a_chain_beyond_the_maximum(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("0.5,1\n1,0\n")
     out = tmp_path / "out"
-    assert run("factorize", "--input", path, "--levels", 1000000000001, "--out-dir", out) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: a scale has at most")
-    assert err.count("\n") == 1
+    err = usage_error(capsys, "factorize", "--input", path, "--levels", 1000000000001,
+                      "--out-dir", out)
+    assert err == f"error: argument --levels: must be at most {MAX_LEVELS}, got 1000000000001\n"
     assert not out.exists()
 
 
@@ -167,17 +177,16 @@ def test_oracle_budget_exhaustion(tmp_path, graded_csv, capsys):
 @pytest.mark.parametrize("budget", [0, -5])
 def test_oracle_rejects_budget_below_one(tmp_path, graded_csv, capsys, budget):
     out = tmp_path / "out"
-    assert run("oracle", "--input", graded_csv, "--budget", budget, "--out-dir", out) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: --budget must be at least 1, got {budget}\n"
+    err = usage_error(capsys, "oracle", "--input", graded_csv, "--budget", budget, "--out-dir", out)
+    assert err == f"error: argument --budget: must be at least 1, got {budget}\n"
     assert not out.exists()
 
 
 def test_factorize_rejects_a_negative_max_factors(tmp_path, graded_csv, capsys):
     out = tmp_path / "out"
-    assert run("factorize", "--input", graded_csv, "--max-factors", -1, "--out-dir", out) == 1
-    err = capsys.readouterr().err
-    assert err == "error: --max-factors must be nonnegative, got -1\n"
+    err = usage_error(capsys, "factorize", "--input", graded_csv, "--max-factors", -1,
+                      "--out-dir", out)
+    assert err == "error: argument --max-factors: must be at least 0, got -1\n"
     assert not out.exists()
 
 
@@ -259,10 +268,9 @@ def test_discretize_takes_no_tnorm(tmp_path, scores_csv, ranges_csv, graded_csv,
     # snapping onto the chain uses no t-norm: of the scale options it
     # takes --levels alone, and the bytes it writes are those of --levels 5
     out = tmp_path / "graded.csv"
-    with pytest.raises(SystemExit) as info:
-        run("discretize", "--input", scores_csv, "--ranges", ranges_csv, *flag, "--out", out)
-    assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = usage_error(capsys, "discretize", "--input", scores_csv, "--ranges", ranges_csv,
+                      *flag, "--out", out)
+    assert "unrecognized arguments" in err
     assert not out.exists()
     assert run("discretize", "--input", scores_csv, "--ranges", ranges_csv, "--levels", 5,
                "--out", out) == 0
@@ -370,17 +378,16 @@ def test_experiment_rejects_bad_distribution(tmp_path, capsys):
 @pytest.mark.parametrize("trials", [0, -3])
 def test_experiment_rejects_trials_below_one(tmp_path, capsys, trials):
     out = tmp_path / "out"
-    assert run("experiment-factorizability", "--k", "2", "--trials", trials,
-               "--out-dir", out) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: --trials must be at least 1, got {trials}\n"
+    err = usage_error(capsys, "experiment-factorizability", "--k", "2", "--trials", trials,
+                      "--out-dir", out)
+    assert err == f"error: argument --trials: must be at least 1, got {trials}\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("args, message", [
-    (("--k", "-3"), "--k must be at least 1, got -3"),
-    (("--k", "2,0"), "--k must be at least 1, got 0"),
-    (("--seed", "-1"), "--seed must be at least 0, got -1"),
+    (("--k", "-3"), "argument --k: must be at least 1, got -3"),
+    (("--k", "2,0"), "argument --k: must be at least 1, got 0"),
+    (("--seed", "-1"), "argument --seed: must be at least 0, got -1"),
 ], ids=["k-negative", "k-zero", "seed-negative"])
 def test_experiment_rejects_a_negative_k_or_seed_before_any_trial(tmp_path, monkeypatch,
                                                                   capsys, args, message):
@@ -389,8 +396,9 @@ def test_experiment_rejects_a_negative_k_or_seed_before_any_trial(tmp_path, monk
 
     monkeypatch.setattr(cli, "random_factorizable", no_trial)
     out = tmp_path / "out"
-    assert run("experiment-factorizability", *args, "--trials", 1, "--out-dir", out) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    err = usage_error(capsys, "experiment-factorizability", *args, "--trials", 1,
+                      "--out-dir", out)
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -590,10 +598,10 @@ def test_lenient_flag(tmp_path):
     assert run("factorize", "--input", src, "--lenient", "--out-dir", out) == 0
 
 
-def test_unknown_tie_break_is_a_parse_error(tmp_path, graded_csv):
-    with pytest.raises(SystemExit):
-        run("factorize", "--input", graded_csv, "--tie-break", "random",
-            "--out-dir", tmp_path)
+def test_unknown_tie_break_is_a_parse_error(tmp_path, graded_csv, capsys):
+    err = usage_error(capsys, "factorize", "--input", graded_csv, "--tie-break", "random",
+                      "--out-dir", tmp_path)
+    assert "argument --tie-break: invalid choice: 'random'" in err
 
 
 def test_parser_help_lists_all_commands():
@@ -611,10 +619,7 @@ def test_experiment_coverage_is_not_a_command(tmp_path, graded_csv, capsys):
     # `factorize --max-factors 50` runs the coverage experiment
     assert "experiment-coverage" not in build_parser().format_help()
     for name in ("experiment-coverage", "coverage"):
-        with pytest.raises(SystemExit) as info:
-            run(name, "--input", graded_csv, "--out-dir", tmp_path / "out")
-        assert info.value.code == 2
-        err = capsys.readouterr().err
+        err = usage_error(capsys, name, "--input", graded_csv, "--out-dir", tmp_path / "out")
         assert f"invalid choice: '{name}'" in err
     assert not (tmp_path / "out").exists()
 
@@ -628,3 +633,16 @@ def test_module_entry_point(tmp_path, graded_csv):
     )
     assert proc.returncode == 0
     assert (out / "factors.json").exists()
+
+
+def test_module_entry_point_refuses_a_bad_number_in_one_line(tmp_path):
+    # the parser refuses the number before the missing input is opened
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradefactor", "factorize", "--max-factors", "-1",
+         "--input", str(tmp_path / "nope.csv"), "--out-dir", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "--max-factors" in proc.stderr
+    assert not out.exists()

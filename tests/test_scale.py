@@ -199,11 +199,12 @@ def test_scalar_ops_return_plain_integers():
     assert int(scale.residuum(3, 2)) == 3
 
 
-@pytest.mark.parametrize("kind", ["godel", "goguen"])
+@pytest.mark.parametrize("kind", TNORM_KINDS)
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 def test_selecting_residua_keep_the_operands_dtype(kind, dtype):
     # the Gödel and Goguen residua select the top grade by a maximum, which
-    # must neither widen narrow levels nor turn scalars into arrays
+    # must neither widen narrow levels nor turn scalars into arrays; a
+    # Python int beside an array takes the array's type, as on Łukasiewicz
     scale = Scale(7, kind, rounded=kind == "goguen")
     n = scale.max_level
     a = np.arange(n + 1, dtype=dtype)[:, None, None]
@@ -219,6 +220,12 @@ def test_selecting_residua_keep_the_operands_dtype(kind, dtype):
         assert got == oracles.brute_residuum(scale, x, y)
         narrow = scale.residuum(dtype(x), dtype(y))
         assert np.ndim(narrow) == 0 and narrow.dtype == dtype
+    column = np.arange(n + 1, dtype=dtype)
+    for x in (0, 2, n):
+        for res, pairs in ((scale.residuum(x, column), ((x, y) for y in range(n + 1))),
+                           (scale.residuum(column, x), ((y, x) for y in range(n + 1)))):
+            assert res.dtype == dtype
+            assert res.tolist() == [oracles.brute_residuum(scale, *p) for p in pairs]
 
 
 # ---------------------------------------------------------------- conversion
