@@ -12,6 +12,10 @@ and a graded attribute set D maps down to the extent
 Pairs (C, D) with up(C) = D and down(D) = C are the formal concepts of I;
 their rectangles never exceed I and are the building blocks used by the
 factorization module.
+
+`enumerate_concepts` runs on the greedy's candidate sweep: it closes every
+extension of each known intent by a graded singleton in batches, and takes
+each new concept's extent from the batch that closed it.
 """
 
 from __future__ import annotations
@@ -41,16 +45,13 @@ def _require_context(context: GradedMatrix) -> None:
         raise ValueError("a context needs at least one row and one column")
 
 
-def _check_extent(context: GradedMatrix, extent: FuzzySet) -> None:
-    _require_same_scale(context.scale, extent.scale)
-    if extent.size != context.n_rows:
-        raise ValueError(f"extent size {extent.size} does not match {context.n_rows} rows")
-
-
-def _check_intent(context: GradedMatrix, intent: FuzzySet) -> None:
-    _require_same_scale(context.scale, intent.scale)
-    if intent.size != context.n_cols:
-        raise ValueError(f"intent size {intent.size} does not match {context.n_cols} columns")
+def _check_set(context: GradedMatrix, graded: FuzzySet, kind: str) -> None:
+    """Refuse an empty context, and an extent or intent that does not fit it."""
+    _require_context(context)
+    _require_same_scale(context.scale, graded.scale)
+    size, axis = (context.n_rows, "rows") if kind == "extent" else (context.n_cols, "columns")
+    if graded.size != size:
+        raise ValueError(f"{kind} size {graded.size} does not match {size} {axis}")
 
 
 def _up_levels(scale: Scale, entries: np.ndarray, extent: np.ndarray) -> np.ndarray:
@@ -63,22 +64,19 @@ def _down_levels(scale: Scale, entries: np.ndarray, intent: np.ndarray) -> np.nd
 
 def up(context: GradedMatrix, extent: FuzzySet) -> FuzzySet:
     """Intent of all attributes shared by a graded set of objects."""
-    _require_context(context)
-    _check_extent(context, extent)
+    _check_set(context, extent, "extent")
     return FuzzySet(context.scale, _up_levels(context.scale, context.entries, extent.membership))
 
 
 def down(context: GradedMatrix, intent: FuzzySet) -> FuzzySet:
     """Extent of all objects sharing a graded set of attributes."""
-    _require_context(context)
-    _check_intent(context, intent)
+    _check_set(context, intent, "intent")
     return FuzzySet(context.scale, _down_levels(context.scale, context.entries, intent.membership))
 
 
 def concept_from_intent(context: GradedMatrix, intent: FuzzySet) -> FormalConcept:
     """The concept generated by an arbitrary (not necessarily closed) intent."""
-    _require_context(context)
-    _check_intent(context, intent)
+    _check_set(context, intent, "intent")
     scale, entries = context.scale, context.entries
     extent = _down_levels(scale, entries, intent.membership)
     closed = _up_levels(scale, entries, extent)
@@ -90,49 +88,35 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
 
     Intents form a closure system: starting from the closure of the empty
     intent, repeatedly closing the join of a known intent with a graded
-    singleton reaches every closed intent.  The number of closure
-    computations is capped by `budget`; small contexts stay far below it,
-    and overruns raise BudgetExceededError rather than grind on.
+    singleton reaches every closed intent.  The greedy's sweep closes every
+    such extension of a known intent in batches, each with its extent, which
+    is closed too.  The number of closures, one for the start and one per
+    extension, is capped by `budget`; small contexts stay far below it, and
+    overruns raise BudgetExceededError rather than grind on.
     """
+    # imported here, since factorization imports this module; the tracer
+    # looks each function up in the module that defines it
+    from .factorization import _make_sweep
+
     _require_context(context)
     scale, entries = context.scale, context.entries
-    n_cols = context.n_cols
-    top = scale.max_level
-    closures = 0
-
-    def close(intent_levels: np.ndarray) -> np.ndarray:
-        nonlocal closures
-        closures += 1
-        if closures > budget:
-            raise BudgetExceededError(
-                f"concept enumeration exceeded the budget of {budget} closures"
-            )
-        extent = _down_levels(scale, entries, intent_levels)
-        return _up_levels(scale, entries, extent)
-
-    seen: dict[bytes, np.ndarray] = {}
-    frontier: list[np.ndarray] = []
-
-    def add(intent_levels: np.ndarray) -> None:
-        key = intent_levels.tobytes()
-        if key not in seen:
-            seen[key] = intent_levels
-            frontier.append(intent_levels)
-
-    add(close(np.zeros(n_cols, dtype=LEVEL_DTYPE)))
-    while frontier:
-        current = frontier.pop()
-        for j in range(n_cols):
-            held = int(current[j])
-            for a in range(held + 1, top + 1):
-                extended = current.copy()
-                extended[j] = a
-                add(close(extended))
-
-    concepts = []
-    for intent_levels in sorted(seen.values(), key=tuple):
-        extent_levels = _down_levels(scale, entries, intent_levels)
-        concepts.append(
-            FormalConcept(FuzzySet(scale, extent_levels), FuzzySet(scale, intent_levels))
-        )
-    return concepts
+    sweep = _make_sweep(scale, entries, entries != 0)
+    # the empty intent's extent is top, since residuum(0, b) = n
+    top = np.full(context.n_rows, scale.max_level, dtype=LEVEL_DTYPE)
+    start = _up_levels(scale, entries, top)
+    seen = {start.tobytes(): (start, top)}
+    frontier = [(start, top)]
+    closures = 1
+    while frontier and closures <= budget:
+        for js, _, _, covers in sweep.batches(*frontier.pop()):
+            closures += len(js)
+            for c in range(len(js)):
+                extent, intent = sweep.concept(covers, c)
+                key = intent.tobytes()
+                if key not in seen:
+                    seen[key] = intent, extent
+                    frontier.append((intent, extent))
+    if closures > budget:
+        raise BudgetExceededError(f"concept enumeration exceeded the budget of {budget} closures")
+    return [FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, intent))
+            for intent, extent in sorted(seen.values(), key=lambda pair: tuple(pair[0]))]

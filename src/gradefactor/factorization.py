@@ -45,7 +45,7 @@ from .concepts import (
 )
 from .matrix import (LEVEL_DTYPE, FuzzySet, GradedMatrix, _rectangle, _require_composable,
                      _require_same_scale, _superpose)
-from .scale import Scale
+from .scale import Scale, _require_integer
 
 # Among equal-gain candidates a tie-break policy picks one: both prefer
 # lower grades, since a lower grade constrains the intent less, so the
@@ -86,6 +86,9 @@ class FactorSet:
         _require_composable(self.a, self.b)
         if len(self.uncovered_counts) != len(self) + 1:
             raise ValueError("uncovered_counts must hold one entry per prefix, including the empty one")
+        counts = self.uncovered_counts
+        if counts[-1] < 0 or any(later > earlier for earlier, later in zip(counts, counts[1:])):
+            raise ValueError(f"uncovered_counts must not rise or go below 0, got {counts}")
 
     @property
     def scale(self) -> Scale:
@@ -487,7 +490,7 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     """
     _require_context(context)
     tie_break = resolve_tie_break(tie_break)
-    if max_factors is not None and max_factors < 0:
+    if max_factors is not None and _require_integer("max_factors", max_factors) < 0:
         raise ValueError(f"max_factors must be nonnegative, got {max_factors}")
     scale, entries = context.scale, context.entries
     n_rows, n_cols = entries.shape
@@ -590,17 +593,18 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
     scale, entries = context.scale, context.entries
     n_rows, n_cols = context.shape
     rows, cols = np.nonzero(entries)
-    cells = list(zip(rows.tolist(), cols.tolist()))
-    if not cells:
+    if not len(rows):
         return FactorSet(GradedMatrix.zeros(scale, n_rows, 0),
                          GradedMatrix.zeros(scale, 0, n_cols), (0,))
 
-    # Bitmask of covered cells per concept; concepts covering nothing can
-    # never appear in a minimal cover.
+    # Bitmask of covered cells per concept, bit b for the b-th nonzero cell
+    # in row-major order; concepts covering nothing can never appear in a
+    # minimal cover.
+    values = entries[rows, cols]
     masks = []
     for concept in concepts:
-        hits = _rectangle(scale, concept.extent.membership, concept.intent.membership) >= entries
-        masks.append(sum(1 << b for b, (i, j) in enumerate(cells) if hits[i, j]))
+        hits = scale.tnorm(concept.extent.membership[rows], concept.intent.membership[cols]) >= values
+        masks.append(int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little"))
     candidates = [(idx, m) for idx, m in enumerate(masks) if m]
 
     count = len(candidates)
@@ -610,7 +614,7 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
         suffix_union[p] = suffix_union[p + 1] | candidates[p][1]
         suffix_max_pop[p] = max(suffix_max_pop[p + 1], candidates[p][1].bit_count())
 
-    full = (1 << len(cells)) - 1
+    full = (1 << len(rows)) - 1
     nodes = 0
     # (position, uncovered) -> deepest remaining depth already known to fail
     failed: dict[tuple[int, int], int] = {}
@@ -653,7 +657,7 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
     else:
         raise RuntimeError("no concept cover found; this should be impossible")
 
-    uncovered_counts = [len(cells)]
+    uncovered_counts = [len(rows)]
     remaining = full
     for idx in chosen:
         remaining &= ~masks[idx]

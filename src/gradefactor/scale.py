@@ -10,6 +10,7 @@ whole-matrix sweeps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,14 @@ MAX_LEVELS = 2**31
 
 # Strict parsing rejects inputs farther than this from a representable grade.
 PARSE_TOLERANCE = Fraction(1, 10**9)
+
+
+def _require_integer(name: str, value) -> int:
+    """A Python or numpy integer as an int; anything else is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -46,7 +55,9 @@ class Scale:
     rounded: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.levels, int) or self.levels < 2:
+        # frozen: a numpy integer is stored as the int it stands for
+        object.__setattr__(self, "levels", _require_integer("levels", self.levels))
+        if self.levels < 2:
             raise ValueError(
                 f"a scale needs at least the two grades 0 and 1, got levels={self.levels!r}"
             )

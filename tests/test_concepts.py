@@ -1,8 +1,11 @@
 """Concept-forming operators, closures, and exhaustive enumeration."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 import oracles
@@ -18,6 +21,7 @@ from gradefactor import (
     enumerate_concepts,
     up,
 )
+from gradefactor import factorization
 from gradefactor.matrix import _rectangle
 
 FIVE = Scale(5)
@@ -139,15 +143,28 @@ def test_covers_matches_definition():
 # ---------------------------------------------------------------- enumeration
 
 
-@given(strategies.contexts(max_rows=3, max_cols=3, kinds=("lukasiewicz", "godel")))
-@settings(max_examples=40)
+# the enumeration closes on the greedy's sweep: its level tables, the
+# t-norm arithmetic past their cap, and batches of one candidate each
+SWEEP_PATCHES = ({"_LEVEL_TABLE_BYTES": factorization._LEVEL_TABLE_BYTES},
+                 {"_LEVEL_TABLE_BYTES": 0}, {"SWEEP_BATCH_BYTES": 1})
+
+
+@given(st.one_of(
+    strategies.contexts(max_rows=3, max_cols=3, kinds=("lukasiewicz", "godel", "goguen")),
+    # the two-grade chain closes on row bitsets
+    strategies.contexts(scale=Scale.boolean(), max_rows=6, max_cols=6),
+))
+@settings(max_examples=60)
 def test_enumeration_matches_exhaustive_sweep(ctx):
-    got = {
-        (tuple(int(v) for v in c.intent.membership),
-         tuple(int(v) for v in c.extent.membership))
-        for c in enumerate_concepts(ctx)
-    }
-    assert got == oracles.sweep_concepts(ctx)
+    expected = oracles.sweep_concepts(ctx)
+    for patch in SWEEP_PATCHES:
+        with mock.patch.multiple(factorization, **patch):
+            got = {
+                (tuple(int(v) for v in c.intent.membership),
+                 tuple(int(v) for v in c.extent.membership))
+                for c in enumerate_concepts(ctx)
+            }
+        assert got == expected, patch
 
 
 def test_enumeration_is_sorted_and_unique(decathlon):
@@ -184,3 +201,15 @@ def test_extreme_concepts_present(decathlon):
 def test_enumeration_budget(decathlon):
     with pytest.raises(BudgetExceededError, match="budget"):
         enumerate_concepts(decathlon, budget=10)
+
+
+def test_enumeration_budget_is_exact(decathlon):
+    # one closure for the start, then one per extension (j, a) with
+    # a > intent[j] of every concept's intent
+    top = decathlon.scale.max_level
+    concepts = enumerate_concepts(decathlon)
+    budget = 1 + sum(int((top - c.intent.membership).sum()) for c in concepts)
+    assert enumerate_concepts(decathlon, budget=budget) == concepts
+    with pytest.raises(BudgetExceededError,
+                       match=f"^concept enumeration exceeded the budget of {budget - 1} closures$"):
+        enumerate_concepts(decathlon, budget=budget - 1)

@@ -1,5 +1,6 @@
 """Greedy decomposition, factor matrices, coverage, and the exact oracle."""
 
+import re
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -16,6 +17,7 @@ from gradefactor import (
     BudgetExceededError,
     DEFAULT_TIE_BREAK,
     FactorSet,
+    FormalConcept,
     FuzzySet,
     GradedMatrix,
     Scale,
@@ -24,7 +26,6 @@ from gradefactor import (
     concept_from_intent,
     coverage_curve,
     down,
-    enumerate_concepts,
     factor_matrices,
     find_factors,
     optimal_factorization,
@@ -120,6 +121,18 @@ def test_max_factors_truncates(decathlon):
     assert fs.uncovered_counts[-1] > 0
     with pytest.raises(ValueError, match="nonnegative"):
         find_factors(decathlon, max_factors=-1)
+
+
+@pytest.mark.parametrize("bound", [1.5, 2.0, "2", Fraction(2)])
+def test_max_factors_must_be_an_integer(bound):
+    diagonal = GradedMatrix(FIVE, np.diag([4] * 4))
+    with pytest.raises(ValueError, match="^" + re.escape(f"max_factors must be an integer, got {bound!r}") + "$"):
+        find_factors(diagonal, max_factors=bound)
+
+
+def test_max_factors_takes_a_numpy_integer():
+    diagonal = GradedMatrix(FIVE, np.diag([4] * 4))
+    assert find_factors(diagonal, max_factors=np.int64(1)) == find_factors(diagonal, max_factors=1)
 
 
 def test_max_factors_zero(decathlon):
@@ -815,6 +828,14 @@ def test_factor_set_validation():
         FactorSet(a, GradedMatrix(Scale(5, "godel"), b.entries), golden.UNCOVERED)
     with pytest.raises(ValueError, match="one entry per prefix"):
         FactorSet(a, b, uncovered_counts=(50, 0))
+
+
+@pytest.mark.parametrize("trace", [(5, -3), (2, 7), (-1, -1), (6, 4, 5)])
+def test_factor_set_refuses_a_trace_that_rises_or_goes_negative(trace):
+    k = len(trace) - 1
+    a, b = golden.printed_factor_matrices()
+    with pytest.raises(ValueError, match=r"^uncovered_counts must not rise or go below 0, got "):
+        FactorSet(GradedMatrix(FIVE, a.entries[:, :k]), GradedMatrix(FIVE, b.entries[:k]), trace)
     with pytest.raises(TypeError):
         FactorSet(a, b)
 
@@ -956,7 +977,14 @@ def test_coverage_curve_matches_full_rectangles(pair, context_kind, claim, data)
         trace[-1] = 0
     elif claim == "off":
         trace[data.draw(st.integers(0, k))] += 1
-    fs = FactorSet(a, b, tuple(trace))
+    trace = tuple(trace)
+    if any(later > earlier for earlier, later in zip(trace, trace[1:])):
+        # a count that rises, as past a factor exceeding a covered cell, is
+        # refused before any curve is drawn
+        with pytest.raises(ValueError, match="^uncovered_counts must not rise"):
+            FactorSet(a, b, trace)
+        return
+    fs = FactorSet(a, b, trace)
     assert (curve_or_error(coverage_curve, fs, context)
             == curve_or_error(oracles.full_coverage_curve, fs, context))
 
@@ -1015,7 +1043,10 @@ def test_oracle_on_zero_matrix():
 def test_oracle_matches_brute_force_minimum(ctx):
     opt = optimal_factorization(ctx)
     assert_exact(opt, ctx)
-    concepts = enumerate_concepts(ctx)
+    # the concepts come from the loop oracle, not from the enumeration the
+    # optimal factorization itself runs on
+    concepts = [FormalConcept(FuzzySet(ctx.scale, extent), FuzzySet(ctx.scale, intent))
+                for intent, extent in sorted(oracles.sweep_concepts(ctx))]
     if ctx.entries.any():
         assert len(opt.factors) == oracles.min_cover_size(ctx, concepts)
     else:

@@ -1,5 +1,6 @@
 """Scale construction, t-norm/residuum laws, and grade conversions."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -36,6 +37,19 @@ def test_scale_needs_two_levels():
         Scale(0)
     with pytest.raises(ValueError):
         Scale("5")
+
+
+@pytest.mark.parametrize("levels", [5.0, "5", None, Fraction(5)])
+def test_scale_levels_must_be_an_integer(levels):
+    with pytest.raises(ValueError, match="^" + re.escape(f"levels must be an integer, got {levels!r}") + "$"):
+        Scale(levels)
+
+
+@pytest.mark.parametrize("levels", [np.int64(5), np.int16(5), np.uint8(5)])
+def test_scale_takes_a_numpy_integer_as_an_int(levels):
+    scale = Scale(levels)
+    assert type(scale.levels) is int
+    assert scale == Scale(5) and hash(scale) == hash(Scale(5))
 
 
 def test_chain_length_is_bounded_by_int64():
