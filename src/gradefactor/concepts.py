@@ -11,11 +11,7 @@ and a graded attribute set D maps down to the extent
 
 Pairs (C, D) with up(C) = D and down(D) = C are the formal concepts of I;
 their rectangles never exceed I and are the building blocks used by the
-factorization module.
-
-`enumerate_concepts` runs on the greedy's candidate sweep: it closes every
-extension of each known intent by a graded singleton in batches, and takes
-each new concept's extent from the batch that closed it.
+factorization module, whose candidate sweep `enumerate_concepts` runs on.
 """
 
 from __future__ import annotations
@@ -45,13 +41,18 @@ def _require_context(context: GradedMatrix) -> None:
         raise ValueError("a context needs at least one row and one column")
 
 
-def _check_set(context: GradedMatrix, graded: FuzzySet, kind: str) -> None:
-    """Refuse an empty context, and an extent or intent that does not fit it."""
+def _check_extent(context: GradedMatrix, extent: FuzzySet) -> None:
     _require_context(context)
-    _require_same_scale(context.scale, graded.scale)
-    size, axis = (context.n_rows, "rows") if kind == "extent" else (context.n_cols, "columns")
-    if graded.size != size:
-        raise ValueError(f"{kind} size {graded.size} does not match {size} {axis}")
+    _require_same_scale(context.scale, extent.scale)
+    if extent.size != context.n_rows:
+        raise ValueError(f"extent size {extent.size} does not match {context.n_rows} rows")
+
+
+def _check_intent(context: GradedMatrix, intent: FuzzySet) -> None:
+    _require_context(context)
+    _require_same_scale(context.scale, intent.scale)
+    if intent.size != context.n_cols:
+        raise ValueError(f"intent size {intent.size} does not match {context.n_cols} columns")
 
 
 def _up_levels(scale: Scale, entries: np.ndarray, extent: np.ndarray) -> np.ndarray:
@@ -64,19 +65,19 @@ def _down_levels(scale: Scale, entries: np.ndarray, intent: np.ndarray) -> np.nd
 
 def up(context: GradedMatrix, extent: FuzzySet) -> FuzzySet:
     """Intent of all attributes shared by a graded set of objects."""
-    _check_set(context, extent, "extent")
+    _check_extent(context, extent)
     return FuzzySet(context.scale, _up_levels(context.scale, context.entries, extent.membership))
 
 
 def down(context: GradedMatrix, intent: FuzzySet) -> FuzzySet:
     """Extent of all objects sharing a graded set of attributes."""
-    _check_set(context, intent, "intent")
+    _check_intent(context, intent)
     return FuzzySet(context.scale, _down_levels(context.scale, context.entries, intent.membership))
 
 
 def concept_from_intent(context: GradedMatrix, intent: FuzzySet) -> FormalConcept:
     """The concept generated by an arbitrary (not necessarily closed) intent."""
-    _check_set(context, intent, "intent")
+    _check_intent(context, intent)
     scale, entries = context.scale, context.entries
     extent = _down_levels(scale, entries, intent.membership)
     closed = _up_levels(scale, entries, extent)
@@ -94,8 +95,7 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
     extension, is capped by `budget`; small contexts stay far below it, and
     overruns raise BudgetExceededError rather than grind on.
     """
-    # imported here, since factorization imports this module; the tracer
-    # looks each function up in the module that defines it
+    # a call-time import: factorization imports this module, and the tracer finds both by module
     from .factorization import _make_sweep
 
     _require_context(context)
@@ -103,20 +103,26 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
     sweep = _make_sweep(scale, entries, entries != 0)
     # the empty intent's extent is top, since residuum(0, b) = n
     top = np.full(context.n_rows, scale.max_level, dtype=LEVEL_DTYPE)
+    closures = 0
+
+    def spend(count: int) -> None:
+        nonlocal closures
+        closures += count
+        if closures > budget:
+            raise BudgetExceededError(f"concept enumeration exceeded the budget of {budget} closures")
+
+    spend(1)
     start = _up_levels(scale, entries, top)
     seen = {start.tobytes(): (start, top)}
     frontier = [(start, top)]
-    closures = 1
-    while frontier and closures <= budget:
+    while frontier:
         for js, _, _, covers in sweep.batches(*frontier.pop()):
-            closures += len(js)
+            spend(len(js))
             for c in range(len(js)):
                 extent, intent = sweep.concept(covers, c)
                 key = intent.tobytes()
                 if key not in seen:
                     seen[key] = intent, extent
                     frontier.append((intent, extent))
-    if closures > budget:
-        raise BudgetExceededError(f"concept enumeration exceeded the budget of {budget} closures")
     return [FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, intent))
             for intent, extent in sorted(seen.values(), key=lambda pair: tuple(pair[0]))]

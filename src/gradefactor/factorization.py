@@ -588,7 +588,6 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
     caps both the closure count of the enumeration and the number of search
     nodes.  Intended for small instances only.
     """
-    _require_context(context)
     concepts = enumerate_concepts(context, budget=budget)
     scale, entries = context.scale, context.entries
     n_rows, n_cols = context.shape
@@ -624,9 +623,7 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(
-                f"cover search exceeded the budget of {budget} nodes"
-            )
+            raise BudgetExceededError(f"cover search exceeded the budget of {budget} nodes")
         if uncovered == 0:
             return True
         if depth_left == 0:
@@ -647,8 +644,7 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
             if search(p + 1, remaining, depth_left - 1):
                 return True
             chosen.pop()
-        if failed.get(memo_key, -1) < depth_left:
-            failed[memo_key] = depth_left
+        failed[memo_key] = depth_left
         return False
 
     for size in range(1, count + 1):

@@ -58,13 +58,9 @@ class Scale:
         # frozen: a numpy integer is stored as the int it stands for
         object.__setattr__(self, "levels", _require_integer("levels", self.levels))
         if self.levels < 2:
-            raise ValueError(
-                f"a scale needs at least the two grades 0 and 1, got levels={self.levels!r}"
-            )
+            raise ValueError(f"a scale needs at least the two grades 0 and 1, got levels={self.levels!r}")
         if self.levels > MAX_LEVELS:
-            raise ValueError(
-                f"a scale has at most {MAX_LEVELS} grades, got levels={self.levels}"
-            )
+            raise ValueError(f"a scale has at most {MAX_LEVELS} grades, got levels={self.levels}")
         if self.tnorm_kind not in TNORM_KINDS:
             raise ValueError(
                 f"unknown t-norm {self.tnorm_kind!r}, expected one of: {', '.join(TNORM_KINDS)}"

@@ -213,3 +213,27 @@ def test_enumeration_budget_is_exact(decathlon):
     with pytest.raises(BudgetExceededError,
                        match=f"^concept enumeration exceeded the budget of {budget - 1} closures$"):
         enumerate_concepts(decathlon, budget=budget - 1)
+
+
+@pytest.mark.parametrize("batch_bytes, taken", [(factorization.SWEEP_BATCH_BYTES, 0), (1, 9)])
+def test_enumeration_budget_stops_within_a_batch(batch_bytes, taken):
+    # the start's intent holds 0, so each of its 10**5 extensions a/0 closes
+    # to a new concept; a budget of 10 must stop before the batch that
+    # overruns it has any of its concepts taken
+    ctx = GradedMatrix(Scale(10**5), [[0]])
+    concept = factorization._GradedSweep.concept
+    with mock.patch.object(factorization, "SWEEP_BATCH_BYTES", batch_bytes), \
+            mock.patch.object(factorization._GradedSweep, "concept", autospec=True,
+                              side_effect=concept) as taking:
+        with pytest.raises(BudgetExceededError, match="budget of 10 closures"):
+            enumerate_concepts(ctx, budget=10)
+    assert taking.call_count == taken
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_enumeration_budget_below_one_refuses_the_start(budget):
+    # the start's closure alone overruns, even where it has no extension
+    top = GradedMatrix(FIVE, [[4]])
+    assert len(enumerate_concepts(top, budget=1)) == 1
+    with pytest.raises(BudgetExceededError, match=f"budget of {budget} closures"):
+        enumerate_concepts(top, budget=budget)
