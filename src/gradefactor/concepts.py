@@ -118,10 +118,15 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
     while frontier:
         for js, _, _, covers in sweep.batches(*frontier.pop()):
             spend(len(js))
+            # most candidates close to an intent already seen: key every
+            # closed intent of the batch, the last of its covers, from one
+            # conversion, and build a concept only for a new key
+            keys = covers[-1].astype(LEVEL_DTYPE).tobytes()
+            width = len(keys) // len(js)
             for c in range(len(js)):
-                extent, intent = sweep.concept(covers, c)
-                key = intent.tobytes()
+                key = keys[c * width:(c + 1) * width]
                 if key not in seen:
+                    extent, intent = sweep.concept(covers, c)
                     seen[key] = intent, extent
                     frontier.append((intent, extent))
     return [FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, intent))

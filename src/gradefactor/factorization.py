@@ -18,12 +18,14 @@ tall block's halves rather than pay numpy's cost per row.  Every batch
 is sized so that its largest array fits one byte cap.  A batch is
 plain arrays, (js, levels, gains, covers), whose covers hold each
 candidate's extent and closed intent, so the winner's concept comes from
-the batch that scored it and no candidate is closed twice.  Every factor
-opens from the empty intent, whose candidates cover the same cells all run
-long, so each run keeps the whole covers of the opening's first batches as
-one block, up to a fixed number of words, and every opening scores it by
-popcount and takes its winner's concept from it.  Ties on the gain go to
-one of two named policies, decided within a batch in numpy.
+the batch that scored it and no candidate is closed twice; retiring the
+winner clears the cells its covers hold, with no second cover test.
+Every factor opens from the empty intent, whose candidates cover the same
+cells all run long, so each run keeps the whole covers of the opening's
+first batches as one block, up to a fixed number of words, and every
+opening scores it by popcount and takes its winner's concept from it.
+Ties on the gain go to one of two named policies; a batch's winner is one
+argmax, over its gains or over a key that ranks the lower grade next.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -45,7 +47,7 @@ from .concepts import (
 )
 from .matrix import (LEVEL_DTYPE, FuzzySet, GradedMatrix, _rectangle, _require_composable,
                      _require_same_scale, _superpose)
-from .scale import Scale, _require_integer
+from .scale import MAX_LEVELS, Scale, _require_integer
 
 # Among equal-gain candidates a tie-break policy picks one: both prefer
 # lower grades, since a lower grade constrains the intent less, so the
@@ -153,6 +155,12 @@ _OPENING_TABLE_WORDS = 1 << 19
 # builds none, and the sweep takes its residua from t-norm arithmetic
 # instead of the tables.
 _LEVEL_TABLE_BYTES = 16 << 20
+
+
+# Cells of the largest input find_factors takes, 2**32 - 1: a gain counts
+# cells, so a step's tie key gain * MAX_LEVELS - a (see _best_candidate)
+# stays within int64.  Such an input already holds 32 GiB of levels.
+_MAX_CELLS = np.iinfo(np.int64).max // MAX_LEVELS
 
 
 def _pack_cells(bits: np.ndarray) -> np.ndarray:
@@ -316,10 +324,10 @@ class _GradedSweep:
     outside D's support has extent 0, whose residua are all n, so it
     neither lowers a closure nor holds a covered cell.  A batch's covers
     are the cells each candidate's concept covers, packed over all cells,
-    with the candidates' extents and closed intents; its gains are the
-    popcounts of the packed cells against `live`, the packed uncovered
-    cells, the one thing a run changes.  The mask must hold nonzero cells
-    only.
+    with the candidates' extents and, last, closed intents; its gains are
+    the popcounts of the packed cells against `live`, the packed uncovered
+    cells, the one thing a run changes, and retiring a winner clears its
+    packed cells there.  The mask must hold nonzero cells only.
     """
 
     def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray, rows) -> None:
@@ -351,9 +359,10 @@ class _GradedSweep:
         _, ext, closed = covers
         return ext[c].astype(LEVEL_DTYPE), closed[c].astype(LEVEL_DTYPE)
 
-    def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
-        """Drop the cells the concept covers; returns how many stay uncovered."""
-        self.live &= ~_pack_cells(self.rows.covered(self.rows.index(extent), intent)[None])[0]
+    def retire(self, covers: tuple, c: int) -> int:
+        """Clear the packed cells of the c-th candidate of a batch's covers,
+        the winner's; returns how many cells stay uncovered."""
+        self.live &= ~covers[0][c]
         return int(np.bitwise_count(self.live).sum())
 
 
@@ -363,7 +372,8 @@ class _BitsetSweep:
     Columns and the uncovered cells are bitsets over rows.  A candidate
     extent is D & col[j]; attribute j' is in its closure iff the extent
     misses every hole of j', the rows of ~col[j']; its gain is the
-    popcount of extent & uncovered[j'] over closed j'.
+    popcount of extent & uncovered[j'] over closed j'.  A batch's covers
+    are the candidates' extent bitsets and, last, closed columns.
     """
 
     def __init__(self, entries: np.ndarray, mask: np.ndarray) -> None:
@@ -404,10 +414,11 @@ class _BitsetSweep:
         ext, closed = covers
         return _unpack_rows(ext[c], self.n_rows), closed[c].astype(LEVEL_DTYPE)
 
-    def retire(self, extent: np.ndarray, intent: np.ndarray) -> int:
+    def retire(self, covers: tuple, c: int) -> int:
         # the concept covers exactly extent x intent: clear the extent's
-        # rows in the intent's columns
-        self.uncovered[np.flatnonzero(intent)] &= ~_pack_cells((extent != 0)[None])[0]
+        # row bits in its closed columns
+        ext, closed = covers
+        self.uncovered[closed[c]] &= ~ext[c]
         return int(np.bitwise_count(self.uncovered).sum())
 
 
@@ -457,21 +468,26 @@ def _best_candidate(batches, tie_break: str):
     are none, as when the intent is already top.
 
     The winner has the largest gain.  Among equal gains "index-then-grade"
-    takes the first in (j, a) order, so a later batch must gain strictly
-    more; "grade-then-index" takes the lowest grade, then the first in
-    order, so batches compare by (gain, -a, -j).  Candidates with
-    a <= intent[j] leave the intent unchanged, so their gain is the current
-    concept's own cover count and they can never be a strict improvement.
+    takes the first in (j, a) order, so a batch's winner is the argmax of
+    its gains and a later batch must gain strictly more; "grade-then-index"
+    takes the lowest grade, then the first in order, so a batch's winner is
+    the argmax of the key gain * MAX_LEVELS - a, and a later batch must
+    have a strictly larger key: at an equal key its candidate has the same
+    grade at a later attribute.  Grades lie below MAX_LEVELS, so the key
+    ranks by gain first; it stays below 2**63 because a gain counts cells
+    of an input, and find_factors takes at most _MAX_CELLS of them.
+    Candidates with a <= intent[j] leave the intent unchanged, so their
+    gain is the current concept's own cover count and they can never be a
+    strict improvement.
     """
     by_grade = tie_break == "grade-then-index"
     best = None
-    for js, levels, g, covers in batches:
-        ties = (g == g.max()).nonzero()[0]
-        c = ties[levels[ties].argmin()] if by_grade else ties[0]
-        rank = (int(g[c]), -int(levels[c]), -int(js[c])) if by_grade else (int(g[c]),)
-        if best is None or rank > best[0]:
-            best = rank, covers, c
-    return None if best is None else (best[0][0], *best[1:])
+    for _, levels, g, covers in batches:
+        key = g * MAX_LEVELS - levels if by_grade else g
+        c = int(key.argmax())
+        if best is None or key[c] > best[0]:
+            best = key[c], g[c], covers, c
+    return None if best is None else (int(best[1]), *best[2:])
 
 
 def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
@@ -489,6 +505,8 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     so the result is incomplete instead of pretending to be exact.
     """
     _require_context(context)
+    if context.entries.size > _MAX_CELLS:
+        raise ValueError(f"find_factors takes at most {_MAX_CELLS} cells, got {context.entries.size}")
     tie_break = resolve_tie_break(tie_break)
     if max_factors is not None and _require_integer("max_factors", max_factors) < 0:
         raise ValueError(f"max_factors must be nonnegative, got {max_factors}")
@@ -507,7 +525,7 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
         if not extents:
             # once per run, and only by a run that seeks a factor
             block = _opening_block(sweep, empty, top)
-        best_so_far, extent, intent = 0, top, empty
+        best_so_far, extent, intent, covers, c = 0, top, empty, None, 0
         selected = _best_candidate(_opening_batches(sweep, block, empty, top), tie_break)
         while selected is not None and selected[0] > best_so_far:
             best_so_far, covers, c = selected
@@ -515,7 +533,9 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
             selected = _best_candidate(sweep.batches(intent, extent), tie_break)
         extents.append(extent)
         intents.append(intent)
-        uncovered.append(sweep.retire(extent, intent))
+        # the winner's covers hold the cells its concept covers; with no
+        # winner the factor is (top, empty), which covers no nonzero cell
+        uncovered.append(uncovered[-1] if covers is None else sweep.retire(covers, c))
         # the candidate (j, I[i, j]) of any uncovered cell covers that cell,
         # so a correct sweep always retires one
         if uncovered[-1] == uncovered[-2]:

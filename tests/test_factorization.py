@@ -20,6 +20,7 @@ from gradefactor import (
     FormalConcept,
     FuzzySet,
     GradedMatrix,
+    MAX_LEVELS,
     Scale,
     TIE_BREAK_POLICIES,
     compose,
@@ -757,14 +758,16 @@ def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
 )
 @settings(max_examples=40)
 def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_factors):
+    # `retire` takes the covers of the batch that scored the factor
     rng = np.random.default_rng(seed)
     ctx = GradedMatrix(Scale.boolean(), (rng.random((n, m)) < density).astype(int))
     retire = factorization._BitsetSweep.retire
     mask = ctx.entries != 0
     counts = []
 
-    def checked(sweep, extent, intent):
-        remaining = retire(sweep, extent, intent)
+    def checked(sweep, covers, c):
+        extent, intent = sweep.concept(covers, c)
+        remaining = retire(sweep, covers, c)
         mask[:] &= ~(_rectangle(ctx.scale, extent, intent) >= ctx.entries)
         assert np.array_equal(sweep.uncovered, factorization._pack_cells(mask.T))
         assert remaining == int(mask.sum())
@@ -777,17 +780,173 @@ def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_fa
     assert fs == oracles.greedy_factors(ctx, max_factors=max_factors)
 
 
+@given(
+    strategies.scales(ALL_KINDS, min_levels=3, max_levels=12).flatmap(
+        lambda scale: strategies.contexts(scale, max_rows=6, max_cols=5)
+    ),
+    st.sampled_from(LEVEL_TABLE_CAPS),
+    st.integers(0, 2),
+)
+@settings(max_examples=60)
+def test_graded_retire_clears_the_winners_packed_cells(ctx, level_cap, opening_cap):
+    # after each factor the sweep's uncovered cells are those the
+    # reference's factors so far leave, on either row source and with the
+    # winner's covers from the opening block or from a sweep batch
+    slow = oracles.greedy_factors(ctx)
+    cap = table_caps(ctx, factorization.SWEEP_BATCH_BYTES)[opening_cap]
+    retire = factorization._GradedSweep.retire
+    mask = ctx.entries != 0
+    counts = []
+
+    def checked(sweep, covers, c):
+        remaining = retire(sweep, covers, c)
+        factor = slow.factors[len(counts)]
+        rect = _rectangle(ctx.scale, factor.extent.membership, factor.intent.membership)
+        mask[:] &= ~(rect >= ctx.entries)
+        assert np.array_equal(uncovered_cells(sweep, ctx.shape), mask)
+        assert remaining == int(mask.sum())
+        counts.append(remaining)
+        return remaining
+
+    with mock.patch.object(factorization._GradedSweep, "retire", checked), \
+            mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
+            mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+        fs = find_factors(ctx)
+    assert fs == slow
+    assert tuple(counts) == slow.uncovered_counts[1:]
+
+
 @pytest.mark.parametrize("level_cap", LEVEL_TABLE_CAPS)
 def test_cover_universe_bookkeeping(decathlon, reference_factors, level_cap):
-    # the shared `retire` on both row sources
+    # the shared `retire` on both row sources, given the covers of the
+    # batch that scored the first factor
     mask = decathlon.entries != 0
     assert int(mask.sum()) == 50
-    with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
-        sweep = factorization._make_sweep(FIVE, decathlon.entries, mask)
+    retired = []
+    retire = factorization._GradedSweep.retire
+
+    def recorded(sweep, covers, c):
+        retired.append((sweep, sweep.concept(covers, c), retire(sweep, covers, c)))
+        return retired[-1][2]
+
+    with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap), \
+            mock.patch.object(factorization._GradedSweep, "retire", recorded):
+        find_factors(decathlon, max_factors=1)
+    ((sweep, (extent, intent), remaining),) = retired
+    assert rows_of(sweep) is (factorization._LevelTables if level_cap else factorization._Residua)
     first = reference_factors[0]
-    remaining = sweep.retire(first.extent.membership, first.intent.membership)
+    assert (extent.tolist(), intent.tolist()) == (first.extent.membership.tolist(),
+                                                  first.intent.membership.tolist())
     assert (50 - remaining, remaining) == (23, 27)
     assert int(uncovered_cells(sweep, decathlon.shape).sum()) == 27
+
+
+@pytest.mark.parametrize("level_cap", LEVEL_TABLE_CAPS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_run_cover_tests_each_scored_batch_once(kind, level_cap):
+    # the cover test runs once per batch a sweep scores, and `retire`
+    # clears the cells the winner's batch packed without testing again
+    scale = Scale(7, kind, rounded=kind == "goguen")
+    ctx = GradedMatrix(scale, np.random.default_rng(7).integers(0, 7, size=(12, 9)))
+    slow = oracles.greedy_factors(ctx)
+    calls, scored, retires = [], [], []
+
+    def counted(kernel):
+        def covered(rows, *args):
+            calls.append(1)
+            return kernel(rows, *args)
+        return covered
+
+    batches = factorization._GradedSweep.batches
+
+    def listed(sweep, *args):
+        for batch in batches(sweep, *args):
+            scored.append(1)
+            yield batch
+
+    retire = factorization._GradedSweep.retire
+
+    def spied(sweep, *args):
+        before = len(calls)
+        remaining = retire(sweep, *args)
+        retires.append(len(calls) - before)
+        return remaining
+
+    for cap in table_caps(ctx, factorization.SWEEP_BATCH_BYTES):
+        for log in (calls, scored, retires):
+            log.clear()
+        with mock.patch.object(factorization._LevelTables, "covered",
+                               counted(factorization._LevelTables.covered)), \
+                mock.patch.object(factorization._Residua, "covered",
+                                  counted(factorization._Residua.covered)), \
+                mock.patch.object(factorization._GradedSweep, "batches", listed), \
+                mock.patch.object(factorization._GradedSweep, "retire", spied), \
+                mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
+                mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+            fs = find_factors(ctx)
+        assert fs == slow, f"opening block at {cap} words"
+        assert len(calls) == len(scored) > 0
+        assert retires == [0] * len(fs)
+
+
+# grades at both ends of the longest chain, so that a key must rank a
+# gain above any difference of grades
+TIED_GRADES = (*range(1, 5), *range(MAX_LEVELS - 4, MAX_LEVELS))
+
+
+@st.composite
+def tied_runs(draw):
+    """Candidates (j, a) in (j, a) order, with grades from both ends of the
+    longest chain and gains from one or two runs of four neighbouring
+    values, and the batches they split into at random boundaries, each
+    tagged with the index of its first candidate."""
+    candidates = [(j, a) for j in range(draw(st.integers(0, 5)))
+                  for a in sorted(draw(st.sets(st.sampled_from(TIED_GRADES))))]
+    # gains up to _MAX_CELLS, the cell count of the largest input
+    # find_factors takes, beside grades up to MAX_LEVELS - 1, and on both
+    # sides of 2**31, where a key of twice the multiplier would wrap
+    bases = draw(st.lists(st.sampled_from([0, 1000, 2**31 - 2, factorization._MAX_CELLS - 3]),
+                          min_size=1, max_size=2))
+    gains = [draw(st.sampled_from(bases)) + draw(st.integers(0, 3)) for _ in candidates]
+    cuts = draw(st.lists(st.integers(1, len(candidates) - 1))) if len(candidates) > 1 else []
+    bounds = sorted({0, len(candidates), *cuts})
+    batches = [(np.array([j for j, _ in candidates[lo:hi]], dtype=np.int64),
+                np.array([a for _, a in candidates[lo:hi]], dtype=np.int64),
+                np.array(gains[lo:hi], dtype=np.int64), lo)
+               for lo, hi in zip(bounds, bounds[1:])]
+    return candidates, gains, batches
+
+
+@given(tied_runs(), st.sampled_from(TIE_BREAK_POLICIES))
+@settings(max_examples=300)
+def test_batch_winners_match_the_sort_key(run, tie_break):
+    # The key g * MAX_LEVELS - a cannot overflow int64 on any input
+    # find_factors accepts: a gain counts cells, at most _MAX_CELLS =
+    # (2**63 - 1) // MAX_LEVELS of them, and a grade lies in
+    # [0, MAX_LEVELS), so every key lies in (-MAX_LEVELS, 2**63).  The
+    # draws take gains and grades up to both bounds.
+    assert factorization._MAX_CELLS * MAX_LEVELS <= np.iinfo(np.int64).max
+    candidates, gains, batches = run
+    key = oracles.TIE_BREAK_KEYS[tie_break]
+    best = None
+    for (j, a), g in zip(candidates, gains):
+        if best is None or (g, key(j, a)) > best[0]:
+            best = (g, key(j, a)), (g, j, a)
+    got = factorization._best_candidate(iter(batches), tie_break)
+    if best is None:
+        assert got is None
+    else:
+        gain, start, c = got
+        assert type(gain) is int
+        assert (gain, *candidates[start + c]) == best[1]
+
+
+def test_an_input_past_the_cell_bound_is_refused(decathlon):
+    with mock.patch.object(factorization, "_MAX_CELLS", 49), \
+            pytest.raises(ValueError, match="^find_factors takes at most 49 cells, got 50$"):
+        find_factors(decathlon)
+    with mock.patch.object(factorization, "_MAX_CELLS", 50):
+        assert find_factors(decathlon).complete
 
 
 # ---------------------------------------------------------------- factor sets
