@@ -112,7 +112,8 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
             raise BudgetExceededError(f"concept enumeration exceeded the budget of {budget} closures")
 
     spend(1)
-    start = _up_levels(scale, entries, top)
+    # intents stay in the sweep's form, whose order is that of their levels
+    start = sweep.intent(_up_levels(scale, entries, top))
     seen = {start.tobytes(): (start, top)}
     frontier = [(start, top)]
     while frontier:
@@ -129,5 +130,5 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
                     extent, intent = sweep.concept(covers, c)
                     seen[key] = intent, extent
                     frontier.append((intent, extent))
-    return [FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, intent))
+    return [FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, sweep.levels(intent)))
             for intent, extent in sorted(seen.values(), key=lambda pair: tuple(pair[0]))]

@@ -296,16 +296,12 @@ _MAX_EXPONENT_DIGITS = 4
 # one digit, optional exponent; a subset of what Fraction(text) accepts
 _DECIMAL = re.compile(r"([-+]?(?=\.?[0-9])[0-9]*)\.?([0-9]*)(?:[eE]([-+]?[0-9]+))?")
 
-# the first line of a column, one cell per line, that is not a plain decimal
-# with F places and at most 18 digits, for F = 0..18: these decimals are a
-# strict subset of _DECIMAL, and over 10**F every one fits int64.  A search
-# keeps no state per line, where a fullmatch of the repeated cell would.
-# The patterns are compiled on first use, into the re module's cache.
-_NOT_FIXED_POINT = tuple(
-    rf"(?m)^(?!{cell}$)"
-    for cell in [r"[-+]?[0-9]{1,18}"]
-    + [rf"[-+]?[0-9]{{0,{18 - places}}}\.[0-9]{{{places}}}" for places in range(1, 19)]
-)
+# A column's text, one cell per line, as its shape: every ASCII digit as 0,
+# either sign as -, the point and the line break as they are, and every
+# other character as x, so that `_fixed_point_column` checks the shape of
+# every cell with a few counts and substring tests.
+_SHAPE = bytes(ord("0") if chr(b) in "0123456789" else ord("-") if chr(b) in "+-"
+               else b if chr(b) in ".\n" else ord("x") for b in range(256))
 
 
 def _exponent_too_large(digits: str) -> bool:
@@ -507,13 +503,31 @@ def _fixed_point_column(cells: tuple[str, ...]) -> tuple[np.ndarray, int] | None
     """
     point = cells[0].find(".")
     places = 0 if point < 0 else len(cells[0]) - point - 1
-    if places >= len(_NOT_FIXED_POINT):
+    if places > 18:
         return None
     text = "\n".join(cells)
-    # a quoted cell may hold a line break, which would split it in two
-    if text.count("\n") != len(cells) - 1 or re.search(_NOT_FIXED_POINT[places], text):
+    # each cell between two line breaks; a non-ASCII character becomes "?"
+    # and so x, and a quoted cell that holds a line break adds a line
+    shape = f"\n{text}\n".encode("ascii", "replace").translate(_SHAPE)
+    lines = len(cells)
+    # a sign only at the start of a cell; `in` finds a byte faster than
+    # `count` counts it
+    if (b"x" in shape or shape.count(b"\n") != lines + 1
+            or b"-" in shape and shape.count(b"-") != shape.count(b"\n-")):
         return None
-    # the pattern admits only what fromstring parses, and no value past int64
+    if places:
+        # one point a line, each before exactly F digits, after at most
+        # 18 - F digits
+        fixed = (shape.count(b".") == lines
+                 and shape.count(b"." + b"0" * places + b"\n") == lines
+                 and b"0" * (19 - places) + b"." not in shape)
+    else:
+        # no point, and 1 to 18 digits after the sign
+        fixed = (b"." not in shape and b"\n\n" not in shape and b"-\n" not in shape
+                 and b"0" * 19 not in shape)
+    if not fixed:
+        return None
+    # the shape admits only what fromstring parses, and no value past int64
     return np.fromstring(text.replace(".", ""), dtype=np.int64, sep="\n"), 10**places
 
 

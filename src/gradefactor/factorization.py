@@ -11,10 +11,15 @@ candidates over every row, packs the cells each covers, and counts their
 gains by popcount against the packed uncovered cells, which are all a run
 changes.  Its residua come from one of two read-only row sources: three
 tables per run, up to a fixed size, so that closures and cover tests are
-lookups, the cover test by adjointness: tnorm(e, c) >= b exactly when
-c > residuum(e, b - 1); or, past the cap, t-norm arithmetic.  Either
+lookups, the cover test by adjointness: tnorm(e, t) >= b exactly when
+e > residuum(t, b - 1); or, past the cap, t-norm arithmetic.  Either
 builds a closure as a block that leads with rows, whose minima fold a
-tall block's halves rather than pay numpy's cost per row.  Every batch
+tall block's halves rather than pay numpy's cost per row, and runs the
+cover test column by column, comparing extents along the rows; the
+covered cells and the uncovered ones are packed column by column.  On
+the tables intents are held as rows of a column table, grade t at
+attribute j as j * (n + 1) + t, which closures yield directly; the sweep's
+`intent` and `levels` convert at the edges of a run.  Every batch
 is sized so that its largest array fits one byte cap.  A batch is
 plain arrays, (js, levels, gains, covers), whose covers hold each
 candidate's extent and closed intent, so the winner's concept comes from
@@ -45,7 +50,7 @@ from .concepts import (
     _require_context,
     enumerate_concepts,
 )
-from .matrix import (LEVEL_DTYPE, FuzzySet, GradedMatrix, _rectangle, _require_composable,
+from .matrix import (LEVEL_DTYPE, FuzzySet, GradedMatrix, _require_composable,
                      _require_same_scale, _superpose)
 from .scale import MAX_LEVELS, Scale, _require_integer
 
@@ -130,7 +135,7 @@ class FactorSet:
 # Bytes of the largest array one batch of candidates builds (512 KiB).  On
 # a graded chain a batch spans every row of the input, from either row
 # source, so a batch of c candidates over r rows and m columns builds
-# c * r * m levels of `_work_dtype`; on the two-grade chain c * m * w
+# c * r * m levels of its row source's type; on the two-grade chain c * m * w
 # words of w row words; and the opening block is scored this many bytes
 # of covers at a time.  A batch holds one candidate at least, which alone
 # exceeds the cap on an input past it.  A batch's memory is therefore flat
@@ -142,16 +147,17 @@ SWEEP_BATCH_BYTES = 1 << 19
 # 8-byte words of covers one run's opening block may hold (4 MiB), counted
 # by the bytes it keeps.  On an n-step chain an r x m input has m * n
 # opening candidates, each with r * m / 64 words of covered cells and its
-# extent and closed intent, r + m levels of `_work_dtype`, so the whole
+# extent and closed intent, r + m levels, so the whole
 # opening grows with the grades; the cap keeps the block fixed.  It holds
 # the whole opening of a 200 x 100 input on 11 levels (388k words); on two
 # grades a candidate takes only r / 64 words and m bytes.
 _OPENING_TABLE_WORDS = 1 << 19
 
-# Bytes the three tables of one run may take (16 MiB): the two level tables
-# and the column table.  On an n-step chain an r x m input needs
-# 3 (n + 1) r m cells of `_work_dtype`, which holds the tables of a
-# 200 x 100 input on 11 levels in 1.3 MB.  A longer chain or a larger input
+# Bytes the three tables of one run may take (16 MiB): the level table and
+# the two column tables.  On an n-step chain an r x m input needs
+# 3 (n + 1) r m cells, of `_work_dtype` or, in the level table, of a type
+# that also holds m (n + 1), which holds the tables of a 200 x 100 input
+# on 11 levels in 1.3 MB.  A longer chain or a larger input
 # builds none, and the sweep takes its residua from t-norm arithmetic
 # instead of the tables.
 _LEVEL_TABLE_BYTES = 16 << 20
@@ -180,15 +186,14 @@ def _unpack_rows(bitset: np.ndarray, n: int) -> np.ndarray:
     return bits.astype(LEVEL_DTYPE)
 
 
-def _work_dtype(scale: Scale):
+def _work_dtype(scale: Scale, bound: int = 0):
     """The narrowest signed integer type holding every intermediate of the
-    scale's t-norm and residuum; none exceeds 2n(n + 1) on an n-step chain.
-    Narrow levels halve or quarter the memory traffic of a batch."""
+    scale's t-norm and residuum, none above 2n(n + 1) on an n-step chain,
+    and `bound`.  Narrow levels halve or quarter the memory traffic of a
+    batch."""
     n = scale.max_level
-    for dtype in (np.int16, np.int32):
-        if 2 * n * (n + 1) <= np.iinfo(dtype).max:
-            return dtype
-    return LEVEL_DTYPE
+    top = max(2 * n * (n + 1), bound)
+    return np.int16 if top < 2**15 else np.int32 if top < 2**31 else LEVEL_DTYPE
 
 
 def _row_minima(block: np.ndarray, top) -> np.ndarray:
@@ -225,86 +230,115 @@ def _ranked_candidates(intent: np.ndarray, n: int, start: int, batch: int):
         yield js, intent[js] + 1 + flat - (ends[js] - counts[js])
 
 
-class _LevelTables:
-    """The graded sweep's residua from two level tables and a column table,
-    built once per run and read-only from then on.
+def _plain(intent: np.ndarray) -> np.ndarray:
+    """`intent` and `levels` of a sweep that holds intents as levels."""
+    return intent
 
-    Row i * (n + 1) + e of `res` holds residuum(e, I[i, j]) for every
-    column j.  The same row of `never` holds residuum(e, I[i, j] - 1), the
-    largest grade c with tnorm(e, c) < I[i, j], and n at zero cells, which
-    therefore never count as covered: by adjointness the cover test is a
-    lookup in `never`.  cols[j, e] holds residuum(e, I[i, j]) for every
-    row i: the extent that grade e at attribute j allows.  Candidates are
-    the grades of a per-run grid above the intent, never larger than a
-    table.
+
+class _LevelTables:
+    """The graded sweep's residua from a level table and two column tables,
+    built once per run, each in the layout it is read in, and read-only
+    from then on.
+
+    Intents are held offset by column: grade t at attribute j as
+    j * (n + 1) + t, which keeps their order and names a row of either
+    column table; `intent` and `levels` convert.  Row i * (n + 1) + e of
+    `res` holds residuum(e, I[i, j]) + j * (n + 1) for every column j, so
+    a closure's row minima are its intent in that form, with no offset to
+    add.  Row j * (n + 1) + t of `never` holds
+    residuum(t, I[i, j] - 1) for every row i, the largest extent grade e
+    with tnorm(e, t) < I[i, j]: by adjointness the cover test compares the
+    rows a closed intent names with its extent, a batch's (candidate,
+    column, row) block at once.  At a zero cell that residuum is of no
+    grade, and the cell may test covered, but the sweep counts nonzero
+    cells only.  cols[j, a] holds residuum(a, I[i, j]) for every row i:
+    the extent that grade a at attribute j allows.
+    Candidates are the grades of a per-run grid above the intent, offset
+    as the intent is, never larger than a table.
     """
 
     @staticmethod
     def fit(scale: Scale, entries: np.ndarray) -> bool:
-        """Whether the three tables fit in _LEVEL_TABLE_BYTES."""
-        itemsize = np.dtype(_work_dtype(scale)).itemsize
-        return 3 * scale.levels * entries.size * itemsize <= _LEVEL_TABLE_BYTES
+        """Whether the three tables fit in _LEVEL_TABLE_BYTES: the column
+        tables in the work type, `res` in the narrowest type that also
+        holds its offset grades, up to n_cols * (n + 1) - 1."""
+        work = np.dtype(_work_dtype(scale)).itemsize
+        offset = np.dtype(_work_dtype(scale, entries.shape[1] * scale.levels - 1)).itemsize
+        return scale.levels * entries.size * (2 * work + offset) <= _LEVEL_TABLE_BYTES
 
     def __init__(self, scale: Scale, entries: np.ndarray) -> None:
-        n, dtype = scale.max_level, _work_dtype(scale)
+        n, work = scale.max_level, _work_dtype(scale)
         n_rows, n_cols = entries.shape
-        grades = np.arange(n + 1, dtype=dtype)[:, None]
-        sub = entries.astype(dtype)[:, None, :]
-        res = scale.residuum(grades, sub)
-        # n at zero cells, where the residuum below is of no grade
-        never = np.maximum(scale.residuum(grades, sub - 1), (sub == 0) * dtype(n))
-        self.cols = np.ascontiguousarray(res.transpose(2, 1, 0))
-        self.res, self.never = res.reshape(-1, n_cols), never.reshape(-1, n_cols)
+        self.top = n_cols * (n + 1) - 1
+        self.dtype = np.dtype(_work_dtype(scale, self.top))
+        self.starts = np.arange(0, self.top, n + 1, dtype=self.dtype)
+        # the column tables lead with columns and grades, so each is built
+        # over whole rows, which ufuncs take at full speed
+        grades = np.arange(n + 1, dtype=work)[:, None]
+        sub = np.ascontiguousarray(entries.T, dtype=work)[:, None, :]
+        self.cols = scale.residuum(grades, sub)
+        self.never = scale.residuum(grades, sub - 1).reshape(-1, n_rows)
+        # `res` is `cols` offset by column, with rows leading: a residuum
+        # built in that layout runs inner loops of n_cols cells, and took
+        # about 1 ms on a 4000 x 8 input on 5 levels against 0.13 ms for
+        # this offset and transposing copy
+        offset = np.add(self.cols, self.starts[:, None, None])
+        self.res = np.ascontiguousarray(offset.transpose(2, 1, 0)).reshape(-1, n_cols)
         for table in (self.res, self.never, self.cols):
             table.setflags(write=False)
-        self.n, self.grades = n, np.arange(n + 1)
-        self.offsets = np.arange(n_rows) * (n + 1)
+        self.grid = np.arange(self.top + 1).reshape(n_cols, n + 1)
+        self.row_starts = np.arange(0, n_rows * (n + 1), n + 1)
+
+    def intent(self, levels: np.ndarray) -> np.ndarray:
+        return levels + self.starts
+
+    def levels(self, intent: np.ndarray) -> np.ndarray:
+        return intent - self.starts
 
     def candidates(self, intent: np.ndarray, start: int, batch: int):
-        js, levels = (self.grades > intent[:, None]).nonzero()
+        js, levels = (self.grid > intent[:, None]).nonzero()
         for lo in range(start, len(js), batch):
             yield js[lo:lo + batch], levels[lo:lo + batch]
 
     def allowed(self, js: np.ndarray, levels: np.ndarray) -> np.ndarray:
         return self.cols[js, levels]
 
-    def index(self, ext: np.ndarray) -> np.ndarray:
-        """The rows of `res` and `never` that hold a batch of extents."""
-        return ext + self.offsets
-
-    def closures(self, idx: np.ndarray) -> np.ndarray:
+    def closures(self, ext: np.ndarray) -> np.ndarray:
         # rows lead the gathered closure, so its min runs over whole
         # candidate x column slabs
-        return _row_minima(self.res.take(idx.T, axis=0), self.n)
+        return _row_minima(self.res.take((ext + self.row_starts).T, axis=0), self.top)
 
-    def covered(self, idx: np.ndarray, closed: np.ndarray) -> np.ndarray:
-        return self.never.take(idx, axis=0) < closed[..., None, :]
+    def covered(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
+        return self.never.take(closed, axis=0) < ext[:, None, :]
 
 
 class _Residua:
     """The graded sweep's residua by t-norm arithmetic, past the table cap.
 
-    Candidates are ranked batch by batch.  Closures are residuum minima over
-    (candidate, row, column) blocks; the cover test compares the t-norm
-    rectangle with the input, read-only from construction on, and so finds
-    every zero cell covered, which the sweep does not count.
+    Candidates are ranked batch by batch, and intents are plain levels.
+    Closures are residuum minima over (row, candidate, column) blocks; the
+    cover test compares the t-norm rectangle, over (candidate, column, row)
+    blocks, with a contiguous copy of the input's transpose, exactly at
+    the nonzero cells, the only ones the sweep counts.  Both copies of the
+    input are read-only from construction on.
     """
 
     def __init__(self, scale: Scale, entries: np.ndarray) -> None:
-        self.scale, self.entries = scale, entries.astype(_work_dtype(scale))
-        self.entries.setflags(write=False)
+        self.scale = scale
+        self.dtype = np.dtype(_work_dtype(scale))
+        self.entries = entries.astype(self.dtype)
+        self.columns = np.ascontiguousarray(entries.T, dtype=self.dtype)
+        for table in (self.entries, self.columns):
+            table.setflags(write=False)
+
+    intent = levels = staticmethod(_plain)
 
     def candidates(self, intent: np.ndarray, start: int, batch: int):
         return _ranked_candidates(intent, self.scale.max_level, start, batch)
 
     def allowed(self, js: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        levels = np.asarray(levels, dtype=self.entries.dtype)[..., None]
-        return self.scale.residuum(levels, self.entries[:, js].T)
-
-    def index(self, ext: np.ndarray) -> np.ndarray:
-        """A batch of extents in the work dtype, so that the arithmetic over
-        (candidate, row, column) blocks stays narrow."""
-        return ext.astype(self.entries.dtype, copy=False)
+        levels = np.asarray(levels, dtype=self.dtype)[..., None]
+        return self.scale.residuum(levels, self.columns[js])
 
     def closures(self, ext: np.ndarray) -> np.ndarray:
         # rows lead, as in the level tables' closures
@@ -312,7 +346,18 @@ class _Residua:
         return _row_minima(res, self.scale.max_level)
 
     def covered(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
-        return _rectangle(self.scale, ext, closed) >= self.entries
+        ext, closed = ext[:, None, :], closed[..., None]
+        # each closed grade meets a whole row of extent grades, and numpy's
+        # min and max against an operand repeated along the row run several
+        # times slower than a compare or an add, which Godel and Lukasiewicz
+        # use instead, exact at the nonzero cells b
+        if self.scale.tnorm_kind == "godel":
+            # min(e, t) >= b exactly when e >= b and t >= b
+            return (ext >= self.columns) & (closed >= self.columns)
+        if self.scale.tnorm_kind == "lukasiewicz":
+            # max(e + t - n, 0) >= b > 0 exactly when e + (t - n) >= b
+            return ext + (closed - self.scale.max_level) >= self.columns
+        return self.scale.tnorm(ext, closed) >= self.columns
 
 
 class _GradedSweep:
@@ -322,32 +367,35 @@ class _GradedSweep:
     extent D.  Its extent is D ∧ residuum(a, I[:, j]), because the residuum
     is antitone in its first argument.  Batches span every row: a row
     outside D's support has extent 0, whose residua are all n, so it
-    neither lowers a closure nor holds a covered cell.  A batch's covers
-    are the cells each candidate's concept covers, packed over all cells,
-    with the candidates' extents and, last, closed intents; its gains are
-    the popcounts of the packed cells against `live`, the packed uncovered
-    cells, the one thing a run changes, and retiring a winner clears its
-    packed cells there.  The mask must hold nonzero cells only.
+    neither lowers a closure nor holds a covered cell.  The cover test
+    runs column by column, comparing along the rows, and a batch's covers
+    are the cells each candidate's concept covers, packed over all cells
+    column by column, with the candidates' extents and, last, closed
+    intents in the row source's form, which `intent` and `levels` convert
+    from and to levels; its gains are the popcounts of the packed cells
+    against `live`, the uncovered cells packed the same way, the one thing
+    a run changes, and retiring a winner clears its packed cells there.
+    The mask must hold nonzero cells only.
     """
 
-    def __init__(self, scale: Scale, entries: np.ndarray, mask: np.ndarray, rows) -> None:
+    def __init__(self, entries: np.ndarray, mask: np.ndarray, rows) -> None:
         self.rows = rows
-        # a batch's largest array is its candidates' levels over every cell
-        itemsize = np.dtype(_work_dtype(scale)).itemsize
-        self.batch = max(1, SWEEP_BATCH_BYTES // max(1, entries.size * itemsize))
-        self.live = _pack_cells(mask[None])[0]
+        self.intent, self.levels = rows.intent, rows.levels
+        # a batch's largest array is its candidates' closures over every cell
+        self.batch = max(1, SWEEP_BATCH_BYTES // max(1, entries.size * rows.dtype.itemsize))
+        self.live = _pack_cells(mask.T[None])[0]
 
     def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
         """The candidates (j, a) with a > intent[j] of an intent whose extent
         is `extent`, from the start-th on in (j, a) order, in batches: per
         batch its attributes, grades, gains and covers, whose `count` the
-        gains are.  Extents and closed intents stay in the work dtype."""
+        gains are.  Extents stay in the work dtype, and closed intents in
+        the row source's type and form."""
         for js, levels in self.rows.candidates(intent, start, self.batch):
             allowed = self.rows.allowed(js, levels)
             ext = np.minimum(allowed, extent, dtype=allowed.dtype)
-            idx = self.rows.index(ext)
-            closed = self.rows.closures(idx)
-            covers = _pack_cells(self.rows.covered(idx, closed)), ext, closed
+            closed = self.rows.closures(ext)
+            covers = _pack_cells(self.rows.covered(ext, closed)), ext, closed
             yield js, levels, self.count(covers), covers
 
     def count(self, covers: tuple) -> np.ndarray:
@@ -380,6 +428,8 @@ class _BitsetSweep:
         self.n_rows = entries.shape[0]
         self.cols = _pack_cells((entries != 0).T)
         self.uncovered = _pack_cells(mask.T)
+
+    intent = levels = staticmethod(_plain)
 
     @staticmethod
     def _closed(ext: np.ndarray, holes: np.ndarray) -> np.ndarray:
@@ -426,7 +476,7 @@ def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedS
     if scale.levels == 2:
         return _BitsetSweep(entries, mask)
     rows = (_LevelTables if _LevelTables.fit(scale, entries) else _Residua)(scale, entries)
-    return _GradedSweep(scale, entries, mask, rows)
+    return _GradedSweep(entries, mask, rows)
 
 
 def _opening_block(sweep, intent: np.ndarray, extent: np.ndarray) -> tuple:
@@ -515,7 +565,7 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     mask = entries != 0
     sweep = _make_sweep(scale, entries, mask)
     # the empty intent's extent is top, since residuum(0, b) = n
-    empty = np.zeros(n_cols, dtype=LEVEL_DTYPE)
+    empty = sweep.intent(np.zeros(n_cols, dtype=LEVEL_DTYPE))
     top = np.full(n_rows, scale.max_level, dtype=LEVEL_DTYPE)
     uncovered = [int(mask.sum())]
     extents: list[np.ndarray] = []
@@ -542,8 +592,10 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
             raise RuntimeError(f"factor {len(extents)} covers no uncovered cell")
 
     k = len(extents)
+    # intents travel in the sweep's form, converted once
     return FactorSet(GradedMatrix(scale, np.reshape(extents, (k, n_rows)).T),
-                     GradedMatrix(scale, np.reshape(intents, (k, n_cols))), tuple(uncovered))
+                     GradedMatrix(scale, sweep.levels(np.reshape(intents, (k, n_cols)))),
+                     tuple(uncovered))
 
 
 def factor_matrices(factor_set: FactorSet) -> tuple[GradedMatrix, GradedMatrix]:

@@ -14,6 +14,16 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The suite with ten times the examples, for the differential tests of the
+# fast kernels: `--hypothesis-profile=deep`.  A test that sets its own
+# max_examples scales it with `strategies.examples`.  pytest imports this
+# file before the hypothesis plugin reads that option, so the option wins
+# over the load below.
+settings.register_profile(
+    "deep",
+    settings.get_profile("suite"),
+    max_examples=10 * settings.get_profile("suite").max_examples,
+)
 settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).parent / "data"

@@ -10,6 +10,7 @@ are frozen here.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -128,6 +129,21 @@ TALL_SHA256 = {
 }
 
 
+# A graded input of the same tall shape: 3196 x 75 on 5 levels, each cell
+# nonzero with probability 0.49 and then of a grade drawn uniformly from
+# 1..4, by `graded_tall`.  The sha256 of the factor set, as
+# `factor_set_sha256` writes it, that `find_factors(..., max_factors=3)`
+# returns on each t-norm, with the level tables and without them.  The
+# three agree: each factor is one column at the top grade, whose extent is
+# that column, since residuum(n, b) = b on every t-norm, and every other
+# column holds 0 in some row where the extent is n.
+GRADED_TALL_SHA256 = {
+    "lukasiewicz": "27491bb1b291dbafd4053e128052b278998fac524cc930e10457f3a9716dfe7c",
+    "godel": "27491bb1b291dbafd4053e128052b278998fac524cc930e10457f3a9716dfe7c",
+    "goguen": "27491bb1b291dbafd4053e128052b278998fac524cc930e10457f3a9716dfe7c",
+}
+
+
 def scale() -> Scale:
     return Scale(5, "lukasiewicz")
 
@@ -174,3 +190,23 @@ def tall_transactions() -> str:
         " ".join(str(j + 1) for j in range(75) if rng.random() < 0.49) + "\n"
         for _ in range(3196)
     )
+
+
+def graded_tall(kind: str) -> GradedMatrix:
+    """The graded tall input on one t-norm, drawn with `random.Random` as
+    `tall_transactions` is."""
+    rng = random.Random(75)
+    entries = [[1 + int(4 * rng.random()) if rng.random() < 0.49 else 0 for _ in range(75)]
+               for _ in range(3196)]
+    return GradedMatrix(Scale(5, kind, rounded=kind == "goguen"), entries)
+
+
+def factor_set_sha256(factor_set: FactorSet) -> str:
+    """The sha256 of a factor set's two matrices, as little-endian int64
+    levels, and its trace."""
+    digest = hashlib.sha256()
+    for matrix in (factor_set.a, factor_set.b):
+        digest.update(repr(matrix.shape).encode())
+        digest.update(np.ascontiguousarray(matrix.entries, dtype="<i8").tobytes())
+    digest.update(repr(tuple(factor_set.uncovered_counts)).encode())
+    return digest.hexdigest()

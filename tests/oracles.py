@@ -19,7 +19,8 @@ match its rows, `read_rows`.  `read_raw_csv` parses with
 Fraction itself; the others share the cell helpers of `gradefactor.data`,
 except that `read_csv` reads its layout with `cell_kind`, which parses a
 cell twice where `gradefactor.data._cell_kind` parses it once.
-`raw_table` and `table_values` convert between a RawTable's integer
+`fixed_point_column` is the original regex check of a fixed-point
+column.  `raw_table` and `table_values` convert between a RawTable's integer
 columns and rows of Fractions.  `read_fimi`, last, is the original
 transaction reader, which reads line by line and sets the grid one item
 at a time.
@@ -339,6 +340,28 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
 
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+# the first line of a column, one cell per line, that is not a plain decimal
+# with F places and at most 18 digits, for F = 0..18
+NOT_FIXED_POINT = tuple(
+    rf"(?m)^(?!{cell}$)"
+    for cell in [r"[-+]?[0-9]{1,18}"]
+    + [rf"[-+]?[0-9]{{0,{18 - places}}}\.[0-9]{{{places}}}" for places in range(1, 19)]
+)
+
+
+def fixed_point_column(cells: tuple[str, ...]) -> tuple[np.ndarray, int] | None:
+    """The original one-pass column parser, which finds an off-pattern cell
+    by a regex search of the joined column: the twin of
+    `gradefactor.data._fixed_point_column`."""
+    point = cells[0].find(".")
+    places = 0 if point < 0 else len(cells[0]) - point - 1
+    if places >= len(NOT_FIXED_POINT):
+        return None
+    text = "\n".join(cells)
+    if text.count("\n") != len(cells) - 1 or re.search(NOT_FIXED_POINT[places], text):
+        return None
+    return np.array([int(cell.replace(".", "")) for cell in cells], dtype=np.int64), 10**places
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -1,13 +1,22 @@
-"""Hypothesis strategies for scales, graded sets, and contexts."""
+"""Hypothesis strategies for scales, graded sets, and contexts, and the
+example counts of tests that set their own."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from gradefactor import FuzzySet, GradedMatrix, Scale
 
 EXACT_KINDS = ("lukasiewicz", "godel")
+
+
+def examples(count: int) -> int:
+    """`count` examples under the suite's hypothesis profile, scaled as the
+    loaded profile scales max_examples, so that a test which sets its own
+    count runs ten times as many under the deep profile."""
+    return count * settings.default.max_examples // settings.get_profile("suite").max_examples
 
 
 def scales(kinds=EXACT_KINDS, min_levels: int = 2, max_levels: int = 6):

@@ -49,7 +49,8 @@ def sweep_gain(ctx, mask, intent, j, a):
     (j, a), read off the batch that scores it, or None when no batch holds
     it; `mask` holds the uncovered nonzero cells."""
     sweep = factorization._make_sweep(ctx.scale, ctx.entries, mask)
-    for js, levels, gains, _ in sweep.batches(intent.membership, down(ctx, intent).membership):
+    batches = sweep.batches(sweep.intent(intent.membership), down(ctx, intent).membership)
+    for js, levels, gains, _ in batches:
         (hit,) = np.nonzero((js == j) & (levels == a))
         if hit.size:
             return int(gains[hit[0]])
@@ -57,12 +58,13 @@ def sweep_gain(ctx, mask, intent, j, a):
 
 
 def uncovered_cells(sweep, shape):
-    """The uncovered cells a sweep holds, as a Boolean array."""
+    """The uncovered cells a sweep holds, as a Boolean array; both sweeps
+    pack them column by column."""
     n_rows, n_cols = shape
     if isinstance(sweep, factorization._BitsetSweep):
         columns = [factorization._unpack_rows(bits, n_rows) for bits in sweep.uncovered]
         return np.stack(columns, axis=1) != 0
-    return factorization._unpack_rows(sweep.live, n_rows * n_cols).reshape(shape) != 0
+    return factorization._unpack_rows(sweep.live, n_rows * n_cols).reshape(n_cols, n_rows).T != 0
 
 
 # ---------------------------------------------------------------- greedy
@@ -185,8 +187,8 @@ def test_identical_runs_return_identical_factor_sets(decathlon):
 
 def test_a_factor_that_covers_nothing_stops_the_run(decathlon):
     # a step whose winner's concept covers no cell its gain counted: zeroed
-    # covers hold the empty extent and intent; the bound turns a missing
-    # guard into a failure rather than a hang
+    # covers pack no cell and hold the empty extent; the bound turns a
+    # missing guard into a failure rather than a hang
     best_candidate = factorization._best_candidate
 
     def step(*args):
@@ -265,7 +267,7 @@ def assert_matches_reference(ctx, tie_break=DEFAULT_TIE_BREAK, budget=None, max_
     st.sampled_from(TIE_BREAK_POLICIES),
     st.sampled_from(BUDGETS),
 )
-@settings(max_examples=150)
+@settings(max_examples=strategies.examples(150))
 def test_sweep_matches_reference_on_graded_chains(ctx, tie_break, budget):
     assert_matches_reference(ctx, tie_break, budget)
 
@@ -304,14 +306,32 @@ def tall_product(scale, rows, seed, cols=8):
     return GradedMatrix(scale, entries)
 
 
-@pytest.mark.parametrize("rows", [63, 64, 65, 129, 257, 1000])
+@pytest.mark.parametrize("rows, cols", [
+    *(pytest.param(rows, 8, id=str(rows)) for rows in (63, 64, 65, 129, 257, 1000)),
+    pytest.param(1000, 3, id="1000x3"), pytest.param(257, 2, id="257x2"),
+    pytest.param(2, 257, id="2x257"),
+])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("tie_break", TIE_BREAK_POLICIES)
-def test_sweep_matches_reference_on_tall_inputs(rows, kind, tie_break):
+def test_sweep_matches_reference_on_tall_inputs(rows, cols, kind, tie_break):
     # past 64 rows a closure's row minima fold the block's halves, which
-    # leaves an odd middle row at 65, 129 and 257 rows
+    # leaves an odd middle row at 65, 129 and 257 rows; thin inputs fold
+    # the most, and a wide one packs a column of 2 rows per cover word and
+    # offsets its intents by up to 257 * 5
     scale = Scale(5, kind, rounded=kind == "goguen")
-    assert_matches_reference(tall_product(scale, rows, rows), tie_break)
+    assert_matches_reference(tall_product(scale, rows, rows, cols), tie_break)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_graded_tall_runs_give_the_pinned_factors(kind):
+    # 3196 x 75 on 5 levels, one candidate a batch, on both row sources:
+    # the factor sets pinned in golden.GRADED_TALL_SHA256
+    ctx = golden.graded_tall(kind)
+    for level_cap in LEVEL_TABLE_CAPS:
+        with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+            fs = find_factors(ctx, max_factors=3)
+        assert golden.factor_set_sha256(fs) == golden.GRADED_TALL_SHA256[kind], \
+            f"level tables at {level_cap} bytes"
 
 
 @given(
@@ -444,6 +464,42 @@ def test_sweep_runs_in_64_bit_levels_past_the_32_bit_bound(kind):
     assert len(coverage_curve(runs[0], ctx)) == 2
 
 
+def step_candidates(sweep, intent, extent):
+    """Every candidate one step of a sweep scores, as (j, a, gain, extent,
+    closed intent in levels) lists."""
+    return [(j, a, g, sweep.concept(covers, c)[0].tolist(),
+             sweep.levels(sweep.concept(covers, c)[1]).tolist())
+            for js, levels, gains, covers in sweep.batches(sweep.intent(intent), extent)
+            for c, (j, a, g) in enumerate(zip(js.tolist(), levels.tolist(), gains.tolist()))]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_offset_intents_widen_past_the_work_dtype(kind):
+    # a 128-level chain runs in 16-bit levels, but on 257 columns an
+    # intent's offset grades reach 257 * 128 - 1 > 2**15, so the level
+    # table and the intents hold 32-bit grades; a run and every candidate
+    # of one step agree with t-norm arithmetic, and sampled ones with the
+    # reference
+    scale = Scale(128, kind, rounded=kind == "goguen")
+    ctx = tall_product(scale, 3, 128, 257)
+    mask = ctx.entries != 0
+    intent = np.random.default_rng(257).integers(0, 128, size=257) // 2
+    extent = down(ctx, FuzzySet(scale, intent)).membership
+    runs, steps = [], []
+    for level_cap in LEVEL_TABLE_CAPS:
+        with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+            runs.append(find_factors(ctx, max_factors=1))
+            sweep = factorization._make_sweep(scale, ctx.entries, mask)
+            steps.append(step_candidates(sweep, intent, extent))
+    assert sweep.rows.res.dtype == np.int32 and sweep.rows.never.dtype == np.int16
+    assert runs[0] == runs[1] and len(runs[0]) == 1
+    assert steps[0] == steps[1]
+    for j, a, gain, got_extent, got_closed in steps[1][::997]:
+        expected = oracles.candidate_closure(scale, ctx.entries, intent, j, a)
+        assert (got_extent, got_closed) == tuple(map(np.ndarray.tolist, expected))
+        assert gain == oracles.covered_count(scale, ctx.entries, mask, *expected)
+
+
 def table_bytes(sweep):
     return sum(table.nbytes for table in (sweep.rows.res, sweep.rows.never, sweep.rows.cols))
 
@@ -477,17 +533,29 @@ def test_level_tables_stay_within_their_cap():
 
 
 @pytest.mark.parametrize("levels, shape", [(5, (40, 30)), (11, (200, 100)), (129, (50, 40)),
-                                           (2000, (30, 20)), (2000, (60, 50))])
+                                           (2000, (30, 20)), (2000, (60, 50)), (128, (40, 300)),
+                                           (5, (2, 7000))])
 def test_column_and_level_tables_fit_the_default_cap(levels, shape):
+    # the two column tables hold levels of the work dtype; the level table
+    # holds offset grades up to columns * levels - 1, in the work dtype or
+    # a wider one
     scale = Scale(levels)
     entries = np.random.default_rng(levels).integers(0, levels, size=shape)
     sweep = factorization._make_sweep(scale, entries, entries != 0)
-    cells = 3 * levels * entries.size
+    cells = levels * entries.size
+    work = np.dtype(factorization._work_dtype(scale))
+    offset = np.promote_types(work, np.min_scalar_type(-shape[1] * levels))
+    assert offset.itemsize == (4 if shape[1] * levels > 2**15 else work.itemsize)
+    fit = cells * (2 * work.itemsize + offset.itemsize)
+    for cap in (fit, fit - 1):
+        with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", cap):
+            assert factorization._LevelTables.fit(scale, entries) == (cap == fit)
     if rows_of(sweep) is factorization._LevelTables:
-        assert table_bytes(sweep) == cells * sweep.rows.res.itemsize <= factorization._LEVEL_TABLE_BYTES
+        assert sweep.rows.res.dtype == offset
+        assert sweep.rows.never.dtype == sweep.rows.cols.dtype == work
+        assert table_bytes(sweep) == fit <= factorization._LEVEL_TABLE_BYTES
     else:
-        assert cells * np.dtype(factorization._work_dtype(scale)).itemsize > \
-            factorization._LEVEL_TABLE_BYTES
+        assert fit > factorization._LEVEL_TABLE_BYTES
 
 
 @given(
@@ -499,7 +567,7 @@ def test_column_and_level_tables_fit_the_default_cap(levels, shape):
     st.sampled_from(BUDGETS),
     st.sampled_from([None, 1, 2]),
 )
-@settings(max_examples=60)
+@settings(max_examples=strategies.examples(60))
 def test_bitset_sweep_matches_reference_at_word_boundaries(n, m, density, seed, tie_break,
                                                            budget, max_factors):
     rng = np.random.default_rng(seed)
@@ -619,7 +687,7 @@ def test_a_run_closes_each_candidate_it_scores_once(levels, kind, level_cap):
 # the arrays each row source reads its residua from
 ROW_SOURCE_TABLES = {
     factorization._LevelTables: ("res", "never", "cols"),
-    factorization._Residua: ("entries",),
+    factorization._Residua: ("entries", "columns"),
 }
 
 
@@ -699,7 +767,7 @@ def test_gain_counts_covered_universe_cells(decathlon):
 
 
 @given(strategies.context_with_intent(kinds=ALL_KINDS), st.data())
-@settings(max_examples=60)
+@settings(max_examples=strategies.examples(60))
 def test_gain_matches_the_closed_candidate(pair, data):
     ctx, intent = pair
     j = data.draw(st.integers(0, ctx.n_cols - 1))
@@ -722,7 +790,7 @@ def test_gain_matches_the_closed_candidate(pair, data):
     strategies.context_with_intent(kinds=ALL_KINDS), st.data(),
     st.sampled_from(BUDGETS), st.sampled_from(LEVEL_TABLE_CAPS),
 )
-@settings(max_examples=80)
+@settings(max_examples=strategies.examples(80))
 def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
     # every candidate of a step, in (j, a) order, with the extent, closed
     # intent and gain its batch gives it, against one closure per candidate
@@ -734,7 +802,7 @@ def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
             mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
         sweep = factorization._make_sweep(scale, entries, mask)
         seen = []
-        for js, levels, gains, covers in sweep.batches(intent.membership,
+        for js, levels, gains, covers in sweep.batches(sweep.intent(intent.membership),
                                                        down(ctx, intent).membership):
             assert len(js) == len(levels) == len(gains) >= 1
             assert sweep.count(covers).tolist() == gains.tolist()
@@ -742,7 +810,7 @@ def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
                 extent, closed = oracles.candidate_closure(scale, entries, intent.membership, j, a)
                 got_extent, got_closed = sweep.concept(covers, c)
                 assert got_extent.tolist() == extent.tolist()
-                assert got_closed.tolist() == closed.tolist()
+                assert sweep.levels(got_closed).tolist() == closed.tolist()
                 assert gains[c] == oracles.covered_count(scale, entries, mask, extent, closed)
                 seen.append((j, a))
     assert seen == [(j, a) for j in range(ctx.n_cols)
@@ -767,6 +835,7 @@ def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_fa
 
     def checked(sweep, covers, c):
         extent, intent = sweep.concept(covers, c)
+        intent = sweep.levels(intent)
         remaining = retire(sweep, covers, c)
         mask[:] &= ~(_rectangle(ctx.scale, extent, intent) >= ctx.entries)
         assert np.array_equal(sweep.uncovered, factorization._pack_cells(mask.T))
@@ -787,7 +856,7 @@ def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_fa
     st.sampled_from(LEVEL_TABLE_CAPS),
     st.integers(0, 2),
 )
-@settings(max_examples=60)
+@settings(max_examples=strategies.examples(60))
 def test_graded_retire_clears_the_winners_packed_cells(ctx, level_cap, opening_cap):
     # after each factor the sweep's uncovered cells are those the
     # reference's factors so far leave, on either row source and with the
@@ -835,8 +904,8 @@ def test_cover_universe_bookkeeping(decathlon, reference_factors, level_cap):
     ((sweep, (extent, intent), remaining),) = retired
     assert rows_of(sweep) is (factorization._LevelTables if level_cap else factorization._Residua)
     first = reference_factors[0]
-    assert (extent.tolist(), intent.tolist()) == (first.extent.membership.tolist(),
-                                                  first.intent.membership.tolist())
+    assert (extent.tolist(), sweep.levels(intent).tolist()) == (first.extent.membership.tolist(),
+                                                                first.intent.membership.tolist())
     assert (50 - remaining, remaining) == (23, 27)
     assert int(uncovered_cells(sweep, decathlon.shape).sum()) == 27
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import strategies
 from gradefactor import (
     MAX_LEVELS,
     TNORM_KINDS,
@@ -35,7 +36,8 @@ from gradefactor import (
     write_csv,
 )
 from gradefactor import data
-from gradefactor.data import _parse_fraction, _parse_number, _raw_column, _read_rows
+from gradefactor.data import (_fixed_point_column, _parse_fraction, _parse_number, _raw_column,
+                              _read_rows)
 
 MODES = ("strict", "lenient")
 # cells no mode reads as a grade on any chain up to 101 levels
@@ -521,6 +523,38 @@ def assert_columns_built_per_cell(table, path):
         assert stored.tolist() == want.tolist()
         assert type(den) is type(want_den)
         assert np.asarray(den).tolist() == np.asarray(want_den).tolist()
+
+
+# characters a fixed-point column's check must see: line breaks, signs and
+# points out of place, blanks, non-ASCII digits and other non-digits
+ODD_CHARACTERS = ("\n", "\r", "\r\n", "+", "-", ".", " ", "\t", "0", "9", "_", "e", "x",
+                  "\u0663", "\u00b2", "\uff11")
+
+
+@st.composite
+def fixed_point_columns(draw):
+    """A `raw_column`, whose cells may then have odd characters put in,
+    swapped in or cut out."""
+    column = draw(st.integers(1, 6).flatmap(lambda rows: raw_column(rows, bad=True)))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(column) - 1))
+        cell = column[row]
+        at = draw(st.integers(0, len(cell)))
+        odd = draw(st.sampled_from(ODD_CHARACTERS + ("",)))
+        column[row] = cell[:at] + odd + cell[at + draw(st.integers(0, 1)):]
+    return tuple(column)
+
+
+@given(fixed_point_columns())
+@settings(max_examples=strategies.examples(300))
+def test_fixed_point_columns_match_the_pattern_twin(cells):
+    # the shape check accepts exactly the columns the regex search of
+    # oracles.fixed_point_column does, with the same numerators
+    got, want = _fixed_point_column(cells), oracles.fixed_point_column(cells)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0].dtype == want[0].dtype == np.int64
+        assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
 
 
 OVERFLOW_TABLES = {
