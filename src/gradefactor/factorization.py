@@ -32,6 +32,16 @@ opening scores it by popcount and takes its winner's concept from it.
 Ties on the gain go to one of two named policies; a batch's winner is one
 argmax, over its gains or over a key that ranks the lower grade next.
 
+A graded input whose rows repeat, at most half of them distinct, is
+clarified first: the sweep runs on its distinct rows and, among those, its
+distinct columns, each cell weighted by the input cells it stands for,
+and holds the uncovered cells as bit planes of those weights, so every
+gain, winner and trace entry is the input's.  The factors expand back to
+the input's rows and columns once per run.  A 4000 x 8 input with 125
+distinct rows and 6 distinct columns then runs in about a sixth of the
+time; on an input whose rows do not repeat the check is one set of row
+keys.
+
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
 minimum exact cover.
@@ -39,6 +49,7 @@ minimum exact cover.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -376,14 +387,31 @@ class _GradedSweep:
     against `live`, the uncovered cells packed the same way, the one thing
     a run changes, and retiring a winner clears its packed cells there.
     The mask must hold nonzero cells only.
+
+    A cell may carry an integer weight, the number of input cells it
+    stands for on a clarified context (see `_clarify`).  `live` then holds
+    the weights of the uncovered cells as bit planes, plane k the cells
+    whose weight has bit k set, and a gain is Σ_k 2^k popcount(covers &
+    plane k); retiring clears the winner's cells in every plane.  Without
+    weights `live` is the one plane, the packed mask itself, with no plane
+    axis and no place values (`place` is None), so that a gain is one
+    popcount: on 20 x 20 a plane axis of length one cost up to 1 µs a
+    count.
     """
 
-    def __init__(self, entries: np.ndarray, mask: np.ndarray, rows) -> None:
+    def __init__(self, entries: np.ndarray, mask: np.ndarray, rows,
+                 weights: np.ndarray | None = None) -> None:
         self.rows = rows
         self.intent, self.levels = rows.intent, rows.levels
         # a batch's largest array is its candidates' closures over every cell
         self.batch = max(1, SWEEP_BATCH_BYTES // max(1, entries.size * rows.dtype.itemsize))
-        self.live = _pack_cells(mask.T[None])[0]
+        if weights is None:
+            self.live, self.place = _pack_cells(mask.T[None])[0], None
+        else:
+            cells = np.where(mask, weights, 0).T
+            planes = np.arange(max(1, int(cells.max()).bit_length()))
+            self.live = _pack_cells((cells >> planes[:, None, None]) & 1 != 0)
+            self.place = 1 << planes
 
     def batches(self, intent: np.ndarray, extent: np.ndarray, start: int = 0):
         """The candidates (j, a) with a > intent[j] of an intent whose extent
@@ -400,7 +428,10 @@ class _GradedSweep:
 
     def count(self, covers: tuple) -> np.ndarray:
         """Gains of a batch of covers against the cells uncovered now."""
-        return np.bitwise_count(covers[0] & self.live).sum(axis=1, dtype=np.int64)
+        if self.place is None:
+            return np.bitwise_count(covers[0] & self.live).sum(axis=1, dtype=np.int64)
+        hits = np.bitwise_count(covers[0][:, None] & self.live).sum(axis=2, dtype=np.int64)
+        return hits @ self.place
 
     def concept(self, covers: tuple, c: int) -> tuple[np.ndarray, np.ndarray]:
         """The extent and closed intent of the c-th candidate of covers."""
@@ -409,9 +440,11 @@ class _GradedSweep:
 
     def retire(self, covers: tuple, c: int) -> int:
         """Clear the packed cells of the c-th candidate of a batch's covers,
-        the winner's; returns how many cells stay uncovered."""
+        the winner's, in every plane; returns the weight of the cells that
+        stay uncovered."""
         self.live &= ~covers[0][c]
-        return int(np.bitwise_count(self.live).sum())
+        left = np.bitwise_count(self.live).sum(axis=-1, dtype=np.int64)
+        return int(left if self.place is None else left @ self.place)
 
 
 class _BitsetSweep:
@@ -472,11 +505,83 @@ class _BitsetSweep:
         return int(np.bitwise_count(self.uncovered).sum())
 
 
-def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray) -> _GradedSweep | _BitsetSweep:
+def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray,
+                weights: np.ndarray | None = None) -> _GradedSweep | _BitsetSweep:
     if scale.levels == 2:
         return _BitsetSweep(entries, mask)
     rows = (_LevelTables if _LevelTables.fit(scale, entries) else _Residua)(scale, entries)
-    return _GradedSweep(entries, mask, rows)
+    return _GradedSweep(entries, mask, rows, weights)
+
+
+@functools.lru_cache(maxsize=64)
+def _radix(levels: int, m: int) -> np.ndarray:
+    """The place values of m digits of base `levels`, built once per shape
+    and chain: the powers took 2 µs of a 20 x 20 row key's 4."""
+    places = levels ** np.arange(m, dtype=np.int64)
+    places.setflags(write=False)
+    return places
+
+
+def _row_keys(block: np.ndarray, levels: int) -> np.ndarray:
+    """One key per row of a block of levels, equal exactly where the rows
+    are: the row's levels as the digits of a mixed-radix int64 when m
+    digits of base `levels` fit in 62 bits, else the row's bytes in the
+    narrowest unsigned type, as one void item."""
+    m = block.shape[1]
+    if m * levels.bit_length() <= 62:
+        return block @ _radix(levels, m)
+    narrow = np.ascontiguousarray(block, dtype=np.min_scalar_type(levels - 1))
+    return narrow.view(np.dtype((np.void, narrow.itemsize * m))).ravel()
+
+
+def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classes of equal keys in order of first occurrence: each class's
+    first index, each key's class and each class's size."""
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse], counts[order]
+
+
+def _clarify(scale: Scale, entries: np.ndarray):
+    """The clarified context of a graded input, or None when its run takes
+    the input as it is.
+
+    Identical rows get identical grades in every extent, so a concept
+    covers all their copies or none, and a closure, a minimum over rows,
+    does not see the repeats.  A later copy of a column has the first
+    copy's closure grades, so each of its candidates ties the first copy's
+    at a later attribute and loses under both policies.  The sweep can
+    therefore run on the distinct rows and, among those, the distinct
+    columns, both in order of first occurrence, with each cell weighted by
+    the product of its row's and its column's multiplicity: every gain is
+    the input's, so every winner is, and extents and intents expand back
+    through the returned inverses.  This is clarifying the context, which
+    keeps its concept lattice.
+
+    The two-grade chain keeps its bitset sweep.  A graded input is
+    clarified when at most half of its rows are distinct.  Where rows do
+    not repeat the check is pure cost, a set of the row keys: 5 µs on
+    20 x 20 and on 40 x 30, against a run of a millisecond or more, and
+    0.35 ms on 3196 x 75, against a second or more.  A 4000 x 8 input with
+    125 distinct rows spends about 0.5 ms to clarify, and its sweep then
+    runs on 125 x 6 cells instead of 4000 x 8.
+
+    Returns the clarified entries, their cell weights, and the index of
+    each input row's and each input column's class.
+    """
+    if scale.levels == 2:
+        return None
+    keys = _row_keys(entries, scale.levels)
+    if 2 * len(set(keys.tolist())) > len(keys):
+        return None
+    rows, row_inverse, row_counts = _classes(keys)
+    distinct = entries[rows]
+    cols, col_inverse, col_counts = _classes(_row_keys(distinct.T, scale.levels))
+    weights = row_counts[:, None] * col_counts
+    return distinct[:, cols], weights, row_inverse, col_inverse
 
 
 def _opening_block(sweep, intent: np.ndarray, extent: np.ndarray) -> tuple:
@@ -552,7 +657,9 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     and the cells it covers are retired.
 
     A `max_factors` bound truncates the run; its trace then ends above 0,
-    so the result is incomplete instead of pretending to be exact.
+    so the result is incomplete instead of pretending to be exact.  A
+    graded input whose rows repeat is swept on its clarified context (see
+    `_clarify`), with the same factors and trace.
     """
     _require_context(context)
     if context.entries.size > _MAX_CELLS:
@@ -560,14 +667,18 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     tie_break = resolve_tie_break(tie_break)
     if max_factors is not None and _require_integer("max_factors", max_factors) < 0:
         raise ValueError(f"max_factors must be nonnegative, got {max_factors}")
-    scale, entries = context.scale, context.entries
+    scale = context.scale
+    uncovered = [int(np.count_nonzero(context.entries))]
+    clarified = _clarify(scale, context.entries)
+    if clarified is None:
+        entries, weights = context.entries, None
+    else:
+        entries, weights, row_classes, col_classes = clarified
     n_rows, n_cols = entries.shape
-    mask = entries != 0
-    sweep = _make_sweep(scale, entries, mask)
+    sweep = _make_sweep(scale, entries, entries != 0, weights)
     # the empty intent's extent is top, since residuum(0, b) = n
     empty = sweep.intent(np.zeros(n_cols, dtype=LEVEL_DTYPE))
     top = np.full(n_rows, scale.max_level, dtype=LEVEL_DTYPE)
-    uncovered = [int(mask.sum())]
     extents: list[np.ndarray] = []
     intents: list[np.ndarray] = []
 
@@ -592,10 +703,13 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
             raise RuntimeError(f"factor {len(extents)} covers no uncovered cell")
 
     k = len(extents)
-    # intents travel in the sweep's form, converted once
-    return FactorSet(GradedMatrix(scale, np.reshape(extents, (k, n_rows)).T),
-                     GradedMatrix(scale, sweep.levels(np.reshape(intents, (k, n_cols)))),
-                     tuple(uncovered))
+    # intents travel in the sweep's form, converted once, and a clarified
+    # run's factors expand to the input's rows and columns once
+    a = np.reshape(extents, (k, n_rows)).T
+    b = sweep.levels(np.reshape(intents, (k, n_cols)))
+    if clarified is not None:
+        a, b = a[row_classes], b[:, col_classes]
+    return FactorSet(GradedMatrix(scale, a), GradedMatrix(scale, b), tuple(uncovered))
 
 
 def factor_matrices(factor_set: FactorSet) -> tuple[GradedMatrix, GradedMatrix]:

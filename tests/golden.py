@@ -144,6 +144,19 @@ GRADED_TALL_SHA256 = {
 }
 
 
+# A planted-loadings input shaped like a discretized survey: 4000 x 8 on 5
+# levels, by `planted_loadings`, with only 125 distinct rows and 6 distinct
+# columns, since columns 6 and 7 repeat columns 0 and 1.  The sha256 of the
+# factor set, as `factor_set_sha256` writes it, that `find_factors` returns
+# on each t-norm, under both tie-break policies, with the level tables and
+# without them, computed before the sweep ran on distinct rows and columns.
+LOADINGS_SHA256 = {
+    "lukasiewicz": "2a76af2b353759b96170cbacfd86fee6d13d0df711d7a5cbc57580b68206b6bb",
+    "godel": "229831130e725b199b2574585bdf2aea6ef20931931be575e628d0383896b122",
+    "goguen": "117f51813a5a4c5482090674e6f6675a9719fa6b99a55ef47fe41a89129fd737",
+}
+
+
 def scale() -> Scale:
     return Scale(5, "lukasiewicz")
 
@@ -198,6 +211,28 @@ def graded_tall(kind: str) -> GradedMatrix:
     rng = random.Random(75)
     entries = [[1 + int(4 * rng.random()) if rng.random() < 0.49 else 0 for _ in range(75)]
                for _ in range(3196)]
+    return GradedMatrix(Scale(5, kind, rounded=kind == "goguen"), entries)
+
+
+def planted_loadings(kind: str) -> GradedMatrix:
+    """The planted-loadings input on one t-norm: 4000 x 8 on 5 levels, the
+    t-norm product of random factor levels, 4000 x 3 drawn with
+    `random.Random` as `tall_transactions` is, with loadings in which
+    column j loads on factor j mod 3 alone, at the top grade or the one
+    below it from one block of 3 columns to the next."""
+    n = 4
+    rng = random.Random(4000)
+    left = [[int(5 * rng.random()) for _ in range(3)] for _ in range(4000)]
+    loadings = [(j % 3, n - (j // 3) % 2) for j in range(8)]
+
+    def tnorm(a: int, b: int) -> int:
+        if kind == "lukasiewicz":
+            return max(a + b - n, 0)
+        if kind == "godel":
+            return min(a, b)
+        return (2 * a * b + n) // (2 * n)
+
+    entries = [[tnorm(row[f], b) for f, b in loadings] for row in left]
     return GradedMatrix(Scale(5, kind, rounded=kind == "goguen"), entries)
 
 

@@ -38,6 +38,20 @@ def contexts(draw, scale: Scale | None = None, max_rows: int = 4, max_cols: int 
 
 
 @st.composite
+def repeated_contexts(draw, scale: Scale | None = None, max_rows: int = 4, max_cols: int = 4,
+                      copies: int = 3, kinds=EXACT_KINDS):
+    """A context whose rows and columns are drawn, with repeats and in any
+    order, from those of a base context of at most max_rows x max_cols, up
+    to `copies` times as many of each."""
+    base = draw(contexts(scale, max_rows, max_cols, kinds))
+    rows = draw(st.lists(st.integers(0, base.n_rows - 1), min_size=1,
+                         max_size=copies * base.n_rows))
+    cols = draw(st.lists(st.integers(0, base.n_cols - 1), min_size=1,
+                         max_size=copies * base.n_cols))
+    return GradedMatrix(base.scale, base.entries[rows][:, cols])
+
+
+@st.composite
 def composable_pairs(draw, max_dim: int = 4, kinds=EXACT_KINDS):
     sc = draw(scales(kinds))
     n = draw(st.integers(1, max_dim))

@@ -57,14 +57,28 @@ def sweep_gain(ctx, mask, intent, j, a):
     return None
 
 
-def uncovered_cells(sweep, shape):
-    """The uncovered cells a sweep holds, as a Boolean array; both sweeps
-    pack them column by column."""
+def live_weights(sweep, shape):
+    """The weights of the uncovered cells a graded sweep holds, packed
+    column by column as bit planes, as an array of the sweep's shape."""
+    n_rows, n_cols = shape
+    planes = [factorization._unpack_rows(plane, n_rows * n_cols) << k
+              for k, plane in enumerate(np.atleast_2d(sweep.live))]
+    return np.sum(planes, axis=0).reshape(n_cols, n_rows).T
+
+
+def uncovered_cells(sweep, shape, clarified=None):
+    """The uncovered cells a sweep holds, as a Boolean array over the
+    input; both sweeps pack them column by column.  A sweep of a run that
+    `_clarify` returned `clarified` for holds the distinct rows and
+    columns, which expand through the clarification's inverses."""
     n_rows, n_cols = shape
     if isinstance(sweep, factorization._BitsetSweep):
         columns = [factorization._unpack_rows(bits, n_rows) for bits in sweep.uncovered]
         return np.stack(columns, axis=1) != 0
-    return factorization._unpack_rows(sweep.live, n_rows * n_cols).reshape(n_cols, n_rows).T != 0
+    if clarified is None:
+        return live_weights(sweep, shape) != 0
+    distinct, _, rows, cols = clarified
+    return (live_weights(sweep, distinct.shape) != 0)[rows][:, cols]
 
 
 # ---------------------------------------------------------------- greedy
@@ -334,6 +348,123 @@ def test_graded_tall_runs_give_the_pinned_factors(kind):
             f"level tables at {level_cap} bytes"
 
 
+# ---------------------------------------------------------------- clarification
+#
+# A graded input with repeated rows runs on its clarified context, the
+# distinct rows and, among them, the distinct columns, with each cell
+# weighted by how many input cells it stands for.
+
+
+def distinct_context(ctx):
+    """The context a run of `ctx` sweeps, by the rule `find_factors`
+    documents, with the weight of each of its cells: the input itself, of
+    unit weights, on two grades or when more than half of its rows are
+    distinct; else its distinct rows and, among those, its distinct
+    columns, in order of first occurrence, each cell weighing its row's
+    count times its column's."""
+    rows = [tuple(row) for row in ctx.entries.tolist()]
+    distinct = list(dict.fromkeys(rows))
+    if ctx.scale.levels == 2 or 2 * len(distinct) > len(rows):
+        return ctx, np.ones(ctx.shape, dtype=np.int64)
+    columns = list(zip(*distinct))
+    cols = list(dict.fromkeys(columns))
+    weights = [[rows.count(row) * columns.count(col) for col in cols] for row in distinct]
+    return GradedMatrix(ctx.scale, np.array(cols).T), np.array(weights)
+
+
+@given(
+    strategies.scales(ALL_KINDS, max_levels=12).flatmap(
+        lambda scale: st.one_of(strategies.contexts(scale, max_rows=6, max_cols=5),
+                                strategies.repeated_contexts(scale))
+    ),
+)
+@settings(max_examples=strategies.examples(100))
+def test_clarify_merges_rows_and_columns_in_order_of_first_occurrence(ctx):
+    expected, weights = distinct_context(ctx)
+    clarified = factorization._clarify(ctx.scale, ctx.entries)
+    if expected is ctx:
+        assert clarified is None
+        return
+    distinct, got_weights, rows, cols = clarified
+    assert distinct.tolist() == expected.entries.tolist()
+    assert got_weights.tolist() == weights.tolist()
+    assert np.array_equal(distinct[rows][:, cols], ctx.entries)
+    assert int(np.where(distinct != 0, got_weights, 0).sum()) == int(np.count_nonzero(ctx.entries))
+
+
+@pytest.mark.parametrize("levels, shape", [(5, (2, 20)), (5, (2, 21)), (300, (2, 6)),
+                                           (300, (2, 7)), (2**20, (2, 2)), (2**20, (2, 3))])
+def test_clarify_keys_rows_by_their_digits_or_their_bytes(levels, shape):
+    # rows of m levels key as int64 digits while m * bit_length(levels)
+    # fits 62 bits, and past that as bytes of the narrowest unsigned type,
+    # on both sides of that bound; either way rows differing in their last
+    # digit stay apart, and equal rows merge
+    entries = np.full(shape, levels - 1, dtype=np.int64)
+    keys = factorization._row_keys(entries, levels)
+    assert (keys.dtype == np.int64) == (shape[1] * levels.bit_length() <= 62)
+    assert keys[0] == keys[1]
+    entries[1, -1] -= 1
+    keys = factorization._row_keys(entries, levels)
+    assert keys[0] != keys[1]
+    # all but the last column merge too
+    tripled = GradedMatrix(Scale(levels), np.repeat(entries, 3, axis=0))
+    distinct, weights, rows, cols = factorization._clarify(tripled.scale, tripled.entries)
+    assert distinct.tolist() == entries[:, -2:].tolist()
+    assert rows.tolist() == [0, 0, 0, 1, 1, 1] and cols.tolist() == [0] * (shape[1] - 1) + [1]
+    assert weights.tolist() == [[3 * (shape[1] - 1), 3]] * 2
+
+
+def level_table_caps(ctx):
+    """Level-table caps in bytes: none; exactly the tables of the context
+    the run sweeps, which a clarified input's fewer cells fit where the
+    input's do not; and the default."""
+    distinct, _ = distinct_context(ctx)
+    if distinct.scale.levels == 2:
+        return LEVEL_TABLE_CAPS
+    with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", 1 << 62):
+        tables = table_bytes(factorization._make_sweep(distinct.scale, distinct.entries,
+                                                       distinct.entries != 0))
+    return 0, tables, factorization._LEVEL_TABLE_BYTES
+
+
+@given(
+    strategies.scales(ALL_KINDS, max_levels=9).flatmap(
+        lambda scale: strategies.repeated_contexts(scale, max_rows=3, max_cols=3)
+    ),
+    st.sampled_from(TIE_BREAK_POLICIES),
+    st.sampled_from([None, 1, 2]),
+)
+@settings(max_examples=strategies.examples(60))
+def test_clarified_runs_match_reference(ctx, tie_break, max_factors):
+    # the reference greedy runs on the input as it is; the opening block
+    # and the level tables are capped at nothing, at a size sized to the
+    # clarified context, and at their defaults
+    slow = oracles.greedy_factors(ctx, tie_break, max_factors=max_factors)
+    distinct, _ = distinct_context(ctx)
+    opening_caps = table_caps(distinct, factorization.SWEEP_BATCH_BYTES)
+    for cap, level_cap in product(opening_caps, level_table_caps(ctx)):
+        with mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
+                mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+            fast = find_factors(ctx, tie_break, max_factors=max_factors)
+        assert fast == slow, f"opening block at {cap} words, level tables at {level_cap} bytes"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_planted_loadings_give_the_pinned_factors(kind):
+    # 4000 x 8 with 125 distinct rows and 6 distinct columns, run on its
+    # clarified context, under both policies and on both row sources: the
+    # factor sets pinned in golden.LOADINGS_SHA256, computed on the whole
+    # input
+    ctx = golden.planted_loadings(kind)
+    distinct, weights, _, _ = factorization._clarify(ctx.scale, ctx.entries)
+    assert distinct.shape == (125, 6) and int(weights.sum()) == ctx.entries.size
+    for tie_break, level_cap in product(TIE_BREAK_POLICIES, LEVEL_TABLE_CAPS):
+        with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+            fs = find_factors(ctx, tie_break)
+        assert golden.factor_set_sha256(fs) == golden.LOADINGS_SHA256[kind], \
+            f"{tie_break}, level tables at {level_cap} bytes"
+
+
 @given(
     st.integers(0, 300),
     st.sampled_from([(1,), (7,), (3, 5), (40, 30), (1, 700)]),
@@ -353,7 +484,9 @@ def test_row_minima_match_a_plain_reduction(rows, slab, dtype, seed):
 def batch_sizes(ctx, budget):
     """Per greedy step of a run at a batch budget in bytes, the candidates
     of each batch whose closures its sweep took, and per closure the bytes
-    of the block whose row minima it took, with its candidates."""
+    of the block whose row minima it took, with its candidates.  The sweep
+    runs on the input as it is, not on its clarified context, whose fewer
+    rows would fit a step in fewer batches."""
     steps, blocks = [], []
     row_minima = factorization._row_minima
 
@@ -374,7 +507,8 @@ def batch_sizes(ctx, budget):
                               listed(factorization._GradedSweep.batches)), \
             mock.patch.object(factorization._BitsetSweep, "batches",
                               listed(factorization._BitsetSweep.batches)), \
-            mock.patch.object(factorization, "SWEEP_BATCH_BYTES", budget):
+            mock.patch.object(factorization, "SWEEP_BATCH_BYTES", budget), \
+            mock.patch.object(factorization, "_clarify", lambda scale, entries: None):
         fs = find_factors(ctx)
     return fs, steps, blocks
 
@@ -393,6 +527,8 @@ def test_closure_blocks_stay_within_the_batch_bytes(levels, rows, cols, budget, 
     batch = max(1, budget // cell_bytes)
     with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
         fs, steps, blocks = batch_sizes(ctx, budget)
+        # the run on the clarified context, 810 of 4000 rows or 320 of 1000
+        assert find_factors(ctx) == fs
     assert fs == oracles.greedy_factors(ctx) if rows < 1000 else fs.complete
     steps = [step for step in steps if step]
     assert any(len(step) > 1 for step in steps)
@@ -851,7 +987,8 @@ def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_fa
 
 @given(
     strategies.scales(ALL_KINDS, min_levels=3, max_levels=12).flatmap(
-        lambda scale: strategies.contexts(scale, max_rows=6, max_cols=5)
+        lambda scale: st.one_of(strategies.contexts(scale, max_rows=6, max_cols=5),
+                                strategies.repeated_contexts(scale, max_rows=3, max_cols=3))
     ),
     st.sampled_from(LEVEL_TABLE_CAPS),
     st.integers(0, 2),
@@ -860,24 +997,37 @@ def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_fa
 def test_graded_retire_clears_the_winners_packed_cells(ctx, level_cap, opening_cap):
     # after each factor the sweep's uncovered cells are those the
     # reference's factors so far leave, on either row source and with the
-    # winner's covers from the opening block or from a sweep batch
+    # winner's covers from the opening block or from a sweep batch; on a
+    # clarified context each distinct cell keeps the weight of the input
+    # cells it stands for, in every plane, until it is covered
     slow = oracles.greedy_factors(ctx)
     cap = table_caps(ctx, factorization.SWEEP_BATCH_BYTES)[opening_cap]
     retire = factorization._GradedSweep.retire
+    clarify = factorization._clarify
     mask = ctx.entries != 0
-    counts = []
+    counts, clarified = [], []
+
+    def recorded(*args):
+        clarified.append(clarify(*args))
+        return clarified[-1]
 
     def checked(sweep, covers, c):
         remaining = retire(sweep, covers, c)
         factor = slow.factors[len(counts)]
         rect = _rectangle(ctx.scale, factor.extent.membership, factor.intent.membership)
         mask[:] &= ~(rect >= ctx.entries)
-        assert np.array_equal(uncovered_cells(sweep, ctx.shape), mask)
+        assert np.array_equal(uncovered_cells(sweep, ctx.shape, clarified[0]), mask)
+        if clarified[0] is not None:
+            distinct, weights, rows, cols = clarified[0]
+            live = np.zeros(distinct.shape, dtype=bool)
+            live[rows[:, None], cols] = mask
+            assert np.array_equal(live_weights(sweep, distinct.shape), np.where(live, weights, 0))
         assert remaining == int(mask.sum())
         counts.append(remaining)
         return remaining
 
     with mock.patch.object(factorization._GradedSweep, "retire", checked), \
+            mock.patch.object(factorization, "_clarify", recorded), \
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
             mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
         fs = find_factors(ctx)
