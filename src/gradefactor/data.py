@@ -22,11 +22,24 @@ alone.  A transaction file of digits, blanks and LF alone, with ids of
 at most 18 digits, is parsed in one np.fromstring call; any other is
 read line by line, so a bad id is named by its line.  `write_csv` joins
 each block of rows' cells in one call and writes the file in one call.
+
+A grade text means the same on every file of one chain, so its work is
+done once per process: the level a cell text parses to, strictly or
+leniently, how layout detection reads it, and the text a level is
+written as, each keyed on the chain's length and not on the Scale, since
+the t-norm changes no text.  Each is an lru_cache of _TEXT_CACHE entries,
+so what it holds is bounded whatever the data; texts longer than
+_CACHED_TEXT characters are parsed afresh on every call.  Errors are not
+cached, since an lru_cache stores no raised error: a bad cell raises
+afresh, so a reader finds the first bad cell and its file line as it
+always has, and no error outlives the read that raised it with the frames
+its traceback holds.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import re
@@ -349,7 +362,30 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(*_parse_number(text))
 
 
-def _parse_grade_cell(scale: Scale, text: str, *, strict: bool) -> int:
+# Entries of each grade-text cache, and the longest text one keeps: a grade
+# text is a few characters, and a longer one, valid or not, is parsed on
+# each call rather than held for the life of the process.
+_TEXT_CACHE = 4096
+_CACHED_TEXT = 64
+
+
+def _text_cache(fn):
+    """`fn(levels, text, ...)`, its results for texts of at most
+    _CACHED_TEXT characters kept in an lru_cache; `fn` itself is
+    `__wrapped__`."""
+    cached = functools.lru_cache(maxsize=_TEXT_CACHE)(fn)
+
+    @functools.wraps(fn)
+    def lookup(levels: int, text: str, *args):
+        return (cached if len(text) <= _CACHED_TEXT else fn)(levels, text, *args)
+
+    return lookup
+
+
+@_text_cache
+def _parse_grade_cell(levels: int, text: str, strict: bool) -> int:
+    """The level a grade cell's text names on a chain of `levels` grades."""
+    scale = Scale(levels)
     if text.startswith("L"):
         body = text[1:]
         if not body.isdigit():
@@ -361,17 +397,19 @@ def _parse_grade_cell(scale: Scale, text: str, *, strict: bool) -> int:
     except ValueError:
         # its message names the parsed value; name the cell's text instead
         reason = "outside [0, 1]" if not 0 <= value <= 1 else \
-            f"not a grade on a {scale.levels}-level chain"
+            f"not a grade on a {levels}-level chain"
         raise ValueError(f"{text!r} is {reason}") from None
 
 
-def _cell_kind(scale: Scale, text: str) -> str:
-    """How layout detection reads a graded cell: "grade" for a level of the
-    chain or a number in [0, 1], "number" for any other number (a column
-    named 2019, say), "name" for what no mode can parse as a grade."""
+@_text_cache
+def _cell_kind(levels: int, text: str) -> str:
+    """How layout detection reads a graded cell on a chain of `levels`
+    grades: "grade" for a level of the chain or a number in [0, 1],
+    "number" for any other number (a column named 2019, say), "name" for
+    what no mode can parse as a grade."""
     try:
         if text.startswith("L"):
-            _parse_grade_cell(scale, text, strict=False)
+            _parse_grade_cell(levels, text, False)
             return "grade"
         numerator, denominator = _parse_number(text)
     except ValueError:
@@ -422,14 +460,13 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     _check_mode(mode)
     strict = mode == "strict"
     rows = _read_rows(path)
-    kind = _Memo(lambda text: _cell_kind(scale, text))
-    has_labels, body = _layout(path, rows, kind.__getitem__)
+    has_labels, body = _layout(path, rows, functools.partial(_cell_kind, scale.levels))
     width = len(body[0]) - has_labels
 
-    # each distinct cell text is parsed once; a bad one is never cached, so
-    # the first cell missing from the memo is the first bad one in
-    # row-major order
-    level = _Memo(lambda text: _parse_grade_cell(scale, text, strict=strict))
+    # each distinct cell text is looked up once a call; a bad one is never
+    # cached, so the first cell missing from the memo is the first bad one
+    # in row-major order
+    level = _Memo(lambda text: _parse_grade_cell(scale.levels, text, strict))
     cells = chain.from_iterable([row[1:] for row in body] if has_labels else body)
     try:
         levels = np.fromiter(map(level.__getitem__, cells), dtype=LEVEL_DTYPE,
@@ -446,10 +483,11 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
 def write_csv(matrix: GradedMatrix, path) -> None:
     """Write a grade matrix as plain CSV, one canonical cell per grade.
 
-    Each distinct level is formatted once, followed by a comma, or by a
-    line break in the last column.  The cells' texts are joined a block of
-    a few thousand at a time, which bounds the lists a join builds, and
-    the file is written in one call.  Cells hold only digits, ``.`` and
+    Each distinct level is looked up once a call, followed by a comma, or
+    by a line break in the last column, in a per-call memo: a dict lookup
+    a cell costs a quarter of an lru_cache call.  The cells' texts are
+    joined a block of a few thousand at a time, which bounds the lists a
+    join builds, and the file is written in one call.  Cells hold only digits, ``.`` and
     ``L``, so no field ever needs quoting.
     """
     n_rows, n_cols = matrix.shape
@@ -458,7 +496,7 @@ def write_csv(matrix: GradedMatrix, path) -> None:
     else:
         # keys past the top level are the last column's, which end a line
         top = matrix.scale.levels
-        cell = _Memo(lambda key: matrix.scale.format_level(key % top) + ",\n"[key // top])
+        cell = _Memo(functools.partial(_cell_text, top))
         shift = np.zeros(n_cols, dtype=LEVEL_DTYPE)
         shift[-1] = top
         step = max(1, 4096 // n_cols)  # rows per block
@@ -468,6 +506,14 @@ def write_csv(matrix: GradedMatrix, path) -> None:
         ])
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(text)
+
+
+@functools.lru_cache(maxsize=_TEXT_CACHE)
+def _cell_text(levels: int, key: int) -> str:
+    """The text `write_csv` writes for a key of a chain of `levels` grades:
+    level `key % levels` in canonical form, then a comma, or past the top
+    level a line break."""
+    return Scale(levels).format_level(key % levels) + ",\n"[key // levels]
 
 
 def _raw_column(cells: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int | np.ndarray]:

@@ -17,6 +17,7 @@ through csv.reader, strips every cell and notes the file line each cell
 starts on; the whole-file split of `gradefactor.data._read_rows` must
 match its rows, `read_rows`.  `read_raw_csv` parses with
 Fraction itself; the others share the cell helpers of `gradefactor.data`,
+taken without the per-chain caches the fast code looks them up through,
 except that `read_csv` reads its layout with `cell_kind`, which parses a
 cell twice where `gradefactor.data._cell_kind` parses it once.
 `fixed_point_column` is the original regex check of a fixed-point
@@ -47,6 +48,9 @@ from gradefactor.data import (
     _parse_grade_cell,
 )
 from gradefactor.matrix import LEVEL_DTYPE
+
+# the grade cell parser, without the cache it is looked up through
+parse_grade_cell = _parse_grade_cell.__wrapped__
 
 
 def value_tnorm(scale: Scale, a: int, b: int) -> int:
@@ -388,7 +392,7 @@ def cell_kind(scale: Scale, text: str) -> str:
     grade parser takes it, then "grade" for a level or a value in [0, 1]
     and "number" for any other value."""
     try:
-        _parse_grade_cell(scale, text, strict=False)
+        parse_grade_cell(scale.levels, text, False)
     except (ValueError, ZeroDivisionError):
         return "name"
     if text.startswith("L") or 0 <= parse_fraction(text) <= 1:
@@ -500,7 +504,7 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
         parsed = []
         for c, cell in enumerate(cells, has_labels):
             try:
-                parsed.append(_parse_grade_cell(scale, cell, strict=strict))
+                parsed.append(parse_grade_cell(scale.levels, cell, strict))
             except ValueError as exc:
                 line = lines[r + has_header][c]
                 raise ValueError(f"{path}: bad grade at row {r + 1}, column {c - has_labels + 1}: "

@@ -646,3 +646,96 @@ def test_module_entry_point_refuses_a_bad_number_in_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "--max-factors" in proc.stderr
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- one parser per process
+
+
+# a mixed sequence of command lines over all four commands, each one's
+# exit status noted: options set by one call and left to their defaults by
+# a later call of the same command, usage errors and --help between them
+SEQUENCE = [
+    (0, ("factorize", "--input", "graded.csv", "--max-factors", "3", "--tnorm", "godel",
+         "--tie-break", "index-then-grade", "--out-dir", "f1")),
+    (0, ("factorize", "--input", "graded.csv", "--out-dir", "f2")),
+    (0, ("oracle", "--input", "small.csv", "--levels", "3", "--lenient", "--out-dir", "o1")),
+    (2, ("oracle", "--input", "small.csv", "--strict", "--lenient", "--out-dir", "o2")),
+    (1, ("oracle", "--input", "small.csv", "--levels", "3", "--out-dir", "o3")),
+    (0, ("factorize", "--help")),
+    (0, ("discretize", "--input", "scores.csv", "--ranges", "ranges.csv", "--levels", "3",
+         "--out", "d1/graded.csv")),
+    (0, ("discretize", "--input", "scores.csv", "--out", "d2/graded.csv")),
+    (1, ("factorize", "--input", "missing.csv", "--out-dir", "f3")),
+    (0, ("experiment-factorizability", "--k", "2,3", "--trials", "3", "--rows", "4",
+         "--cols", "4", "--tnorm", "goguen", "--rounded", "--seed", "5", "--out-dir", "e1")),
+    (0, ("experiment-factorizability", "--trials", "2", "--rows", "3", "--cols", "3",
+         "--out-dir", "e2")),
+    (2, ("experiment-factorizability", "--trials", "0", "--out-dir", "e3")),
+    (0, ("--help",)),
+    (0, ("factorize", "--input", "graded.csv", "--out-dir", "f4")),
+    (0, ("oracle", "--input", "small.csv", "--levels", "5", "--budget", "1000",
+         "--out-dir", "o4")),
+]
+
+
+def run_sequence(folder: Path, data_dir, monkeypatch, capsys) -> list:
+    """Each command line's exit status, stdout without its timings, and
+    stderr, run in `folder`, then every file the sequence wrote there."""
+    folder.mkdir()
+    monkeypatch.chdir(folder)
+    for name, source in (("graded.csv", "decathlon_graded.csv"),
+                         ("scores.csv", "decathlon_scores.csv"),
+                         ("ranges.csv", "decathlon_ranges.csv")):
+        (folder / name).write_bytes((data_dir / source).read_bytes())
+    # 0.25 is a grade on 5 levels and refused strictly on 3
+    (folder / "small.csv").write_text("0.5,1,0\n1,0.25,0.5\n0,1,1\n")
+    outcomes = []
+    for expected, argv in SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == expected, (argv, code, err)
+        outcomes.append((code, re.sub(r"\(\d+\.\d+s\)", "(s)", out), err))
+    written = {str(path.relative_to(folder)): path.read_bytes()
+               for path in sorted(folder.rglob("*")) if path.is_file()}
+    return outcomes + [written]
+
+
+def test_in_process_calls_write_what_fresh_parsers_write(tmp_path, data_dir, monkeypatch,
+                                                          capsys):
+    # main keeps one parser for the process; a sequence run through it gives
+    # the exit statuses, console lines and artifacts of the same sequence
+    # with a new parser for every call
+    runs = []
+    for name, parser in (("kept", cli._parser), ("fresh", build_parser)):
+        monkeypatch.setattr(cli, "_parser", parser)
+        runs.append(run_sequence(tmp_path / name, data_dir, monkeypatch, capsys))
+    assert runs[0] == runs[1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a process that imports the CLI builds no parser; main builds its
+    # parser and subparsers on its first call, and no more on a second
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import gradefactor, gradefactor.cli as cli\n"
+        "assert built == [] and cli._parser.cache_info().currsize == 0, built\n"
+        "for argv in (['--help'], ['factorize', '--help']):\n"
+        "    try:\n"
+        "        cli.main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "    if argv == ['--help']:\n"
+        "        once = list(built)\n"
+        "assert once and built == once, built\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

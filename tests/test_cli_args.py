@@ -4,6 +4,8 @@ Every number on the command line is checked once, by the parser: a command
 line wrong in itself ends with exit status 2 and one `error:` line before
 anything is read or written, a bad input or a failed run with exit status 1
 and one `error:` line, and any other run with artifacts that read back.
+A command line that parses gives the parser `main` reuses across calls the
+Namespace a fresh parser gives it.
 """
 
 import argparse
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradefactor import Scale, compose, read_csv, read_fimi
+from gradefactor import cli
 from gradefactor.cli import build_parser, main
 
 SUBPARSERS = next(action for action in build_parser()._actions
@@ -100,15 +103,18 @@ def check_outcome(argv: list[str], out: Path) -> int:
         except SystemExit as exc:
             code = exc.code
     err = stderr.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    if code != 2:
+        # the parser main keeps from call to call parses as a fresh one
+        args = build_parser().parse_args(argv)
+        assert vars(cli._parser().parse_args(argv)) == vars(args), argv
     if code != 0:
-        assert code in (1, 2), (argv, code, err)
         assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
         assert "Traceback" not in err
         if code == 2:
             assert not out.exists()
         return code
     assert err == ""
-    args = build_parser().parse_args(argv)
     if args.command == "discretize":
         graded = read_csv(args.out_file, Scale(args.levels))
         assert graded.entries.size

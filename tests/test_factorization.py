@@ -352,19 +352,22 @@ def test_graded_tall_runs_give_the_pinned_factors(kind):
 #
 # A graded input with repeated rows runs on its clarified context, the
 # distinct rows and, among them, the distinct columns, with each cell
-# weighted by how many input cells it stands for.
+# weighted by how many input cells it stands for.  Inputs shorter than
+# _CLARIFY_ROWS run as they are, so the tests below that draw small inputs
+# patch it to 0 to reach the clarified path.
 
 
 def distinct_context(ctx):
     """The context a run of `ctx` sweeps, by the rule `find_factors`
     documents, with the weight of each of its cells: the input itself, of
-    unit weights, on two grades or when more than half of its rows are
-    distinct; else its distinct rows and, among those, its distinct
-    columns, in order of first occurrence, each cell weighing its row's
-    count times its column's."""
+    unit weights, on two grades, on fewer than _CLARIFY_ROWS rows or when
+    more than half of its rows are distinct; else its distinct rows and,
+    among those, its distinct columns, in order of first occurrence, each
+    cell weighing its row's count times its column's."""
     rows = [tuple(row) for row in ctx.entries.tolist()]
     distinct = list(dict.fromkeys(rows))
-    if ctx.scale.levels == 2 or 2 * len(distinct) > len(rows):
+    if (ctx.scale.levels == 2 or len(rows) < factorization._CLARIFY_ROWS
+            or 2 * len(distinct) > len(rows)):
         return ctx, np.ones(ctx.shape, dtype=np.int64)
     columns = list(zip(*distinct))
     cols = list(dict.fromkeys(columns))
@@ -380,20 +383,22 @@ def distinct_context(ctx):
 )
 @settings(max_examples=strategies.examples(100))
 def test_clarify_merges_rows_and_columns_in_order_of_first_occurrence(ctx):
-    expected, weights = distinct_context(ctx)
-    clarified = factorization._clarify(ctx.scale, ctx.entries)
-    if expected is ctx:
-        assert clarified is None
-        return
-    distinct, got_weights, rows, cols = clarified
-    assert distinct.tolist() == expected.entries.tolist()
-    assert got_weights.tolist() == weights.tolist()
-    assert np.array_equal(distinct[rows][:, cols], ctx.entries)
-    assert int(np.where(distinct != 0, got_weights, 0).sum()) == int(np.count_nonzero(ctx.entries))
+    with mock.patch.object(factorization, "_CLARIFY_ROWS", 0):
+        expected, weights = distinct_context(ctx)
+        clarified = factorization._clarify(ctx.scale, ctx.entries)
+        if expected is ctx:
+            assert clarified is None
+            return
+        distinct, got_weights, rows, cols = clarified
+        assert distinct.tolist() == expected.entries.tolist()
+        assert got_weights.tolist() == weights.tolist()
+        assert np.array_equal(distinct[rows][:, cols], ctx.entries)
+        assert int(np.where(distinct != 0, got_weights, 0).sum()) == int(np.count_nonzero(ctx.entries))
 
 
 @pytest.mark.parametrize("levels, shape", [(5, (2, 20)), (5, (2, 21)), (300, (2, 6)),
                                            (300, (2, 7)), (2**20, (2, 2)), (2**20, (2, 3))])
+@mock.patch.object(factorization, "_CLARIFY_ROWS", 0)
 def test_clarify_keys_rows_by_their_digits_or_their_bytes(levels, shape):
     # rows of m levels key as int64 digits while m * bit_length(levels)
     # fits 62 bits, and past that as bytes of the narrowest unsigned type,
@@ -412,6 +417,18 @@ def test_clarify_keys_rows_by_their_digits_or_their_bytes(levels, shape):
     assert distinct.tolist() == entries[:, -2:].tolist()
     assert rows.tolist() == [0, 0, 0, 1, 1, 1] and cols.tolist() == [0] * (shape[1] - 1) + [1]
     assert weights.tolist() == [[3 * (shape[1] - 1), 3]] * 2
+
+
+@pytest.mark.parametrize("levels", [3, 11])
+def test_clarify_leaves_inputs_shorter_than_the_row_floor_as_they_are(levels):
+    # one row repeated: below _CLARIFY_ROWS rows the run takes the input as
+    # it is, and from that many rows on it merges them
+    floor = factorization._CLARIFY_ROWS
+    entries = np.ones((floor, 3), dtype=np.int64)
+    assert factorization._clarify(Scale(levels), entries[1:]) is None
+    distinct, weights, rows, cols = factorization._clarify(Scale(levels), entries)
+    assert distinct.tolist() == [[1]] and weights.tolist() == [[3 * floor]]
+    assert rows.tolist() == [0] * floor and cols.tolist() == [0] * 3
 
 
 def level_table_caps(ctx):
@@ -436,17 +453,18 @@ def level_table_caps(ctx):
 )
 @settings(max_examples=strategies.examples(60))
 def test_clarified_runs_match_reference(ctx, tie_break, max_factors):
-    # the reference greedy runs on the input as it is; the opening block
-    # and the level tables are capped at nothing, at a size sized to the
-    # clarified context, and at their defaults
-    slow = oracles.greedy_factors(ctx, tie_break, max_factors=max_factors)
-    distinct, _ = distinct_context(ctx)
-    opening_caps = table_caps(distinct, factorization.SWEEP_BATCH_BYTES)
-    for cap, level_cap in product(opening_caps, level_table_caps(ctx)):
-        with mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
-                mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
-            fast = find_factors(ctx, tie_break, max_factors=max_factors)
-        assert fast == slow, f"opening block at {cap} words, level tables at {level_cap} bytes"
+    with mock.patch.object(factorization, "_CLARIFY_ROWS", 0):
+        # the reference greedy runs on the input as it is; the opening block
+        # and the level tables are capped at nothing, at a size sized to the
+        # clarified context, and at their defaults
+        slow = oracles.greedy_factors(ctx, tie_break, max_factors=max_factors)
+        distinct, _ = distinct_context(ctx)
+        opening_caps = table_caps(distinct, factorization.SWEEP_BATCH_BYTES)
+        for cap, level_cap in product(opening_caps, level_table_caps(ctx)):
+            with mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
+                    mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+                fast = find_factors(ctx, tie_break, max_factors=max_factors)
+            assert fast == slow, f"opening block at {cap} words, level tables at {level_cap} bytes"
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -1028,6 +1046,7 @@ def test_graded_retire_clears_the_winners_packed_cells(ctx, level_cap, opening_c
 
     with mock.patch.object(factorization._GradedSweep, "retire", checked), \
             mock.patch.object(factorization, "_clarify", recorded), \
+            mock.patch.object(factorization, "_CLARIFY_ROWS", 0), \
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap), \
             mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
         fs = find_factors(ctx)

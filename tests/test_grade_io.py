@@ -1,7 +1,8 @@
 """Grade I/O against the per-cell reference in `oracles`, and reader fuzzing.
 
 `read_csv` parses each distinct cell once, `write_csv` formats each level
-once, `read_raw_csv` stores integer columns and `discretize` rounds them
+once, both through caches shared by every chain in the process,
+`read_raw_csv` stores integer columns and `discretize` rounds them
 column-wide; each must match the per-cell Fraction code level for level
 (byte for byte when writing), or raise the same error.  The whole-file
 row split must give csv.reader's rows, and the one-pass transaction
@@ -243,7 +244,66 @@ def test_cell_kind_matches_oracle(scale, draws):
         grade_text(scale, bad=True), number_text(), st.sampled_from(EDGE_NUMBERS),
         st.text(max_size=8), st.integers(0, 200).map(lambda k: f"L{k}"),
     ))
-    assert data._cell_kind(scale, text) == oracles.cell_kind(scale, text)
+    assert data._cell_kind(scale.levels, text) == oracles.cell_kind(scale, text)
+
+
+# texts whose meaning depends on the chain: 0.5 is level 1 on 3 grades and
+# level 2 on 5, 0.25 is refused strictly on 3 grades and rounded leniently,
+# L4 is a level on 5 grades and a name on 3, and the long spellings pass
+# the length past which a text is parsed afresh every time
+CHAIN_TEXTS = ("0", "0.5", "0.25", "0.75", "1", "L1", "L2", "L4", "1/3", "0.2", "x",
+               "0.5" + "0" * data._CACHED_TEXT, "0.25" + "0" * data._CACHED_TEXT)
+
+
+@st.composite
+def chain_steps(draw):
+    """One read and one write on a drawn chain: the chain, a mode, a grid of
+    CHAIN_TEXTS to read and a grid of levels to write."""
+    scale = Scale(draw(st.sampled_from([2, 3, 5, 7])))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    texts = draw(st.lists(st.lists(st.sampled_from(CHAIN_TEXTS), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    levels = draw(st.lists(st.integers(0, scale.max_level), min_size=rows * cols,
+                           max_size=rows * cols))
+    matrix = GradedMatrix(scale, np.array(levels, dtype=np.int64).reshape(rows, cols))
+    return scale, draw(st.sampled_from(MODES)), texts, matrix
+
+
+@given(st.lists(chain_steps(), min_size=2, max_size=6))
+@settings(max_examples=200)
+def test_grade_texts_keep_their_meaning_across_interleaved_chains(tmp_path_factory, steps):
+    # the grade-text caches are shared by every read and write of the
+    # process, on every chain and in both modes: each read, layout and
+    # write matches the uncached per-cell oracle, and a file read again
+    # gives the same levels, or a bad cell the same message and line
+    folder = tmp_path_factory.mktemp("chains")
+    for i, (scale, mode, texts, matrix) in enumerate(steps):
+        path = folder / f"{i}.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in texts))
+        got = outcome(read_csv, path, scale, mode=mode)
+        assert got == outcome(oracles.read_csv, path, scale, mode=mode)
+        assert outcome(read_csv, path, scale, mode=mode) == got
+        for text in {text for row in texts for text in row}:
+            assert data._cell_kind(scale.levels, text) == oracles.cell_kind(scale, text)
+        write_csv(matrix, folder / f"{i}-fast.csv")
+        oracles.write_csv(matrix, folder / f"{i}-oracle.csv")
+        assert (folder / f"{i}-fast.csv").read_bytes() == (folder / f"{i}-oracle.csv").read_bytes()
+
+
+def test_a_bad_cell_raises_afresh_on_every_read(tmp_path):
+    # no error is cached: each read of a bad cell raises a new error, with
+    # the same message and file line, and keeps none from an earlier read
+    path = tmp_path / "m.csv"
+    path.write_text("0.5,1\n\n1,0.25\n")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            read_csv(path, Scale(3))
+        errors.append(info.value)
+    assert str(errors[0]) == str(errors[1]) == (
+        f"{path}: bad grade at row 2, column 2: '0.25' is not a grade on a 3-level chain (line 3)")
+    assert errors[0].__cause__ is not errors[1].__cause__
+    assert read_csv(path, Scale(3), mode="lenient").entries.tolist() == [[1, 2], [2, 1]]
 
 
 def test_read_csv_accepts_every_spelling_of_a_grade(tmp_path):

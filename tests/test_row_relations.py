@@ -21,7 +21,8 @@ Each relation is checked at batch budgets of one candidate, of a few and
 the default, and with the level tables and without them, on inputs of up
 to 130 rows, so that moved rows cross the fold of a tall closure block,
 the padding of a row's cover words and the word trimming of the bitset
-sweep.  Inputs with repeated rows run on their clarified context.
+sweep.  Inputs with repeated rows run on their clarified context, which
+every run here takes whatever its row count, `_CLARIFY_ROWS` patched to 0.
 """
 
 from unittest import mock
@@ -67,7 +68,8 @@ def tall_contexts(draw, kinds=ALL_KINDS, levels=(2, 3, 5, 11)):
 
 def run(ctx, tie_break, budget, level_cap):
     with mock.patch.object(factorization, "SWEEP_BATCH_BYTES", budget), \
-            mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+            mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap), \
+            mock.patch.object(factorization, "_CLARIFY_ROWS", 0):
         return find_factors(ctx, tie_break)
 
 
@@ -127,7 +129,8 @@ def test_factorize_on_shuffled_rows_permutes_only_the_object_factors(tmp_path, g
             path = tmp_path / f"{name}-{copies}.csv"
             path.write_text("".join(rows[i] for i in order), encoding="utf-8")
             outs.append(tmp_path / f"out-{name}-{copies}")
-            assert main(["factorize", "--input", str(path), "--out-dir", str(outs[-1])]) == 0
+            with mock.patch.object(factorization, "_CLARIFY_ROWS", 0):
+                assert main(["factorize", "--input", str(path), "--out-dir", str(outs[-1])]) == 0
         given_out, shuffled_out = outs
         for name in ("B.csv", "coverage.tsv"):
             assert (shuffled_out / name).read_bytes() == (given_out / name).read_bytes()
