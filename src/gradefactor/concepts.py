@@ -112,23 +112,27 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
             raise BudgetExceededError(f"concept enumeration exceeded the budget of {budget} closures")
 
     spend(1)
-    # intents stay in the sweep's form, whose order is that of their levels
-    start = sweep.intent(_up_levels(scale, entries, top))
-    seen = {start.tobytes(): (start, top)}
+    # no candidate closes to the start, the least closed intent, since a
+    # candidate raises its intent at its own attribute: the start goes
+    # straight into the result and is never keyed
+    start = _up_levels(scale, entries, top)
+    found, seen = [(start, top)], set()
     frontier = [(start, top)]
     while frontier:
         for js, _, _, covers in sweep.batches(*frontier.pop()):
             spend(len(js))
             # most candidates close to an intent already seen: key every
-            # closed intent of the batch, the last of its covers, from one
-            # conversion, and build a concept only for a new key
-            keys = covers[-1].astype(LEVEL_DTYPE).tobytes()
+            # closed intent of the batch, the last of its covers, by its
+            # bytes in the sweep's own form, and build a concept only for a
+            # new key
+            keys = covers[-1].tobytes()
             width = len(keys) // len(js)
             for c in range(len(js)):
                 key = keys[c * width:(c + 1) * width]
                 if key not in seen:
+                    seen.add(key)
                     extent, intent = sweep.concept(covers, c)
-                    seen[key] = intent, extent
+                    found.append((intent, extent))
                     frontier.append((intent, extent))
-    return [FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, sweep.levels(intent)))
-            for intent, extent in sorted(seen.values(), key=lambda pair: tuple(pair[0]))]
+    return [FormalConcept(FuzzySet(scale, extent), FuzzySet(scale, intent))
+            for intent, extent in sorted(found, key=lambda pair: tuple(pair[0]))]

@@ -119,11 +119,7 @@ class ColumnRange:
             raise ValueError("one low and one high per column required")
         if not self.lows:
             raise ValueError("a column range needs at least one column")
-        for c, (lo, hi) in enumerate(zip(self.lows, self.highs)):
-            if lo >= hi:
-                raise ValueError(
-                    f"column {c} has an empty or constant range [{lo}, {hi}]"
-                )
+        _require_widths(range(1, len(self.lows) + 1), self.lows, self.highs)
 
     @classmethod
     def from_table(cls, table: RawTable) -> "ColumnRange":
@@ -137,7 +133,16 @@ class ColumnRange:
             else:
                 lows.append(Fraction(int(p.min()), q))
                 highs.append(Fraction(int(p.max()), q))
+        _require_widths(map(repr, table.col_labels), lows, highs)
         return cls(tuple(lows), tuple(highs))
+
+
+def _require_widths(names, lows, highs) -> None:
+    """Refuse the first column, named by `names`, whose low is not below
+    its high."""
+    for name, lo, hi in zip(names, lows, highs):
+        if lo >= hi:
+            raise ValueError(f"column {name} has an empty or constant range [{lo}, {hi}]")
 
 
 def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
@@ -257,12 +262,13 @@ def _split_rows(text: str) -> list[list[str]] | None:
     return [line.split(",") for line in lines if line]
 
 
-def _read_rows(path) -> list[list[str]]:
+def _read_rows(path, text: str | None = None) -> list[list[str]]:
     """The rows of a CSV file, each cell stripped of surrounding whitespace
     and empty lines dropped; every row must be as wide as the first.  The
-    file is read and decoded whole; what a plain split could misread goes
-    through csv.reader."""
-    text = _decode(path, Path(path).read_bytes())
+    file is read and decoded whole, unless its decoded `text` is given;
+    what a plain split could misread goes through csv.reader."""
+    if text is None:
+        text = _decode(path, Path(path).read_bytes())
     rows = _split_rows(text)
     if rows is None:
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -455,11 +461,16 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
 
     Cells are decimals in [0, 1] or levels written ``L<k>``.  A header row
     and a label column are detected by `_layout` and stripped, a number
-    being a grade when it lies in [0, 1].
+    being a grade when it lies in [0, 1].  A file of n line breaks alone,
+    CR LF, CR or LF, is the n x 0 matrix, as `write_csv` writes it.
     """
     _check_mode(mode)
     strict = mode == "strict"
-    rows = _read_rows(path)
+    text = _decode(path, Path(path).read_bytes())
+    if text[:1] in ("\r", "\n") and not text.strip("\r\n"):
+        n_rows = text.count("\n") + text.count("\r") - text.count("\r\n")
+        return GradedMatrix(scale, np.zeros((n_rows, 0), dtype=LEVEL_DTYPE))
+    rows = _read_rows(path, text)
     has_labels, body = _layout(path, rows, functools.partial(_cell_kind, scale.levels))
     width = len(body[0]) - has_labels
 
@@ -618,9 +629,9 @@ def read_ranges_csv(path) -> ColumnRange:
     table = read_raw_csv(path)
     if table.shape[0] != 2:
         raise ValueError(f"{path}: expected exactly two rows (lows, highs), got {table.shape[0]}")
-    columns = range(table.shape[1])
-    return ColumnRange(tuple(table.cell(0, c) for c in columns),
-                       tuple(table.cell(1, c) for c in columns))
+    lows, highs = ([table.cell(r, c) for c in range(table.shape[1])] for r in (0, 1))
+    _require_widths(map(repr, table.col_labels), lows, highs)
+    return ColumnRange(tuple(lows), tuple(highs))
 
 
 # ----------------------------------------------------------------------

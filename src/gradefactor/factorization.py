@@ -16,10 +16,11 @@ e > residuum(t, b - 1); or, past the cap, t-norm arithmetic.  Either
 builds a closure as a block that leads with rows, whose minima fold a
 tall block's halves rather than pay numpy's cost per row, and runs the
 cover test column by column, comparing extents along the rows; the
-covered cells and the uncovered ones are packed column by column.  On
-the tables intents are held as rows of a column table, grade t at
-attribute j as j * (n + 1) + t, which closures yield directly; the sweep's
-`intent` and `levels` convert at the edges of a run.  Every batch
+covered cells and the uncovered ones are packed column by column.  A
+sweep takes and returns intents as levels.  The tables' closures and
+cover test alone hold a closed intent offset by column, grade t at
+attribute j as j * (n + 1) + t, the row of a column table, and a concept
+taken from a batch drops the offsets with one subtraction.  Every batch
 is sized so that its largest array fits one byte cap.  A batch is
 plain arrays, (js, levels, gains, covers), whose covers hold each
 candidate's extent and closed intent, so the winner's concept comes from
@@ -246,22 +247,17 @@ def _ranked_candidates(intent: np.ndarray, n: int, start: int, batch: int):
         yield js, intent[js] + 1 + flat - (ends[js] - counts[js])
 
 
-def _plain(intent: np.ndarray) -> np.ndarray:
-    """`intent` and `levels` of a sweep that holds intents as levels."""
-    return intent
-
-
 class _LevelTables:
     """The graded sweep's residua from a level table and two column tables,
     built once per run, each in the layout it is read in, and read-only
     from then on.
 
-    Intents are held offset by column: grade t at attribute j as
-    j * (n + 1) + t, which keeps their order and names a row of either
-    column table; `intent` and `levels` convert.  Row i * (n + 1) + e of
-    `res` holds residuum(e, I[i, j]) + j * (n + 1) for every column j, so
-    a closure's row minima are its intent in that form, with no offset to
-    add.  Row j * (n + 1) + t of `never` holds
+    The closures and the cover test hold a closed intent offset by
+    column: grade t at attribute j as j * (n + 1) + t, which names a row
+    of either column table; `starts` holds the offsets.  Row i * (n + 1) + e
+    of `res` holds residuum(e, I[i, j]) + j * (n + 1) for every column j,
+    so a closure's row minima are its intent in that form, with no offset
+    to add.  Row j * (n + 1) + t of `never` holds
     residuum(t, I[i, j] - 1) for every row i, the largest extent grade e
     with tnorm(e, t) < I[i, j]: by adjointness the cover test compares the
     rows a closed intent names with its extent, a batch's (candidate,
@@ -269,8 +265,7 @@ class _LevelTables:
     grade, and the cell may test covered, but the sweep counts nonzero
     cells only.  cols[j, a] holds residuum(a, I[i, j]) for every row i:
     the extent that grade a at attribute j allows.
-    Candidates are the grades of a per-run grid above the intent, offset
-    as the intent is, never larger than a table.
+    Candidates are the grades above a plain intent, in (j, a) order.
     """
 
     @staticmethod
@@ -287,7 +282,7 @@ class _LevelTables:
         n_rows, n_cols = entries.shape
         self.top = n_cols * (n + 1) - 1
         self.dtype = np.dtype(_work_dtype(scale, self.top))
-        self.starts = np.arange(0, self.top, n + 1, dtype=self.dtype)
+        self.starts = np.arange(0, self.top, n + 1, dtype=LEVEL_DTYPE)
         # the column tables lead with columns and grades, so each is built
         # over whole rows, which ufuncs take at full speed
         grades = np.arange(n + 1, dtype=work)[:, None]
@@ -298,21 +293,15 @@ class _LevelTables:
         # built in that layout runs inner loops of n_cols cells, and took
         # about 1 ms on a 4000 x 8 input on 5 levels against 0.13 ms for
         # this offset and transposing copy
-        offset = np.add(self.cols, self.starts[:, None, None])
+        offset = np.add(self.cols, self.starts[:, None, None], dtype=self.dtype)
         self.res = np.ascontiguousarray(offset.transpose(2, 1, 0)).reshape(-1, n_cols)
         for table in (self.res, self.never, self.cols):
             table.setflags(write=False)
-        self.grid = np.arange(self.top + 1).reshape(n_cols, n + 1)
+        self.grades = np.arange(n + 1)
         self.row_starts = np.arange(0, n_rows * (n + 1), n + 1)
 
-    def intent(self, levels: np.ndarray) -> np.ndarray:
-        return levels + self.starts
-
-    def levels(self, intent: np.ndarray) -> np.ndarray:
-        return intent - self.starts
-
     def candidates(self, intent: np.ndarray, start: int, batch: int):
-        js, levels = (self.grid > intent[:, None]).nonzero()
+        js, levels = (self.grades > intent[:, None]).nonzero()
         for lo in range(start, len(js), batch):
             yield js[lo:lo + batch], levels[lo:lo + batch]
 
@@ -331,23 +320,23 @@ class _LevelTables:
 class _Residua:
     """The graded sweep's residua by t-norm arithmetic, past the table cap.
 
-    Candidates are ranked batch by batch, and intents are plain levels.
-    Closures are residuum minima over (row, candidate, column) blocks; the
-    cover test compares the t-norm rectangle, over (candidate, column, row)
-    blocks, with a contiguous copy of the input's transpose, exactly at
-    the nonzero cells, the only ones the sweep counts.  Both copies of the
+    Candidates are ranked batch by batch, and closed intents are plain
+    levels, with no column offsets (`starts` is 0).  Closures are residuum
+    minima over (row, candidate, column) blocks; the cover test compares
+    the t-norm rectangle, over (candidate, column, row) blocks, with a
+    contiguous copy of the input's transpose, exactly at the nonzero
+    cells, the only ones the sweep counts.  Both copies of the
     input are read-only from construction on.
     """
 
     def __init__(self, scale: Scale, entries: np.ndarray) -> None:
         self.scale = scale
         self.dtype = np.dtype(_work_dtype(scale))
+        self.starts = np.zeros(entries.shape[1], dtype=LEVEL_DTYPE)
         self.entries = entries.astype(self.dtype)
         self.columns = np.ascontiguousarray(entries.T, dtype=self.dtype)
         for table in (self.entries, self.columns):
             table.setflags(write=False)
-
-    intent = levels = staticmethod(_plain)
 
     def candidates(self, intent: np.ndarray, start: int, batch: int):
         return _ranked_candidates(intent, self.scale.max_level, start, batch)
@@ -387,10 +376,11 @@ class _GradedSweep:
     runs column by column, comparing along the rows, and a batch's covers
     are the cells each candidate's concept covers, packed over all cells
     column by column, with the candidates' extents and, last, closed
-    intents in the row source's form, which `intent` and `levels` convert
-    from and to levels; its gains are the popcounts of the packed cells
-    against `live`, the uncovered cells packed the same way, the one thing
-    a run changes, and retiring a winner clears its packed cells there.
+    intents in the row source's form; `concept` takes one as levels, less
+    the source's column offsets `starts`.  Its gains are the popcounts of
+    the packed cells against `live`, the uncovered cells packed the same
+    way, the one thing a run changes, and retiring a winner clears its
+    packed cells there.
     The mask must hold nonzero cells only.
 
     A cell may carry an integer weight, the number of input cells it
@@ -407,7 +397,6 @@ class _GradedSweep:
     def __init__(self, entries: np.ndarray, mask: np.ndarray, rows,
                  weights: np.ndarray | None = None) -> None:
         self.rows = rows
-        self.intent, self.levels = rows.intent, rows.levels
         # a batch's largest array is its candidates' closures over every cell
         self.batch = max(1, SWEEP_BATCH_BYTES // max(1, entries.size * rows.dtype.itemsize))
         if weights is None:
@@ -439,9 +428,13 @@ class _GradedSweep:
         return hits @ self.place
 
     def concept(self, covers: tuple, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """The extent and closed intent of the c-th candidate of covers."""
+        """The extent and closed intent of the c-th candidate of covers, as
+        levels."""
         _, ext, closed = covers
-        return ext[c].astype(LEVEL_DTYPE), closed[c].astype(LEVEL_DTYPE)
+        # `starts` holds LEVEL_DTYPE, so the difference has it at the cost
+        # of astype; a dtype argument to np.subtract cost 1.3 µs more a
+        # call on 20 columns
+        return ext[c].astype(LEVEL_DTYPE), np.subtract(closed[c], self.rows.starts)
 
     def retire(self, covers: tuple, c: int) -> int:
         """Clear the packed cells of the c-th candidate of a batch's covers,
@@ -466,8 +459,6 @@ class _BitsetSweep:
         self.n_rows = entries.shape[0]
         self.cols = _pack_cells((entries != 0).T)
         self.uncovered = _pack_cells(mask.T)
-
-    intent = levels = staticmethod(_plain)
 
     @staticmethod
     def _closed(ext: np.ndarray, holes: np.ndarray) -> np.ndarray:
@@ -551,8 +542,8 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _clarify(scale: Scale, entries: np.ndarray):
-    """The clarified context of a graded input, or None when its run takes
-    the input as it is.
+    """The clarified context of a graded input, or the input itself when
+    its run takes it as it is.
 
     Identical rows get identical grades in every extent, so a concept
     covers all their copies or none, and a closure, a minimum over rows,
@@ -579,13 +570,15 @@ def _clarify(scale: Scale, entries: np.ndarray):
     clarify, and its sweep then runs on 125 x 6 cells instead of 4000 x 8.
 
     Returns the clarified entries, their cell weights, and the index of
-    each input row's and each input column's class.
+    each input row's and each input column's class; for an input taken as
+    it is, the input, no weights and two whole slices.
     """
+    unclarified = entries, None, slice(None), slice(None)
     if scale.levels == 2 or len(entries) < _CLARIFY_ROWS:
-        return None
+        return unclarified
     keys = _row_keys(entries, scale.levels)
     if 2 * len(set(keys.tolist())) > len(keys):
-        return None
+        return unclarified
     rows, row_inverse, row_counts = _classes(keys)
     distinct = entries[rows]
     cols, col_inverse, col_counts = _classes(_row_keys(distinct.T, scale.levels))
@@ -678,15 +671,11 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
         raise ValueError(f"max_factors must be nonnegative, got {max_factors}")
     scale = context.scale
     uncovered = [int(np.count_nonzero(context.entries))]
-    clarified = _clarify(scale, context.entries)
-    if clarified is None:
-        entries, weights = context.entries, None
-    else:
-        entries, weights, row_classes, col_classes = clarified
+    entries, weights, row_index, col_index = _clarify(scale, context.entries)
     n_rows, n_cols = entries.shape
     sweep = _make_sweep(scale, entries, entries != 0, weights)
     # the empty intent's extent is top, since residuum(0, b) = n
-    empty = sweep.intent(np.zeros(n_cols, dtype=LEVEL_DTYPE))
+    empty = np.zeros(n_cols, dtype=LEVEL_DTYPE)
     top = np.full(n_rows, scale.max_level, dtype=LEVEL_DTYPE)
     extents: list[np.ndarray] = []
     intents: list[np.ndarray] = []
@@ -712,12 +701,9 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
             raise RuntimeError(f"factor {len(extents)} covers no uncovered cell")
 
     k = len(extents)
-    # intents travel in the sweep's form, converted once, and a clarified
-    # run's factors expand to the input's rows and columns once
-    a = np.reshape(extents, (k, n_rows)).T
-    b = sweep.levels(np.reshape(intents, (k, n_cols)))
-    if clarified is not None:
-        a, b = a[row_classes], b[:, col_classes]
+    # a clarified run's factors expand to the input's rows and columns once
+    a = np.reshape(extents, (k, n_rows)).T[row_index]
+    b = np.reshape(intents, (k, n_cols))[:, col_index]
     return FactorSet(GradedMatrix(scale, a), GradedMatrix(scale, b), tuple(uncovered))
 
 

@@ -54,10 +54,6 @@ class FuzzySet:
         self.membership = _as_level_array(scale, membership, 1)
 
     @classmethod
-    def zeros(cls, scale: Scale, size: int) -> "FuzzySet":
-        return cls(scale, np.zeros(size, dtype=LEVEL_DTYPE))
-
-    @classmethod
     def from_values(cls, scale: Scale, values: Iterable, *, strict: bool = True) -> "FuzzySet":
         """Build from numbers in [0, 1] instead of levels."""
         return cls(scale, [scale.level_from_value(v, strict=strict) for v in values])

@@ -304,8 +304,12 @@ def table_values(table: RawTable) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def column_range(table: RawTable) -> ColumnRange:
-    """Observed minimum and maximum per column, cell by cell."""
+    """Observed minimum and maximum per column, cell by cell; a constant
+    column is named by its label."""
     cols = list(zip(*table_values(table)))
+    for label, col in zip(table.col_labels, cols):
+        if min(col) == max(col):
+            raise ValueError(f"column {label!r} has an empty or constant range [{min(col)}, {max(col)}]")
     return ColumnRange(tuple(min(c) for c in cols), tuple(max(c) for c in cols))
 
 
@@ -478,10 +482,16 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     one in that column is a bad cell.  A first row that holds grades
     outside the label column, and no number outside [0, 1], is data, so a
     bad cell in it is reported rather than taken for a header; numbers
-    outside [0, 1] there are column names.
+    outside [0, 1] there are column names.  A file of line breaks alone
+    holds a row of no cells per break.
     """
     _check_mode(mode)
     strict = mode == "strict"
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        text = handle.read()
+    if text and not text.strip("\r\n"):
+        rows = len(re.findall(r"\r\n|\r|\n", text))
+        return GradedMatrix(scale, np.zeros((rows, 0), dtype=np.int64))
     rows, lines = read_located_rows(path)
 
     first = [cell_kind(scale, c) for c in rows[0]]

@@ -287,11 +287,20 @@ def test_discretize_with_observed_ranges(tmp_path, scores_csv):
     assert (m.entries.min(axis=0) == 0).all()
 
 
-def test_discretize_rejects_constant_column(tmp_path, capsys):
+@pytest.mark.parametrize("ranges, bounds", [(None, "[2, 2]"), ("a,b\n0,5\n5,5\n", "[5, 5]")],
+                         ids=["observed", "declared"])
+def test_discretize_rejects_constant_column(tmp_path, capsys, ranges, bounds):
+    # column b holds one value, or its declared range one point: the one
+    # error line names the column by its label
     src = tmp_path / "t.csv"
-    src.write_text("a,b\n1,2\n1,3\n")
-    assert run("discretize", "--input", src, "--out", tmp_path / "o.csv") == 1
-    assert "constant" in capsys.readouterr().err
+    src.write_text("a,b\n1,2\n3,2\n")
+    argv = ["discretize", "--input", src, "--out", tmp_path / "o.csv"]
+    if ranges is not None:
+        (tmp_path / "r.csv").write_text(ranges)
+        argv += ["--ranges", tmp_path / "r.csv"]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: column 'b' has an empty or constant range {bounds}\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_discretize_names_an_undecodable_ranges_file(tmp_path, scores_csv, capsys):

@@ -134,8 +134,10 @@ def check_outcome(argv: list[str], out: Path) -> int:
             assert (product.entries <= matrix.entries).all()
             assert (product.entries == matrix.entries).all() == report["complete"]
         else:
-            # no factor: A.csv holds blank lines and B.csv nothing, which
-            # do not read back (test_a_run_without_factors_reads_back)
+            # no factor: A.csv holds a line break per row, which reads back
+            # as rows x 0, and B.csv nothing, as 0 x m has no CSV form
+            assert read_csv(args.out_dir / "A.csv", scale).shape == (matrix.n_rows, 0)
+            assert (args.out_dir / "B.csv").read_bytes() == b""
             assert report["complete"] == (not matrix.entries.any())
     return code
 
@@ -175,13 +177,21 @@ def test_a_huge_number_ends_within_seconds(tmp_path, argv):
                   + ["--out-dir", str(out)], out)
 
 
-@pytest.mark.xfail(strict=True, reason="an empty factor set writes A.csv and B.csv "
-                                       "that read_csv refuses as empty")
 def test_a_run_without_factors_reads_back(inputs, tmp_path):
+    # A.csv, 3 x 0, is a line break per row, and reads back whether its
+    # breaks are LF, CR LF or CR, each counted once; B.csv, 0 x m, has no
+    # CSV form, so it stays empty and a zero-byte file is still refused
     out = tmp_path / "out"
     assert main(["factorize", "--input", str(inputs / "valid.csv"), "--max-factors", "0",
                  "--out-dir", str(out)]) == 0
+    assert (out / "A.csv").read_bytes() == b"\n" * 3
     assert read_csv(out / "A.csv", Scale(5)).entries.shape == (3, 0)
+    for breaks in (b"\r\n" * 3, b"\r" * 3, b"\r\r\n\n", b"\n\r\r\n"):
+        (out / "A.csv").write_bytes(breaks)
+        assert read_csv(out / "A.csv", Scale(5)).entries.shape == (3, 0), breaks
+    assert (out / "B.csv").read_bytes() == b""
+    with pytest.raises(ValueError, match="empty file"):
+        read_csv(out / "B.csv", Scale(5))
 
 
 def test_no_option_takes_a_bare_int():

@@ -154,7 +154,7 @@ SWEEP_PATCHES = ({"_LEVEL_TABLE_BYTES": factorization._LEVEL_TABLE_BYTES},
     # the two-grade chain closes on row bitsets
     strategies.contexts(scale=Scale.boolean(), max_rows=6, max_cols=6),
 ))
-@settings(max_examples=60)
+@settings(max_examples=strategies.examples(60))
 def test_enumeration_matches_exhaustive_sweep(ctx):
     expected = oracles.sweep_concepts(ctx)
     for patch in SWEEP_PATCHES:
@@ -165,6 +165,37 @@ def test_enumeration_matches_exhaustive_sweep(ctx):
                 for c in enumerate_concepts(ctx)
             }
         assert got == expected, patch
+
+
+@given(
+    st.one_of(
+        strategies.contexts(max_rows=3, max_cols=3, kinds=("lukasiewicz", "godel", "goguen")),
+        strategies.contexts(scale=Scale.boolean(), max_rows=6, max_cols=6),
+    ),
+    st.sampled_from([0, factorization._LEVEL_TABLE_BYTES]),
+    st.sampled_from([1, factorization.SWEEP_BATCH_BYTES]),
+)
+@settings(max_examples=strategies.examples(60))
+def test_no_candidate_closes_to_the_start(ctx, level_cap, batch_bytes):
+    # the enumeration never keys its start, the least closed intent: from
+    # the start and from every enumerated intent, each batch candidate's
+    # closed intent is its closure, in levels 0..n, and never the start
+    scale, entries = ctx.scale, ctx.entries
+    start = up(ctx, FuzzySet(scale, np.full(ctx.n_rows, scale.max_level))).membership
+    with mock.patch.multiple(factorization, _LEVEL_TABLE_BYTES=level_cap,
+                             SWEEP_BATCH_BYTES=batch_bytes):
+        concepts = enumerate_concepts(ctx)
+        sweep = factorization._make_sweep(scale, entries, entries != 0)
+        assert concepts[0].intent.membership.tolist() == start.tolist()
+        for concept in concepts:
+            intent = concept.intent.membership
+            for js, levels, _, covers in sweep.batches(intent, concept.extent.membership):
+                for c, (j, a) in enumerate(zip(js.tolist(), levels.tolist())):
+                    extent, closed = sweep.concept(covers, c)
+                    assert 0 <= closed.min() and closed.max() <= scale.max_level
+                    expected = oracles.candidate_closure(scale, entries, intent, j, a)
+                    assert (extent.tolist(), closed.tolist()) == tuple(e.tolist() for e in expected)
+                    assert closed.tolist() != start.tolist()
 
 
 def test_enumeration_is_sorted_and_unique(decathlon):

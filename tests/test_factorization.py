@@ -49,7 +49,7 @@ def sweep_gain(ctx, mask, intent, j, a):
     (j, a), read off the batch that scores it, or None when no batch holds
     it; `mask` holds the uncovered nonzero cells."""
     sweep = factorization._make_sweep(ctx.scale, ctx.entries, mask)
-    batches = sweep.batches(sweep.intent(intent.membership), down(ctx, intent).membership)
+    batches = sweep.batches(intent.membership, down(ctx, intent).membership)
     for js, levels, gains, _ in batches:
         (hit,) = np.nonzero((js == j) & (levels == a))
         if hit.size:
@@ -66,18 +66,25 @@ def live_weights(sweep, shape):
     return np.sum(planes, axis=0).reshape(n_cols, n_rows).T
 
 
-def uncovered_cells(sweep, shape, clarified=None):
+def unclarified(scale, entries):
+    """What `_clarify` returns for an input whose run takes it as it is."""
+    return entries, None, slice(None), slice(None)
+
+
+def is_unclarified(clarified, entries):
+    distinct, weights, rows, cols = clarified
+    return distinct is entries and weights is None and rows == cols == slice(None)
+
+
+def uncovered_cells(sweep, clarified):
     """The uncovered cells a sweep holds, as a Boolean array over the
     input; both sweeps pack them column by column.  A sweep of a run that
-    `_clarify` returned `clarified` for holds the distinct rows and
-    columns, which expand through the clarification's inverses."""
-    n_rows, n_cols = shape
-    if isinstance(sweep, factorization._BitsetSweep):
-        columns = [factorization._unpack_rows(bits, n_rows) for bits in sweep.uncovered]
-        return np.stack(columns, axis=1) != 0
-    if clarified is None:
-        return live_weights(sweep, shape) != 0
+    `_clarify` returned `clarified` for holds its entries' rows and
+    columns, which expand through the clarification's indices."""
     distinct, _, rows, cols = clarified
+    if isinstance(sweep, factorization._BitsetSweep):
+        columns = [factorization._unpack_rows(bits, len(distinct)) for bits in sweep.uncovered]
+        return np.stack(columns, axis=1) != 0
     return (live_weights(sweep, distinct.shape) != 0)[rows][:, cols]
 
 
@@ -387,7 +394,7 @@ def test_clarify_merges_rows_and_columns_in_order_of_first_occurrence(ctx):
         expected, weights = distinct_context(ctx)
         clarified = factorization._clarify(ctx.scale, ctx.entries)
         if expected is ctx:
-            assert clarified is None
+            assert is_unclarified(clarified, ctx.entries)
             return
         distinct, got_weights, rows, cols = clarified
         assert distinct.tolist() == expected.entries.tolist()
@@ -425,7 +432,8 @@ def test_clarify_leaves_inputs_shorter_than_the_row_floor_as_they_are(levels):
     # it is, and from that many rows on it merges them
     floor = factorization._CLARIFY_ROWS
     entries = np.ones((floor, 3), dtype=np.int64)
-    assert factorization._clarify(Scale(levels), entries[1:]) is None
+    short = entries[1:]
+    assert is_unclarified(factorization._clarify(Scale(levels), short), short)
     distinct, weights, rows, cols = factorization._clarify(Scale(levels), entries)
     assert distinct.tolist() == [[1]] and weights.tolist() == [[3 * floor]]
     assert rows.tolist() == [0] * floor and cols.tolist() == [0] * 3
@@ -526,7 +534,7 @@ def batch_sizes(ctx, budget):
             mock.patch.object(factorization._BitsetSweep, "batches",
                               listed(factorization._BitsetSweep.batches)), \
             mock.patch.object(factorization, "SWEEP_BATCH_BYTES", budget), \
-            mock.patch.object(factorization, "_clarify", lambda scale, entries: None):
+            mock.patch.object(factorization, "_clarify", unclarified):
         fs = find_factors(ctx)
     return fs, steps, blocks
 
@@ -621,9 +629,8 @@ def test_sweep_runs_in_64_bit_levels_past_the_32_bit_bound(kind):
 def step_candidates(sweep, intent, extent):
     """Every candidate one step of a sweep scores, as (j, a, gain, extent,
     closed intent in levels) lists."""
-    return [(j, a, g, sweep.concept(covers, c)[0].tolist(),
-             sweep.levels(sweep.concept(covers, c)[1]).tolist())
-            for js, levels, gains, covers in sweep.batches(sweep.intent(intent), extent)
+    return [(j, a, g, *(half.tolist() for half in sweep.concept(covers, c)))
+            for js, levels, gains, covers in sweep.batches(intent, extent)
             for c, (j, a, g) in enumerate(zip(js.tolist(), levels.tolist(), gains.tolist()))]
 
 
@@ -914,7 +921,7 @@ def test_ties_across_batches_match_reference(levels, kind, base, tie_break):
 
 def test_gain_counts_covered_universe_cells(decathlon):
     mask = decathlon.entries != 0
-    g = sweep_gain(decathlon, mask, FuzzySet.zeros(FIVE, 10), 0, 4)
+    g = sweep_gain(decathlon, mask, FuzzySet(FIVE, np.zeros(10, dtype=np.int64)), 0, 4)
     concept = concept_from_intent(decathlon, FuzzySet(FIVE, [4] + [0] * 9))
     rect = FIVE.tnorm(concept.extent.membership[:, None], concept.intent.membership[None, :])
     assert g == int(np.count_nonzero(mask & (rect == decathlon.entries)))
@@ -956,7 +963,7 @@ def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
             mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
         sweep = factorization._make_sweep(scale, entries, mask)
         seen = []
-        for js, levels, gains, covers in sweep.batches(sweep.intent(intent.membership),
+        for js, levels, gains, covers in sweep.batches(intent.membership,
                                                        down(ctx, intent).membership):
             assert len(js) == len(levels) == len(gains) >= 1
             assert sweep.count(covers).tolist() == gains.tolist()
@@ -964,7 +971,7 @@ def test_each_batch_closes_its_candidates(pair, data, budget, level_cap):
                 extent, closed = oracles.candidate_closure(scale, entries, intent.membership, j, a)
                 got_extent, got_closed = sweep.concept(covers, c)
                 assert got_extent.tolist() == extent.tolist()
-                assert sweep.levels(got_closed).tolist() == closed.tolist()
+                assert got_closed.tolist() == closed.tolist()
                 assert gains[c] == oracles.covered_count(scale, entries, mask, extent, closed)
                 seen.append((j, a))
     assert seen == [(j, a) for j in range(ctx.n_cols)
@@ -989,7 +996,6 @@ def test_bitset_retire_in_place_equals_a_full_repack(n, m, density, seed, max_fa
 
     def checked(sweep, covers, c):
         extent, intent = sweep.concept(covers, c)
-        intent = sweep.levels(intent)
         remaining = retire(sweep, covers, c)
         mask[:] &= ~(_rectangle(ctx.scale, extent, intent) >= ctx.entries)
         assert np.array_equal(sweep.uncovered, factorization._pack_cells(mask.T))
@@ -1034,9 +1040,9 @@ def test_graded_retire_clears_the_winners_packed_cells(ctx, level_cap, opening_c
         factor = slow.factors[len(counts)]
         rect = _rectangle(ctx.scale, factor.extent.membership, factor.intent.membership)
         mask[:] &= ~(rect >= ctx.entries)
-        assert np.array_equal(uncovered_cells(sweep, ctx.shape, clarified[0]), mask)
-        if clarified[0] is not None:
-            distinct, weights, rows, cols = clarified[0]
+        assert np.array_equal(uncovered_cells(sweep, clarified[0]), mask)
+        distinct, weights, rows, cols = clarified[0]
+        if weights is not None:
             live = np.zeros(distinct.shape, dtype=bool)
             live[rows[:, None], cols] = mask
             assert np.array_equal(live_weights(sweep, distinct.shape), np.where(live, weights, 0))
@@ -1073,10 +1079,10 @@ def test_cover_universe_bookkeeping(decathlon, reference_factors, level_cap):
     ((sweep, (extent, intent), remaining),) = retired
     assert rows_of(sweep) is (factorization._LevelTables if level_cap else factorization._Residua)
     first = reference_factors[0]
-    assert (extent.tolist(), sweep.levels(intent).tolist()) == (first.extent.membership.tolist(),
-                                                                first.intent.membership.tolist())
+    assert (extent.tolist(), intent.tolist()) == (first.extent.membership.tolist(),
+                                                  first.intent.membership.tolist())
     assert (50 - remaining, remaining) == (23, 27)
-    assert int(uncovered_cells(sweep, decathlon.shape).sum()) == 27
+    assert int(uncovered_cells(sweep, unclarified(FIVE, decathlon.entries)).sum()) == 27
 
 
 @pytest.mark.parametrize("level_cap", LEVEL_TABLE_CAPS)

@@ -200,6 +200,24 @@ def test_read_csv_names_the_first_bad_cell(tmp_path, text, where):
     assert outcome(read_csv, path, Scale(5)) == outcome(oracles.read_csv, path, Scale(5))
 
 
+@pytest.mark.parametrize("text, rows", [
+    ("", None), ("\ufeff", None), ("\n", 1), ("\r\n\r", 2), ("\r\r\n\n", 3),
+    ("\ufeff\n\n", 2), (" \n", None), ("\n,\n", None),
+])
+def test_line_breaks_alone_read_as_rows_without_columns(tmp_path, text, rows):
+    # what write_csv writes for an n x 0 matrix reads back, with CR LF, CR
+    # and LF each one break; a zero-byte file, or one that holds anything
+    # but breaks, is refused as before
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = outcome(read_csv, path, Scale(5))
+    assert got == outcome(oracles.read_csv, path, Scale(5))
+    if rows is None:
+        assert got.startswith("ValueError: ")
+    else:
+        assert got == [[]] * rows
+
+
 def read_five(path):
     return read_csv(path, Scale(5))
 

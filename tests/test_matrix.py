@@ -80,7 +80,7 @@ def test_rows_columns_shape():
 
 def test_zeros():
     assert not GradedMatrix.zeros(FIVE, 2, 3).entries.any()
-    assert FuzzySet.zeros(FIVE, 4).size == 4
+    assert FuzzySet(FIVE, np.zeros(4, dtype=np.int64)).size == 4
 
 
 def test_fuzzyset_eq_hash():
