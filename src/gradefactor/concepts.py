@@ -123,8 +123,8 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
             spend(len(js))
             # most candidates close to an intent already seen: key every
             # closed intent of the batch, the last of its covers, by its
-            # bytes in the sweep's own form, and build a concept only for a
-            # new key
+            # bytes in the batch's type, and build a concept only for a new
+            # key
             keys = covers[-1].tobytes()
             width = len(keys) // len(js)
             for c in range(len(js)):

@@ -593,14 +593,15 @@ def read_raw_csv(path) -> RawTable:
 
     A header row and a label column are detected by `_layout`, every cell
     that parses being a number; missing labels are synthesized from
-    positions.  The first bad cell in row-major order is named.
+    1-based positions, as graded CSV errors count rows and columns.  The
+    first bad cell in row-major order is named.
     """
     rows = _read_rows(path)
     has_labels, body = _layout(path, rows, _raw_cell_kind)
     texts = list(zip(*body))  # one tuple of cell texts per column
-    row_labels = texts.pop(0) if has_labels else tuple(map(str, range(len(body))))
+    row_labels = texts.pop(0) if has_labels else tuple(map(str, range(1, len(body) + 1)))
     if body is rows:
-        col_labels = map(str, range(len(texts)))
+        col_labels = map(str, range(1, len(texts) + 1))
     else:
         col_labels = rows[0][has_labels:]
     try:

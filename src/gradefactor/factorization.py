@@ -17,21 +17,21 @@ builds a closure as a block that leads with rows, whose minima fold a
 tall block's halves rather than pay numpy's cost per row, and runs the
 cover test column by column, comparing extents along the rows; the
 covered cells and the uncovered ones are packed column by column.  A
-sweep takes and returns intents as levels.  The tables' closures and
-cover test alone hold a closed intent offset by column, grade t at
-attribute j as j * (n + 1) + t, the row of a column table, and a concept
-taken from a batch drops the offsets with one subtraction.  Every batch
-is sized so that its largest array fits one byte cap.  A batch is
-plain arrays, (js, levels, gains, covers), whose covers hold each
-candidate's extent and closed intent, so the winner's concept comes from
-the batch that scored it and no candidate is closed twice; retiring the
-winner clears the cells its covers hold, with no second cover test.
-Every factor opens from the empty intent, whose candidates cover the same
-cells all run long, so each run keeps the whole covers of the opening's
-first batches as one block, up to a fixed number of words, and every
-opening scores it by popcount and takes its winner's concept from it.
-Ties on the gain go to one of two named policies; a batch's winner is one
-argmax, over its gains or over a key that ranks the lower grade next.
+sweep takes and returns intents as levels, and both row sources close
+to levels; only the tables' cover test offsets a closed grade t at
+attribute j to j * (n + 1) + t, the row of a column table, in its
+gather.  Every batch is sized so that its largest array fits one byte
+cap.  A batch is plain arrays, (js, levels, gains, covers), whose covers
+hold each candidate's extent and closed intent, so the winner's concept
+comes from the batch that scored it and no candidate is closed twice;
+retiring the winner clears the cells its covers hold, with no second
+cover test.  Every factor opens from the empty intent, whose candidates
+cover the same cells all run long, so each run keeps the whole covers of
+the opening's first batches as one block, up to a fixed number of words,
+and every opening scores it by popcount and takes its winner's concept
+from it.  Ties on the gain go to one of two named policies; a batch's
+winner is one argmax, over its gains or over a key that ranks the lower
+grade next.
 
 A graded input of at least _CLARIFY_ROWS rows, at most half of them
 distinct, is clarified first: the sweep runs on its distinct rows and,
@@ -41,7 +41,7 @@ weights, so every gain, winner and trace entry is the input's.  The
 factors expand back to the input's rows and columns once per run.  A
 4000 x 8 input with 125 distinct rows and 6 distinct columns then runs in
 about a sixth of the time; on an input whose rows do not repeat the check
-is one set of row keys, and on a shorter one there is no check.
+is one np.unique of row keys, and on a shorter one there is no check.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -167,9 +167,8 @@ _OPENING_TABLE_WORDS = 1 << 19
 
 # Bytes the three tables of one run may take (16 MiB): the level table and
 # the two column tables.  On an n-step chain an r x m input needs
-# 3 (n + 1) r m cells, of `_work_dtype` or, in the level table, of a type
-# that also holds m (n + 1), which holds the tables of a 200 x 100 input
-# on 11 levels in 1.3 MB.  A longer chain or a larger input
+# 3 (n + 1) r m cells of `_work_dtype`, which holds the tables of a
+# 200 x 100 input on 11 levels in 1.3 MB.  A longer chain or a larger input
 # builds none, and the sweep takes its residua from t-norm arithmetic
 # instead of the tables.
 _LEVEL_TABLE_BYTES = 16 << 20
@@ -203,13 +202,12 @@ def _unpack_rows(bitset: np.ndarray, n: int) -> np.ndarray:
     return bits.astype(LEVEL_DTYPE)
 
 
-def _work_dtype(scale: Scale, bound: int = 0):
+def _work_dtype(scale: Scale):
     """The narrowest signed integer type holding every intermediate of the
-    scale's t-norm and residuum, none above 2n(n + 1) on an n-step chain,
-    and `bound`.  Narrow levels halve or quarter the memory traffic of a
-    batch."""
+    scale's t-norm and residuum, none above 2n(n + 1) on an n-step chain.
+    Narrow levels halve or quarter the memory traffic of a batch."""
     n = scale.max_level
-    top = max(2 * n * (n + 1), bound)
+    top = 2 * n * (n + 1)
     return np.int16 if top < 2**15 else np.int32 if top < 2**31 else LEVEL_DTYPE
 
 
@@ -249,52 +247,47 @@ def _ranked_candidates(intent: np.ndarray, n: int, start: int, batch: int):
 
 class _LevelTables:
     """The graded sweep's residua from a level table and two column tables,
-    built once per run, each in the layout it is read in, and read-only
-    from then on.
+    built once per run in the work type, each in the layout it is read in,
+    and read-only from then on.
 
-    The closures and the cover test hold a closed intent offset by
-    column: grade t at attribute j as j * (n + 1) + t, which names a row
-    of either column table; `starts` holds the offsets.  Row i * (n + 1) + e
-    of `res` holds residuum(e, I[i, j]) + j * (n + 1) for every column j,
-    so a closure's row minima are its intent in that form, with no offset
-    to add.  Row j * (n + 1) + t of `never` holds
-    residuum(t, I[i, j] - 1) for every row i, the largest extent grade e
-    with tnorm(e, t) < I[i, j]: by adjointness the cover test compares the
-    rows a closed intent names with its extent, a batch's (candidate,
-    column, row) block at once.  At a zero cell that residuum is of no
-    grade, and the cell may test covered, but the sweep counts nonzero
-    cells only.  cols[j, a] holds residuum(a, I[i, j]) for every row i:
-    the extent that grade a at attribute j allows.
-    Candidates are the grades above a plain intent, in (j, a) order.
+    Row i * (n + 1) + e of `res` holds residuum(e, I[i, j]) for every
+    column j, so a closure's row minima are its closed intent as levels.
+    Row j * (n + 1) + t of `never` holds residuum(t, I[i, j] - 1) for
+    every row i, the largest extent grade e with tnorm(e, t) < I[i, j]:
+    by adjointness the cover test compares the rows a closed intent names
+    with its extent, a batch's (candidate, column, row) block at once.
+    The cover test alone offsets a closed grade t at attribute j to that
+    row, adding `starts`, j * (n + 1), in its gather.  At a zero cell that
+    residuum is of no grade, and the cell may test covered, but the sweep
+    counts nonzero cells only.  cols[j, a] holds residuum(a, I[i, j]) for
+    every row i: the extent that grade a at attribute j allows.
+    Candidates are the grades above an intent, in (j, a) order.
     """
 
     @staticmethod
     def fit(scale: Scale, entries: np.ndarray) -> bool:
-        """Whether the three tables fit in _LEVEL_TABLE_BYTES: the column
-        tables in the work type, `res` in the narrowest type that also
-        holds its offset grades, up to n_cols * (n + 1) - 1."""
+        """Whether the three tables, in the work type, fit in
+        _LEVEL_TABLE_BYTES."""
         work = np.dtype(_work_dtype(scale)).itemsize
-        offset = np.dtype(_work_dtype(scale, entries.shape[1] * scale.levels - 1)).itemsize
-        return scale.levels * entries.size * (2 * work + offset) <= _LEVEL_TABLE_BYTES
+        return 3 * scale.levels * entries.size * work <= _LEVEL_TABLE_BYTES
 
     def __init__(self, scale: Scale, entries: np.ndarray) -> None:
-        n, work = scale.max_level, _work_dtype(scale)
+        n, self.dtype = scale.max_level, np.dtype(_work_dtype(scale))
         n_rows, n_cols = entries.shape
-        self.top = n_cols * (n + 1) - 1
-        self.dtype = np.dtype(_work_dtype(scale, self.top))
-        self.starts = np.arange(0, self.top, n + 1, dtype=LEVEL_DTYPE)
+        self.top = n
+        # intp, so that the cover test's offset intents index with no
+        # conversion
+        self.starts = np.arange(n_cols) * (n + 1)
         # the column tables lead with columns and grades, so each is built
         # over whole rows, which ufuncs take at full speed
-        grades = np.arange(n + 1, dtype=work)[:, None]
-        sub = np.ascontiguousarray(entries.T, dtype=work)[:, None, :]
+        grades = np.arange(n + 1, dtype=self.dtype)[:, None]
+        sub = np.ascontiguousarray(entries.T, dtype=self.dtype)[:, None, :]
         self.cols = scale.residuum(grades, sub)
         self.never = scale.residuum(grades, sub - 1).reshape(-1, n_rows)
-        # `res` is `cols` offset by column, with rows leading: a residuum
-        # built in that layout runs inner loops of n_cols cells, and took
-        # about 1 ms on a 4000 x 8 input on 5 levels against 0.13 ms for
-        # this offset and transposing copy
-        offset = np.add(self.cols, self.starts[:, None, None], dtype=self.dtype)
-        self.res = np.ascontiguousarray(offset.transpose(2, 1, 0)).reshape(-1, n_cols)
+        # `res` is `cols` with rows leading: a residuum built in that
+        # layout runs inner loops of n_cols cells, and took about 1 ms on a
+        # 4000 x 8 input on 5 levels against 0.13 ms for a transposing copy
+        self.res = np.ascontiguousarray(self.cols.transpose(2, 1, 0)).reshape(-1, n_cols)
         for table in (self.res, self.never, self.cols):
             table.setflags(write=False)
         self.grades = np.arange(n + 1)
@@ -314,25 +307,23 @@ class _LevelTables:
         return _row_minima(self.res.take((ext + self.row_starts).T, axis=0), self.top)
 
     def covered(self, ext: np.ndarray, closed: np.ndarray) -> np.ndarray:
-        return self.never.take(closed, axis=0) < ext[:, None, :]
+        return self.never.take(closed + self.starts, axis=0) < ext[:, None, :]
 
 
 class _Residua:
     """The graded sweep's residua by t-norm arithmetic, past the table cap.
 
-    Candidates are ranked batch by batch, and closed intents are plain
-    levels, with no column offsets (`starts` is 0).  Closures are residuum
-    minima over (row, candidate, column) blocks; the cover test compares
-    the t-norm rectangle, over (candidate, column, row) blocks, with a
+    Candidates are ranked batch by batch.  Closures are residuum minima
+    over (row, candidate, column) blocks; the cover test compares the
+    t-norm rectangle, over (candidate, column, row) blocks, with a
     contiguous copy of the input's transpose, exactly at the nonzero
-    cells, the only ones the sweep counts.  Both copies of the
-    input are read-only from construction on.
+    cells, the only ones the sweep counts.  Both copies of the input are
+    read-only from construction on.
     """
 
     def __init__(self, scale: Scale, entries: np.ndarray) -> None:
         self.scale = scale
         self.dtype = np.dtype(_work_dtype(scale))
-        self.starts = np.zeros(entries.shape[1], dtype=LEVEL_DTYPE)
         self.entries = entries.astype(self.dtype)
         self.columns = np.ascontiguousarray(entries.T, dtype=self.dtype)
         for table in (self.entries, self.columns):
@@ -376,11 +367,10 @@ class _GradedSweep:
     runs column by column, comparing along the rows, and a batch's covers
     are the cells each candidate's concept covers, packed over all cells
     column by column, with the candidates' extents and, last, closed
-    intents in the row source's form; `concept` takes one as levels, less
-    the source's column offsets `starts`.  Its gains are the popcounts of
-    the packed cells against `live`, the uncovered cells packed the same
-    way, the one thing a run changes, and retiring a winner clears its
-    packed cells there.
+    intents, levels in the work type; `concept` takes one in LEVEL_DTYPE.
+    Its gains are the popcounts of the packed cells against `live`, the
+    uncovered cells packed the same way, the one thing a run changes, and
+    retiring a winner clears its packed cells there.
     The mask must hold nonzero cells only.
 
     A cell may carry an integer weight, the number of input cells it
@@ -411,8 +401,7 @@ class _GradedSweep:
         """The candidates (j, a) with a > intent[j] of an intent whose extent
         is `extent`, from the start-th on in (j, a) order, in batches: per
         batch its attributes, grades, gains and covers, whose `count` the
-        gains are.  Extents stay in the work dtype, and closed intents in
-        the row source's type and form."""
+        gains are.  Extents and closed intents stay in the work dtype."""
         for js, levels in self.rows.candidates(intent, start, self.batch):
             allowed = self.rows.allowed(js, levels)
             ext = np.minimum(allowed, extent, dtype=allowed.dtype)
@@ -431,10 +420,7 @@ class _GradedSweep:
         """The extent and closed intent of the c-th candidate of covers, as
         levels."""
         _, ext, closed = covers
-        # `starts` holds LEVEL_DTYPE, so the difference has it at the cost
-        # of astype; a dtype argument to np.subtract cost 1.3 µs more a
-        # call on 20 columns
-        return ext[c].astype(LEVEL_DTYPE), np.subtract(closed[c], self.rows.starts)
+        return ext[c].astype(LEVEL_DTYPE), closed[c].astype(LEVEL_DTYPE)
 
     def retire(self, covers: tuple, c: int) -> int:
         """Clear the packed cells of the c-th candidate of a batch's covers,
@@ -565,9 +551,10 @@ def _clarify(scale: Scale, entries: np.ndarray):
     1.55 on 4 x 4 and 5 x 5 on 3 grades, 1.47 on 8 x 8 and 1.23 on 16 x 10
     on 5 grades, 1.04-1.10 on 24-48 x 10, 0.98 on 64 x 10, 0.91 on 96 x 10
     and 0.86 on 128 x 10.  Where rows do not repeat the check is pure
-    cost, a set of the row keys: 0.35 ms on 3196 x 75, against a second or
-    more.  A 4000 x 8 input with 125 distinct rows spends about 0.5 ms to
-    clarify, and its sweep then runs on 125 x 6 cells instead of 4000 x 8.
+    cost, one np.unique of the row keys: 1.1-1.25 ms on 3196 x 75, against
+    a second or more.  A 4000 x 8 input with 125 distinct rows spends about
+    0.5 ms to clarify, and its sweep then runs on 125 x 6 cells instead of
+    4000 x 8.
 
     Returns the clarified entries, their cell weights, and the index of
     each input row's and each input column's class; for an input taken as
@@ -576,10 +563,9 @@ def _clarify(scale: Scale, entries: np.ndarray):
     unclarified = entries, None, slice(None), slice(None)
     if scale.levels == 2 or len(entries) < _CLARIFY_ROWS:
         return unclarified
-    keys = _row_keys(entries, scale.levels)
-    if 2 * len(set(keys.tolist())) > len(keys):
+    rows, row_inverse, row_counts = _classes(_row_keys(entries, scale.levels))
+    if 2 * len(rows) > len(entries):
         return unclarified
-    rows, row_inverse, row_counts = _classes(keys)
     distinct = entries[rows]
     cols, col_inverse, col_counts = _classes(_row_keys(distinct.T, scale.levels))
     weights = row_counts[:, None] * col_counts

@@ -442,7 +442,7 @@ def read_raw_csv(path) -> RawTable:
 
     Layout detection mirrors read_csv: a non-numeric cell in the first row
     marks it as a header, and a non-numeric first body cell marks the first
-    column as labels; missing labels are synthesized from positions.
+    column as labels; missing labels are synthesized from 1-based positions.
     """
     rows, lines = read_located_rows(path)
     has_header = not all(_is_fraction(c) for c in rows[0])
@@ -458,7 +458,7 @@ def read_raw_csv(path) -> RawTable:
         cells = row[1:] if has_labels else row
         if not cells:
             raise ValueError(f"{path}: no data columns")
-        row_labels.append(row[0] if has_labels else str(r))
+        row_labels.append(row[0] if has_labels else str(r + 1))
         parsed = []
         for c, cell in enumerate(cells, has_labels):
             try:
@@ -468,7 +468,7 @@ def read_raw_csv(path) -> RawTable:
                 raise ValueError(f"{path}: bad number in row {r + 1}: {exc} (line {line})") from exc
         values.append(tuple(parsed))
     if col_labels is None:
-        col_labels = [str(c) for c in range(len(values[0]))] if values else []
+        col_labels = [str(c) for c in range(1, len(values[0]) + 1)] if values else []
     return raw_table(row_labels, col_labels, values)
 
 

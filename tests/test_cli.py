@@ -287,19 +287,22 @@ def test_discretize_with_observed_ranges(tmp_path, scores_csv):
     assert (m.entries.min(axis=0) == 0).all()
 
 
-@pytest.mark.parametrize("ranges, bounds", [(None, "[2, 2]"), ("a,b\n0,5\n5,5\n", "[5, 5]")],
-                         ids=["observed", "declared"])
-def test_discretize_rejects_constant_column(tmp_path, capsys, ranges, bounds):
-    # column b holds one value, or its declared range one point: the one
-    # error line names the column by its label
+@pytest.mark.parametrize("header, label, ranges, bounds", [
+    ("a,b\n", "b", None, "[2, 2]"), ("a,b\n", "b", "a,b\n0,5\n5,5\n", "[5, 5]"),
+    ("", "2", None, "[2, 2]"), ("", "2", "0,5\n5,5\n", "[5, 5]"),
+], ids=["observed", "declared", "headerless-observed", "headerless-declared"])
+def test_discretize_rejects_constant_column(tmp_path, capsys, header, label, ranges, bounds):
+    # the second column holds one value, or its declared range one point:
+    # the one error line names the column by its label, or with no header
+    # row by its position from 1, as graded CSV errors count columns
     src = tmp_path / "t.csv"
-    src.write_text("a,b\n1,2\n3,2\n")
+    src.write_text(header + "1,2\n3,2\n")
     argv = ["discretize", "--input", src, "--out", tmp_path / "o.csv"]
     if ranges is not None:
         (tmp_path / "r.csv").write_text(ranges)
         argv += ["--ranges", tmp_path / "r.csv"]
     assert run(*argv) == 1
-    assert capsys.readouterr().err == f"error: column 'b' has an empty or constant range {bounds}\n"
+    assert capsys.readouterr().err == f"error: column '{label}' has an empty or constant range {bounds}\n"
     assert not (tmp_path / "o.csv").exists()
 
 

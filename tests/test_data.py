@@ -242,7 +242,7 @@ def test_a_byte_order_mark_is_dropped(tmp_path):
     # kept, the mark made "894" a name: a header row, and one row lost
     path.write_text("\ufeff894,1020\n989,1050\n800,900\n", encoding="utf-8")
     table = read_raw_csv(path)
-    assert table.row_labels == ("0", "1", "2") and table.col_labels == ("0", "1")
+    assert table.row_labels == ("1", "2", "3") and table.col_labels == ("1", "2")
     assert [column.tolist() for column in table.columns] == [[894, 989, 800], [1020, 1050, 900]]
     path.write_text("\ufeff0.5\n1\n0.25\n", encoding="utf-8")
     assert read_csv(path, FIVE).entries.tolist() == [[2], [4], [1]]
@@ -269,8 +269,9 @@ def test_read_raw_csv_synthesizes_labels(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("1,2\n3,4\n")
     table = read_raw_csv(path)
-    assert table.row_labels == ("0", "1")
-    assert table.col_labels == ("0", "1")
+    # from 1, as graded CSV errors count rows and columns
+    assert table.row_labels == ("1", "2")
+    assert table.col_labels == ("1", "2")
     assert oracles.table_values(table) == ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
 
 

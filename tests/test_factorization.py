@@ -635,12 +635,12 @@ def step_candidates(sweep, intent, extent):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_offset_intents_widen_past_the_work_dtype(kind):
-    # a 128-level chain runs in 16-bit levels, but on 257 columns an
-    # intent's offset grades reach 257 * 128 - 1 > 2**15, so the level
-    # table and the intents hold 32-bit grades; a run and every candidate
-    # of one step agree with t-norm arithmetic, and sampled ones with the
-    # reference
+def test_tables_stay_in_the_work_dtype_past_its_column_offsets(kind):
+    # a 128-level chain runs in 16-bit levels, and on 257 columns the cover
+    # test's offset grades reach 257 * 128 - 1 > 2**15, yet all three
+    # tables hold 16-bit levels, since only the cover test's gather adds
+    # the offsets, in intp; a run and every candidate of one step agree
+    # with t-norm arithmetic, and sampled ones with the reference
     scale = Scale(128, kind, rounded=kind == "goguen")
     ctx = tall_product(scale, 3, 128, 257)
     mask = ctx.entries != 0
@@ -652,7 +652,9 @@ def test_offset_intents_widen_past_the_work_dtype(kind):
             runs.append(find_factors(ctx, max_factors=1))
             sweep = factorization._make_sweep(scale, ctx.entries, mask)
             steps.append(step_candidates(sweep, intent, extent))
-    assert sweep.rows.res.dtype == np.int32 and sweep.rows.never.dtype == np.int16
+    work = factorization._work_dtype(scale)
+    assert work is np.int16
+    assert sweep.rows.res.dtype == sweep.rows.never.dtype == sweep.rows.cols.dtype == work
     assert runs[0] == runs[1] and len(runs[0]) == 1
     assert steps[0] == steps[1]
     for j, a, gain, got_extent, got_closed in steps[1][::997]:
@@ -697,23 +699,19 @@ def test_level_tables_stay_within_their_cap():
                                            (2000, (30, 20)), (2000, (60, 50)), (128, (40, 300)),
                                            (5, (2, 7000))])
 def test_column_and_level_tables_fit_the_default_cap(levels, shape):
-    # the two column tables hold levels of the work dtype; the level table
-    # holds offset grades up to columns * levels - 1, in the work dtype or
-    # a wider one
+    # the level table and the two column tables all hold levels of the
+    # work dtype, however many columns the cover test offsets, 300 * 128
+    # past 2**15 on 40 x 300
     scale = Scale(levels)
     entries = np.random.default_rng(levels).integers(0, levels, size=shape)
     sweep = factorization._make_sweep(scale, entries, entries != 0)
-    cells = levels * entries.size
     work = np.dtype(factorization._work_dtype(scale))
-    offset = np.promote_types(work, np.min_scalar_type(-shape[1] * levels))
-    assert offset.itemsize == (4 if shape[1] * levels > 2**15 else work.itemsize)
-    fit = cells * (2 * work.itemsize + offset.itemsize)
+    fit = 3 * levels * entries.size * work.itemsize
     for cap in (fit, fit - 1):
         with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", cap):
             assert factorization._LevelTables.fit(scale, entries) == (cap == fit)
     if rows_of(sweep) is factorization._LevelTables:
-        assert sweep.rows.res.dtype == offset
-        assert sweep.rows.never.dtype == sweep.rows.cols.dtype == work
+        assert sweep.rows.res.dtype == sweep.rows.never.dtype == sweep.rows.cols.dtype == work
         assert table_bytes(sweep) == fit <= factorization._LEVEL_TABLE_BYTES
     else:
         assert fit > factorization._LEVEL_TABLE_BYTES
