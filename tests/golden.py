@@ -129,6 +129,18 @@ TALL_SHA256 = {
 }
 
 
+# The factor set, as `factor_set_sha256` writes it, that a complete
+# `find_factors` run returns on the tall transaction file as `read_fimi`
+# reads it, under each tie-break policy: 228 factors, computed before the
+# two-grade sweep probed one row word per candidate and column.  On two
+# grades every candidate raises its attribute to the top grade, so the
+# policies agree.
+TALL_COMPLETE_SHA256 = {
+    "grade-then-index": "9ae11dab8d302d72601395901fb1170325408e35b617308183593201e3daa693",
+    "index-then-grade": "9ae11dab8d302d72601395901fb1170325408e35b617308183593201e3daa693",
+}
+
+
 # A graded input of the same tall shape: 3196 x 75 on 5 levels, each cell
 # nonzero with probability 0.49 and then of a grade drawn uniformly from
 # 1..4, by `graded_tall`.  The sha256 of the factor set, as

@@ -8,6 +8,9 @@ one-candidate-at-a-time greedy: it closes each candidate with the plain
 reference the batched candidate sweep of `find_factors` must match.
 `full_coverage_curve` builds one full rectangle per factor, where
 `coverage_curve` raises a factor's support block alone when it can.
+`closed_columns` is the plain bitset closure test, one AND over every
+(extent, column, word) triple, that the two-grade sweep's probed test
+must match.
 The per-cell `read_csv`, `write_csv`, `read_raw_csv` and `discretize` at
 the end are the original grade I/O, which parses, formats and rounds every
 cell through Fractions; the memoized readers and writer and the
@@ -187,6 +190,12 @@ def covered_count(scale: Scale, entries: np.ndarray, mask: np.ndarray,
                    extent: np.ndarray, intent: np.ndarray) -> int:
     rect = scale.tnorm(extent[:, None], intent[None, :])
     return int(np.count_nonzero(mask & (rect >= entries)))
+
+
+def closed_columns(ext: np.ndarray, holes: np.ndarray) -> np.ndarray:
+    """Which of m columns each of c packed extents closes, c x m: those
+    whose holes, m x w row words, it misses in every word."""
+    return ~(ext[:, None] & holes).any(-1)
 
 
 def candidate_closure(scale: Scale, entries: np.ndarray, intent: np.ndarray,

@@ -111,3 +111,30 @@ def factor_pairs(draw, max_rows: int = 8, max_cols: int = 8, max_factors: int = 
     intents = [grades(m) for _ in range(k)]
     return (GradedMatrix(sc, np.array(extents, dtype=np.int64).reshape(k, n).T),
             GradedMatrix(sc, np.array(intents, dtype=np.int64).reshape(k, m)))
+
+
+# row words of a packed extent or of a column's holes: no row, the first
+# row, the first two, the last, and every row, so that an extent meets a
+# column's holes in some words and misses them in others
+ROW_WORDS = (0, 1, 3, 1 << 63, (1 << 64) - 1)
+
+
+@st.composite
+def packed_closures(draw, max_words: int = 9, max_extents: int = 8, max_cols: int = 8):
+    """c packed extents, c x w, and m columns' holes, m x w, uint64 row
+    words, with w of 0, 1, 2 or max_words: among the extents, some zero in
+    their leading words or in every word, and among the columns, some with
+    no holes."""
+    w = draw(st.sampled_from([0, 1, 2, max_words]))
+    c, m = draw(st.integers(1, max_extents)), draw(st.integers(1, max_cols))
+    word = st.sampled_from(ROW_WORDS)
+
+    def block(rows: int) -> np.ndarray:
+        words = draw(st.lists(word, min_size=rows * w, max_size=rows * w))
+        return np.array(words, dtype=np.uint64).reshape(rows, w)
+
+    ext, holes = block(c), block(m)
+    for i, lead in enumerate(draw(st.lists(st.integers(0, w), min_size=c, max_size=c))):
+        ext[i, :lead] = 0
+    holes[draw(st.lists(st.booleans(), min_size=m, max_size=m))] = 0
+    return ext, holes

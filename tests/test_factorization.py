@@ -30,6 +30,7 @@ from gradefactor import (
     factor_matrices,
     find_factors,
     optimal_factorization,
+    read_fimi,
     up,
 )
 from gradefactor import factorization
@@ -234,8 +235,8 @@ def test_a_factor_that_covers_nothing_stops_the_run(decathlon):
 # capped at nothing (t-norm arithmetic) and at their default.
 
 ALL_KINDS = ("lukasiewicz", "godel", "goguen")
-# batch budgets in bytes: one candidate a batch; 37 row words of a bitset
-# batch, or 148 levels of 16 bits; and the default
+# batch budgets in bytes: one candidate a batch; 37 words of a bitset
+# batch's extents or probe block, or 148 levels of 16 bits; and the default
 BUDGETS = (1, 8 * 37, factorization.SWEEP_BATCH_BYTES)
 LEVEL_TABLE_CAPS = (0, factorization._LEVEL_TABLE_BYTES)
 
@@ -244,13 +245,13 @@ def opening_batches(ctx, budget):
     """Candidates per batch, bytes per candidate and the number of batches
     of a run's first opening at a batch budget in bytes: m * n candidates
     on an n-step chain, batched by the bytes of the input's cells in the
-    work dtype, or on two grades by the bytes of the row words of the
-    columns' holes."""
+    work dtype, or on two grades by the words of a candidate's extent or
+    of its row of the probe block, whichever is longer."""
     n_rows, n_cols = ctx.shape
     n = ctx.scale.max_level
     if n == 1:
         row_words = -(-n_rows // 64)
-        batch = max(1, budget // max(1, 8 * n_cols * row_words))
+        batch = max(1, budget // (8 * max(row_words, n_cols)))
         # its extent's row bitset and a byte per column
         size = 8 * row_words + n_cols
     else:
@@ -353,6 +354,18 @@ def test_graded_tall_runs_give_the_pinned_factors(kind):
             fs = find_factors(ctx, max_factors=3)
         assert golden.factor_set_sha256(fs) == golden.GRADED_TALL_SHA256[kind], \
             f"level tables at {level_cap} bytes"
+
+
+def test_a_complete_tall_run_gives_the_pinned_factors(tmp_path):
+    # the late steps of a complete run close small extents against wide
+    # intents, which the ten factors pinned in golden.TALL_SHA256 never reach
+    path = tmp_path / "tall.dat"
+    path.write_text(golden.tall_transactions())
+    ctx = read_fimi(path)
+    for tie_break in TIE_BREAK_POLICIES:
+        fs = find_factors(ctx, tie_break)
+        assert fs.complete
+        assert golden.factor_set_sha256(fs) == golden.TALL_COMPLETE_SHA256[tie_break], tie_break
 
 
 # ---------------------------------------------------------------- clarification
@@ -564,23 +577,29 @@ def test_closure_blocks_stay_within_the_batch_bytes(levels, rows, cols, budget, 
     assert any(size > budget for size, _ in blocks) == (cell_bytes > budget)
 
 
-@pytest.mark.parametrize("rows, cols", [(3196, 75), (64, 600)])
-def test_bitset_batches_keep_their_size(rows, cols):
-    # the byte budget counts a bitset batch's words, 2**16 of them, as the
-    # cell budget before it did
+@pytest.mark.parametrize("rows, cols, budget", [
+    (3196, 75, 1 << 14), (3196, 40, 1 << 12), (64, 600, factorization.SWEEP_BATCH_BYTES),
+])
+def test_bitset_batches_keep_their_size(rows, cols, budget):
+    # a bitset batch's largest arrays are its candidates' extents, a row
+    # word each, and their probe block, a word per column: on 3196 x 75
+    # the probe block is the larger, on 3196 x 40 the extents
     rng = np.random.default_rng(rows)
     ctx = GradedMatrix(Scale.boolean(), (rng.random((rows, cols)) < 0.45).astype(int))
+    width = 8 * max(-(-rows // 64), cols)
+    batch = max(1, budget // width)
+    assert opening_batches(ctx, budget)[0] == batch
     sizes = []
     closed = factorization._BitsetSweep._closed
 
     def recorded(ext, holes):
-        sizes.append((len(ext), max(1, (1 << 16) // holes.size)))
+        sizes.append(len(ext))
         return closed(ext, holes)
 
     with mock.patch.object(factorization._BitsetSweep, "_closed", staticmethod(recorded)):
-        _, steps, _ = batch_sizes(ctx, factorization.SWEEP_BATCH_BYTES)
-    assert sizes and all(c <= words for c, words in sizes)
-    full = [c == words for c, words in sizes]
+        _, steps, _ = batch_sizes(ctx, budget)
+    assert sizes and all(c * width <= budget or c == 1 for c in sizes)
+    full = [c == batch for c in sizes]
     # a step's batches are full but for its last
     ends = set((np.cumsum([len(step) for step in steps]) - 1).tolist())
     assert len(ends) < len(full)
@@ -718,7 +737,7 @@ def test_column_and_level_tables_fit_the_default_cap(levels, shape):
 
 
 @given(
-    st.sampled_from([1, 63, 64, 65, 130]),
+    st.sampled_from([1, 63, 64, 65, 130, 257]),
     st.integers(1, 6),
     st.floats(0.05, 0.95),
     st.integers(0, 2**32 - 1),
@@ -732,6 +751,23 @@ def test_bitset_sweep_matches_reference_at_word_boundaries(n, m, density, seed, 
     rng = np.random.default_rng(seed)
     ctx = GradedMatrix(Scale.boolean(), (rng.random((n, m)) < density).astype(int))
     assert_matches_reference(ctx, tie_break, budget, max_factors)
+
+
+@given(
+    strategies.packed_closures(), st.sampled_from("CF"),
+    st.sampled_from([8, 8 * 3, factorization.SWEEP_BATCH_BYTES]),
+)
+@settings(max_examples=strategies.examples(200))
+def test_bitset_closures_match_the_plain_test(block, order, budget):
+    # the probed closure test against one AND over every (extent, column,
+    # word) triple, on the word-major layout the sweep passes and on the
+    # row-major one; a budget of 8 or 24 bytes splits the pairs the probe
+    # leaves into chunks of one to three
+    ext, holes = (np.asarray(a, order=order) for a in block)
+    with mock.patch.object(factorization, "SWEEP_BATCH_BYTES", budget):
+        closed = factorization._BitsetSweep._closed(ext, holes)
+    assert closed.dtype == bool
+    assert np.array_equal(closed, oracles.closed_columns(ext, holes))
 
 
 def test_bitset_sweep_matches_reference_on_a_truncated_tall_run():
