@@ -26,12 +26,12 @@ hold each candidate's extent and closed intent, so the winner's concept
 comes from the batch that scored it and no candidate is closed twice;
 retiring the winner clears the cells its covers hold, with no second
 cover test.  Every factor opens from the empty intent, whose candidates
-cover the same cells all run long, so each run keeps the whole covers of
-the opening's first batches as one block, up to a fixed number of words,
-and every opening scores it by popcount and takes its winner's concept
-from it.  Ties on the gain go to one of two named policies; a batch's
-winner is one argmax, over its gains or over a key that ranks the lower
-grade next.
+cover the same cells all run long, so a run's first opening keeps its
+first batches, up to a fixed number of words, as the sweep yields them,
+and every later opening scores them by popcount and takes its winner's
+concept from them.  Ties on the gain go to one of two named policies; a
+batch's winner is one argmax, over its gains or over a key that ranks the
+lower grade next.
 
 On two grades a closure tests one row word of each candidate's extent
 against the rows every column lacks, and the other words only for the
@@ -54,7 +54,6 @@ minimum exact cover.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,19 +153,18 @@ class FactorSet:
 # c * r * m levels of its row source's type; on the two-grade chain c
 # extents of w row words and a c x m block of probed words, c * max(w, m)
 # words, and the pairs its probe leaves take the full test this many bytes
-# of their gathered words at a time; and the opening block is scored this
-# many bytes of covers at a time.  A batch holds one candidate at least,
-# which alone exceeds the cap on an input past it.  A batch's memory is therefore flat
-# in the number of grades.  What a run keeps grows with them only up to a
-# cap: the opening block up to _OPENING_TABLE_WORDS, the level and column
-# tables up to _LEVEL_TABLE_BYTES.
+# of their gathered words at a time.  A batch holds one candidate at least,
+# which alone exceeds the cap on an input past it.  A batch's memory is
+# therefore flat in the number of grades.  What a run keeps grows with them
+# only up to a cap: the opening block up to _OPENING_TABLE_WORDS, the level
+# and column tables up to _LEVEL_TABLE_BYTES.
 SWEEP_BATCH_BYTES = 1 << 19
 
 # 8-byte words of covers one run's opening block may hold (4 MiB), counted
-# by the bytes it keeps.  On an n-step chain an r x m input has m * n
-# opening candidates, each with r * m / 64 words of covered cells and its
-# extent and closed intent, r + m levels, so the whole
-# opening grows with the grades; the cap keeps the block fixed.  It holds
+# by the bytes its whole batches keep.  On an n-step chain an r x m input
+# has m * n opening candidates, each with r * m / 64 words of covered cells
+# and its extent and closed intent, r + m levels, so the whole opening
+# grows with the grades; the cap keeps the block fixed.  It holds
 # the whole opening of a 200 x 100 input on 11 levels (388k words); on two
 # grades a candidate takes only r / 64 words and m bytes.
 _OPENING_TABLE_WORDS = 1 << 19
@@ -533,15 +531,6 @@ def _make_sweep(scale: Scale, entries: np.ndarray, mask: np.ndarray,
     return _GradedSweep(entries, mask, rows, weights)
 
 
-@functools.lru_cache(maxsize=64)
-def _radix(levels: int, m: int) -> np.ndarray:
-    """The place values of m digits of base `levels`, built once per shape
-    and chain: the powers took 2 µs of a 20 x 20 row key's 4."""
-    places = levels ** np.arange(m, dtype=np.int64)
-    places.setflags(write=False)
-    return places
-
-
 def _row_keys(block: np.ndarray, levels: int) -> np.ndarray:
     """One key per row of a block of levels, equal exactly where the rows
     are: the row's levels as the digits of a mixed-radix int64 when m
@@ -549,7 +538,7 @@ def _row_keys(block: np.ndarray, levels: int) -> np.ndarray:
     narrowest unsigned type, as one void item."""
     m = block.shape[1]
     if m * levels.bit_length() <= 62:
-        return block @ _radix(levels, m)
+        return block @ levels ** np.arange(m, dtype=np.int64)
     narrow = np.ascontiguousarray(block, dtype=np.min_scalar_type(levels - 1))
     return narrow.view(np.dtype((np.void, narrow.itemsize * m))).ravel()
 
@@ -610,36 +599,28 @@ def _clarify(scale: Scale, entries: np.ndarray):
     return distinct[:, cols], weights, row_inverse, col_inverse
 
 
-def _opening_block(sweep, intent: np.ndarray, extent: np.ndarray) -> tuple:
-    """The covers of the opening step's first batches, as one block.
+def _opening_batches(sweep, block: list, intent: np.ndarray, extent: np.ndarray):
+    """The opening step's batches: each (js, levels, covers) that `block`
+    holds, scored by `count` with no closure, then the sweep's for the
+    candidates past them.
 
     Each factor opens from the empty intent, whose extent down(∅) is top
     because residuum(0, b) = n, so the opening candidates, their closures
     and the nonzero cells they cover stay fixed for the whole run; only the
-    uncovered cells change.  The block is (js, levels, *covers) of the
-    longest prefix of whole batches, in (j, a) order, whose covers fit in
-    _OPENING_TABLE_WORDS words, or an empty block when no batch fits.
+    uncovered cells change.  A batch of the sweep joins `block` while the
+    covers the block holds fit in _OPENING_TABLE_WORDS words.  The first
+    that does not fit ends it: that batch opens every later opening's sweep
+    and never fits, so the first opening fills the block, a prefix of whole
+    batches in (j, a) order, and later ones keep it as it is.
     """
-    parts, size = [], 0
-    for js, levels, _, covers in sweep.batches(intent, extent):
+    for js, levels, covers in block:
+        yield js, levels, sweep.count(covers), covers
+    size = sum(a.nbytes for *_, covers in block for a in covers)
+    for js, levels, gains, covers in sweep.batches(intent, extent, sum(len(b[0]) for b in block)):
         size += sum(a.nbytes for a in covers)
-        if size > 8 * _OPENING_TABLE_WORDS:
-            break
-        parts.append((js, levels, *covers))
-    return tuple(map(np.concatenate, zip(*parts))) or ((), ())
-
-
-def _opening_batches(sweep, block: tuple, intent: np.ndarray, extent: np.ndarray):
-    """The opening step's batches: the block's, scored by `count`
-    SWEEP_BATCH_BYTES of covers at a time with no closure, then the
-    sweep's for the candidates past it.  One popcount scores the block of
-    a 40 x 30 input on 11 levels (11k words)."""
-    js, levels, *covers = block
-    step = max(1, SWEEP_BATCH_BYTES // max(1, sum(a[:1].nbytes for a in covers)))
-    for lo in range(0, len(js), step):
-        stored = tuple(a[lo:lo + step] for a in covers)
-        yield js[lo:lo + step], levels[lo:lo + step], sweep.count(stored), stored
-    yield from sweep.batches(intent, extent, len(js))
+        if size <= 8 * _OPENING_TABLE_WORDS:
+            block.append((js, levels, covers))
+        yield js, levels, gains, covers
 
 
 def _best_candidate(batches, tie_break: str):
@@ -703,11 +684,9 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     top = np.full(n_rows, scale.max_level, dtype=LEVEL_DTYPE)
     extents: list[np.ndarray] = []
     intents: list[np.ndarray] = []
+    block: list[tuple] = []
 
     while uncovered[-1] and (max_factors is None or len(extents) < max_factors):
-        if not extents:
-            # once per run, and only by a run that seeks a factor
-            block = _opening_block(sweep, empty, top)
         best_so_far, extent, intent, covers, c = 0, top, empty, None, 0
         selected = _best_candidate(_opening_batches(sweep, block, empty, top), tie_break)
         while selected is not None and selected[0] > best_so_far:
@@ -783,6 +762,65 @@ def coverage_curve(factor_set: FactorSet, context: GradedMatrix) -> list[Fractio
     return [Fraction(e, size) for e in equal]
 
 
+def _min_cover(masks: list[int], budget: int) -> list[int]:
+    """The lexicographically least of the smallest index sets whose masks
+    cover the union of all masks, by subset sizes 1, 2, ... and indices in
+    increasing order.  Every search node counts against `budget`.
+
+    The search keeps its open nodes on an explicit stack rather than
+    recursing once per chosen mask, so a cover of thousands of masks does
+    not pass Python's recursion limit.  It visits the nodes of the depth-
+    first search in the same order: each frame holds a node's position,
+    uncovered bits and depth left, and the position past the child it
+    tries, so the frames' children are the masks chosen so far.  A node
+    fails when the masks past its position cannot cover its bits within
+    its depth, or when the same bits at the same position already failed
+    with at least as much depth left.
+    """
+    candidates = [(idx, m) for idx, m in enumerate(masks) if m]
+    count = len(candidates)
+    suffix_union = [0] * (count + 1)
+    suffix_max_pop = [0] * (count + 1)
+    for p in range(count - 1, -1, -1):
+        suffix_union[p] = suffix_union[p + 1] | candidates[p][1]
+        suffix_max_pop[p] = max(suffix_max_pop[p + 1], candidates[p][1].bit_count())
+    if not suffix_union[0]:
+        return []
+
+    nodes = 0
+    # (position, uncovered) -> deepest remaining depth already known to fail
+    failed: dict[tuple[int, int], int] = {}
+    for size in range(1, count + 1):
+        frames: list[list[int]] = []
+        child = 0, suffix_union[0], size
+        while True:
+            if child is not None:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceededError(f"cover search exceeded the budget of {budget} nodes")
+                pos, uncovered, depth_left = child
+                if uncovered == 0:
+                    return [candidates[frame[3] - 1][0] for frame in frames]
+                if (depth_left and uncovered.bit_count() <= depth_left * suffix_max_pop[pos]
+                        and failed.get((pos, uncovered), -1) < depth_left):
+                    frames.append([pos, uncovered, depth_left, pos])
+            if not frames:
+                break
+            frame = frames[-1]
+            pos, uncovered, depth_left, p = frame
+            child = None
+            while child is None and p < count and suffix_union[p] & uncovered == uncovered:
+                remaining = uncovered & ~candidates[p][1]
+                p += 1
+                if remaining != uncovered:
+                    child = p, remaining, depth_left - 1
+            frame[3] = p
+            if child is None:
+                failed[pos, uncovered] = depth_left
+                frames.pop()
+    raise RuntimeError("no concept cover found; this should be impossible")
+
+
 def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> FactorSet:
     """Minimum-size exact concept decomposition, by exhaustive search.
 
@@ -809,57 +847,10 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
     for concept in concepts:
         hits = scale.tnorm(concept.extent.membership[rows], concept.intent.membership[cols]) >= values
         masks.append(int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little"))
-    candidates = [(idx, m) for idx, m in enumerate(masks) if m]
-
-    count = len(candidates)
-    suffix_union = [0] * (count + 1)
-    suffix_max_pop = [0] * (count + 1)
-    for p in range(count - 1, -1, -1):
-        suffix_union[p] = suffix_union[p + 1] | candidates[p][1]
-        suffix_max_pop[p] = max(suffix_max_pop[p + 1], candidates[p][1].bit_count())
-
-    full = (1 << len(rows)) - 1
-    nodes = 0
-    # (position, uncovered) -> deepest remaining depth already known to fail
-    failed: dict[tuple[int, int], int] = {}
-    chosen: list[int] = []
-
-    def search(pos: int, uncovered: int, depth_left: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"cover search exceeded the budget of {budget} nodes")
-        if uncovered == 0:
-            return True
-        if depth_left == 0:
-            return False
-        if uncovered.bit_count() > depth_left * suffix_max_pop[pos]:
-            return False
-        memo_key = (pos, uncovered)
-        if failed.get(memo_key, -1) >= depth_left:
-            return False
-        for p in range(pos, count):
-            if suffix_union[p] & uncovered != uncovered:
-                break
-            idx, mask = candidates[p]
-            remaining = uncovered & ~mask
-            if remaining == uncovered:
-                continue
-            chosen.append(idx)
-            if search(p + 1, remaining, depth_left - 1):
-                return True
-            chosen.pop()
-        failed[memo_key] = depth_left
-        return False
-
-    for size in range(1, count + 1):
-        if search(0, full, size):
-            break
-    else:
-        raise RuntimeError("no concept cover found; this should be impossible")
+    chosen = _min_cover(masks, budget)
 
     uncovered_counts = [len(rows)]
-    remaining = full
+    remaining = (1 << len(rows)) - 1
     for idx in chosen:
         remaining &= ~masks[idx]
         uncovered_counts.append(remaining.bit_count())

@@ -10,7 +10,8 @@ reference the batched candidate sweep of `find_factors` must match.
 `coverage_curve` raises a factor's support block alone when it can.
 `closed_columns` is the plain bitset closure test, one AND over every
 (extent, column, word) triple, that the two-grade sweep's probed test
-must match.
+must match.  `cover_search` is the exact oracle's original recursive cover
+search, which `factorization._min_cover` runs on an explicit stack.
 The per-cell `read_csv`, `write_csv`, `read_raw_csv` and `discretize` at
 the end are the original grade I/O, which parses, formats and rounds every
 cell through Fractions; the memoized readers and writer and the
@@ -184,6 +185,55 @@ def min_cover_size(context: GradedMatrix, concepts) -> int:
             if frozenset().union(*combo) == universe:
                 return k
     raise AssertionError("the full concept set always covers the context")
+
+
+def cover_search(masks: list[int]) -> tuple[list[int], int]:
+    """The lexicographically least of the smallest index sets whose masks
+    cover the union of all masks, and the search nodes it visits: a
+    depth-first search recursing once per chosen mask, by subset sizes 1,
+    2, ..., pruned by the masks left and memoizing failed (position,
+    uncovered) pairs with their depth.  ([], 0) when the union is empty."""
+    candidates = [(idx, m) for idx, m in enumerate(masks) if m]
+    count = len(candidates)
+    suffix_union = [0] * (count + 1)
+    suffix_max_pop = [0] * (count + 1)
+    for p in range(count - 1, -1, -1):
+        suffix_union[p] = suffix_union[p + 1] | candidates[p][1]
+        suffix_max_pop[p] = max(suffix_max_pop[p + 1], candidates[p][1].bit_count())
+    nodes = 0
+    failed: dict[tuple[int, int], int] = {}
+    chosen: list[int] = []
+
+    def search(pos: int, uncovered: int, depth_left: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if uncovered == 0:
+            return True
+        if depth_left == 0:
+            return False
+        if uncovered.bit_count() > depth_left * suffix_max_pop[pos]:
+            return False
+        memo_key = (pos, uncovered)
+        if failed.get(memo_key, -1) >= depth_left:
+            return False
+        for p in range(pos, count):
+            if suffix_union[p] & uncovered != uncovered:
+                break
+            idx, mask = candidates[p]
+            remaining = uncovered & ~mask
+            if remaining == uncovered:
+                continue
+            chosen.append(idx)
+            if search(p + 1, remaining, depth_left - 1):
+                return True
+            chosen.pop()
+        failed[memo_key] = depth_left
+        return False
+
+    for size in range(1, count + 1):
+        if search(0, suffix_union[0], size):
+            return chosen, nodes
+    return [], 0
 
 
 def covered_count(scale: Scale, entries: np.ndarray, mask: np.ndarray,

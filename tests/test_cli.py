@@ -174,6 +174,16 @@ def test_oracle_budget_exhaustion(tmp_path, graded_csv, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_oracle_budget_stops_the_cover_search(tmp_path, capsys):
+    # its concepts take five closures to enumerate, its cover search six nodes
+    src = tmp_path / "two.csv"
+    write_csv(GradedMatrix(Scale.boolean(), [[1, 1, 0], [0, 1, 1]]), src)
+    out = tmp_path / "out"
+    assert run("oracle", "--input", src, "--levels", 2, "--budget", 5, "--out-dir", out) == 1
+    assert capsys.readouterr().err == "error: cover search exceeded the budget of 5 nodes\n"
+    assert run("oracle", "--input", src, "--levels", 2, "--budget", 6, "--out-dir", out) == 0
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_oracle_rejects_budget_below_one(tmp_path, graded_csv, capsys, budget):
     out = tmp_path / "out"

@@ -106,6 +106,11 @@ def test_raw_table_validation():
         RawTable(("r",), ("c",), (np.array([0.5]),), (1,))
     with pytest.raises(ValueError, match="denominators must be positive"):
         RawTable(("r",), ("c",), one, (0,))
+    shape = "^an int64 column takes one denominator, an object column one per cell$"
+    with pytest.raises(ValueError, match=shape):
+        RawTable(("r", "s"), ("c",), (np.array([1, 2], dtype=np.int64),), (np.array([3, 3]),))
+    with pytest.raises(ValueError, match=shape):
+        RawTable(("r", "s"), ("c",), (np.array([1, 2], dtype=object),), (3,))
 
 
 # ---------------------------------------------------------------- CSV

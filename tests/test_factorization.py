@@ -1,6 +1,7 @@
 """Greedy decomposition, factor matrices, coverage, and the exact oracle."""
 
 import re
+import sys
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -27,6 +28,7 @@ from gradefactor import (
     concept_from_intent,
     coverage_curve,
     down,
+    enumerate_concepts,
     factor_matrices,
     find_factors,
     optimal_factorization,
@@ -778,23 +780,26 @@ def test_bitset_sweep_matches_reference_on_a_truncated_tall_run():
 
 def test_opening_table_stays_within_its_cap():
     ctx = GradedMatrix(Scale(101), np.random.default_rng(101).integers(0, 101, size=(40, 10)))
-    blocks = []
-    opening_block = factorization._opening_block
+    calls = []
+    opening_batches = factorization._opening_batches
 
-    def recorded(sweep, *args):
-        blocks.append((sweep, opening_block(sweep, *args)))
-        return blocks[-1][1]
+    def recorded(sweep, block, *args):
+        calls.append((sweep, block))
+        return opening_batches(sweep, block, *args)
 
     # the whole opening is 10 attributes x 100 grades, each candidate
     # keeping 7 words of covered cells and 40 + 10 levels of 16 bits, 156
     # bytes in all, in batches of 524288 // (400 * 2) = 655 candidates
     cap = 13000
-    with mock.patch.object(factorization, "_opening_block", recorded), \
+    with mock.patch.object(factorization, "_opening_batches", recorded), \
             mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
         capped = find_factors(ctx)
-    ((sweep, block),) = blocks
-    js, levels, *covers = block
-    stored = sum(a.nbytes for a in covers)
+    # every opening of the run is handed the one block, which the first fills
+    sweep, block = calls[0]
+    assert len(calls) == len(capped) and all(b is block for _, b in calls)
+    js = np.concatenate([b[0] for b in block])
+    levels = np.concatenate([b[1] for b in block])
+    stored = sum(a.nbytes for *_, covers in block for a in covers)
     assert 0 < stored <= 8 * cap
     # the block holds the first candidates in (j, a) order, as the longest
     # prefix of whole batches that fits, not all 1000
@@ -802,17 +807,44 @@ def test_opening_table_stays_within_its_cap():
     assert list(zip(js.tolist(), levels.tolist())) == order[:len(js)]
     batch, width = sweep.batch, stored // len(js)
     assert width == 8 * 7 + 2 * (40 + 10)
-    assert all(len(a) == len(js) for a in covers)
-    assert len(js) % batch == 0
+    assert all(len(a) == len(b[0]) == batch for b in block for a in (b[1], *b[2]))
     assert len(js) * width <= 8 * cap < (len(js) + batch) * width
     assert 0 < len(js) < len(order)
     with mock.patch.object(factorization, "_OPENING_TABLE_WORDS", 0):
         assert find_factors(ctx) == capped
     # a run that seeks no factor builds no block
-    with mock.patch.object(factorization, "_opening_block", recorded):
+    with mock.patch.object(factorization, "_opening_batches", recorded):
         find_factors(ctx, max_factors=0)
         find_factors(GradedMatrix.zeros(Scale(101), 40, 10))
-    assert len(blocks) == 1
+    assert len(calls) == len(capped)
+
+
+@pytest.mark.parametrize("levels, shape", [(11, (6, 75)), (2, (20, 260))])
+def test_a_first_opening_counts_each_batch_once(levels, shape):
+    # the first opening keeps its batches as the sweep yields them, gains
+    # and all, so a one-factor run counts the gains of each batch its sweep
+    # yields once, whatever the block holds
+    entries = np.random.default_rng(levels).integers(0, levels, size=shape)
+    ctx = GradedMatrix(Scale(levels), entries)
+    sweep_class = factorization._BitsetSweep if levels == 2 else factorization._GradedSweep
+    sweep_count, sweep_batches = sweep_class.count, sweep_class.batches
+
+    def count(sweep, covers):
+        counted.append(len(covers[0]))
+        return sweep_count(sweep, covers)
+
+    def batches(sweep, *args):
+        for batch in sweep_batches(sweep, *args):
+            yielded.append(len(batch[0]))
+            yield batch
+
+    for cap in table_caps(ctx, factorization.SWEEP_BATCH_BYTES):
+        counted, yielded = [], []
+        with mock.patch.object(sweep_class, "count", count), \
+                mock.patch.object(sweep_class, "batches", batches), \
+                mock.patch.object(factorization, "_OPENING_TABLE_WORDS", cap):
+            find_factors(ctx, max_factors=1)
+        assert counted == yielded and len(yielded) >= 2, f"opening block at {cap} words"
 
 
 def closure_counts(ctx, cap, level_cap):
@@ -1499,6 +1531,39 @@ def test_greedy_never_beats_the_oracle(ctx):
 def test_oracle_budget(decathlon):
     with pytest.raises(BudgetExceededError):
         optimal_factorization(decathlon, budget=50)
+
+
+def test_oracle_budget_stops_the_cover_search():
+    # five closures enumerate its concepts; the cover search visits six nodes
+    ctx = GradedMatrix(Scale.boolean(), [[1, 1, 0], [0, 1, 1]])
+    assert len(enumerate_concepts(ctx, budget=5)) == 4
+    with pytest.raises(BudgetExceededError) as info:
+        optimal_factorization(ctx, budget=5)
+    assert str(info.value) == "cover search exceeded the budget of 5 nodes"
+    assert len(optimal_factorization(ctx, budget=6)) == 2
+
+
+@given(st.integers(1, 16).flatmap(
+    lambda bits: st.lists(st.integers(0, 2**bits - 1), max_size=12)))
+@settings(max_examples=strategies.examples(200))
+def test_min_cover_matches_the_recursive_search(masks):
+    # the same index set at the budget of the recursive search's node
+    # count, and none below it
+    chosen, nodes = oracles.cover_search(masks)
+    assert factorization._min_cover(masks, nodes) == chosen
+    if nodes:
+        with pytest.raises(BudgetExceededError):
+            factorization._min_cover(masks, nodes - 1)
+
+
+def test_min_cover_reaches_past_the_recursion_limit():
+    # 1,500 disjoint masks need every one of them: a chain of 1,501 nodes
+    # after 1,499 sizes that fail at the root
+    masks = [1 << b for b in range(1500)]
+    assert len(masks) > sys.getrecursionlimit()
+    assert factorization._min_cover(masks, 3000) == list(range(1500))
+    with pytest.raises(BudgetExceededError):
+        factorization._min_cover(masks, 2999)
 
 
 def test_oracle_is_deterministic(decathlon):
