@@ -36,6 +36,7 @@ from .data import (
     read_raw_csv,
     write_csv,
 )
+from .data import _json_rows
 from .factorization import (
     DEFAULT_TIE_BREAK,
     TIE_BREAK_POLICIES,
@@ -116,7 +117,7 @@ def _factor_report(args: argparse.Namespace, factor_set: FactorSet, curve, nonze
         "complete": factor_set.complete,
         "factor_count": len(factor_set),
         "factors": [{"extent": e, "intent": i} for e, i in
-                    zip(factor_set.a.entries.T.tolist(), factor_set.b.entries.tolist())],
+                    zip(factor_set.a.entries.T, factor_set.b.entries)],
         "coverage_equal": [float(f) for f in curve],
         "coverage_equal_exact": [str(f) for f in curve],
         "coverage_nonzero": [float(f) for f in nonzero],
@@ -124,24 +125,49 @@ def _factor_report(args: argparse.Namespace, factor_set: FactorSet, curve, nonze
 
 
 def _json_text(value, indent: str = "") -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` with its
-    lines after the first indented by `indent`.  Dicts with string keys and
-    lists are laid out here, and a list of ints is joined in one call; any
-    other value goes through json.dumps, whose strings never hold a raw
-    line break, and which lays out only containers."""
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, with
+    its 1-D int64 arrays as lists, and its lines after the first indented
+    by `indent`."""
+    return _json_texts([value], indent)[0]
+
+
+def _json_texts(values: list, indent: str) -> list[str]:
+    """`_json_text` of each of `values` at one indent.  Values of one type
+    are laid out together: dicts with the same string keys member by
+    member, and 1-D int64 arrays of one length by one gather of their
+    levels' texts, so that the arrays under one key of a list of dicts,
+    such as the report's extents, are printed in one call.  Lists and such
+    dicts are laid out here, and any other value goes through json.dumps,
+    whose strings never hold a raw line break, and which lays out only
+    containers."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
     inner = indent + "  "
-    if type(value) is list and value:
-        if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = (_json_text(v, inner) for v in value)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        items = (f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    return json.dumps(value)
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind in (float, bool, type(None)):  # no text of one holds ", "
+        return json.dumps(values)[1:-1].split(", ")
+    if kind is str:
+        return list(map(json.dumps, values))
+    if kind is list:
+        return [f"[\n{inner}" + f",\n{inner}".join(_json_texts(value, inner)) + f"\n{indent}]"
+                if value else "[]" for value in values]
+    first = values[0]
+    keys = sorted(first) if kind is dict and all(type(k) is str for k in first) else []
+    if keys and all(value.keys() == first.keys() for value in values):
+        members = [_json_texts([value[k] for value in values], inner) for k in keys]
+        return [f"{{\n{inner}" + f",\n{inner}".join(
+                    f"{json.dumps(k)}: {text}" for k, text in zip(keys, texts)) + f"\n{indent}}}"
+                for texts in zip(*members)]
+    if kind is np.ndarray and first.ndim == 1 and all(
+            value.dtype == np.int64 and value.shape == first.shape for value in values):
+        return _json_rows(np.array(values), indent)
+    if len(values) > 1:
+        return [text for value in values for text in _json_texts([value], indent)]
+    if isinstance(first, (list, tuple, dict)):
+        return [json.dumps(first, indent=2, sort_keys=True, default=np.ndarray.tolist)
+                .replace("\n", "\n" + indent)]
+    return [json.dumps(first)]
 
 
 def _write_json(path: Path, payload: dict) -> None:

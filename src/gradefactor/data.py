@@ -19,17 +19,21 @@ has, and both give the same rows.  Blank lines are skipped.  A bad cell
 is named by its row and column below any header, its text, and the file
 line it starts on, found by reading the file again on that error path
 alone.  A transaction file of digits, blanks and LF alone, with ids of
-at most 18 digits, is parsed in one np.fromstring call; any other is
-read line by line, so a bad id is named by its line.  `write_csv` joins
-each block of rows' cells in one call and writes the file in one call.
+at most 18 digits, is parsed in one pass, its ids read from the token
+bounds digit position by digit position; any other is read line by
+line, so a bad id is named by its line.  `write_csv` prints its cells
+through a byte table of level texts that follows the levels that occur,
+by one gather per block of rows, and writes the file in one call.
 
 A grade text means the same on every file of one chain, so its work is
 done once per process: the level a cell text parses to, strictly or
-leniently, how layout detection reads it, and the text a level is
-written as, each keyed on the chain's length and not on the Scale, since
-the t-norm changes no text.  Each is an lru_cache of _TEXT_CACHE entries,
-so what it holds is bounded whatever the data; texts longer than
-_CACHED_TEXT characters are parsed afresh on every call.  Errors are not
+leniently, and how layout detection reads it, each keyed on the chain's
+length and not on the Scale, since the t-norm changes no text.  Each is
+an lru_cache of _TEXT_CACHE entries, so what it holds is bounded whatever
+the data; texts longer than _CACHED_TEXT characters are parsed afresh on
+every call.  The byte tables levels are printed through are kept the
+same way, per chain, suffixes and set of levels, and only for sets of at
+most _CACHED_LEVELS levels.  Errors are not
 cached, since an lru_cache stores no raised error: a bad cell raises
 afresh, so a reader finds the first bad cell and its file line as it
 always has, and no error outlives the read that raised it with the frames
@@ -47,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -494,37 +499,20 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
 def write_csv(matrix: GradedMatrix, path) -> None:
     """Write a grade matrix as plain CSV, one canonical cell per grade.
 
-    Each distinct level is looked up once a call, followed by a comma, or
-    by a line break in the last column, in a per-call memo: a dict lookup
-    a cell costs a quarter of an lru_cache call.  The cells' texts are
-    joined a block of a few thousand at a time, which bounds the lists a
-    join builds, and the file is written in one call.  Cells hold only digits, ``.`` and
-    ``L``, so no field ever needs quoting.
+    Each cell is the text of its level in canonical form, then a comma, or
+    a line break in the last column.  The texts are printed by
+    `_print_levels`: one byte table that follows the levels that occur,
+    kept per chain, and one gather per block of rows.  The file is written
+    in one call.  Cells hold only digits, ``.`` and ``L``, so no field ever
+    needs quoting.
     """
     n_rows, n_cols = matrix.shape
     if not n_cols:
-        text = "\n" * n_rows
+        text = b"\n" * n_rows
     else:
-        # keys past the top level are the last column's, which end a line
-        top = matrix.scale.levels
-        cell = _Memo(functools.partial(_cell_text, top))
-        shift = np.zeros(n_cols, dtype=LEVEL_DTYPE)
-        shift[-1] = top
-        step = max(1, 4096 // n_cols)  # rows per block
-        text = "".join([
-            "".join(map(cell.__getitem__, (matrix.entries[lo:lo + step] + shift).ravel().tolist()))
-            for lo in range(0, n_rows, step)
-        ])
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+        text = b"".join(_print_levels(matrix.entries, matrix.scale.levels, (",", "\n")))
+    with open(path, "wb") as handle:
         handle.write(text)
-
-
-@functools.lru_cache(maxsize=_TEXT_CACHE)
-def _cell_text(levels: int, key: int) -> str:
-    """The text `write_csv` writes for a key of a chain of `levels` grades:
-    level `key % levels` in canonical form, then a comma, or past the top
-    level a line break."""
-    return Scale(levels).format_level(key % levels) + ",\n"[key // levels]
 
 
 def _raw_column(cells: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int | np.ndarray]:
@@ -636,6 +624,143 @@ def read_ranges_csv(path) -> ColumnRange:
 
 
 # ----------------------------------------------------------------------
+# printing levels through byte tables
+# ----------------------------------------------------------------------
+
+
+class _TextTable(NamedTuple):
+    """Texts as the rows of a uint8 table padded with NULs.  `keep` marks
+    each row's own bytes, or is None when every text fills its row, and
+    `lens` holds the texts' lengths."""
+
+    pad: np.ndarray
+    keep: np.ndarray | None
+    lens: np.ndarray
+
+
+def _text_table(texts: list[bytes]) -> _TextTable:
+    """The byte table of `texts`, one row each, as wide as the longest."""
+    lens = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    width = int(lens.max(initial=0))
+    padded = b"".join(text.ljust(width, b"\0") for text in texts)
+    pad = np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
+    keep = None if (lens == width).all() else np.arange(width) < lens[:, None]
+    return _TextTable(pad, keep, lens)
+
+
+def _join_texts(keys: np.ndarray, table: _TextTable) -> bytes:
+    """The texts a 2-D array of keys picks from `table`, joined in
+    row-major order by one gather: the rows picked, and where the texts'
+    lengths differ, only the bytes each row keeps."""
+    cells = table.pad.take(keys, axis=0)
+    if table.keep is None:
+        return cells.tobytes()
+    return cells[table.keep.take(keys, axis=0)].tobytes()
+
+
+# Tables over at most this many levels are kept, this many of them, which
+# bounds what the cache holds whatever the data; a larger one is built on
+# each call from the texts of the levels that occur, each kept on its own.
+_CACHED_LEVELS = 64
+_TABLE_CACHE = 256
+
+# A gather takes the rows of at most about this many cells at a time, which
+# bounds the keys, bytes and masks one builds whatever the array; larger
+# blocks print no faster.
+_GATHER_CELLS = 4096
+
+# Below this many ints, `_json_rows` joins their texts in Python: between
+# other work, as when a report is written, a gather's dozen numpy calls
+# cost more than that many int.__repr__ calls.
+_JOIN_CELLS = 512
+
+
+def _level_table(chain: int | None, suffixes: tuple[str, ...],
+                 used: tuple[int, ...]) -> _TextTable:
+    """The table of the text of each level of `used`, then each suffix in
+    turn: row ``s * len(used) + i`` is level ``used[i]`` and suffix s.  A
+    level's text is its canonical form on a chain of `chain` grades, or
+    its integer when `chain` is None."""
+    texts = [str(level) if chain is None else _grade_text(chain, level) for level in used]
+    return _text_table([(t + suffix).encode() for suffix in suffixes for t in texts])
+
+
+_cached_level_table = functools.lru_cache(maxsize=_TABLE_CACHE)(_level_table)
+
+
+@functools.lru_cache(maxsize=_TEXT_CACHE)
+def _grade_text(levels: int, level: int) -> str:
+    """The canonical text of a level of a chain of `levels` grades."""
+    return Scale(levels).format_level(level)
+
+
+def _used_levels(levels: np.ndarray):
+    """The levels a table for a nonempty integer array holds, sorted, and
+    the function that maps an array of its levels to their rows.  When
+    every level is at least 0 and the largest is below _CACHED_LEVELS,
+    they are every level up to the largest, each its own row, so that one
+    cached table serves every array with that largest level.  Otherwise
+    they are the distinct levels: found by a presence table when every
+    level is at least 0 and below the array's size, so memory follows the
+    data and not the chain, and by np.unique otherwise."""
+    top = int(levels.max())
+    if levels.min() >= 0 and top < max(levels.size, _CACHED_LEVELS):
+        if top < _CACHED_LEVELS:
+            return np.arange(top + 1), np.asarray
+        present = np.zeros(top + 1, dtype=bool)
+        present[levels] = True
+        return np.flatnonzero(present), (np.cumsum(present) - 1).take
+    used = np.unique(levels)
+    return used, functools.partial(np.searchsorted, used)
+
+
+def _print_levels(entries: np.ndarray, chain: int | None, suffixes: tuple[str, ...], *,
+                  row_lengths: bool = False):
+    """The texts of a 2-D array of levels, a block of rows at a time: each
+    level's text then suffixes[0], or suffixes[-1] in the last column; see
+    `_level_table`.  One table over the levels `_used_levels` gives
+    serves every block, kept per chain, suffixes and levels up to
+    _CACHED_LEVELS.  With `row_lengths`, each block comes with the byte
+    length of each of its rows."""
+    n_rows, n_cols = entries.shape
+    if not entries.size:
+        return
+    used, index = _used_levels(entries)
+    key = (chain, suffixes, tuple(used.tolist()))
+    table = (_cached_level_table if len(used) <= _CACHED_LEVELS else _level_table)(*key)
+    shift = np.zeros(n_cols, dtype=np.intp)
+    shift[-1] = (len(suffixes) - 1) * len(used)
+    step = max(1, _GATHER_CELLS // n_cols)
+    for lo in range(0, n_rows, step):
+        keys = index(entries[lo:lo + step]) + shift
+        text = _join_texts(keys, table)
+        yield (text, table.lens[keys].sum(axis=1)) if row_lengths else text
+
+
+def _json_rows(rows: np.ndarray, indent: str) -> list[str]:
+    """The text of each row of a 2-D int64 array as a list of
+    ``json.dumps(..., indent=2)``, with its lines after the first indented
+    by `indent`.  Below _JOIN_CELLS ints the texts are joined in Python.
+    Otherwise every int's text is followed by the separator, so the texts
+    are printed through one byte table; each row's text is cut at the
+    cumulative lengths, less its last separator."""
+    if not rows.shape[1]:
+        return ["[]"] * len(rows)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if rows.size < _JOIN_CELLS:
+        return [f"[\n{inner}" + sep.join(map(int.__repr__, row)) + f"\n{indent}]"
+                for row in rows.tolist()]
+    lists = []
+    for text, lengths in _print_levels(rows, None, (sep,), row_lengths=True):
+        text = text.decode("ascii")
+        ends = np.cumsum(lengths).tolist()
+        lists += [f"[\n{inner}{text[start:end - len(sep)]}\n{indent}]"
+                  for start, end in zip([0] + ends, ends)]
+    return lists
+
+
+# ----------------------------------------------------------------------
 # transaction (itemset) files
 # ----------------------------------------------------------------------
 
@@ -716,9 +841,13 @@ def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     """Lines, and each item id with its 0-based line, of a transaction file
     of ASCII digits, spaces, tabs and LF only, parsed in one pass; None for
     any other file, or one with an id of 19 digits or more, which may not
-    fit int64.  A token starts at a digit after a non-digit.  Each LF is
-    placed among the sorted token starts, which counts the tokens of each
-    line, and each line's number is repeated that many times."""
+    fit int64.  A token starts at a digit after a non-digit and ends before
+    the next non-digit.  Each LF is placed among the sorted token starts,
+    which counts the tokens of each line, and each line's number is
+    repeated that many times.  The ids are read from the token bounds by
+    one Horner step per digit position: every token takes its first digit,
+    then each token longer than k digits takes its digit k, for each k
+    below the longest token's length."""
     if data.translate(None, _FIMI_BYTES):
         return None
     lines = data.count(b"\n") + (bool(data) and not data.endswith(b"\n"))
@@ -726,13 +855,22 @@ def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     digit = np.concatenate(([False], codes - np.uint8(ord("0")) < 10, [False]))
     edges = np.flatnonzero(digit[1:] != digit[:-1])
     starts, ends = edges[0::2], edges[1::2]
-    if len(starts) and (ends - starts).max() >= 19:
+    widths = ends - starts
+    if len(starts) and widths.max() >= 19:
         return None
+    widths = widths.astype(np.uint8)
     before = np.searchsorted(starts, np.flatnonzero(codes == ord("\n")))
     per_line = np.diff(before, prepend=0, append=len(starts))
     rows = np.repeat(np.arange(len(per_line)), per_line)
-    # fromstring reads whitespace alone as one 0
-    ids = np.fromstring(data, dtype=np.int64, sep=" ") if len(starts) else starts
+    ids = codes[starts] - np.int64(ord("0"))
+    for k in range(1, int(widths.max(initial=0))):
+        # in place, so each step allocates a byte per token; the byte k past
+        # the start of a shorter token, the file's last past its end, is
+        # read but never added
+        longer = widths > k
+        np.multiply(ids, 10, out=ids, where=longer)
+        np.add(ids, codes[k:].take(starts, mode="clip") - np.uint8(ord("0")), out=ids,
+               where=longer)
     return lines, rows, ids
 
 

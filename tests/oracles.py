@@ -14,7 +14,7 @@ must match.  `cover_search` is the exact oracle's original recursive cover
 search, which `factorization._min_cover` runs on an explicit stack.
 The per-cell `read_csv`, `write_csv`, `read_raw_csv` and `discretize` at
 the end are the original grade I/O, which parses, formats and rounds every
-cell through Fractions; the memoized readers and writer and the
+cell through Fractions; the memoized readers, the table-printing writer and the
 column-wide integer raw-table code must match them.  They read rows with
 `read_located_rows`, the original row reader, which streams the file
 through csv.reader, strips every cell and notes the file line each cell
@@ -26,7 +26,9 @@ except that `read_csv` reads its layout with `cell_kind`, which parses a
 cell twice where `gradefactor.data._cell_kind` parses it once.
 `fixed_point_column` is the original regex check of a fixed-point
 column.  `raw_table` and `table_values` convert between a RawTable's integer
-columns and rows of Fractions.  `read_fimi`, last, is the original
+columns and rows of Fractions.  `join_texts` joins the texts of an array
+of keys one at a time, as the byte-table gather of
+`gradefactor.data._join_texts` must.  `read_fimi`, last, is the original
 transaction reader, which reads line by line and sets the grid one item
 at a time.
 """
@@ -589,6 +591,12 @@ def write_csv(matrix: GradedMatrix, path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         for row in matrix.entries:
             writer.writerow([scale.format_level(v) for v in row])
+
+
+def join_texts(texts: list[bytes], keys: np.ndarray) -> bytes:
+    """The texts a 2-D array of keys picks, joined one at a time in
+    row-major order."""
+    return b"".join(texts[k] for k in keys.ravel().tolist())
 
 
 def read_fimi(path, num_items: int | None = None) -> GradedMatrix:

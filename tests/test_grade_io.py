@@ -1,16 +1,19 @@
 """Grade I/O against the per-cell reference in `oracles`, and reader fuzzing.
 
-`read_csv` parses each distinct cell once, `write_csv` formats each level
-once, both through caches shared by every chain in the process,
-`read_raw_csv` stores integer columns and `discretize` rounds them
-column-wide; each must match the per-cell Fraction code level for level
-(byte for byte when writing), or raise the same error.  The whole-file
+`read_csv` parses each distinct cell once through caches shared by every
+chain in the process, `write_csv` prints levels by one gather from a
+byte table that follows the levels that occur, kept per chain, `read_raw_csv`
+stores integer columns and `discretize` rounds them column-wide; each
+must match the per-cell Fraction code level for level (byte for byte
+when writing), or raise the same error.  The gather must join the texts
+its keys pick as a loop over the keys does.  The whole-file
 row split must give csv.reader's rows, and the one-pass transaction
 parser the line-by-line reader's grid, or the same error.  The decimal parser
 must agree with Fraction(text) on every text.  The readers must turn any
 input into a result or a ValueError.
 """
 
+import json
 import re
 import tracemalloc
 import warnings
@@ -36,7 +39,7 @@ from gradefactor import (
     read_raw_csv,
     write_csv,
 )
-from gradefactor import data
+from gradefactor import cli, data
 from gradefactor.data import (_fixed_point_column, _parse_fraction, _parse_number, _raw_column,
                               _read_rows)
 
@@ -85,10 +88,13 @@ def test_write_csv_matches_oracle_byte_for_byte(tmp_path_factory, matrix):
         assert read_csv(folder / "fast.csv", matrix.scale) == matrix
 
 
-@pytest.mark.parametrize("levels", [2, 11, 262145, MAX_LEVELS])
+@pytest.mark.parametrize("levels", [2, 11, 65, 4097, 262145, MAX_LEVELS])
 def test_write_csv_matches_oracle_on_long_chains_and_tall_inputs(tmp_path, levels):
-    # the last column's cells are keyed past the top level, up to twice
-    # it, and 3,000 rows of 3 cells are joined in three blocks
+    # the last column's cells take the table's second half, and 3,000 rows
+    # of 3 cells are printed in three blocks.  The table holds every level
+    # up to the top on 2 and 11 levels, and the levels that occur on the
+    # others: all of them on 65 and most of them on 4097, found by a
+    # presence table, and a few of them on the long chains, by np.unique
     scale = Scale(levels)
     n = scale.max_level
     rng = np.random.default_rng(levels)
@@ -104,6 +110,62 @@ def test_write_csv_zero_width_rows(tmp_path):
     path = tmp_path / "a.csv"
     write_csv(GradedMatrix(Scale(5), np.zeros((3, 0), dtype=np.int64)), path)
     assert path.read_bytes() == b"\n\n\n"
+
+
+# level texts as the writers print them: canonical grades, up to the
+# longest text of a MAX_LEVELS chain, and the ints of factors.json, each
+# with a CSV or a JSON separator, or none, as the last int of a JSON list
+LEVEL_TEXTS = st.one_of(
+    st.builds(lambda levels, level: Scale(levels).format_level(level % levels),
+              st.integers(2, 101), st.integers(0, 100)),
+    st.just(Scale(MAX_LEVELS).format_level(MAX_LEVELS - 2)),
+    st.integers(0, 10**6).map(str),
+)
+SEPARATORS = (",", "\n", ",\n        ", "")
+KEY_SHAPES = st.one_of(st.sampled_from([(0, 4), (3, 0), (0, 0), (1, 1)]),
+                       st.tuples(st.integers(1, 5), st.integers(1, 5)))
+
+
+@given(st.lists(st.tuples(LEVEL_TEXTS, st.sampled_from(SEPARATORS)), min_size=1, max_size=8),
+       st.booleans(), KEY_SHAPES, st.data())
+@settings(max_examples=strategies.examples(300))
+def test_join_texts_matches_oracle(pairs, equal, shape, draws):
+    # texts of unequal lengths are gathered through a padded table and its
+    # mask, texts of one length (here padded with zeros) without one
+    texts = [(text + sep).encode() for text, sep in pairs]
+    if equal:
+        texts = [text.rjust(max(map(len, texts)), b"0") for text in texts]
+    cells = draws.draw(st.lists(st.integers(0, len(texts) - 1), min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    keys = np.array(cells, dtype=np.intp).reshape(shape)
+    assert data._join_texts(keys, data._text_table(texts)) == oracles.join_texts(texts, keys)
+
+
+def test_printing_on_the_longest_chain_builds_no_table_over_it(tmp_path):
+    # a 2x2 matrix of a MAX_LEVELS chain, written as CSV and as the arrays of
+    # a report, prints through tables over its four levels alone
+    n = MAX_LEVELS - 1
+    matrix = GradedMatrix(Scale(MAX_LEVELS), np.array([[0, n], [n - 1, 12345]]))
+    report = {"factors": [{"extent": column, "intent": row}
+                          for column, row in zip(matrix.entries.T, matrix.entries)]}
+
+    def write():
+        write_csv(matrix, tmp_path / "fast.csv")
+        cli._write_json(tmp_path / "fast.json", report)
+
+    write()  # imports what numpy loads on first use, such as numpy.ma for np.unique
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    oracles.write_csv(matrix, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    lists = {"factors": [{"extent": column.tolist(), "intent": row.tolist()}
+                         for column, row in zip(matrix.entries.T, matrix.entries)]}
+    assert (tmp_path / "fast.json").read_text() == json.dumps(lists, indent=2, sort_keys=True) + "\n"
+    assert peak < 10**6
 
 
 # ---------------------------------------------------------------- read_csv
@@ -288,12 +350,13 @@ def chain_steps(draw):
 
 
 @given(st.lists(chain_steps(), min_size=2, max_size=6))
-@settings(max_examples=200)
+@settings(max_examples=strategies.examples(200))
 def test_grade_texts_keep_their_meaning_across_interleaved_chains(tmp_path_factory, steps):
-    # the grade-text caches are shared by every read and write of the
-    # process, on every chain and in both modes: each read, layout and
-    # write matches the uncached per-cell oracle, and a file read again
-    # gives the same levels, or a bad cell the same message and line
+    # the grade-text caches are shared by every read of the process, and
+    # the byte tables by every write, on every chain and in both modes:
+    # each read, layout and write matches the uncached per-cell oracle, and
+    # a file read again gives the same levels, or a bad cell the same
+    # message and line
     folder = tmp_path_factory.mktemp("chains")
     for i, (scale, mode, texts, matrix) in enumerate(steps):
         path = folder / f"{i}.csv"
@@ -775,36 +838,41 @@ def test_read_fimi_matches_oracle(tmp_path_factory, lines, num_items, end, mark)
     assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
 
 
-# digits alone; ids of 18, 18, 19, 19 and 22 digits (the one-pass parser
-# reads ids of up to 18 digits and leaves longer ones to the line loop); and
-# ids one below, at and one past the file's byte count, written BYTES-1,
-# BYTES+0 and BYTES+1 (the one-pass parser maps ids below that count through
-# a presence table, and others by a sort)
+# digits alone, with leading zeros too; ids of 18, 18, 18, 19, 19 and 22
+# digits (the one-pass parser reads ids of up to 18 digits and leaves
+# longer ones to the line loop); and ids one below, at and one past the
+# file's byte count, written BYTES-1, BYTES+0 and BYTES+1 (the one-pass
+# parser maps ids below that count through a presence table, and others
+# by a sort)
 PLAIN_FIMI_TOKENS = st.one_of(
     st.integers(0, 12).map(str),
     st.integers(0, 12).map(lambda i: f"{i:03d}"),
-    st.sampled_from(["9" * 18, "1" + "0" * 17, "1" + "0" * 18, "9" * 19, "0" * 21 + "7"]),
+    st.sampled_from(["007", "0", "00"]),
+    st.sampled_from(["9" * 18, "1" + "0" * 17, "0" * 17 + "7", "1" + "0" * 18, "9" * 19,
+                     "0" * 21 + "7"]),
     st.sampled_from(["BYTES-1", "BYTES+0", "BYTES+1"]),
 )
 BYTES = re.compile(r"BYTES([-+]\d)")
 
 
 @given(
-    st.lists(st.tuples(st.lists(PLAIN_FIMI_TOKENS, max_size=6),
-                       st.sampled_from([" ", "\t", "  ", " \t"]),
-                       st.sampled_from(["", " ", "\t"])), max_size=8),
+    st.lists(st.one_of(st.tuples(st.lists(PLAIN_FIMI_TOKENS, max_size=6),
+                                 st.sampled_from([" ", "\t", "  ", " \t"]),
+                                 st.sampled_from(["", " ", "\t"])),
+                       st.just(([], "", "\t"))), max_size=8),
     st.sampled_from([None, 1, 5, 13, 10**18, 10**20]),
     st.sampled_from(["\n", "\r\n", "\r"]),
     st.integers(0, 2),
     st.booleans(),
 )
-@settings(max_examples=300)
+@settings(max_examples=strategies.examples(300))
 def test_read_fimi_in_one_pass_matches_oracle(tmp_path_factory, lines, num_items, end, empty,
                                               last):
-    # a file of digits, blanks and \n alone is parsed in one pass; with
+    # a file of digits, blanks and \n alone is parsed in one pass, its ids
+    # those int() reads from its tokens, and none for a file of blanks; with
     # \r in its line breaks, the same lines take the line loop.  Leading
-    # empty lines and a missing last line break shift the line that a
-    # num_items error names
+    # empty lines, lines of tabs alone and a missing last line break shift
+    # the line that a num_items error names
     text = end * empty + end.join(pad + sep.join(tokens) + pad for tokens, sep, pad in lines)
     if last and text:
         text += end
@@ -815,7 +883,11 @@ def test_read_fimi_in_one_pass_matches_oracle(tmp_path_factory, lines, num_items
     path.write_bytes(text.encode())
     assert path.stat().st_size == size
     short = all(len(token) < 19 for tokens, _, _ in lines for token in tokens)
-    assert (data._fimi_tokens(text.encode()) is not None) == ("\r" not in text and short)
+    parsed = data._fimi_tokens(text.encode())
+    assert (parsed is not None) == ("\r" not in text and short)
+    if parsed is not None:
+        assert parsed[2].dtype == np.int64
+        assert parsed[2].tolist() == list(map(int, text.split()))
     assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
 
 
