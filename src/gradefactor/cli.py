@@ -36,7 +36,7 @@ from .data import (
     read_raw_csv,
     write_csv,
 )
-from .data import _json_rows
+from .data import _join_texts, _level_blocks
 from .factorization import (
     DEFAULT_TIE_BREAK,
     TIE_BREAK_POLICIES,
@@ -116,8 +116,7 @@ def _factor_report(args: argparse.Namespace, factor_set: FactorSet, curve, nonze
         "shape": list(factor_set.context_shape),
         "complete": factor_set.complete,
         "factor_count": len(factor_set),
-        "factors": [{"extent": e, "intent": i} for e, i in
-                    zip(factor_set.a.entries.T, factor_set.b.entries)],
+        "factors": factor_set,
         "coverage_equal": [float(f) for f in curve],
         "coverage_equal_exact": [str(f) for f in curve],
         "coverage_nonzero": [float(f) for f in nonzero],
@@ -126,48 +125,64 @@ def _factor_report(args: argparse.Namespace, factor_set: FactorSet, curve, nonze
 
 def _json_text(value, indent: str = "") -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)``, with
-    its 1-D int64 arrays as lists, and its lines after the first indented
-    by `indent`."""
-    return _json_texts([value], indent)[0]
-
-
-def _json_texts(values: list, indent: str) -> list[str]:
-    """`_json_text` of each of `values` at one indent.  Values of one type
-    are laid out together: dicts with the same string keys member by
-    member, and 1-D int64 arrays of one length by one gather of their
-    levels' texts, so that the arrays under one key of a list of dicts,
-    such as the report's extents, are printed in one call.  Lists and such
-    dicts are laid out here, and any other value goes through json.dumps,
-    whose strings never hold a raw line break, and which lays out only
-    containers."""
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
+    a FactorSet as its list of factors, ``[{"extent": [...], "intent":
+    [...]}, ...]``, and its lines after the first indented by `indent`.  Dicts with string keys and lists are laid out
+    here, and a list of ints is joined in one call; any other value goes
+    through json.dumps, whose strings never hold a raw line break, and
+    which lays out only containers."""
     inner = indent + "  "
-    if kind is int:
-        return list(map(int.__repr__, values))
-    if kind in (float, bool, type(None)):  # no text of one holds ", "
-        return json.dumps(values)[1:-1].split(", ")
-    if kind is str:
-        return list(map(json.dumps, values))
-    if kind is list:
-        return [f"[\n{inner}" + f",\n{inner}".join(_json_texts(value, inner)) + f"\n{indent}]"
-                if value else "[]" for value in values]
-    first = values[0]
-    keys = sorted(first) if kind is dict and all(type(k) is str for k in first) else []
-    if keys and all(value.keys() == first.keys() for value in values):
-        members = [_json_texts([value[k] for value in values], inner) for k in keys]
-        return [f"{{\n{inner}" + f",\n{inner}".join(
-                    f"{json.dumps(k)}: {text}" for k, text in zip(keys, texts)) + f"\n{indent}}}"
-                for texts in zip(*members)]
-    if kind is np.ndarray and first.ndim == 1 and all(
-            value.dtype == np.int64 and value.shape == first.shape for value in values):
-        return _json_rows(np.array(values), indent)
-    if len(values) > 1:
-        return [text for value in values for text in _json_texts([value], indent)]
-    if isinstance(first, (list, tuple, dict)):
-        return [json.dumps(first, indent=2, sort_keys=True, default=np.ndarray.tolist)
-                .replace("\n", "\n" + indent)]
-    return [json.dumps(first)]
+    if type(value) is FactorSet:
+        return _factors_text(value, indent)
+    if type(value) is list and value:
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = (f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple, dict)):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    return json.dumps(value)
+
+
+def _factors_text(factors: FactorSet, indent: str) -> str:
+    """The text of a report's factors: every extent printed by one
+    `_json_rows` call and every intent by another."""
+    if not len(factors):
+        return "[]"
+    inner, member = indent + "  ", indent + "    "
+    pairs = zip(_json_rows(factors.a.entries.T, member), _json_rows(factors.b.entries, member))
+    items = (f'{{\n{member}"extent": {extent},\n{member}"intent": {intent}\n{inner}}}'
+             for extent, intent in pairs)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
+# Below this many ints, `_json_rows` joins their texts in Python: between
+# other work, as when a report is written, a gather's dozen numpy calls
+# cost more than that many int.__repr__ calls.
+_JOIN_CELLS = 512
+
+
+def _json_rows(rows: np.ndarray, indent: str) -> list[str]:
+    """The text of each row of a 2-D int array as a list of
+    ``json.dumps(..., indent=2)``, with its lines after the first indented
+    by `indent`.  Below _JOIN_CELLS ints each row is laid out as a list.
+    Otherwise every int's text is followed by the separator, so the texts
+    are printed through one byte table of the ints that occur; each row's
+    text is cut at the cumulative lengths, less its last separator."""
+    if rows.size < _JOIN_CELLS:
+        return [_json_text(row, indent) for row in rows.tolist()]
+    inner = indent + "  "
+    sep = ",\n" + inner
+    lists = []
+    for keys, table in _level_blocks(rows, None, (sep,)):
+        text = _join_texts(keys, table).decode("ascii")
+        ends = np.cumsum(table.lens[keys].sum(axis=1)).tolist()
+        lists += [f"[\n{inner}{text[start:end - len(sep)]}\n{indent}]"
+                  for start, end in zip([0] + ends, ends)]
+    return lists
 
 
 def _write_json(path: Path, payload: dict) -> None:

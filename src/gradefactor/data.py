@@ -32,12 +32,11 @@ length and not on the Scale, since the t-norm changes no text.  Each is
 an lru_cache of _TEXT_CACHE entries, so what it holds is bounded whatever
 the data; texts longer than _CACHED_TEXT characters are parsed afresh on
 every call.  The byte tables levels are printed through are kept the
-same way, per chain, suffixes and set of levels, and only for sets of at
-most _CACHED_LEVELS levels.  Errors are not
-cached, since an lru_cache stores no raised error: a bad cell raises
-afresh, so a reader finds the first bad cell and its file line as it
-always has, and no error outlives the read that raised it with the frames
-its traceback holds.
+same way, per chain, suffixes and largest level, and only for largest
+levels below _CACHED_LEVELS.  Errors are not cached, since an lru_cache
+stores no raised error: a bad cell raises afresh, so a reader finds the
+first bad cell and its file line as it always has, and no error outlives
+the read that raised it with the frames its traceback holds.
 """
 
 from __future__ import annotations
@@ -500,17 +499,17 @@ def write_csv(matrix: GradedMatrix, path) -> None:
     """Write a grade matrix as plain CSV, one canonical cell per grade.
 
     Each cell is the text of its level in canonical form, then a comma, or
-    a line break in the last column.  The texts are printed by
-    `_print_levels`: one byte table that follows the levels that occur,
-    kept per chain, and one gather per block of rows.  The file is written
-    in one call.  Cells hold only digits, ``.`` and ``L``, so no field ever
-    needs quoting.
+    a line break in the last column.  The texts are printed by one gather
+    per block of rows from a byte table of level texts that follows the
+    levels that occur (`_level_blocks`).  The file is written in one call.
+    Cells hold only digits, ``.`` and ``L``, so no field ever needs
+    quoting.
     """
-    n_rows, n_cols = matrix.shape
-    if not n_cols:
-        text = b"\n" * n_rows
+    if not matrix.entries.size:
+        text = b"\n" * matrix.n_rows
     else:
-        text = b"".join(_print_levels(matrix.entries, matrix.scale.levels, (",", "\n")))
+        blocks = _level_blocks(matrix.entries, matrix.scale.levels, (",", "\n"))
+        text = b"".join(_join_texts(keys, table) for keys, table in blocks)
     with open(path, "wb") as handle:
         handle.write(text)
 
@@ -658,9 +657,9 @@ def _join_texts(keys: np.ndarray, table: _TextTable) -> bytes:
     return cells[table.keep.take(keys, axis=0)].tobytes()
 
 
-# Tables over at most this many levels are kept, this many of them, which
-# bounds what the cache holds whatever the data; a larger one is built on
-# each call from the texts of the levels that occur, each kept on its own.
+# Tables over every level up to a top below this are kept, this many of
+# them, which bounds what the cache holds whatever the data; any other is
+# built on each call from the texts of the levels that occur.
 _CACHED_LEVELS = 64
 _TABLE_CACHE = 256
 
@@ -669,14 +668,8 @@ _TABLE_CACHE = 256
 # blocks print no faster.
 _GATHER_CELLS = 4096
 
-# Below this many ints, `_json_rows` joins their texts in Python: between
-# other work, as when a report is written, a gather's dozen numpy calls
-# cost more than that many int.__repr__ calls.
-_JOIN_CELLS = 512
 
-
-def _level_table(chain: int | None, suffixes: tuple[str, ...],
-                 used: tuple[int, ...]) -> _TextTable:
+def _level_table(chain: int | None, suffixes: tuple[str, ...], used) -> _TextTable:
     """The table of the text of each level of `used`, then each suffix in
     turn: row ``s * len(used) + i`` is level ``used[i]`` and suffix s.  A
     level's text is its canonical form on a chain of `chain` grades, or
@@ -685,7 +678,11 @@ def _level_table(chain: int | None, suffixes: tuple[str, ...],
     return _text_table([(t + suffix).encode() for suffix in suffixes for t in texts])
 
 
-_cached_level_table = functools.lru_cache(maxsize=_TABLE_CACHE)(_level_table)
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _top_table(chain: int | None, suffixes: tuple[str, ...], top: int) -> _TextTable:
+    """`_level_table` of every level up to `top`, kept per chain, suffixes
+    and top."""
+    return _level_table(chain, suffixes, range(top + 1))
 
 
 @functools.lru_cache(maxsize=_TEXT_CACHE)
@@ -694,70 +691,29 @@ def _grade_text(levels: int, level: int) -> str:
     return Scale(levels).format_level(level)
 
 
-def _used_levels(levels: np.ndarray):
-    """The levels a table for a nonempty integer array holds, sorted, and
-    the function that maps an array of its levels to their rows.  When
-    every level is at least 0 and the largest is below _CACHED_LEVELS,
-    they are every level up to the largest, each its own row, so that one
-    cached table serves every array with that largest level.  Otherwise
-    they are the distinct levels: found by a presence table when every
-    level is at least 0 and below the array's size, so memory follows the
-    data and not the chain, and by np.unique otherwise."""
-    top = int(levels.max())
-    if levels.min() >= 0 and top < max(levels.size, _CACHED_LEVELS):
-        if top < _CACHED_LEVELS:
-            return np.arange(top + 1), np.asarray
-        present = np.zeros(top + 1, dtype=bool)
-        present[levels] = True
-        return np.flatnonzero(present), (np.cumsum(present) - 1).take
-    used = np.unique(levels)
-    return used, functools.partial(np.searchsorted, used)
-
-
-def _print_levels(entries: np.ndarray, chain: int | None, suffixes: tuple[str, ...], *,
-                  row_lengths: bool = False):
-    """The texts of a 2-D array of levels, a block of rows at a time: each
-    level's text then suffixes[0], or suffixes[-1] in the last column; see
-    `_level_table`.  One table over the levels `_used_levels` gives
-    serves every block, kept per chain, suffixes and levels up to
-    _CACHED_LEVELS.  With `row_lengths`, each block comes with the byte
-    length of each of its rows."""
+def _level_blocks(entries: np.ndarray, chain: int | None, suffixes: tuple[str, ...]):
+    """The keys of a nonempty 2-D array of levels into one table of their
+    texts, a block of rows at a time, each with that table: `_join_texts`
+    of a block is each level's text then suffixes[0], or suffixes[-1] in
+    the last column; see `_level_table`.  The table follows the levels
+    that occur, never the chain: when every level is at least 0 and the
+    largest is below _CACHED_LEVELS, it holds every level up to the
+    largest, each its own row, and is kept; otherwise it holds the
+    distinct levels, found by np.unique."""
     n_rows, n_cols = entries.shape
-    if not entries.size:
-        return
-    used, index = _used_levels(entries)
-    key = (chain, suffixes, tuple(used.tolist()))
-    table = (_cached_level_table if len(used) <= _CACHED_LEVELS else _level_table)(*key)
+    top = int(entries.max())
+    if entries.min() >= 0 and top < _CACHED_LEVELS:
+        size, index = top + 1, np.asarray
+        table = _top_table(chain, suffixes, top)
+    else:
+        used = np.unique(entries)
+        size, index = len(used), functools.partial(np.searchsorted, used)
+        table = _level_table(chain, suffixes, used.tolist())
     shift = np.zeros(n_cols, dtype=np.intp)
-    shift[-1] = (len(suffixes) - 1) * len(used)
+    shift[-1] = (len(suffixes) - 1) * size
     step = max(1, _GATHER_CELLS // n_cols)
     for lo in range(0, n_rows, step):
-        keys = index(entries[lo:lo + step]) + shift
-        text = _join_texts(keys, table)
-        yield (text, table.lens[keys].sum(axis=1)) if row_lengths else text
-
-
-def _json_rows(rows: np.ndarray, indent: str) -> list[str]:
-    """The text of each row of a 2-D int64 array as a list of
-    ``json.dumps(..., indent=2)``, with its lines after the first indented
-    by `indent`.  Below _JOIN_CELLS ints the texts are joined in Python.
-    Otherwise every int's text is followed by the separator, so the texts
-    are printed through one byte table; each row's text is cut at the
-    cumulative lengths, less its last separator."""
-    if not rows.shape[1]:
-        return ["[]"] * len(rows)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if rows.size < _JOIN_CELLS:
-        return [f"[\n{inner}" + sep.join(map(int.__repr__, row)) + f"\n{indent}]"
-                for row in rows.tolist()]
-    lists = []
-    for text, lengths in _print_levels(rows, None, (sep,), row_lengths=True):
-        text = text.decode("ascii")
-        ends = np.cumsum(lengths).tolist()
-        lists += [f"[\n{inner}{text[start:end - len(sep)]}\n{indent}]"
-                  for start, end in zip([0] + ends, ends)]
-    return lists
+        yield index(entries[lo:lo + step]) + shift, table
 
 
 # ----------------------------------------------------------------------
@@ -852,7 +808,8 @@ def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
         return None
     lines = data.count(b"\n") + (bool(data) and not data.endswith(b"\n"))
     codes = np.frombuffer(data, dtype=np.uint8)
-    digit = np.concatenate(([False], codes - np.uint8(ord("0")) < 10, [False]))
+    values = codes - np.uint8(ord("0"))  # a digit's value; 10 or more for any other byte
+    digit = np.concatenate(([False], values < 10, [False]))
     edges = np.flatnonzero(digit[1:] != digit[:-1])
     starts, ends = edges[0::2], edges[1::2]
     widths = ends - starts
@@ -862,15 +819,14 @@ def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     before = np.searchsorted(starts, np.flatnonzero(codes == ord("\n")))
     per_line = np.diff(before, prepend=0, append=len(starts))
     rows = np.repeat(np.arange(len(per_line)), per_line)
-    ids = codes[starts] - np.int64(ord("0"))
+    ids = values[starts].astype(np.int64)
     for k in range(1, int(widths.max(initial=0))):
-        # in place, so each step allocates a byte per token; the byte k past
-        # the start of a shorter token, the file's last past its end, is
-        # read but never added
+        # in place, so each step allocates two bytes per token, its mask and
+        # its digit; the byte k past the start of a shorter token, the
+        # file's last past its end, is read but never added
         longer = widths > k
         np.multiply(ids, 10, out=ids, where=longer)
-        np.add(ids, codes[k:].take(starts, mode="clip") - np.uint8(ord("0")), out=ids,
-               where=longer)
+        np.add(ids, values[k:].take(starts, mode="clip"), out=ids, where=longer)
     return lines, rows, ids
 
 

@@ -22,7 +22,7 @@ from gradefactor import (
     read_csv,
     write_csv,
 )
-from gradefactor import cli, data, factorization
+from gradefactor import cli, factorization
 from gradefactor.cli import build_parser, main
 from gradefactor.data import MAX_FIMI_CELLS
 
@@ -343,32 +343,13 @@ def test_discretize_refuses_a_typo_in_a_data_column(tmp_path, capsys):
 
 
 # what a report may hold: nested dicts, empty and integer lists, negative
-# numbers, floats, non-ASCII text and None; and 1-D int64 arrays, alone or
-# of one length under the same keys of a list of dicts, as the factors' are
+# numbers, floats, non-ASCII text and None; and, as a member, its factors
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(),
     st.text(st.characters(), max_size=6),
 )
-# lengths joined in Python, and lengths whose arrays are gathered, alone or
-# two or more under one key; ints a table over every level up to the top
-# covers, ints of a table over the levels that occur, and any ints
-ARRAY_LENGTHS = st.one_of(st.integers(0, 5),
-                          st.sampled_from([data._JOIN_CELLS // 2, data._JOIN_CELLS]))
-ARRAY_BOUNDS = ((0, 3), (0, 200), (-10**18, 10**18))
-
-
-def int_arrays(size=ARRAY_LENGTHS):
-    return st.builds(lambda seed, n, bounds: np.random.default_rng(seed).integers(
-                         *bounds, size=n, endpoint=True),
-                     st.integers(0, 2**32), size, st.sampled_from(ARRAY_BOUNDS))
-
-
-FACTOR_LISTS = st.tuples(ARRAY_LENGTHS, ARRAY_LENGTHS).flatmap(
-    lambda nm: st.lists(st.fixed_dictionaries({"extent": int_arrays(st.just(nm[0])),
-                                               "intent": int_arrays(st.just(nm[1]))}),
-                        max_size=4))
 JSON_VALUES = st.recursive(
-    st.one_of(JSON_SCALARS, int_arrays(), FACTOR_LISTS),
+    JSON_SCALARS,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(st.integers(-10**6, 10**6), max_size=5),
@@ -378,20 +359,36 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=24,
 )
+# factor sets of up to four factors, whose extents and intents have lengths
+# joined in Python and lengths gathered, on chains a table over every
+# level up to the top covers and chains of a table over the levels that
+# occur
+LENGTHS = st.one_of(st.integers(0, 5), st.sampled_from([cli._JOIN_CELLS // 2, cli._JOIN_CELLS]))
+
+
+def factor_set(seed, k, n, m, levels):
+    rng, scale = np.random.default_rng(seed), Scale(levels)
+    return FactorSet(GradedMatrix(scale, rng.integers(0, levels, size=(n, k))),
+                     GradedMatrix(scale, rng.integers(0, levels, size=(k, m))),
+                     tuple(range(k, -1, -1)))
+
+
+FACTORS = st.builds(factor_set, st.integers(0, 2**32), st.integers(0, 4), LENGTHS, LENGTHS,
+                    st.sampled_from([2, 5, 201, MAX_LEVELS]))
 
 
 def as_lists(value):
-    """A payload with each of its arrays as a list."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return type(value)(map(as_lists, value))
+    """A payload with its factor sets as the lists of dicts they stand for."""
+    if isinstance(value, FactorSet):
+        return [{"extent": extent, "intent": intent}
+                for extent, intent in zip(value.a.entries.T.tolist(), value.b.entries.tolist())]
     if isinstance(value, dict):
         return {key: as_lists(item) for key, item in value.items()}
     return value
 
 
-@given(st.dictionaries(st.text(st.characters(), max_size=6), JSON_VALUES, max_size=6))
+@given(st.dictionaries(st.text(st.characters(), max_size=6), st.one_of(JSON_VALUES, FACTORS),
+                       max_size=6))
 @settings(max_examples=300)
 def test_report_text_is_json_dumps(payload):
     assert cli._json_text(payload) == json.dumps(as_lists(payload), indent=2, sort_keys=True)

@@ -30,6 +30,7 @@ from gradefactor import (
     MAX_LEVELS,
     TNORM_KINDS,
     ColumnRange,
+    FactorSet,
     GradedMatrix,
     RawTable,
     Scale,
@@ -92,9 +93,9 @@ def test_write_csv_matches_oracle_byte_for_byte(tmp_path_factory, matrix):
 def test_write_csv_matches_oracle_on_long_chains_and_tall_inputs(tmp_path, levels):
     # the last column's cells take the table's second half, and 3,000 rows
     # of 3 cells are printed in three blocks.  The table holds every level
-    # up to the top on 2 and 11 levels, and the levels that occur on the
-    # others: all of them on 65 and most of them on 4097, found by a
-    # presence table, and a few of them on the long chains, by np.unique
+    # up to the top on 2 and 11 levels, and the levels that occur, found by
+    # np.unique, on the others: all of them on 65, most of them on 4097
+    # and a few of them on the long chains
     scale = Scale(levels)
     n = scale.max_level
     rng = np.random.default_rng(levels)
@@ -142,12 +143,11 @@ def test_join_texts_matches_oracle(pairs, equal, shape, draws):
 
 
 def test_printing_on_the_longest_chain_builds_no_table_over_it(tmp_path):
-    # a 2x2 matrix of a MAX_LEVELS chain, written as CSV and as the arrays of
-    # a report, prints through tables over its four levels alone
+    # a 2x2 matrix of a MAX_LEVELS chain, written as CSV and as the factors
+    # of a report, prints through tables over its four levels alone
     n = MAX_LEVELS - 1
     matrix = GradedMatrix(Scale(MAX_LEVELS), np.array([[0, n], [n - 1, 12345]]))
-    report = {"factors": [{"extent": column, "intent": row}
-                          for column, row in zip(matrix.entries.T, matrix.entries)]}
+    report = {"factors": FactorSet(matrix, matrix, (2, 1, 0))}
 
     def write():
         write_csv(matrix, tmp_path / "fast.csv")
