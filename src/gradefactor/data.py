@@ -696,24 +696,25 @@ def _level_blocks(entries: np.ndarray, chain: int | None, suffixes: tuple[str, .
     texts, a block of rows at a time, each with that table: `_join_texts`
     of a block is each level's text then suffixes[0], or suffixes[-1] in
     the last column; see `_level_table`.  The table follows the levels
-    that occur, never the chain: when every level is at least 0 and the
-    largest is below _CACHED_LEVELS, it holds every level up to the
-    largest, each its own row, and is kept; otherwise it holds the
-    distinct levels, found by np.unique."""
+    that occur, never the chain: when the largest is below _CACHED_LEVELS,
+    it holds every level up to the largest, each its own row, the keys
+    are the levels and the table is kept; otherwise it holds the distinct
+    levels, and the keys are the inverse of the np.unique that finds them."""
     n_rows, n_cols = entries.shape
     top = int(entries.max())
-    if entries.min() >= 0 and top < _CACHED_LEVELS:
-        size, index = top + 1, np.asarray
+    if top < _CACHED_LEVELS:
+        size, keys = top + 1, entries
         table = _top_table(chain, suffixes, top)
     else:
-        used = np.unique(entries)
-        size, index = len(used), functools.partial(np.searchsorted, used)
+        used, keys = np.unique(entries, return_inverse=True)
+        # numpy 2.0 returns the inverse flat
+        size, keys = len(used), keys.reshape(entries.shape)
         table = _level_table(chain, suffixes, used.tolist())
     shift = np.zeros(n_cols, dtype=np.intp)
     shift[-1] = (len(suffixes) - 1) * size
     step = max(1, _GATHER_CELLS // n_cols)
     for lo in range(0, n_rows, step):
-        yield index(entries[lo:lo + step]) + shift, table
+        yield keys[lo:lo + step] + shift, table
 
 
 # ----------------------------------------------------------------------
@@ -721,8 +722,9 @@ def _level_blocks(entries: np.ndarray, chain: int | None, suffixes: tuple[str, .
 # ----------------------------------------------------------------------
 
 
-# A transaction file becomes a dense grid of int64 levels, rows x items; past
-# this many cells (800 MB) it is refused before anything is allocated.
+# A dense grid of int64 levels past this many cells (800 MB) is refused
+# before anything is allocated: a transaction file's rows x items, and each
+# factor matrix and the product of a random instance.
 MAX_FIMI_CELLS = 10**8
 
 
@@ -873,6 +875,9 @@ def random_factorizable(n_rows: int, n_cols: int, k: int, scale: Scale,
         raise ValueError(f"matrix dimensions must be positive, got {n_rows}x{n_cols}")
     if k < 1:
         raise ValueError(f"inner dimension must be positive, got {k}")
+    if max(n_rows * k, k * n_cols, n_rows * n_cols) > MAX_FIMI_CELLS:
+        raise ValueError(f"a {n_rows}x{k} by {k}x{n_cols} product has a matrix of more "
+                         f"than {MAX_FIMI_CELLS} cells")
     if grade_distribution is None:
         p = np.full(scale.levels, 1.0 / scale.levels)
     else:
@@ -885,7 +890,6 @@ def random_factorizable(n_rows: int, n_cols: int, k: int, scale: Scale,
             raise ValueError("distribution weights must be nonnegative and sum to 1")
         p = p / p.sum()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    levels = np.arange(scale.levels)
-    left = GradedMatrix(scale, rng.choice(levels, size=(n_rows, k), p=p))
-    right = GradedMatrix(scale, rng.choice(levels, size=(k, n_cols), p=p))
+    left = GradedMatrix(scale, rng.choice(scale.levels, size=(n_rows, k), p=p))
+    right = GradedMatrix(scale, rng.choice(scale.levels, size=(k, n_cols), p=p))
     return compose(left, right)

@@ -835,10 +835,6 @@ def optimal_factorization(context: GradedMatrix, *, budget: int = 10**6) -> Fact
     scale, entries = context.scale, context.entries
     n_rows, n_cols = context.shape
     rows, cols = np.nonzero(entries)
-    if not len(rows):
-        return FactorSet(GradedMatrix.zeros(scale, n_rows, 0),
-                         GradedMatrix.zeros(scale, 0, n_cols), (0,))
-
     # Bitmask of covered cells per concept, bit b for the b-th nonzero cell
     # in row-major order; concepts covering nothing can never appear in a
     # minimal cover.

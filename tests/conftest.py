@@ -15,10 +15,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # The suite with ten times the examples, for the differential tests of the
-# fast kernels: `--hypothesis-profile=deep`.  A test that sets its own
-# max_examples scales it with `strategies.examples`.  pytest imports this
-# file before the hypothesis plugin reads that option, so the option wins
-# over the load below.
+# fast kernels, marked deep: `-m deep --hypothesis-profile=deep`.  A test
+# that sets its own max_examples scales it with `strategies.examples`.
+# pytest imports this file before the hypothesis plugin reads that option,
+# so the option wins over the load below.
 settings.register_profile(
     "deep",
     settings.get_profile("suite"),

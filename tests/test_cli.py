@@ -753,6 +753,7 @@ def run_sequence(folder: Path, data_dir, monkeypatch, capsys) -> list:
     return outcomes + [written]
 
 
+@pytest.mark.deep
 def test_in_process_calls_write_what_fresh_parsers_write(tmp_path, data_dir, monkeypatch,
                                                           capsys):
     # main keeps one parser for the process; a sequence run through it gives

@@ -161,16 +161,21 @@ def test_every_command_line_ends_in_artifacts_or_one_error_line(inputs, command)
     assert codes == {0, 1, 2}
 
 
+ITEM_2 = pytest.mark.xfail(run=False, reason="ROADMAP item 2")
+
+
 @pytest.mark.parametrize("argv", [
-    ("factorize", "--input", "two.csv", "--levels", "2147483648", "--tnorm", "godel"),
-    ("experiment-factorizability", "--trials", str(10**30)),
-    ("experiment-factorizability", "--rows", str(10**30)),
-    ("experiment-factorizability", "--cols", str(10**30)),
-    ("experiment-factorizability", "--k", str(10**30)),
-], ids=["levels", "trials", "rows", "cols", "k"])
-@pytest.mark.xfail(run=False, reason="ROADMAP item 2")
+    pytest.param(("factorize", "--input", "two.csv", "--levels", "2147483648",
+                  "--tnorm", "godel"), id="levels", marks=ITEM_2),
+    pytest.param(("experiment-factorizability", "--trials", str(10**30)), id="trials",
+                 marks=ITEM_2),
+    pytest.param(("experiment-factorizability", "--rows", str(10**30)), id="rows"),
+    pytest.param(("experiment-factorizability", "--cols", str(10**30)), id="cols"),
+    pytest.param(("experiment-factorizability", "--k", str(10**30)), id="k"),
+])
 def test_a_huge_number_ends_within_seconds(tmp_path, argv):
-    # about an hour on a 2 x 2 input at this many grades
+    # about an hour on a 2 x 2 input at this many grades; a random instance
+    # past the dense-grid bound is refused before any draw
     (tmp_path / "two.csv").write_text("1,0\n1,1\n")
     out = tmp_path / "out"
     check_outcome([str(tmp_path / a) if a == "two.csv" else a for a in argv]

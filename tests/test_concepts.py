@@ -149,6 +149,7 @@ SWEEP_PATCHES = ({"_LEVEL_TABLE_BYTES": factorization._LEVEL_TABLE_BYTES},
                  {"_LEVEL_TABLE_BYTES": 0}, {"SWEEP_BATCH_BYTES": 1})
 
 
+@pytest.mark.deep
 @given(st.one_of(
     strategies.contexts(max_rows=3, max_cols=3, kinds=("lukasiewicz", "godel", "goguen")),
     # the two-grade chain closes on row bitsets
@@ -167,6 +168,7 @@ def test_enumeration_matches_exhaustive_sweep(ctx):
         assert got == expected, patch
 
 
+@pytest.mark.deep
 @given(
     st.one_of(
         strategies.contexts(max_rows=3, max_cols=3, kinds=("lukasiewicz", "godel", "goguen")),

@@ -438,6 +438,18 @@ def test_random_factorizable_respects_distribution():
     assert 0 < m.entries.max() <= 2
 
 
+@pytest.mark.parametrize("shape", [(4, 4, 3), (3, 4, 4), (4, 1, 4)],
+                         ids=["left", "right", "product"])
+def test_random_factorizable_refuses_a_matrix_past_the_grid_bound(monkeypatch, shape):
+    # each of n x k, k x m and n x m is bounded before anything is drawn
+    monkeypatch.setattr(data, "MAX_FIMI_CELLS", 12)
+    n_rows, k, n_cols = shape
+    assert random_factorizable(3, 3, 4, FIVE).shape == (3, 3)
+    with pytest.raises(ValueError, match=f"a {n_rows}x{k} by {k}x{n_cols} product has a "
+                                         "matrix of more than 12 cells"):
+        random_factorizable(n_rows, n_cols, k, FIVE)
+
+
 def test_random_factorizable_validation():
     with pytest.raises(ValueError, match="dimensions must be positive"):
         random_factorizable(0, 3, 1, FIVE)

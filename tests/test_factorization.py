@@ -37,7 +37,7 @@ from gradefactor import (
 )
 from gradefactor import factorization
 from gradefactor.factorization import resolve_tie_break
-from gradefactor.matrix import _rectangle
+from gradefactor.matrix import LEVEL_DTYPE, _rectangle
 
 FIVE = Scale(5)
 
@@ -284,6 +284,7 @@ def assert_matches_reference(ctx, tie_break=DEFAULT_TIE_BREAK, budget=None, max_
         assert fast == slow, f"opening block at {cap} words, level tables at {level_cap} bytes"
 
 
+@pytest.mark.deep
 @given(
     strategies.scales(ALL_KINDS, max_levels=101).flatmap(
         lambda scale: strategies.contexts(scale, max_rows=5, max_cols=4)
@@ -296,6 +297,7 @@ def test_sweep_matches_reference_on_graded_chains(ctx, tie_break, budget):
     assert_matches_reference(ctx, tie_break, budget)
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("levels", [5, 11, 101])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_sweep_matches_reference_on_each_tnorm(levels, kind):
@@ -305,6 +307,7 @@ def test_sweep_matches_reference_on_each_tnorm(levels, kind):
     assert_matches_reference(GradedMatrix(scale, entries))
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("levels, shape", [(11, (6, 75)), (2, (20, 260))])
 def test_sweep_matches_reference_past_a_partial_opening_block(levels, shape):
     # inputs whose first opening takes more than one batch at the default
@@ -330,6 +333,7 @@ def tall_product(scale, rows, seed, cols=8):
     return GradedMatrix(scale, entries)
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("rows, cols", [
     *(pytest.param(rows, 8, id=str(rows)) for rows in (63, 64, 65, 129, 257, 1000)),
     pytest.param(1000, 3, id="1000x3"), pytest.param(257, 2, id="257x2"),
@@ -397,6 +401,7 @@ def distinct_context(ctx):
     return GradedMatrix(ctx.scale, np.array(cols).T), np.array(weights)
 
 
+@pytest.mark.deep
 @given(
     strategies.scales(ALL_KINDS, max_levels=12).flatmap(
         lambda scale: st.one_of(strategies.contexts(scale, max_rows=6, max_cols=5),
@@ -467,6 +472,7 @@ def level_table_caps(ctx):
     return 0, tables, factorization._LEVEL_TABLE_BYTES
 
 
+@pytest.mark.deep
 @given(
     strategies.scales(ALL_KINDS, max_levels=9).flatmap(
         lambda scale: strategies.repeated_contexts(scale, max_rows=3, max_cols=3)
@@ -608,6 +614,7 @@ def test_bitset_batches_keep_their_size(rows, cols, budget):
     assert all(full[i] for i in range(len(full)) if i not in ends)
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("levels", [128, 129])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_sweep_matches_reference_at_the_narrow_level_bound(levels, kind):
@@ -738,6 +745,7 @@ def test_column_and_level_tables_fit_the_default_cap(levels, shape):
         assert fit > factorization._LEVEL_TABLE_BYTES
 
 
+@pytest.mark.deep
 @given(
     st.sampled_from([1, 63, 64, 65, 130, 257]),
     st.integers(1, 6),
@@ -755,6 +763,7 @@ def test_bitset_sweep_matches_reference_at_word_boundaries(n, m, density, seed, 
     assert_matches_reference(ctx, tie_break, budget, max_factors)
 
 
+@pytest.mark.deep
 @given(
     strategies.packed_closures(), st.sampled_from("CF"),
     st.sampled_from([8, 8 * 3, factorization.SWEEP_BATCH_BYTES]),
@@ -772,6 +781,7 @@ def test_bitset_closures_match_the_plain_test(block, order, budget):
     assert np.array_equal(closed, oracles.closed_columns(ext, holes))
 
 
+@pytest.mark.deep
 def test_bitset_sweep_matches_reference_on_a_truncated_tall_run():
     rng = np.random.default_rng(8)
     ctx = GradedMatrix(Scale.boolean(), (rng.random((300, 20)) < 0.45).astype(int))
@@ -1013,6 +1023,7 @@ def test_gain_matches_the_closed_candidate(pair, data):
     assert got == (expected if a > intent.membership[j] else None)
 
 
+@pytest.mark.deep
 @given(
     strategies.context_with_intent(kinds=ALL_KINDS), st.data(),
     st.sampled_from(BUDGETS), st.sampled_from(LEVEL_TABLE_CAPS),
@@ -1501,10 +1512,18 @@ def test_boolean_identity_optimum():
     assert_exact(opt, eye)
 
 
-def test_oracle_on_zero_matrix():
-    opt = optimal_factorization(GradedMatrix.zeros(FIVE, 2, 2))
+@pytest.mark.parametrize("levels", [2, 3, 5])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 1)])
+def test_oracle_on_zero_matrix(levels, shape):
+    # the cover search's own path: no cell to cover, so no factor
+    n_rows, n_cols = shape
+    opt = optimal_factorization(GradedMatrix.zeros(Scale(levels), n_rows, n_cols))
     assert opt.factors == ()
+    for matrix, matrix_shape in ((opt.a, (n_rows, 0)), (opt.b, (0, n_cols))):
+        assert matrix.entries.shape == matrix_shape
+        assert matrix.entries.dtype == LEVEL_DTYPE
     assert opt.uncovered_counts == (0,)
+    assert opt.complete
 
 
 @given(strategies.contexts(max_rows=3, max_cols=3, kinds=("lukasiewicz", "godel")))
@@ -1543,6 +1562,7 @@ def test_oracle_budget_stops_the_cover_search():
     assert len(optimal_factorization(ctx, budget=6)) == 2
 
 
+@pytest.mark.deep
 @given(st.integers(1, 16).flatmap(
     lambda bits: st.lists(st.integers(0, 2**bits - 1), max_size=12)))
 @settings(max_examples=strategies.examples(200))

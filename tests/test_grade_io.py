@@ -15,6 +15,8 @@ input into a result or a ValueError.
 
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -127,6 +129,7 @@ KEY_SHAPES = st.one_of(st.sampled_from([(0, 4), (3, 0), (0, 0), (1, 1)]),
                        st.tuples(st.integers(1, 5), st.integers(1, 5)))
 
 
+@pytest.mark.deep
 @given(st.lists(st.tuples(LEVEL_TEXTS, st.sampled_from(SEPARATORS)), min_size=1, max_size=8),
        st.booleans(), KEY_SHAPES, st.data())
 @settings(max_examples=strategies.examples(300))
@@ -153,7 +156,7 @@ def test_printing_on_the_longest_chain_builds_no_table_over_it(tmp_path):
         write_csv(matrix, tmp_path / "fast.csv")
         cli._write_json(tmp_path / "fast.json", report)
 
-    write()  # imports what numpy loads on first use, such as numpy.ma for np.unique
+    write()  # fills the per-process cache of grade texts the traced write reads
     tracemalloc.start()
     try:
         write()
@@ -166,6 +169,34 @@ def test_printing_on_the_longest_chain_builds_no_table_over_it(tmp_path):
                          for column, row in zip(matrix.entries.T, matrix.entries)]}
     assert (tmp_path / "fast.json").read_text() == json.dumps(lists, indent=2, sort_keys=True) + "\n"
     assert peak < 10**6
+
+
+LONG_CHAIN_PRINTS = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from gradefactor import FactorSet, GradedMatrix, Scale, cli, write_csv
+
+folder = Path(sys.argv[1])
+scale = Scale(201)
+a = GradedMatrix(scale, np.arange(600).reshape(300, 2) % 201)
+b = GradedMatrix(scale, [[200, 64, 0], [1, 2, 3]])
+write_csv(a, folder / "A.csv")
+cli._write_json(folder / "factors.json", {"factors": FactorSet(a, b, (9, 1, 0))})
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_printing_past_the_kept_tables_leaves_numpy_ma_unimported(tmp_path):
+    # a plain np.unique imports numpy.ma on its first call in a process,
+    # about 6 ms; the levels of 64 or more, and the 600 extent ints past
+    # the report's join bound, go through the np.unique that keys the table
+    result = subprocess.run([sys.executable, "-c", LONG_CHAIN_PRINTS, str(tmp_path)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 # ---------------------------------------------------------------- read_csv
@@ -349,6 +380,7 @@ def chain_steps(draw):
     return scale, draw(st.sampled_from(MODES)), texts, matrix
 
 
+@pytest.mark.deep
 @given(st.lists(chain_steps(), min_size=2, max_size=6))
 @settings(max_examples=strategies.examples(200))
 def test_grade_texts_keep_their_meaning_across_interleaved_chains(tmp_path_factory, steps):
@@ -686,6 +718,7 @@ def fixed_point_columns(draw):
     return tuple(column)
 
 
+@pytest.mark.deep
 @given(fixed_point_columns())
 @settings(max_examples=strategies.examples(300))
 def test_fixed_point_columns_match_the_pattern_twin(cells):
@@ -855,6 +888,7 @@ PLAIN_FIMI_TOKENS = st.one_of(
 BYTES = re.compile(r"BYTES([-+]\d)")
 
 
+@pytest.mark.deep
 @given(
     st.lists(st.one_of(st.tuples(st.lists(PLAIN_FIMI_TOKENS, max_size=6),
                                  st.sampled_from([" ", "\t", "  ", " \t"]),

@@ -28,6 +28,7 @@ every run here takes whatever its row count, `_CLARIFY_ROWS` patched to 0.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +78,7 @@ RUNS = (st.sampled_from(TIE_BREAK_POLICIES), st.sampled_from(BUDGETS),
         st.sampled_from(LEVEL_TABLE_CAPS))
 
 
+@pytest.mark.deep
 @given(tall_contexts(), *RUNS)
 @settings(max_examples=strategies.examples(40))
 def test_permuting_rows_permutes_the_extents(drawn, tie_break, budget, level_cap):
@@ -89,6 +91,7 @@ def test_permuting_rows_permutes_the_extents(drawn, tie_break, budget, level_cap
     assert moved.uncovered_counts == fs.uncovered_counts
 
 
+@pytest.mark.deep
 @given(tall_contexts(), st.integers(2, 4), *RUNS)
 @settings(max_examples=strategies.examples(30))
 def test_repeating_every_row_repeats_the_extents_and_scales_the_trace(drawn, k, tie_break,
@@ -102,6 +105,7 @@ def test_repeating_every_row_repeats_the_extents_and_scales_the_trace(drawn, k, 
     assert repeated.uncovered_counts == tuple(k * u for u in fs.uncovered_counts)
 
 
+@pytest.mark.deep
 @given(st.one_of(tall_contexts(kinds=("godel",)), tall_contexts(levels=(2,))), *RUNS)
 @settings(max_examples=strategies.examples(40))
 def test_appending_a_zero_row_adds_a_zero_extent_entry(drawn, tie_break, budget, level_cap):
