@@ -123,30 +123,6 @@ def _factor_report(args: argparse.Namespace, factor_set: FactorSet, curve, nonze
     }
 
 
-def _json_text(value, indent: str = "") -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, with
-    a FactorSet as its list of factors, ``[{"extent": [...], "intent":
-    [...]}, ...]``, and its lines after the first indented by `indent`.  Dicts with string keys and lists are laid out
-    here, and a list of ints is joined in one call; any other value goes
-    through json.dumps, whose strings never hold a raw line break, and
-    which lays out only containers."""
-    inner = indent + "  "
-    if type(value) is FactorSet:
-        return _factors_text(value, indent)
-    if type(value) is list and value:
-        if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = (_json_text(v, inner) for v in value)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        items = (f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    return json.dumps(value)
-
-
 def _factors_text(factors: FactorSet, indent: str) -> str:
     """The text of a report's factors: every extent printed by one
     `_json_rows` call and every intent by another."""
@@ -159,21 +135,14 @@ def _factors_text(factors: FactorSet, indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
-# Below this many ints, `_json_rows` joins their texts in Python: between
-# other work, as when a report is written, a gather's dozen numpy calls
-# cost more than that many int.__repr__ calls.
-_JOIN_CELLS = 512
-
-
 def _json_rows(rows: np.ndarray, indent: str) -> list[str]:
     """The text of each row of a 2-D int array as a list of
     ``json.dumps(..., indent=2)``, with its lines after the first indented
-    by `indent`.  Below _JOIN_CELLS ints each row is laid out as a list.
-    Otherwise every int's text is followed by the separator, so the texts
-    are printed through one byte table of the ints that occur; each row's
-    text is cut at the cumulative lengths, less its last separator."""
-    if rows.size < _JOIN_CELLS:
-        return [_json_text(row, indent) for row in rows.tolist()]
+    by `indent`.  Every int's text is followed by the separator, so the
+    texts are printed through one byte table of the ints that occur; each
+    row's text is cut at the cumulative lengths, less its last separator."""
+    if not rows.shape[1]:
+        return ["[]"] * len(rows)
     inner = indent + "  "
     sep = ",\n" + inner
     lists = []
@@ -187,8 +156,13 @@ def _json_rows(rows: np.ndarray, indent: str) -> list[str]:
 
 def _write_json(path: Path, payload: dict) -> None:
     """Write exactly ``json.dumps(payload, indent=2, sort_keys=True)`` and a
-    line break."""
-    path.write_text(_json_text(payload) + "\n", encoding="utf-8", newline="\n")
+    line break, with the FactorSet ``payload["factors"]`` as its list of
+    factors, ``[{"extent": [...], "intent": [...]}, ...]``."""
+    text = json.dumps({**payload, "factors": []}, indent=2, sort_keys=True)
+    # json.dumps escapes a line break inside a string: this is the top-level member
+    member = '\n  "factors": '
+    text = text.replace(member + "[]", member + _factors_text(payload["factors"], "  "), 1)
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_coverage_tsv(path: Path, curve, nonzero) -> None:

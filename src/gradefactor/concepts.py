@@ -41,18 +41,15 @@ def _require_context(context: GradedMatrix) -> None:
         raise ValueError("a context needs at least one row and one column")
 
 
-def _check_extent(context: GradedMatrix, extent: FuzzySet) -> None:
+def _check_set(context: GradedMatrix, graded: FuzzySet, axis: int) -> None:
+    """Check a graded set of the context's rows (axis 0), an extent, or of
+    its columns (axis 1), an intent."""
     _require_context(context)
-    _require_same_scale(context.scale, extent.scale)
-    if extent.size != context.n_rows:
-        raise ValueError(f"extent size {extent.size} does not match {context.n_rows} rows")
-
-
-def _check_intent(context: GradedMatrix, intent: FuzzySet) -> None:
-    _require_context(context)
-    _require_same_scale(context.scale, intent.scale)
-    if intent.size != context.n_cols:
-        raise ValueError(f"intent size {intent.size} does not match {context.n_cols} columns")
+    _require_same_scale(context.scale, graded.scale)
+    size = context.shape[axis]
+    if graded.size != size:
+        name, unit = (("extent", "rows"), ("intent", "columns"))[axis]
+        raise ValueError(f"{name} size {graded.size} does not match {size} {unit}")
 
 
 def _up_levels(scale: Scale, entries: np.ndarray, extent: np.ndarray) -> np.ndarray:
@@ -65,19 +62,19 @@ def _down_levels(scale: Scale, entries: np.ndarray, intent: np.ndarray) -> np.nd
 
 def up(context: GradedMatrix, extent: FuzzySet) -> FuzzySet:
     """Intent of all attributes shared by a graded set of objects."""
-    _check_extent(context, extent)
+    _check_set(context, extent, 0)
     return FuzzySet(context.scale, _up_levels(context.scale, context.entries, extent.membership))
 
 
 def down(context: GradedMatrix, intent: FuzzySet) -> FuzzySet:
     """Extent of all objects sharing a graded set of attributes."""
-    _check_intent(context, intent)
+    _check_set(context, intent, 1)
     return FuzzySet(context.scale, _down_levels(context.scale, context.entries, intent.membership))
 
 
 def concept_from_intent(context: GradedMatrix, intent: FuzzySet) -> FormalConcept:
     """The concept generated by an arbitrary (not necessarily closed) intent."""
-    _check_intent(context, intent)
+    _check_set(context, intent, 1)
     scale, entries = context.scale, context.entries
     extent = _down_levels(scale, entries, intent.membership)
     closed = _up_levels(scale, entries, extent)

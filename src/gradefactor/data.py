@@ -398,7 +398,7 @@ def _parse_grade_cell(levels: int, text: str, strict: bool) -> int:
     scale = Scale(levels)
     if text.startswith("L"):
         body = text[1:]
-        if not body.isdigit():
+        if not body.isdecimal():
             raise ValueError(f"bad level syntax {text!r}")
         return scale.check_level(int(body))
     value = _parse_fraction(text)

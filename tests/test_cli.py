@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -22,7 +22,7 @@ from gradefactor import (
     read_csv,
     write_csv,
 )
-from gradefactor import cli, factorization
+from gradefactor import cli, data, factorization
 from gradefactor.cli import build_parser, main
 from gradefactor.data import MAX_FIMI_CELLS
 
@@ -342,8 +342,8 @@ def test_discretize_refuses_a_typo_in_a_data_column(tmp_path, capsys):
 # ---------------------------------------------------------------- report
 
 
-# what a report may hold: nested dicts, empty and integer lists, negative
-# numbers, floats, non-ASCII text and None; and, as a member, its factors
+# what a report may hold beside its factors: nested dicts, empty and
+# integer lists, negative numbers, floats, non-ASCII text and None
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(),
     st.text(st.characters(), max_size=6),
@@ -359,11 +359,12 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=24,
 )
-# factor sets of up to four factors, whose extents and intents have lengths
-# joined in Python and lengths gathered, on chains a table over every
-# level up to the top covers and chains of a table over the levels that
-# occur
-LENGTHS = st.one_of(st.integers(0, 5), st.sampled_from([cli._JOIN_CELLS // 2, cli._JOIN_CELLS]))
+# factor sets of up to ten factors, whose extents and intents are short or
+# long enough that the factors' lists span several gather blocks, on chains
+# a table over every level up to the top covers and chains of a table over
+# the levels that occur
+LENGTHS = st.one_of(st.integers(0, 5),
+                    st.sampled_from([data._GATHER_CELLS // 10 + 1, data._GATHER_CELLS // 3 + 1]))
 
 
 def factor_set(seed, k, n, m, levels):
@@ -373,7 +374,7 @@ def factor_set(seed, k, n, m, levels):
                      tuple(range(k, -1, -1)))
 
 
-FACTORS = st.builds(factor_set, st.integers(0, 2**32), st.integers(0, 4), LENGTHS, LENGTHS,
+FACTORS = st.builds(factor_set, st.integers(0, 2**32), st.integers(0, 10), LENGTHS, LENGTHS,
                     st.sampled_from([2, 5, 201, MAX_LEVELS]))
 
 
@@ -387,11 +388,19 @@ def as_lists(value):
     return value
 
 
-@given(st.dictionaries(st.text(st.characters(), max_size=6), st.one_of(JSON_VALUES, FACTORS),
-                       max_size=6))
+@given(st.dictionaries(st.text(st.characters(), max_size=6), JSON_VALUES, max_size=6), FACTORS)
+@example({}, factor_set(0, 0, 3, 4, 5))
+@example({"shape": [0, 0]}, factor_set(1, 3, 0, 0, 201))
+@example({"input": '\n  "factors": []'}, factor_set(2, 2, 3, 4, 5))
 @settings(max_examples=300)
-def test_report_text_is_json_dumps(payload):
-    assert cli._json_text(payload) == json.dumps(as_lists(payload), indent=2, sort_keys=True)
+def test_report_text_is_json_dumps(tmp_path_factory, payload, factors):
+    # the text of the factors is spliced into json.dumps of the rest, so a
+    # string member that looks like the spliced one must stay as it is
+    path = tmp_path_factory.mktemp("report") / "factors.json"
+    payload = {**payload, "factors": factors}
+    cli._write_json(path, payload)
+    text = json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == text.encode()
 
 
 # ---------------------------------------------------------------- experiments

@@ -72,10 +72,12 @@ def test_up_is_antitone():
 
 def test_operator_validation():
     ctx = golden.graded_matrix()
-    with pytest.raises(ValueError, match="extent size"):
+    with pytest.raises(ValueError, match="^extent size 2 does not match 5 rows$"):
         up(ctx, FuzzySet(FIVE, [1, 2]))
-    with pytest.raises(ValueError, match="intent size"):
+    with pytest.raises(ValueError, match="^intent size 2 does not match 10 columns$"):
         down(ctx, FuzzySet(FIVE, [1, 2]))
+    with pytest.raises(ValueError, match="^intent size 5 does not match 10 columns$"):
+        concept_from_intent(ctx, FuzzySet(FIVE, [0] * 5))
     with pytest.raises(ValueError, match="scale mismatch"):
         up(ctx, FuzzySet(Scale(5, "godel"), [0] * 5))
     empty = GradedMatrix(FIVE, np.zeros((0, 3), dtype=int))

@@ -149,6 +149,18 @@ def test_read_csv_accepts_level_syntax(tmp_path):
     assert read_csv(path, FIVE).entries.tolist() == [[0, 2], [4, 2]]
 
 
+def test_level_syntax_takes_the_digits_int_takes(tmp_path):
+    # Arabic-Indic three is a decimal digit; a superscript two is a digit
+    # that int() refuses, so its cell is a bad level and, alone, a name
+    path = tmp_path / "m.csv"
+    path.write_text("L1,L2\nL3,L٣\n", encoding="utf-8")
+    assert read_csv(path, FIVE).entries.tolist() == [[1, 2], [3, 3]]
+    path.write_text("L1,L2\nL3,L²\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape("column 2: bad level syntax 'L²' (line 2)")):
+        read_csv(path, FIVE)
+    assert data._cell_kind(5, "L²") == "name"
+
+
 def test_read_csv_autodetects_labels(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("name,a,b\nx,0.25,0.5\ny,1,0\n")

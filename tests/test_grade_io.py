@@ -191,8 +191,8 @@ print("numpy.ma" in sys.modules)
 
 def test_printing_past_the_kept_tables_leaves_numpy_ma_unimported(tmp_path):
     # a plain np.unique imports numpy.ma on its first call in a process,
-    # about 6 ms; the levels of 64 or more, and the 600 extent ints past
-    # the report's join bound, go through the np.unique that keys the table
+    # about 6 ms; the levels of 64 or more, in A.csv and in the report's
+    # extents and intents, go through the np.unique that keys the table
     result = subprocess.run([sys.executable, "-c", LONG_CHAIN_PRINTS, str(tmp_path)],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
