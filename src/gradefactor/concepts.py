@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import LEVEL_DTYPE, FuzzySet, GradedMatrix, _require_same_scale
-from .scale import Scale
+from .scale import Scale, _require_integer
 
 
 class BudgetExceededError(RuntimeError):
@@ -96,6 +96,7 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
     from .factorization import _make_sweep
 
     _require_context(context)
+    budget = _require_integer("budget", budget)
     scale, entries = context.scale, context.entries
     sweep = _make_sweep(scale, entries, entries != 0)
     # the empty intent's extent is top, since residuum(0, b) = n

@@ -287,7 +287,8 @@ def _read_rows(path, text: str | None = None) -> list[list[str]]:
     widths = list(map(len, rows))
     if widths.count(width) != len(widths):
         i = next(i for i, w in enumerate(widths) if w != width)
-        raise ValueError(f"{path}: row {i + 1} has {widths[i]} cells, expected {width}")
+        raise ValueError(f"{path}: row {i + 1} has {widths[i]} cells, expected {width} "
+                         f"(line {_cell_line(path, i, 0)})")
     return rows
 
 
@@ -886,7 +887,9 @@ def random_factorizable(n_rows: int, n_cols: int, k: int, scale: Scale,
             raise ValueError(
                 f"distribution needs one weight per grade ({scale.levels}), got shape {p.shape}"
             )
-        if (p < 0).any() or not math.isclose(p.sum(), 1.0, abs_tol=1e-9):
+        # a weight past [0, 1], NaN included, is refused before the sum,
+        # which would overflow on weights near the float maximum
+        if not ((p >= 0) & (p <= 1)).all() or not math.isclose(p.sum(), 1.0, abs_tol=1e-9):
             raise ValueError("distribution weights must be nonnegative and sum to 1")
         p = p / p.sum()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

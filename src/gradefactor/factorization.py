@@ -38,14 +38,14 @@ against the rows every column lacks, and the other words only for the
 pairs that word leaves closed.
 
 A graded input of at least _CLARIFY_ROWS rows, at most half of them
-distinct, is clarified first: the sweep runs on its distinct rows and,
-among those, its distinct columns, each cell weighted by the input cells
-it stands for, and holds the uncovered cells as bit planes of those
-weights, so every gain, winner and trace entry is the input's.  The
-factors expand back to the input's rows and columns once per run.  A
-4000 x 8 input with 125 distinct rows and 6 distinct columns then runs in
-about a sixth of the time; on an input whose rows do not repeat the check
-is one np.unique of row keys, and on a shorter one there is no check.
+distinct, is clarified first: the sweep runs on its distinct rows, each
+row's cells weighted by the number of input rows it stands for, and
+holds the uncovered cells as bit planes of those weights, so every gain,
+winner and trace entry is the input's.  The extents expand back to the
+input's rows once per run.  A 4000 x 8 input with 125 distinct rows then
+runs in about a quarter of the time; on an input whose rows do not
+repeat the check is one np.unique of row keys, and on a shorter one
+there is no check.
 
 `optimal_factorization` is the small-instance oracle: it enumerates every
 formal concept and searches subsets in lexicographic index order for a
@@ -178,7 +178,7 @@ _OPENING_TABLE_WORDS = 1 << 19
 _LEVEL_TABLE_BYTES = 16 << 20
 
 # Rows of the shortest input find_factors clarifies (see _clarify): on
-# fewer rows two np.unique calls and the weight planes cost more than the
+# fewer rows the np.unique call and the weight planes cost more than the
 # merged rows save.
 _CLARIFY_ROWS = 64
 
@@ -378,10 +378,11 @@ class _GradedSweep:
     The mask must hold nonzero cells only.
 
     A cell may carry an integer weight, the number of input cells it
-    stands for on a clarified context (see `_clarify`).  `live` then holds
-    the weights of the uncovered cells as bit planes, plane k the cells
-    whose weight has bit k set, and a gain is Σ_k 2^k popcount(covers &
-    plane k); retiring clears the winner's cells in every plane.  Without
+    stands for on a clarified context (see `_clarify`), where `weights` is
+    a column of row counts that broadcasts along each row.  `live` then
+    holds the weights of the uncovered cells as bit planes, plane k the
+    cells whose weight has bit k set, and a gain is Σ_k 2^k popcount(covers
+    & plane k); retiring clears the winner's cells in every plane.  Without
     weights `live` is the one plane, the packed mask itself, with no plane
     axis and no place values (`place` is None), so that a gain is one
     popcount: on 20 x 20 a plane axis of length one cost up to 1 µs a
@@ -543,60 +544,43 @@ def _row_keys(block: np.ndarray, levels: int) -> np.ndarray:
     return narrow.view(np.dtype((np.void, narrow.itemsize * m))).ravel()
 
 
-def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The classes of equal keys in order of first occurrence: each class's
-    first index, each key's class and each class's size."""
-    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
-                                          return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse], counts[order]
-
-
 def _clarify(scale: Scale, entries: np.ndarray):
     """The clarified context of a graded input, or the input itself when
     its run takes it as it is.
 
     Identical rows get identical grades in every extent, so a concept
     covers all their copies or none, and a closure, a minimum over rows,
-    does not see the repeats.  A later copy of a column has the first
-    copy's closure grades, so each of its candidates ties the first copy's
-    at a later attribute and loses under both policies.  The sweep can
-    therefore run on the distinct rows and, among those, the distinct
-    columns, both in order of first occurrence, with each cell weighted by
-    the product of its row's and its column's multiplicity: every gain is
-    the input's, so every winner is, and extents and intents expand back
-    through the returned inverses.  This is clarifying the context, which
-    keeps its concept lattice.
+    does not see the repeats.  The sweep can therefore run on the distinct
+    rows, with each row's cells weighted by its multiplicity: every gain,
+    a sum over cells, is the input's, and ties rank candidates by (j, a),
+    never by row, so every winner is the input's, whatever the order of
+    the rows; extents expand back through the returned inverse.  This is
+    clarifying the context's objects, which keeps its concept lattice.
+    Repeated columns are swept as they are.
 
     The two-grade chain keeps its bitset sweep.  A graded input is
     clarified when it has at least _CLARIFY_ROWS rows and at most half of
     them are distinct.  On rows repeated about 4 times, 3 t-norms and 4
     seeds each, the median time of a clarified run over an unclarified
-    one (best of 15-40 calls, 7 interleaved rounds, 2 vCPUs) was
-    1.55 on 4 x 4 and 5 x 5 on 3 grades, 1.47 on 8 x 8 and 1.23 on 16 x 10
-    on 5 grades, 1.04-1.10 on 24-48 x 10, 0.98 on 64 x 10, 0.91 on 96 x 10
-    and 0.86 on 128 x 10.  Where rows do not repeat the check is pure
-    cost, one np.unique of the row keys: 1.1-1.25 ms on 3196 x 75, against
-    a second or more.  A 4000 x 8 input with 125 distinct rows spends about
-    0.5 ms to clarify, and its sweep then runs on 125 x 6 cells instead of
-    4000 x 8.
+    one (best of 15 calls, 7 interleaved rounds, 2 vCPUs) was 1.39 on
+    4 x 4 and 1.38 on 5 x 5 on 3 grades, 1.34 on 8 x 8 and 1.15 on 16 x 10
+    on 5 grades, 1.04-1.06 on 24-48 x 10, 0.98 on 64 x 10, 0.89 on 96 x 10
+    and 0.82 on 128 x 10.  Where rows do not repeat the check is pure
+    cost, one np.unique of the row keys: 0.8-0.9 ms on 3196 x 75, against
+    a second or more.  A 4000 x 8 input with 125 distinct rows spends
+    0.3-0.4 ms to clarify, and its sweep then runs on 125 x 8 cells
+    instead of 4000 x 8.
 
-    Returns the clarified entries, their cell weights, and the index of
-    each input row's and each input column's class; for an input taken as
-    it is, the input, no weights and two whole slices.
+    Returns the distinct rows in key order, each row's count as a column
+    of weights, and the index of each input row's class; for an input
+    taken as it is, the input, no weights and a whole slice.
     """
-    unclarified = entries, None, slice(None), slice(None)
-    if scale.levels == 2 or len(entries) < _CLARIFY_ROWS:
-        return unclarified
-    rows, row_inverse, row_counts = _classes(_row_keys(entries, scale.levels))
-    if 2 * len(rows) > len(entries):
-        return unclarified
-    distinct = entries[rows]
-    cols, col_inverse, col_counts = _classes(_row_keys(distinct.T, scale.levels))
-    weights = row_counts[:, None] * col_counts
-    return distinct[:, cols], weights, row_inverse, col_inverse
+    if scale.levels > 2 and len(entries) >= _CLARIFY_ROWS:
+        _, first, inverse, counts = np.unique(_row_keys(entries, scale.levels), return_index=True,
+                                              return_inverse=True, return_counts=True)
+        if 2 * len(first) <= len(entries):
+            return entries[first], counts[:, None], inverse
+    return entries, None, slice(None)
 
 
 def _opening_batches(sweep, block: list, intent: np.ndarray, extent: np.ndarray):
@@ -676,7 +660,7 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
         raise ValueError(f"max_factors must be nonnegative, got {max_factors}")
     scale = context.scale
     uncovered = [int(np.count_nonzero(context.entries))]
-    entries, weights, row_index, col_index = _clarify(scale, context.entries)
+    entries, weights, row_index = _clarify(scale, context.entries)
     n_rows, n_cols = entries.shape
     sweep = _make_sweep(scale, entries, entries != 0, weights)
     # the empty intent's extent is top, since residuum(0, b) = n
@@ -704,9 +688,9 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
             raise RuntimeError(f"factor {len(extents)} covers no uncovered cell")
 
     k = len(extents)
-    # a clarified run's factors expand to the input's rows and columns once
+    # a clarified run's extents expand to the input's rows once
     a = np.reshape(extents, (k, n_rows)).T[row_index]
-    b = np.reshape(intents, (k, n_cols))[:, col_index]
+    b = np.reshape(intents, (k, n_cols))
     return FactorSet(GradedMatrix(scale, a), GradedMatrix(scale, b), tuple(uncovered))
 
 

@@ -157,11 +157,11 @@ GRADED_TALL_SHA256 = {
 
 
 # A planted-loadings input shaped like a discretized survey: 4000 x 8 on 5
-# levels, by `planted_loadings`, with only 125 distinct rows and 6 distinct
-# columns, since columns 6 and 7 repeat columns 0 and 1.  The sha256 of the
-# factor set, as `factor_set_sha256` writes it, that `find_factors` returns
-# on each t-norm, under both tie-break policies, with the level tables and
-# without them, computed before the sweep ran on distinct rows and columns.
+# levels, by `planted_loadings`, with only 125 distinct rows; columns 6 and
+# 7 repeat columns 0 and 1.  The sha256 of the factor set, as
+# `factor_set_sha256` writes it, that `find_factors` returns on each t-norm,
+# under both tie-break policies, with the level tables and without them,
+# computed before the sweep ran on clarified contexts.
 LOADINGS_SHA256 = {
     "lukasiewicz": "2a76af2b353759b96170cbacfd86fee6d13d0df711d7a5cbc57580b68206b6bb",
     "godel": "229831130e725b199b2574585bdf2aea6ef20931931be575e628d0383896b122",

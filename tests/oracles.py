@@ -489,7 +489,8 @@ def read_located_rows(path) -> tuple[list[list[str]], list[list[int]]]:
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {width} "
+                             f"(line {lines[i][0]})")
     return rows, lines
 
 

@@ -434,6 +434,15 @@ def test_experiment_rejects_bad_distribution(tmp_path, capsys):
     assert "one weight per grade" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dist", ["1e308,1e308,0,0,0", "nan,0,0,0,1"])
+def test_experiment_refuses_weights_outside_the_unit_interval(tmp_path, capsys, dist):
+    # refused before the weights are summed, whose overflow would warn
+    assert run("experiment-factorizability", "--k", "2", "--trials", 2,
+               "--dist", dist, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: distribution weights must be nonnegative and sum to 1"]
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_experiment_rejects_trials_below_one(tmp_path, capsys, trials):
     out = tmp_path / "out"

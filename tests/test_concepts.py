@@ -1,5 +1,6 @@
 """Concept-forming operators, closures, and exhaustive enumeration."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from gradefactor import (
     concept_from_intent,
     down,
     enumerate_concepts,
+    optimal_factorization,
     up,
 )
 from gradefactor import factorization
@@ -236,6 +238,15 @@ def test_extreme_concepts_present(decathlon):
 def test_enumeration_budget(decathlon):
     with pytest.raises(BudgetExceededError, match="budget"):
         enumerate_concepts(decathlon, budget=10)
+
+
+@pytest.mark.parametrize("budget", [None, "10", 2.5, 10.0])
+def test_budget_must_be_an_integer(decathlon, budget):
+    # the oracle enumerates first, so the enumeration's check covers it
+    message = "^" + re.escape(f"budget must be an integer, got {budget!r}") + "$"
+    for call in (enumerate_concepts, optimal_factorization):
+        with pytest.raises(ValueError, match=message):
+            call(decathlon, budget=budget)
 
 
 def test_enumeration_budget_is_exact(decathlon):

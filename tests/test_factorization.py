@@ -71,24 +71,24 @@ def live_weights(sweep, shape):
 
 def unclarified(scale, entries):
     """What `_clarify` returns for an input whose run takes it as it is."""
-    return entries, None, slice(None), slice(None)
+    return entries, None, slice(None)
 
 
 def is_unclarified(clarified, entries):
-    distinct, weights, rows, cols = clarified
-    return distinct is entries and weights is None and rows == cols == slice(None)
+    distinct, weights, rows = clarified
+    return distinct is entries and weights is None and rows == slice(None)
 
 
 def uncovered_cells(sweep, clarified):
     """The uncovered cells a sweep holds, as a Boolean array over the
     input; both sweeps pack them column by column.  A sweep of a run that
-    `_clarify` returned `clarified` for holds its entries' rows and
-    columns, which expand through the clarification's indices."""
-    distinct, _, rows, cols = clarified
+    `_clarify` returned `clarified` for holds its entries' rows, which
+    expand through the clarification's index."""
+    distinct, _, rows = clarified
     if isinstance(sweep, factorization._BitsetSweep):
         columns = [factorization._unpack_rows(bits, len(distinct)) for bits in sweep.uncovered]
         return np.stack(columns, axis=1) != 0
-    return (live_weights(sweep, distinct.shape) != 0)[rows][:, cols]
+    return (live_weights(sweep, distinct.shape) != 0)[rows]
 
 
 # ---------------------------------------------------------------- greedy
@@ -377,28 +377,25 @@ def test_a_complete_tall_run_gives_the_pinned_factors(tmp_path):
 # ---------------------------------------------------------------- clarification
 #
 # A graded input with repeated rows runs on its clarified context, the
-# distinct rows and, among them, the distinct columns, with each cell
-# weighted by how many input cells it stands for.  Inputs shorter than
+# distinct rows, with each row's cells weighted by how many input rows it
+# stands for; repeated columns are swept as they are.  Inputs shorter than
 # _CLARIFY_ROWS run as they are, so the tests below that draw small inputs
 # patch it to 0 to reach the clarified path.
 
 
 def distinct_context(ctx):
     """The context a run of `ctx` sweeps, by the rule `find_factors`
-    documents, with the weight of each of its cells: the input itself, of
+    documents, with the weight of each of its rows: the input itself, of
     unit weights, on two grades, on fewer than _CLARIFY_ROWS rows or when
-    more than half of its rows are distinct; else its distinct rows and,
-    among those, its distinct columns, in order of first occurrence, each
-    cell weighing its row's count times its column's."""
+    more than half of its rows are distinct; else its distinct rows,
+    sorted, each weighing its count."""
     rows = [tuple(row) for row in ctx.entries.tolist()]
-    distinct = list(dict.fromkeys(rows))
+    distinct = sorted(set(rows))
     if (ctx.scale.levels == 2 or len(rows) < factorization._CLARIFY_ROWS
             or 2 * len(distinct) > len(rows)):
-        return ctx, np.ones(ctx.shape, dtype=np.int64)
-    columns = list(zip(*distinct))
-    cols = list(dict.fromkeys(columns))
-    weights = [[rows.count(row) * columns.count(col) for col in cols] for row in distinct]
-    return GradedMatrix(ctx.scale, np.array(cols).T), np.array(weights)
+        return ctx, np.ones((len(rows), 1), dtype=np.int64)
+    weights = [[rows.count(row)] for row in distinct]
+    return GradedMatrix(ctx.scale, np.array(distinct)), np.array(weights)
 
 
 @pytest.mark.deep
@@ -409,17 +406,19 @@ def distinct_context(ctx):
     ),
 )
 @settings(max_examples=strategies.examples(100))
-def test_clarify_merges_rows_and_columns_in_order_of_first_occurrence(ctx):
+def test_clarify_merges_repeated_rows(ctx):
+    # the distinct rows come in key order, which the sort of each side's
+    # (row, weight) pairs leaves out
     with mock.patch.object(factorization, "_CLARIFY_ROWS", 0):
         expected, weights = distinct_context(ctx)
         clarified = factorization._clarify(ctx.scale, ctx.entries)
         if expected is ctx:
             assert is_unclarified(clarified, ctx.entries)
             return
-        distinct, got_weights, rows, cols = clarified
-        assert distinct.tolist() == expected.entries.tolist()
-        assert got_weights.tolist() == weights.tolist()
-        assert np.array_equal(distinct[rows][:, cols], ctx.entries)
+        distinct, got_weights, rows = clarified
+        assert sorted(zip(distinct.tolist(), got_weights.tolist())) == \
+            list(zip(expected.entries.tolist(), weights.tolist()))
+        assert np.array_equal(distinct[rows], ctx.entries)
         assert int(np.where(distinct != 0, got_weights, 0).sum()) == int(np.count_nonzero(ctx.entries))
 
 
@@ -438,25 +437,26 @@ def test_clarify_keys_rows_by_their_digits_or_their_bytes(levels, shape):
     entries[1, -1] -= 1
     keys = factorization._row_keys(entries, levels)
     assert keys[0] != keys[1]
-    # all but the last column merge too
+    # tripled, the rows merge back in key order, each weighing 3
     tripled = GradedMatrix(Scale(levels), np.repeat(entries, 3, axis=0))
-    distinct, weights, rows, cols = factorization._clarify(tripled.scale, tripled.entries)
-    assert distinct.tolist() == entries[:, -2:].tolist()
-    assert rows.tolist() == [0, 0, 0, 1, 1, 1] and cols.tolist() == [0] * (shape[1] - 1) + [1]
-    assert weights.tolist() == [[3 * (shape[1] - 1), 3]] * 2
+    distinct, weights, rows = factorization._clarify(tripled.scale, tripled.entries)
+    assert distinct.tolist() == entries[np.argsort(keys)].tolist()
+    assert np.array_equal(distinct[rows], tripled.entries)
+    assert weights.tolist() == [[3], [3]]
 
 
 @pytest.mark.parametrize("levels", [3, 11])
 def test_clarify_leaves_inputs_shorter_than_the_row_floor_as_they_are(levels):
     # one row repeated: below _CLARIFY_ROWS rows the run takes the input as
-    # it is, and from that many rows on it merges them
+    # it is, and from that many rows on it merges them; its three equal
+    # columns stay
     floor = factorization._CLARIFY_ROWS
     entries = np.ones((floor, 3), dtype=np.int64)
     short = entries[1:]
     assert is_unclarified(factorization._clarify(Scale(levels), short), short)
-    distinct, weights, rows, cols = factorization._clarify(Scale(levels), entries)
-    assert distinct.tolist() == [[1]] and weights.tolist() == [[3 * floor]]
-    assert rows.tolist() == [0] * floor and cols.tolist() == [0] * 3
+    distinct, weights, rows = factorization._clarify(Scale(levels), entries)
+    assert distinct.tolist() == [[1, 1, 1]] and weights.tolist() == [[floor]]
+    assert rows.tolist() == [0] * floor
 
 
 def level_table_caps(ctx):
@@ -496,15 +496,34 @@ def test_clarified_runs_match_reference(ctx, tie_break, max_factors):
             assert fast == slow, f"opening block at {cap} words, level tables at {level_cap} bytes"
 
 
+@pytest.mark.deep
+@pytest.mark.parametrize("levels", [3, 5, 11])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_clarified_runs_sweep_duplicated_columns_as_they_are(kind, levels):
+    # rows repeated unequally often and every column twice: the run merges
+    # the rows, each weighing its count, keeps both copies of each column,
+    # and gives the reference's factors, whose later copies lose every tie
+    scale = Scale(levels, kind, rounded=kind == "goguen")
+    base = np.random.default_rng(levels).integers(0, levels, size=(6, 4))
+    ctx = GradedMatrix(scale, np.repeat(np.repeat(base, [2, 5, 3, 2, 4, 2], 0), 2, 1))
+    with mock.patch.object(factorization, "_CLARIFY_ROWS", 0):
+        distinct, weights, _ = factorization._clarify(scale, ctx.entries)
+        assert distinct.shape == (6, 8) and sorted(weights[:, 0]) == [2, 2, 2, 3, 4, 5]
+        for tie_break, level_cap in product(TIE_BREAK_POLICIES, LEVEL_TABLE_CAPS):
+            with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
+                fast = find_factors(ctx, tie_break)
+            assert fast == oracles.greedy_factors(ctx, tie_break), \
+                f"{tie_break}, level tables at {level_cap} bytes"
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_planted_loadings_give_the_pinned_factors(kind):
-    # 4000 x 8 with 125 distinct rows and 6 distinct columns, run on its
-    # clarified context, under both policies and on both row sources: the
-    # factor sets pinned in golden.LOADINGS_SHA256, computed on the whole
-    # input
+    # 4000 x 8 with 125 distinct rows, run on its clarified context, under
+    # both policies and on both row sources: the factor sets pinned in
+    # golden.LOADINGS_SHA256, computed on the whole input
     ctx = golden.planted_loadings(kind)
-    distinct, weights, _, _ = factorization._clarify(ctx.scale, ctx.entries)
-    assert distinct.shape == (125, 6) and int(weights.sum()) == ctx.entries.size
+    distinct, weights, _ = factorization._clarify(ctx.scale, ctx.entries)
+    assert distinct.shape == (125, 8) and int(weights.sum()) == len(ctx.entries)
     for tie_break, level_cap in product(TIE_BREAK_POLICIES, LEVEL_TABLE_CAPS):
         with mock.patch.object(factorization, "_LEVEL_TABLE_BYTES", level_cap):
             fs = find_factors(ctx, tie_break)
@@ -1118,10 +1137,10 @@ def test_graded_retire_clears_the_winners_packed_cells(ctx, level_cap, opening_c
         rect = _rectangle(ctx.scale, factor.extent.membership, factor.intent.membership)
         mask[:] &= ~(rect >= ctx.entries)
         assert np.array_equal(uncovered_cells(sweep, clarified[0]), mask)
-        distinct, weights, rows, cols = clarified[0]
+        distinct, weights, rows = clarified[0]
         if weights is not None:
             live = np.zeros(distinct.shape, dtype=bool)
-            live[rows[:, None], cols] = mask
+            live[rows] = mask
             assert np.array_equal(live_weights(sweep, distinct.shape), np.where(live, weights, 0))
         assert remaining == int(mask.sum())
         counts.append(remaining)

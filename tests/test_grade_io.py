@@ -338,6 +338,11 @@ def oracle_five(path):
      "bad number in row 2: cannot read 'x' as a number (line 4)"),
     (read_raw_csv, oracles.read_raw_csv, 'id,a,b\r\nr1,"2\r\n",3/0\r\n',
      "bad number in row 1: cannot read '3/0' as a number (line 3)"),
+    # a ragged row is named by the line it starts on, past the header, the
+    # blank lines and the line breaks quoted in the rows before it
+    (read_five, oracle_five, "a,b\n0.5,1\n\n1,0,1\n", "row 3 has 3 cells, expected 2 (line 4)"),
+    (read_raw_csv, oracles.read_raw_csv, 'a,b\r\n"1\r\n",2\r\n\r\n3\r\n',
+     "row 3 has 1 cells, expected 2 (line 5)"),
 ])
 def test_a_bad_cell_is_named_by_its_file_line(tmp_path, read, oracle, text, message):
     path = tmp_path / "m.csv"
