@@ -27,6 +27,7 @@ import numpy as np
 
 from .concepts import BudgetExceededError
 from .data import (
+    MAX_FIMI_CELLS,
     ColumnRange,
     discretize,
     random_factorizable,
@@ -46,7 +47,7 @@ from .factorization import (
     optimal_factorization,
 )
 from .matrix import GradedMatrix
-from .scale import MAX_LEVELS, Scale, TNORM_KINDS
+from .scale import MAX_LEVELS, Scale, TNORM_KINDS, _require_count
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,13 @@ def factorizability_stats(k: int, trials: int, rows: int, cols: int, scale: Scal
 
     Every trial draws from its own generator stream derived from
     (seed, k, trial index), so results do not depend on execution order.
+    `trials` is an integer of at least 1, and a run that would draw more
+    than MAX_FIMI_CELLS product cells in all is refused before the first.
     """
+    trials = _require_count("trials", trials, 1)
+    if trials * rows * cols > MAX_FIMI_CELLS:
+        raise ValueError(f"{trials} trials of a {rows}x{cols} product draw more than "
+                         f"{MAX_FIMI_CELLS} cells")
     counts = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, k, trial])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import LEVEL_DTYPE, FuzzySet, GradedMatrix, _require_same_scale
-from .scale import Scale, _require_integer
+from .scale import Scale, _require_count
 
 
 class BudgetExceededError(RuntimeError):
@@ -89,14 +89,14 @@ def enumerate_concepts(context: GradedMatrix, *, budget: int = 10**6) -> list[Fo
     singleton reaches every closed intent.  The greedy's sweep closes every
     such extension of a known intent in batches, each with its extent, which
     is closed too.  The number of closures, one for the start and one per
-    extension, is capped by `budget`; small contexts stay far below it, and
-    overruns raise BudgetExceededError rather than grind on.
+    extension, is capped by `budget`, at least 1; small contexts stay far
+    below it, and overruns raise BudgetExceededError rather than grind on.
     """
     # a call-time import: factorization imports this module, and the tracer finds both by module
     from .factorization import _make_sweep
 
     _require_context(context)
-    budget = _require_integer("budget", budget)
+    budget = _require_count("budget", budget, 1)
     scale, entries = context.scale, context.entries
     sweep = _make_sweep(scale, entries, entries != 0)
     # the empty intent's extent is top, since residuum(0, b) = n

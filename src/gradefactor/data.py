@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matrix import LEVEL_DTYPE, GradedMatrix, compose
-from .scale import Scale
+from .scale import Scale, _require_count
 
 MODES = ("strict", "lenient")
 
@@ -724,8 +724,8 @@ def _level_blocks(entries: np.ndarray, chain: int | None, suffixes: tuple[str, .
 
 
 # A dense grid of int64 levels past this many cells (800 MB) is refused
-# before anything is allocated: a transaction file's rows x items, and each
-# factor matrix and the product of a random instance.
+# before anything is allocated: a transaction file's rows x items, a random
+# instance's matrices, a uniform draw's weights and an experiment's draws.
 MAX_FIMI_CELLS = 10**8
 
 
@@ -747,8 +747,8 @@ def read_fimi(path, num_items: int | None = None, *,
         scale = Scale.boolean()
     elif scale.levels != 2:
         raise ValueError(f"transaction data is Boolean, got a {scale.levels}-level scale")
-    if num_items is not None and num_items < 1:
-        raise ValueError(f"num_items must be positive, got {num_items}")
+    if num_items is not None:
+        num_items = _require_count("num_items", num_items, 1)
     data = Path(path).read_bytes()
     tokens = _fimi_tokens(data)
     if tokens is None:
@@ -872,14 +872,16 @@ def random_factorizable(n_rows: int, n_cols: int, k: int, scale: Scale,
     `grade_distribution` weights the levels 0..n uniformly when omitted;
     `seed` may be an int, a seed sequence, or a numpy Generator.
     """
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {n_rows}x{n_cols}")
-    if k < 1:
-        raise ValueError(f"inner dimension must be positive, got {k}")
+    n_rows = _require_count("n_rows", n_rows, 1)
+    n_cols = _require_count("n_cols", n_cols, 1)
+    k = _require_count("k", k, 1)
     if max(n_rows * k, k * n_cols, n_rows * n_cols) > MAX_FIMI_CELLS:
         raise ValueError(f"a {n_rows}x{k} by {k}x{n_cols} product has a matrix of more "
                          f"than {MAX_FIMI_CELLS} cells")
     if grade_distribution is None:
+        if scale.levels > MAX_FIMI_CELLS:
+            raise ValueError(f"a uniform draw weights {scale.levels} grades, more than "
+                             f"{MAX_FIMI_CELLS}")
         p = np.full(scale.levels, 1.0 / scale.levels)
     else:
         p = np.asarray(grade_distribution, dtype=float)

@@ -67,7 +67,7 @@ from .concepts import (
 )
 from .matrix import (LEVEL_DTYPE, FuzzySet, GradedMatrix, _require_composable,
                      _require_same_scale, _superpose)
-from .scale import MAX_LEVELS, Scale, _require_integer
+from .scale import MAX_LEVELS, Scale, _require_count
 
 # Among equal-gain candidates a tie-break policy picks one: both prefer
 # lower grades, since a lower grade constrains the intent less, so the
@@ -656,8 +656,8 @@ def find_factors(context: GradedMatrix, tie_break=DEFAULT_TIE_BREAK, *,
     if context.entries.size > _MAX_CELLS:
         raise ValueError(f"find_factors takes at most {_MAX_CELLS} cells, got {context.entries.size}")
     tie_break = resolve_tie_break(tie_break)
-    if max_factors is not None and _require_integer("max_factors", max_factors) < 0:
-        raise ValueError(f"max_factors must be nonnegative, got {max_factors}")
+    if max_factors is not None:
+        max_factors = _require_count("max_factors", max_factors)
     scale = context.scale
     uncovered = [int(np.count_nonzero(context.entries))]
     entries, weights, row_index = _clarify(scale, context.entries)

@@ -26,12 +26,20 @@ MAX_LEVELS = 2**31
 PARSE_TOLERANCE = Fraction(1, 10**9)
 
 
-def _require_integer(name: str, value) -> int:
-    """A Python or numpy integer as an int; anything else is refused."""
+def _require_count(name: str, value, low: int = 0, high: int | None = None) -> int:
+    """A Python or numpy integer in [low, high] as an int; a bool, any
+    other type and a value out of range are refused."""
     try:
-        return operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {count}")
+    if high is not None and count > high:
+        raise ValueError(f"{name} must be at most {high}, got {count}")
+    return count
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -56,11 +64,7 @@ class Scale:
 
     def __post_init__(self) -> None:
         # frozen: a numpy integer is stored as the int it stands for
-        object.__setattr__(self, "levels", _require_integer("levels", self.levels))
-        if self.levels < 2:
-            raise ValueError(f"a scale needs at least the two grades 0 and 1, got levels={self.levels!r}")
-        if self.levels > MAX_LEVELS:
-            raise ValueError(f"a scale has at most {MAX_LEVELS} grades, got levels={self.levels}")
+        object.__setattr__(self, "levels", _require_count("levels", self.levels, 2, MAX_LEVELS))
         if self.tnorm_kind not in TNORM_KINDS:
             raise ValueError(
                 f"unknown t-norm {self.tnorm_kind!r}, expected one of: {', '.join(TNORM_KINDS)}"
@@ -140,12 +144,8 @@ class Scale:
     # ------------------------------------------------------------------
 
     def check_level(self, level) -> int:
-        lv = int(level)
-        if lv != level:
-            raise ValueError(f"grade level must be an integer, got {level!r}")
-        if not 0 <= lv <= self.max_level:
-            raise ValueError(f"grade level {lv} outside [0, {self.max_level}]")
-        return lv
+        """A level of this chain, a Python or numpy integer in [0, n], as an int."""
+        return _require_count("grade level", level, 0, self.max_level)
 
     def value(self, level) -> Fraction:
         """The rational value level/n of a grade."""

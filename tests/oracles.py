@@ -603,7 +603,7 @@ def join_texts(texts: list[bytes], keys: np.ndarray) -> bytes:
 def read_fimi(path, num_items: int | None = None) -> GradedMatrix:
     """Read a transaction file onto the two-grade chain, one item at a time."""
     if num_items is not None and num_items < 1:
-        raise ValueError(f"num_items must be positive, got {num_items}")
+        raise ValueError(f"num_items must be at least 1, got {num_items}")
     transactions: list[list[int]] = []
     with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):

@@ -452,6 +452,22 @@ def test_experiment_rejects_trials_below_one(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+def test_experiment_refuses_trials_past_the_grid_bound(tmp_path, monkeypatch, capsys):
+    # trials x rows x cols cells are drawn in all, refused before the first
+    # draw; the default run draws 200 x 20 x 20 = 80k
+    def no_trial(*_, **__):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "random_factorizable", no_trial)
+    trials = MAX_FIMI_CELLS // 100 + 1
+    out = tmp_path / "out"
+    assert run("experiment-factorizability", "--trials", trials, "--rows", 10, "--cols", 10,
+               "--out-dir", out) == 1
+    assert capsys.readouterr().err == (f"error: {trials} trials of a 10x10 product draw "
+                                       f"more than {MAX_FIMI_CELLS} cells\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (("--k", "-3"), "argument --k: must be at least 1, got -3"),
     (("--k", "2,0"), "argument --k: must be at least 1, got 0"),

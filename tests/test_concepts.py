@@ -278,8 +278,9 @@ def test_enumeration_budget_stops_within_a_batch(batch_bytes, taken):
 
 @pytest.mark.parametrize("budget", [0, -1])
 def test_enumeration_budget_below_one_refuses_the_start(budget):
-    # the start's closure alone overruns, even where it has no extension
+    # the start's closure alone spends one, even where it has no extension,
+    # so a budget below 1 is refused as a value before anything is closed
     top = GradedMatrix(FIVE, [[4]])
     assert len(enumerate_concepts(top, budget=1)) == 1
-    with pytest.raises(BudgetExceededError, match=f"budget of {budget} closures"):
+    with pytest.raises(ValueError, match=f"^budget must be at least 1, got {budget}$"):
         enumerate_concepts(top, budget=budget)

@@ -382,7 +382,7 @@ def test_read_fimi_validation(tmp_path):
     path.write_text("0 5\n")
     with pytest.raises(ValueError, match="exceeds num_items"):
         read_fimi(path, num_items=3)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^num_items must be at least 1, got 0$"):
         read_fimi(path, num_items=0)
     with pytest.raises(ValueError, match="Boolean"):
         read_fimi(path, scale=FIVE)
@@ -462,10 +462,22 @@ def test_random_factorizable_refuses_a_matrix_past_the_grid_bound(monkeypatch, s
         random_factorizable(n_rows, n_cols, k, FIVE)
 
 
+def test_a_uniform_draw_refuses_a_chain_past_the_grid_bound(monkeypatch):
+    # the uniform draw weights each grade with a float, 16 GiB at
+    # MAX_LEVELS; a given distribution already holds a weight per grade
+    monkeypatch.setattr(data, "MAX_FIMI_CELLS", 10)
+    assert random_factorizable(2, 2, 1, Scale(10)).shape == (2, 2)
+    with pytest.raises(ValueError, match="^a uniform draw weights 12 grades, more than 10$"):
+        random_factorizable(2, 2, 1, Scale(12))
+    assert random_factorizable(2, 2, 1, Scale(12), grade_distribution=[1 / 12] * 12).shape == (2, 2)
+
+
 def test_random_factorizable_validation():
-    with pytest.raises(ValueError, match="dimensions must be positive"):
+    with pytest.raises(ValueError, match="^n_rows must be at least 1, got 0$"):
         random_factorizable(0, 3, 1, FIVE)
-    with pytest.raises(ValueError, match="inner dimension"):
+    with pytest.raises(ValueError, match="^n_cols must be at least 1, got 0$"):
+        random_factorizable(3, 0, 1, FIVE)
+    with pytest.raises(ValueError, match="^k must be at least 1, got 0$"):
         random_factorizable(3, 3, 0, FIVE)
     with pytest.raises(ValueError, match="one weight per grade"):
         random_factorizable(3, 3, 1, FIVE, grade_distribution=(0.5, 0.5))

@@ -146,7 +146,7 @@ def test_max_factors_truncates(decathlon):
     assert len(fs.factors) == 2
     assert not fs.complete
     assert fs.uncovered_counts[-1] > 0
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^max_factors must be at least 0, got -1$"):
         find_factors(decathlon, max_factors=-1)
 
 

@@ -10,7 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gradefactor import MAX_LEVELS, PARSE_TOLERANCE, Scale, TNORM_KINDS
+from gradefactor import (
+    MAX_LEVELS,
+    PARSE_TOLERANCE,
+    TNORM_KINDS,
+    GradedMatrix,
+    Scale,
+    enumerate_concepts,
+    find_factors,
+    optimal_factorization,
+    random_factorizable,
+    read_fimi,
+)
+from gradefactor.cli import factorizability_stats
 
 ALL_SCALES = [
     Scale(2, "lukasiewicz"),
@@ -31,11 +43,12 @@ def all_pairs(scale):
 
 
 def test_scale_needs_two_levels():
-    with pytest.raises(ValueError, match="at least the two grades"):
+    # a chain holds at least the grades 0 and 1
+    with pytest.raises(ValueError, match="^levels must be at least 2, got 1$"):
         Scale(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^levels must be at least 2, got 0$"):
         Scale(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^levels must be an integer, got '5'$"):
         Scale("5")
 
 
@@ -58,11 +71,48 @@ def test_chain_length_is_bounded_by_int64():
     top = np.iinfo(np.int64).max
     assert 2 * n * (n + 1) <= top < 2 * (n + 1) * (n + 2)
     Scale(MAX_LEVELS)
-    with pytest.raises(ValueError, match=f"at most {MAX_LEVELS} grades"):
+    with pytest.raises(ValueError, match=f"^levels must be at most {MAX_LEVELS}, got {MAX_LEVELS + 1}$"):
         Scale(MAX_LEVELS + 1)
     # tnorm(n, n) of this chain used to overflow to 0
-    with pytest.raises(ValueError, match="at most"):
+    with pytest.raises(ValueError, match=f"^levels must be at most {MAX_LEVELS}, got {2**32 + 1}$"):
         Scale(2**32 + 1, "goguen", rounded=True)
+
+
+# Every caller-supplied count, its least value, and a call that passes it
+# on and returns what the count decides; read_fimi reads a file of one
+# transaction holding item 0.  The oracle's cover search of TOP takes a
+# budget of 2, so each call is made with one more than the least.
+DIAGONAL = GradedMatrix(Scale(5), np.diag([4] * 3))
+TOP = GradedMatrix(Scale(5), [[4]])
+COUNTS = [
+    ("levels", 2, lambda v, path: Scale(v).levels),
+    ("grade level", 0, lambda v, path: Scale(5).check_level(v)),
+    ("max_factors", 0, lambda v, path: len(find_factors(DIAGONAL, max_factors=v))),
+    ("budget", 1, lambda v, path: enumerate_concepts(TOP, budget=v)),
+    ("budget", 1, lambda v, path: optimal_factorization(TOP, budget=v).a.entries.tolist()),
+    ("num_items", 1, lambda v, path: read_fimi(path, v).entries.tolist()),
+    ("n_rows", 1, lambda v, path: random_factorizable(v, 2, 1, Scale(5)).entries.tolist()),
+    ("n_cols", 1, lambda v, path: random_factorizable(2, v, 1, Scale(5)).entries.tolist()),
+    ("k", 1, lambda v, path: random_factorizable(2, 2, v, Scale(5)).entries.tolist()),
+    ("trials", 1, lambda v, path: factorizability_stats(1, v, 2, 2, Scale(5)).trials),
+]
+
+
+@pytest.mark.parametrize("name, low, call", COUNTS,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(COUNTS)])
+def test_every_count_follows_one_rule(tmp_path, name, low, call):
+    # a bool is refused although Python counts it an int, a value below the
+    # least is refused in the same words, and a numpy integer counts as the
+    # int it stands for
+    path = tmp_path / "t.dat"
+    path.write_text("0\n")
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+        call(True, path)
+    with pytest.raises(ValueError, match=f"^{name} must be at least {low}, got {low - 1}$"):
+        call(low - 1, path)
+    expected = call(low + 1, path)
+    result = call(np.int16(low + 1), path)
+    assert result == expected and type(result) is type(expected)
 
 
 @pytest.mark.parametrize("kind", TNORM_KINDS)
@@ -249,11 +299,11 @@ def test_check_level_bounds():
     scale = Scale(5)
     assert scale.check_level(0) == 0
     assert scale.check_level(4) == 4
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="^grade level must be at most 4, got 5$"):
         scale.check_level(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grade level must be at least 0, got -1$"):
         scale.check_level(-1)
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(ValueError, match=r"^grade level must be an integer, got 1\.5$"):
         scale.check_level(1.5)
 
 
