@@ -67,10 +67,11 @@ def factorizability_stats(k: int, trials: int, rows: int, cols: int, scale: Scal
 
     Every trial draws from its own generator stream derived from
     (seed, k, trial index), so results do not depend on execution order.
-    `trials` is an integer of at least 1, and a run that would draw more
-    than MAX_FIMI_CELLS product cells in all is refused before the first.
+    The four counts are integers of at least 1, and a run that would draw
+    more than MAX_FIMI_CELLS product cells in all is refused before the first.
     """
-    trials = _require_count("trials", trials, 1)
+    trials, rows, cols, k = (_require_count(name, value, 1) for name, value in
+                             zip(("trials", "rows", "cols", "k"), (trials, rows, cols, k)))
     if trials * rows * cols > MAX_FIMI_CELLS:
         raise ValueError(f"{trials} trials of a {rows}x{cols} product draw more than "
                          f"{MAX_FIMI_CELLS} cells")

@@ -17,7 +17,7 @@ limit is split on line breaks and commas with str.split; any other goes
 through csv.reader, which quotes and refuses long fields as it always
 has, and both give the same rows.  Blank lines are skipped.  A bad cell
 is named by its row and column below any header, its text, and the file
-line it starts on, found by reading the file again on that error path
+line it starts on, found by splitting the text again on that error path
 alone.  A transaction file of digits, blanks and LF alone, with ids of
 at most 18 digits, is parsed in one pass, its ids read from the token
 bounds digit position by digit position; any other is read line by
@@ -266,13 +266,10 @@ def _split_rows(text: str) -> list[list[str]] | None:
     return [line.split(",") for line in lines if line]
 
 
-def _read_rows(path, text: str | None = None) -> list[list[str]]:
-    """The rows of a CSV file, each cell stripped of surrounding whitespace
-    and empty lines dropped; every row must be as wide as the first.  The
-    file is read and decoded whole, unless its decoded `text` is given;
-    what a plain split could misread goes through csv.reader."""
-    if text is None:
-        text = _decode(path, Path(path).read_bytes())
+def _read_rows(path, text: str) -> list[list[str]]:
+    """The rows of a CSV file's decoded `text`, each cell stripped of
+    surrounding whitespace and empty lines dropped, every row as wide as the
+    first; what a plain split could misread goes through csv.reader."""
     rows = _split_rows(text)
     if rows is None:
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -288,16 +285,16 @@ def _read_rows(path, text: str | None = None) -> list[list[str]]:
     if widths.count(width) != len(widths):
         i = next(i for i, w in enumerate(widths) if w != width)
         raise ValueError(f"{path}: row {i + 1} has {widths[i]} cells, expected {width} "
-                         f"(line {_cell_line(path, i, 0)})")
+                         f"(line {_cell_line(text, i, 0)})")
     return rows
 
 
-def _cell_line(path, row: int, column: int) -> int:
-    """The 1-based file line on which cell `column` of row `row`, both
-    from 0, of the rows `_read_rows` keeps starts, counting the blank lines
-    it drops and CR LF, CR and LF as breaks.  The file is read again
+def _cell_line(text: str, row: int, column: int) -> int:
+    """The 1-based line of a CSV `text` on which cell `column` of row `row`,
+    both from 0, of the rows `_read_rows` keeps starts, counting the blank
+    lines it drops and CR LF, CR and LF as breaks.  The text is split again
     through csv.reader, which gives the same rows."""
-    reader = csv.reader(io.StringIO(_decode(path, Path(path).read_bytes()), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
 
     def starts():
         line = 1
@@ -308,6 +305,19 @@ def _cell_line(path, row: int, column: int) -> int:
 
     line, cells = next(islice(starts(), row, None))
     return line + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in cells[:column])
+
+
+def _bad_cell(path, text: str, rows, body, has_labels: bool, parse, what: str) -> None:
+    """Name the first cell of `body` that `parse` refuses, row by row: its row,
+    its column after any label column, the reason and its line of `text`."""
+    for r, row in enumerate(body):
+        for c, cell in enumerate(row[has_labels:]):
+            try:
+                parse(cell)
+            except ValueError as exc:
+                line = _cell_line(text, len(rows) - len(body) + r, has_labels + c)
+                raise ValueError(f"{path}: bad {what} at row {r + 1}, column {c + 1}: {exc} "
+                                 f"(line {line})") from exc
 
 
 # Fraction expands a decimal exponent into an integer of that many digits,
@@ -480,19 +490,16 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     width = len(body[0]) - has_labels
 
     # each distinct cell text is looked up once a call; a bad one is never
-    # cached, so the first cell missing from the memo is the first bad one
-    # in row-major order
-    level = _Memo(lambda text: _parse_grade_cell(scale.levels, text, strict))
+    # cached, so the locator's second pass over the cells finds every good
+    # one in the memo and parses the first bad one again
+    level = _Memo(lambda cell: _parse_grade_cell(scale.levels, cell, strict))
     cells = chain.from_iterable([row[1:] for row in body] if has_labels else body)
     try:
         levels = np.fromiter(map(level.__getitem__, cells), dtype=LEVEL_DTYPE,
                              count=len(body) * width)
-    except ValueError as exc:
-        r, c = next((r, c) for r, row in enumerate(body)
-                    for c, cell in enumerate(row[has_labels:]) if cell not in level)
-        line = _cell_line(path, len(rows) - len(body) + r, has_labels + c)
-        raise ValueError(f"{path}: bad grade at row {r + 1}, column {c + 1}: {exc} "
-                         f"(line {line})") from exc
+    except ValueError:
+        _bad_cell(path, text, rows, body, has_labels, level.__getitem__, "grade")
+        raise
     return GradedMatrix(scale, levels.reshape(len(body), width))
 
 
@@ -584,7 +591,8 @@ def read_raw_csv(path) -> RawTable:
     1-based positions, as graded CSV errors count rows and columns.  The
     first bad cell in row-major order is named.
     """
-    rows = _read_rows(path)
+    text = _decode(path, Path(path).read_bytes())
+    rows = _read_rows(path, text)
     has_labels, body = _layout(path, rows, _raw_cell_kind)
     texts = list(zip(*body))  # one tuple of cell texts per column
     row_labels = texts.pop(0) if has_labels else tuple(map(str, range(1, len(body) + 1)))
@@ -596,14 +604,7 @@ def read_raw_csv(path) -> RawTable:
         columns = [_fixed_point_column(cells) or _raw_column(tuple(map(_parse_number, cells)))
                    for cells in texts]
     except ValueError:
-        for r, row in enumerate(body):  # name the first bad cell in row-major order
-            for c in range(has_labels, len(row)):
-                try:
-                    _parse_number(row[c])
-                except ValueError as exc:
-                    line = _cell_line(path, len(rows) - len(body) + r, c)
-                    raise ValueError(f"{path}: bad number in row {r + 1}: {exc} "
-                                     f"(line {line})") from exc
+        _bad_cell(path, text, rows, body, has_labels, _parse_number, "number")
         raise
     return RawTable(
         row_labels,

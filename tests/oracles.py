@@ -527,7 +527,8 @@ def read_raw_csv(path) -> RawTable:
                 parsed.append(parse_fraction(cell))
             except ValueError as exc:
                 line = lines[r + has_header][c]
-                raise ValueError(f"{path}: bad number in row {r + 1}: {exc} (line {line})") from exc
+                raise ValueError(f"{path}: bad number at row {r + 1}, column {c + 1 - has_labels}: "
+                                 f"{exc} (line {line})") from exc
         values.append(tuple(parsed))
     if col_labels is None:
         col_labels = [str(c) for c in range(1, len(values[0]) + 1)] if values else []

@@ -335,7 +335,7 @@ def test_discretize_refuses_a_typo_in_a_data_column(tmp_path, capsys):
     raw.write_text("a,b\n1,2\n3,4\n3..5,6\n")
     assert run("discretize", "--input", raw, "--out", tmp_path / "o.csv") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {raw}: bad number in row 3: ")
+    assert err.startswith(f"error: {raw}: bad number at row 3, column 1: ")
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -729,6 +729,33 @@ def test_module_entry_point_refuses_a_bad_number_in_one_line(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "--max-factors" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+@pytest.mark.parametrize("command, text, message", [
+    (["factorize", "--input", "/dev/stdin", "--out-dir"], "0.5,x\n1,0\n",
+     "bad grade at row 1, column 2: cannot read 'x' as a number (line 1)"),
+    (["factorize", "--input", "/dev/stdin", "--out-dir"], "0.5,1\n1,0,1\n",
+     "row 2 has 3 cells, expected 2 (line 2)"),
+    (["discretize", "--input", "/dev/stdin", "--out"], "a,b\n1,2\n3,x\n",
+     "bad number at row 2, column 2: cannot read 'x' as a number (line 3)"),
+    (["discretize", "--input", "good.csv", "--ranges", "/dev/stdin", "--out"], "a,b\n0,x\n5,5\n",
+     "bad number at row 1, column 2: cannot read 'x' as a number (line 2)"),
+], ids=["grade", "ragged", "raw", "ranges"])
+def test_a_bad_piped_file_is_refused_in_one_line(tmp_path, command, text, message):
+    # a pipe can be read only once, so the line of a bad cell or row is
+    # found in the text already read
+    good = tmp_path / "good.csv"
+    good.write_text("a,b\n1,2\n3,4\n")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradefactor",
+         *(str(good) if arg == "good.csv" else arg for arg in command), str(out)],
+        input=text, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: /dev/stdin: {message}\n"
     assert not out.exists()
 
 

@@ -2,6 +2,8 @@
 
 import re
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -254,6 +256,29 @@ def test_undecodable_file_is_named(tmp_path, read):
                                "bytes 0xe2 0x82: unexpected end of data")
 
 
+@pytest.mark.parametrize("read", [lambda path: read_csv(path, FIVE), read_raw_csv,
+                                  read_ranges_csv],
+                         ids=["read_csv", "read_raw_csv", "read_ranges_csv"])
+@pytest.mark.parametrize("text, error", [
+    ("a,b\n0,0.5\n1,1\n", None),
+    ("a,b\n0,0.5\n1,x\n", "at row 2, column 2: cannot read 'x' as a number (line 3)"),
+    ("a,b\n0,0.5\n1,1,1\n", "row 3 has 3 cells, expected 2 (line 3)"),
+], ids=["good", "bad-cell", "ragged"])
+def test_a_csv_file_is_read_once(tmp_path, read, text, error):
+    # a bad cell's line is found in the text already read, so a pipe,
+    # which can be read only once, is named as a file is
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with mock.patch.object(Path, "read_bytes", autospec=True,
+                           side_effect=Path.read_bytes) as read_bytes:
+        if error is None:
+            read(path)
+        else:
+            with pytest.raises(ValueError, match=re.escape(error) + "$"):
+                read(path)
+    assert read_bytes.call_count == 1
+
+
 def test_a_byte_order_mark_is_dropped(tmp_path):
     path = tmp_path / "t.csv"
     # kept, the mark made "894" a name: a header row, and one row lost
@@ -295,7 +320,7 @@ def test_read_raw_csv_synthesizes_labels(tmp_path):
 def test_read_raw_csv_rejects_bad_number(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("h1,h2\n1,x\n")
-    with pytest.raises(ValueError, match="bad number in row 1"):
+    with pytest.raises(ValueError, match="bad number at row 1, column 2: "):
         read_raw_csv(path)
 
 
@@ -304,19 +329,20 @@ def test_read_raw_csv_names_the_first_bad_row(tmp_path):
     # in order, not columns
     path = tmp_path / "t.csv"
     path.write_text("id,a,b\nr1,1.50,2.25\nr2,2.50,x\nr3,1/0,3.25\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad number in row 2: "):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: bad number at row 2, column 2: "):
         read_raw_csv(path)
     path.write_text("id,a,b\nr1,1.50,2.25\nr2,y,x\n")
-    with pytest.raises(ValueError, match="bad number in row 2: .*'y'"):
+    with pytest.raises(ValueError, match="bad number at row 2, column 1: .*'y'"):
         read_raw_csv(path)
     # a quoted cell holding a line break is one bad cell, not two good ones
     path.write_text('id,a\nr1,3.50\nr2,"1.50\n2.50"\n')
-    with pytest.raises(ValueError, match="bad number in row 2: "):
+    with pytest.raises(ValueError, match="bad number at row 2, column 1: "):
         read_raw_csv(path)
 
 
 @pytest.mark.parametrize("read, text, error", [
-    (read_raw_csv, "a,b\n1,2\n3,4\n3..5,6\n", "bad number in row 3: "),
+    (read_raw_csv, "a,b\n1,2\n3,4\n3..5,6\n", "bad number at row 3, column 1: "),
     (lambda path: read_csv(path, FIVE), "a,b\n1,0.5\n0,1\n0..5,1\n",
      "bad grade at row 3, column 1: "),
 ], ids=["read_raw_csv", "read_csv"])

@@ -43,8 +43,8 @@ from gradefactor import (
     write_csv,
 )
 from gradefactor import cli, data
-from gradefactor.data import (_fixed_point_column, _parse_fraction, _parse_number, _raw_column,
-                              _read_rows)
+from gradefactor.data import (_decode, _fixed_point_column, _parse_fraction, _parse_number,
+                              _raw_column, _read_rows)
 
 MODES = ("strict", "lenient")
 # cells no mode reads as a grade on any chain up to 101 levels
@@ -335,9 +335,9 @@ def oracle_five(path):
     (read_five, oracle_five, '"0\n",1/0\n',
      "bad grade at row 1, column 2: cannot read '1/0' as a number (line 2)"),
     (read_raw_csv, oracles.read_raw_csv, "a,b\n1,2\n\n3,x\n",
-     "bad number in row 2: cannot read 'x' as a number (line 4)"),
+     "bad number at row 2, column 2: cannot read 'x' as a number (line 4)"),
     (read_raw_csv, oracles.read_raw_csv, 'id,a,b\r\nr1,"2\r\n",3/0\r\n',
-     "bad number in row 1: cannot read '3/0' as a number (line 3)"),
+     "bad number at row 1, column 2: cannot read '3/0' as a number (line 3)"),
     # a ragged row is named by the line it starts on, past the header, the
     # blank lines and the line breaks quoted in the rows before it
     (read_five, oracle_five, "a,b\n0.5,1\n\n1,0,1\n", "row 3 has 3 cells, expected 2 (line 4)"),
@@ -694,7 +694,7 @@ def assert_columns_built_per_cell(table, path):
     """Each stored column is what `_raw_column` builds from the column's
     cells parsed one by one: the same dtype, numerators and denominator."""
     n, m = table.shape
-    body = [row[-m:] for row in _read_rows(path)[-n:]]
+    body = [row[-m:] for row in read_rows(path)[-n:]]
     for stored, den, cells in zip(table.columns, table.denominators, zip(*body)):
         want, want_den = _raw_column(tuple(map(_parse_number, cells)))
         assert stored.dtype == want.dtype
@@ -1000,6 +1000,11 @@ def csv_texts(draw):
     return text
 
 
+def read_rows(path):
+    """`_read_rows` of a file's decoded text, as the CSV readers call it."""
+    return _read_rows(path, _decode(path, path.read_bytes()))
+
+
 def rows_or_error(read, path):
     try:
         return read(path)
@@ -1012,7 +1017,7 @@ def rows_or_error(read, path):
 def test_row_split_matches_csv_reader(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("rows") / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert rows_or_error(_read_rows, path) == rows_or_error(oracles.read_rows, path)
+    assert rows_or_error(read_rows, path) == rows_or_error(oracles.read_rows, path)
 
 
 @pytest.mark.parametrize("text", [
@@ -1024,7 +1029,7 @@ def test_row_split_matches_csv_reader(tmp_path_factory, text):
 def test_row_split_matches_csv_reader_on_edge_cases(tmp_path, text):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert rows_or_error(_read_rows, path) == rows_or_error(oracles.read_rows, path)
+    assert rows_or_error(read_rows, path) == rows_or_error(oracles.read_rows, path)
 
 
 def test_row_split_space_set_is_what_strip_removes():

@@ -95,6 +95,8 @@ COUNTS = [
     ("n_cols", 1, lambda v, path: random_factorizable(2, v, 1, Scale(5)).entries.tolist()),
     ("k", 1, lambda v, path: random_factorizable(2, 2, v, Scale(5)).entries.tolist()),
     ("trials", 1, lambda v, path: factorizability_stats(1, v, 2, 2, Scale(5)).trials),
+    ("rows", 1, lambda v, path: factorizability_stats(1, 1, v, 2, Scale(5)).mean_factors),
+    ("cols", 1, lambda v, path: factorizability_stats(1, 1, 2, v, Scale(5)).mean_factors),
 ]
 
 
@@ -113,6 +115,11 @@ def test_every_count_follows_one_rule(tmp_path, name, low, call):
     expected = call(low + 1, path)
     result = call(np.int16(low + 1), path)
     assert result == expected and type(result) is type(expected)
+
+
+def test_experiment_sizes_are_checked_before_they_are_multiplied():
+    with pytest.raises(ValueError, match="^rows must be an integer, got '3'$"):
+        factorizability_stats(1, 2, "3", 3, Scale(5))
 
 
 @pytest.mark.parametrize("kind", TNORM_KINDS)
