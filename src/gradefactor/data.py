@@ -11,19 +11,20 @@ most 18 digits) in one pass, as int64 numerators over 10**F; every other
 column cell by cell, which would give a fixed-point column the same result.
 
 Every file is read and decoded whole, so an undecodable byte is named by
-its line and its offset in the file.  An ASCII CSV text with no quote, no
-NUL, no whitespace at either end of a cell and no line past csv's field size
-limit is split on line breaks and commas with str.split; any other goes
+its line and its offset in the file.  A CSV text is split on line breaks
+and commas with str.split, its cells stripped when it holds a non-ASCII
+character or a blank; only a quoted, NUL-holding or very long table goes
 through csv.reader, which quotes and refuses long fields as it always
 has, and both give the same rows.  Blank lines are skipped.  A bad cell
-is named by its row and column below any header, its text, and the file
-line it starts on, found by splitting the text again on that error path
-alone.  A transaction file of digits, blanks and LF alone, with ids of
-at most 18 digits, is parsed in one pass, its ids read from the token
-bounds digit position by digit position; any other is read line by
-line, so a bad id is named by its line.  `write_csv` prints its cells
-through a byte table of level texts that follows the levels that occur,
-by one gather per block of rows, and writes the file in one call.
+or a row of the wrong width is named by its row below any header, a cell
+also by its column, and by the file line it starts on, found by splitting
+the text again on that error path alone.  A transaction file of digits,
+blanks and LF alone, with ids of at most 18 digits, is parsed in one
+pass, its ids read from the token bounds digit position by digit
+position; any other is read line by line, so a bad id is named by its
+line.  `write_csv` prints its cells through a byte table of level texts
+that follows the levels that occur, by one gather per block of rows, and
+writes the file in one call.
 
 A grade text means the same on every file of one chain, so its work is
 done once per process: the level a cell text parses to, strictly or
@@ -239,37 +240,28 @@ def _decode(path, data: bytes) -> str:
         ) from None
 
 
-def _has_padded_cell(text: str) -> bool:
-    """Whether a cell of an ASCII text starts or ends with whitespace other
-    than a line break."""
-    spaces = [space for space in _ASCII_SPACES if space in text]
-    if not spaces:
-        return False
-    framed = f"\n{text}\n"
-    return any(edge in framed for space in spaces
-               for edge in (space + ",", "," + space, space + "\n", "\n" + space,
-                            space + "\r", "\r" + space))
-
-
 def _split_rows(text: str) -> list[list[str]] | None:
-    """The rows of a CSV text split on line breaks and commas alone, or None
-    when that could differ from what csv.reader and str.strip make of it: a
-    non-ASCII character, a quote, a NUL, a cell with whitespace at an end,
-    or a line longer than csv's field size limit."""
-    if not text.isascii() or '"' in text or "\0" in text or _has_padded_cell(text):
+    """The rows of a CSV text split on line breaks and commas, each cell
+    stripped when the text holds a non-ASCII character or an ASCII blank,
+    or None when csv.reader could read it otherwise: a quote, a NUL, or a
+    line longer than csv's field size limit."""
+    if '"' in text or "\0" in text:
         return None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if len(text) > csv.field_size_limit() and max(map(len, lines)) > csv.field_size_limit():
         return None
-    return [line.split(",") for line in lines if line]
+    rows = [line.split(",") for line in lines if line]
+    if not text.isascii() or any(space in text for space in _ASCII_SPACES):
+        rows = [list(map(str.strip, row)) for row in rows]
+    return rows
 
 
 def _read_rows(path, text: str) -> list[list[str]]:
     """The rows of a CSV file's decoded `text`, each cell stripped of
-    surrounding whitespace and empty lines dropped, every row as wide as the
-    first; what a plain split could misread goes through csv.reader."""
+    surrounding whitespace and blank lines dropped; only a quoted,
+    NUL-holding or very long table goes through csv.reader."""
     rows = _split_rows(text)
     if rows is None:
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -280,12 +272,6 @@ def _read_rows(path, text: str) -> list[list[str]]:
         rows = [list(map(str.strip, row)) for row in rows if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    width = len(rows[0])
-    widths = list(map(len, rows))
-    if widths.count(width) != len(widths):
-        i = next(i for i, w in enumerate(widths) if w != width)
-        raise ValueError(f"{path}: row {i + 1} has {widths[i]} cells, expected {width} "
-                         f"(line {_cell_line(text, i, 0)})")
     return rows
 
 
@@ -447,10 +433,11 @@ def _raw_cell_kind(text: str) -> str:
     return "number"
 
 
-def _layout(path, rows: list[list[str]], kind) -> tuple[bool, list[list[str]]]:
+def _layout(path, text: str, rows: list[list[str]], kind) -> tuple[bool, list[list[str]]]:
     """Whether the first column holds row labels, and the rows below the
-    header, if there is one, of a CSV file; `kind` names a cell "grade",
-    "number" or "name".
+    header, if there is one, of a CSV file's decoded `text`, split into
+    `rows`; `kind` names a cell "grade", "number" or "name".  The first row
+    of another width than the first is named by its row below the header.
 
     A name in the first row marks it as a header, and a name as the first
     body cell marks the first column as labels, so a later name in that
@@ -458,12 +445,17 @@ def _layout(path, rows: list[list[str]], kind) -> tuple[bool, list[list[str]]]:
     column, and no number, is data, so a bad cell in it is reported rather
     than taken for a header; numbers there are column names.
     """
-    first = [kind(text) for text in rows[0]]
+    first = [kind(cell) for cell in rows[0]]
     body = rows[1:] if "name" in first else rows
     has_labels = bool(body) and kind(body[0][0]) == "name"
     names = first[has_labels:]
     if body is not rows and "grade" in names and "number" not in names:
         body = rows
+    widths = list(map(len, rows))
+    if widths.count(widths[0]) != len(widths):
+        i = next(i for i, w in enumerate(widths) if w != widths[0])
+        raise ValueError(f"{path}: row {i + len(body) - len(rows) + 1} has {widths[i]} cells, "
+                         f"expected {widths[0]} (line {_cell_line(text, i, 0)})")
     if not body:
         raise ValueError(f"{path}: no data rows")
     if len(body[0]) == has_labels:
@@ -486,7 +478,7 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
         n_rows = text.count("\n") + text.count("\r") - text.count("\r\n")
         return GradedMatrix(scale, np.zeros((n_rows, 0), dtype=LEVEL_DTYPE))
     rows = _read_rows(path, text)
-    has_labels, body = _layout(path, rows, functools.partial(_cell_kind, scale.levels))
+    has_labels, body = _layout(path, text, rows, functools.partial(_cell_kind, scale.levels))
     width = len(body[0]) - has_labels
 
     # each distinct cell text is looked up once a call; a bad one is never
@@ -593,7 +585,7 @@ def read_raw_csv(path) -> RawTable:
     """
     text = _decode(path, Path(path).read_bytes())
     rows = _read_rows(path, text)
-    has_labels, body = _layout(path, rows, _raw_cell_kind)
+    has_labels, body = _layout(path, text, rows, _raw_cell_kind)
     texts = list(zip(*body))  # one tuple of cell texts per column
     row_labels = texts.pop(0) if has_labels else tuple(map(str, range(1, len(body) + 1)))
     if body is rows:

@@ -18,12 +18,14 @@ cell through Fractions; the memoized readers, the table-printing writer and the
 column-wide integer raw-table code must match them.  They read rows with
 `read_located_rows`, the original row reader, which streams the file
 through csv.reader, strips every cell and notes the file line each cell
-starts on; the whole-file split of `gradefactor.data._read_rows` must
-match its rows, `read_rows`.  `read_raw_csv` parses with
-Fraction itself; the others share the cell helpers of `gradefactor.data`,
-taken without the per-chain caches the fast code looks them up through,
-except that `read_csv` reads its layout with `cell_kind`, which parses a
-cell twice where `gradefactor.data._cell_kind` parses it once.
+starts on, and then check the widths of its rows with `check_widths`,
+which numbers a row below any header; the whole-file split of
+`gradefactor.data._read_rows` must match the rows, `read_rows`.
+`read_raw_csv` parses with Fraction itself; the others share the cell
+helpers of `gradefactor.data`, taken without the per-chain caches the
+fast code looks them up through, except that `read_csv` reads its
+layout with `cell_kind`, which parses a cell twice where
+`gradefactor.data._cell_kind` parses it once.
 `fixed_point_column` is the original regex check of a fixed-point
 column.  `raw_table` and `table_values` convert between a RawTable's integer
 columns and rows of Fractions.  `join_texts` joins the texts of an array
@@ -467,10 +469,9 @@ def cell_kind(scale: Scale, text: str) -> str:
 
 def read_located_rows(path) -> tuple[list[list[str]], list[list[int]]]:
     """The rows of a CSV file through csv.reader, each cell stripped of
-    surrounding whitespace and empty lines dropped; every row must be as
-    wide as the first.  Beside them, the 1-based file line each cell
-    starts on: its row's first line, plus the line breaks in the cells
-    before it."""
+    surrounding whitespace and empty lines dropped.  Beside them, the
+    1-based file line each cell starts on: its row's first line, plus the
+    line breaks in the cells before it."""
     rows, lines = [], []
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -486,12 +487,17 @@ def read_located_rows(path) -> tuple[list[list[str]], list[list[int]]]:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
+    return rows, lines
+
+
+def check_widths(path, rows, lines, has_header: bool) -> None:
+    """Every row must be as wide as the first; the first that is not is
+    named by its row below any header and the line it starts on."""
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {width} "
-                             f"(line {lines[i][0]})")
-    return rows, lines
+            raise ValueError(f"{path}: row {i + 1 - has_header} has {len(row)} cells, "
+                             f"expected {width} (line {lines[i][0]})")
 
 
 def read_rows(path) -> list[list[str]]:
@@ -509,6 +515,7 @@ def read_raw_csv(path) -> RawTable:
     rows, lines = read_located_rows(path)
     has_header = not all(_is_fraction(c) for c in rows[0])
     body = rows[1:] if has_header else rows
+    check_widths(path, rows, lines, has_header)
     if not body:
         raise ValueError(f"{path}: no data rows")
     has_labels = not _is_fraction(body[0][0])
@@ -566,6 +573,7 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
         # grades beside non-grade cells make a data row with a bad cell,
         # not a header: parse it and report that cell
         has_header, body = False, rows
+    check_widths(path, rows, lines, has_header)
     if not body:
         raise ValueError(f"{path}: no data rows")
 

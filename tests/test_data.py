@@ -262,7 +262,7 @@ def test_undecodable_file_is_named(tmp_path, read):
 @pytest.mark.parametrize("text, error", [
     ("a,b\n0,0.5\n1,1\n", None),
     ("a,b\n0,0.5\n1,x\n", "at row 2, column 2: cannot read 'x' as a number (line 3)"),
-    ("a,b\n0,0.5\n1,1,1\n", "row 3 has 3 cells, expected 2 (line 3)"),
+    ("a,b\n0,0.5\n1,1,1\n", "row 2 has 3 cells, expected 2 (line 3)"),
 ], ids=["good", "bad-cell", "ragged"])
 def test_a_csv_file_is_read_once(tmp_path, read, text, error):
     # a bad cell's line is found in the text already read, so a pipe,
