@@ -26,18 +26,15 @@ line.  `write_csv` prints its cells through a byte table of level texts
 that follows the levels that occur, by one gather per block of rows, and
 writes the file in one call.
 
-A grade text means the same on every file of one chain, so its work is
-done once per process: the level a cell text parses to, strictly or
-leniently, and how layout detection reads it, each keyed on the chain's
-length and not on the Scale, since the t-norm changes no text.  Each is
-an lru_cache of _TEXT_CACHE entries, so what it holds is bounded whatever
-the data; texts longer than _CACHED_TEXT characters are parsed afresh on
-every call.  The byte tables levels are printed through are kept the
-same way, per chain, suffixes and largest level, and only for largest
-levels below _CACHED_LEVELS.  Errors are not cached, since an lru_cache
-stores no raised error: a bad cell raises afresh, so a reader finds the
-first bad cell and its file line as it always has, and no error outlives
-the read that raised it with the frames its traceback holds.
+A chain's canonical texts, the ones `write_csv` prints, are mapped to
+their levels once per chain of at most _CACHED_LEVELS grades, for
+_TABLE_CACHE chains, and seed the memo of each read; any other cell text
+is parsed once per read, and no cell text outlives the read that met it.
+The byte tables levels are printed through are kept per chain, suffixes
+and largest level, and only for largest levels below _CACHED_LEVELS.  A
+bad cell raises afresh on each read, so a reader finds the first bad
+cell and its file line as it always has, and no error outlives the read
+that raised it with the frames its traceback holds.
 """
 
 from __future__ import annotations
@@ -206,11 +203,12 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
 
 
 class _Memo(dict):
-    """`fn(key)` for each distinct key, computed on its first lookup.  A
-    call that raises caches nothing, so the same key raises again."""
+    """`fn(key)` for each distinct key, computed on its first lookup,
+    beyond a copy of the mapping `known` it starts with.  A call that
+    raises caches nothing, so the same key raises again."""
 
-    def __init__(self, fn) -> None:
-        super().__init__()
+    def __init__(self, fn, known=()) -> None:
+        super().__init__(known)
         self.fn = fn
 
     def __missing__(self, key):
@@ -369,30 +367,8 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(*_parse_number(text))
 
 
-# Entries of each grade-text cache, and the longest text one keeps: a grade
-# text is a few characters, and a longer one, valid or not, is parsed on
-# each call rather than held for the life of the process.
-_TEXT_CACHE = 4096
-_CACHED_TEXT = 64
-
-
-def _text_cache(fn):
-    """`fn(levels, text, ...)`, its results for texts of at most
-    _CACHED_TEXT characters kept in an lru_cache; `fn` itself is
-    `__wrapped__`."""
-    cached = functools.lru_cache(maxsize=_TEXT_CACHE)(fn)
-
-    @functools.wraps(fn)
-    def lookup(levels: int, text: str, *args):
-        return (cached if len(text) <= _CACHED_TEXT else fn)(levels, text, *args)
-
-    return lookup
-
-
-@_text_cache
-def _parse_grade_cell(levels: int, text: str, strict: bool) -> int:
-    """The level a grade cell's text names on a chain of `levels` grades."""
-    scale = Scale(levels)
+def _parse_grade_cell(scale: Scale, text: str, strict: bool) -> int:
+    """The level a grade cell's text names on `scale`'s chain."""
     if text.startswith("L"):
         body = text[1:]
         if not body.isdecimal():
@@ -404,20 +380,18 @@ def _parse_grade_cell(levels: int, text: str, strict: bool) -> int:
     except ValueError:
         # its message names the parsed value; name the cell's text instead
         reason = "outside [0, 1]" if not 0 <= value <= 1 else \
-            f"not a grade on a {levels}-level chain"
+            f"not a grade on a {scale.levels}-level chain"
         raise ValueError(f"{text!r} is {reason}") from None
 
 
-@_text_cache
-def _cell_kind(levels: int, text: str) -> str:
-    """How layout detection reads a graded cell on a chain of `levels`
-    grades: "grade" for a level of the chain or a number in [0, 1],
-    "number" for any other number (a column named 2019, say), "name" for
-    what no mode can parse as a grade."""
+def _cell_kind(text: str) -> str:
+    """How layout detection reads a graded cell, by its shape alone:
+    "grade" for ``L`` and decimal digits, the level syntax, on any chain,
+    or a number in [0, 1]; "number" for any other number (a column named
+    2019, say); "name" for anything else (``Lx``, ``L²``, a word)."""
+    if text.startswith("L"):
+        return "grade" if text[1:].isdecimal() else "name"
     try:
-        if text.startswith("L"):
-            _parse_grade_cell(levels, text, False)
-            return "grade"
         numerator, denominator = _parse_number(text)
     except ValueError:
         return "name"
@@ -478,13 +452,15 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
         n_rows = text.count("\n") + text.count("\r") - text.count("\r\n")
         return GradedMatrix(scale, np.zeros((n_rows, 0), dtype=LEVEL_DTYPE))
     rows = _read_rows(path, text)
-    has_labels, body = _layout(path, text, rows, functools.partial(_cell_kind, scale.levels))
+    has_labels, body = _layout(path, text, rows, _cell_kind)
     width = len(body[0]) - has_labels
 
-    # each distinct cell text is looked up once a call; a bad one is never
-    # cached, so the locator's second pass over the cells finds every good
-    # one in the memo and parses the first bad one again
-    level = _Memo(lambda cell: _parse_grade_cell(scale.levels, cell, strict))
+    # a canonical text is found in the chain's map, and any other distinct
+    # cell text is parsed once a call; a bad one is never cached, so the
+    # locator's second pass over the cells finds every good one in the memo
+    # and parses the first bad one again
+    known = _canonical_levels(scale.levels) if scale.levels <= _CACHED_LEVELS else ()
+    level = _Memo(lambda cell: _parse_grade_cell(scale, cell, strict), known)
     cells = chain.from_iterable([row[1:] for row in body] if has_labels else body)
     try:
         levels = np.fromiter(map(level.__getitem__, cells), dtype=LEVEL_DTYPE,
@@ -653,7 +629,9 @@ def _join_texts(keys: np.ndarray, table: _TextTable) -> bytes:
 
 # Tables over every level up to a top below this are kept, this many of
 # them, which bounds what the cache holds whatever the data; any other is
-# built on each call from the texts of the levels that occur.
+# built on each call from the texts of the levels that occur.  The
+# canonical texts of chains of at most this many grades are kept the same
+# way, for as many chains.
 _CACHED_LEVELS = 64
 _TABLE_CACHE = 256
 
@@ -668,7 +646,8 @@ def _level_table(chain: int | None, suffixes: tuple[str, ...], used) -> _TextTab
     turn: row ``s * len(used) + i`` is level ``used[i]`` and suffix s.  A
     level's text is its canonical form on a chain of `chain` grades, or
     its integer when `chain` is None."""
-    texts = [str(level) if chain is None else _grade_text(chain, level) for level in used]
+    format_level = str if chain is None else Scale(chain).format_level
+    texts = [format_level(level) for level in used]
     return _text_table([(t + suffix).encode() for suffix in suffixes for t in texts])
 
 
@@ -679,10 +658,12 @@ def _top_table(chain: int | None, suffixes: tuple[str, ...], top: int) -> _TextT
     return _level_table(chain, suffixes, range(top + 1))
 
 
-@functools.lru_cache(maxsize=_TEXT_CACHE)
-def _grade_text(levels: int, level: int) -> str:
-    """The canonical text of a level of a chain of `levels` grades."""
-    return Scale(levels).format_level(level)
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _canonical_levels(levels: int) -> dict[str, int]:
+    """Each level's canonical text on a chain of `levels` grades, mapped
+    to the level, kept per chain."""
+    scale = Scale(levels)
+    return {scale.format_level(level): level for level in range(levels)}
 
 
 def _level_blocks(entries: np.ndarray, chain: int | None, suffixes: tuple[str, ...]):

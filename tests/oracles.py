@@ -21,11 +21,11 @@ through csv.reader, strips every cell and notes the file line each cell
 starts on, and then check the widths of its rows with `check_widths`,
 which numbers a row below any header; the whole-file split of
 `gradefactor.data._read_rows` must match the rows, `read_rows`.
-`read_raw_csv` parses with Fraction itself; the others share the cell
-helpers of `gradefactor.data`, taken without the per-chain caches the
-fast code looks them up through, except that `read_csv` reads its
-layout with `cell_kind`, which parses a cell twice where
-`gradefactor.data._cell_kind` parses it once.
+`read_raw_csv` parses with Fraction itself; `read_csv` parses every
+cell with `gradefactor.data._parse_grade_cell`, where the fast reader
+finds a chain's canonical texts in a per-chain map, and reads its layout
+with `cell_kind`, which matches the level syntax with a regex and reads
+any other cell with Fraction.
 `fixed_point_column` is the original regex check of a fixed-point
 column.  `raw_table` and `table_values` convert between a RawTable's integer
 columns and rows of Fractions.  `join_texts` joins the texts of an array
@@ -56,9 +56,6 @@ from gradefactor.data import (
     _parse_grade_cell,
 )
 from gradefactor.matrix import LEVEL_DTYPE
-
-# the grade cell parser, without the cache it is looked up through
-parse_grade_cell = _parse_grade_cell.__wrapped__
 
 
 def value_tnorm(scale: Scale, a: int, b: int) -> int:
@@ -454,17 +451,15 @@ def _is_fraction(text: str) -> bool:
     return True
 
 
-def cell_kind(scale: Scale, text: str) -> str:
-    """How layout detection reads a graded cell: "name" unless the lenient
-    grade parser takes it, then "grade" for a level or a value in [0, 1]
-    and "number" for any other value."""
-    try:
-        parse_grade_cell(scale.levels, text, False)
-    except (ValueError, ZeroDivisionError):
-        return "name"
-    if text.startswith("L") or 0 <= parse_fraction(text) <= 1:
+def cell_kind(text: str) -> str:
+    """How layout detection reads a graded cell on any chain: "grade" for
+    ``L`` and one or more decimal digits, or a value in [0, 1], "number"
+    for any other value, and "name" for what neither reads."""
+    if re.fullmatch(r"L\d+", text):
         return "grade"
-    return "number"
+    if not _is_fraction(text):
+        return "name"
+    return "grade" if 0 <= parse_fraction(text) <= 1 else "number"
 
 
 def read_located_rows(path) -> tuple[list[list[str]], list[list[int]]]:
@@ -564,10 +559,10 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
         return GradedMatrix(scale, np.zeros((rows, 0), dtype=np.int64))
     rows, lines = read_located_rows(path)
 
-    first = [cell_kind(scale, c) for c in rows[0]]
+    first = [cell_kind(c) for c in rows[0]]
     has_header = "name" in first
     body = rows[1:] if has_header else rows
-    has_labels = bool(body) and cell_kind(scale, body[0][0]) == "name"
+    has_labels = bool(body) and cell_kind(body[0][0]) == "name"
     names = first[1 if has_labels else 0:]
     if has_header and "grade" in names and "number" not in names:
         # grades beside non-grade cells make a data row with a bad cell,
@@ -585,7 +580,7 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
         parsed = []
         for c, cell in enumerate(cells, has_labels):
             try:
-                parsed.append(parse_grade_cell(scale.levels, cell, strict))
+                parsed.append(_parse_grade_cell(scale, cell, strict))
             except ValueError as exc:
                 line = lines[r + has_header][c]
                 raise ValueError(f"{path}: bad grade at row {r + 1}, column {c - has_labels + 1}: "

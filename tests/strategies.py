@@ -1,7 +1,10 @@
-"""Hypothesis strategies for scales, graded sets, and contexts, and the
-example counts of tests that set their own."""
+"""Hypothesis strategies for scales, graded sets, and contexts, the
+example counts of tests that set their own, and the one directory each
+test's examples write their files to."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
@@ -17,6 +20,16 @@ def examples(count: int) -> int:
     loaded profile scales max_examples, so that a test which sets its own
     count runs ten times as many under the deep profile."""
     return count * settings.default.max_examples // settings.get_profile("suite").max_examples
+
+
+def example_dir(tmp_path_factory, name: str) -> Path:
+    """The directory `name` of the session's temporary tree, made on the
+    first example of a test and reused, its files overwritten, by every
+    later one; `tmp_path_factory.mktemp` numbers a new directory among
+    those already made on each call, which grows with the examples."""
+    folder = tmp_path_factory.getbasetemp() / name
+    folder.mkdir(exist_ok=True)
+    return folder
 
 
 def scales(kinds=EXACT_KINDS, min_levels: int = 2, max_levels: int = 6):

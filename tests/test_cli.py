@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
+import strategies
 from gradefactor import (
     MAX_LEVELS,
     FactorSet,
@@ -339,6 +340,20 @@ def test_discretize_refuses_a_typo_in_a_data_column(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["L9,L10\nL1,L2\nL3,L4\n", "L9,0.5\nL7,0.25\n"],
+                         ids=["header", "labels"])
+def test_factorize_refuses_a_level_past_the_chain(tmp_path, capsys, text):
+    # a level past the chain is a bad cell, not a header or a label whose
+    # row or column the run would leave out
+    src = tmp_path / "lv.csv"
+    src.write_text(text)
+    out = tmp_path / "o"
+    assert run("factorize", "--input", src, "--levels", 5, "--out-dir", out) == 1
+    assert capsys.readouterr().err == (f"error: {src}: bad grade at row 1, column 1: "
+                                       "grade level must be at most 4, got 9 (line 1)\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -396,7 +411,7 @@ def as_lists(value):
 def test_report_text_is_json_dumps(tmp_path_factory, payload, factors):
     # the text of the factors is spliced into json.dumps of the rest, so a
     # string member that looks like the spliced one must stay as it is
-    path = tmp_path_factory.mktemp("report") / "factors.json"
+    path = strategies.example_dir(tmp_path_factory, "report") / "factors.json"
     payload = {**payload, "factors": factors}
     cli._write_json(path, payload)
     text = json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"

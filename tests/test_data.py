@@ -131,7 +131,7 @@ def test_csv_round_trip(tmp_path, decathlon):
 @given(strategies.contexts(max_rows=4, max_cols=4, kinds=("lukasiewicz",)))
 @settings(max_examples=40)
 def test_csv_round_trip_any_chain(tmp_path_factory, ctx):
-    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path = strategies.example_dir(tmp_path_factory, "round-trip") / "m.csv"
     write_csv(ctx, path)
     assert read_csv(path, ctx.scale) == ctx
 
@@ -160,7 +160,22 @@ def test_level_syntax_takes_the_digits_int_takes(tmp_path):
     path.write_text("L1,L2\nL3,L²\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape("column 2: bad level syntax 'L²' (line 2)")):
         read_csv(path, FIVE)
-    assert data._cell_kind(5, "L²") == "name"
+    assert data._cell_kind("L²") == "name"
+
+
+@pytest.mark.parametrize("text", ["L9,L10\nL1,L2\nL3,L4\n", "L9,0.5\nL7,0.25\n"],
+                         ids=["header", "labels"])
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_a_level_past_the_chain_is_a_bad_cell(tmp_path, text, mode):
+    # L and digits are a grade by their shape on every chain, so a level
+    # past the chain is a bad cell, never a header or a label column whose
+    # row or column is dropped
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    message = f"{path}: bad grade at row 1, column 1: grade level must be at most 4, got 9 (line 1)"
+    for read in (read_csv, oracles.read_csv):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            read(path, FIVE, mode=mode)
 
 
 def test_read_csv_autodetects_labels(tmp_path):

@@ -1,11 +1,11 @@
 """Grade I/O against the per-cell reference in `oracles`, and reader fuzzing.
 
-`read_csv` parses each distinct cell once through caches shared by every
-chain in the process, `write_csv` prints levels by one gather from a
-byte table that follows the levels that occur, kept per chain, `read_raw_csv`
-stores integer columns and `discretize` rounds them column-wide; each
-must match the per-cell Fraction code level for level (byte for byte
-when writing), or raise the same error.  The gather must join the texts
+`read_csv` finds a chain's canonical texts in a map kept per chain and
+parses each other distinct cell once per read, `write_csv` prints levels
+by one gather from a byte table that follows the levels that occur, kept
+per chain, `read_raw_csv` stores integer columns and `discretize` rounds
+them column-wide; each must match the per-cell Fraction code level for
+level (byte for byte when writing), or raise the same error.  The gather must join the texts
 its keys pick as a loop over the keys does.  The whole-file
 row split must give csv.reader's rows, and the one-pass transaction
 parser the line-by-line reader's grid, or the same error.  The decimal parser
@@ -83,7 +83,7 @@ def matrices(draw):
 @given(matrices())
 @settings(max_examples=150)
 def test_write_csv_matches_oracle_byte_for_byte(tmp_path_factory, matrix):
-    folder = tmp_path_factory.mktemp("write")
+    folder = strategies.example_dir(tmp_path_factory, "write")
     write_csv(matrix, folder / "fast.csv")
     oracles.write_csv(matrix, folder / "oracle.csv")
     assert (folder / "fast.csv").read_bytes() == (folder / "oracle.csv").read_bytes()
@@ -281,7 +281,7 @@ def add_ragged_row(draw, grid, cell):
 @settings(max_examples=strategies.examples(400))
 def test_read_csv_matches_oracle(tmp_path_factory, case, mode):
     scale, text = case
-    path = tmp_path_factory.mktemp("read") / "m.csv"
+    path = strategies.example_dir(tmp_path_factory, "read") / "m.csv"
     path.write_text(text)
     got = outcome(read_csv, path, scale, mode=mode)
     assert got == outcome(oracles.read_csv, path, scale, mode=mode)
@@ -366,27 +366,29 @@ def test_a_bad_cell_is_named_by_its_file_line(tmp_path, read, oracle, text, mess
 @given(scales(), st.data())
 @settings(max_examples=100)
 def test_cell_kind_matches_oracle(scale, draws):
-    # one parse classifies a cell as the oracle's two parses do
+    # the shape of a cell classifies it as the oracle's regex and Fraction do
     text = draws.draw(st.one_of(
         grade_text(scale, bad=True), number_text(), st.sampled_from(EDGE_NUMBERS),
         st.text(max_size=8), st.integers(0, 200).map(lambda k: f"L{k}"),
     ))
-    assert data._cell_kind(scale.levels, text) == oracles.cell_kind(scale, text)
+    assert data._cell_kind(text) == oracles.cell_kind(text)
 
 
 # texts whose meaning depends on the chain: 0.5 is level 1 on 3 grades and
 # level 2 on 5, 0.25 is refused strictly on 3 grades and rounded leniently,
-# L4 is a level on 5 grades and a name on 3, and the long spellings pass
-# the length past which a text is parsed afresh every time
+# L4 is a level on 5 grades and past the chain on 3, 0.2 is a grade of
+# none of the chains drawn, and two long spellings of 0.5 and 0.25 are
+# never canonical
 CHAIN_TEXTS = ("0", "0.5", "0.25", "0.75", "1", "L1", "L2", "L4", "1/3", "0.2", "x",
-               "0.5" + "0" * data._CACHED_TEXT, "0.25" + "0" * data._CACHED_TEXT)
+               "0.50000000000000000000000000000000000000000000000000000000000000000",
+               "0.250000000000000000000000000000000000000000000000000000000000000000")
 
 
 @st.composite
 def chain_steps(draw):
     """One read and one write on a drawn chain: the chain, a mode, a grid of
     CHAIN_TEXTS to read and a grid of levels to write."""
-    scale = Scale(draw(st.sampled_from([2, 3, 5, 7])))
+    scale = Scale(draw(st.sampled_from([2, 3, 5, 7, 64, 65])))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     texts = draw(st.lists(st.lists(st.sampled_from(CHAIN_TEXTS), min_size=cols, max_size=cols),
                           min_size=rows, max_size=rows))
@@ -400,12 +402,13 @@ def chain_steps(draw):
 @given(st.lists(chain_steps(), min_size=2, max_size=6))
 @settings(max_examples=strategies.examples(200))
 def test_grade_texts_keep_their_meaning_across_interleaved_chains(tmp_path_factory, steps):
-    # the grade-text caches are shared by every read of the process, and
-    # the byte tables by every write, on every chain and in both modes:
-    # each read, layout and write matches the uncached per-cell oracle, and
-    # a file read again gives the same levels, or a bad cell the same
-    # message and line
-    folder = tmp_path_factory.mktemp("chains")
+    # the canonical texts of chains of up to 64 grades are kept per chain
+    # and seed every read of the process on that chain, and the byte
+    # tables are kept for every write, in both modes; reads on chains of
+    # 65 grades keep no text: each read, layout and write matches the
+    # per-cell oracle, and a file read again gives the same levels, or a
+    # bad cell the same message and line
+    folder = strategies.example_dir(tmp_path_factory, "chains")
     for i, (scale, mode, texts, matrix) in enumerate(steps):
         path = folder / f"{i}.csv"
         path.write_text("".join(",".join(row) + "\n" for row in texts))
@@ -413,7 +416,7 @@ def test_grade_texts_keep_their_meaning_across_interleaved_chains(tmp_path_facto
         assert got == outcome(oracles.read_csv, path, scale, mode=mode)
         assert outcome(read_csv, path, scale, mode=mode) == got
         for text in {text for row in texts for text in row}:
-            assert data._cell_kind(scale.levels, text) == oracles.cell_kind(scale, text)
+            assert data._cell_kind(text) == oracles.cell_kind(text)
         write_csv(matrix, folder / f"{i}-fast.csv")
         oracles.write_csv(matrix, folder / f"{i}-oracle.csv")
         assert (folder / f"{i}-fast.csv").read_bytes() == (folder / f"{i}-oracle.csv").read_bytes()
@@ -433,6 +436,46 @@ def test_a_bad_cell_raises_afresh_on_every_read(tmp_path):
         f"{path}: bad grade at row 2, column 2: '0.25' is not a grade on a 3-level chain (line 3)")
     assert errors[0].__cause__ is not errors[1].__cause__
     assert read_csv(path, Scale(3), mode="lenient").entries.tolist() == [[1, 2], [2, 1]]
+
+
+def counted_parses(monkeypatch) -> list[str]:
+    """The texts `data._parse_grade_cell` is called on from now on."""
+    texts = []
+    parse = data._parse_grade_cell
+
+    def counting(scale, text, strict):
+        texts.append(text)
+        return parse(scale, text, strict)
+
+    monkeypatch.setattr(data, "_parse_grade_cell", counting)
+    return texts
+
+
+@pytest.mark.parametrize("levels", [2, 5, 11, 64, 65, 101])
+def test_canonical_texts_are_read_without_a_parse_on_chains_up_to_64(tmp_path, monkeypatch,
+                                                                      levels):
+    # every canonical text of a chain of up to 64 grades, as write_csv
+    # prints it, is found in the chain's map in both modes; on a longer
+    # chain each distinct text is parsed once per read, and again on the
+    # next, since no cell text outlives its read
+    scale = Scale(levels)
+    matrix = GradedMatrix(scale, np.tile(np.arange(levels), (2, 1)))
+    path = tmp_path / "m.csv"
+    write_csv(matrix, path)
+    parsed = counted_parses(monkeypatch)
+    for mode in MODES:
+        assert read_csv(path, scale, mode=mode) == matrix
+    texts = [] if levels <= 64 else [scale.format_level(k) for k in range(levels)] * 2
+    assert sorted(parsed) == sorted(texts)
+
+
+def test_other_spellings_are_parsed_once_per_read(tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    path.write_text("0.50,L2,0.5\nL2,0.50,1\n")
+    parsed = counted_parses(monkeypatch)
+    for reads in (1, 2):
+        assert read_csv(path, Scale(5)).entries.tolist() == [[2, 2, 2], [2, 2, 4]]
+        assert sorted(parsed) == sorted(["0.50", "L2"] * reads)
 
 
 def test_read_csv_accepts_every_spelling_of_a_grade(tmp_path):
@@ -691,7 +734,7 @@ def ingest(read, observe, discretize_, path, scale, mode, declared):
 @settings(max_examples=strategies.examples(300))
 def test_raw_ingest_matches_oracle(tmp_path_factory, case, scale, mode, observed):
     text, lows, highs = case
-    path = tmp_path_factory.mktemp("raw") / "t.csv"
+    path = strategies.example_dir(tmp_path_factory, "raw") / "t.csv"
     path.write_text(text)
     declared = None if observed else (lows, highs)
     got = ingest(read_raw_csv, ColumnRange.from_table, discretize,
@@ -849,7 +892,7 @@ FUZZ_BYTES = st.one_of(
 @given(FUZZ_BYTES, st.sampled_from(MODES), st.integers(2, 7))
 @settings(max_examples=300)
 def test_readers_return_or_raise_value_error(tmp_path_factory, data, mode, levels):
-    path = tmp_path_factory.mktemp("fuzz") / "in"
+    path = strategies.example_dir(tmp_path_factory, "fuzz") / "in"
     path.write_bytes(data)
     calls = [
         (lambda: read_csv(path, Scale(levels), mode=mode), GradedMatrix),
@@ -883,7 +926,7 @@ FIMI_TOKENS = st.one_of(
 def test_read_fimi_matches_oracle(tmp_path_factory, lines, num_items, end, mark):
     # the same grid or the same error, naming the same first bad token; a
     # leading byte-order mark is dropped by both
-    path = tmp_path_factory.mktemp("fimi") / "t.dat"
+    path = strategies.example_dir(tmp_path_factory, "fimi") / "t.dat"
     text = mark + "".join(" ".join(tokens) + end for tokens in lines)
     path.write_text(text, encoding="utf-8")
     assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
@@ -931,7 +974,7 @@ def test_read_fimi_in_one_pass_matches_oracle(tmp_path_factory, lines, num_items
     # every BYTES token becomes seven digits, so the file's size is known first
     size = len(BYTES.sub("0" * 7, text).encode())
     text = BYTES.sub(lambda match: f"{size + int(match[1]):07d}", text)
-    path = tmp_path_factory.mktemp("fimi") / "t.dat"
+    path = strategies.example_dir(tmp_path_factory, "fimi-one-pass") / "t.dat"
     path.write_bytes(text.encode())
     assert path.stat().st_size == size
     short = all(len(token) < 19 for tokens, _, _ in lines for token in tokens)
@@ -1029,7 +1072,7 @@ def rows_or_error(read, path):
 @given(csv_texts())
 @settings(max_examples=strategies.examples(300))
 def test_row_split_matches_csv_reader(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("rows") / "t.csv"
+    path = strategies.example_dir(tmp_path_factory, "rows") / "t.csv"
     path.write_bytes(text.encode("utf-8"))
     assert rows_or_error(read_rows, path) == rows_or_error(oracles.read_rows, path)
 
