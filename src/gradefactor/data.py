@@ -5,31 +5,35 @@ CSV cells carry either decimals in [0, 1] or explicit levels written as
 common for frequent-itemset benchmarks and always land on the two-grade
 chain.  Raw tables of measurements hold each column as exact integer
 numerators, over one common denominator when the column fits int64, until
-they are discretized onto a scale.  A raw table is parsed a column at a
-time: a fixed-point column (one number of decimals F in every cell, at
-most 18 digits) in one pass, as int64 numerators over 10**F; every other
-column cell by cell, which would give a fixed-point column the same result.
+they are discretized onto a scale.
 
-Every file is read and decoded whole, so an undecodable byte is named by
-its line and its offset in the file.  A CSV text is split on line breaks
-and commas with str.split, its cells stripped when it holds a non-ASCII
-character or a blank; only a quoted, NUL-holding or very long table goes
-through csv.reader, which quotes and refuses long fields as it always
-has, and both give the same rows.  Blank lines are skipped.  A bad cell
-or a row of the wrong width is named by its row below any header, a cell
-also by its column, and by the file line it starts on, found by splitting
-the text again on that error path alone.  A transaction file of digits,
-blanks and LF alone, with ids of at most 18 digits, is parsed in one
-pass, its ids read from the token bounds digit position by digit
-position; any other is read line by line, so a bad id is named by its
-line.  `write_csv` prints its cells through a byte table of level texts
-that follows the levels that occur, by one gather per block of rows, and
-writes the file in one call.
+Every file is read whole, so an undecodable byte is named by its line and
+its offset in the file.  A UTF-8 CSV file with no quote, NUL or whitespace
+past ASCII whose rows all have one width is split into per-cell byte
+bounds in one numpy pass over its bytes, its cells stripped of ASCII
+blanks and its empty lines dropped, and read from those bounds: a graded
+cell of at most eight bytes is keyed as one uint64 and looked up among the
+keys of the chain's canonical texts, and only the cells that miss are
+decoded and parsed, once per distinct text; a raw table's fixed-point
+columns (one number of decimals F in every cell, at most 18 digits) are
+checked from their cells' bounds and one count of the body's digits, and
+parsed by one np.fromstring as int64 numerators over 10**F, every other
+column cell by cell.  Any other file, or a split one with a bad cell, is
+decoded and read through csv.reader, the one general path, cell by cell,
+which quotes, refuses long fields and names every error: a bad cell or a
+row of the wrong width by its row below any header, a cell also by its
+column, and by the file line it starts on, found by splitting the text
+again on that error path alone.  A transaction file of digits, blanks and
+LF alone, with ids of at most 18 digits, is parsed in one pass, its ids
+read from the token bounds digit position by digit position; any other is
+read line by line, so a bad id is named by its line.  `write_csv` prints
+its cells through a byte table of level texts that follows the levels that
+occur, by one gather per block of rows, and writes the file in one call.
 
 A chain's canonical texts, the ones `write_csv` prints, are mapped to
-their levels once per chain of at most _CACHED_LEVELS grades, for
-_TABLE_CACHE chains, and seed the memo of each read; any other cell text
-is parsed once per read, and no cell text outlives the read that met it.
+their levels, and their keys sorted, once per chain of at most
+_CACHED_LEVELS grades, for _TABLE_CACHE chains; any other cell text is
+parsed once per read, and no cell text outlives the read that met it.
 The byte tables levels are printed through are kept per chain, suffixes
 and largest level, and only for largest levels below _CACHED_LEVELS.  A
 bad cell raises afresh on each read, so a reader finds the first bad
@@ -218,6 +222,12 @@ class _Memo(dict):
 
 # the ASCII whitespace str.strip removes, except the line breaks \r and \n
 _ASCII_SPACES = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(_ASCII_SPACES.encode())] = True
+# the whitespace past ASCII that str.strip removes
+_WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+
+_BOM = b"\xef\xbb\xbf"
 
 
 def _decode(path, data: bytes) -> str:
@@ -238,36 +248,106 @@ def _decode(path, data: bytes) -> str:
         ) from None
 
 
-def _split_rows(text: str) -> list[list[str]] | None:
-    """The rows of a CSV text split on line breaks and commas, each cell
-    stripped when the text holds a non-ASCII character or an ASCII blank,
-    or None when csv.reader could read it otherwise: a quote, a NUL, or a
-    line longer than csv's field size limit."""
-    if '"' in text or "\0" in text:
+class _Cells(NamedTuple):
+    """The cells of a rectangular CSV table as byte bounds: cell (r, c) is
+    ``codes[starts[r, c]:ends[r, c]]``, stripped.  `codes` holds the file's
+    bytes, then eight NULs, so that a word of eight bytes can be read at any
+    cell's start."""
+
+    codes: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+
+def _split_bytes(data: bytes) -> _Cells | None:
+    """The cells of a CSV file's UTF-8 bytes without a byte-order mark,
+    split in one numpy pass over its bytes, or None when csv.reader must
+    read it or would refuse it: a byte that does not decode, a quote, a
+    NUL, whitespace past ASCII, a field longer than csv's field size
+    limit, no rows, or rows of different widths.
+
+    A cell ends at each comma, CR and LF, bytes UTF-8 uses for those
+    characters alone, so CR LF ends a line and then an empty one; empty
+    lines are dropped, as csv.reader drops them.  Each cell is then
+    stripped of the ASCII blanks str.strip removes, found by placing the
+    cell's bounds among the file's other bytes."""
+    if not data or b'"' in data or b"\0" in data:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if len(text) > csv.field_size_limit() and max(map(len, lines)) > csv.field_size_limit():
+    if not data.isascii():
+        try:
+            if _WIDE_SPACE.search(data.decode("utf-8")):
+                return None
+        except UnicodeDecodeError:
+            return None
+    codes = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    body = codes[:len(data)]
+    is_break = body == ord("\n")
+    if b"\r" in data:
+        is_break |= body == ord("\r")
+    seps = np.flatnonzero(is_break | (body == ord(",")))
+    last = is_break[seps]  # the cell before the separator ends its line
+    if data.endswith((b"\n", b"\r")):
+        bounds = np.concatenate(([-1], seps))
+    else:
+        bounds = np.concatenate(([-1], seps, [len(data)]))
+        last = np.append(last, True)
+    starts, ends = bounds[:-1] + 1, bounds[1:]
+    if b"\r" in data or b"\n\n" in data or data.startswith(b"\n"):
+        # an empty cell that ends its line and starts it is an empty line
+        empty = (starts == ends) & last
+        empty[1:] &= last[:-1]
+        keep = ~empty
+        starts, ends, last = starts[keep], ends[keep], last[keep]
+    if not len(last):
         return None
-    rows = [line.split(",") for line in lines if line]
-    if not text.isascii() or any(space in text for space in _ASCII_SPACES):
-        rows = [list(map(str.strip, row)) for row in rows]
-    return rows
+    # as many cells as the first line on every line
+    width = int(np.argmax(last)) + 1
+    if len(last) % width or (last.reshape(-1, width) != (np.arange(width) == width - 1)).any():
+        return None
+    starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
+    # a field is no longer than its line
+    limit = csv.field_size_limit()
+    if len(data) > limit and (ends[:, -1] - starts[:, 0]).max() > limit and (
+            (ends - starts).max() > limit):
+        return None
+    if any(space in data for space in _ASCII_SPACES.encode()):
+        # a cell runs from the first byte at or after its start that is no
+        # blank to the last before its end; the separators around it are
+        # no blanks, and -1 and the file's length stand for them at the
+        # file's ends
+        solid = np.flatnonzero(~_IS_SPACE.take(body))
+        solid = np.concatenate(([-1], solid, [len(data)]))
+        starts = np.minimum(solid[np.searchsorted(solid, starts)], ends)
+        ends = np.maximum(solid[np.searchsorted(solid, ends) - 1] + 1, starts)
+    return _Cells(codes, starts, ends)
+
+
+def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] + k`` for each k below ``lens[i]``, for
+    every i in order."""
+    offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return offsets + np.arange(len(offsets))
+
+
+def _texts(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The texts of the cells ``codes[starts:ends]``, in row-major order,
+    gathered with one take, each with the byte after it made a line break,
+    and decoded and split once."""
+    starts = starts.ravel()
+    lens = ends.ravel() - starts + 1
+    joined = codes[_spans(starts, lens)]
+    joined[np.cumsum(lens) - 1] = ord("\n")
+    return joined.tobytes().decode("utf-8").split("\n")[:-1]
 
 
 def _read_rows(path, text: str) -> list[list[str]]:
-    """The rows of a CSV file's decoded `text`, each cell stripped of
-    surrounding whitespace and blank lines dropped; only a quoted,
-    NUL-holding or very long table goes through csv.reader."""
-    rows = _split_rows(text)
-    if rows is None:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            rows = [row for row in reader]
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        rows = [list(map(str.strip, row)) for row in rows if row]
+    """The rows of a CSV file's decoded `text` through csv.reader, each
+    cell stripped of surrounding whitespace and blank lines dropped."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [list(map(str.strip, row)) for row in reader if row]
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     return rows
@@ -313,14 +393,6 @@ _MAX_EXPONENT_DIGITS = 4
 # a plain ASCII decimal: sign, digits with at most one point and at least
 # one digit, optional exponent; a subset of what Fraction(text) accepts
 _DECIMAL = re.compile(r"([-+]?(?=\.?[0-9])[0-9]*)\.?([0-9]*)(?:[eE]([-+]?[0-9]+))?")
-
-# A column's text, one cell per line, as its shape: every ASCII digit as 0,
-# either sign as -, the point and the line break as they are, and every
-# other character as x, so that `_fixed_point_column` checks the shape of
-# every cell with a few counts and substring tests.
-_SHAPE = bytes(ord("0") if chr(b) in "0123456789" else ord("-") if chr(b) in "+-"
-               else b if chr(b) in ".\n" else ord("x") for b in range(256))
-
 
 def _exponent_too_large(digits: str) -> bool:
     return len(digits.replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS
@@ -407,11 +479,11 @@ def _raw_cell_kind(text: str) -> str:
     return "number"
 
 
-def _layout(path, text: str, rows: list[list[str]], kind) -> tuple[bool, list[list[str]]]:
-    """Whether the first column holds row labels, and the rows below the
-    header, if there is one, of a CSV file's decoded `text`, split into
-    `rows`; `kind` names a cell "grade", "number" or "name".  The first row
-    of another width than the first is named by its row below the header.
+def _layout_flags(first: list[str], lead: str | None, kind) -> tuple[bool, bool]:
+    """Whether a CSV table has a header and a label column, from the texts
+    of its `first` row and the first cell of the next, `lead`, or None
+    when there is no next row; `kind` names a cell "grade", "number" or
+    "name".
 
     A name in the first row marks it as a header, and a name as the first
     body cell marks the first column as labels, so a later name in that
@@ -419,22 +491,50 @@ def _layout(path, text: str, rows: list[list[str]], kind) -> tuple[bool, list[li
     column, and no number, is data, so a bad cell in it is reported rather
     than taken for a header; numbers there are column names.
     """
-    first = [kind(cell) for cell in rows[0]]
-    body = rows[1:] if "name" in first else rows
-    has_labels = bool(body) and kind(body[0][0]) == "name"
-    names = first[has_labels:]
-    if body is not rows and "grade" in names and "number" not in names:
-        body = rows
+    kinds = [kind(cell) for cell in first]
+    has_header = "name" in kinds
+    if has_header:
+        has_labels = lead is not None and kind(lead) == "name"
+    else:
+        has_labels = kinds[0] == "name"
+    names = kinds[has_labels:]
+    if has_header and "grade" in names and "number" not in names:
+        has_header = False
+    return has_header, has_labels
+
+
+def _layout(path, text: str, rows: list[list[str]], kind) -> tuple[bool, list[list[str]]]:
+    """Whether the first column holds row labels, and the rows below the
+    header, if there is one, of a CSV file's decoded `text`, split into
+    `rows`, by `_layout_flags`.  The first row of another width than the
+    first is named by its row below the header."""
+    has_header, has_labels = _layout_flags(rows[0], rows[1][0] if len(rows) > 1 else None, kind)
+    body = rows[has_header:]
     widths = list(map(len, rows))
     if widths.count(widths[0]) != len(widths):
         i = next(i for i, w in enumerate(widths) if w != widths[0])
-        raise ValueError(f"{path}: row {i + len(body) - len(rows) + 1} has {widths[i]} cells, "
+        raise ValueError(f"{path}: row {i + 1 - has_header} has {widths[i]} cells, "
                          f"expected {widths[0]} (line {_cell_line(text, i, 0)})")
     if not body:
         raise ValueError(f"{path}: no data rows")
     if len(body[0]) == has_labels:
         raise ValueError(f"{path}: no data columns")
     return has_labels, body
+
+
+def _body(cells: _Cells, kind) -> tuple[bool, bool, np.ndarray, np.ndarray] | None:
+    """The header and label flags of `_layout_flags` and the bounds of the
+    rows below any header, or None when `_layout` would refuse the table:
+    no data rows or no data columns.  Only the first row and the cell
+    below its first are decoded."""
+    codes, starts, ends = cells
+    first = _texts(codes, starts[0], ends[0])
+    lead = _texts(codes, starts[1, :1], ends[1, :1])[0] if len(starts) > 1 else None
+    has_header, has_labels = _layout_flags(first, lead, kind)
+    starts, ends = starts[has_header:], ends[has_header:]
+    if not starts.size or starts.shape[1] == has_labels:
+        return None
+    return has_header, has_labels, starts, ends
 
 
 def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
@@ -444,21 +544,31 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     and a label column are detected by `_layout` and stripped, a number
     being a grade when it lies in [0, 1].  A file of n line breaks alone,
     CR LF, CR or LF, is the n x 0 matrix, as `write_csv` writes it.
+
+    A table `_split_bytes` splits is read by `_byte_levels`; any other, or
+    one with a bad cell, through csv.reader, each distinct cell text parsed
+    once, the chain's canonical texts found in its map.
     """
     _check_mode(mode)
     strict = mode == "strict"
-    text = _decode(path, Path(path).read_bytes())
-    if text[:1] in ("\r", "\n") and not text.strip("\r\n"):
-        n_rows = text.count("\n") + text.count("\r") - text.count("\r\n")
+    data = Path(path).read_bytes()
+    plain = data.removeprefix(_BOM)
+    if plain[:1] in (b"\r", b"\n") and not plain.strip(b"\r\n"):
+        n_rows = plain.count(b"\n") + plain.count(b"\r") - plain.count(b"\r\n")
         return GradedMatrix(scale, np.zeros((n_rows, 0), dtype=LEVEL_DTYPE))
+    cells = _split_bytes(plain)
+    if cells is not None:
+        levels = _byte_levels(cells, scale, strict)
+        if levels is not None:
+            return GradedMatrix(scale, levels)
+    text = _decode(path, data)
     rows = _read_rows(path, text)
     has_labels, body = _layout(path, text, rows, _cell_kind)
     width = len(body[0]) - has_labels
 
-    # a canonical text is found in the chain's map, and any other distinct
-    # cell text is parsed once a call; a bad one is never cached, so the
-    # locator's second pass over the cells finds every good one in the memo
-    # and parses the first bad one again
+    # a bad cell text is never cached, so the locator's second pass over
+    # the cells finds every good one in the memo and parses the first bad
+    # one again
     known = _canonical_levels(scale.levels) if scale.levels <= _CACHED_LEVELS else ()
     level = _Memo(lambda cell: _parse_grade_cell(scale, cell, strict), known)
     cells = chain.from_iterable([row[1:] for row in body] if has_labels else body)
@@ -469,6 +579,46 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
         _bad_cell(path, text, rows, body, has_labels, level.__getitem__, "grade")
         raise
     return GradedMatrix(scale, levels.reshape(len(body), width))
+
+
+# a key keeps a cell's first k bytes, little-endian, and zeros the rest
+_KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _byte_levels(cells: _Cells, scale: Scale, strict: bool) -> np.ndarray | None:
+    """The levels of a split table's data cells, or None when `_layout`
+    would refuse it or a cell is bad.
+
+    Each cell of at most eight bytes is keyed as one little-endian uint64,
+    its bytes then zeros, and looked up with one searchsorted among the
+    keys of the chain's canonical texts.  Only the cells that miss, other
+    spellings, longer texts and every cell on a chain of more than
+    _CACHED_LEVELS grades, are decoded, each distinct text parsed once."""
+    body = _body(cells, _cell_kind)
+    if body is None:
+        return None
+    _, has_labels, starts, ends = body
+    starts, ends = starts[:, has_labels:].ravel(), ends[:, has_labels:].ravel()
+    lens = ends - starts
+    codes = cells.codes
+    if scale.levels <= _CACHED_LEVELS:
+        keys, known = _canonical_keys(scale.levels)
+        words = np.ndarray((len(codes) - 7,), dtype="<u8", buffer=codes, strides=(1,))
+        key = words.take(starts) & _KEY_MASKS.take(np.minimum(lens, 8))
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        levels = known.take(at)
+        misses = np.flatnonzero((keys.take(at) != key) | (lens > 8))
+    else:
+        levels = np.empty(len(starts), dtype=LEVEL_DTYPE)
+        misses = np.arange(len(starts))
+    if len(misses):
+        level = _Memo(lambda cell: _parse_grade_cell(scale, cell, strict))
+        try:
+            levels[misses] = [level[text] for text in
+                              _texts(codes, starts[misses], ends[misses])]
+        except ValueError:
+            return None
+    return levels.reshape(-1, cells.starts.shape[1] - has_labels)
 
 
 def write_csv(matrix: GradedMatrix, path) -> None:
@@ -512,43 +662,98 @@ def _raw_column(cells: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, int | n
     return np.array(numerators, dtype=object), np.array(denominators, dtype=object)
 
 
-def _fixed_point_column(cells: tuple[str, ...]) -> tuple[np.ndarray, int] | None:
-    """A column of fixed-point cells parsed in one pass, or None.
+def _fixed_point_columns(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                         has_labels: bool) -> list[tuple[np.ndarray, int] | None]:
+    """Each data column of a split table's body as int64 numerators over
+    10**F, when it is a fixed-point column, or None.
 
-    Every cell must have the first cell's number of decimals F and at most
-    18 digits: an optional sign, then digits with no point when F = 0, or
-    digits and a point before exactly F digits.  Then every numerator over
-    10**F fits int64, and the result is what `_raw_column` builds from
-    `_parse_number`'s cells, which are over that same power of ten.
+    A fixed-point column's cells all have its first cell's number of
+    decimals F and at most 18 digits: an optional sign, then digits with no
+    point when F = 0, or digits and a point before exactly F digits.  Then
+    every numerator over 10**F fits int64, and the column is what
+    `_raw_column` builds from `_parse_number`'s cells, which are over that
+    same power of ten.  Each cell's length, sign and point are checked at
+    once; the body, every other cell blanked, then must hold as many digits
+    as those cells leave, and is parsed by one np.fromstring with its
+    points deleted.  When it holds fewer, the digits are counted cell by
+    cell, and a column with a cell short of digits is not fixed-point.
     """
-    point = cells[0].find(".")
-    places = 0 if point < 0 else len(cells[0]) - point - 1
-    if places > 18:
+    first = [codes[s:e].tobytes() for s, e in zip(starts[0, has_labels:], ends[0, has_labels:])]
+    places = np.array([len(cell) - cell.find(b".") - 1 if b"." in cell else 0 for cell in first])
+    cells = (slice(None), slice(has_labels, None))
+    lens = ends[cells] - starts[cells]
+    lead = codes.take(starts[cells])
+    signed = (lead == ord("+")) | (lead == ord("-"))
+    pointed = places > 0
+    digits = lens - signed - pointed
+    good = (digits >= np.maximum(places, 1)) & (digits <= 18)
+    good &= ~pointed | (codes.take(ends[cells] - places - 1, mode="clip") == ord("."))
+    fixed = good.all(axis=0)
+    columns: list[tuple[np.ndarray, int] | None] = [None] * len(fixed)
+    if not fixed.any():
+        return columns
+
+    begin = starts[0, 0]
+    body = codes[begin:ends[-1, -1]].copy()
+
+    def blank(mask) -> None:
+        body[_spans(starts[:, mask].ravel() - begin,
+                    (ends[:, mask] - starts[:, mask]).ravel())] = ord(" ")
+
+    others = np.ones(starts.shape[1], dtype=bool)  # the labels and other columns
+    others[has_labels:] = ~fixed
+    blank(others)
+    is_digit = body - ord("0") < 10
+    if np.count_nonzero(is_digit) != digits[:, fixed].sum():
+        counts = np.concatenate(([0], np.cumsum(is_digit)))
+        held = counts[ends[cells] - begin] - counts[starts[cells] - begin]
+        lost = fixed & ~(held == digits).all(axis=0)
+        others[:] = False
+        others[has_labels:] = lost
+        blank(others)
+        fixed &= ~lost
+    if fixed.any():
+        # only fixed-point cells are left between the blanks and separators
+        text = body.tobytes().translate(_NUMBER_SPACES, b".")
+        values = np.fromstring(text, dtype=np.int64, sep=" ").reshape(len(starts), -1)
+        for value, c in zip(values.T, np.flatnonzero(fixed)):
+            columns[c] = value.copy(), 10 ** int(places[c])
+    return columns
+
+
+# a comma and the blanks C's isspace leaves out become spaces, which
+# np.fromstring skips between numbers
+_NUMBER_SPACES = bytes.maketrans(b",\x1c\x1d\x1e\x1f", b"     ")
+
+
+def _byte_table(cells: _Cells) -> RawTable | None:
+    """The RawTable of a split table, or None when `_layout` would refuse
+    it or a cell is bad.  Only the labels, the layout cells and the cells
+    of columns that are not fixed-point are decoded."""
+    body = _body(cells, _raw_cell_kind)
+    if body is None:
         return None
-    text = "\n".join(cells)
-    # each cell between two line breaks; a non-ASCII character becomes "?"
-    # and so x, and a quoted cell that holds a line break adds a line
-    shape = f"\n{text}\n".encode("ascii", "replace").translate(_SHAPE)
-    lines = len(cells)
-    # a sign only at the start of a cell; `in` finds a byte faster than
-    # `count` counts it
-    if (b"x" in shape or shape.count(b"\n") != lines + 1
-            or b"-" in shape and shape.count(b"-") != shape.count(b"\n-")):
-        return None
-    if places:
-        # one point a line, each before exactly F digits, after at most
-        # 18 - F digits
-        fixed = (shape.count(b".") == lines
-                 and shape.count(b"." + b"0" * places + b"\n") == lines
-                 and b"0" * (19 - places) + b"." not in shape)
+    has_header, has_labels, starts, ends = body
+    codes = cells.codes
+    n_rows, width = starts.shape
+    if has_labels:
+        row_labels = tuple(_texts(codes, starts[:, 0], ends[:, 0]))
     else:
-        # no point, and 1 to 18 digits after the sign
-        fixed = (b"." not in shape and b"\n\n" not in shape and b"-\n" not in shape
-                 and b"0" * 19 not in shape)
-    if not fixed:
-        return None
-    # the shape admits only what fromstring parses, and no value past int64
-    return np.fromstring(text.replace(".", ""), dtype=np.int64, sep="\n"), 10**places
+        row_labels = tuple(map(str, range(1, n_rows + 1)))
+    if has_header:
+        col_labels = _texts(codes, cells.starts[0, has_labels:], cells.ends[0, has_labels:])
+    else:
+        col_labels = map(str, range(1, width - has_labels + 1))
+    columns = _fixed_point_columns(codes, starts, ends, has_labels)
+    for i, column in enumerate(columns):
+        if column is None:
+            c = has_labels + i
+            try:
+                columns[i] = _raw_column(tuple(map(_parse_number,
+                                                   _texts(codes, starts[:, c], ends[:, c]))))
+            except ValueError:
+                return None
+    return RawTable(row_labels, tuple(col_labels), *zip(*columns))
 
 
 def read_raw_csv(path) -> RawTable:
@@ -557,9 +762,15 @@ def read_raw_csv(path) -> RawTable:
     A header row and a label column are detected by `_layout`, every cell
     that parses being a number; missing labels are synthesized from
     1-based positions, as graded CSV errors count rows and columns.  The
-    first bad cell in row-major order is named.
+    first bad cell in row-major order is named.  A table `_split_bytes`
+    splits is read by `_byte_table`; any other, or one with a bad cell,
+    through csv.reader, cell by cell.
     """
-    text = _decode(path, Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    cells = _split_bytes(data.removeprefix(_BOM))
+    if cells is not None and (table := _byte_table(cells)) is not None:
+        return table
+    text = _decode(path, data)
     rows = _read_rows(path, text)
     has_labels, body = _layout(path, text, rows, _raw_cell_kind)
     texts = list(zip(*body))  # one tuple of cell texts per column
@@ -569,17 +780,11 @@ def read_raw_csv(path) -> RawTable:
     else:
         col_labels = rows[0][has_labels:]
     try:
-        columns = [_fixed_point_column(cells) or _raw_column(tuple(map(_parse_number, cells)))
-                   for cells in texts]
+        columns = [_raw_column(tuple(map(_parse_number, cells))) for cells in texts]
     except ValueError:
         _bad_cell(path, text, rows, body, has_labels, _parse_number, "number")
         raise
-    return RawTable(
-        row_labels,
-        tuple(col_labels),
-        tuple(column for column, _ in columns),
-        tuple(den for _, den in columns),
-    )
+    return RawTable(row_labels, tuple(col_labels), *zip(*columns))
 
 
 def read_ranges_csv(path) -> ColumnRange:
@@ -664,6 +869,17 @@ def _canonical_levels(levels: int) -> dict[str, int]:
     to the level, kept per chain."""
     scale = Scale(levels)
     return {scale.format_level(level): level for level in range(levels)}
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _canonical_keys(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted keys of a chain's canonical texts, each its bytes read as
+    a little-endian integer, and the level of each, kept per chain.  A
+    canonical text has at most eight bytes, ``0.`` and six decimals."""
+    pairs = sorted((int.from_bytes(text.encode(), "little"), level)
+                   for text, level in _canonical_levels(levels).items())
+    keys, known = zip(*pairs)
+    return np.array(keys, dtype=np.uint64), np.array(known, dtype=LEVEL_DTYPE)
 
 
 def _level_blocks(entries: np.ndarray, chain: int | None, suffixes: tuple[str, ...]):

@@ -178,11 +178,14 @@ class Scale:
         """Canonical text for a grade: an exact decimal if one exists with at
         most six fractional digits, otherwise the literal level as ``L<k>``."""
         lv = self.check_level(level)
-        f = Fraction(lv, self.max_level)
+        shifted = lv
         for digits in range(7):
-            scaled = f * 10**digits
-            if scaled.denominator == 1:
+            # lv/n has `digits` decimals when n divides lv * 10**digits
+            scaled, rest = divmod(shifted, self.max_level)
+            if not rest:
                 if digits == 0:
-                    return str(int(scaled))
-                return f"{int(scaled) // 10**digits}.{int(scaled) % 10**digits:0{digits}d}"
+                    return str(scaled)
+                whole, fraction = divmod(scaled, 10**digits)
+                return f"{whole}.{fraction:0{digits}d}"
+            shifted *= 10
         return f"L{lv}"

@@ -19,7 +19,8 @@ column-wide integer raw-table code must match them.  They read rows with
 `read_located_rows`, the original row reader, which streams the file
 through csv.reader, strips every cell and notes the file line each cell
 starts on, and then check the widths of its rows with `check_widths`,
-which numbers a row below any header; the whole-file split of
+which numbers a row below any header; the byte pass
+`gradefactor.data._split_bytes` and the csv.reader path
 `gradefactor.data._read_rows` must match the rows, `read_rows`.
 `read_raw_csv` parses with Fraction itself; `read_csv` parses every
 cell with `gradefactor.data._parse_grade_cell`, where the fast reader
@@ -27,7 +28,8 @@ finds a chain's canonical texts in a per-chain map, and reads its layout
 with `cell_kind`, which matches the level syntax with a regex and reads
 any other cell with Fraction.
 `fixed_point_column` is the original regex check of a fixed-point
-column.  `raw_table` and `table_values` convert between a RawTable's integer
+column, and `format_level` the original Fraction search for a grade's
+canonical text.  `raw_table` and `table_values` convert between a RawTable's integer
 columns and rows of Fractions.  `join_texts` joins the texts of an array
 of keys one at a time, as the byte-table gather of
 `gradefactor.data._join_texts` must.  `read_fimi`, last, is the original
@@ -421,7 +423,7 @@ NOT_FIXED_POINT = tuple(
 def fixed_point_column(cells: tuple[str, ...]) -> tuple[np.ndarray, int] | None:
     """The original one-pass column parser, which finds an off-pattern cell
     by a regex search of the joined column: the twin of
-    `gradefactor.data._fixed_point_column`."""
+    `gradefactor.data._fixed_point_columns`."""
     point = cells[0].find(".")
     places = 0 if point < 0 else len(cells[0]) - point - 1
     if places >= len(NOT_FIXED_POINT):
@@ -589,13 +591,27 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     return GradedMatrix(scale, levels)
 
 
+def format_level(scale: Scale, level: int) -> str:
+    """The original canonical text of a grade, found by multiplying its
+    Fraction by each power of ten up to 10**6: the twin of
+    `Scale.format_level`."""
+    f = Fraction(scale.check_level(level), scale.max_level)
+    for digits in range(7):
+        scaled = f * 10**digits
+        if scaled.denominator == 1:
+            if digits == 0:
+                return str(int(scaled))
+            return f"{int(scaled) // 10**digits}.{int(scaled) % 10**digits:0{digits}d}"
+    return f"L{level}"
+
+
 def write_csv(matrix: GradedMatrix, path) -> None:
     """Write a grade matrix as plain CSV, one canonical cell per grade."""
     scale = matrix.scale
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         for row in matrix.entries:
-            writer.writerow([scale.format_level(v) for v in row])
+            writer.writerow([format_level(scale, v) for v in row])
 
 
 def join_texts(texts: list[bytes], keys: np.ndarray) -> bytes:

@@ -6,8 +6,10 @@ by one gather from a byte table that follows the levels that occur, kept
 per chain, `read_raw_csv` stores integer columns and `discretize` rounds
 them column-wide; each must match the per-cell Fraction code level for
 level (byte for byte when writing), or raise the same error.  The gather must join the texts
-its keys pick as a loop over the keys does.  The whole-file
-row split must give csv.reader's rows, and the one-pass transaction
+its keys pick as a loop over the keys does.  The byte pass
+must split a file into csv.reader's rows, or leave it to csv.reader, and
+read its cells without decoding what it can key or parse from bytes,
+and the one-pass transaction
 parser the line-by-line reader's grid, or the same error.  The decimal parser
 must agree with Fraction(text) on every text.  The readers must turn any
 input into a result or a ValueError.
@@ -43,8 +45,8 @@ from gradefactor import (
     write_csv,
 )
 from gradefactor import cli, data
-from gradefactor.data import (_decode, _fixed_point_column, _parse_fraction, _parse_number,
-                              _raw_column, _read_rows)
+from gradefactor.data import (_decode, _parse_fraction, _parse_number, _raw_column, _read_rows,
+                              _split_bytes, _texts)
 
 MODES = ("strict", "lenient")
 # cells no mode reads as a grade on any chain up to 101 levels
@@ -780,12 +782,23 @@ def fixed_point_columns(draw):
 
 
 @pytest.mark.deep
-@given(fixed_point_columns())
+@given(fixed_point_columns(), st.booleans())
 @settings(max_examples=strategies.examples(300))
-def test_fixed_point_columns_match_the_pattern_twin(cells):
-    # the shape check accepts exactly the columns the regex search of
-    # oracles.fixed_point_column does, with the same numerators
-    got, want = _fixed_point_column(cells), oracles.fixed_point_column(cells)
+def test_fixed_point_columns_match_the_pattern_twin(tmp_path_factory, cells, labels):
+    # the byte pass's per-cell checks and digit count accept exactly the
+    # columns the regex search of oracles.fixed_point_column does, with the
+    # same numerators, on the cells as the file splits them; a label
+    # column beside them is blanked before the parse
+    path = strategies.example_dir(tmp_path_factory, "fixed") / "t.csv"
+    path.write_bytes("".join((f"r.{i}," if labels else "") + cell + "\n"
+                             for i, cell in enumerate(cells)).encode())
+    assert_rows_match_csv_reader(path)
+    split = _split_bytes(path.read_bytes())
+    if split is None:  # csv.reader reads the column, cell by cell
+        return
+    column = tuple(row[-1] for row in split_rows(path))
+    got = data._fixed_point_columns(*split, labels)[0]
+    want = oracles.fixed_point_column(column)
     assert (got is None) == (want is None)
     if got is not None:
         assert got[0].dtype == want[0].dtype == np.int64
@@ -1061,11 +1074,45 @@ def read_rows(path):
     return _read_rows(path, _decode(path, path.read_bytes()))
 
 
+def split_rows(path):
+    """The rows `_split_bytes` splits a file into, without any leading
+    byte-order mark, as the CSV readers call it, or None where it leaves
+    the file to csv.reader."""
+    split = _split_bytes(path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
+    if split is None:
+        return None
+    codes, starts, ends = split
+    return [_texts(codes, first, last) for first, last in zip(starts, ends)]
+
+
 def rows_or_error(read, path):
     try:
         return read(path)
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+def wide_spaces(data: bytes) -> bool:
+    """Whether UTF-8 bytes hold a character past ASCII that str.strip
+    removes."""
+    return any(c.isspace() and not c.isascii() for c in data.decode("utf-8"))
+
+
+def assert_rows_match_csv_reader(path):
+    """The byte pass splits a file into csv.reader's rows, and leaves it
+    to csv.reader exactly when it does not decode, holds a quote, a NUL or
+    whitespace past ASCII, or csv.reader refuses it or gives no rows or
+    rows of two widths; the general path gives csv.reader's rows or its
+    error."""
+    want = rows_or_error(oracles.read_rows, path)
+    plain = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
+    declined = (isinstance(want, str) or b'"' in plain or b"\0" in plain
+                or wide_spaces(plain) or len(set(map(len, want))) > 1)
+    rows = split_rows(path)
+    assert (rows is None) == declined
+    if rows is not None:
+        assert rows == want
+    assert rows_or_error(read_rows, path) == want
 
 
 @pytest.mark.deep
@@ -1074,7 +1121,7 @@ def rows_or_error(read, path):
 def test_row_split_matches_csv_reader(tmp_path_factory, text):
     path = strategies.example_dir(tmp_path_factory, "rows") / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert rows_or_error(read_rows, path) == rows_or_error(oracles.read_rows, path)
+    assert_rows_match_csv_reader(path)
 
 
 @pytest.mark.parametrize("text", [
@@ -1086,23 +1133,31 @@ def test_row_split_matches_csv_reader(tmp_path_factory, text):
 def test_row_split_matches_csv_reader_on_edge_cases(tmp_path, text):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert rows_or_error(read_rows, path) == rows_or_error(oracles.read_rows, path)
+    assert_rows_match_csv_reader(path)
 
 
 def test_row_split_space_set_is_what_strip_removes():
     spaces = {c for c in map(chr, range(128)) if c.isspace()} - {"\r", "\n"}
     assert set(data._ASCII_SPACES) == spaces
+    # the blanks past ASCII, which send a file to csv.reader
+    wide = "".join(map(chr, range(128, sys.maxunicode + 1)))
+    assert data._WIDE_SPACE.findall(wide) == [c for c in wide if c.isspace()]
 
 
-@pytest.mark.parametrize("text", ["a,b\n1,\xa02\n", "a,b\n1\u2028,2\n", "é,b\n1,2\n",
-                                  "a, b\n1,2\n"])
-def test_row_split_takes_padded_and_non_ascii_text(tmp_path, text):
-    # the split strips such cells itself, as csv.reader and str.strip would
+@pytest.mark.parametrize("text, split", [
+    ("a, b\n1,2\n", True), ("\ufeff a ,b\r\n\r\n1,\x1c2\t\r\n", True), (" , \n\t,\x0b\n", True),
+    ("é,b\n1,2\n", True), ("a,b\n1, 2é\u2027\n", True),
+    ("a,b\n1,\xa02\n", False), ("a,b\n1\u2028,2\n", False), ("a,b\n1,2\x85\n", False),
+])
+def test_row_split_takes_padded_and_non_ascii_text(tmp_path, text, split):
+    # the byte pass strips padded cells of ASCII blanks itself, as
+    # csv.reader and str.strip would, and splits non-ASCII text; a text
+    # holding a blank past ASCII goes through csv.reader
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    rows = data._split_rows(text)
-    assert rows is not None
-    assert rows == oracles.read_rows(path)
+    rows = split_rows(path)
+    assert (rows is not None) == split
+    assert (rows or read_rows(path)) == oracles.read_rows(path)
 
 
 def test_readers_reject_oversized_fields_and_exponents(tmp_path):
@@ -1120,3 +1175,163 @@ def test_readers_reject_oversized_fields_and_exponents(tmp_path):
         read_raw_csv(path)
     path.write_text("a,b\nr,1e-9999\n")
     assert oracles.table_values(read_raw_csv(path)) == ((Fraction(1, 10**9999),),)
+
+
+# ---------------------------------------------------------------- byte pass
+
+
+def recorded_parses(monkeypatch) -> dict[str, list[str]]:
+    """The texts `_parse_grade_cell` and `_parse_number` are called on,
+    recorded by name, with csv.reader made to fail if it is built."""
+    calls = {"_parse_grade_cell": [], "_parse_number": []}
+    parse_grade_cell, parse_number = data._parse_grade_cell, data._parse_number
+
+    def grade_cell(scale, text, strict):
+        calls["_parse_grade_cell"].append(text)
+        return parse_grade_cell(scale, text, strict)
+
+    def number(text):
+        calls["_parse_number"].append(text)
+        return parse_number(text)
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader was built")
+
+    monkeypatch.setattr(data, "_parse_grade_cell", grade_cell)
+    monkeypatch.setattr(data, "_parse_number", number)
+    monkeypatch.setattr(data.csv, "reader", no_reader)
+    return calls
+
+
+def test_a_canonical_graded_file_is_read_without_a_parse(tmp_path, monkeypatch):
+    # the shape discretize writes and factorize reads: canonical texts on 5
+    # grades, no header; only the first row is parsed, by layout detection
+    matrix = GradedMatrix(Scale(5), np.random.default_rng(1).integers(0, 5, size=(40, 8)))
+    path = tmp_path / "graded.csv"
+    write_csv(matrix, path)
+    calls = recorded_parses(monkeypatch)
+    for mode in MODES:
+        assert read_csv(path, Scale(5), mode=mode) == matrix
+    first = path.read_text().split("\n")[0].split(",")
+    assert calls == {"_parse_grade_cell": [], "_parse_number": first * 2}
+    monkeypatch.undo()
+    assert read_csv(path, Scale(5)) == oracles.read_csv(path, Scale(5))
+
+
+def test_a_labelled_table_in_hundredths_is_read_without_a_parse(tmp_path, monkeypatch):
+    # the shape discretize reads: a header, a label column and fixed-point
+    # cells in hundredths with signs; only the header and the first label
+    # are parsed, by layout detection
+    values = np.random.default_rng(2).integers(-150000, 150000, size=(30, 8)).tolist()
+    cells = [[f"{'-' if v < 0 else ''}{abs(v) // 100}.{abs(v) % 100:02d}" for v in row]
+             for row in values]
+    values[0][0], cells[0][0] = 0, "-0.00"
+    path = tmp_path / "raw.csv"
+    path.write_text("id," + ",".join(f"m{j}" for j in range(8)) + "\n"
+                    + "".join(f"s{i:05d}," + ",".join(row) + "\n" for i, row in enumerate(cells)))
+    calls = recorded_parses(monkeypatch)
+    table = read_raw_csv(path)
+    assert calls == {"_parse_grade_cell": [],
+                     "_parse_number": ["id"] + [f"m{j}" for j in range(8)] + ["s00000"]}
+    monkeypatch.undo()
+    assert table.denominators == (100,) * 8
+    assert [column.tolist() for column in table.columns] == [list(c) for c in zip(*values)]
+    assert ingest(read_raw_csv, ColumnRange.from_table, discretize, path, Scale(5), "strict",
+                  None) == ingest(oracles.read_raw_csv, oracles.column_range, oracles.discretize,
+                                  path, Scale(5), "strict", None)
+    assert_columns_built_per_cell(table, path)
+
+
+@st.composite
+def plain_layout(draw, grid: list[list[str]]) -> bytes:
+    """`grid` as an ASCII CSV file the byte pass splits: any of the three
+    line breaks on each line, blank lines, cells padded with ASCII blanks,
+    a byte-order mark, and a last line with or without its break."""
+    lines = []
+    for row in grid:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(CSV_BREAKS)))
+        if draw(st.integers(0, 3)) == 0:
+            row = [draw(st.sampled_from(("", " ", "\t"))) + cell
+                   + draw(st.sampled_from(("", " ", "\x1c", "\x0b"))) for cell in row]
+        lines.append(",".join(row) + draw(st.sampled_from(CSV_BREAKS)))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return (b"\xef\xbb\xbf" if draw(st.integers(0, 3)) == 0 else b"") + text.encode()
+
+
+# labels a byte pass must not parse as part of a number column
+LABELS = ("s.01", "r1", "a.b", "x2.5", "1a", ".x", "-y", "+3q")
+
+
+@st.composite
+def mixed_raw_tables(draw):
+    """A raw table of fixed-point columns (signs, ``-0.00``, up to 18 and
+    19 digits, now and then one off-pattern cell) beside columns that mix
+    ``3/4``, ``2.5e-3`` and other forms, with labels holding points and
+    digits, in a `plain_layout`."""
+    rows = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["fixed", "fixed", "mixed", "raw"]))
+        if kind == "raw":
+            columns.append(draw(raw_column(rows, bad=False)))
+            continue
+        places = draw(st.sampled_from([0, 1, 2, 2, 17, 18]))
+        top = draw(st.sampled_from([10**4, 10**18, 10**19]))
+        column = [draw(fixed_point_cell(places, top)) for _ in range(rows)]
+        if kind == "mixed":
+            column[draw(st.integers(0, rows - 1))] = draw(st.sampled_from(
+                ["3/4", "2.5e-3", "-0.00", "1_0", "7.", "+.5", "0x1"]))
+        columns.append(column)
+    grid = [list(row) for row in zip(*columns)]
+    if draw(st.booleans()):
+        grid = [[draw(st.sampled_from(LABELS))] + row for row in grid]
+    if draw(st.booleans()):
+        grid.insert(0, [f"c.{j}" for j in range(len(grid[0]))])
+    return draw(plain_layout(grid))
+
+
+@pytest.mark.deep
+@given(mixed_raw_tables(), st.sampled_from(MODES))
+@settings(max_examples=strategies.examples(300))
+def test_byte_pass_reads_mixed_raw_tables_as_the_oracle(tmp_path_factory, text, mode):
+    path = strategies.example_dir(tmp_path_factory, "mixed") / "t.csv"
+    path.write_bytes(text)
+    got = ingest(read_raw_csv, ColumnRange.from_table, discretize, path, Scale(5), mode, None)
+    want = ingest(oracles.read_raw_csv, oracles.column_range, oracles.discretize,
+                  path, Scale(5), mode, None)
+    assert got == want
+    if not isinstance(got[0], str):
+        # no cell is bad, so the byte pass read the table
+        assert data._byte_table(_split_bytes(text.removeprefix(b"\xef\xbb\xbf"))) is not None
+        assert_columns_built_per_cell(read_raw_csv(path), path)
+
+
+@st.composite
+def plain_grade_files(draw):
+    """A graded table on a chain of up to 101 grades, canonical texts among
+    other spellings, ``L<k>``, off-chain values and bad cells, with an
+    optional header and label column, in a `plain_layout`."""
+    scale = Scale(draw(st.sampled_from([2, 3, 5, 11, 64, 65, 101])))
+    cell = grade_text(scale, draw(st.booleans()))
+    width = draw(st.integers(1, 4))
+    grid = [[draw(cell) for _ in range(width)] for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        grid = [[draw(st.sampled_from(LABELS))] + row for row in grid]
+    if draw(st.booleans()):
+        grid.insert(0, [f"c.{j}" for j in range(len(grid[0]))])
+    return scale, draw(plain_layout(grid))
+
+
+@pytest.mark.deep
+@given(plain_grade_files())
+@settings(max_examples=strategies.examples(300))
+def test_byte_pass_reads_graded_tables_as_the_oracle(tmp_path_factory, case):
+    scale, text = case
+    path = strategies.example_dir(tmp_path_factory, "plain") / "m.csv"
+    path.write_bytes(text)
+    for mode in MODES:
+        assert outcome(read_csv, path, scale, mode=mode) == \
+            outcome(oracles.read_csv, path, scale, mode=mode)

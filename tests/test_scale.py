@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import strategies
 from gradefactor import (
     MAX_LEVELS,
     PARSE_TOLERANCE,
@@ -365,6 +366,28 @@ def test_format_level_falls_back_to_level_syntax():
     assert seven.format_level(1) == "L1"
     assert seven.format_level(3) == "0.5"
     assert seven.format_level(6) == "1"
+
+
+# chains of up to MAX_LEVELS grades, many of them with a step of 2**a * 5**b,
+# whose every grade has a short decimal
+FORMAT_CHAINS = st.one_of(
+    st.integers(2, MAX_LEVELS),
+    st.builds(lambda a, b, k: min(2**a * 5**b * k + 1, MAX_LEVELS),
+              st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)),
+)
+
+
+@pytest.mark.deep
+@given(FORMAT_CHAINS, st.data())
+@settings(max_examples=strategies.examples(300))
+def test_format_level_matches_the_fraction_search(levels, data):
+    # the integer test n | lv * 10**d gives the texts the Fraction search
+    # of oracles.format_level does, on the longest chains too
+    scale = Scale(levels)
+    n = scale.max_level
+    lv = data.draw(st.one_of(st.integers(0, n), st.sampled_from([0, 1, n // 2, n - 1, n]),
+                             st.integers(0, 10**6).map(lambda j: n * j // 10**6)))
+    assert scale.format_level(lv) == oracles.format_level(scale, lv)
 
 
 @given(st.integers(2, 9), st.data())
