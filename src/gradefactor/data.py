@@ -8,30 +8,34 @@ numerators, over one common denominator when the column fits int64, until
 they are discretized onto a scale.
 
 Every file is read whole, so an undecodable byte is named by its line and
-its offset in the file.  A UTF-8 CSV file with no quote, NUL or whitespace
-past ASCII whose rows all have one width is split into per-cell byte
-bounds in one numpy pass over its bytes, its cells stripped of ASCII
-blanks and its empty lines dropped, and read from those bounds: a graded
-cell of at most eight bytes is keyed as one uint64 and looked up among the
-keys of the chain's canonical texts, and only the cells that miss are
-decoded and parsed, once per distinct text; a raw table's fixed-point
-columns (one number of decimals F in every cell, at most 18 digits) are
-checked from their cells' bounds and one count of the body's digits, and
-parsed by one np.fromstring as int64 numerators over 10**F, every other
-column cell by cell.  Any other file, or a split one with a bad cell, is
-decoded and read through csv.reader, the one general path, cell by cell,
-which quotes, refuses long fields and names every error: a bad cell or a
-row of the wrong width by its row below any header, a cell also by its
-column, and by the file line it starts on, found by splitting the text
-again on that error path alone.  A transaction file of digits, blanks and
-LF alone, with ids of at most 18 digits, is parsed in one pass, its ids
-read from the token bounds digit position by digit position; any other is
-read line by line, so a bad id is named by its line.  `write_csv` prints
+its offset in the file.  A CSV file reaches one cell interpreter through
+one of two splitters.  A UTF-8 file with no quote, NUL or whitespace past
+ASCII whose rows all have one width is split into per-cell byte bounds in
+one numpy pass over its bytes, its cells stripped of ASCII blanks and its
+empty lines dropped.  Any other is decoded and split by csv.reader, which
+quotes and refuses long fields, and its stripped cells are joined by LF
+into the same bounds.  The interpreter reads a table from the bounds: a
+graded cell of at most eight bytes is keyed as one uint64 and looked up
+among the keys of the chain's canonical texts, and only the cells that
+miss are decoded and parsed, once per distinct text; a raw table's
+fixed-point columns (one number of decimals F in every cell, at most 18
+digits) are checked from their cells' bounds and one count of the body's
+digits, and parsed by one np.fromstring as int64 numerators over 10**F,
+every other column cell by cell.  A table it refuses is read through
+csv.reader again, on that error path alone, which names every error: a
+bad cell or a row of the wrong width by its row below any header, a cell
+also by its column, and by the file line it starts on, found by splitting
+the text once more.
+
+A transaction file of digits, blanks and LF alone, with ids of at most
+18 digits, is parsed in one pass, its ids read from the token bounds
+digit position by digit position; any other is read line by line, so a
+bad id is named by its line.  `write_csv` prints
 its cells through a byte table of level texts that follows the levels that
 occur, by one gather per block of rows, and writes the file in one call.
 
-A chain's canonical texts, the ones `write_csv` prints, are mapped to
-their levels, and their keys sorted, once per chain of at most
+A chain's canonical texts, the ones `write_csv` prints, are keyed, their
+keys sorted beside their levels and widths, once per chain of at most
 _CACHED_LEVELS grades, for _TABLE_CACHE chains; any other cell text is
 parsed once per read, and no cell text outlives the read that met it.
 The byte tables levels are printed through are kept per chain, suffixes
@@ -206,20 +210,6 @@ def discretize(table: RawTable, ranges: ColumnRange, scale: Scale, *,
 # ----------------------------------------------------------------------
 
 
-class _Memo(dict):
-    """`fn(key)` for each distinct key, computed on its first lookup,
-    beyond a copy of the mapping `known` it starts with.  A call that
-    raises caches nothing, so the same key raises again."""
-
-    def __init__(self, fn, known=()) -> None:
-        super().__init__(known)
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 # the ASCII whitespace str.strip removes, except the line breaks \r and \n
 _ASCII_SPACES = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
 _IS_SPACE = np.zeros(256, dtype=bool)
@@ -262,7 +252,7 @@ class _Cells(NamedTuple):
 def _split_bytes(data: bytes) -> _Cells | None:
     """The cells of a CSV file's UTF-8 bytes without a byte-order mark,
     split in one numpy pass over its bytes, or None when csv.reader must
-    read it or would refuse it: a byte that does not decode, a quote, a
+    split it or would refuse it: a byte that does not decode, a quote, a
     NUL, whitespace past ASCII, a field longer than csv's field size
     limit, no rows, or rows of different widths.
 
@@ -332,12 +322,16 @@ def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 def _texts(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
     """The texts of the cells ``codes[starts:ends]``, in row-major order,
     gathered with one take, each with the byte after it made a line break,
-    and decoded and split once."""
-    starts = starts.ravel()
-    lens = ends.ravel() - starts + 1
+    and decoded and split once; cell by cell when a cell, quoted, holds a
+    line break itself."""
+    starts, ends = starts.ravel(), ends.ravel()
+    lens = ends - starts + 1
     joined = codes[_spans(starts, lens)]
     joined[np.cumsum(lens) - 1] = ord("\n")
-    return joined.tobytes().decode("utf-8").split("\n")[:-1]
+    texts = joined.tobytes().decode("utf-8").split("\n")[:-1]
+    if len(texts) != len(starts):
+        texts = [codes[s:e].tobytes().decode("utf-8") for s, e in zip(starts, ends)]
+    return texts
 
 
 def _read_rows(path, text: str) -> list[list[str]]:
@@ -351,6 +345,45 @@ def _read_rows(path, text: str) -> list[list[str]]:
     if not rows:
         raise ValueError(f"{path}: empty file")
     return rows
+
+
+def _cells(path, data: bytes) -> _Cells | None:
+    """The cells of a CSV file's bytes `data`: split by `_split_bytes`, or,
+    where it declines the file, csv.reader's stripped rows joined by LF,
+    then eight NULs.  A cell ends at each LF, or, when a quoted cell holds
+    one, at the cumulative byte lengths of the cells.  None when the rows
+    have different widths."""
+    cells = _split_bytes(data.removeprefix(_BOM))
+    if cells is not None:
+        return cells
+    rows = _read_rows(path, _decode(path, data))
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        return None
+    texts = list(chain.from_iterable(rows))
+    joined = "\n".join(texts).encode()
+    codes = np.frombuffer(joined + bytes(8), dtype=np.uint8)
+    ends = np.append(np.flatnonzero(codes[:len(joined)] == ord("\n")), len(joined))
+    if len(ends) != len(texts):
+        lens = np.fromiter(map(len, map(str.encode, texts)), dtype=np.intp, count=len(texts))
+        ends = np.cumsum(lens + 1) - 1
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    return _Cells(codes, starts.reshape(-1, width), ends.reshape(-1, width))
+
+
+def _read_table(path, data: bytes, interpret, kind, parse, what: str):
+    """What `interpret` makes of the `_cells` of a CSV file's bytes `data`.
+    Where it gives None, for a table `_layout` refuses or a bad cell, the
+    bytes are read through csv.reader again and `_layout` or `_bad_cell`,
+    by `kind` and `parse`, names the error."""
+    cells = _cells(path, data)
+    if cells is not None and (table := interpret(cells)) is not None:
+        return table
+    text = _decode(path, data)
+    rows = _read_rows(path, text)
+    has_labels, body = _layout(path, text, rows, kind)
+    _bad_cell(path, text, rows, body, has_labels, functools.cache(parse), what)
+    raise AssertionError(f"{path}: the table was refused, but no cell is bad")
 
 
 def _cell_line(text: str, row: int, column: int) -> int:
@@ -545,9 +578,8 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     being a grade when it lies in [0, 1].  A file of n line breaks alone,
     CR LF, CR or LF, is the n x 0 matrix, as `write_csv` writes it.
 
-    A table `_split_bytes` splits is read by `_byte_levels`; any other, or
-    one with a bad cell, through csv.reader, each distinct cell text parsed
-    once, the chain's canonical texts found in its map.
+    The cells, split by `_split_bytes` or csv.reader (`_cells`), are read
+    by `_byte_levels`, and an error is named as `_read_table` names it.
     """
     _check_mode(mode)
     strict = mode == "strict"
@@ -556,29 +588,9 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     if plain[:1] in (b"\r", b"\n") and not plain.strip(b"\r\n"):
         n_rows = plain.count(b"\n") + plain.count(b"\r") - plain.count(b"\r\n")
         return GradedMatrix(scale, np.zeros((n_rows, 0), dtype=LEVEL_DTYPE))
-    cells = _split_bytes(plain)
-    if cells is not None:
-        levels = _byte_levels(cells, scale, strict)
-        if levels is not None:
-            return GradedMatrix(scale, levels)
-    text = _decode(path, data)
-    rows = _read_rows(path, text)
-    has_labels, body = _layout(path, text, rows, _cell_kind)
-    width = len(body[0]) - has_labels
-
-    # a bad cell text is never cached, so the locator's second pass over
-    # the cells finds every good one in the memo and parses the first bad
-    # one again
-    known = _canonical_levels(scale.levels) if scale.levels <= _CACHED_LEVELS else ()
-    level = _Memo(lambda cell: _parse_grade_cell(scale, cell, strict), known)
-    cells = chain.from_iterable([row[1:] for row in body] if has_labels else body)
-    try:
-        levels = np.fromiter(map(level.__getitem__, cells), dtype=LEVEL_DTYPE,
-                             count=len(body) * width)
-    except ValueError:
-        _bad_cell(path, text, rows, body, has_labels, level.__getitem__, "grade")
-        raise
-    return GradedMatrix(scale, levels.reshape(len(body), width))
+    levels = _read_table(path, data, lambda cells: _byte_levels(cells, scale, strict), _cell_kind,
+                         lambda text: _parse_grade_cell(scale, text, strict), "grade")
+    return GradedMatrix(scale, levels)
 
 
 # a key keeps a cell's first k bytes, little-endian, and zeros the rest
@@ -586,14 +598,15 @@ _KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _byte_levels(cells: _Cells, scale: Scale, strict: bool) -> np.ndarray | None:
-    """The levels of a split table's data cells, or None when `_layout`
-    would refuse it or a cell is bad.
+    """The levels of a table's data cells, or None when `_layout` would
+    refuse it or a cell is bad.
 
     Each cell of at most eight bytes is keyed as one little-endian uint64,
     its bytes then zeros, and looked up with one searchsorted among the
-    keys of the chain's canonical texts.  Only the cells that miss, other
-    spellings, longer texts and every cell on a chain of more than
-    _CACHED_LEVELS grades, are decoded, each distinct text parsed once."""
+    keys of the chain's canonical texts; a key matches only a cell as long
+    as its text.  Only the cells that miss, other spellings, longer texts
+    and every cell on a chain of more than _CACHED_LEVELS grades, are
+    decoded, each distinct text parsed once."""
     body = _body(cells, _cell_kind)
     if body is None:
         return None
@@ -602,22 +615,22 @@ def _byte_levels(cells: _Cells, scale: Scale, strict: bool) -> np.ndarray | None
     lens = ends - starts
     codes = cells.codes
     if scale.levels <= _CACHED_LEVELS:
-        keys, known = _canonical_keys(scale.levels)
+        keys, known, widths = _canonical_keys(scale.levels)
         words = np.ndarray((len(codes) - 7,), dtype="<u8", buffer=codes, strides=(1,))
         key = words.take(starts) & _KEY_MASKS.take(np.minimum(lens, 8))
         at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
         levels = known.take(at)
-        misses = np.flatnonzero((keys.take(at) != key) | (lens > 8))
+        misses = np.flatnonzero((keys.take(at) != key) | (lens != widths.take(at)))
     else:
         levels = np.empty(len(starts), dtype=LEVEL_DTYPE)
         misses = np.arange(len(starts))
     if len(misses):
-        level = _Memo(lambda cell: _parse_grade_cell(scale, cell, strict))
+        texts = _texts(codes, starts[misses], ends[misses])
         try:
-            levels[misses] = [level[text] for text in
-                              _texts(codes, starts[misses], ends[misses])]
+            level = {text: _parse_grade_cell(scale, text, strict) for text in set(texts)}
         except ValueError:
             return None
+        levels[misses] = list(map(level.__getitem__, texts))
     return levels.reshape(-1, cells.starts.shape[1] - has_labels)
 
 
@@ -727,7 +740,7 @@ _NUMBER_SPACES = bytes.maketrans(b",\x1c\x1d\x1e\x1f", b"     ")
 
 
 def _byte_table(cells: _Cells) -> RawTable | None:
-    """The RawTable of a split table, or None when `_layout` would refuse
+    """The RawTable of a table's cells, or None when `_layout` would refuse
     it or a cell is bad.  Only the labels, the layout cells and the cells
     of columns that are not fixed-point are decoded."""
     body = _body(cells, _raw_cell_kind)
@@ -762,29 +775,12 @@ def read_raw_csv(path) -> RawTable:
     A header row and a label column are detected by `_layout`, every cell
     that parses being a number; missing labels are synthesized from
     1-based positions, as graded CSV errors count rows and columns.  The
-    first bad cell in row-major order is named.  A table `_split_bytes`
-    splits is read by `_byte_table`; any other, or one with a bad cell,
-    through csv.reader, cell by cell.
+    cells, split by `_split_bytes` or csv.reader (`_cells`), are read by
+    `_byte_table`, and the first bad cell in row-major order is named as
+    `_read_table` names it.
     """
-    data = Path(path).read_bytes()
-    cells = _split_bytes(data.removeprefix(_BOM))
-    if cells is not None and (table := _byte_table(cells)) is not None:
-        return table
-    text = _decode(path, data)
-    rows = _read_rows(path, text)
-    has_labels, body = _layout(path, text, rows, _raw_cell_kind)
-    texts = list(zip(*body))  # one tuple of cell texts per column
-    row_labels = texts.pop(0) if has_labels else tuple(map(str, range(1, len(body) + 1)))
-    if body is rows:
-        col_labels = map(str, range(1, len(texts) + 1))
-    else:
-        col_labels = rows[0][has_labels:]
-    try:
-        columns = [_raw_column(tuple(map(_parse_number, cells))) for cells in texts]
-    except ValueError:
-        _bad_cell(path, text, rows, body, has_labels, _parse_number, "number")
-        raise
-    return RawTable(row_labels, tuple(col_labels), *zip(*columns))
+    return _read_table(path, Path(path).read_bytes(), _byte_table, _raw_cell_kind,
+                       _parse_number, "number")
 
 
 def read_ranges_csv(path) -> ColumnRange:
@@ -864,22 +860,17 @@ def _top_table(chain: int | None, suffixes: tuple[str, ...], top: int) -> _TextT
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
-def _canonical_levels(levels: int) -> dict[str, int]:
-    """Each level's canonical text on a chain of `levels` grades, mapped
-    to the level, kept per chain."""
-    scale = Scale(levels)
-    return {scale.format_level(level): level for level in range(levels)}
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _canonical_keys(levels: int) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_keys(levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sorted keys of a chain's canonical texts, each its bytes read as
-    a little-endian integer, and the level of each, kept per chain.  A
-    canonical text has at most eight bytes, ``0.`` and six decimals."""
-    pairs = sorted((int.from_bytes(text.encode(), "little"), level)
-                   for text, level in _canonical_levels(levels).items())
-    keys, known = zip(*pairs)
-    return np.array(keys, dtype=np.uint64), np.array(known, dtype=LEVEL_DTYPE)
+    a little-endian integer, and the level and byte width of each, kept
+    per chain.  A canonical text has at most eight bytes, ``0.`` and six
+    decimals."""
+    scale = Scale(levels)
+    texts = [scale.format_level(level).encode() for level in range(levels)]
+    keys = np.array([int.from_bytes(text, "little") for text in texts], dtype=np.uint64)
+    order = np.argsort(keys)
+    widths = np.fromiter(map(len, texts), dtype=np.intp, count=levels)
+    return keys[order], order.astype(LEVEL_DTYPE), widths[order]
 
 
 def _level_blocks(entries: np.ndarray, chain: int | None, suffixes: tuple[str, ...]):

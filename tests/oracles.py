@@ -14,17 +14,17 @@ must match.  `cover_search` is the exact oracle's original recursive cover
 search, which `factorization._min_cover` runs on an explicit stack.
 The per-cell `read_csv`, `write_csv`, `read_raw_csv` and `discretize` at
 the end are the original grade I/O, which parses, formats and rounds every
-cell through Fractions; the memoized readers, the table-printing writer and the
+cell through Fractions; the byte-bound readers, the table-printing writer and the
 column-wide integer raw-table code must match them.  They read rows with
 `read_located_rows`, the original row reader, which streams the file
 through csv.reader, strips every cell and notes the file line each cell
 starts on, and then check the widths of its rows with `check_widths`,
 which numbers a row below any header; the byte pass
-`gradefactor.data._split_bytes` and the csv.reader path
+`gradefactor.data._split_bytes` and the csv.reader split
 `gradefactor.data._read_rows` must match the rows, `read_rows`.
 `read_raw_csv` parses with Fraction itself; `read_csv` parses every
 cell with `gradefactor.data._parse_grade_cell`, where the fast reader
-finds a chain's canonical texts in a per-chain map, and reads its layout
+looks a chain's canonical texts up by their bytes, and reads its layout
 with `cell_kind`, which matches the level syntax with a regex and reads
 any other cell with Fraction.
 `fixed_point_column` is the original regex check of a fixed-point

@@ -1,18 +1,18 @@
 """Grade I/O against the per-cell reference in `oracles`, and reader fuzzing.
 
-`read_csv` finds a chain's canonical texts in a map kept per chain and
-parses each other distinct cell once per read, `write_csv` prints levels
-by one gather from a byte table that follows the levels that occur, kept
-per chain, `read_raw_csv` stores integer columns and `discretize` rounds
-them column-wide; each must match the per-cell Fraction code level for
-level (byte for byte when writing), or raise the same error.  The gather must join the texts
-its keys pick as a loop over the keys does.  The byte pass
-must split a file into csv.reader's rows, or leave it to csv.reader, and
-read its cells without decoding what it can key or parse from bytes,
-and the one-pass transaction
-parser the line-by-line reader's grid, or the same error.  The decimal parser
-must agree with Fraction(text) on every text.  The readers must turn any
-input into a result or a ValueError.
+`read_csv` looks a chain's canonical texts up by their bytes among keys
+kept per chain and parses each other distinct cell once per read,
+`write_csv` prints levels by one gather from a byte table that follows
+the levels that occur, kept per chain, `read_raw_csv` stores integer
+columns and `discretize` rounds them column-wide; each must match the
+per-cell Fraction code level for level (byte for byte when writing), or
+raise the same error.  The gather must join the texts its keys pick as a
+loop over the keys does.  The byte pass must split a file into
+csv.reader's rows, or leave it to csv.reader, and read its cells, split
+either way, without decoding what it can key or parse from bytes, and the
+one-pass transaction parser the line-by-line reader's grid, or the same
+error.  The decimal parser must agree with Fraction(text) on every text.
+The readers must turn any input into a result or a ValueError.
 """
 
 import json
@@ -440,6 +440,21 @@ def test_a_bad_cell_raises_afresh_on_every_read(tmp_path):
     assert read_csv(path, Scale(3), mode="lenient").entries.tolist() == [[1, 2], [2, 1]]
 
 
+@pytest.mark.parametrize("cell", ["0.5\0", "0\0"])
+def test_a_cell_with_a_nul_after_a_canonical_text_is_bad(tmp_path, cell):
+    # a key zero-pads a cell's bytes, so a quoted canonical text with a NUL
+    # after it keys as that text; it matches only a cell as long as it is
+    path = tmp_path / "m.csv"
+    path.write_bytes(f'"{cell}",1\n'.encode())
+    if sys.version_info >= (3, 11):  # csv.reader keeps a NUL since 3.11
+        message = f"bad grade at row 1, column 1: cannot read {cell!r} as a number (line 1)"
+    else:
+        message = "line 1: line contains NUL"
+    for mode in MODES:
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            read_csv(path, Scale(5), mode=mode)
+
+
 def counted_parses(monkeypatch) -> list[str]:
     """The texts `data._parse_grade_cell` is called on from now on."""
     texts = []
@@ -782,21 +797,26 @@ def fixed_point_columns(draw):
 
 
 @pytest.mark.deep
-@given(fixed_point_columns(), st.booleans())
+@given(fixed_point_columns(), st.booleans(), st.booleans())
 @settings(max_examples=strategies.examples(300))
-def test_fixed_point_columns_match_the_pattern_twin(tmp_path_factory, cells, labels):
+def test_fixed_point_columns_match_the_pattern_twin(tmp_path_factory, cells, labels, quoted):
     # the byte pass's per-cell checks and digit count accept exactly the
     # columns the regex search of oracles.fixed_point_column does, with the
-    # same numerators, on the cells as the file splits them; a label
-    # column beside them is blanked before the parse
+    # same numerators, on the cells as the file splits them, or as
+    # csv.reader reads them when each cell is quoted, line breaks and all;
+    # a label column beside them is blanked before the parse
     path = strategies.example_dir(tmp_path_factory, "fixed") / "t.csv"
-    path.write_bytes("".join((f"r.{i}," if labels else "") + cell + "\n"
+    quote = '"' if quoted else ""
+    path.write_bytes("".join((f"r.{i}," if labels else "") + quote + cell + quote + "\n"
                              for i, cell in enumerate(cells)).encode())
     assert_rows_match_csv_reader(path)
-    split = _split_bytes(path.read_bytes())
-    if split is None:  # csv.reader reads the column, cell by cell
+    try:
+        split = data._cells(path, path.read_bytes())
+    except ValueError:  # no rows
         return
-    column = tuple(row[-1] for row in split_rows(path))
+    if split is None:  # ragged rows
+        return
+    column = tuple(row[-1] for row in read_rows(path))
     got = data._fixed_point_columns(*split, labels)[0]
     want = oracles.fixed_point_column(column)
     assert (got is None) == (want is None)
@@ -838,6 +858,18 @@ def test_raw_ingest_past_int64_matches_oracle(tmp_path, name, levels):
             # read and ranged; only strict mode may refuse a declared bound
             assert len(got) == 3
             assert isinstance(got[2], list) or (mode == "strict" and ranges is declared)
+
+
+@pytest.mark.parametrize("text", ['"0.5",1\n2,3\n', "0.5,1\n2,3\n", '0.5,1\n"2",3\n'])
+def test_a_table_without_a_header_numbers_its_columns(tmp_path, text):
+    # csv.reader's rows, for a quoted cell, give the labels the byte pass
+    # gives: no first data row taken for column labels
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    table = read_raw_csv(path)
+    assert table.col_labels == oracles.read_raw_csv(path).col_labels == ("1", "2")
+    assert table.row_labels == ("1", "2")
+    assert oracles.table_values(table) == ((Fraction(1, 2), 1), (2, 3))
 
 
 def test_raw_columns_leave_int64_only_when_they_must(tmp_path):
@@ -1180,9 +1212,10 @@ def test_readers_reject_oversized_fields_and_exponents(tmp_path):
 # ---------------------------------------------------------------- byte pass
 
 
-def recorded_parses(monkeypatch) -> dict[str, list[str]]:
+def recorded_parses(monkeypatch, reader: bool = False) -> dict[str, list[str]]:
     """The texts `_parse_grade_cell` and `_parse_number` are called on,
-    recorded by name, with csv.reader made to fail if it is built."""
+    recorded by name, with csv.reader made to fail if it is built, unless
+    `reader`."""
     calls = {"_parse_grade_cell": [], "_parse_number": []}
     parse_grade_cell, parse_number = data._parse_grade_cell, data._parse_number
 
@@ -1199,17 +1232,25 @@ def recorded_parses(monkeypatch) -> dict[str, list[str]]:
 
     monkeypatch.setattr(data, "_parse_grade_cell", grade_cell)
     monkeypatch.setattr(data, "_parse_number", number)
-    monkeypatch.setattr(data.csv, "reader", no_reader)
+    if not reader:
+        monkeypatch.setattr(data.csv, "reader", no_reader)
     return calls
 
 
-def test_a_canonical_graded_file_is_read_without_a_parse(tmp_path, monkeypatch):
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_canonical_graded_file_is_read_without_a_parse(tmp_path, monkeypatch, quoted):
     # the shape discretize writes and factorize reads: canonical texts on 5
-    # grades, no header; only the first row is parsed, by layout detection
+    # grades, no header; only the first row is parsed, by layout detection,
+    # whether the byte pass splits the file or, for a quoted cell,
+    # csv.reader does
     matrix = GradedMatrix(Scale(5), np.random.default_rng(1).integers(0, 5, size=(40, 8)))
     path = tmp_path / "graded.csv"
     write_csv(matrix, path)
-    calls = recorded_parses(monkeypatch)
+    if quoted:  # the second row's first cell
+        lines = path.read_text().split("\n")
+        lines[1] = '"{}",{}'.format(*lines[1].split(",", 1))
+        path.write_text("\n".join(lines))
+    calls = recorded_parses(monkeypatch, reader=quoted)
     for mode in MODES:
         assert read_csv(path, Scale(5), mode=mode) == matrix
     first = path.read_text().split("\n")[0].split(",")
@@ -1218,21 +1259,27 @@ def test_a_canonical_graded_file_is_read_without_a_parse(tmp_path, monkeypatch):
     assert read_csv(path, Scale(5)) == oracles.read_csv(path, Scale(5))
 
 
-def test_a_labelled_table_in_hundredths_is_read_without_a_parse(tmp_path, monkeypatch):
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_labelled_table_in_hundredths_is_read_without_a_parse(tmp_path, monkeypatch, quoted):
     # the shape discretize reads: a header, a label column and fixed-point
     # cells in hundredths with signs; only the header and the first label
-    # are parsed, by layout detection
+    # are parsed, by layout detection, whether the byte pass splits the
+    # file or, for a quoted label, csv.reader does
     values = np.random.default_rng(2).integers(-150000, 150000, size=(30, 8)).tolist()
     cells = [[f"{'-' if v < 0 else ''}{abs(v) // 100}.{abs(v) % 100:02d}" for v in row]
              for row in values]
     values[0][0], cells[0][0] = 0, "-0.00"
+    labels = [f"s{i:05d}" for i in range(30)]
+    if quoted:
+        labels[3] = '"Sebrle, R."'
     path = tmp_path / "raw.csv"
     path.write_text("id," + ",".join(f"m{j}" for j in range(8)) + "\n"
-                    + "".join(f"s{i:05d}," + ",".join(row) + "\n" for i, row in enumerate(cells)))
-    calls = recorded_parses(monkeypatch)
+                    + "".join(f"{label}," + ",".join(row) + "\n" for label, row in zip(labels, cells)))
+    calls = recorded_parses(monkeypatch, reader=quoted)
     table = read_raw_csv(path)
     assert calls == {"_parse_grade_cell": [],
                      "_parse_number": ["id"] + [f"m{j}" for j in range(8)] + ["s00000"]}
+    assert table.row_labels[3] == ("Sebrle, R." if quoted else "s00003")
     monkeypatch.undo()
     assert table.denominators == (100,) * 8
     assert [column.tolist() for column in table.columns] == [list(c) for c in zip(*values)]
@@ -1243,17 +1290,22 @@ def test_a_labelled_table_in_hundredths_is_read_without_a_parse(tmp_path, monkey
 
 
 @st.composite
-def plain_layout(draw, grid: list[list[str]]) -> bytes:
-    """`grid` as an ASCII CSV file the byte pass splits: any of the three
-    line breaks on each line, blank lines, cells padded with ASCII blanks,
-    a byte-order mark, and a last line with or without its break."""
+def csv_layout(draw, grid: list[list[str]]) -> bytes:
+    """`grid` as a CSV file: any of the three line breaks on each line,
+    blank lines, cells padded with ASCII blanks, a byte-order mark, and a
+    last line with or without its break.  A cell holding a comma, a line
+    break or a NUL is quoted, and in half the files any cell may be, so the
+    byte pass splits a file of plain cells and csv.reader any other."""
     lines = []
+    quoting = draw(st.booleans())
     for row in grid:
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(CSV_BREAKS)))
         if draw(st.integers(0, 3)) == 0:
             row = [draw(st.sampled_from(("", " ", "\t"))) + cell
                    + draw(st.sampled_from(("", " ", "\x1c", "\x0b"))) for cell in row]
+        row = [f'"{cell}"' if re.search("[,\r\n\0]", cell) or quoting and draw(st.booleans())
+               else cell for cell in row]
         lines.append(",".join(row) + draw(st.sampled_from(CSV_BREAKS)))
     text = "".join(lines)
     if draw(st.booleans()):
@@ -1263,6 +1315,18 @@ def plain_layout(draw, grid: list[list[str]]) -> bytes:
 
 # labels a byte pass must not parse as part of a number column
 LABELS = ("s.01", "r1", "a.b", "x2.5", "1a", ".x", "-y", "+3q")
+# labels only csv.reader splits: quoted with a comma, a line break or a
+# NUL, or padded with a blank past ASCII
+READER_LABELS = ("Sebrle, R.", "r\r\n1", "a\nb", "s\x00t", "\xa0r2\xa0")
+
+
+def add_labels(draw, grid: list[list[str]]) -> list[list[str]]:
+    """`grid`, in half the draws behind a label column drawn from LABELS,
+    and in half of those from READER_LABELS too."""
+    if draw(st.booleans()):
+        pool = LABELS + READER_LABELS if draw(st.booleans()) else LABELS
+        grid = [[draw(st.sampled_from(pool))] + row for row in grid]
+    return grid
 
 
 @st.composite
@@ -1270,7 +1334,7 @@ def mixed_raw_tables(draw):
     """A raw table of fixed-point columns (signs, ``-0.00``, up to 18 and
     19 digits, now and then one off-pattern cell) beside columns that mix
     ``3/4``, ``2.5e-3`` and other forms, with labels holding points and
-    digits, in a `plain_layout`."""
+    digits, or labels only csv.reader splits, in a `csv_layout`."""
     rows = draw(st.integers(1, 6))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
@@ -1286,11 +1350,10 @@ def mixed_raw_tables(draw):
                 ["3/4", "2.5e-3", "-0.00", "1_0", "7.", "+.5", "0x1"]))
         columns.append(column)
     grid = [list(row) for row in zip(*columns)]
-    if draw(st.booleans()):
-        grid = [[draw(st.sampled_from(LABELS))] + row for row in grid]
+    grid = add_labels(draw, grid)
     if draw(st.booleans()):
         grid.insert(0, [f"c.{j}" for j in range(len(grid[0]))])
-    return draw(plain_layout(grid))
+    return draw(csv_layout(grid))
 
 
 @pytest.mark.deep
@@ -1304,25 +1367,30 @@ def test_byte_pass_reads_mixed_raw_tables_as_the_oracle(tmp_path_factory, text, 
                   path, Scale(5), mode, None)
     assert got == want
     if not isinstance(got[0], str):
-        # no cell is bad, so the byte pass read the table
-        assert data._byte_table(_split_bytes(text.removeprefix(b"\xef\xbb\xbf"))) is not None
+        # no cell is bad, so the byte pass read the table, split by itself
+        # or by csv.reader
+        assert data._byte_table(data._cells(path, text)) is not None
         assert_columns_built_per_cell(read_raw_csv(path), path)
 
 
 @st.composite
 def plain_grade_files(draw):
     """A graded table on a chain of up to 101 grades, canonical texts among
-    other spellings, ``L<k>``, off-chain values and bad cells, with an
-    optional header and label column, in a `plain_layout`."""
+    other spellings, ``L<k>``, off-chain values and bad cells, a canonical
+    text with a NUL after it among them, with an optional header and label
+    column, in a `csv_layout`."""
     scale = Scale(draw(st.sampled_from([2, 3, 5, 11, 64, 65, 101])))
-    cell = grade_text(scale, draw(st.booleans()))
+    bad = draw(st.booleans())
+    cell = grade_text(scale, bad)
     width = draw(st.integers(1, 4))
     grid = [[draw(cell) for _ in range(width)] for _ in range(draw(st.integers(1, 5)))]
-    if draw(st.booleans()):
-        grid = [[draw(st.sampled_from(LABELS))] + row for row in grid]
+    if bad and draw(st.booleans()):
+        grid[draw(st.integers(0, len(grid) - 1))][draw(st.integers(0, width - 1))] = \
+            scale.format_level(draw(st.integers(0, scale.max_level))) + "\0"
+    grid = add_labels(draw, grid)
     if draw(st.booleans()):
         grid.insert(0, [f"c.{j}" for j in range(len(grid[0]))])
-    return scale, draw(plain_layout(grid))
+    return scale, draw(csv_layout(grid))
 
 
 @pytest.mark.deep
