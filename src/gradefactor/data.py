@@ -14,18 +14,17 @@ ASCII whose rows all have one width is split into per-cell byte bounds in
 one numpy pass over its bytes, its cells stripped of ASCII blanks and its
 empty lines dropped.  Any other is decoded and split by csv.reader, which
 quotes and refuses long fields, and its stripped cells are joined by LF
-into the same bounds.  The interpreter reads a table from the bounds: a
-graded cell of at most eight bytes is keyed as one uint64 and looked up
-among the keys of the chain's canonical texts, and only the cells that
-miss are decoded and parsed, once per distinct text; a raw table's
-fixed-point columns (one number of decimals F in every cell, at most 18
-digits) are checked from their cells' bounds and one count of the body's
-digits, and parsed by one np.fromstring as int64 numerators over 10**F,
-every other column cell by cell.  A table it refuses is read through
-csv.reader again, on that error path alone, which names every error: a
-bad cell or a row of the wrong width by its row below any header, a cell
-also by its column, and by the file line it starts on, found by splitting
-the text once more.
+into the same bounds.  The interpreter reads a table from the bounds
+and the eight-byte words at them: a graded cell, keyed by its first
+eight bytes, is looked up in a collision-free hash of the chain's
+canonical texts, and only the cells that miss are decoded and parsed,
+once per distinct text; a raw table's fixed-point columns (one number of
+decimals F in every cell, at most 18 digits) are parsed by word
+arithmetic as int64 numerators over 10**F, every other column cell by
+cell.  A table it refuses is read through csv.reader again, on that
+error path alone, which names every error: a bad cell or a row of the
+wrong width by its row below any header, a cell also by its column, and
+by the file line it starts on, found by splitting the text once more.
 
 A transaction file of digits, blanks and LF alone, with ids of at most
 18 digits, is parsed in one pass, its ids read from the token bounds
@@ -34,8 +33,8 @@ bad id is named by its line.  `write_csv` prints
 its cells through a byte table of level texts that follows the levels that
 occur, by one gather per block of rows, and writes the file in one call.
 
-A chain's canonical texts, the ones `write_csv` prints, are keyed, their
-keys sorted beside their levels and widths, once per chain of at most
+A chain's canonical texts, the ones `write_csv` prints, are keyed and
+hashed beside their levels and widths once per chain of at most
 _CACHED_LEVELS grades, for _TABLE_CACHE chains; any other cell text is
 parsed once per read, and no cell text outlives the read that met it.
 The byte tables levels are printed through are kept per chain, suffixes
@@ -54,7 +53,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -240,13 +239,17 @@ def _decode(path, data: bytes) -> str:
 
 class _Cells(NamedTuple):
     """The cells of a rectangular CSV table as byte bounds: cell (r, c) is
-    ``codes[starts[r, c]:ends[r, c]]``, stripped.  `codes` holds the file's
-    bytes, then eight NULs, so that a word of eight bytes can be read at any
-    cell's start."""
+    ``codes[starts[r, c]:ends[r, c]]``, stripped.  `codes` holds _LEAD
+    NULs, the file's bytes, a line break if they do not end in one, and
+    eight NULs, so that a word can be read at any cell's start, and three
+    before any cell's end."""
 
     codes: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
+
+
+_LEAD = 24
 
 
 def _split_bytes(data: bytes) -> _Cells | None:
@@ -257,10 +260,10 @@ def _split_bytes(data: bytes) -> _Cells | None:
     limit, no rows, or rows of different widths.
 
     A cell ends at each comma, CR and LF, bytes UTF-8 uses for those
-    characters alone, so CR LF ends a line and then an empty one; empty
-    lines are dropped, as csv.reader drops them.  Each cell is then
-    stripped of the ASCII blanks str.strip removes, found by placing the
-    cell's bounds among the file's other bytes."""
+    characters alone, so CR LF ends a line and then an empty one; an empty
+    cell that starts and ends its line is an empty line, dropped as
+    csv.reader drops them.  Each cell is then stripped of the ASCII blanks
+    str.strip removes, found by placing its bounds among the other bytes."""
     if not data or b'"' in data or b"\0" in data:
         return None
     if not data.isascii():
@@ -269,25 +272,18 @@ def _split_bytes(data: bytes) -> _Cells | None:
                 return None
         except UnicodeDecodeError:
             return None
-    codes = np.frombuffer(data + bytes(8), dtype=np.uint8)
-    body = codes[:len(data)]
-    is_break = body == ord("\n")
+    end = b"" if data.endswith((b"\n", b"\r")) else b"\n"
+    codes = np.frombuffer(bytes(_LEAD) + data + end + bytes(8), dtype=np.uint8)
+    is_break = codes == ord("\n")
     if b"\r" in data:
-        is_break |= body == ord("\r")
-    seps = np.flatnonzero(is_break | (body == ord(",")))
-    last = is_break[seps]  # the cell before the separator ends its line
-    if data.endswith((b"\n", b"\r")):
-        bounds = np.concatenate(([-1], seps))
-    else:
-        bounds = np.concatenate(([-1], seps, [len(data)]))
-        last = np.append(last, True)
-    starts, ends = bounds[:-1] + 1, bounds[1:]
-    if b"\r" in data or b"\n\n" in data or data.startswith(b"\n"):
-        # an empty cell that ends its line and starts it is an empty line
-        empty = (starts == ends) & last
-        empty[1:] &= last[:-1]
-        keep = ~empty
-        starts, ends, last = starts[keep], ends[keep], last[keep]
+        is_break |= codes == ord("\r")
+    ends = np.flatnonzero(is_break | (codes == ord(",")))
+    last = is_break[ends]  # the cell ends its line
+    starts = np.concatenate(([_LEAD], ends[:-1] + 1))
+    empty = (starts == ends) & last
+    empty[1:] &= last[:-1]
+    if empty.any():
+        starts, ends, last = starts[~empty], ends[~empty], last[~empty]
     if not len(last):
         return None
     # as many cells as the first line on every line
@@ -302,11 +298,9 @@ def _split_bytes(data: bytes) -> _Cells | None:
         return None
     if any(space in data for space in _ASCII_SPACES.encode()):
         # a cell runs from the first byte at or after its start that is no
-        # blank to the last before its end; the separators around it are
-        # no blanks, and -1 and the file's length stand for them at the
-        # file's ends
-        solid = np.flatnonzero(~_IS_SPACE.take(body))
-        solid = np.concatenate(([-1], solid, [len(data)]))
+        # blank to the last before its end; the separators around it, and
+        # the NULs around the file, are no blanks
+        solid = np.flatnonzero(~_IS_SPACE.take(codes))
         starts = np.minimum(solid[np.searchsorted(solid, starts)], ends)
         ends = np.maximum(solid[np.searchsorted(solid, ends) - 1] + 1, starts)
     return _Cells(codes, starts, ends)
@@ -350,9 +344,9 @@ def _read_rows(path, text: str) -> list[list[str]]:
 def _cells(path, data: bytes) -> _Cells | None:
     """The cells of a CSV file's bytes `data`: split by `_split_bytes`, or,
     where it declines the file, csv.reader's stripped rows joined by LF,
-    then eight NULs.  A cell ends at each LF, or, when a quoted cell holds
-    one, at the cumulative byte lengths of the cells.  None when the rows
-    have different widths."""
+    padded as `_Cells.codes` is.  A cell ends at each LF, or, when a quoted
+    cell holds one, at the cumulative byte lengths of the cells.  None when
+    the rows have different widths."""
     cells = _split_bytes(data.removeprefix(_BOM))
     if cells is not None:
         return cells
@@ -361,13 +355,13 @@ def _cells(path, data: bytes) -> _Cells | None:
     if any(len(row) != width for row in rows):
         return None
     texts = list(chain.from_iterable(rows))
-    joined = "\n".join(texts).encode()
-    codes = np.frombuffer(joined + bytes(8), dtype=np.uint8)
-    ends = np.append(np.flatnonzero(codes[:len(joined)] == ord("\n")), len(joined))
+    joined = ("\n".join(texts) + "\n").encode()
+    codes = np.frombuffer(bytes(_LEAD) + joined + bytes(8), dtype=np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
     if len(ends) != len(texts):
         lens = np.fromiter(map(len, map(str.encode, texts)), dtype=np.intp, count=len(texts))
-        ends = np.cumsum(lens + 1) - 1
-    starts = np.concatenate(([0], ends[:-1] + 1))
+        ends = _LEAD + np.cumsum(lens + 1) - 1
+    starts = np.concatenate(([_LEAD], ends[:-1] + 1))
     return _Cells(codes, starts.reshape(-1, width), ends.reshape(-1, width))
 
 
@@ -601,12 +595,12 @@ def _byte_levels(cells: _Cells, scale: Scale, strict: bool) -> np.ndarray | None
     """The levels of a table's data cells, or None when `_layout` would
     refuse it or a cell is bad.
 
-    Each cell of at most eight bytes is keyed as one little-endian uint64,
-    its bytes then zeros, and looked up with one searchsorted among the
-    keys of the chain's canonical texts; a key matches only a cell as long
-    as its text.  Only the cells that miss, other spellings, longer texts
-    and every cell on a chain of more than _CACHED_LEVELS grades, are
-    decoded, each distinct text parsed once."""
+    Each cell is keyed by its first eight bytes as a little-endian uint64,
+    those past its end zeroed, and takes the level of the slot it hashes
+    to among the chain's canonical texts (`_canonical_keys`) when it has
+    the slot's key and width.  Only the cells that miss, other spellings,
+    longer texts and every cell on a chain of more than _CACHED_LEVELS
+    grades, are decoded, each distinct text parsed once."""
     body = _body(cells, _cell_kind)
     if body is None:
         return None
@@ -615,10 +609,12 @@ def _byte_levels(cells: _Cells, scale: Scale, strict: bool) -> np.ndarray | None
     lens = ends - starts
     codes = cells.codes
     if scale.levels <= _CACHED_LEVELS:
-        keys, known, widths = _canonical_keys(scale.levels)
+        factor, shift, keys, known, widths = _canonical_keys(scale.levels)
+        # the word at each byte; `take` copies it whole, faster for dense cells
         words = np.ndarray((len(codes) - 7,), dtype="<u8", buffer=codes, strides=(1,))
-        key = words.take(starts) & _KEY_MASKS.take(np.minimum(lens, 8))
-        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        key = words.take(starts)
+        key &= _KEY_MASKS.take(lens, mode="clip")
+        at = (key * factor >> shift).view(np.intp)
         levels = known.take(at)
         misses = np.flatnonzero((keys.take(at) != key) | (lens != widths.take(at)))
     else:
@@ -684,59 +680,69 @@ def _fixed_point_columns(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
     decimals F and at most 18 digits: an optional sign, then digits with no
     point when F = 0, or digits and a point before exactly F digits.  Then
     every numerator over 10**F fits int64, and the column is what
-    `_raw_column` builds from `_parse_number`'s cells, which are over that
-    same power of ten.  Each cell's length, sign and point are checked at
-    once; the body, every other cell blanked, then must hold as many digits
-    as those cells leave, and is parsed by one np.fromstring with its
-    points deleted.  When it holds fewer, the digits are counted cell by
-    cell, and a column with a cell short of digits is not fixed-point.
-    """
+    `_raw_column` builds from `_parse_number`'s cells.  The columns of one
+    F are read a block of rows at a time, each cell right-aligned in the
+    at most three eight-byte words that end at its end, so that the point
+    sits in one byte of one word: bytes checked as digits by one test per
+    word, the point moved out, each word's digits joined into its value by
+    three multiply-shift steps, and the words' values summed."""
     first = [codes[s:e].tobytes() for s, e in zip(starts[0, has_labels:], ends[0, has_labels:])]
-    places = np.array([len(cell) - cell.find(b".") - 1 if b"." in cell else 0 for cell in first])
-    cells = (slice(None), slice(has_labels, None))
-    lens = ends[cells] - starts[cells]
-    lead = codes.take(starts[cells])
-    signed = (lead == ord("+")) | (lead == ord("-"))
-    pointed = places > 0
-    digits = lens - signed - pointed
-    good = (digits >= np.maximum(places, 1)) & (digits <= 18)
-    good &= ~pointed | (codes.take(ends[cells] - places - 1, mode="clip") == ord("."))
-    fixed = good.all(axis=0)
-    columns: list[tuple[np.ndarray, int] | None] = [None] * len(fixed)
-    if not fixed.any():
-        return columns
-
-    begin = starts[0, 0]
-    body = codes[begin:ends[-1, -1]].copy()
-
-    def blank(mask) -> None:
-        body[_spans(starts[:, mask].ravel() - begin,
-                    (ends[:, mask] - starts[:, mask]).ravel())] = ord(" ")
-
-    others = np.ones(starts.shape[1], dtype=bool)  # the labels and other columns
-    others[has_labels:] = ~fixed
-    blank(others)
-    is_digit = body - ord("0") < 10
-    if np.count_nonzero(is_digit) != digits[:, fixed].sum():
-        counts = np.concatenate(([0], np.cumsum(is_digit)))
-        held = counts[ends[cells] - begin] - counts[starts[cells] - begin]
-        lost = fixed & ~(held == digits).all(axis=0)
-        others[:] = False
-        others[has_labels:] = lost
-        blank(others)
-        fixed &= ~lost
-    if fixed.any():
-        # only fixed-point cells are left between the blanks and separators
-        text = body.tobytes().translate(_NUMBER_SPACES, b".")
-        values = np.fromstring(text, dtype=np.int64, sep=" ").reshape(len(starts), -1)
-        for value, c in zip(values.T, np.flatnonzero(fixed)):
-            columns[c] = value.copy(), 10 ** int(places[c])
+    places = [len(cell) - cell.find(b".") - 1 if b"." in cell else 0 for cell in first]
+    columns: list[tuple[np.ndarray, int] | None] = [None] * len(places)
+    words = np.ndarray((len(codes) - 7,), dtype="<u8", buffer=codes, strides=(1,))
+    for f in sorted(set(places) & set(range(19))):
+        group = [c for c, p in enumerate(places) if p == f]
+        cols = has_labels + np.array(group)
+        point = [0xFF << 8 * (7 - f % 8) if f and k == f // 8 else 0 for k in range(3)]
+        least, spread = f + 1, np.uint64(17 - f + bool(f))  # sizes F + 1 to 18 + (F > 0)
+        fixed = np.ones(len(group), dtype=bool)
+        values = np.empty((len(group), len(starts)), dtype=np.int64)
+        step = max(1, _GATHER_CELLS // len(group))
+        for lo in range(0, len(starts), step):
+            # a row per column: an index array's gather is column-major
+            s, e = starts[lo:lo + step, cols].T, ends[lo:lo + step, cols].T
+            lead = codes[s]
+            minus = lead == ord("-")
+            size = e - s - (minus | (lead == ord("+"))).astype(np.int64)  # after any sign
+            over = (size - least).view(np.uint64)
+            if over.max() > spread:
+                fixed &= over.max(axis=1) <= spread
+                if not fixed.any():
+                    break
+            for k in range(-(-min(int(size.max()), 19) // 8)):
+                # xor'd with "0", "." at the point, digits take their values and
+                # the point 0; plus 0x76, 0x7F at the point, only they stay < 0x80
+                x = words[e - 8 * (k + 1)]
+                x ^= np.uint64(0x3030303030303030 ^ point[k] & 0x1E1E1E1E1E1E1E1E)
+                x &= _HIGH_BYTES.take(size - 8 * k if k else size, mode="clip")
+                test = x + np.uint64(0x7676767676767676 + (point[k] & 0x0909090909090909))
+                test |= x
+                bad = bad | test if k else test
+                if point[k]:  # the bytes before it, 256 times themselves
+                    x += (x & np.uint64((point[k] & -point[k]) - 1)) * _BYTE_MAX
+                for factor, shift, mask in _JOINS:
+                    x *= factor
+                    x >>= shift
+                    x &= mask
+                # a word's value is worth one digit less past the point
+                value = value + x * np.uint64(10 ** (8 * k - (0 < f < 8 * k))) if k else x
+            if np.bitwise_or.reduce(bad, axis=None) & _HIGH_BITS:
+                fixed &= np.bitwise_or.reduce(bad, axis=1) & _HIGH_BITS == 0
+            negative = np.negative(minus.astype(np.int64))  # -v = (v ^ -1) - -1
+            np.subtract(value.view(np.int64) ^ negative, negative, out=values[:, lo:lo + step])
+        for c in np.flatnonzero(fixed):
+            columns[group[c]] = values[c], 10**f
     return columns
 
 
-# a comma and the blanks C's isspace leaves out become spaces, which
-# np.fromstring skips between numbers
-_NUMBER_SPACES = bytes.maketrans(b",\x1c\x1d\x1e\x1f", b"     ")
+# as np.uint64, so that numpy 2.0 promotes as later numpy does: the top k
+# bytes, each byte's top bit, 255, and the joins of digit fields one, two
+# and four bytes wide, (a, b), into fields twice as wide of 10**w a + b
+_HIGH_BYTES = ~_KEY_MASKS[::-1]
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_BYTE_MAX = np.uint64(255)
+_JOINS = tuple((np.uint64(10**w << 8 * w | 1), np.uint64(8 * w), np.uint64(mask)) for w, mask in
+               ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF)))
 
 
 def _byte_table(cells: _Cells) -> RawTable | None:
@@ -836,9 +842,9 @@ def _join_texts(keys: np.ndarray, table: _TextTable) -> bytes:
 _CACHED_LEVELS = 64
 _TABLE_CACHE = 256
 
-# A gather takes the rows of at most about this many cells at a time, which
-# bounds the keys, bytes and masks one builds whatever the array; larger
-# blocks print no faster.
+# A gather of printed texts, and a block of a fixed-point parse, takes at
+# most about this many cells at a time, which bounds the keys, bytes and
+# masks one builds whatever the array; larger blocks print no faster.
 _GATHER_CELLS = 4096
 
 
@@ -859,18 +865,31 @@ def _top_table(chain: int | None, suffixes: tuple[str, ...], top: int) -> _TextT
     return _level_table(chain, suffixes, range(top + 1))
 
 
+_FACTORS = np.arange(1, 1024, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+
+
 @functools.lru_cache(maxsize=_TABLE_CACHE)
-def _canonical_keys(levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted keys of a chain's canonical texts, each its bytes read as
-    a little-endian integer, and the level and byte width of each, kept
-    per chain.  A canonical text has at most eight bytes, ``0.`` and six
-    decimals."""
+def _canonical_keys(levels: int) -> tuple:
+    """A collision-free multiplicative hash of a chain's canonical texts,
+    kept per chain: factor, shift, and slots of keys, levels and byte
+    widths, key k, a text's bytes as a little-endian integer, in slot
+    ``k * factor >> shift`` mod 2**64, an empty slot of width -1.  The
+    slots are the fewest, a power of two, that one of the odd _FACTORS
+    sends no two keys to one of, and the factor is the first such."""
     scale = Scale(levels)
     texts = [scale.format_level(level).encode() for level in range(levels)]
     keys = np.array([int.from_bytes(text, "little") for text in texts], dtype=np.uint64)
-    order = np.argsort(keys)
-    widths = np.fromiter(map(len, texts), dtype=np.intp, count=levels)
-    return keys[order], order.astype(LEVEL_DTYPE), widths[order]
+    for bits in count((levels - 1).bit_length()):
+        shift = np.uint64(64 - bits)
+        slots = np.sort(keys * _FACTORS[:, None] >> shift, axis=1)
+        distinct = (slots[:, 1:] != slots[:, :-1]).all(axis=1)
+        if distinct.any():
+            break
+    factor = _FACTORS[np.argmax(distinct)]
+    table = np.zeros(2**bits, np.uint64), np.zeros(2**bits, LEVEL_DTYPE), np.full(2**bits, -1)
+    for column, values in zip(table, (keys, range(levels), list(map(len, texts)))):
+        column[(keys * factor >> shift).view(np.intp)] = values
+    return factor, shift, *table
 
 
 def _level_blocks(entries: np.ndarray, chain: int | None, suffixes: tuple[str, ...]):

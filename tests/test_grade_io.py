@@ -1,6 +1,6 @@
 """Grade I/O against the per-cell reference in `oracles`, and reader fuzzing.
 
-`read_csv` looks a chain's canonical texts up by their bytes among keys
+`read_csv` looks a chain's canonical texts up by their bytes in a hash
 kept per chain and parses each other distinct cell once per read,
 `write_csv` prints levels by one gather from a byte table that follows
 the levels that occur, kept per chain, `read_raw_csv` stores integer
@@ -486,6 +486,59 @@ def test_canonical_texts_are_read_without_a_parse_on_chains_up_to_64(tmp_path, m
     assert sorted(parsed) == sorted(texts)
 
 
+def near_misses(text: str) -> set[str]:
+    """Cells a key of a canonical text could be mistaken for: the text with
+    one byte changed, each prefix, the text with a NUL after it, and a
+    longer cell whose first eight bytes key as the text does."""
+    changed = {text[:i] + chr(ord(text[i]) ^ 1) + text[i + 1:] for i in range(len(text))}
+    prefixes = {text[:i] for i in range(1, len(text))}
+    return changed | prefixes | {text + "\0", text.ljust(8, "\0") + "5"}
+
+
+@pytest.mark.parametrize("levels", range(2, 65))
+def test_the_canonical_hash_finds_each_text_and_parses_each_near_miss(tmp_path, monkeypatch,
+                                                                     levels):
+    # every canonical text of a chain of up to 64 grades takes its own
+    # level from the chain's hash, and every near miss of one goes to the
+    # parser, split by the byte pass or, quoted, by csv.reader; the file
+    # reads as the oracle reads it, and so does the file of the near misses
+    # that are grades
+    scale = Scale(levels)
+    texts = [scale.format_level(k) for k in range(levels)]
+    misses = sorted(set().union(*map(near_misses, texts)) - set(texts))
+    if sys.version_info < (3, 11):  # csv.reader refuses a NUL before 3.11
+        misses = [cell for cell in misses if "\0" not in cell]
+    recorded = []
+    parse = data._parse_grade_cell
+    grades = [cell for cell in misses
+              if not isinstance(parsed(lambda text: parse(scale, text, True), cell), str)]
+
+    def recording(scale, text, strict):
+        recorded.append(text)
+        try:
+            return parse(scale, text, strict)
+        except ValueError:
+            return 0
+
+    for quote, cells in [("", [cell for cell in misses if "\0" not in cell]), ('"', misses)]:
+        path = tmp_path / "m.csv"
+        path.write_text("id,c\n" + "".join(f"r{i},{quote}{cell}{quote}\n"
+                                          for i, cell in enumerate(texts + cells)))
+        monkeypatch.setattr(data, "_parse_grade_cell", recording)
+        recorded.clear()
+        levels_read = read_csv(path, scale, mode="lenient").entries[:, 0].tolist()
+        assert levels_read[:levels] == list(range(levels))
+        assert sorted(recorded) == sorted(cells)
+        monkeypatch.undo()
+        for mode in MODES:
+            assert outcome(read_csv, path, scale, mode=mode) == outcome(oracles.read_csv, path,
+                                                                       scale, mode=mode)
+    path.write_text("id,c\n" + "".join(f"r{i},{cell}\n" for i, cell in enumerate(texts + grades)))
+    for mode in MODES:
+        assert outcome(read_csv, path, scale, mode=mode) == outcome(oracles.read_csv, path, scale,
+                                                                   mode=mode)
+
+
 def test_other_spellings_are_parsed_once_per_read(tmp_path, monkeypatch):
     path = tmp_path / "m.csv"
     path.write_text("0.50,L2,0.5\nL2,0.50,1\n")
@@ -688,12 +741,14 @@ def fixed_point_cell(draw, places: int, top: int):
 @st.composite
 def raw_column(draw, rows: int, bad: bool):
     """A column of any cells, or of fixed-point cells with one number of
-    decimals and values of up to 5, 18 or 19 digits (one past the column
-    path's bound), in which one off-pattern cell may sit at a random row."""
+    decimals and values of up to 5, 7, 8, 9, 16, 17, 18 or 19 digits (one
+    past the column path's bound), so that a cell's digits and point fill
+    one, two or three of the words the column path reads, in which one
+    off-pattern cell may sit at a random row."""
     if draw(st.integers(0, 3)) == 0:
         return [draw(raw_cell(bad)) for _ in range(rows)]
-    places = draw(st.sampled_from([0, 0, 1, 2, 2, 3, 17, 18, 19]))
-    top = draw(st.sampled_from([10**5, 10**5, 10**18, 10**19]))
+    places = draw(st.sampled_from([0, 0, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9, 17, 18, 19]))
+    top = 10 ** draw(st.sampled_from([5, 5, 7, 8, 9, 16, 17, 18, 19]))
     column = [draw(fixed_point_cell(places, top)) for _ in range(rows)]
     if draw(st.integers(0, 2)) == 0:
         other = draw(st.sampled_from([places - 1, places + 1]).filter(lambda f: f >= 0))
@@ -800,11 +855,11 @@ def fixed_point_columns(draw):
 @given(fixed_point_columns(), st.booleans(), st.booleans())
 @settings(max_examples=strategies.examples(300))
 def test_fixed_point_columns_match_the_pattern_twin(tmp_path_factory, cells, labels, quoted):
-    # the byte pass's per-cell checks and digit count accept exactly the
-    # columns the regex search of oracles.fixed_point_column does, with the
-    # same numerators, on the cells as the file splits them, or as
-    # csv.reader reads them when each cell is quoted, line breaks and all;
-    # a label column beside them is blanked before the parse
+    # the word parse accepts exactly the columns the regex search of
+    # oracles.fixed_point_column does, with the same numerators, on the
+    # cells as the file splits them, or as csv.reader reads them when each
+    # cell is quoted, line breaks and all; a label column beside them is
+    # left out of the parse
     path = strategies.example_dir(tmp_path_factory, "fixed") / "t.csv"
     quote = '"' if quoted else ""
     path.write_bytes("".join((f"r.{i}," if labels else "") + quote + cell + quote + "\n"
@@ -823,6 +878,47 @@ def test_fixed_point_columns_match_the_pattern_twin(tmp_path_factory, cells, lab
     if got is not None:
         assert got[0].dtype == want[0].dtype == np.int64
         assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+
+
+DIGITS = "123456789012345678"
+# a cell of 18 digits and a sign and a point, which fills three words
+LONGEST = "-1234567890123456.78"
+
+
+def word_bound_cells() -> list[tuple[str, str]]:
+    """Pairs of a column's first cell, which fixes its decimals, and a cell
+    below it: cells of 8, 9, 16, 17 and 18 digits, which end and start
+    the words the column path reads, with and without a sign and a point;
+    short forms of a sign and a point; empty cells; and `LONGEST` with a
+    byte next to the digits, or a point, at each of its positions."""
+    cells = [sign + DIGITS[:n - f] + ("." + DIGITS[n - f:n] if f else "")
+             for n in (8, 9, 16, 17, 18) for sign in ("", "-", "+") for f in (0, 2, n)]
+    pairs = [(cell, cell) for cell in cells + ["+5", "-0.00", ".5", "5.", "-.5", "+0"]]
+    pairs += [("1.5", "5."), ("1", "+"), ("1", "-"), ("1.5", "."), ("1.5", "-."), ("1.50", ".5"),
+              ("", ""), ("", "5")]
+    pairs += [(LONGEST, LONGEST[:i] + odd + LONGEST[i + 1:])
+              for i in range(len(LONGEST)) for odd in "/:." if odd != LONGEST[i]]
+    return pairs
+
+
+@pytest.mark.parametrize("first, cell", word_bound_cells())
+def test_fixed_point_cells_at_word_bounds_read_as_the_oracle(tmp_path, first, cell):
+    # the word parse accepts and reads exactly the cells the per-cell
+    # reader does, and stores each column as `_raw_column` would
+    path = tmp_path / "t.csv"
+    path.write_text(f"id,a,b\nr1,{first},{first}\nr2,{cell},{first}\nr3,{first},{cell}\n")
+
+    def read(reader):
+        try:
+            table = reader(path)
+        except ValueError as exc:
+            return str(exc)
+        return table.row_labels, table.col_labels, oracles.table_values(table)
+
+    got = read(read_raw_csv)
+    assert got == read(oracles.read_raw_csv)
+    if not isinstance(got, str):
+        assert_columns_built_per_cell(read_raw_csv(path), path)
 
 
 OVERFLOW_TABLES = {
@@ -1161,6 +1257,10 @@ def test_row_split_matches_csv_reader(tmp_path_factory, text):
     "\ta,b\n1,2\n", "a,b\n 1,2\n", "a,b\n1,\xa02\n", '"a",b\n1,2\n', "a,b\n1,2,3\n",
     "Roman Sebrle,1\nx y,2\n", "a,b\n\x0c\n1,2\n", "1\x002,3\n",
     "\ufeff1,2\n", "\ufeff\ufeffa,b\n1,2\n",
+    # blank lines first, in the middle and last, alone, and CR LF ones, and
+    # last lines without a break
+    "\na,b\n1,2\n", "a,b\n\n1,2\n", "a,b\n1,2\n\n", "\n\n\n", "\r\n\r\na,b\r\n\r\n1,2\r\n\r\n",
+    "a,b\n1,2", "\ufeff0,0,0\n0,0,0", "a,b\n\n1,2", "\n1\n\n2",
 ])
 def test_row_split_matches_csv_reader_on_edge_cases(tmp_path, text):
     path = tmp_path / "t.csv"
