@@ -14,17 +14,20 @@ ASCII whose rows all have one width is split into per-cell byte bounds in
 one numpy pass over its bytes, its cells stripped of ASCII blanks and its
 empty lines dropped.  Any other is decoded and split by csv.reader, which
 quotes and refuses long fields, and its stripped cells are joined by LF
-into the same bounds.  The interpreter reads a table from the bounds
-and the eight-byte words at them: a graded cell, keyed by its first
-eight bytes, is looked up in a collision-free hash of the chain's
-canonical texts, and only the cells that miss are decoded and parsed,
-once per distinct text; a raw table's fixed-point columns (one number of
-decimals F in every cell, at most 18 digits) are parsed by word
-arithmetic as int64 numerators over 10**F, every other column cell by
-cell.  A table it refuses is read through csv.reader again, on that
-error path alone, which names every error: a bad cell or a row of the
-wrong width by its row below any header, a cell also by its column, and
-by the file line it starts on, found by splitting the text once more.
+into the same bounds.  The header and the label column are decided
+once, from the first row and the cell below its first, and a row of the
+wrong width, no data row or no data column is refused there.  The
+interpreter reads a table from the bounds and the eight-byte words at
+them: a graded cell, keyed by its first eight bytes, is looked up in a
+collision-free hash of the chain's canonical texts, and only the cells
+that miss are decoded and parsed, once per distinct text; a raw table's
+fixed-point columns (one number of decimals F in every cell, at most 18
+digits) are parsed by word arithmetic as int64 numerators over 10**F,
+every other column cell by cell.  A table it refuses has a bad cell, the
+first of which in row-major order is found among the same bounds.  A bad
+cell or a row of the wrong width is named by its row below any header,
+a cell also by its column, and by the file line it starts on, found by
+splitting the decoded text once more.
 
 A transaction file of digits, blanks and LF alone, with ids of at most
 18 digits, is parsed in one pass, its ids read from the token bounds
@@ -242,22 +245,25 @@ class _Cells(NamedTuple):
     ``codes[starts[r, c]:ends[r, c]]``, stripped.  `codes` holds _LEAD
     NULs, the file's bytes, a line break if they do not end in one, and
     eight NULs, so that a word can be read at any cell's start, and three
-    before any cell's end."""
+    before any cell's end.  Whether the first row is a header and the
+    first column labels is decided by `_layout_flags`."""
 
     codes: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
+    has_header: bool
+    has_labels: bool
 
 
 _LEAD = 24
 
 
-def _split_bytes(data: bytes) -> _Cells | None:
-    """The cells of a CSV file's UTF-8 bytes without a byte-order mark,
-    split in one numpy pass over its bytes, or None when csv.reader must
-    split it or would refuse it: a byte that does not decode, a quote, a
-    NUL, whitespace past ASCII, a field longer than csv's field size
-    limit, no rows, or rows of different widths.
+def _split_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The codes and bounds of the `_Cells` of a CSV file's UTF-8 bytes
+    without a byte-order mark, split in one numpy pass over its bytes, or
+    None when csv.reader must split it or would refuse it: a byte that
+    does not decode, a quote, a NUL, whitespace past ASCII, a field longer
+    than csv's field size limit, no rows, or rows of different widths.
 
     A cell ends at each comma, CR and LF, bytes UTF-8 uses for those
     characters alone, so CR LF ends a line and then an empty one; an empty
@@ -303,7 +309,7 @@ def _split_bytes(data: bytes) -> _Cells | None:
         solid = np.flatnonzero(~_IS_SPACE.take(codes))
         starts = np.minimum(solid[np.searchsorted(solid, starts)], ends)
         ends = np.maximum(solid[np.searchsorted(solid, ends) - 1] + 1, starts)
-    return _Cells(codes, starts, ends)
+    return codes, starts, ends
 
 
 def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -341,42 +347,67 @@ def _read_rows(path, text: str) -> list[list[str]]:
     return rows
 
 
-def _cells(path, data: bytes) -> _Cells | None:
+def _cells(path, data: bytes, kind) -> _Cells:
     """The cells of a CSV file's bytes `data`: split by `_split_bytes`, or,
     where it declines the file, csv.reader's stripped rows joined by LF,
     padded as `_Cells.codes` is.  A cell ends at each LF, or, when a quoted
-    cell holds one, at the cumulative byte lengths of the cells.  None when
-    the rows have different widths."""
-    cells = _split_bytes(data.removeprefix(_BOM))
-    if cells is not None:
-        return cells
-    rows = _read_rows(path, _decode(path, data))
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        return None
-    texts = list(chain.from_iterable(rows))
-    joined = ("\n".join(texts) + "\n").encode()
-    codes = np.frombuffer(bytes(_LEAD) + joined + bytes(8), dtype=np.uint8)
-    ends = np.flatnonzero(codes == ord("\n"))
-    if len(ends) != len(texts):
-        lens = np.fromiter(map(len, map(str.encode, texts)), dtype=np.intp, count=len(texts))
-        ends = _LEAD + np.cumsum(lens + 1) - 1
-    starts = np.concatenate(([_LEAD], ends[:-1] + 1))
-    return _Cells(codes, starts.reshape(-1, width), ends.reshape(-1, width))
+    cell holds one, at the cumulative byte lengths of the cells.  The
+    header and labels are decided by `_layout_flags` from the texts of the
+    first row and the cell below its first, `kind` naming a cell.  The
+    first row of another width than the first is named by its row below
+    any header; a table with no data row or no data column is refused."""
+    split = _split_bytes(data.removeprefix(_BOM))
+    if split is not None:
+        codes, starts, ends = split
+        first = _texts(codes, starts[0], ends[0])
+        lead = _texts(codes, starts[1, :1], ends[1, :1])[0] if len(starts) > 1 else None
+    else:
+        text = _decode(path, data)
+        rows = _read_rows(path, text)
+        first, lead = rows[0], rows[1][0] if len(rows) > 1 else None
+    has_header, has_labels = _layout_flags(first, lead, kind)
+    if split is None:
+        width = len(first)
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(f"{path}: row {i + 1 - has_header} has {len(row)} cells, "
+                                 f"expected {width} (line {_cell_line(text, i, 0)})")
+        texts = list(chain.from_iterable(rows))
+        joined = ("\n".join(texts) + "\n").encode()
+        codes = np.frombuffer(bytes(_LEAD) + joined + bytes(8), dtype=np.uint8)
+        ends = np.flatnonzero(codes == ord("\n"))
+        if len(ends) != len(texts):
+            lens = np.fromiter(map(len, map(str.encode, texts)), dtype=np.intp, count=len(texts))
+            ends = _LEAD + np.cumsum(lens + 1) - 1
+        starts = np.concatenate(([_LEAD], ends[:-1] + 1))
+        starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
+    if len(starts) == has_header:
+        raise ValueError(f"{path}: no data rows")
+    if starts.shape[1] == has_labels:
+        raise ValueError(f"{path}: no data columns")
+    return _Cells(codes, starts, ends, has_header, has_labels)
 
 
 def _read_table(path, data: bytes, interpret, kind, parse, what: str):
-    """What `interpret` makes of the `_cells` of a CSV file's bytes `data`.
-    Where it gives None, for a table `_layout` refuses or a bad cell, the
-    bytes are read through csv.reader again and `_layout` or `_bad_cell`,
-    by `kind` and `parse`, names the error."""
-    cells = _cells(path, data)
-    if cells is not None and (table := interpret(cells)) is not None:
+    """What `interpret` makes of the `_cells` of a CSV file's bytes `data`,
+    its layout read by `kind`.  Where it gives None, for a bad cell, the
+    first data cell in row-major order that `parse` refuses is named, each
+    distinct text parsed once: by its row below any header, its column
+    after any label column, the reason and its line of the decoded file."""
+    cells = _cells(path, data, kind)
+    table = interpret(cells)
+    if table is not None:
         return table
-    text = _decode(path, data)
-    rows = _read_rows(path, text)
-    has_labels, body = _layout(path, text, rows, kind)
-    _bad_cell(path, text, rows, body, has_labels, functools.cache(parse), what)
+    codes, starts, ends, has_header, has_labels = cells
+    texts = _texts(codes, starts[has_header:, has_labels:], ends[has_header:, has_labels:])
+    for text in dict.fromkeys(texts):
+        try:
+            parse(text)
+        except ValueError as exc:
+            r, c = divmod(texts.index(text), starts.shape[1] - has_labels)
+            line = _cell_line(_decode(path, data), has_header + r, has_labels + c)
+            raise ValueError(f"{path}: bad {what} at row {r + 1}, column {c + 1}: {exc} "
+                             f"(line {line})") from exc
     raise AssertionError(f"{path}: the table was refused, but no cell is bad")
 
 
@@ -396,19 +427,6 @@ def _cell_line(text: str, row: int, column: int) -> int:
 
     line, cells = next(islice(starts(), row, None))
     return line + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in cells[:column])
-
-
-def _bad_cell(path, text: str, rows, body, has_labels: bool, parse, what: str) -> None:
-    """Name the first cell of `body` that `parse` refuses, row by row: its row,
-    its column after any label column, the reason and its line of `text`."""
-    for r, row in enumerate(body):
-        for c, cell in enumerate(row[has_labels:]):
-            try:
-                parse(cell)
-            except ValueError as exc:
-                line = _cell_line(text, len(rows) - len(body) + r, has_labels + c)
-                raise ValueError(f"{path}: bad {what} at row {r + 1}, column {c + 1}: {exc} "
-                                 f"(line {line})") from exc
 
 
 # Fraction expands a decimal exponent into an integer of that many digits,
@@ -530,50 +548,17 @@ def _layout_flags(first: list[str], lead: str | None, kind) -> tuple[bool, bool]
     return has_header, has_labels
 
 
-def _layout(path, text: str, rows: list[list[str]], kind) -> tuple[bool, list[list[str]]]:
-    """Whether the first column holds row labels, and the rows below the
-    header, if there is one, of a CSV file's decoded `text`, split into
-    `rows`, by `_layout_flags`.  The first row of another width than the
-    first is named by its row below the header."""
-    has_header, has_labels = _layout_flags(rows[0], rows[1][0] if len(rows) > 1 else None, kind)
-    body = rows[has_header:]
-    widths = list(map(len, rows))
-    if widths.count(widths[0]) != len(widths):
-        i = next(i for i, w in enumerate(widths) if w != widths[0])
-        raise ValueError(f"{path}: row {i + 1 - has_header} has {widths[i]} cells, "
-                         f"expected {widths[0]} (line {_cell_line(text, i, 0)})")
-    if not body:
-        raise ValueError(f"{path}: no data rows")
-    if len(body[0]) == has_labels:
-        raise ValueError(f"{path}: no data columns")
-    return has_labels, body
-
-
-def _body(cells: _Cells, kind) -> tuple[bool, bool, np.ndarray, np.ndarray] | None:
-    """The header and label flags of `_layout_flags` and the bounds of the
-    rows below any header, or None when `_layout` would refuse the table:
-    no data rows or no data columns.  Only the first row and the cell
-    below its first are decoded."""
-    codes, starts, ends = cells
-    first = _texts(codes, starts[0], ends[0])
-    lead = _texts(codes, starts[1, :1], ends[1, :1])[0] if len(starts) > 1 else None
-    has_header, has_labels = _layout_flags(first, lead, kind)
-    starts, ends = starts[has_header:], ends[has_header:]
-    if not starts.size or starts.shape[1] == has_labels:
-        return None
-    return has_header, has_labels, starts, ends
-
-
 def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     """Read a matrix of grades from CSV.
 
     Cells are decimals in [0, 1] or levels written ``L<k>``.  A header row
-    and a label column are detected by `_layout` and stripped, a number
-    being a grade when it lies in [0, 1].  A file of n line breaks alone,
-    CR LF, CR or LF, is the n x 0 matrix, as `write_csv` writes it.
+    and a label column are detected by `_layout_flags` and stripped, a
+    number being a grade when it lies in [0, 1].  A file of n line breaks
+    alone, CR LF, CR or LF, is the n x 0 matrix, as `write_csv` writes it.
 
     The cells, split by `_split_bytes` or csv.reader (`_cells`), are read
-    by `_byte_levels`, and an error is named as `_read_table` names it.
+    by `_byte_levels`, and the first bad cell in row-major order is named
+    as `_read_table` names it.
     """
     _check_mode(mode)
     strict = mode == "strict"
@@ -592,8 +577,7 @@ _KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _byte_levels(cells: _Cells, scale: Scale, strict: bool) -> np.ndarray | None:
-    """The levels of a table's data cells, or None when `_layout` would
-    refuse it or a cell is bad.
+    """The levels of a table's data cells, or None when a cell is bad.
 
     Each cell is keyed by its first eight bytes as a little-endian uint64,
     those past its end zeroed, and takes the level of the slot it hashes
@@ -601,13 +585,9 @@ def _byte_levels(cells: _Cells, scale: Scale, strict: bool) -> np.ndarray | None
     the slot's key and width.  Only the cells that miss, other spellings,
     longer texts and every cell on a chain of more than _CACHED_LEVELS
     grades, are decoded, each distinct text parsed once."""
-    body = _body(cells, _cell_kind)
-    if body is None:
-        return None
-    _, has_labels, starts, ends = body
-    starts, ends = starts[:, has_labels:].ravel(), ends[:, has_labels:].ravel()
+    codes, starts, ends, has_header, has_labels = cells
+    starts, ends = starts[has_header:, has_labels:].ravel(), ends[has_header:, has_labels:].ravel()
     lens = ends - starts
-    codes = cells.codes
     if scale.levels <= _CACHED_LEVELS:
         factor, shift, keys, known, widths = _canonical_keys(scale.levels)
         # the word at each byte; `take` copies it whole, faster for dense cells
@@ -746,14 +726,11 @@ _JOINS = tuple((np.uint64(10**w << 8 * w | 1), np.uint64(8 * w), np.uint64(mask)
 
 
 def _byte_table(cells: _Cells) -> RawTable | None:
-    """The RawTable of a table's cells, or None when `_layout` would refuse
-    it or a cell is bad.  Only the labels, the layout cells and the cells
-    of columns that are not fixed-point are decoded."""
-    body = _body(cells, _raw_cell_kind)
-    if body is None:
-        return None
-    has_header, has_labels, starts, ends = body
-    codes = cells.codes
+    """The RawTable of a table's cells, or None when a cell is bad.  Only
+    the labels, the layout cells and the cells of columns that are not
+    fixed-point are decoded."""
+    codes, starts, ends, has_header, has_labels = cells
+    starts, ends = starts[has_header:], ends[has_header:]
     n_rows, width = starts.shape
     if has_labels:
         row_labels = tuple(_texts(codes, starts[:, 0], ends[:, 0]))
@@ -778,8 +755,8 @@ def _byte_table(cells: _Cells) -> RawTable | None:
 def read_raw_csv(path) -> RawTable:
     """Read a labeled table of rational measurements from CSV.
 
-    A header row and a label column are detected by `_layout`, every cell
-    that parses being a number; missing labels are synthesized from
+    A header row and a label column are detected by `_layout_flags`, every
+    cell that parses being a number; missing labels are synthesized from
     1-based positions, as graded CSV errors count rows and columns.  The
     cells, split by `_split_bytes` or csv.reader (`_cells`), are read by
     `_byte_table`, and the first bad cell in row-major order is named as

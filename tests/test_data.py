@@ -274,24 +274,28 @@ def test_undecodable_file_is_named(tmp_path, read):
 @pytest.mark.parametrize("read", [lambda path: read_csv(path, FIVE), read_raw_csv,
                                   read_ranges_csv],
                          ids=["read_csv", "read_raw_csv", "read_ranges_csv"])
-@pytest.mark.parametrize("text, error", [
-    ("a,b\n0,0.5\n1,1\n", None),
-    ("a,b\n0,0.5\n1,x\n", "at row 2, column 2: cannot read 'x' as a number (line 3)"),
-    ("a,b\n0,0.5\n1,1,1\n", "row 2 has 3 cells, expected 2 (line 3)"),
-], ids=["good", "bad-cell", "ragged"])
-def test_a_csv_file_is_read_once(tmp_path, read, text, error):
+@pytest.mark.parametrize("text, error, splits", [
+    ("a,b\n0,0.5\n1,1\n", None, 0),
+    ("a,b\n0,0.5\n1,x\n", "at row 2, column 2: cannot read 'x' as a number (line 3)", 0),
+    ('a,b\n0,0.5\n"1",x\n', "at row 2, column 2: cannot read 'x' as a number (line 3)", 1),
+    ("a,b\n0,0.5\n1,1,1\n", "row 2 has 3 cells, expected 2 (line 3)", 1),
+], ids=["good", "bad-cell", "quoted-bad-cell", "ragged"])
+def test_a_csv_file_is_read_once(tmp_path, read, text, error, splits):
     # a bad cell's line is found in the text already read, so a pipe,
-    # which can be read only once, is named as a file is
+    # which can be read only once, is named as a file is; a refused table
+    # is split once, by csv.reader only where the byte pass declines it
     path = tmp_path / "t.csv"
     path.write_text(text)
     with mock.patch.object(Path, "read_bytes", autospec=True,
-                           side_effect=Path.read_bytes) as read_bytes:
+                           side_effect=Path.read_bytes) as read_bytes, \
+            mock.patch.object(data, "_read_rows", side_effect=data._read_rows) as read_rows:
         if error is None:
             read(path)
         else:
             with pytest.raises(ValueError, match=re.escape(error) + "$"):
                 read(path)
     assert read_bytes.call_count == 1
+    assert read_rows.call_count == splits
 
 
 def test_a_byte_order_mark_is_dropped(tmp_path):

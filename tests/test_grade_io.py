@@ -354,6 +354,10 @@ def oracle_five(path):
     # starts on, past the header, the blank lines and the line breaks quoted
     # in the rows before it
     (read_five, oracle_five, "a,b\n0.5,1\n\n1,0,1\n", "row 2 has 3 cells, expected 2 (line 4)"),
+    # a ragged row is named before a bad cell above it, split by either
+    # splitter
+    (read_five, oracle_five, "a,b\n0.5,x\n1,0,1\n", "row 2 has 3 cells, expected 2 (line 3)"),
+    (read_five, oracle_five, 'a,b\n"0.5",x\n1,0,1\n', "row 2 has 3 cells, expected 2 (line 3)"),
     (read_raw_csv, oracles.read_raw_csv, 'a,b\r\n"1\r\n",2\r\n\r\n3\r\n',
      "row 2 has 1 cells, expected 2 (line 5)"),
 ])
@@ -866,13 +870,12 @@ def test_fixed_point_columns_match_the_pattern_twin(tmp_path_factory, cells, lab
                              for i, cell in enumerate(cells)).encode())
     assert_rows_match_csv_reader(path)
     try:
-        split = data._cells(path, path.read_bytes())
-    except ValueError:  # no rows
-        return
-    if split is None:  # ragged rows
+        # every cell read as data: no header row, no label column
+        split = data._cells(path, path.read_bytes(), lambda text: "grade")
+    except ValueError:  # no rows, or ragged rows
         return
     column = tuple(row[-1] for row in read_rows(path))
-    got = data._fixed_point_columns(*split, labels)[0]
+    got = data._fixed_point_columns(*split[:3], labels)[0]
     want = oracles.fixed_point_column(column)
     assert (got is None) == (want is None)
     if got is not None:
@@ -1469,7 +1472,7 @@ def test_byte_pass_reads_mixed_raw_tables_as_the_oracle(tmp_path_factory, text, 
     if not isinstance(got[0], str):
         # no cell is bad, so the byte pass read the table, split by itself
         # or by csv.reader
-        assert data._byte_table(data._cells(path, text)) is not None
+        assert data._byte_table(data._cells(path, text, data._raw_cell_kind)) is not None
         assert_columns_built_per_cell(read_raw_csv(path), path)
 
 
