@@ -20,14 +20,14 @@ wrong width, no data row or no data column is refused there.  The
 interpreter reads a table from the bounds and the eight-byte words at
 them: a graded cell, keyed by its first eight bytes, is looked up in a
 collision-free hash of the chain's canonical texts, and only the cells
-that miss are decoded and parsed, once per distinct text; a raw table's
-fixed-point columns (one number of decimals F in every cell, at most 18
-digits) are parsed by word arithmetic as int64 numerators over 10**F,
-every other column cell by cell.  A table it refuses has a bad cell, the
-first of which in row-major order is found among the same bounds.  A bad
-cell or a row of the wrong width is named by its row below any header,
-a cell also by its column, and by the file line it starts on, found by
-splitting the decoded text once more.
+that miss are decoded and parsed; a raw table's fixed-point columns (one
+number of decimals F in every cell, at most 18 digits) are parsed by word
+arithmetic as int64 numerators over 10**F, and only the other columns'
+cells are decoded and parsed.  Each distinct text is parsed once, in
+row-major order of first occurrence, so the first text refused is the
+first bad cell.  A bad cell or a row of the wrong width is named by its
+row below any header, a cell also by its column, and by the file line it
+starts on, counted in the file's bytes or in csv.reader's records.
 
 A transaction file of digits, blanks and LF alone, with ids of at most
 18 digits, is parsed in one pass, its ids read from the token bounds
@@ -56,7 +56,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -222,6 +222,11 @@ _WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u
 _BOM = b"\xef\xbb\xbf"
 
 
+def _line_breaks(text: bytes) -> int:
+    """The line breaks in `text`, each of CR LF, CR and LF one."""
+    return text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
+
+
 def _decode(path, data: bytes) -> str:
     """A file's bytes decoded as UTF-8 in one call, without a leading
     byte-order mark.  A byte that does not decode is named by its 1-based
@@ -230,8 +235,7 @@ def _decode(path, data: bytes) -> str:
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        line = _line_breaks(data[:exc.start]) + 1
         bad = data[exc.start:exc.end]
         raise ValueError(
             f"{path}: line {line}, byte {exc.start}: 'utf-8' codec can't decode "
@@ -246,13 +250,23 @@ class _Cells(NamedTuple):
     NULs, the file's bytes, a line break if they do not end in one, and
     eight NULs, so that a word can be read at any cell's start, and three
     before any cell's end.  Whether the first row is a header and the
-    first column labels is decided by `_layout_flags`."""
+    first column labels is decided by `_layout_flags`.  Split by
+    csv.reader, a table keeps the reader's records, `records`; split by
+    bytes, it has None there."""
 
     codes: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
     has_header: bool
     has_labels: bool
+    records: list[list[str]] | None
+
+    def line(self, row: int, column: int) -> int:
+        """The 1-based file line on which cell (row, column) starts: 1
+        plus the line breaks in `codes` before it, or `_record_line`."""
+        if self.records is None:
+            return 1 + _line_breaks(self.codes[_LEAD:self.starts[row, column]].tobytes())
+        return _record_line(self.records, row, column)
 
 
 _LEAD = 24
@@ -335,44 +349,58 @@ def _texts(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]
 
 
 def _read_rows(path, text: str) -> list[list[str]]:
-    """The rows of a CSV file's decoded `text` through csv.reader, each
-    cell stripped of surrounding whitespace and blank lines dropped."""
+    """The records of a CSV file's decoded `text` through csv.reader, its
+    rows, unstripped, and an empty record for each blank line."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = [list(map(str.strip, row)) for row in reader if row]
+        records = list(reader)
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+    if not any(records):
         raise ValueError(f"{path}: empty file")
-    return rows
+    return records
+
+
+def _record_line(records: list[list[str]], row: int, column: int) -> int:
+    """The 1-based line on which cell `column` of the `row`th nonblank
+    record of csv.reader's `records`, both from 0, starts: 1, plus 1 per
+    record before its own, plus the line breaks in the cells before it,
+    joined by commas so that no two merge.  A record spans more than one
+    line only where a quoted cell keeps the breaks between them."""
+    i = [k for k, record in enumerate(records) if record][row]
+    before = chain.from_iterable(records[:i] + [records[i][:column]])
+    return 1 + i + _line_breaks(",".join(before).encode())
 
 
 def _cells(path, data: bytes, kind) -> _Cells:
     """The cells of a CSV file's bytes `data`: split by `_split_bytes`, or,
     where it declines the file, csv.reader's stripped rows joined by LF,
-    padded as `_Cells.codes` is.  A cell ends at each LF, or, when a quoted
-    cell holds one, at the cumulative byte lengths of the cells.  The
-    header and labels are decided by `_layout_flags` from the texts of the
-    first row and the cell below its first, `kind` naming a cell.  The
-    first row of another width than the first is named by its row below
-    any header; a table with no data row or no data column is refused."""
+    padded as `_Cells.codes` is, beside the reader's records.  A cell ends
+    at each LF, or, when a quoted cell holds one, at the cumulative byte
+    lengths of the cells.  The header and labels are decided by
+    `_layout_flags` from the texts of the first row and the cell below its
+    first, `kind` naming a cell.  The first row of another width than the
+    first is named by its row below any header and its line; a table with
+    no data row or no data column is refused."""
     split = _split_bytes(data.removeprefix(_BOM))
     if split is not None:
         codes, starts, ends = split
+        records = None
         first = _texts(codes, starts[0], ends[0])
         lead = _texts(codes, starts[1, :1], ends[1, :1])[0] if len(starts) > 1 else None
     else:
-        text = _decode(path, data)
-        rows = _read_rows(path, text)
-        first, lead = rows[0], rows[1][0] if len(rows) > 1 else None
+        records = _read_rows(path, _decode(path, data))
+        rows = list(filter(None, records))
+        first = list(map(str.strip, rows[0]))
+        lead = rows[1][0].strip() if len(rows) > 1 else None
     has_header, has_labels = _layout_flags(first, lead, kind)
     if split is None:
         width = len(first)
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"{path}: row {i + 1 - has_header} has {len(row)} cells, "
-                                 f"expected {width} (line {_cell_line(text, i, 0)})")
-        texts = list(chain.from_iterable(rows))
+                                 f"expected {width} (line {_record_line(records, i, 0)})")
+        texts = list(map(str.strip, chain.from_iterable(rows)))
         joined = ("\n".join(texts) + "\n").encode()
         codes = np.frombuffer(bytes(_LEAD) + joined + bytes(8), dtype=np.uint8)
         ends = np.flatnonzero(codes == ord("\n"))
@@ -385,48 +413,26 @@ def _cells(path, data: bytes, kind) -> _Cells:
         raise ValueError(f"{path}: no data rows")
     if starts.shape[1] == has_labels:
         raise ValueError(f"{path}: no data columns")
-    return _Cells(codes, starts, ends, has_header, has_labels)
+    return _Cells(codes, starts, ends, has_header, has_labels, records)
 
 
-def _read_table(path, data: bytes, interpret, kind, parse, what: str):
-    """What `interpret` makes of the `_cells` of a CSV file's bytes `data`,
-    its layout read by `kind`.  Where it gives None, for a bad cell, the
-    first data cell in row-major order that `parse` refuses is named, each
-    distinct text parsed once: by its row below any header, its column
-    after any label column, the reason and its line of the decoded file."""
-    cells = _cells(path, data, kind)
-    table = interpret(cells)
-    if table is not None:
-        return table
-    codes, starts, ends, has_header, has_labels = cells
-    texts = _texts(codes, starts[has_header:, has_labels:], ends[has_header:, has_labels:])
+def _parse_texts(path, cells: _Cells, texts: list[str], parse, what: str, columns, at) -> list:
+    """What `parse` gives each of `texts`, each distinct text parsed once,
+    in order of first occurrence.  Text i is cell ``at[i]``, in row-major
+    order, of the data columns `columns`, counted after any label column.
+    The first text `parse` refuses is named by its first cell: its row
+    below any header, its column, the reason and its file line."""
+    parsed = {}
     for text in dict.fromkeys(texts):
         try:
-            parse(text)
+            parsed[text] = parse(text)
         except ValueError as exc:
-            r, c = divmod(texts.index(text), starts.shape[1] - has_labels)
-            line = _cell_line(_decode(path, data), has_header + r, has_labels + c)
+            r, k = divmod(int(at[texts.index(text)]), len(columns))
+            c = columns[k]
+            line = cells.line(cells.has_header + r, cells.has_labels + c)
             raise ValueError(f"{path}: bad {what} at row {r + 1}, column {c + 1}: {exc} "
                              f"(line {line})") from exc
-    raise AssertionError(f"{path}: the table was refused, but no cell is bad")
-
-
-def _cell_line(text: str, row: int, column: int) -> int:
-    """The 1-based line of a CSV `text` on which cell `column` of row `row`,
-    both from 0, of the rows `_read_rows` keeps starts, counting the blank
-    lines it drops and CR LF, CR and LF as breaks.  The text is split again
-    through csv.reader, which gives the same rows."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-
-    def starts():
-        line = 1
-        for cells in reader:
-            if cells:
-                yield line, cells
-            line = reader.line_num + 1
-
-    line, cells = next(islice(starts(), row, None))
-    return line + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in cells[:column])
+    return list(map(parsed.__getitem__, texts))
 
 
 # Fraction expands a decimal exponent into an integer of that many digits,
@@ -557,35 +563,33 @@ def read_csv(path, scale: Scale, *, mode: str = "strict") -> GradedMatrix:
     alone, CR LF, CR or LF, is the n x 0 matrix, as `write_csv` writes it.
 
     The cells, split by `_split_bytes` or csv.reader (`_cells`), are read
-    by `_byte_levels`, and the first bad cell in row-major order is named
-    as `_read_table` names it.
+    by `_byte_levels`, which names the first bad cell in row-major order.
     """
     _check_mode(mode)
-    strict = mode == "strict"
     data = Path(path).read_bytes()
     plain = data.removeprefix(_BOM)
     if plain[:1] in (b"\r", b"\n") and not plain.strip(b"\r\n"):
-        n_rows = plain.count(b"\n") + plain.count(b"\r") - plain.count(b"\r\n")
-        return GradedMatrix(scale, np.zeros((n_rows, 0), dtype=LEVEL_DTYPE))
-    levels = _read_table(path, data, lambda cells: _byte_levels(cells, scale, strict), _cell_kind,
-                         lambda text: _parse_grade_cell(scale, text, strict), "grade")
-    return GradedMatrix(scale, levels)
+        return GradedMatrix(scale, np.zeros((_line_breaks(plain), 0), dtype=LEVEL_DTYPE))
+    cells = _cells(path, data, _cell_kind)
+    return GradedMatrix(scale, _byte_levels(path, cells, scale, mode == "strict"))
 
 
 # a key keeps a cell's first k bytes, little-endian, and zeros the rest
 _KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _byte_levels(cells: _Cells, scale: Scale, strict: bool) -> np.ndarray | None:
-    """The levels of a table's data cells, or None when a cell is bad.
+def _byte_levels(path, cells: _Cells, scale: Scale, strict: bool) -> np.ndarray:
+    """The levels of a table's data cells.
 
     Each cell is keyed by its first eight bytes as a little-endian uint64,
     those past its end zeroed, and takes the level of the slot it hashes
     to among the chain's canonical texts (`_canonical_keys`) when it has
-    the slot's key and width.  Only the cells that miss, other spellings,
-    longer texts and every cell on a chain of more than _CACHED_LEVELS
-    grades, are decoded, each distinct text parsed once."""
-    codes, starts, ends, has_header, has_labels = cells
+    the slot's key and width.  Such a cell is canonical, so never bad.
+    Only the cells that miss, other spellings, longer texts and every
+    cell on a chain of more than _CACHED_LEVELS grades, are decoded and
+    parsed by `_parse_texts`, which names the first that is bad."""
+    codes, starts, ends, has_header, has_labels, *_ = cells
+    width = starts.shape[1] - has_labels
     starts, ends = starts[has_header:, has_labels:].ravel(), ends[has_header:, has_labels:].ravel()
     lens = ends - starts
     if scale.levels <= _CACHED_LEVELS:
@@ -602,12 +606,9 @@ def _byte_levels(cells: _Cells, scale: Scale, strict: bool) -> np.ndarray | None
         misses = np.arange(len(starts))
     if len(misses):
         texts = _texts(codes, starts[misses], ends[misses])
-        try:
-            level = {text: _parse_grade_cell(scale, text, strict) for text in set(texts)}
-        except ValueError:
-            return None
-        levels[misses] = list(map(level.__getitem__, texts))
-    return levels.reshape(-1, cells.starts.shape[1] - has_labels)
+        levels[misses] = _parse_texts(path, cells, texts, functools.partial(
+            _parse_grade_cell, scale, strict=strict), "grade", range(width), misses)
+    return levels.reshape(-1, width)
 
 
 def write_csv(matrix: GradedMatrix, path) -> None:
@@ -725,11 +726,11 @@ _JOINS = tuple((np.uint64(10**w << 8 * w | 1), np.uint64(8 * w), np.uint64(mask)
                ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF)))
 
 
-def _byte_table(cells: _Cells) -> RawTable | None:
-    """The RawTable of a table's cells, or None when a cell is bad.  Only
-    the labels, the layout cells and the cells of columns that are not
-    fixed-point are decoded."""
-    codes, starts, ends, has_header, has_labels = cells
+def _byte_table(path, cells: _Cells) -> RawTable:
+    """The RawTable of a table's cells.  Only the labels, the layout cells
+    and the cells of the columns not fixed-point (`_fixed_point_columns`)
+    are decoded, and the last parsed by `_parse_texts`."""
+    codes, starts, ends, has_header, has_labels, *_ = cells
     starts, ends = starts[has_header:], ends[has_header:]
     n_rows, width = starts.shape
     if has_labels:
@@ -741,14 +742,14 @@ def _byte_table(cells: _Cells) -> RawTable | None:
     else:
         col_labels = map(str, range(1, width - has_labels + 1))
     columns = _fixed_point_columns(codes, starts, ends, has_labels)
-    for i, column in enumerate(columns):
-        if column is None:
-            c = has_labels + i
-            try:
-                columns[i] = _raw_column(tuple(map(_parse_number,
-                                                   _texts(codes, starts[:, c], ends[:, c]))))
-            except ValueError:
-                return None
+    loose = [i for i, column in enumerate(columns) if column is None]
+    if loose:
+        cols = has_labels + np.array(loose)
+        texts = _texts(codes, starts[:, cols], ends[:, cols])
+        parsed = _parse_texts(path, cells, texts, _parse_number, "number", loose,
+                              range(len(texts)))
+        for k, i in enumerate(loose):
+            columns[i] = _raw_column(tuple(parsed[k::len(loose)]))
     return RawTable(row_labels, tuple(col_labels), *zip(*columns))
 
 
@@ -759,11 +760,9 @@ def read_raw_csv(path) -> RawTable:
     cell that parses being a number; missing labels are synthesized from
     1-based positions, as graded CSV errors count rows and columns.  The
     cells, split by `_split_bytes` or csv.reader (`_cells`), are read by
-    `_byte_table`, and the first bad cell in row-major order is named as
-    `_read_table` names it.
+    `_byte_table`, which names the first bad cell in row-major order.
     """
-    return _read_table(path, Path(path).read_bytes(), _byte_table, _raw_cell_kind,
-                       _parse_number, "number")
+    return _byte_table(path, _cells(path, Path(path).read_bytes(), _raw_cell_kind))
 
 
 def read_ranges_csv(path) -> ColumnRange:

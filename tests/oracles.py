@@ -21,7 +21,8 @@ through csv.reader, strips every cell and notes the file line each cell
 starts on, and then check the widths of its rows with `check_widths`,
 which numbers a row below any header; the byte pass
 `gradefactor.data._split_bytes` and the csv.reader split
-`gradefactor.data._read_rows` must match the rows, `read_rows`.
+`gradefactor.data._read_rows`, its records stripped and blank ones
+dropped, must match the rows, `read_rows`.
 `read_raw_csv` parses with Fraction itself; `read_csv` parses every
 cell with `gradefactor.data._parse_grade_cell`, where the fast reader
 looks a chain's canonical texts up by their bytes, and reads its layout

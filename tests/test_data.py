@@ -283,19 +283,22 @@ def test_undecodable_file_is_named(tmp_path, read):
 def test_a_csv_file_is_read_once(tmp_path, read, text, error, splits):
     # a bad cell's line is found in the text already read, so a pipe,
     # which can be read only once, is named as a file is; a refused table
-    # is split once, by csv.reader only where the byte pass declines it
+    # is split once and its line found from that split, so csv.reader
+    # runs, and the file is decoded, only where the byte pass declines it
     path = tmp_path / "t.csv"
     path.write_text(text)
     with mock.patch.object(Path, "read_bytes", autospec=True,
                            side_effect=Path.read_bytes) as read_bytes, \
-            mock.patch.object(data, "_read_rows", side_effect=data._read_rows) as read_rows:
+            mock.patch.object(data, "_read_rows", side_effect=data._read_rows) as read_rows, \
+            mock.patch.object(data.csv, "reader", side_effect=data.csv.reader) as reader, \
+            mock.patch.object(data, "_decode", side_effect=data._decode) as decode:
         if error is None:
             read(path)
         else:
             with pytest.raises(ValueError, match=re.escape(error) + "$"):
                 read(path)
     assert read_bytes.call_count == 1
-    assert read_rows.call_count == splits
+    assert read_rows.call_count == reader.call_count == decode.call_count == splits
 
 
 def test_a_byte_order_mark_is_dropped(tmp_path):
