@@ -180,8 +180,13 @@ def _write_coverage_tsv(path: Path, curve, nonzero) -> None:
             handle.write(f"{l}\t{float(eq):.6f}\t{float(nz):.6f}\n")
 
 
-def _emit_factorization(args: argparse.Namespace, matrix: GradedMatrix, factor_set: FactorSet,
-                        *, optimal: bool = False) -> None:
+def _factorize(args: argparse.Namespace, run, *, optimal: bool = False) -> tuple[FactorSet, float]:
+    """Load the input, time `run` on it and write its artifacts, each name
+    looked up per call, where a tracer may wrap it; the factors and seconds."""
+    matrix = _load_matrix(args)
+    start = time.perf_counter()
+    factor_set = run(matrix)
+    elapsed = time.perf_counter() - start
     curve = coverage_curve(factor_set, matrix)
     nonzero = factor_set.covered_nonzero_curve()
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -190,6 +195,7 @@ def _emit_factorization(args: argparse.Namespace, matrix: GradedMatrix, factor_s
     _write_json(args.out_dir / "factors.json",
                 _factor_report(args, factor_set, curve, nonzero, optimal=optimal))
     _write_coverage_tsv(args.out_dir / "coverage.tsv", curve, nonzero)
+    return factor_set, elapsed
 
 
 # ----------------------------------------------------------------------
@@ -198,11 +204,8 @@ def _emit_factorization(args: argparse.Namespace, matrix: GradedMatrix, factor_s
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args)
-    start = time.perf_counter()
-    factor_set = find_factors(matrix, args.tie_break, max_factors=args.max_factors)
-    elapsed = time.perf_counter() - start
-    _emit_factorization(args, matrix, factor_set)
+    factor_set, elapsed = _factorize(
+        args, lambda matrix: find_factors(matrix, args.tie_break, max_factors=args.max_factors))
     initial, left = factor_set.uncovered_counts[0], factor_set.uncovered_counts[-1]
     covered = (initial - left) / initial if initial else 1.0
     note = "run complete" if factor_set.complete else "run truncated, not exact"
@@ -214,11 +217,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args)
-    start = time.perf_counter()
-    factor_set = optimal_factorization(matrix, budget=args.budget)
-    elapsed = time.perf_counter() - start
-    _emit_factorization(args, matrix, factor_set, optimal=True)
+    factor_set, elapsed = _factorize(
+        args, lambda matrix: optimal_factorization(matrix, budget=args.budget), optimal=True)
     print(
         f"optimal decomposition uses {len(factor_set)} factors; "
         f"artifacts in {args.out_dir} ({elapsed:.2f}s)"

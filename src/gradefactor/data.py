@@ -9,25 +9,26 @@ they are discretized onto a scale.
 
 Every file is read whole, so an undecodable byte is named by its line and
 its offset in the file.  A CSV file reaches one cell interpreter through
-one of two splitters.  A UTF-8 file with no quote, NUL or whitespace past
-ASCII whose rows all have one width is split into per-cell byte bounds in
-one numpy pass over its bytes, its cells stripped of ASCII blanks and its
+one of two splitters.  A UTF-8 file with no quote, NUL, whitespace past
+ASCII or field past csv's limit is split into per-cell byte bounds in one
+numpy pass over its bytes, its cells stripped of ASCII blanks and its
 empty lines dropped.  Any other is decoded and split by csv.reader, which
 quotes and refuses long fields, and its stripped cells are joined by LF
-into the same bounds.  The header and the label column are decided
-once, from the first row and the cell below its first, and a row of the
-wrong width, no data row or no data column is refused there.  The
-interpreter reads a table from the bounds and the eight-byte words at
-them: a graded cell, keyed by its first eight bytes, is looked up in a
-collision-free hash of the chain's canonical texts, and only the cells
-that miss are decoded and parsed; a raw table's fixed-point columns (one
-number of decimals F in every cell, at most 18 digits) are parsed by word
-arithmetic as int64 numerators over 10**F, and only the other columns'
-cells are decoded and parsed.  Each distinct text is parsed once, in
-row-major order of first occurrence, so the first text refused is the
-first bad cell.  A bad cell or a row of the wrong width is named by its
-row below any header, a cell also by its column, and by the file line it
-starts on, counted in the file's bytes or in csv.reader's records.
+into the same bounds.  Either split flags each row's last cell, and one
+rule per decision serves both: a split with no cell is empty, the header
+and the label column are decided once, from the first row and the cell
+below its first, and a row of the wrong width, no data row or no data
+column is refused.  The interpreter reads a table from the bounds and the
+eight-byte words at them: a graded cell, keyed by its first eight bytes,
+is looked up in a collision-free hash of the chain's canonical texts, and
+only the cells that miss are decoded and parsed; a raw table's fixed-point
+columns (one number of decimals F in every cell, at most 18 digits) are
+parsed by word arithmetic as int64 numerators over 10**F, and only the
+other columns' cells are decoded and parsed.  Each distinct text is parsed
+once, in row-major order of first occurrence, so the first text refused is
+the first bad cell.  A bad cell or a row of the wrong width is named by
+its row below any header, a cell also by its column, and by the file line
+it starts on, counted in the file's bytes or in csv.reader's records.
 
 A transaction file of digits, blanks and LF alone, with ids of at most
 18 digits, is parsed in one pass, its ids read from the token bounds
@@ -272,19 +273,20 @@ class _Cells(NamedTuple):
 _LEAD = 24
 
 
-def _split_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The codes and bounds of the `_Cells` of a CSV file's UTF-8 bytes
-    without a byte-order mark, split in one numpy pass over its bytes, or
-    None when csv.reader must split it or would refuse it: a byte that
-    does not decode, a quote, a NUL, whitespace past ASCII, a field longer
-    than csv's field size limit, no rows, or rows of different widths.
+def _split_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The codes of the `_Cells` of a CSV file's UTF-8 bytes without a
+    byte-order mark and its cells' bounds, flat, with a flag on the last
+    cell of each row, split in one numpy pass over its bytes; or None when
+    csv.reader must split it or would refuse it: a byte that does not
+    decode, a quote, a NUL, whitespace past ASCII or a field longer than
+    csv's field size limit.
 
     A cell ends at each comma, CR and LF, bytes UTF-8 uses for those
     characters alone, so CR LF ends a line and then an empty one; an empty
     cell that starts and ends its line is an empty line, dropped as
     csv.reader drops them.  Each cell is then stripped of the ASCII blanks
     str.strip removes, found by placing its bounds among the other bytes."""
-    if not data or b'"' in data or b"\0" in data:
+    if b'"' in data or b"\0" in data:
         return None
     if not data.isascii():
         try:
@@ -304,17 +306,9 @@ def _split_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | Non
     empty[1:] &= last[:-1]
     if empty.any():
         starts, ends, last = starts[~empty], ends[~empty], last[~empty]
-    if not len(last):
-        return None
-    # as many cells as the first line on every line
-    width = int(np.argmax(last)) + 1
-    if len(last) % width or (last.reshape(-1, width) != (np.arange(width) == width - 1)).any():
-        return None
-    starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
-    # a field is no longer than its line
+    # a field is no longer than the file
     limit = csv.field_size_limit()
-    if len(data) > limit and (ends[:, -1] - starts[:, 0]).max() > limit and (
-            (ends - starts).max() > limit):
+    if len(data) > limit and (ends - starts).max(initial=0) > limit:
         return None
     if any(space in data for space in _ASCII_SPACES.encode()):
         # a cell runs from the first byte at or after its start that is no
@@ -323,7 +317,7 @@ def _split_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | Non
         solid = np.flatnonzero(~_IS_SPACE.take(codes))
         starts = np.minimum(solid[np.searchsorted(solid, starts)], ends)
         ends = np.maximum(solid[np.searchsorted(solid, ends) - 1] + 1, starts)
-    return codes, starts, ends
+    return codes, starts, ends, last
 
 
 def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -350,15 +344,13 @@ def _texts(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]
 
 def _read_rows(path, text: str) -> list[list[str]]:
     """The records of a CSV file's decoded `text` through csv.reader, its
-    rows, unstripped, and an empty record for each blank line."""
+    rows, unstripped, and an empty record for each blank line, so a file
+    of blank lines alone gives no row."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        records = list(reader)
+        return list(reader)
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not any(records):
-        raise ValueError(f"{path}: empty file")
-    return records
 
 
 def _record_line(records: list[list[str]], row: int, column: int) -> int:
@@ -373,33 +365,20 @@ def _record_line(records: list[list[str]], row: int, column: int) -> int:
 
 
 def _cells(path, data: bytes, kind) -> _Cells:
-    """The cells of a CSV file's bytes `data`: split by `_split_bytes`, or,
-    where it declines the file, csv.reader's stripped rows joined by LF,
-    padded as `_Cells.codes` is, beside the reader's records.  A cell ends
-    at each LF, or, when a quoted cell holds one, at the cumulative byte
-    lengths of the cells.  The header and labels are decided by
-    `_layout_flags` from the texts of the first row and the cell below its
-    first, `kind` naming a cell.  The first row of another width than the
-    first is named by its row below any header and its line; a table with
-    no data row or no data column is refused."""
+    """The cells of a CSV file's bytes `data`, split by `_split_bytes` or,
+    where it declines the file, by csv.reader, beside its records: their
+    stripped cells joined by LF, padded as `_Cells.codes` is, a cell ending
+    at each LF or, when a quoted cell holds one, at the cells' cumulative
+    byte lengths, and a row at each record's length.  The layout is decided
+    by `_layout_flags` from the first row and the cell below its first,
+    `kind` naming a cell.  A split with no cell, its first row of another
+    width than the first, named by its row below any header and its line,
+    or no data row or data column is refused, whichever splitter made it."""
     split = _split_bytes(data.removeprefix(_BOM))
-    if split is not None:
-        codes, starts, ends = split
-        records = None
-        first = _texts(codes, starts[0], ends[0])
-        lead = _texts(codes, starts[1, :1], ends[1, :1])[0] if len(starts) > 1 else None
-    else:
+    records = None
+    if split is None:
         records = _read_rows(path, _decode(path, data))
         rows = list(filter(None, records))
-        first = list(map(str.strip, rows[0]))
-        lead = rows[1][0].strip() if len(rows) > 1 else None
-    has_header, has_labels = _layout_flags(first, lead, kind)
-    if split is None:
-        width = len(first)
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"{path}: row {i + 1 - has_header} has {len(row)} cells, "
-                                 f"expected {width} (line {_record_line(records, i, 0)})")
         texts = list(map(str.strip, chain.from_iterable(rows)))
         joined = ("\n".join(texts) + "\n").encode()
         codes = np.frombuffer(bytes(_LEAD) + joined + bytes(8), dtype=np.uint8)
@@ -407,11 +386,31 @@ def _cells(path, data: bytes, kind) -> _Cells:
         if len(ends) != len(texts):
             lens = np.fromiter(map(len, map(str.encode, texts)), dtype=np.intp, count=len(texts))
             ends = _LEAD + np.cumsum(lens + 1) - 1
-        starts = np.concatenate(([_LEAD], ends[:-1] + 1))
-        starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
+        last = np.zeros(len(texts), dtype=bool)
+        last[np.cumsum(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))) - 1] = True
+        split = codes, np.concatenate(([_LEAD], ends + 1))[:-1], ends, last
+    codes, starts, ends, last = split
+    if not len(last):
+        raise ValueError(f"{path}: empty file")
+    width = int(np.argmax(last)) + 1
+    first = _texts(codes, starts[:width], ends[:width])
+    lead = (_texts(codes, starts[width:width + 1], ends[width:width + 1]) or [None])[0]
+    has_header, has_labels = _layout_flags(first, lead, kind)
+    # as many cells as the first row on every row: a row end at every
+    # width-th cell, and as many row ends as rows
+    n_rows, odd = divmod(len(last), width)
+    if odd or np.count_nonzero(last) != n_rows or not last[width - 1::width].all():
+        heads = np.flatnonzero(np.concatenate(([True], last[:-1])))
+        widths = np.diff(heads, append=len(last))
+        i = int(np.argmax(widths != width))
+        # the rows' first cells, as a table of one column, give the row's line
+        column = _Cells(codes, starts[heads, None], ends[heads, None], False, False, records)
+        raise ValueError(f"{path}: row {i + 1 - has_header} has {widths[i]} cells, "
+                         f"expected {width} (line {column.line(i, 0)})")
+    starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
     if len(starts) == has_header:
         raise ValueError(f"{path}: no data rows")
-    if starts.shape[1] == has_labels:
+    if width == has_labels:
         raise ValueError(f"{path}: no data columns")
     return _Cells(codes, starts, ends, has_header, has_labels, records)
 

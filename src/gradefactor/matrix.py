@@ -93,10 +93,6 @@ class GradedMatrix:
         self.entries = _as_level_array(scale, entries, 2)
 
     @classmethod
-    def zeros(cls, scale: Scale, n_rows: int, n_cols: int) -> "GradedMatrix":
-        return cls(scale, np.zeros((n_rows, n_cols), dtype=LEVEL_DTYPE))
-
-    @classmethod
     def from_values(cls, scale: Scale, rows: Sequence[Iterable], *, strict: bool = True) -> "GradedMatrix":
         """Build from numbers in [0, 1] instead of levels."""
         levels = [[scale.level_from_value(v, strict=strict) for v in row] for row in rows]

@@ -278,13 +278,30 @@ def test_undecodable_file_is_named(tmp_path, read):
     ("a,b\n0,0.5\n1,1\n", None, 0),
     ("a,b\n0,0.5\n1,x\n", "at row 2, column 2: cannot read 'x' as a number (line 3)", 0),
     ('a,b\n0,0.5\n"1",x\n', "at row 2, column 2: cannot read 'x' as a number (line 3)", 1),
-    ("a,b\n0,0.5\n1,1,1\n", "row 2 has 3 cells, expected 2 (line 3)", 1),
-], ids=["good", "bad-cell", "quoted-bad-cell", "ragged"])
+    ("a,b\n0,0.5\n1,1,1\n", "row 2 has 3 cells, expected 2 (line 3)", 0),
+    ('a,b\n0,0.5\n"1",1,1\n', "row 2 has 3 cells, expected 2 (line 3)", 1),
+], ids=["good", "bad-cell", "quoted-bad-cell", "ragged", "quoted-ragged"])
 def test_a_csv_file_is_read_once(tmp_path, read, text, error, splits):
     # a bad cell's line is found in the text already read, so a pipe,
-    # which can be read only once, is named as a file is; a refused table
-    # is split once and its line found from that split, so csv.reader
-    # runs, and the file is decoded, only where the byte pass declines it
+    # which can be read only once, is named as a file is; a refused table,
+    # ragged rows included, is split once and its line found from that
+    # split, so csv.reader runs, and the file is decoded, only where the
+    # byte pass declines it
+    assert_read_once(tmp_path, read, text, error, splits)
+
+
+@pytest.mark.parametrize("read", [read_raw_csv, read_ranges_csv],
+                         ids=["read_raw_csv", "read_ranges_csv"])
+def test_a_blank_csv_file_is_read_once(tmp_path, read):
+    # blank lines alone leave no row: the byte pass splits them, and the
+    # table is refused as empty from that split
+    assert_read_once(tmp_path, read, "\n\n", "empty file", 0)
+
+
+def assert_read_once(tmp_path, read, text, error, splits):
+    """`read` of a file of `text` reads its bytes once, raises a ValueError
+    whose message ends in `error`, unless that is None, and runs
+    `_read_rows`, csv.reader and `_decode` `splits` times each."""
     path = tmp_path / "t.csv"
     path.write_text(text)
     with mock.patch.object(Path, "read_bytes", autospec=True,

@@ -135,7 +135,7 @@ def test_single_rectangle_needs_one_factor():
 
 
 def test_zero_matrix_needs_no_factors():
-    fs = find_factors(GradedMatrix.zeros(FIVE, 3, 4))
+    fs = find_factors(GradedMatrix(FIVE, np.zeros((3, 4), dtype=int)))
     assert fs.factors == ()
     assert fs.complete
     assert fs.uncovered_counts == (0,)
@@ -844,7 +844,7 @@ def test_opening_table_stays_within_its_cap():
     # a run that seeks no factor builds no block
     with mock.patch.object(factorization, "_opening_batches", recorded):
         find_factors(ctx, max_factors=0)
-        find_factors(GradedMatrix.zeros(Scale(101), 40, 10))
+        find_factors(GradedMatrix(Scale(101), np.zeros((40, 10), dtype=int)))
     assert len(calls) == len(capped)
 
 
@@ -1377,9 +1377,9 @@ def test_reference_order_coverage_curve(decathlon):
 def test_coverage_curve_validation(decathlon):
     fs = find_factors(decathlon)
     with pytest.raises(ValueError, match="does not fit"):
-        coverage_curve(fs, GradedMatrix.zeros(FIVE, 4, 10))
+        coverage_curve(fs, GradedMatrix(FIVE, np.zeros((4, 10), dtype=int)))
     with pytest.raises(ValueError, match="scale mismatch"):
-        coverage_curve(fs, GradedMatrix.zeros(Scale(5, "godel"), 5, 10))
+        coverage_curve(fs, GradedMatrix(Scale(5, "godel"), np.zeros((5, 10), dtype=int)))
 
 
 def test_coverage_curve_rejects_an_incomplete_set_that_claims_completeness(decathlon):
@@ -1536,7 +1536,7 @@ def test_boolean_identity_optimum():
 def test_oracle_on_zero_matrix(levels, shape):
     # the cover search's own path: no cell to cover, so no factor
     n_rows, n_cols = shape
-    opt = optimal_factorization(GradedMatrix.zeros(Scale(levels), n_rows, n_cols))
+    opt = optimal_factorization(GradedMatrix(Scale(levels), np.zeros(shape, dtype=int)))
     assert opt.factors == ()
     for matrix, matrix_shape in ((opt.a, (n_rows, 0)), (opt.b, (0, n_cols))):
         assert matrix.entries.shape == matrix_shape

@@ -1232,13 +1232,15 @@ def read_rows(path):
 
 def split_rows(path):
     """The rows `_split_bytes` splits a file into, without any leading
-    byte-order mark, as the CSV readers call it, or None where it leaves
-    the file to csv.reader."""
+    byte-order mark, as the CSV readers call it, each ending at a cell it
+    flags as last, or None where it leaves the file to csv.reader."""
     split = _split_bytes(path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
     if split is None:
         return None
-    codes, starts, ends = split
-    return [_texts(codes, first, last) for first, last in zip(starts, ends)]
+    codes, starts, ends, last = split
+    texts = iter(_texts(codes, starts, ends))
+    widths = np.diff(np.flatnonzero(last), prepend=-1)
+    return [[next(texts) for _ in range(width)] for width in widths]
 
 
 def rows_or_error(read, path):
@@ -1255,15 +1257,18 @@ def wide_spaces(data: bytes) -> bool:
 
 
 def assert_rows_match_csv_reader(path):
-    """The byte pass splits a file into csv.reader's rows, and leaves it
-    to csv.reader exactly when it does not decode, holds a quote, a NUL or
-    whitespace past ASCII, or csv.reader refuses it or gives no rows or
-    rows of two widths; the general path gives csv.reader's rows or its
-    error."""
+    """The byte pass splits a file into csv.reader's rows, ragged ones as
+    they are and none for a file of blank lines, and leaves it to
+    csv.reader exactly when it does not decode, holds a quote, a NUL or
+    whitespace past ASCII, or csv.reader refuses a field past its limit;
+    the general path gives csv.reader's rows or its error."""
     want = rows_or_error(oracles.read_rows, path)
+    if want == f"ValueError: {path}: empty file":
+        want = []  # csv.reader's rows, which the oracle refuses as a table
     plain = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
-    declined = (isinstance(want, str) or b'"' in plain or b"\0" in plain
-                or wide_spaces(plain) or len(set(map(len, want))) > 1)
+    refused = isinstance(want, str) and bool(
+        re.search("codec can't decode|field larger than field limit", want))
+    declined = refused or b'"' in plain or b"\0" in plain or wide_spaces(plain)
     rows = split_rows(path)
     assert (rows is None) == declined
     if rows is not None:
@@ -1289,6 +1294,8 @@ def test_row_split_matches_csv_reader(tmp_path_factory, text):
     # last lines without a break
     "\na,b\n1,2\n", "a,b\n\n1,2\n", "a,b\n1,2\n\n", "\n\n\n", "\r\n\r\na,b\r\n\r\n1,2\r\n\r\n",
     "a,b\n1,2", "\ufeff0,0,0\n0,0,0", "a,b\n\n1,2", "\n1\n\n2",
+    # a ragged row past csv's field size limit, which csv.reader refuses
+    pytest.param("a,b\n" + "1" * 140_000 + ",2,3\n", id="ragged-long-field"),
 ])
 def test_row_split_matches_csv_reader_on_edge_cases(tmp_path, text):
     path = tmp_path / "t.csv"

@@ -79,7 +79,7 @@ def test_rows_columns_shape():
 
 
 def test_zeros():
-    assert not GradedMatrix.zeros(FIVE, 2, 3).entries.any()
+    assert not GradedMatrix(FIVE, np.zeros((2, 3), dtype=int)).entries.any()
     assert FuzzySet(FIVE, np.zeros(4, dtype=np.int64)).size == 4
 
 
@@ -99,7 +99,7 @@ def test_scale_mismatch():
 
 
 def test_repr_smoke():
-    assert "2x3" in repr(GradedMatrix.zeros(FIVE, 2, 3))
+    assert "2x3" in repr(GradedMatrix(FIVE, np.zeros((2, 3), dtype=int)))
     assert "0.25" in repr(FuzzySet(FIVE, [1]))
 
 
@@ -129,7 +129,7 @@ def test_compose_inner_dimension_mismatch():
 def test_compose_zero_inner_dimension_is_zero_matrix():
     a = GradedMatrix(FIVE, np.zeros((2, 0), dtype=int))
     b = GradedMatrix(FIVE, np.zeros((0, 3), dtype=int))
-    assert compose(a, b) == GradedMatrix.zeros(FIVE, 2, 3)
+    assert compose(a, b) == GradedMatrix(FIVE, np.zeros((2, 3), dtype=int))
 
 
 def test_boolean_compose_is_boolean_product():
@@ -187,9 +187,10 @@ def test_superpose_is_entrywise_max():
 def test_superpose_empty_needs_scale_and_shape():
     # no factors superpose to the zero matrix of the factor set's shape
     a, b = factor_matrices(
-        FactorSet(GradedMatrix.zeros(FIVE, 2, 0), GradedMatrix.zeros(FIVE, 0, 3), (0,)))
+        FactorSet(GradedMatrix(FIVE, np.zeros((2, 0), dtype=int)),
+                  GradedMatrix(FIVE, np.zeros((0, 3), dtype=int)), (0,)))
     assert (a.shape, b.shape) == ((2, 0), (0, 3))
-    assert compose(a, b) == GradedMatrix.zeros(FIVE, 2, 3)
+    assert compose(a, b) == GradedMatrix(FIVE, np.zeros((2, 3), dtype=int))
 
 
 def test_superpose_shape_mismatch():
