@@ -8,13 +8,12 @@ numerators, over one common denominator when the column fits int64, until
 they are discretized onto a scale.
 
 Every file is read whole, so an undecodable byte is named by its line and
-its offset in the file.  A CSV file reaches one cell interpreter through
-one of two splitters.  A UTF-8 file with no quote, NUL, whitespace past
-ASCII or field past csv's limit is split into per-cell byte bounds in one
-numpy pass over its bytes, its cells stripped of ASCII blanks and its
-empty lines dropped.  Any other is decoded and split by csv.reader, which
-quotes and refuses long fields, and its stripped cells are joined by LF
-into the same bounds.  Either split flags each row's last cell, and one
+its offset in the file.  A CSV file past ASCII or with a quote or NUL is
+decoded once.  One rule picks its splitter: csv.reader for a quote, a NUL
+or whitespace past ASCII, its stripped cells joined by LF into byte
+bounds per cell; else one numpy pass over the bytes, which strips cells
+of ASCII blanks, drops empty lines and refuses a field past csv's limit
+as csv.reader does.  Either split flags each row's last cell, and one
 rule per decision serves both: a split with no cell is empty, the header
 and the label column are decided once, from the first row and the cell
 below its first, and a row of the wrong width, no data row or no data
@@ -273,27 +272,19 @@ class _Cells(NamedTuple):
 _LEAD = 24
 
 
-def _split_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The codes of the `_Cells` of a CSV file's UTF-8 bytes without a
-    byte-order mark and its cells' bounds, flat, with a flag on the last
-    cell of each row, split in one numpy pass over its bytes; or None when
-    csv.reader must split it or would refuse it: a byte that does not
-    decode, a quote, a NUL, whitespace past ASCII or a field longer than
-    csv's field size limit.
+def _split_bytes(path, data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The codes of the `_Cells` of a CSV file's UTF-8 bytes, with no
+    byte-order mark, quote, NUL or whitespace past ASCII, and its cells'
+    bounds, flat, with a flag on the last cell of each row, split in one
+    numpy pass over its bytes.
 
     A cell ends at each comma, CR and LF, bytes UTF-8 uses for those
     characters alone, so CR LF ends a line and then an empty one; an empty
     cell that starts and ends its line is an empty line, dropped as
-    csv.reader drops them.  Each cell is then stripped of the ASCII blanks
-    str.strip removes, found by placing its bounds among the other bytes."""
-    if b'"' in data or b"\0" in data:
-        return None
-    if not data.isascii():
-        try:
-            if _WIDE_SPACE.search(data.decode("utf-8")):
-                return None
-        except UnicodeDecodeError:
-            return None
+    csv.reader drops them.  A field of more characters than csv's field
+    size limit is refused with csv.reader's text and line.  Each cell is
+    then stripped of the ASCII blanks str.strip removes, found by placing
+    its bounds among the other bytes."""
     end = b"" if data.endswith((b"\n", b"\r")) else b"\n"
     codes = np.frombuffer(bytes(_LEAD) + data + end + bytes(8), dtype=np.uint8)
     is_break = codes == ord("\n")
@@ -306,10 +297,16 @@ def _split_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     empty[1:] &= last[:-1]
     if empty.any():
         starts, ends, last = starts[~empty], ends[~empty], last[~empty]
-    # a field is no longer than the file
+    # a field is no longer than the file, nor of more characters than bytes
     limit = csv.field_size_limit()
-    if len(data) > limit and (ends - starts).max(initial=0) > limit:
-        return None
+    most = max(limit, 0)  # csv.reader reads a negative limit as 0
+    if len(data) > most and (sizes := ends - starts).max(initial=0) > most:
+        if not data.isascii():  # its characters: the bytes that continue none
+            heads = np.cumsum((codes & 0xC0) != 0x80)
+            sizes = heads[ends - 1] - heads[starts - 1]
+        if (sizes > most).any():
+            line = 1 + _line_breaks(data[:starts[np.argmax(sizes > most)] - _LEAD])
+            raise ValueError(f"{path}: line {line}: field larger than field limit ({limit})")
     if any(space in data for space in _ASCII_SPACES.encode()):
         # a cell runs from the first byte at or after its start that is no
         # blank to the last before its end; the separators around it, and
@@ -365,19 +362,23 @@ def _record_line(records: list[list[str]], row: int, column: int) -> int:
 
 
 def _cells(path, data: bytes, kind) -> _Cells:
-    """The cells of a CSV file's bytes `data`, split by `_split_bytes` or,
-    where it declines the file, by csv.reader, beside its records: their
-    stripped cells joined by LF, padded as `_Cells.codes` is, a cell ending
-    at each LF or, when a quoted cell holds one, at the cells' cumulative
-    byte lengths, and a row at each record's length.  The layout is decided
-    by `_layout_flags` from the first row and the cell below its first,
-    `kind` naming a cell.  A split with no cell, its first row of another
-    width than the first, named by its row below any header and its line,
-    or no data row or data column is refused, whichever splitter made it."""
-    split = _split_bytes(data.removeprefix(_BOM))
-    records = None
-    if split is None:
-        records = _read_rows(path, _decode(path, data))
+    """The cells of a CSV file's bytes `data`, decoded once, by `_decode`,
+    when past ASCII or holding a quote or NUL.  One rule picks the
+    splitter: csv.reader for a quote, a NUL or whitespace past ASCII, its
+    records kept and their stripped cells joined by LF, a cell ending at
+    each LF or, when a quoted cell holds one, at the cells' cumulative
+    byte lengths, and a row at each record's length; else `_split_bytes`.
+    The layout is decided by `_layout_flags` from the first row and the
+    cell below its first, `kind` naming a cell.  A split with no cell, its
+    first row of another width than the first, named by its row below any
+    header and its line, or no data row or data column is refused."""
+    plain = data.removeprefix(_BOM)
+    quoted = b'"' in plain or b"\0" in plain
+    text = _decode(path, data) if quoted or not plain.isascii() else None
+    records = _read_rows(path, text) if quoted or text and _WIDE_SPACE.search(text) else None
+    if records is None:
+        codes, starts, ends, last = _split_bytes(path, plain)
+    else:
         rows = list(filter(None, records))
         texts = list(map(str.strip, chain.from_iterable(rows)))
         joined = ("\n".join(texts) + "\n").encode()
@@ -388,8 +389,7 @@ def _cells(path, data: bytes, kind) -> _Cells:
             ends = _LEAD + np.cumsum(lens + 1) - 1
         last = np.zeros(len(texts), dtype=bool)
         last[np.cumsum(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))) - 1] = True
-        split = codes, np.concatenate(([_LEAD], ends + 1))[:-1], ends, last
-    codes, starts, ends, last = split
+        starts = np.concatenate(([_LEAD], ends + 1))[:-1]
     if not len(last):
         raise ValueError(f"{path}: empty file")
     width = int(np.argmax(last)) + 1

@@ -271,23 +271,27 @@ def test_undecodable_file_is_named(tmp_path, read):
                                "bytes 0xe2 0x82: unexpected end of data")
 
 
+# the calls a read makes of `_split_bytes`, `_read_rows`, csv.reader and
+# `_decode`: the byte pass alone, or csv.reader on the decoded text
+BYTES, READER = (1, 0, 0, 0), (0, 1, 1, 1)
+
+
 @pytest.mark.parametrize("read", [lambda path: read_csv(path, FIVE), read_raw_csv,
                                   read_ranges_csv],
                          ids=["read_csv", "read_raw_csv", "read_ranges_csv"])
-@pytest.mark.parametrize("text, error, splits", [
-    ("a,b\n0,0.5\n1,1\n", None, 0),
-    ("a,b\n0,0.5\n1,x\n", "at row 2, column 2: cannot read 'x' as a number (line 3)", 0),
-    ('a,b\n0,0.5\n"1",x\n', "at row 2, column 2: cannot read 'x' as a number (line 3)", 1),
-    ("a,b\n0,0.5\n1,1,1\n", "row 2 has 3 cells, expected 2 (line 3)", 0),
-    ('a,b\n0,0.5\n"1",1,1\n', "row 2 has 3 cells, expected 2 (line 3)", 1),
+@pytest.mark.parametrize("text, error, calls", [
+    ("a,b\n0,0.5\n1,1\n", None, BYTES),
+    ("a,b\n0,0.5\n1,x\n", "at row 2, column 2: cannot read 'x' as a number (line 3)", BYTES),
+    ('a,b\n0,0.5\n"1",x\n', "at row 2, column 2: cannot read 'x' as a number (line 3)", READER),
+    ("a,b\n0,0.5\n1,1,1\n", "row 2 has 3 cells, expected 2 (line 3)", BYTES),
+    ('a,b\n0,0.5\n"1",1,1\n', "row 2 has 3 cells, expected 2 (line 3)", READER),
 ], ids=["good", "bad-cell", "quoted-bad-cell", "ragged", "quoted-ragged"])
-def test_a_csv_file_is_read_once(tmp_path, read, text, error, splits):
+def test_a_csv_file_is_read_once(tmp_path, read, text, error, calls):
     # a bad cell's line is found in the text already read, so a pipe,
     # which can be read only once, is named as a file is; a refused table,
     # ragged rows included, is split once and its line found from that
-    # split, so csv.reader runs, and the file is decoded, only where the
-    # byte pass declines it
-    assert_read_once(tmp_path, read, text, error, splits)
+    # split, so csv.reader runs, and the file is decoded, only for a quote
+    assert_read_once(tmp_path, read, text.encode(), error, calls)
 
 
 @pytest.mark.parametrize("read", [read_raw_csv, read_ranges_csv],
@@ -295,27 +299,60 @@ def test_a_csv_file_is_read_once(tmp_path, read, text, error, splits):
 def test_a_blank_csv_file_is_read_once(tmp_path, read):
     # blank lines alone leave no row: the byte pass splits them, and the
     # table is refused as empty from that split
-    assert_read_once(tmp_path, read, "\n\n", "empty file", 0)
+    assert_read_once(tmp_path, read, b"\n\n", "empty file", BYTES)
 
 
-def assert_read_once(tmp_path, read, text, error, splits):
-    """`read` of a file of `text` reads its bytes once, raises a ValueError
-    whose message ends in `error`, unless that is None, and runs
-    `_read_rows`, csv.reader and `_decode` `splits` times each."""
+LIMIT = 131072  # csv.field_size_limit() at its default, 128 KiB
+
+
+@pytest.mark.parametrize("read, oracle", [
+    (lambda path: read_csv(path, FIVE).entries.tolist(),
+     lambda path: oracles.read_csv(path, FIVE).entries.tolist()),
+    (lambda path: oracles.table_values(read_raw_csv(path)),
+     lambda path: oracles.table_values(oracles.read_raw_csv(path))),
+], ids=["read_csv", "read_raw_csv"])
+@pytest.mark.parametrize("content, error, calls", [
+    (b"a,b\n0,1\n1," + b"7" * (LIMIT + 1) + b"\n",
+     f"line 3: field larger than field limit ({LIMIT})", BYTES),
+    (("a,b\n" + "\u00e9" * 70_000 + ",1\n").encode(), None, (1, 0, 0, 1)),
+    ("a,b\n0.5,\u00a01\n1,0\n".encode(), None, READER),
+    (b"a,b\n0.5,1\n1,\xff\n",
+     "line 3, byte 12: 'utf-8' codec can't decode byte 0xff: invalid start byte", (0, 0, 0, 1)),
+], ids=["long-field", "long-non-ascii-field", "nbsp", "bad-byte"])
+def test_a_csv_file_is_decoded_and_split_once(tmp_path, read, oracle, content, error, calls):
+    # one rule picks the splitter from the bytes and from the one text
+    # `_decode` gives a file past ASCII: a field past csv's limit in
+    # characters is refused by the byte pass itself, with csv.reader's text
+    # and line, a field under it in characters but over it in bytes is read
+    # by the byte pass, a file padded with U+00A0 is decoded once for
+    # csv.reader, and a bad byte is named by `_decode` before any split
+    result = assert_read_once(tmp_path, read, content, error, calls)
+    if error is None:
+        assert result == oracle(tmp_path / "t.csv")
+
+
+def assert_read_once(tmp_path, read, content, error, calls):
+    """`read` of a file of bytes `content` reads them once, raises a
+    ValueError whose message ends in `error`, unless that is None, and
+    makes `calls`: its numbers of calls of `_split_bytes`, `_read_rows`,
+    csv.reader and `_decode`.  Returns what `read` returns."""
     path = tmp_path / "t.csv"
-    path.write_text(text)
+    path.write_bytes(content)
+    result = None
     with mock.patch.object(Path, "read_bytes", autospec=True,
                            side_effect=Path.read_bytes) as read_bytes, \
+            mock.patch.object(data, "_split_bytes", side_effect=data._split_bytes) as split, \
             mock.patch.object(data, "_read_rows", side_effect=data._read_rows) as read_rows, \
             mock.patch.object(data.csv, "reader", side_effect=data.csv.reader) as reader, \
             mock.patch.object(data, "_decode", side_effect=data._decode) as decode:
         if error is None:
-            read(path)
+            result = read(path)
         else:
             with pytest.raises(ValueError, match=re.escape(error) + "$"):
                 read(path)
     assert read_bytes.call_count == 1
-    assert read_rows.call_count == reader.call_count == decode.call_count == splits
+    assert tuple(m.call_count for m in (split, read_rows, reader, decode)) == calls
+    return result
 
 
 def test_a_byte_order_mark_is_dropped(tmp_path):

@@ -7,11 +7,11 @@ the levels that occur, kept per chain, `read_raw_csv` stores integer
 columns and `discretize` rounds them column-wide; each must match the
 per-cell Fraction code level for level (byte for byte when writing), or
 raise the same error.  The gather must join the texts its keys pick as a
-loop over the keys does.  The byte pass must split a file into
-csv.reader's rows, or leave it to csv.reader, and read its cells, split
-either way, without decoding what it can key or parse from bytes, and the
-one-pass transaction parser the line-by-line reader's grid, or the same
-error.  The decimal parser must agree with Fraction(text) on every text.
+loop over the keys does.  The byte pass must split each file one rule
+sends it into csv.reader's rows, or raise csv.reader's error, and read
+its cells, split either way, without decoding what it can key or parse
+from bytes, and the one-pass transaction parser the line-by-line reader's
+grid, or the same error.  The decimal parser must agree with Fraction(text) on every text.
 The readers must turn any input into a result or a ValueError.
 """
 
@@ -22,6 +22,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1232,12 +1233,10 @@ def read_rows(path):
 
 def split_rows(path):
     """The rows `_split_bytes` splits a file into, without any leading
-    byte-order mark, as the CSV readers call it, each ending at a cell it
-    flags as last, or None where it leaves the file to csv.reader."""
-    split = _split_bytes(path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
-    if split is None:
-        return None
-    codes, starts, ends, last = split
+    byte-order mark, as `data._cells` calls it, each ending at a cell it
+    flags as last; it raises csv.reader's error for a field past the
+    limit."""
+    codes, starts, ends, last = _split_bytes(path, path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
     texts = iter(_texts(codes, starts, ends))
     widths = np.diff(np.flatnonzero(last), prepend=-1)
     return [[next(texts) for _ in range(width)] for width in widths]
@@ -1250,29 +1249,40 @@ def rows_or_error(read, path):
         return f"ValueError: {exc}"
 
 
-def wide_spaces(data: bytes) -> bool:
-    """Whether UTF-8 bytes hold a character past ASCII that str.strip
+def wide_spaces(text: str) -> bool:
+    """Whether a text holds a character past ASCII that str.strip
     removes."""
-    return any(c.isspace() and not c.isascii() for c in data.decode("utf-8"))
+    return any(c.isspace() and not c.isascii() for c in text)
+
+
+def splitters(path):
+    """How many times `data._cells` runs `_split_bytes` and `_read_rows`
+    on a file, whatever it then refuses."""
+    with mock.patch.object(data, "_split_bytes", side_effect=_split_bytes) as split, \
+            mock.patch.object(data, "_read_rows", side_effect=_read_rows) as read:
+        rows_or_error(lambda path: data._cells(path, path.read_bytes(), lambda text: "grade"), path)
+    return split.call_count, read.call_count
 
 
 def assert_rows_match_csv_reader(path):
-    """The byte pass splits a file into csv.reader's rows, ragged ones as
-    they are and none for a file of blank lines, and leaves it to
-    csv.reader exactly when it does not decode, holds a quote, a NUL or
-    whitespace past ASCII, or csv.reader refuses a field past its limit;
-    the general path gives csv.reader's rows or its error."""
+    """One rule sends a file that decodes and holds no quote, NUL or
+    whitespace past ASCII to the byte pass, any other that decodes to
+    csv.reader, and one that does not decode to neither.  The byte pass
+    splits a file into csv.reader's rows, ragged ones as they are and none
+    for a file of blank lines, or refuses it with csv.reader's field-limit
+    error; the general path gives csv.reader's rows or its error."""
     want = rows_or_error(oracles.read_rows, path)
     if want == f"ValueError: {path}: empty file":
         want = []  # csv.reader's rows, which the oracle refuses as a table
-    plain = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
-    refused = isinstance(want, str) and bool(
-        re.search("codec can't decode|field larger than field limit", want))
-    declined = refused or b'"' in plain or b"\0" in plain or wide_spaces(plain)
-    rows = split_rows(path)
-    assert (rows is None) == declined
-    if rows is not None:
-        assert rows == want
+    try:
+        text = path.read_bytes().removeprefix(b"\xef\xbb\xbf").decode("utf-8")
+    except UnicodeDecodeError:
+        assert splitters(path) == (0, 0)
+        return
+    plain = not ('"' in text or "\0" in text or wide_spaces(text))
+    assert splitters(path) == (plain, not plain)
+    if plain:
+        assert rows_or_error(split_rows, path) == want
     assert rows_or_error(read_rows, path) == want
 
 
@@ -1322,9 +1332,8 @@ def test_row_split_takes_padded_and_non_ascii_text(tmp_path, text, split):
     # holding a blank past ASCII goes through csv.reader
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    rows = split_rows(path)
-    assert (rows is not None) == split
-    assert (rows or read_rows(path)) == oracles.read_rows(path)
+    assert splitters(path) == (split, not split)
+    assert_rows_match_csv_reader(path)
 
 
 def test_readers_reject_oversized_fields_and_exponents(tmp_path):
