@@ -29,10 +29,10 @@ the first bad cell.  A bad cell or a row of the wrong width is named by
 its row below any header, a cell also by its column, and by the file line
 it starts on, counted in the file's bytes or in csv.reader's records.
 
-A transaction file of digits, blanks and LF alone, with ids of at most
-18 digits, is parsed in one pass, its ids read from the token bounds
-digit position by digit position; any other is read line by line, so a
-bad id is named by its line.  `write_csv` prints
+A transaction file is parsed in one pass, decoded first only when past
+ASCII: its runs of at most 18 digits are read from their bounds digit
+position by digit position, its other tokens by int(), and its first bad
+id is named by its line.  `write_csv` prints
 its cells through a byte table of level texts that follows the levels that
 occur, by one gather per block of rows, and writes the file in one call.
 
@@ -909,14 +909,14 @@ def read_fimi(path, num_items: int | None = None, *,
     """Read a transaction file onto the two-grade chain.
 
     Each line lists the item ids of one transaction, whitespace separated;
-    an empty line is an empty transaction.  With `num_items` given, ids
-    index columns directly and must stay below it.  Without it, the
-    distinct ids that occur are mapped onto columns in sorted order, so
-    datasets whose ids start at 1 do not drag along an unused column: by a
-    table of the ids present when the file is read in one pass and they are
-    all below its byte count, by a sort otherwise, so memory follows the
-    file and not the largest id.  A grid of more than MAX_FIMI_CELLS cells
-    is refused.
+    an empty line is an empty transaction.  `_fimi_tokens` parses the file
+    in one pass.  With `num_items` given, ids index columns directly and
+    must stay below it.  Without it, the distinct ids that occur are mapped
+    onto columns in sorted order, so datasets whose ids start at 1 do not
+    drag along an unused column: by a table of the ids present when they
+    are int64 and below the file's byte count, by a sort otherwise, so
+    memory follows the file and not the largest id.  A grid of more than
+    MAX_FIMI_CELLS cells is refused.
     """
     if scale is None:
         scale = Scale.boolean()
@@ -925,22 +925,14 @@ def read_fimi(path, num_items: int | None = None, *,
     if num_items is not None:
         num_items = _require_count("num_items", num_items, 1)
     data = Path(path).read_bytes()
-    tokens = _fimi_tokens(data)
-    if tokens is None:
-        lines, rows, ids = _fimi_lines(path, _decode(path, data), num_items)
-    else:
-        lines, rows, ids = tokens
-        if num_items is not None and len(ids) and int(ids.max()) >= num_items:
-            t = int(np.argmax(ids >= num_items))
-            raise ValueError(f"{path}: item id {ids[t]} on line {rows[t] + 1} "
-                             f"exceeds num_items={num_items}")
+    lines, rows, ids = _fimi_tokens(path, data, num_items)
     if not lines:
         raise ValueError(f"{path}: empty file")
 
     if num_items is None:
         if not len(ids):
             raise ValueError(f"{path}: no items in any transaction")
-        if tokens is not None and (top := int(ids.max())) < len(data):
+        if ids.dtype == np.int64 and (top := int(ids.max())) < len(data):
             present = np.zeros(top + 1, dtype=bool)
             present[ids] = True
             distinct = np.flatnonzero(present)
@@ -967,36 +959,47 @@ def read_fimi(path, num_items: int | None = None, *,
     return GradedMatrix(scale, grid)
 
 
-# the only bytes of a transaction file read in one pass
+# the bytes of a plain transaction file, whose tokens are all runs of digits
 _FIMI_BYTES = b"0123456789 \t\n"
 
 
-def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """Lines, and each item id with its 0-based line, of a transaction file
-    of ASCII digits, spaces, tabs and LF only, parsed in one pass; None for
-    any other file, or one with an id of 19 digits or more, which may not
-    fit int64.  A token starts at a digit after a non-digit and ends before
-    the next non-digit.  Each LF is placed among the sorted token starts,
-    which counts the tokens of each line, and each line's number is
-    repeated that many times.  The ids are read from the token bounds by
-    one Horner step per digit position: every token takes its first digit,
-    then each token longer than k digits takes its digit k, for each k
-    below the longest token's length."""
-    if data.translate(None, _FIMI_BYTES):
-        return None
+def _fimi_tokens(path, data: bytes, num_items: int | None) -> tuple[int, np.ndarray, np.ndarray]:
+    """Lines, and each item id with its 0-based line, of a transaction
+    file, parsed in one pass.  A file past ASCII is decoded once by
+    `_decode` and its whitespace past ASCII made spaces; LF, CR and CR LF
+    end lines, and the other ASCII blanks str.split splits on separate
+    tokens.  Each line break is placed among the sorted token starts, which
+    counts the tokens of each line.  A run of at most 18 digits is read from
+    its bounds by one Horner step per digit position: every token takes its
+    first digit, then each token longer than k digits its digit k, for each
+    k below the longest token's length.  Any other token is read by int(),
+    in file order.  The first bad or negative id, or id past `num_items`,
+    is named by its line.  An id past int64 makes the ids Python ints."""
+    if not data.isascii():
+        data = _WIDE_SPACE.sub(" ", _decode(path, data)).encode()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     lines = data.count(b"\n") + (bool(data) and not data.endswith(b"\n"))
     codes = np.frombuffer(data, dtype=np.uint8)
     values = codes - np.uint8(ord("0"))  # a digit's value; 10 or more for any other byte
-    digit = np.concatenate(([False], values < 10, [False]))
-    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    solid = values < 10
+    other = None  # the bytes of tokens that are no run of digits
+    if data.translate(None, _FIMI_BYTES):
+        other = ~(solid | _IS_SPACE.take(codes) | (codes == ord("\n")))
+        solid |= other
+    solid = np.concatenate(([False], solid, [False]))
+    edges = np.flatnonzero(solid[1:] != solid[:-1])
     starts, ends = edges[0::2], edges[1::2]
     widths = ends - starts
-    if len(starts) and widths.max() >= 19:
-        return None
-    widths = widths.astype(np.uint8)
+    odd = widths > 18  # the tokens int() reads
+    if other is not None:
+        odd[np.searchsorted(starts, np.flatnonzero(other), side="right") - 1] = True
     before = np.searchsorted(starts, np.flatnonzero(codes == ord("\n")))
     per_line = np.diff(before, prepend=0, append=len(starts))
     rows = np.repeat(np.arange(len(per_line)), per_line)
+    slow = np.flatnonzero(odd)
+    widths[slow] = 0
+    widths = widths.astype(np.uint8)
     ids = values[starts].astype(np.int64)
     for k in range(1, int(widths.max(initial=0))):
         # in place, so each step allocates two bytes per token, its mask and
@@ -1005,33 +1008,29 @@ def _fimi_tokens(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
         longer = widths > k
         np.multiply(ids, 10, out=ids, where=longer)
         np.add(ids, values[k:].take(starts, mode="clip"), out=ids, where=longer)
+
+    first, refusal = len(starts), ""  # the first token int() refuses or reads as negative
+    items = []
+    for t in slow:
+        token = data[starts[t]:ends[t]].decode()
+        try:
+            item = int(token)
+        except ValueError:
+            first, refusal = t, f"bad item id {token!r} on line {rows[t] + 1}"
+            break
+        if item < 0:
+            first, refusal = t, f"negative item id {item} on line {rows[t] + 1}"
+            break
+        items.append(item)
+    if items and max(items) >= _INT64_LIMIT:
+        ids = ids.astype(object)
+    ids[slow[:len(items)]] = items
+    if num_items is not None and first and int(ids[:first].max()) >= num_items:
+        t = int(np.argmax(ids[:first] >= num_items))
+        refusal = f"item id {ids[t]} on line {rows[t] + 1} exceeds num_items={num_items}"
+    if refusal:
+        raise ValueError(f"{path}: {refusal}")
     return lines, rows, ids
-
-
-def _fimi_lines(path, text: str, num_items: int | None) -> tuple[int, np.ndarray, np.ndarray]:
-    """Lines, and each item id with its 0-based line, of a transaction file
-    read line by line; a bad, negative or too-large id is named by its line.
-    Lines end at CR LF, CR or LF.  The ids are Python ints of any size in an
-    object array, which keeps them exact where int64 or float64 would not."""
-    transactions: list[list[int]] = []
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        items = []
-        for token in line.split():
-            try:
-                item = int(token)
-            except ValueError:
-                raise ValueError(f"{path}: bad item id {token!r} on line {lineno}") from None
-            if item < 0:
-                raise ValueError(f"{path}: negative item id {item} on line {lineno}")
-            if num_items is not None and item >= num_items:
-                raise ValueError(
-                    f"{path}: item id {item} on line {lineno} exceeds num_items={num_items}"
-                )
-            items.append(item)
-        transactions.append(items)
-    rows = np.repeat(np.arange(len(transactions)), [len(items) for items in transactions])
-    ids = np.array(list(chain.from_iterable(transactions)), dtype=object)
-    return len(transactions), rows, ids
 
 
 # ----------------------------------------------------------------------

@@ -562,7 +562,7 @@ def test_copies_of_the_golden_input_give_the_golden_artifacts(tmp_path, data_dir
 
 @pytest.mark.parametrize("copy", ["crlf", "byte-order-mark"])
 def test_copies_of_a_transaction_file_give_its_artifacts(tmp_path, monkeypatch, copy):
-    # the plain file is parsed in one pass, its copy line by line
+    # the one pass reads the plain file and its copy, decoded or with CR LF, alike
     texts = {"plain": TRANSACTIONS, "crlf": TRANSACTIONS.replace("\n", "\r\n"),
              "byte-order-mark": "\ufeff" + TRANSACTIONS}
     artifacts = []

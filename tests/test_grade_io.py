@@ -10,11 +10,12 @@ raise the same error.  The gather must join the texts its keys pick as a
 loop over the keys does.  The byte pass must split each file one rule
 sends it into csv.reader's rows, or raise csv.reader's error, and read
 its cells, split either way, without decoding what it can key or parse
-from bytes, and the one-pass transaction parser the line-by-line reader's
+from bytes, and the one-pass transaction parser the reference reader's
 grid, or the same error.  The decimal parser must agree with Fraction(text) on every text.
 The readers must turn any input into a result or a ValueError.
 """
 
+import io
 import json
 import re
 import subprocess
@@ -1081,46 +1082,77 @@ FIMI_TOKENS = st.one_of(
     st.integers(0, 12).map(str),
     st.sampled_from(["-1", "x", "1.5", "007", "+3", "99", "10" * 12, "٣"]),
 )
+# the ASCII blanks str.split splits on within a line
+FIMI_BLANKS = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 @given(
     st.lists(st.lists(FIMI_TOKENS, max_size=8), max_size=8),
     st.sampled_from([None, 1, 5, 13]),
-    st.sampled_from(["\n", "\r\n", "\t\n"]),
+    st.sampled_from(FIMI_BLANKS),
+    st.sampled_from(["\n", "\r\n", "\r", "\t\n", "\x0c\r"]),
     st.sampled_from(["", "", "", "\ufeff"]),
 )
 @settings(max_examples=200)
-def test_read_fimi_matches_oracle(tmp_path_factory, lines, num_items, end, mark):
+def test_read_fimi_matches_oracle(tmp_path_factory, lines, num_items, sep, end, mark):
     # the same grid or the same error, naming the same first bad token; a
     # leading byte-order mark is dropped by both
     path = strategies.example_dir(tmp_path_factory, "fimi") / "t.dat"
-    text = mark + "".join(" ".join(tokens) + end for tokens in lines)
-    path.write_text(text, encoding="utf-8")
+    text = mark + "".join(sep.join(tokens) + end for tokens in lines)
+    path.write_bytes(text.encode())
     assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
 
 
-# digits alone, with leading zeros too; ids of 18, 18, 18, 19, 19 and 22
-# digits (the one-pass parser reads ids of up to 18 digits and leaves
-# longer ones to the line loop); and ids one below, at and one past the
-# file's byte count, written BYTES-1, BYTES+0 and BYTES+1 (the one-pass
-# parser maps ids below that count through a presence table, and others
-# by a sort)
-PLAIN_FIMI_TOKENS = st.one_of(
+@pytest.mark.parametrize("text, num_items, message", [
+    # a run of digits past num_items before a bad id, on one line and on two
+    ("0 1\r\n\r2 7 x\r\n", 5, "item id 7 on line 3 exceeds num_items=5"),
+    ("0 1\r\n\r2 7\rx\n", 5, "item id 7 on line 3 exceeds num_items=5"),
+    # and the other way round
+    ("0 1\r\n\r2 x 7\r\n", 5, "bad item id 'x' on line 3"),
+    ("0 1\r\n\rx\r2 7\n", 5, "bad item id 'x' on line 3"),
+    # ids int() reads, past num_items, before a bad id and a fast id past it
+    ("0 1\r\n\r+9 7 x\r\n", 5, "item id 9 on line 3 exceeds num_items=5"),
+    ("1\r\r\n" + "1" + "0" * 20 + " x\n", 10**20,
+     "item id 100000000000000000000 on line 3 exceeds num_items=100000000000000000000"),
+    # a negative id before an id past num_items and a bad id
+    ("1\r\n\r\n2\r-3 9 x\n", 5, "negative item id -3 on line 4"),
+    ("1\r\n\r\n2\r-3 9 x\n", None, "negative item id -3 on line 4"),
+])
+def test_read_fimi_names_the_first_problem_in_file_order(tmp_path, text, num_items, message):
+    # the lines count CR LF and a lone CR as one break each
+    path = tmp_path / "t.dat"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as info:
+        read_fimi(path, num_items)
+    assert str(info.value) == f"{path}: {message}"
+    assert outcome(oracles.read_fimi, path, num_items) == f"ValueError: {path}: {message}"
+
+
+# ids int() reads: digits alone, with leading zeros too; ids of 18, 18,
+# 18, 19, 19 and 22 digits (runs of up to 18 digits are read by Horner
+# steps and longer ones by int(), 19 nines past int64); ids one below, at
+# and one past the file's byte count, written BYTES-1, BYTES+0 and BYTES+1
+# (ids below that count are mapped through a presence table, and others by
+# a sort); and tokens that are no run of digits
+FIMI_IDS = st.one_of(
     st.integers(0, 12).map(str),
     st.integers(0, 12).map(lambda i: f"{i:03d}"),
     st.sampled_from(["007", "0", "00"]),
     st.sampled_from(["9" * 18, "1" + "0" * 17, "0" * 17 + "7", "1" + "0" * 18, "9" * 19,
                      "0" * 21 + "7"]),
     st.sampled_from(["BYTES-1", "BYTES+0", "BYTES+1"]),
+    st.sampled_from(["+3", "-0", "1_0", "٣"]),
 )
 BYTES = re.compile(r"BYTES([-+]\d)")
+# the blanks str.split splits on within a line, past ASCII too
+FIMI_SEPARATORS = FIMI_BLANKS + ("\xa0", "\x85", "  ", " \t")
 
 
 @pytest.mark.deep
 @given(
-    st.lists(st.one_of(st.tuples(st.lists(PLAIN_FIMI_TOKENS, max_size=6),
-                                 st.sampled_from([" ", "\t", "  ", " \t"]),
-                                 st.sampled_from(["", " ", "\t"])),
+    st.lists(st.one_of(st.tuples(st.lists(FIMI_IDS, max_size=6),
+                                 st.sampled_from(FIMI_SEPARATORS),
+                                 st.sampled_from(["", " ", "\t", "\x0b", "\xa0"])),
                        st.just(([], "", "\t"))), max_size=8),
     st.sampled_from([None, 1, 5, 13, 10**18, 10**20]),
     st.sampled_from(["\n", "\r\n", "\r"]),
@@ -1130,11 +1162,11 @@ BYTES = re.compile(r"BYTES([-+]\d)")
 @settings(max_examples=strategies.examples(300))
 def test_read_fimi_in_one_pass_matches_oracle(tmp_path_factory, lines, num_items, end, empty,
                                               last):
-    # a file of digits, blanks and \n alone is parsed in one pass, its ids
-    # those int() reads from its tokens, and none for a file of blanks; with
-    # \r in its line breaks, the same lines take the line loop.  Leading
-    # empty lines, lines of tabs alone and a missing last line break shift
-    # the line that a num_items error names
+    # every file is parsed in one pass, its ids those int() reads from its
+    # tokens, with the line each is on, and none for a file of blanks; the
+    # ids are int64 unless one is past it.  Leading empty lines, lines of
+    # blanks alone and a missing last line break shift the line that a
+    # num_items error names
     text = end * empty + end.join(pad + sep.join(tokens) + pad for tokens, sep, pad in lines)
     if last and text:
         text += end
@@ -1144,12 +1176,12 @@ def test_read_fimi_in_one_pass_matches_oracle(tmp_path_factory, lines, num_items
     path = strategies.example_dir(tmp_path_factory, "fimi-one-pass") / "t.dat"
     path.write_bytes(text.encode())
     assert path.stat().st_size == size
-    short = all(len(token) < 19 for tokens, _, _ in lines for token in tokens)
-    parsed = data._fimi_tokens(text.encode())
-    assert (parsed is not None) == ("\r" not in text and short)
-    if parsed is not None:
-        assert parsed[2].dtype == np.int64
-        assert parsed[2].tolist() == list(map(int, text.split()))
+    lines_read, rows, ids = data._fimi_tokens(path, text.encode(), None)
+    records = list(io.StringIO(text, newline=None))
+    assert lines_read == len(records)
+    assert rows.tolist() == [r for r, record in enumerate(records) for _ in record.split()]
+    assert ids.tolist() == list(map(int, text.split()))
+    assert (ids.dtype == np.int64) == all(int(token) < 2**63 for token in text.split())
     assert outcome(read_fimi, path, num_items) == outcome(oracles.read_fimi, path, num_items)
 
 
